@@ -58,7 +58,9 @@ def main() -> None:
         f"{N_DAYS} daily snapshots"
     )
 
-    result = PlanExecutor(scenario, sssp).run(boe_plan(scenario.unified))
+    result = PlanExecutor(scenario, sssp, record_traces=True).run(
+        boe_plan(scenario.unified)
+    )
     validate_workflow(scenario, sssp, result)
 
     far_corner = n - 1
@@ -70,7 +72,7 @@ def main() -> None:
         print(f"{day:>4} {n_open:>14} {cost:>18}")
 
     # The streaming engine reaches the same answers, paying for deletions.
-    streaming = PlanExecutor(scenario, sssp).run(
+    streaming = PlanExecutor(scenario, sssp, record_traces=True).run(
         streaming_plan(scenario.unified)
     )
     validate_workflow(scenario, sssp, streaming)

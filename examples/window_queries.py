@@ -16,7 +16,8 @@ Run:  python examples/window_queries.py
 import numpy as np
 
 from repro import synthesize_scenario
-from repro.core import EvolvingGraphEngine
+from repro.core import EvolvingGraphEngine, multi_query_boe_plan
+from repro.engines import PlanExecutor
 from repro.graph.generators import rmat_edges
 
 N_SITES = 900
@@ -57,8 +58,12 @@ def main() -> None:
             f"{np.nanmean(np.where(np.isfinite(last), last, np.nan)):6.2f} (day {N_DAYS - 1})"
         )
 
-    # fetch sharing: the batch seeding cost did not triple
-    adds = [e for e in mq.collector.executions if e.phase == "add"]
+    # fetch sharing: the batch seeding cost did not triple (a traced run
+    # of the same multi-query plan records each batch execution)
+    traced = PlanExecutor(scenario, engine.algorithm, record_traces=True).run(
+        multi_query_boe_plan(scenario.unified, depots)
+    )
+    adds = [e for e in traced.collector.executions if e.phase == "add"]
     total_fetch = sum(e.edges_fetched for e in adds)
     print(
         f"\n{len(adds)} shared batch executions fetched {total_fetch} edges "

@@ -116,6 +116,7 @@ def simulate_plan(
         algorithm,
         edges_per_block=config.edges_per_block,
         budget=budget,
+        record_traces=True,
     )
     result = executor.run(plan)
     if validate:

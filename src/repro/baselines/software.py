@@ -104,7 +104,7 @@ def run_baseline(
     if isinstance(system, str):
         system = SOFTWARE_SYSTEMS[system]
     plan = plan_for(system.workflow, scenario.unified)
-    result = PlanExecutor(scenario, algorithm).run(plan)
+    result = PlanExecutor(scenario, algorithm, record_traces=True).run(plan)
 
     update_events = 0
     eval_events = 0

@@ -22,6 +22,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 import time
@@ -38,6 +39,17 @@ def _fail_usage(message: str) -> int:
     """One-line operator error (bad input, not a crash): exit code 2."""
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _check_kernel_backend(name: str, origin: str) -> None:
+    """Exit 2 with the valid tier names when ``name`` is not one."""
+    from repro.perf.backend import VALID_NAMES
+
+    if name.strip().lower() not in VALID_NAMES:
+        raise SystemExit(_fail_usage(
+            f"invalid {origin} {name!r}: expected "
+            + "|".join(VALID_NAMES)
+        ))
 
 
 def _resolve_algorithm(name: str):
@@ -284,12 +296,8 @@ def _service_config(args: argparse.Namespace):
         ))
     if args.profile_rounds < 0:
         raise SystemExit(_fail_usage("--profile-rounds must be >= 0"))
-    if args.kernel_backend not in ("", "auto", "numpy", "compiled",
-                                   "numba", "cext"):
-        raise SystemExit(_fail_usage(
-            f"invalid --kernel-backend {args.kernel_backend!r}: expected "
-            "auto|numpy|compiled|numba|cext"
-        ))
+    if args.kernel_backend:
+        _check_kernel_backend(args.kernel_backend, "--kernel-backend")
     from repro.service import parse_ack_mode
 
     try:
@@ -1097,8 +1105,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--kernel-backend", default="",
             metavar="TIER",
             help="kernel tier pool workers must resolve: auto (default; "
-            "best available), numpy (reference), compiled (require "
-            "numba or the C extension), numba, cext.  Workers report "
+            "the C tier when it builds), numpy (reference), compiled or "
+            "cext (require the C tier).  Workers report "
             "the resolved tier in health and mega_kernel_backend",
         )
         p.add_argument("--ack-mode", default="local",
@@ -1265,6 +1273,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        env_tier = os.environ.get("MEGA_KERNEL_BACKEND", "")
+        if env_tier:
+            _check_kernel_backend(env_tier, "MEGA_KERNEL_BACKEND")
         return args.func(args)
     except SystemExit as exc:  # input-validation helpers exit with code 2
         return exc.code if isinstance(exc.code, int) else 2

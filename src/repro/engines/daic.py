@@ -32,6 +32,10 @@ from repro.resilience.budget import Budget, BudgetClock
 
 __all__ = ["MultiVersionEngine", "group_argbest"]
 
+#: rounds per compiled call while a wall-clock budget is live: the loop
+#: kernel cannot read the budget's clock, so it hands back this often
+_WALL_CLOCK_CHUNK = 64
+
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
     """``np.unique`` of an already-sorted array without the sort.
@@ -137,10 +141,12 @@ class MultiVersionEngine:
         #: shared across propagate/apply_additions calls
         self._scratch = _Scratch()
         #: compiled kernel tier (repro.perf.backend): when the backend has
-        #: a fused round kernel and the algorithm declares a kernel_op,
-        #: rounds run as one compiled pass over the gathered edges instead
-        #: of the five-sweep numpy body.  Algorithms without a kernel_op
-        #: (extensions with custom orders) always take the numpy path.
+        #: the propagation-loop kernel and the algorithm declares a
+        #: kernel_op, a whole propagate (or a batch seed plus its
+        #: propagate) is one compiled call instead of a Python loop over
+        #: the five-sweep numpy round body.  Algorithms without a
+        #: kernel_op (extensions with custom orders) always take the
+        #: numpy path.
         self._backend = get_backend()
         op_name = getattr(algorithm, "kernel_op", None)
         self._fused_op: int | None = (
@@ -148,17 +154,6 @@ class MultiVersionEngine:
             if self._backend.daic_round is not None and op_name in OPS
             else None
         )
-        #: which scratch pool the last fused round's ``changed`` lives in;
-        #: the fused kernel reads ``frontier`` while writing ``changed``,
-        #: so consecutive rounds must ping-pong between two pools (the
-        #: numpy path consumes ``frontier`` before its overwrite instead)
-        self._changed_pool = "changed"
-
-    def _changed_out(self, k: int, n: int) -> np.ndarray:
-        self._changed_pool = (
-            "changed2" if self._changed_pool == "changed" else "changed"
-        )
-        return self._scratch.get(self._changed_pool, bool, (k, n))
 
     def _can_fuse(self, *arrays: np.ndarray) -> bool:
         if self._fused_op is None:
@@ -208,8 +203,11 @@ class MultiVersionEngine:
         if presence.shape != (k, graph.n_edges):
             raise ValueError("presence must be (n_versions, n_union_edges)")
 
-        if self.budget is not None and self._budget_clock is None:
-            self._budget_clock = self.budget.start()
+        self._start_budget()
+        if self._can_fuse(frontier, presence, values):
+            return self._run_compiled(
+                values, frontier, presence, phase, parent_rows
+            )
         scratch = self._scratch
         # sampled kernel profiling (repro.obs.profile): one None-check per
         # round when disabled, two perf_counter pairs per sampled round
@@ -258,14 +256,6 @@ class MultiVersionEngine:
                 frontier[:] = False
                 continue
 
-            if self._can_fuse(frontier, presence, values):
-                frontier = self._fused_round(
-                    edge_idx, src_rep, frontier, presence, values,
-                    parent_rows, phase, union_frontier, popped_versions,
-                    recording, prof if timing else None, t0,
-                )
-                continue
-
             e = edge_idx.size
             # (K, E): does version k's frontier contain the edge's source,
             # and does the edge exist in version k's graph?  All round
@@ -309,8 +299,10 @@ class MultiVersionEngine:
             flat_cand = cand.ravel()[sel]
             algo.scatter_reduce(values.reshape(-1), flat_idx, flat_cand)
 
+            # ``frontier`` may alias this pool; it was fully consumed by
+            # the gathers above
             changed = algo.better_into(
-                values, old, out=self._changed_out(k, n)
+                values, old, out=scratch.get("changed", bool, (k, n))
             )
             if self.track_parents and parent_rows is not None:
                 self._update_parents(
@@ -342,76 +334,128 @@ class MultiVersionEngine:
             frontier = changed
         return rounds
 
-    def _fused_round(
+    def _start_budget(self) -> None:
+        if self.budget is not None and self._budget_clock is None:
+            self._budget_clock = self.budget.start()
+
+    def _round_caps(self, recording: bool, seeding: bool) -> tuple[int, int]:
+        """``(max_rounds, max_events)`` for one compiled call (-1: none).
+
+        A recording collector needs every round's counters, so it gets
+        one round per call (none when the call only seeds a batch).  A
+        budget caps the call at its remaining allowance, so the loop
+        stops exactly where the numpy tier's per-round charge would
+        breach; a wall-clock deadline also chunks the loop so the clock
+        is read at least every ``_WALL_CLOCK_CHUNK`` rounds.
+        """
+        caps = [0 if seeding else 1] if recording else []
+        events_cap = -1
+        clock = self._budget_clock
+        if clock is not None:
+            budget = clock.budget
+            if budget.max_rounds is not None:
+                caps.append(max(budget.max_rounds - clock.rounds, 0))
+            if budget.wall_clock_s is not None:
+                caps.append(_WALL_CLOCK_CHUNK)
+            if budget.max_events is not None:
+                events_cap = max(budget.max_events - clock.events, 0)
+        return (min(caps) if caps else -1), events_cap
+
+    def _run_compiled(
         self,
-        edge_idx: np.ndarray,
-        src_rep: np.ndarray,
+        values: np.ndarray,
         frontier: np.ndarray,
         presence: np.ndarray,
-        values: np.ndarray,
-        parent_rows: np.ndarray | None,
         phase: str,
-        union_frontier: np.ndarray,
-        popped_versions: int,
-        recording: bool,
-        prof,
-        t0: float,
-    ) -> np.ndarray:
-        """One compiled round: gather→relax→better_into in a single pass.
+        parent_rows: np.ndarray | None,
+        seed_edges: np.ndarray | None = None,
+    ) -> int:
+        """Propagate to a fixpoint through the compiled loop kernel.
 
-        Returns the new frontier (the ``changed`` matrix).  Bit-identical
-        to the numpy round body — candidates are computed from the
-        pre-round value snapshot and min/max-reduced in edge order, with
-        ``group_argbest``'s lowest-flat-index tie-breaks for parents.
+        With nothing recording this is one kernel call (plus one per
+        wall-clock chunk); while a collector records, one call per round
+        so each round's trace is taken exactly as the numpy tier takes
+        it.  ``seed_edges`` runs the batch reader's seed pass first (not
+        a round).  Returns the rounds run.  Bit-identical to the numpy
+        rounds: same edge order, same lowest-index parent tie-breaks.
         """
         graph = self.graph
         k, n = values.shape
-        scratch = self._scratch
-        if prof is not None:
-            # the pre-kernel span is the out-edge gather; the kernel span
-            # covers everything the numpy path calls relax + apply
-            t1 = prof.now()
-            prof.add("edge_gather", t1 - t0)
-            t0 = t1
-        old = scratch.get("old", np.float64, (k, n))
-        changed = self._changed_out(k, n)
         track = self.track_parents and parent_rows is not None
-        parent_best = (
-            scratch.get("pbest", np.float64, (k, n)) if track else None
+        parent_rows = (
+            np.ascontiguousarray(parent_rows, dtype=np.int64) if track else None
         )
-        parent_edge = (
-            scratch.get("pedge", np.int64, (k, n)) if track else None
-        )
-        pairs, active_edges = self._backend.daic_round(
-            edge_idx, src_rep, graph.dst, graph.wt,
-            frontier, presence, values, old, changed,
-            self._fused_op, self.algorithm.minimize,
-            parent_best, parent_edge,
-        )
-        if track:
-            kv, vv = np.nonzero(changed)
-            self.parent_edge[parent_rows[kv], vv] = parent_edge[kv, vv]
-        if prof is not None:
-            prof.add("fused_relax", prof.now() - t0)
-        if recording:
-            dst = np.take(
-                graph.dst, edge_idx,
-                out=scratch.get("dst", np.int64, (edge_idx.size,)),
+        clock = self._budget_clock
+        prof = active_profiler()
+        rounds = 0
+        while True:
+            recording = self._recording()
+            seeding = seed_edges is not None
+            max_rounds, max_events = self._round_caps(recording, seeding)
+            if recording and not seeding:
+                union_frontier = np.flatnonzero(frontier.any(axis=0))
+                popped_versions = int(frontier.sum())
+                edge_idx, __ = gather_out_edges(graph.indptr, union_frontier)
+            t0 = prof.now() if prof is not None else 0.0
+            counts = self._backend.daic_round(
+                graph.indptr, graph.src_of_edge, graph.dst, graph.wt,
+                frontier, presence, values,
+                self._fused_op, self.algorithm.minimize, self._scratch.get,
+                seed_edges=seed_edges,
+                parent_edge=self.parent_edge if track else None,
+                parent_rows=parent_rows,
+                max_rounds=max_rounds,
+                max_events=max_events,
             )
-            self._record_round(
-                phase,
-                events_popped=int(union_frontier.size),
-                events_generated=active_edges,
-                edge_idx=edge_idx,
-                vertex_writes=int(changed.any(axis=0).sum()),
-                n_versions=k,
-                dst=_unique_vertices(dst, n),
-                src=union_frontier,
-                version_events_popped=popped_versions,
-                version_events_generated=pairs,
-                version_vertex_writes=int(changed.sum()),
-            )
-        return changed
+            if prof is not None and prof.sample(counts.rounds + seeding):
+                prof.add("fused_relax", prof.now() - t0)
+            rounds += counts.rounds
+            if clock is not None and counts.rounds:
+                clock.charge(
+                    rounds=counts.rounds,
+                    events=counts.events,
+                    stats={"propagate_rounds": rounds},
+                )
+            if recording and seeding:
+                self._record_round(
+                    phase,
+                    events_popped=0,
+                    events_generated=counts.active_edges,
+                    edge_idx=seed_edges,
+                    vertex_writes=int(frontier.any(axis=0).sum()),
+                    n_versions=k,
+                    dst=_unique_vertices(graph.dst[seed_edges], n),
+                    src=_unique_vertices(graph.src_of_edge[seed_edges], n),
+                    version_events_popped=0,
+                    version_events_generated=counts.pairs,
+                    version_vertex_writes=int(frontier.sum()),
+                )
+            elif recording and counts.rounds:
+                self._record_round(
+                    phase,
+                    events_popped=int(union_frontier.size),
+                    events_generated=counts.active_edges,
+                    edge_idx=edge_idx,
+                    vertex_writes=int(frontier.any(axis=0).sum()),
+                    n_versions=k,
+                    dst=_unique_vertices(graph.dst[edge_idx], n),
+                    src=union_frontier,
+                    version_events_popped=popped_versions,
+                    version_events_generated=counts.pairs,
+                    version_vertex_writes=int(frontier.sum()),
+                )
+            if counts.pending == 0:
+                return rounds
+            if not counts.rounds and not seeding:
+                # the budget's allowance stopped the loop before a round:
+                # charge that round as the numpy tier would, which breaches
+                clock.charge(
+                    rounds=1,
+                    events=counts.pending,
+                    stats={"propagate_rounds": rounds + 1},
+                )
+                raise AssertionError("budget cap without a breach")
+            seed_edges = None
 
     def _update_parents(
         self,
@@ -476,17 +520,46 @@ class MultiVersionEngine:
         then propagation runs to a fixpoint.  Returns rounds executed
         (including the seeding round when it produced work).
         """
+        k, n = values.shape
+        self._begin(tag, phase, targets)
+        edge_idx = np.ascontiguousarray(batch_edge_idx, dtype=np.int64)
+        if self._can_fuse(presence, values):
+            self._start_budget()
+            rounds = self._run_compiled(
+                values,
+                self._scratch.get("frontier", bool, (k, n)),
+                presence,
+                phase,
+                parent_rows,
+                seed_edges=edge_idx,
+            )
+        else:
+            changed = self._seed_batch(
+                values, edge_idx, presence, phase, parent_rows
+            )
+            rounds = self.propagate(
+                values, changed, presence, phase, parent_rows
+            )
+        self._end()
+        return rounds + 1
+
+    def _seed_batch(
+        self,
+        values: np.ndarray,
+        edge_idx: np.ndarray,
+        presence: np.ndarray,
+        phase: str,
+        parent_rows: np.ndarray | None,
+    ) -> np.ndarray:
+        """The numpy batch-reader pass (round 0): every batch edge present
+        in a target version relaxes once; returns the changed matrix."""
         algo = self.algorithm
         graph = self.graph
         k, n = values.shape
-        self._begin(tag, phase, targets)
-        recording = self._recording()
-
         prof = active_profiler()
         timing = prof is not None and prof.sample()
         t0 = prof.now() if timing else 0.0
         scratch = self._scratch
-        edge_idx = np.ascontiguousarray(batch_edge_idx, dtype=np.int64)
         e = edge_idx.size
         src = np.take(
             graph.src_of_edge, edge_idx,
@@ -495,86 +568,61 @@ class MultiVersionEngine:
         dst = np.take(
             graph.dst, edge_idx, out=scratch.get("dst", np.int64, (e,))
         )
-        track = self.track_parents and parent_rows is not None
-        old = scratch.get("old", np.float64, (k, n))
-        if self._can_fuse(presence, values):
-            # Fused batch-reader pass: same kernel as the round loop with
-            # the frontier gate disabled (every present batch edge seeds).
-            changed = self._changed_out(k, n)
-            parent_best = (
-                scratch.get("pbest", np.float64, (k, n)) if track else None
-            )
-            parent_edge = (
-                scratch.get("pedge", np.int64, (k, n)) if track else None
-            )
-            pairs, active_edges = self._backend.daic_round(
-                edge_idx, src, graph.dst, graph.wt,
-                None, presence, values, old, changed,
-                self._fused_op, algo.minimize, parent_best, parent_edge,
-            )
-            if track:
-                kv, vv = np.nonzero(changed)
-                self.parent_edge[parent_rows[kv], vv] = parent_edge[kv, vv]
-            seed_any, seed_all = active_edges, pairs
-        else:
-            present = np.take(
-                presence, edge_idx, axis=1,
-                out=scratch.get("pres", bool, (k, e)),
-            )
-            vals = np.take(
-                values, src, axis=1,
-                out=scratch.get("vals", np.float64, (k, e)),
-            )
-            wt = np.take(
-                graph.wt, edge_idx, out=scratch.get("wt", np.float64, (e,))
-            )
-            cand = algo.candidate(vals, wt)
-            absent = np.logical_not(
-                present, out=scratch.get("inactive", bool, (k, e))
-            )
-            np.copyto(cand, algo.mask_value, where=absent)
+        present = np.take(
+            presence, edge_idx, axis=1,
+            out=scratch.get("pres", bool, (k, e)),
+        )
+        vals = np.take(
+            values, src, axis=1,
+            out=scratch.get("vals", np.float64, (k, e)),
+        )
+        wt = np.take(
+            graph.wt, edge_idx, out=scratch.get("wt", np.float64, (e,))
+        )
+        cand = algo.candidate(vals, wt)
+        absent = np.logical_not(
+            present, out=scratch.get("inactive", bool, (k, e))
+        )
+        np.copyto(cand, algo.mask_value, where=absent)
 
-            np.copyto(old, values)
-            flat_dst = np.add(
-                np.arange(k, dtype=np.int64)[:, None] * n, dst[None, :],
-                out=scratch.get("flat", np.int64, (k, e)),
+        old = scratch.get("old", np.float64, (k, n))
+        np.copyto(old, values)
+        flat_dst = np.add(
+            np.arange(k, dtype=np.int64)[:, None] * n, dst[None, :],
+            out=scratch.get("flat", np.int64, (k, e)),
+        )
+        sel = present.ravel()
+        flat_idx = flat_dst.ravel()[sel]
+        flat_cand = cand.ravel()[sel]
+        algo.scatter_reduce(values.reshape(-1), flat_idx, flat_cand)
+        changed = algo.better_into(
+            values, old, out=scratch.get("changed", bool, (k, n))
+        )
+        if self.track_parents and parent_rows is not None:
+            self._update_parents(
+                parent_rows, changed, flat_idx, flat_cand,
+                np.broadcast_to(edge_idx, (k, e)).ravel()[sel],
+                values,
             )
-            sel = present.ravel()
-            flat_idx = flat_dst.ravel()[sel]
-            flat_cand = cand.ravel()[sel]
-            algo.scatter_reduce(values.reshape(-1), flat_idx, flat_cand)
-            changed = algo.better_into(
-                values, old, out=self._changed_out(k, n)
-            )
-            if track:
-                self._update_parents(
-                    parent_rows, changed, flat_idx, flat_cand,
-                    np.broadcast_to(edge_idx, (k, e)).ravel()[sel],
-                    values,
-                )
-            seed_any = int(present.any(axis=0).sum())
-            seed_all = int(present.sum())
         if timing:
             prof.add("batch_seed", prof.now() - t0)
         # Round 0: the batch reader fetches the batch edges and generates
         # one (row-wide) event per batch edge live in any target version.
-        if recording:
+        if self._recording():
             self._record_round(
                 phase,
                 events_popped=0,
-                events_generated=seed_any,
+                events_generated=int(present.any(axis=0).sum()),
                 edge_idx=edge_idx,
                 vertex_writes=int(changed.any(axis=0).sum()),
                 n_versions=k,
                 dst=_unique_vertices(dst, n),
                 src=_unique_vertices(src, n),
                 version_events_popped=0,
-                version_events_generated=seed_all,
+                version_events_generated=int(present.sum()),
                 version_vertex_writes=int(changed.sum()),
             )
-        rounds = self.propagate(values, changed, presence, phase, parent_rows)
-        self._end()
-        return rounds + 1
+        return changed
 
     # -- trace plumbing ----------------------------------------------------------
 

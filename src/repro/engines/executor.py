@@ -3,8 +3,10 @@
 The executor is the software realization of every workflow in the paper —
 given a :class:`~repro.schedule.plan.Plan` it maintains the per-state value
 arrays and graph-membership masks, drives the multi-version engine, and
-returns the final query values of every snapshot.  The same execution
-produces the round traces the accelerator timing models replay.
+returns the final query values of every snapshot.  On request
+(``record_traces``) the same execution produces the round traces the
+accelerator timing models replay; a caller that only wants values skips
+them, which lets the compiled tier run each propagation as one call.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ __all__ = ["PlanExecutor", "WorkflowResult"]
 
 @dataclass
 class WorkflowResult:
-    """Final values per snapshot plus the collected execution traces."""
+    """Final values per snapshot plus the collected execution traces
+    (``collector`` is None unless the executor recorded them)."""
 
     plan_name: str
     snapshot_values: dict[int, np.ndarray]
-    collector: TraceCollector
+    collector: TraceCollector | None
     deletion_stats: list[DeletionStats] = field(default_factory=list)
     #: batch-composition bookkeeping mirrored from the run (None when the
     #: plan carries no batch ids); indexed by *state*, not snapshot
@@ -49,7 +52,13 @@ class WorkflowResult:
 
 
 class PlanExecutor:
-    """Executes workflow plans over an evolving scenario."""
+    """Executes workflow plans over an evolving scenario.
+
+    Traces are opt-in: only callers that read ``result.collector`` (the
+    accelerator models, the reuse/counter metrics, the software
+    baselines) pass ``record_traces=True``; ``record_touched_edges``
+    implies it.
+    """
 
     def __init__(
         self,
@@ -58,11 +67,13 @@ class PlanExecutor:
         record_touched_edges: bool = False,
         edges_per_block: int = 8,
         budget: Budget | None = None,
+        record_traces: bool = False,
     ) -> None:
         self.scenario = scenario
         self.algorithm = algorithm
         self.unified = scenario.unified
         self.record_touched_edges = record_touched_edges
+        self.record_traces = record_traces or record_touched_edges
         self.edges_per_block = edges_per_block
         self.budget = budget
 
@@ -72,8 +83,10 @@ class PlanExecutor:
         m = unified.n_union_edges
         needs_deletion = any(isinstance(s, DeleteEdges) for s in plan.steps)
 
-        collector = TraceCollector(
-            m, self.record_touched_edges, n_vertices=n
+        collector = (
+            TraceCollector(m, self.record_touched_edges, n_vertices=n)
+            if self.record_traces
+            else None
         )
         engine = MultiVersionEngine(
             self.algorithm,

@@ -35,7 +35,7 @@ def workflow_activity(
 ) -> WorkflowActivity:
     """Run a workflow functionally and aggregate its trace counters."""
     plan = plan_for(workflow, scenario.unified)
-    result = PlanExecutor(scenario, algorithm).run(plan)
+    result = PlanExecutor(scenario, algorithm, record_traces=True).run(plan)
     collector = result.collector
     return WorkflowActivity(
         workflow=workflow,

@@ -9,7 +9,10 @@ it is large.  These hooks time the two sections that dominate a round —
 
 Zero cost when disabled: the engine keeps a single ``prof is not None``
 check per round; no timestamps are taken, no dict is touched.  Enabled,
-the cost is two ``perf_counter()`` pairs per *sampled* round.
+the cost is two ``perf_counter()`` pairs per *sampled* round.  On the
+compiled tier a whole propagation loop is one kernel call: it advances
+the round counter by the rounds it ran and is booked as one
+``fused_relax`` section when any of them samples.
 
 The profiler is process-local (workers each own one).  Plans request
 profiling via ``PlanPayload.profile_every``; the worker wraps execution
@@ -48,11 +51,14 @@ class RoundProfiler:
         #: section -> [sampled_count, total_seconds]
         self._sections: dict[str, list] = {}
 
-    def sample(self) -> bool:
-        """Advance the round counter; True when this round is sampled."""
+    def sample(self, rounds: int = 1) -> bool:
+        """Advance the round counter by ``rounds``; True when any of them
+        is sampled.  A compiled loop call that ran several rounds counts
+        them all and is timed as one section when one of them samples."""
         with self._lock:
-            self._round += 1
-            return self._round % self.sample_every == 0
+            before = self._round
+            self._round += rounds
+            return self._round // self.sample_every > before // self.sample_every
 
     def add(self, section: str, seconds: float) -> None:
         with self._lock:

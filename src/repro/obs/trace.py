@@ -20,7 +20,8 @@ The derived *stage durations* are what operators read:
 * ``plan_to_worker`` — executor queue (pool saturation shows up here);
 * ``worker`` — pure compute inside the worker;
 * ``worker_to_resolve`` — result pickling + completion callback;
-* ``total`` — admit to resolve (equals the response's latency).
+* ``total`` — admit to resolve (equals the response's latency); the
+  four stages above partition it exactly.
 
 Queries that never reach a worker (cache hits, validation errors, shed)
 carry partial timelines — only the marks their path actually crossed.
@@ -44,12 +45,13 @@ STAGES = (
     "resolve",
 )
 
-#: derived durations: name -> (from_mark, to_mark)
+#: derived durations: name -> (from_mark, to_mark).  The four leaf
+#: stages tile admit -> resolve end to end, so they sum to ``total``
 STAGE_SPANS = {
     "admit_to_plan": ("admit", "plan_submit"),
     "plan_to_worker": ("plan_submit", "worker_start"),
     "worker": ("worker_start", "worker_end"),
-    "worker_to_resolve": ("worker_start", "resolve"),
+    "worker_to_resolve": ("worker_end", "resolve"),
     "total": ("admit", "resolve"),
 }
 

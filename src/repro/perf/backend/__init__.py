@@ -1,18 +1,17 @@
 """Kernel backend registry: compiled hot kernels behind the numpy API.
 
 The serving engine's cycles go to three kernels — ``group_argbest``, the
-DAIC round body, and the bit-plane presence gather.  Each has a compiled
-single-pass implementation (numba when importable, else a tiny C library
-compiled on first use and loaded via ctypes) and a pure-numpy reference
-that is kept forever as the parity baseline, following the
-``_presence_of_dense`` precedent.
+DAIC propagation loop, and the bit-plane presence gather.  Each has a
+compiled single-pass implementation (a tiny C library compiled on first
+use and loaded via ctypes) and a pure-numpy reference that is kept
+forever as the parity baseline, following the ``_presence_of_dense``
+precedent.
 
 Selection follows ``MEGA_KERNEL_BACKEND`` (resolved once per process):
 
-* ``auto`` (default) — best available compiled tier, numpy otherwise;
+* ``auto`` (default) — the C tier when it builds, numpy otherwise;
 * ``numpy`` — pin the reference implementations (CI keeps one leg here);
-* ``compiled`` — require a compiled tier; raise if none is available;
-* ``numba`` / ``cext`` — require that specific tier (tests, debugging).
+* ``compiled`` / ``cext`` — require the C tier; raise if it cannot build.
 
 Callers never import a tier directly: :func:`get_backend` returns a
 :class:`KernelBackend` whose optional members (``daic_round``,
@@ -37,6 +36,7 @@ import numpy as np
 from repro.perf.backend import reference
 
 __all__ = [
+    "VALID_NAMES",
     "KernelBackend",
     "available_backends",
     "backend_info",
@@ -45,7 +45,7 @@ __all__ = [
     "reset_backend",
 ]
 
-#: Algorithm.kernel_op name -> opcode shared by the C and numba tiers
+#: Algorithm.kernel_op name -> opcode of the C tier's candidate function
 OPS = {"plus_wt": 0, "plus_one": 1, "min_wt": 2, "max_wt": 3, "div_wt": 4}
 
 #: group_argbest falls back to the reference lexsort when the dense
@@ -105,28 +105,13 @@ def _cext_backend() -> KernelBackend | None:
     )
 
 
-def _numba_backend() -> KernelBackend | None:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return None
-    try:
-        from repro.perf.backend import numba_jit
-    except ImportError:  # pragma: no cover - broken numba install
-        return None
-    return KernelBackend(
-        name="numba",
-        group_argbest=_guarded_argbest(numba_jit.group_argbest),
-        daic_round=numba_jit.daic_round,
-        presence_gather=numba_jit.presence_gather,
-    )
-
-
 _TIERS = {
     "numpy": _numpy_backend,
     "cext": _cext_backend,
-    "numba": _numba_backend,
 }
+
+#: every name MEGA_KERNEL_BACKEND / --kernel-backend accepts
+VALID_NAMES = ("auto", "numpy", "compiled", "cext")
 
 _active: KernelBackend | None = None
 _requested: str | None = None
@@ -134,29 +119,23 @@ _requested: str | None = None
 
 def _resolve(request: str) -> KernelBackend:
     request = (request or "auto").strip().lower()
-    if request in ("numpy", "numba", "cext"):
-        backend = _TIERS[request]()
-        if backend is None:
-            raise RuntimeError(
-                f"kernel backend {request!r} requested but unavailable"
-            )
-        return backend
-    if request == "compiled":
-        backend = _numba_backend() or _cext_backend()
-        if backend is None:
-            from repro.perf.backend import cext
-
-            raise RuntimeError(
-                "MEGA_KERNEL_BACKEND=compiled but no compiled tier is "
-                "available (numba not importable; C tier: "
-                f"{cext.build_error() or 'no compiler'})"
-            )
+    if request not in VALID_NAMES:
+        raise ValueError(
+            f"invalid kernel backend {request!r}: expected one of "
+            + "|".join(VALID_NAMES)
+        )
+    if request == "numpy":
+        return _numpy_backend()
+    backend = _cext_backend()
+    if backend is not None:
         return backend
     if request == "auto":
-        return _numba_backend() or _cext_backend() or _numpy_backend()
-    raise ValueError(
-        f"invalid MEGA_KERNEL_BACKEND {request!r}: expected "
-        "auto|numpy|compiled|numba|cext"
+        return _numpy_backend()
+    from repro.perf.backend import cext
+
+    raise RuntimeError(
+        f"kernel backend {request!r} requested but the C tier is "
+        f"unavailable ({cext.build_error() or 'no compiler'})"
     )
 
 
@@ -207,8 +186,6 @@ def reset_backend() -> None:
 def available_backends() -> list[str]:
     """Names of every tier that would resolve on this machine."""
     names = ["numpy"]
-    if _numba_backend() is not None:
-        names.append("numba")
     if _cext_backend() is not None:
         names.append("cext")
     return names
@@ -218,18 +195,11 @@ def backend_info() -> dict:
     """Provenance block for benchmarks and health surfaces."""
     from repro.perf.backend import cext
 
-    try:
-        import numba
-
-        numba_ver = numba.__version__
-    except ImportError:
-        numba_ver = "unavailable"
     active = get_backend()
     return {
         "active": active.name,
         "compiled": active.compiled,
         "requested": _requested or "auto",
         "available": available_backends(),
-        "numba": numba_ver,
         "cext_error": cext.build_error(),
     }

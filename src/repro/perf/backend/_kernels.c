@@ -6,8 +6,10 @@
  *
  *   group_argbest   — per-group best candidate with lowest-input-index
  *                     tie-breaks (replaces a lexsort + three temporaries);
- *   daic_round      — the DAIC engine's edge-gather -> relax -> better_into
- *                     round body fused into one pass over frontier edges;
+ *   daic_round      — the DAIC engine's propagation loop: each round's
+ *                     edge-gather -> relax -> better_into body fused into
+ *                     one pass over the frontier's out-edges, looping
+ *                     until the frontier drains or a round cap is hit;
  *   presence_gather — bit-plane presence test, unpack-and-test per edge
  *                     with no intermediate unpacked plane.
  *
@@ -22,9 +24,11 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
-/* Candidate ops (Algorithm.kernel_op): keep in sync with OPS in cext.py */
+/* Candidate ops (Algorithm.kernel_op): keep in sync with
+ * repro.perf.backend.OPS */
 #define OP_PLUS_WT 0     /* sssp:    val + wt          */
 #define OP_PLUS_ONE 1    /* bfs:     val + 1.0          */
 #define OP_MIN_WT 2      /* sswp:    min(val, wt)       */
@@ -90,81 +94,253 @@ int64_t mega_group_argbest(
     return u;
 }
 
-/* One DAIC round, fused: for every gathered edge j and version k,
- * gate on frontier membership of the edge's source and on per-version
- * edge presence, compute the candidate from the *pre-round* values
- * (old_vals, copied here), and min/max-reduce it into values[k][dst].
- * changed is fully rewritten; parent_best/parent_edge (optional) record
- * the per-(version, vertex) winning candidate and its union-edge id with
- * lowest-flat-index tie-breaks, matching group_argbest over the k-major
- * raveled candidate list.  Returns the number of (version, edge) active
- * pairs (the engine's version_events_generated counter).
+/* Relax one (version, edge) candidate into cell (version, v).
  *
- * frontier may be NULL (batch-seed pass: every present edge is active).
- * counters[0] <- active pair count, counters[1] <- edges active in >= 1
- * version; both always written. */
+ * np.minimum/maximum.at followed by better_into(values, old): a NaN value
+ * is sticky, a NaN candidate poisons the cell but is never "changed"
+ * (NaN fails the strict compare against old), and min/max of reals is
+ * order-insensitive.  A strict improvement marks the cell in `next`,
+ * records the candidate's edge as the cell's round parent, and appends v
+ * to the next frontier list the first time any of its versions changes.
+ *
+ * The edge that last strictly improved a cell is the first edge (in pass
+ * order) to reach the cell's final value — exactly group_argbest's
+ * lowest-flat-index winner over the k-major candidate list, for every
+ * cell that ends the pass changed (the only cells whose parent is read).
+ */
+static inline void relax(
+    double *values, uint8_t *next, int64_t cell, int64_t v, double cand,
+    int64_t e, int minimize, int64_t *round_parent, uint8_t *mark,
+    int64_t *list, int64_t *len)
+{
+    const double cur = values[cell];
+    if (cur != cur)
+        return;
+    if (cand != cand) {
+        values[cell] = cand;
+        next[cell] = 0;
+        return;
+    }
+    if (minimize ? cand < cur : cand > cur) {
+        values[cell] = cand;
+        next[cell] = 1;
+        if (round_parent != NULL)
+            round_parent[cell] = e;
+        if (!mark[v]) {
+            mark[v] = 1;
+            list[(*len)++] = v;
+        }
+    }
+}
+
+static int cmp_i64(const void *a, const void *b)
+{
+    const int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Turn the unordered list of vertices touched by a pass into the next
+ * round's frontier: ascending (the gather order of a vectorized CSR
+ * gather), restricted to vertices with at least one changed version,
+ * with `mark` cleared again.  A long list is rebuilt from one scan of
+ * `mark` instead of sorted.  Commits the pass's parents for every
+ * changed cell.  Returns the list length; *popped gets the changed-cell
+ * count (the next round's popped events). */
+static int64_t settle_frontier(
+    int64_t *list, int64_t len, uint8_t *mark, const uint8_t *next,
+    int64_t n_versions, int64_t n_vertices,
+    int64_t *parent_edge, const int64_t *parent_rows,
+    const int64_t *round_parent, int64_t *popped)
+{
+    int64_t i, k, kept = 0, cells = 0;
+    if (len > n_vertices / 8) {
+        len = 0;
+        for (i = 0; i < n_vertices; i++)
+            if (mark[i])
+                list[len++] = i;
+    } else {
+        qsort(list, (size_t)len, sizeof(int64_t), cmp_i64);
+    }
+    for (i = 0; i < len; i++) {
+        const int64_t v = list[i];
+        int64_t c = 0;
+        mark[v] = 0;
+        for (k = 0; k < n_versions; k++) {
+            const int64_t cell = k * n_vertices + v;
+            if (next[cell]) {
+                c++;
+                if (parent_edge != NULL)
+                    parent_edge[parent_rows[k] * n_vertices + v] =
+                        round_parent[cell];
+            }
+        }
+        if (c) {
+            list[kept++] = v;
+            cells += c;
+        }
+    }
+    *popped = cells;
+    return kept;
+}
+
+/* The DAIC propagation loop, round body fused into one pass per round.
+ *
+ * Optional seed pass first (seed_edges != NULL, the batch reader's round
+ * 0): every seed edge present in version k relaxes from the pre-pass
+ * values with the frontier gate disabled; the changed cells become the
+ * frontier.  Otherwise the frontier is read from `frontier`.
+ *
+ * Each round pops the frontier: for every frontier vertex in ascending
+ * order and each of its CSR out-edges (ascending), every version whose
+ * frontier holds the vertex and whose graph holds the edge relaxes the
+ * candidate computed from the *pre-round* source value into the
+ * destination.  Changed cells form the next frontier.  Frontier vertices
+ * live in a compact sorted list, so a round costs O(K x (frontier +
+ * gathered edges)), never a K x n rescan.
+ *
+ * Rounds run until the frontier is empty or a cap is hit: max_rounds
+ * (< 0: none) bounds the rounds run; max_events (< 0: none) bounds the
+ * popped events summed over them — a round that would exceed either is
+ * not started.  On return `frontier` holds the live frontier (all-zero
+ * when converged).
+ *
+ * parent_edge (nullable) is the engine's (rows x n) parent table;
+ * version k's changed cells write row parent_rows[k].  work is one
+ * 8-byte-aligned scratch block laid out as below (sized by
+ * cext._work_bytes, which must follow this layout).
+ *
+ * counters[0] rounds run (the seed pass is not a round)
+ * counters[1] events popped over those rounds
+ * counters[2] events pending in the live frontier (0 when converged)
+ * counters[3] active (version, edge) pairs of the last pass run
+ * counters[4] edges active in >= 1 version in the last pass run */
 void mega_daic_round(
-    const int64_t *edge_idx, const int64_t *src_rep, int64_t n_edges,
+    const int64_t *indptr, const int64_t *src_of_edge,
     const int64_t *dst_all, const double *wt_all,
-    const uint8_t *frontier, const uint8_t *presence,
-    double *values, double *old_vals, uint8_t *changed,
+    const int64_t *seed_edges, int64_t n_seed,
+    uint8_t *frontier, const uint8_t *presence, double *values,
     int64_t n_versions, int64_t n_vertices, int64_t n_union_edges,
-    int op, int minimize, int track_parents,
-    double *parent_best, int64_t *parent_edge,
+    int op, int minimize,
+    int64_t *parent_edge, const int64_t *parent_rows,
+    void *work, int64_t max_rounds, int64_t max_events,
     int64_t *counters)
 {
-    int64_t k, j, active_pairs = 0, active_edges = 0;
-    memcpy(old_vals, values,
-           (size_t)(n_versions * n_vertices) * sizeof(double));
-    memset(changed, 0, (size_t)(n_versions * n_vertices));
-    if (track_parents) {
-        /* NaN marks "no candidate yet"; strictly_better treats it as
-         * always-replaceable, giving first-seen-wins tie-breaks. */
-        for (j = 0; j < n_versions * n_vertices; j++) {
-            parent_best[j] = 0.0 / 0.0;
-            parent_edge[j] = -1;
+    const int64_t K = n_versions, n = n_vertices, M = n_union_edges;
+    const size_t cells = (size_t)(K * n);
+    const int64_t span = n > n_seed ? n : n_seed;
+    /* work layout: 8-byte members first, byte members last */
+    int64_t *cur_list = (int64_t *)work, *next_list = cur_list + n;
+    double *snap = (double *)(next_list + n);
+    int64_t *round_parent = parent_edge != NULL ? (int64_t *)(snap + K * span)
+                                                : NULL;
+    uint8_t *nxt = (uint8_t *)(snap + K * span)
+                   + (parent_edge != NULL ? cells * sizeof(int64_t) : 0);
+    uint8_t *mark = nxt + cells;
+    uint8_t *cur = frontier;
+    int64_t i, j, k, nf = 0, len = 0, popped = 0;
+    int64_t rounds = 0, events = 0, pairs = 0, active_edges = 0;
+
+    memset(nxt, 0, cells);
+    memset(mark, 0, (size_t)n);
+
+    if (seed_edges != NULL) {
+        memset(cur, 0, cells);
+        for (j = 0; j < n_seed; j++) {
+            const int64_t s = src_of_edge[seed_edges[j]];
+            for (k = 0; k < K; k++)
+                snap[j * K + k] = values[k * n + s];
+        }
+        for (j = 0; j < n_seed; j++) {
+            const int64_t e = seed_edges[j];
+            const int64_t v = dst_all[e];
+            const double wt = wt_all[e];
+            int edge_active = 0;
+            for (k = 0; k < K; k++) {
+                if (!presence[k * M + e])
+                    continue;
+                pairs++;
+                edge_active = 1;
+                relax(values, nxt, k * n + v, v,
+                      candidate_of(op, snap[j * K + k], wt), e, minimize,
+                      round_parent, mark, next_list, &len);
+            }
+            active_edges += edge_active;
+        }
+        nf = settle_frontier(next_list, len, mark, nxt, K, n,
+                             parent_edge, parent_rows, round_parent,
+                             &popped);
+        int64_t *tl = cur_list; cur_list = next_list; next_list = tl;
+        uint8_t *tb = cur; cur = nxt; nxt = tb;
+    } else {
+        for (k = 0; k < K; k++) {
+            const uint8_t *row = frontier + k * n;
+            for (i = 0; i < n; i++) {
+                mark[i] |= row[i];
+                popped += row[i];
+            }
+        }
+        for (i = 0; i < n; i++) {
+            if (mark[i]) {
+                mark[i] = 0;
+                cur_list[nf++] = i;
+            }
         }
     }
-    for (j = 0; j < n_edges; j++) {
-        const int64_t e = edge_idx[j];
-        const int64_t src = src_rep[j];
-        const int64_t v = dst_all[e];
-        const double wt = wt_all[e];
-        int edge_active = 0;
-        for (k = 0; k < n_versions; k++) {
-            if (frontier != NULL && !frontier[k * n_vertices + src])
-                continue;
-            if (!presence[k * n_union_edges + e])
-                continue;
-            active_pairs++;
-            edge_active = 1;
-            const double cand =
-                candidate_of(op, old_vals[k * n_vertices + src], wt);
-            const int64_t cell = k * n_vertices + v;
-            /* np.minimum/maximum.at followed by better_into(values, old):
-             * a NaN value is sticky, a NaN candidate poisons the cell but
-             * is never "changed" (NaN fails the strict compare against
-             * old), and min/max of reals is order-insensitive */
-            const double cur = values[cell];
-            if (cur == cur) {
-                if (cand != cand) {
-                    values[cell] = cand;
-                    changed[cell] = 0;
-                } else if (minimize ? cand < cur : cand > cur) {
-                    values[cell] = cand;
-                    changed[cell] = 1;
+
+    while (nf > 0) {
+        if (max_rounds >= 0 && rounds >= max_rounds)
+            break;
+        if (max_events >= 0 && events + popped > max_events)
+            break;
+        rounds++;
+        events += popped;
+        pairs = active_edges = 0;
+        len = 0;
+        for (i = 0; i < nf; i++) {
+            const int64_t s = cur_list[i];
+            for (k = 0; k < K; k++)
+                snap[i * K + k] = values[k * n + s];
+        }
+        for (i = 0; i < nf; i++) {
+            const int64_t s = cur_list[i];
+            for (j = indptr[s]; j < indptr[s + 1]; j++) {
+                const int64_t v = dst_all[j];
+                const double wt = wt_all[j];
+                int edge_active = 0;
+                for (k = 0; k < K; k++) {
+                    if (!cur[k * n + s] || !presence[k * M + j])
+                        continue;
+                    pairs++;
+                    edge_active = 1;
+                    relax(values, nxt, k * n + v, v,
+                          candidate_of(op, snap[i * K + k], wt), j,
+                          minimize, round_parent, mark, next_list, &len);
                 }
-            }
-            if (track_parents
-                && strictly_better(cand, parent_best[cell], minimize)) {
-                parent_best[cell] = cand;
-                parent_edge[cell] = e;
+                active_edges += edge_active;
             }
         }
-        active_edges += edge_active;
+        for (i = 0; i < nf; i++)
+            for (k = 0; k < K; k++)
+                cur[k * n + cur_list[i]] = 0;
+        nf = settle_frontier(next_list, len, mark, nxt, K, n,
+                             parent_edge, parent_rows, round_parent,
+                             &popped);
+        int64_t *tl = cur_list; cur_list = next_list; next_list = tl;
+        uint8_t *tb = cur; cur = nxt; nxt = tb;
     }
-    counters[0] = active_pairs;
-    counters[1] = active_edges;
+
+    if (cur != frontier) {
+        /* frontier is all-zero here: it was the last round's popped
+         * buffer, cleared cell by cell */
+        for (i = 0; i < nf; i++)
+            for (k = 0; k < K; k++)
+                frontier[k * n + cur_list[i]] = cur[k * n + cur_list[i]];
+    }
+    counters[0] = rounds;
+    counters[1] = events;
+    counters[2] = nf > 0 ? popped : 0;
+    counters[3] = pairs;
+    counters[4] = active_edges;
 }
 
 /* presence_gather: out[k][j] = bit k of the packed presence planes at

@@ -8,9 +8,11 @@ compile into unique temp names and ``os.replace`` atomically, so the
 worst case is a redundant compile, never a torn library.
 
 Everything marshalled across the boundary is a raw pointer into a
-C-contiguous numpy array; the wrappers own all shape/contiguity checks
-and scratch allocation so the callers (engine, UnifiedCSR) stay oblivious
-to the tier in use.
+C-contiguous numpy array, passed as a plain ``c_void_p`` address: the
+wrappers check dtype, contiguity and shape explicitly (``ValueError`` on
+a bad array) instead of paying ``np.ctypeslib.ndpointer``'s per-array
+``from_param``, so the callers (engine, UnifiedCSR) stay oblivious to the
+tier in use and a near-empty call costs the marshalling of its pointers.
 """
 
 from __future__ import annotations
@@ -21,19 +23,31 @@ import os
 import pathlib
 import subprocess
 import tempfile
+import threading
+import weakref
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["load_library", "build_error"]
+__all__ = ["LoopCounts", "load_library", "build_error"]
 
 _SRC = pathlib.Path(__file__).with_name("_kernels.c")
 
 _lib: ctypes.CDLL | None = None
 _build_error: str | None = None
 
-_I64P = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_F64P = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_U8P = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_P = ctypes.c_void_p
+_I64 = ctypes.c_int64
+_INT = ctypes.c_int
+
+_I64_T = np.dtype(np.int64)
+_F64_T = np.dtype(np.float64)
+
+#: per-thread preallocated out-parameter block of mega_daic_round
+_tls = threading.local()
+
+#: id(graph array) -> (weak reference, checked address); see _graph_ptr
+_graph_ptrs: dict[int, tuple[weakref.ref, int]] = {}
 
 
 def _cache_dir() -> pathlib.Path:
@@ -81,24 +95,22 @@ def _compile(src: pathlib.Path, out: pathlib.Path) -> None:
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.mega_group_argbest.restype = ctypes.c_int64
     lib.mega_group_argbest.argtypes = [
-        _I64P, _F64P, ctypes.c_int64, ctypes.c_int, ctypes.c_int64,
-        _U8P, _F64P, _I64P, _I64P, _I64P,
+        _P, _P, _I64, _INT, _I64, _P, _P, _P, _P, _P,
     ]
     lib.mega_daic_round.restype = None
     lib.mega_daic_round.argtypes = [
-        _I64P, _I64P, ctypes.c_int64,          # edge_idx, src_rep, E
-        _I64P, _F64P,                          # dst_all, wt_all
-        ctypes.c_void_p, _U8P,                 # frontier (nullable), presence
-        _F64P, _F64P, _U8P,                    # values, old, changed
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,  # K, n, M
-        ctypes.c_int, ctypes.c_int, ctypes.c_int,  # op, minimize, track
-        ctypes.c_void_p, ctypes.c_void_p,      # parent_best/edge (nullable)
-        _I64P,                                 # counters[2]
+        _P, _P, _P, _P,              # indptr, src_of_edge, dst_all, wt_all
+        _P, _I64,                    # seed_edges (nullable), n_seed
+        _P, _P, _P,                  # frontier, presence, values
+        _I64, _I64, _I64,            # K, n, M
+        _INT, _INT,                  # op, minimize
+        _P, _P,                      # parent_edge, parent_rows (nullable)
+        _P,                          # work (scratch block)
+        _I64, _I64,                  # max_rounds, max_events
+        _P,                          # counters[5]
     ]
     lib.mega_presence_gather.restype = None
-    lib.mega_presence_gather.argtypes = [
-        _U8P, ctypes.c_int64, _I64P, ctypes.c_int64, ctypes.c_int64, _U8P,
-    ]
+    lib.mega_presence_gather.argtypes = [_P, _I64, _P, _I64, _I64, _P]
     return lib
 
 
@@ -131,10 +143,23 @@ def build_error() -> str | None:
     return _build_error
 
 
-def _ptr_or_null(arr: np.ndarray | None):
-    if arr is None:
-        return None
-    return arr.ctypes.data_as(ctypes.c_void_p)
+def _ptr(arr: np.ndarray, dtype: np.dtype | None, name: str) -> int:
+    """Address of a C-contiguous array of ``dtype`` (None: any 1-byte
+    dtype, i.e. bool or uint8); ValueError otherwise."""
+    if dtype is None:
+        ok = arr.dtype.itemsize == 1
+    else:
+        ok = arr.dtype is dtype or arr.dtype == dtype
+    if not ok:
+        raise ValueError(f"{name}: expected {dtype or 'bool'}, got {arr.dtype}")
+    if not arr.flags.c_contiguous:
+        raise ValueError(f"{name}: array must be C-contiguous")
+    return arr.ctypes.data
+
+
+def _shape(arr: np.ndarray, shape: tuple, name: str) -> None:
+    if arr.shape != shape:
+        raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
 
 
 def group_argbest(
@@ -153,44 +178,131 @@ def group_argbest(
     out_keys = np.empty(min(n, domain), dtype=np.int64)
     out_best = np.empty(min(n, domain), dtype=np.int64)
     u = lib.mega_group_argbest(
-        keys, candidates, n, int(minimize), max_key,
-        seen, best_val, best_idx, out_keys, out_best,
+        keys.ctypes.data, candidates.ctypes.data, n, int(minimize), max_key,
+        seen.ctypes.data, best_val.ctypes.data, best_idx.ctypes.data,
+        out_keys.ctypes.data, out_best.ctypes.data,
     )
     return out_keys[:u].copy(), out_best[:u].copy()
 
 
+class LoopCounts(NamedTuple):
+    """What one :func:`daic_round` call did (see ``_kernels.c``)."""
+
+    #: propagation rounds run (the seed pass is not a round)
+    rounds: int
+    #: events popped over those rounds — what the budget is charged
+    events: int
+    #: events in the live frontier left behind (0 when converged)
+    pending: int
+    #: active (version, edge) pairs of the last pass run
+    pairs: int
+    #: edges active in at least one version in the last pass run
+    active_edges: int
+
+
+def _work_bytes(k: int, n: int, n_seed: int, track: bool) -> int:
+    """Size of mega_daic_round's scratch block (layout in _kernels.c):
+    two n-vertex lists and K x max(n, n_seed) snapshot doubles, the
+    (K, n) round parents when tracking, then the (K, n) next frontier
+    and the n-byte vertex marks."""
+    words = 2 * n + k * max(n, n_seed) + (k * n if track else 0)
+    return 8 * words + k * n + n
+
+
+def _graph_ptr(arr: np.ndarray, dtype: np.dtype, name: str) -> int:
+    """:func:`_ptr` memoised per live array object.
+
+    The graph arrays are the same objects on every call of an engine, so
+    their checks and address lookup run once; the weak reference drops
+    the entry when the array dies, before its id can be reused.
+    """
+    key = id(arr)
+    hit = _graph_ptrs.get(key)
+    if hit is not None and hit[0]() is arr:
+        return hit[1]
+    addr = _ptr(arr, dtype, name)
+    _graph_ptrs[key] = (
+        weakref.ref(arr, lambda __, key=key: _graph_ptrs.pop(key, None)),
+        addr,
+    )
+    return addr
+
+
 def daic_round(
-    edge_idx: np.ndarray,
-    src_rep: np.ndarray,
+    indptr: np.ndarray,
+    src_of_edge: np.ndarray,
     dst_all: np.ndarray,
     wt_all: np.ndarray,
-    frontier: np.ndarray | None,
+    frontier: np.ndarray,
     presence: np.ndarray,
     values: np.ndarray,
-    old_vals: np.ndarray,
-    changed: np.ndarray,
     op: int,
     minimize: bool,
-    parent_best: np.ndarray | None = None,
+    scratch: Callable[[str, type, tuple], np.ndarray],
+    seed_edges: np.ndarray | None = None,
     parent_edge: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """Fused DAIC round; returns (active version-pairs, active edges)."""
+    parent_rows: np.ndarray | None = None,
+    max_rounds: int = -1,
+    max_events: int = -1,
+) -> LoopCounts:
+    """Run DAIC rounds in C until the frontier drains or a cap is hit.
+
+    ``values`` ``(K, n)`` is updated in place and ``frontier`` ``(K, n)``
+    is left holding the live frontier.  ``seed_edges`` runs the batch
+    reader's seed pass first (the frontier's input content is then
+    ignored).  ``parent_edge``/``parent_rows`` (both or neither) track
+    each changed cell's winning edge into ``parent_edge[parent_rows[k]]``.
+    ``max_rounds``/``max_events`` (negative: unbounded) cap the rounds
+    run and the events they pop; ``scratch(name, dtype, shape)`` supplies
+    the reusable work block.  Bit-identical to the engine's numpy rounds.
+    """
     lib = load_library()
     k, n = values.shape
     m = dst_all.shape[0]
-    counters = np.zeros(2, dtype=np.int64)
-    track = parent_best is not None
-    lib.mega_daic_round(
-        edge_idx, src_rep, edge_idx.shape[0],
-        dst_all, wt_all,
-        _ptr_or_null(frontier), presence.view(np.uint8),
-        values, old_vals, changed.view(np.uint8),
-        k, n, m,
-        int(op), int(minimize), int(track),
-        _ptr_or_null(parent_best), _ptr_or_null(parent_edge),
-        counters,
+    _shape(frontier, (k, n), "frontier")
+    _shape(presence, (k, m), "presence")
+    _shape(indptr, (n + 1,), "indptr")
+    n_seed = 0
+    seed_ptr = None
+    if seed_edges is not None:
+        n_seed = seed_edges.shape[0]
+        seed_ptr = _ptr(seed_edges, _I64_T, "seed_edges")
+        if n_seed and not (0 <= seed_edges.min() and seed_edges.max() < m):
+            raise ValueError("seed_edges must index union edges")
+    pe_ptr = rows_ptr = None
+    if parent_edge is not None:
+        _shape(parent_rows, (k,), "parent_rows")
+        if parent_edge.shape[1:] != (n,) or not (
+            0 <= parent_rows.min() and parent_rows.max() < len(parent_edge)
+        ):
+            raise ValueError("parent_edge must hold every parent_rows row")
+        pe_ptr = _ptr(parent_edge, _I64_T, "parent_edge")
+        rows_ptr = _ptr(parent_rows, _I64_T, "parent_rows")
+    work = scratch(
+        "daic_work", np.uint8,
+        (_work_bytes(k, n, n_seed, parent_edge is not None),),
     )
-    return int(counters[0]), int(counters[1])
+    counters = getattr(_tls, "counters", None)
+    if counters is None:
+        counters = _tls.counters = np.zeros(5, dtype=np.int64)
+        _tls.counters_ptr = counters.ctypes.data
+    lib.mega_daic_round(
+        _graph_ptr(indptr, _I64_T, "indptr"),
+        _graph_ptr(src_of_edge, _I64_T, "src_of_edge"),
+        _graph_ptr(dst_all, _I64_T, "dst_all"),
+        _graph_ptr(wt_all, _F64_T, "wt_all"),
+        seed_ptr, n_seed,
+        _ptr(frontier, None, "frontier"),
+        _ptr(presence, None, "presence"),
+        _ptr(values, _F64_T, "values"),
+        k, n, m,
+        op, minimize,
+        pe_ptr, rows_ptr,
+        work.ctypes.data,
+        max_rounds, max_events,
+        _tls.counters_ptr,
+    )
+    return LoopCounts(*counters.tolist())
 
 
 def presence_gather(
@@ -200,8 +312,10 @@ def presence_gather(
     lib = load_library()
     edge_idx = np.ascontiguousarray(edge_idx, dtype=np.int64)
     out = np.empty((n_snapshots, edge_idx.shape[0]), dtype=np.uint8)
+    planes = np.ascontiguousarray(planes)
+    _shape(planes, ((n_snapshots + 7) // 8, planes.shape[1]), "planes")
     lib.mega_presence_gather(
-        np.ascontiguousarray(planes),
-        planes.shape[1], edge_idx, edge_idx.shape[0], n_snapshots, out,
+        _ptr(planes, None, "planes"), planes.shape[1], edge_idx.ctypes.data,
+        edge_idx.shape[0], n_snapshots, out.ctypes.data,
     )
     return out.view(bool)

@@ -116,8 +116,7 @@ class KernelBenchReport:
         ]
         if self.backend:
             lines.append(
-                f"kernel backend        {self.backend.get('active', '?')} "
-                f"(numba {self.backend.get('numba', '?')})"
+                f"kernel backend        {self.backend.get('active', '?')}"
             )
         if self.compare:
             compiled = self.compare.get("compiled", "?")
@@ -332,7 +331,7 @@ def _compare_backend_tiers(
 
     Returns ``{"compiled": "unavailable", ...}`` (and records no parity
     entries) when no compiled tier can load, so the benchmark still runs
-    on machines without numba or a C compiler.
+    on machines without a C compiler.
     """
     from repro.core.multi_query import evaluate_multi_query
     from repro.perf.backend import backend_info, reference, resolve_backend
@@ -381,9 +380,11 @@ def _compare_backend_tiers(
         )
         compare["presence_gather"] = _speedup_leg(leg_np, leg_c)
 
-        # fused DAIC round, measured through the full coalesced plan (the
-        # engine resolves the process-wide backend at construction, so
-        # each leg pins it explicitly)
+        # DAIC loop kernel, measured through the full coalesced plan: a
+        # value-only plan makes one daic_round call per propagate on the
+        # compiled leg and runs the numpy rounds on the other (the engine
+        # resolves the process-wide backend at construction, so each leg
+        # pins it explicitly)
         resolve_backend("numpy")
         leg_np = _time(
             lambda: evaluate_multi_query(scenario, algorithm, sources),

@@ -234,7 +234,7 @@ class ServiceConfig:
     #: surfaces in health; membership itself is whoever beacons)
     cluster: int = 0
     #: kernel backend the pool workers must resolve
-    #: (auto|numpy|compiled|numba|cext; "" defers to each worker's
+    #: (auto|numpy|compiled|cext; "" defers to each worker's
     #: MEGA_KERNEL_BACKEND / auto).  Workers report the tier they
     #: actually resolved — health and mega_kernel_backend expose it
     kernel_backend: str = ""

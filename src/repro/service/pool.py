@@ -135,7 +135,7 @@ class PlanResult:
     #: source vertex -> per-snapshot summaries
     summaries: dict[int, list[SnapshotSummary]] = field(default_factory=dict)
     worker_pid: int = 0
-    #: kernel tier the worker actually resolved (numba/cext/numpy);
+    #: kernel tier the worker actually resolved (cext/numpy);
     #: surfaces in health and the mega_kernel_backend metric so a
     #: mixed-pool misconfiguration is visible instead of silent
     kernel_backend: str = ""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.algorithms import get_algorithm
 from repro.core import EvolvingGraphEngine, evaluate_multi_query, multi_query_boe_plan
+from repro.engines import PlanExecutor
 from repro.engines.validation import evaluate_reference
 from repro.schedule.plan import ApplyEdges
 
@@ -82,8 +83,14 @@ def test_multi_query_shares_fetches(engine):
     the batch edges are fetched once per step for all queries, and only
     the propagation frontiers' (small) divergence adds fetches."""
     scenario, algo = engine.scenario, engine.algorithm
-    one = evaluate_multi_query(scenario, algo, [scenario.source])
-    three = evaluate_multi_query(scenario, algo, [scenario.source, 1, 2])
+
+    def traced(sources):
+        return PlanExecutor(scenario, algo, record_traces=True).run(
+            multi_query_boe_plan(scenario.unified, sources)
+        )
+
+    one = traced([scenario.source])
+    three = traced([scenario.source, 1, 2])
 
     def batch_fetches(result):
         return sum(

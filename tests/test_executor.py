@@ -156,7 +156,7 @@ def test_executions_align_with_work_steps(tiny_scenario):
     from repro.schedule import boe_plan
 
     plan = boe_plan(tiny_scenario.unified)
-    result = PlanExecutor(tiny_scenario, SSSP()).run(plan)
+    result = PlanExecutor(tiny_scenario, SSSP(), record_traces=True).run(plan)
     work = [
         s
         for s in plan.steps

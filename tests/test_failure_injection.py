@@ -82,7 +82,7 @@ def test_executor_rejects_unknown_step(tiny_scenario):
 
 def test_build_waves_rejects_mismatched_executions(tiny_scenario):
     plan = plan_for("boe", tiny_scenario.unified)
-    result = PlanExecutor(tiny_scenario, SSSP()).run(plan)
+    result = PlanExecutor(tiny_scenario, SSSP(), record_traces=True).run(plan)
     memory = MemorySystem(
         mega_config(capacity_scale=1.0), tiny_scenario.unified.graph
     )

@@ -30,8 +30,8 @@ from repro.perf.backend import (
     resolve_backend,
 )
 
-#: compiled tiers importable on this machine (cext needs a C compiler,
-#: numba the numba package); empty -> the differential tests skip
+#: compiled tiers loadable on this machine (cext needs a C compiler);
+#: empty -> the differential tests skip
 COMPILED = [name for name in available_backends() if name != "numpy"]
 
 
@@ -65,9 +65,25 @@ def test_numpy_backend_always_resolves():
     assert be.daic_round is None and be.presence_gather is None
 
 
-def test_invalid_backend_name_rejected():
-    with pytest.raises(ValueError):
-        resolve_backend("fpga")
+def test_invalid_backend_name_rejected(monkeypatch, capsys):
+    """Retired and unknown tiers fail with the valid names listed, from
+    the API, the environment and the flag alike."""
+    from repro.cli import main
+
+    for name in ("fpga", "numba"):
+        with pytest.raises(ValueError, match=r"auto\|numpy\|compiled\|cext"):
+            resolve_backend(name)
+    monkeypatch.setenv("MEGA_KERNEL_BACKEND", "numba")
+    assert main(["report"]) == 2
+    monkeypatch.delenv("MEGA_KERNEL_BACKEND")
+    assert main(["serve", "--scale", "tiny", "--kernel-backend", "numba"]) == 2
+    errors = capsys.readouterr().err.strip().splitlines()
+    assert errors == [
+        "error: invalid MEGA_KERNEL_BACKEND 'numba': expected "
+        "auto|numpy|compiled|cext",
+        "error: invalid --kernel-backend 'numba': expected "
+        "auto|numpy|compiled|cext",
+    ]
 
 
 def test_explicit_request_overrides_cached(monkeypatch):
@@ -84,7 +100,7 @@ def test_backend_info_reports_tiers():
     info = backend_info()
     assert info["active"] in available_backends()
     assert "numpy" in info["available"]
-    assert isinstance(info["numba"], str)  # a version or "unavailable"
+    assert set(info["available"]) <= {"numpy", "cext"}
 
 
 def test_kernel_ops_cover_core_algorithms():
@@ -145,126 +161,359 @@ def test_presence_gather_matches_unpackbits(compiled):
         assert np.array_equal(ref, got)
 
 
-# -- full engine differential: values for all five algorithms ---------------
+def test_daic_round_rejects_bad_arrays(compiled):
+    """Raw pointers cross into C, so the wrapper refuses any array the
+    kernel would misread: wrong dtype, non-contiguous, wrong shape, out
+    of range ids."""
+    be = resolve_backend(compiled)
+    g = _scenario().unified.graph
+    n, m = g.n_vertices, g.n_edges
+    scratch = MultiVersionEngine(get_algorithm("sssp"), _scenario().unified)
+    good = {
+        "frontier": np.zeros((2, n), dtype=bool),
+        "presence": np.ones((2, m), dtype=bool),
+        "values": np.zeros((2, n)),
+    }
+    bad = [
+        {"values": np.zeros((2, n), dtype=np.float32)},
+        {"frontier": np.zeros((n, 2), dtype=bool).T},
+        {"presence": np.ones((2, m + 1), dtype=bool)},
+        {"seed_edges": np.array([0, m], dtype=np.int64)},
+        {"seed_edges": np.array([0.0, 1.0])},
+        {"parent_edge": np.full((1, n), -1, dtype=np.int64),
+         "parent_rows": np.array([0, 1], dtype=np.int64)},
+    ]
+    for override in bad:
+        args = {**good, **override}
+        with pytest.raises(ValueError):
+            be.daic_round(
+                g.indptr, g.src_of_edge, g.dst, g.wt,
+                args.pop("frontier"), args.pop("presence"),
+                args.pop("values"), 0, True, scratch._scratch.get, **args,
+            )
 
 
-def _run_all(scenario, sources):
-    out = {}
-    for algorithm in all_algorithms():
-        res = evaluate_multi_query(scenario, algorithm, sources)
-        out[algorithm.name] = [
-            res.values(q, s).copy()
-            for q in range(len(sources))
-            for s in range(scenario.n_snapshots)
-        ]
+# -- full engine differential: every engine operation, all five algorithms
+#
+# Value-only runs go through the compiled loop kernel (one call per
+# propagate / apply_additions); recorded runs through per-round calls.
+# Both must match the numpy rounds bit for bit, parents included.
+
+
+def _on_tiers(compiled, fn):
+    """``fn()`` under the numpy reference, then under ``compiled``."""
+    out = []
+    for name in ("numpy", compiled):
+        resolve_backend(name)
+        out.append(fn())
     return out
+
+
+def _assert_same(ref, got, label=""):
+    assert len(ref) == len(got), label
+    for a, b in zip(ref, got):
+        assert a.dtype == b.dtype, label
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), label
+
+
+def _full_with_parents(unified, algorithm):
+    engine = MultiVersionEngine(algorithm, unified, track_parents=True)
+    presence = np.ones(unified.n_union_edges, dtype=bool)
+    vals = engine.evaluate_full(presence, source=3, parent_row=0)
+    return engine, presence, vals
 
 
 def test_engine_values_bit_identical(compiled):
     scenario = _scenario()
     sources = [0, 5, 11]
-    resolve_backend("numpy")
-    ref = _run_all(scenario, sources)
-    resolve_backend(compiled)
-    got = _run_all(scenario, sources)
-    for name in ref:
-        for a, b in zip(ref[name], got[name]):
-            assert np.array_equal(a, b, equal_nan=True), name
 
+    def run():
+        out = []
+        for algorithm in all_algorithms():
+            res = evaluate_multi_query(scenario, algorithm, sources)
+            out += [
+                res.values(q, s)
+                for q in range(len(sources))
+                for s in range(scenario.n_snapshots)
+            ]
+        return out
 
-def _parent_run(unified, backend_name):
-    resolve_backend(backend_name)
-    algo = get_algorithm("sssp")
-    engine = MultiVersionEngine(algo, unified, track_parents=True)
-    presence = np.ones(unified.n_union_edges, dtype=bool)
-    vals = engine.evaluate_full(presence, source=0)
-    return vals.copy(), engine.parent_edge.copy()
+    _assert_same(*_on_tiers(compiled, run))
 
 
 def test_parent_tracking_bit_identical(compiled):
+    """evaluate_full: identical winning edge ids, not merely identical
+    values — the lowest-flat-index tie-break is part of the contract."""
     unified = _scenario().unified
-    vals_ref, parents_ref = _parent_run(unified, "numpy")
-    vals_got, parents_got = _parent_run(unified, compiled)
-    assert np.array_equal(vals_ref, vals_got, equal_nan=True)
-    # identical winning edge ids, not merely identical values: the
-    # lowest-flat-index tie-break is part of the contract
-    assert np.array_equal(parents_ref, parents_got)
+    for algorithm in all_algorithms():
+
+        def run(algorithm=algorithm):
+            engine, __, vals = _full_with_parents(unified, algorithm)
+            return [vals.copy(), engine.parent_edge.copy()]
+
+        _assert_same(*_on_tiers(compiled, run), algorithm.name)
 
 
-def _deletion_run(unified, backend_name):
-    resolve_backend(backend_name)
-    engine = MultiVersionEngine(
-        get_algorithm("sssp"), unified, track_parents=True
-    )
-    presence = np.ones(unified.n_union_edges, dtype=bool)
-    vals = engine.evaluate_full(presence, source=0)
-    repair = DeletionRepair(engine)
-    reached = np.flatnonzero(np.isfinite(vals))
-    victim = int(engine.parent_edge[0][reached[-1]])
-    after = presence.copy()
-    after[victim] = False
-    repair.apply_deletions(vals, np.array([victim]), after, 0)
-    return vals.copy(), engine.parent_edge.copy()
+def test_multi_target_apply_additions_bit_identical(compiled):
+    """One batch seeded into K versions at once, parents on every row."""
+    unified = _scenario().unified
+    n, k = unified.n_vertices, unified.n_snapshots
+    presence = np.stack([unified.presence_mask(t) for t in range(k)])
+    batch = np.flatnonzero(presence.any(axis=0) & ~unified.common_mask)
+    for algorithm in all_algorithms():
+
+        def run(algorithm=algorithm):
+            engine = MultiVersionEngine(algorithm, unified, track_parents=True)
+            engine._ensure_parent_rows(k)
+            values = np.empty((k, n))
+            for t in range(k):
+                values[t] = engine.evaluate_full(
+                    unified.common_mask, source=3, parent_row=t
+                )
+            rounds = engine.apply_additions(
+                values, batch, presence.copy(), targets=tuple(range(k)),
+                parent_rows=np.arange(k),
+            )
+            return [values, engine.parent_edge.copy(), np.array([rounds])]
+
+        _assert_same(*_on_tiers(compiled, run), algorithm.name)
 
 
 def test_deletion_repair_bit_identical(compiled):
     unified = _scenario().unified
-    vals_ref, parents_ref = _deletion_run(unified, "numpy")
-    vals_got, parents_got = _deletion_run(unified, compiled)
-    assert np.array_equal(vals_ref, vals_got, equal_nan=True)
-    assert np.array_equal(parents_ref, parents_got)
+    for algorithm in all_algorithms():
+
+        def run(algorithm=algorithm):
+            engine, presence, vals = _full_with_parents(unified, algorithm)
+            parents = engine.parent_edge[0]
+            victims = parents[parents >= 0][::7]
+            after = presence.copy()
+            after[victims] = False
+            stats = DeletionRepair(engine).apply_deletions(
+                vals, victims, after, 3
+            )
+            return [
+                vals.copy(), engine.parent_edge.copy(), stats.tagged_mask,
+                np.array([stats.recompute_rounds]),
+            ]
+
+        _assert_same(*_on_tiers(compiled, run), algorithm.name)
+
+
+def test_window_server_advance_bit_identical(compiled):
+    from repro.core.window_server import WindowServer
+    from repro.service.ingest import synthesize_delta
+
+    scenario = _scenario()
+    for algorithm in all_algorithms():
+
+        def run(algorithm=algorithm):
+            server = WindowServer(scenario, algorithm)
+            for seed in (1, 2):
+                delta = synthesize_delta(server.scenario, seed=seed)
+                server.advance(
+                    delta.additions(scenario.n_vertices), delta.deletions()
+                )
+            return [
+                server.values(s) for s in range(server.n_snapshots)
+            ] + [server.last_stable]
+
+        _assert_same(*_on_tiers(compiled, run), algorithm.name)
 
 
 def test_nan_weights_poison_on_every_tier(compiled):
+    """NaN weights poison values identically on both tiers, parents
+    included."""
     from repro.evolving.unified_csr import UnifiedCSR
     from repro.graph.csr import CSRGraph
 
-    for name in ("numpy", compiled):
-        resolve_backend(name)
-        g = CSRGraph.from_tuples(3, [(0, 1, float("nan")), (1, 2, 1.0)])
-        none = np.full(2, -1, dtype=np.int32)
-        u = UnifiedCSR(g, none, none.copy(), 1)
-        engine = MultiVersionEngine(get_algorithm("sssp"), u)
-        vals = engine.evaluate_full(np.ones(2, dtype=bool), 0)
-        assert np.isnan(vals[1]), name
+    nan = float("nan")
+    # 0->6 NaN-poisons 6 outright; in round two 5 first improves via 2->5,
+    # then 3->5 poisons it in the same round, so 5 must not stay changed
+    # (and 5->7 must not carry the NaN on)
+    g = CSRGraph.from_tuples(8, [
+        (0, 2, 2.0), (0, 3, 1.0), (0, 6, nan), (2, 4, 0.5), (2, 5, 1.0),
+        (3, 5, nan), (4, 7, 3.0), (5, 7, 1.0), (6, 7, 1.0),
+    ])
+    none = np.full(g.n_edges, -1, dtype=np.int32)
+    u = UnifiedCSR(g, none, none.copy(), 1)
+    for algorithm in all_algorithms():
+
+        def run(algorithm=algorithm):
+            engine = MultiVersionEngine(algorithm, u, track_parents=True)
+            vals = engine.evaluate_full(
+                np.ones(g.n_edges, dtype=bool), 0, parent_row=0
+            )
+            return [vals.copy(), engine.parent_edge.copy()]
+
+        ref, got = _on_tiers(compiled, run)
+        _assert_same(ref, got, algorithm.name)
+        if algorithm.kernel_op != "plus_one":  # bfs ignores weights
+            assert np.isnan(got[0][6]) and np.isnan(got[0][5]), algorithm.name
 
 
 def test_empty_frontier_noop(compiled):
-    resolve_backend(compiled)
+    """An empty frontier runs no round; an empty batch only its seed."""
     unified = _scenario().unified
-    engine = MultiVersionEngine(get_algorithm("bfs"), unified)
-    values = engine.algorithm.identity_values(unified.n_vertices)[None, :]
-    frontier = np.zeros((1, unified.n_vertices), dtype=bool)
-    presence = np.ones((1, unified.n_union_edges), dtype=bool)
-    before = values.copy()
-    engine.propagate(values, frontier, presence)
-    assert np.array_equal(values, before)
+
+    def run():
+        engine = MultiVersionEngine(get_algorithm("bfs"), unified)
+        values = engine.algorithm.identity_values(unified.n_vertices)[None, :]
+        frontier = np.zeros((1, unified.n_vertices), dtype=bool)
+        presence = np.ones((1, unified.n_union_edges), dtype=bool)
+        rounds = engine.propagate(values, frontier, presence)
+        batch_rounds = engine.apply_additions(
+            values, np.empty(0, dtype=np.int64), presence
+        )
+        return [values.copy(), np.array([rounds, batch_rounds])]
+
+    ref, got = _on_tiers(compiled, run)
+    _assert_same(ref, got)
+    assert got[1].tolist() == [0, 1]
+    assert np.array_equal(
+        got[0][0], get_algorithm("bfs").identity_values(len(got[0][0]))
+    )
 
 
-def test_traces_identical_across_backends(compiled):
-    """The fused round must reproduce the recorded event counters, not
-    just the answers — the trace is the accelerator model's input."""
-    from repro.engines import TraceCollector
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"max_rounds": 0},
+        {"max_rounds": 5},
+        {"max_rounds": 23},
+        {"max_events": 40},
+        {"max_events": 900},
+        {"max_rounds": 23, "max_events": 900},
+    ],
+    ids=lambda b: ",".join(f"{k}={v}" for k, v in b.items()),
+)
+def test_budget_breach_identical_across_tiers(compiled, budget):
+    """The loop kernel stops where the numpy per-round charge breaches:
+    same resource and spend over a whole plan, and no round run past
+    the breach (identical partial values)."""
+    from repro.core.multi_query import multi_query_boe_plan
+    from repro.engines import PlanExecutor
+    from repro.resilience.budget import Budget, BudgetExceeded
+
+    scenario = _scenario()
+    unified = scenario.unified
+    plan = multi_query_boe_plan(unified, [0, 5, 11])
+
+    def run():
+        with pytest.raises(BudgetExceeded) as info:
+            PlanExecutor(
+                scenario, get_algorithm("sssp"), budget=Budget(**budget)
+            ).run(plan)
+        exc = info.value
+        engine = MultiVersionEngine(
+            get_algorithm("sssp"), unified, budget=Budget(**budget)
+        )
+        values = engine.new_values(2, 0)
+        frontier = np.zeros_like(values, dtype=bool)
+        frontier[:, 0] = True
+        presence = np.ones((2, unified.n_union_edges), dtype=bool)
+        try:
+            direct = engine.propagate(values, frontier, presence)
+        except BudgetExceeded as breach:
+            direct = (breach.resource, breach.spent)
+        return (
+            exc.resource, exc.limit, exc.spent, exc.stats,
+            direct, values.tolist(),
+        )
+
+    ref, got = _on_tiers(compiled, run)
+    assert ref == got
+
+
+def test_budget_within_allowance_identical(compiled):
+    """A budget the run fits in changes nothing; wall-clock chunking
+    included."""
+    from repro.resilience.budget import Budget
 
     scenario = _scenario()
 
-    def trace_totals(backend_name):
-        resolve_backend(backend_name)
-        unified = scenario.unified
-        collector = TraceCollector(unified.n_union_edges)
-        engine = MultiVersionEngine(
-            get_algorithm("sssp"), unified, collector=collector
+    def run():
+        res = evaluate_multi_query(
+            scenario, get_algorithm("bfs"), [0, 5],
+            budget=Budget(max_rounds=10_000, max_events=10**9,
+                          wall_clock_s=60.0),
         )
-        presence = np.ones(unified.n_union_edges, dtype=bool)
-        engine.evaluate_full(presence, source=0)
+        return [res.values(q, s) for q in range(2)
+                for s in range(scenario.n_snapshots)]
+
+    _assert_same(*_on_tiers(compiled, run))
+
+
+def test_traces_identical_across_backends(compiled):
+    """Recording keeps per-round calls, which must reproduce every
+    round's counters, not just the answers — the trace is the
+    accelerator model's input.  The streaming plan crosses full
+    evaluation, batch seeding, additions and deletion repair."""
+    from repro.engines import PlanExecutor
+    from repro.schedule import streaming_plan
+
+    scenario = _scenario()
+
+    def run():
+        result = PlanExecutor(
+            scenario, get_algorithm("sssp"), record_traces=True
+        ).run(streaming_plan(scenario.unified))
         return [
             (
-                r.events_popped, r.events_generated, r.vertex_writes,
-                r.version_events_popped, r.version_events_generated,
-                r.version_vertex_writes,
+                e.tag, r.phase, r.events_popped, r.events_generated,
+                r.edges_fetched, r.vertex_writes, r.version_events_popped,
+                r.version_events_generated, r.version_vertex_writes,
+                r.edge_blocks.tolist(), r.dst_vertices.tolist(),
+                r.src_vertices.tolist(),
             )
-            for execution in collector.executions
-            for r in execution.rounds
+            for e in result.collector.executions
+            for r in e.rounds
         ]
 
-    assert trace_totals("numpy") == trace_totals(compiled)
+    ref, got = _on_tiers(compiled, run)
+    assert {"full", "add", "del-tag", "del-recompute"} <= {r[1] for r in ref}
+    assert ref == got
+
+
+def test_profiler_books_loop_calls(compiled):
+    """A loop call advances rounds_seen by the rounds it ran and is
+    booked as one fused_relax section."""
+    from repro.obs.profile import profiled
+
+    resolve_backend(compiled)
+    unified = _scenario().unified
+    engine = MultiVersionEngine(get_algorithm("sssp"), unified)
+    presence = np.ones((1, unified.n_union_edges), dtype=bool)
+    frontier = np.zeros((1, unified.n_vertices), dtype=bool)
+    for sample_every, booked in ((1000, {}), (1, {"fused_relax": 1})):
+        values = engine.new_values(1, 0)
+        frontier[0, 0] = True
+        with profiled(sample_every) as prof:
+            rounds = engine.propagate(values, frontier, presence)
+        snap = prof.snapshot()
+        assert rounds > 1
+        assert snap["rounds_seen"] == rounds
+        assert {
+            name: sec["rounds"] for name, sec in snap["sections"].items()
+        } == booked
+
+
+def test_serving_paths_build_no_trace_collector(monkeypatch):
+    """Value-only callers never pay for traces."""
+    from repro.core.window_server import WindowServer
+    from repro.engines import executor
+    from repro.resilience.recovery import recompute_snapshot_from_common
+    from repro.service.ingest import synthesize_delta
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a serving path built a TraceCollector")
+
+    monkeypatch.setattr(executor, "TraceCollector", refuse)
+    scenario = _scenario()
+    algo = get_algorithm("sssp")
+    mq = evaluate_multi_query(scenario, algo, [0, 5])
+    assert mq.collector is None
+    server = WindowServer(scenario, algo)
+    delta = synthesize_delta(server.scenario, seed=4)
+    server.advance(delta.additions(scenario.n_vertices), delta.deletions())
+    recompute_snapshot_from_common(scenario, algo, 2)

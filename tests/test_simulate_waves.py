@@ -23,7 +23,9 @@ def scenario():
 
 
 def run_and_waves(scenario, plan, concurrent, capacity_scale=1.0):
-    result = PlanExecutor(scenario, get_algorithm("sssp")).run(plan)
+    result = PlanExecutor(
+        scenario, get_algorithm("sssp"), record_traces=True
+    ).run(plan)
     memory = MemorySystem(
         mega_config(capacity_scale=capacity_scale), scenario.unified.graph
     )

@@ -66,10 +66,10 @@ def test_all_workflows_agree(tiny_scenario, algorithm):
 def test_boe_fetches_fewer_edges_than_direct_hop(small_scenario):
     """Fig. 16 shape: BOE's shared fetches beat Direct-Hop's repetition."""
     algo = get_algorithm("sssp")
-    dh = PlanExecutor(small_scenario, algo).run(
+    dh = PlanExecutor(small_scenario, algo, record_traces=True).run(
         direct_hop_plan(small_scenario.unified)
     )
-    boe = PlanExecutor(small_scenario, algo).run(
+    boe = PlanExecutor(small_scenario, algo, record_traces=True).run(
         boe_plan(small_scenario.unified)
     )
     assert boe.collector.total("edges_fetched") < dh.collector.total(
