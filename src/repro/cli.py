@@ -13,10 +13,10 @@ Usage::
     mega-repro serve --cluster 3 --node-id node-0 --wal-dir /tmp/wal \
         --ack-mode quorum:1
     mega-repro serve-bench --scale tiny --duration 5 --rate 50
-    mega-repro serve-bench --failover-at-epoch 3
+    mega-repro serve-bench --drill failover --kill-at-epoch 3
     mega-repro serve-bench --compare-shards 1,2,4 --ingest-every 0.5
-    mega-repro serve-bench --shards 2 --shard-kill-at-epoch 2
-    mega-repro serve-bench --cluster 3 --chaos-kill 3
+    mega-repro serve-bench --drill shard-kill --shards 2
+    mega-repro serve-bench --drill chaos --cluster 3 --kill-at-epoch 3
 """
 
 from __future__ import annotations
@@ -456,93 +456,44 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return serve_stdio(service)
 
 
-def _cmd_crash_drill(args: argparse.Namespace) -> int:
+#: ``serve-bench --drill`` names
+DRILLS = ("crash", "failover", "shard-kill", "chaos")
+
+
+def _cmd_drill(args: argparse.Namespace) -> int:
+    """Run one SIGKILL drill instead of the load harness."""
     import tempfile
 
-    from repro.service import run_crash_drill
+    from repro.service import (
+        run_chaos_kill_drill,
+        run_crash_drill,
+        run_failover_drill,
+        run_shard_kill_drill,
+    )
 
-    wal_dir = args.wal_dir or tempfile.mkdtemp(prefix="mega-crash-drill-")
-    graph = _parse_names(args.graphs)[0]
-    algos = [a.lower() for a in _parse_names(args.algos)]
-    report = run_crash_drill(
-        wal_dir,
-        crash_at_epoch=args.crash_at_epoch,
-        graph=graph,
+    wal_dir = args.wal_dir or tempfile.mkdtemp(prefix=f"mega-{args.drill}-")
+    n = args.kill_at_epoch
+    common = dict(
+        graph=_parse_names(args.graphs)[0],
         scale=args.scale,
         n_snapshots=args.snapshots,
         workers=args.workers,
-        algos=algos,
+        algos=[a.lower() for a in _parse_names(args.algos)],
     )
-    print(report.format_table())
-    return 0 if report.ok else 1
-
-
-def _cmd_failover_drill(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.service import run_failover_drill
-
-    wal_dir = args.wal_dir or tempfile.mkdtemp(prefix="mega-failover-drill-")
-    graph = _parse_names(args.graphs)[0]
-    algos = [a.lower() for a in _parse_names(args.algos)]
-    report = run_failover_drill(
-        wal_dir,
-        failover_at_epoch=args.failover_at_epoch,
-        graph=graph,
-        scale=args.scale,
-        n_snapshots=args.snapshots,
-        workers=args.workers,
-        algos=algos,
-    )
-    print(report.format_table())
-    if not args.no_out and args.out:
-        path = pathlib.Path(args.out)
-        path.write_text(report.to_json() + "\n")
-        print(f"[wrote {path}]")
-    return 0 if report.ok else 1
-
-
-def _cmd_shard_kill_drill(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.service import run_shard_kill_drill
-
-    wal_root = args.wal_dir or tempfile.mkdtemp(prefix="mega-shard-drill-")
-    graph = _parse_names(args.graphs)[0]
-    algos = [a.lower() for a in _parse_names(args.algos)]
-    report = run_shard_kill_drill(
-        wal_root,
-        n_shards=max(2, args.shards),
-        crash_at_epoch=args.shard_kill_at_epoch,
-        graph=graph,
-        scale=args.scale,
-        n_snapshots=args.snapshots,
-        workers=args.workers,
-        algos=algos,
-    )
-    print(report.format_table())
-    return 0 if report.ok else 1
-
-
-def _cmd_chaos_drill(args: argparse.Namespace) -> int:
-    import tempfile
-
-    from repro.service import run_chaos_kill_drill
-
-    wal_dir = args.wal_dir or tempfile.mkdtemp(prefix="mega-chaos-drill-")
-    graph = _parse_names(args.graphs)[0]
-    algos = [a.lower() for a in _parse_names(args.algos)]
-    report = run_chaos_kill_drill(
-        wal_dir,
-        cluster=args.cluster or 3,
-        kill_at_epoch=args.chaos_kill,
-        graph=graph,
-        scale=args.scale,
-        n_snapshots=args.snapshots,
-        workers=args.workers,
-        algos=algos,
-        load_duration_s=args.duration if args.duration > 0 else 15.0,
-    )
+    if args.drill == "crash":
+        report = run_crash_drill(wal_dir, crash_at_epoch=n, **common)
+    elif args.drill == "failover":
+        report = run_failover_drill(wal_dir, failover_at_epoch=n, **common)
+    elif args.drill == "shard-kill":
+        report = run_shard_kill_drill(
+            wal_dir, n_shards=max(2, args.shards), crash_at_epoch=n, **common
+        )
+    else:
+        report = run_chaos_kill_drill(
+            wal_dir, cluster=args.cluster or 3, kill_at_epoch=n,
+            load_duration_s=args.duration if args.duration > 0 else 15.0,
+            **common,
+        )
     print(report.format_table())
     if not args.no_out and args.out:
         path = pathlib.Path(args.out)
@@ -578,34 +529,15 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.service import LoadSpec, QueryService, run_load
 
     config = _service_config(args)
-    if args.crash_at_epoch < 0:
-        raise SystemExit(_fail_usage("--crash-at-epoch must be >= 0"))
-    if args.failover_at_epoch < 0:
-        raise SystemExit(_fail_usage("--failover-at-epoch must be >= 0"))
-    if args.shard_kill_at_epoch < 0:
-        raise SystemExit(_fail_usage("--shard-kill-at-epoch must be >= 0"))
-    if args.chaos_kill < 0:
-        raise SystemExit(_fail_usage("--chaos-kill must be >= 0"))
-    drills = [
-        name for name, armed in [
-            ("--crash-at-epoch", args.crash_at_epoch),
-            ("--failover-at-epoch", args.failover_at_epoch),
-            ("--shard-kill-at-epoch", args.shard_kill_at_epoch),
-            ("--chaos-kill", args.chaos_kill),
-        ] if armed
-    ]
-    if len(drills) > 1:
-        raise SystemExit(_fail_usage(
-            f"{' and '.join(drills)} are separate drills; pick one"
-        ))
-    if args.crash_at_epoch:
-        return _cmd_crash_drill(args)
-    if args.failover_at_epoch:
-        return _cmd_failover_drill(args)
-    if args.shard_kill_at_epoch:
-        return _cmd_shard_kill_drill(args)
-    if args.chaos_kill:
-        return _cmd_chaos_drill(args)
+    if args.kill_at_epoch < 1:
+        raise SystemExit(_fail_usage("--kill-at-epoch must be >= 1"))
+    if args.drill:
+        if args.drill not in DRILLS:
+            raise SystemExit(_fail_usage(
+                f"unknown --drill {args.drill!r}; expected "
+                f"{'|'.join(DRILLS)}"
+            ))
+        return _cmd_drill(args)
     write_out = not args.no_out and bool(args.out)
     if not args.out and not args.no_out:
         print(
@@ -658,25 +590,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-class _RemotePrimary:
-    """Redirect target for ``run_load``: ingest over a serve child's stdio."""
-
-    def __init__(self, proc) -> None:
-        self._proc = proc
-
-    def ingest(
-        self, graph: str, seed: int | None = None,
-        n_add: int = 8, n_del: int = 8, **_unused,
-    ) -> int:
-        resp = self._proc.request(
-            {"op": "ingest", "graph": graph, "seed": seed,
-             "n_add": n_add, "n_del": n_del}
-        )
-        if not resp.get("ok"):
-            raise RuntimeError(f"primary refused redirected ingest: {resp}")
-        return int(resp["epoch"])
-
-
 def _follower_bench_leg(config, spec):
     """Run the workload against a read replica tailing a live primary.
 
@@ -692,12 +605,12 @@ def _follower_bench_leg(config, spec):
     import tempfile
 
     from repro.service import ReplicaServer, run_load
-    from repro.service.drill import _ServeProcess
+    from repro.service.drill import ServeChild
 
     wal_root = tempfile.mkdtemp(prefix="mega-follower-bench-")
     wal_dir = str(pathlib.Path(wal_root) / "wal")
     cfg_follower = dataclasses.replace(config, wal_dir=None)
-    primary = _ServeProcess([
+    with ServeChild([
         "--scale", config.scale,
         "--snapshots", str(config.n_snapshots),
         # the primary in this leg is an ingest-only node (every read goes
@@ -705,23 +618,16 @@ def _follower_bench_leg(config, spec):
         "--workers", "1",
         "--graphs", ",".join(spec.graphs),
         "--wal-dir", wal_dir,
-    ])
-    try:
-        health = primary.request({"op": "health"})  # readiness barrier
+    ]) as primary:
+        health = primary.health()  # readiness barrier
         if health.get("role") != "primary":  # pragma: no cover - defensive
             raise RuntimeError(f"serve child unhealthy: {health}")
-        replica = ReplicaServer(
+        with ReplicaServer(
             wal_dir, cfg_follower, follower_id="bench-follower"
-        )
-        replica.start()
-        try:
-            return run_load(
-                replica.service, spec, primary=_RemotePrimary(primary)
-            )
-        finally:
-            replica.stop()
-    finally:
+        ) as replica:
+            report = run_load(replica.service, spec, primary=primary)
         primary.shutdown()
+    return report
 
 
 def _serve_bench_compare(args, config, spec, write_out: bool) -> int:
@@ -1180,39 +1086,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the JSON report here")
     p_bench.add_argument("--no-out", action="store_true",
                          help="skip writing the JSON report")
-    p_bench.add_argument("--crash-at-epoch", type=int, default=0,
-                         metavar="N",
-                         help="run the kill-and-recover drill instead of the "
-                         "load harness: SIGKILL a serving subprocess after "
-                         "N acknowledged ingests, restart it from the WAL, "
-                         "and assert zero acknowledged-delta loss plus "
-                         "query parity")
-    p_bench.add_argument("--failover-at-epoch", type=int, default=0,
-                         metavar="N",
-                         help="run the failover drill instead of the load "
-                         "harness: SIGKILL the serving primary after N "
-                         "acknowledged ingests, promote an in-process "
-                         "follower, fence the zombie, and assert zero "
-                         "acknowledged-delta loss plus query parity")
-    p_bench.add_argument("--shard-kill-at-epoch", type=int, default=0,
-                         metavar="N",
-                         help="run the shard kill drill instead of the "
-                         "load harness: SIGKILL one shard's worker "
-                         "processes mid-serving (the fleet must serve "
-                         "through it), then SIGKILL the whole sharded "
-                         "serve child after N acknowledged ingests, "
-                         "restart it on the same --wal-dir root, and "
-                         "assert every shard recovers exactly the acked "
-                         "epoch from its own WAL plus query parity")
-    p_bench.add_argument("--chaos-kill", type=int, default=0,
-                         metavar="N",
-                         help="run the unattended cluster chaos drill "
-                         "instead of the load harness: a --cluster-sized "
-                         "replication group takes quorum-acked ingest, "
-                         "the primary is SIGKILLed after N acked epochs "
-                         "with no promotion driver, and the cluster must "
-                         "elect a new primary by itself with zero "
-                         "quorum-acked loss plus query parity")
+    p_bench.add_argument("--drill", default="", metavar="NAME",
+                         help="run a SIGKILL drill instead of the load "
+                         "harness: crash (restart from the WAL), failover "
+                         "(promote a follower, fence the zombie), "
+                         "shard-kill (kill one shard's workers, then the "
+                         "--shards fleet), chaos (unattended election in a "
+                         "--cluster group); each asserts zero "
+                         "acknowledged-epoch loss plus query parity")
+    p_bench.add_argument("--kill-at-epoch", type=int, default=2, metavar="N",
+                         help="the drill kills after N acknowledged "
+                         "ingests")
     p_bench.add_argument("--compare-shards", default=None, metavar="N,M,...",
                          help="run the identical workload once per shard "
                          "count (e.g. 1,2,4) and report the q/s scaling "

@@ -26,8 +26,8 @@ Modules:
   (``mega-repro serve --cluster N``);
 * :mod:`repro.service.loadgen` — load harness (``mega-repro serve-bench``);
 * :mod:`repro.service.drill`   — SIGKILL-and-recover, failover, shard
-  kill, and cluster chaos drills (``serve-bench --crash-at-epoch`` /
-  ``--failover-at-epoch`` / ``--shard-kill-at-epoch`` / ``--chaos-kill``);
+  kill, and cluster chaos drills (``serve-bench --drill NAME
+  --kill-at-epoch N``);
 * :mod:`repro.service.sharding` — partitioned serving: per-shard pools,
   shm planes, and WALs behind one scatter-gather front end
   (``mega-repro serve --shards N``).
@@ -59,10 +59,7 @@ from repro.service.core import (
     parse_ack_mode,
 )
 from repro.service.drill import (
-    ChaosReport,
     DrillReport,
-    FailoverReport,
-    ShardKillReport,
     run_chaos_kill_drill,
     run_crash_drill,
     run_failover_drill,
@@ -99,11 +96,9 @@ __all__ = [
     "AdmissionQueue",
     "BenchReport",
     "CLUSTER_FAULT_POINTS",
-    "ChaosReport",
     "ClusterNode",
     "DeltaBatch",
     "DrillReport",
-    "FailoverReport",
     "HeartbeatMonitor",
     "LoadSpec",
     "NotPrimaryError",
@@ -121,7 +116,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceFrontend",
     "ServiceStats",
-    "ShardKillReport",
     "ShardManager",
     "SimulatedCrash",
     "SnapshotSummary",

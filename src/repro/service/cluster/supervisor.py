@@ -24,7 +24,10 @@ Per tick:
    wins and promotes; losers back off for an election grace and
    re-evaluate — if the winner's primary beacon appears they follow it,
    if not (the winner died mid-promotion, or ``cluster.split-fence``
-   burned the token) the next CAS round recovers.
+   burned the token) the next CAS round recovers.  A disk token already
+   past the one the suspected primary beaconed means a peer won: the
+   candidate defers one grace for the winner's beacon instead of
+   claiming the token after it.
 
 Election safety does not depend on the ranking heuristics: the CAS is
 the single arbiter, and a candidate always catches up to the fsynced
@@ -138,6 +141,10 @@ class ClusterNode:
             self.node_id if service is not None else None
         )
         self._defer_until = 0.0
+        #: fence token the followed primary last beaconed, and the newer
+        #: disk token this node already deferred on once
+        self._primary_token = 0
+        self._passed_token: int | None = None
         self._zombie_wal = None
         self._running = False
         self._thread: threading.Thread | None = None
@@ -253,6 +260,7 @@ class ClusterNode:
         primary = self._primary_of(beacons)
         if primary is not None:
             self.primary_node_id = primary.node_id
+            self._primary_token = primary.fence_token
         target = self.primary_node_id
         if target is None or target == self.node_id:
             # never seen a primary: fall back to suspecting the void —
@@ -282,6 +290,16 @@ class ClusterNode:
     def _attempt_election(self, beacons: dict[str, Beacon]) -> str:
         if self.replica is None:
             return "follower"
+        expected = current_fence_token(self.wal_dir)
+        if expected > self._primary_token and expected != self._passed_token:
+            # the fence already moved past the suspected primary's token:
+            # a peer won and its primary beacon is not visible yet.  Give
+            # it an election grace; contend from this token only if it
+            # never shows up (the winner died mid-promotion)
+            self._passed_token = expected
+            self.deferrals += 1
+            self._defer_until = float(self._clock()) + self.election_grace_s
+            return "deferred"
         # 1. catch up to the durable tip: everything the dead primary
         #    fsynced is still in the shared directory, so the winner by
         #    construction carries every quorum-acked epoch
@@ -305,7 +323,6 @@ class ClusterNode:
                     float(self._clock()) + self.election_grace_s
                 )
                 return "deferred"
-        expected = current_fence_token(self.wal_dir)
         fire = self._maybe_fire("cluster.split-fence")
         if fire is not None:
             rival = try_claim_fence(self.wal_dir, position, expected)

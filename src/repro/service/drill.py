@@ -1,56 +1,30 @@
-"""Kill-and-recover drill: SIGKILL the service mid-stream, replay the WAL.
+"""SIGKILL drills: kill the service mid-stream, prove nothing acked is lost.
 
-The durability contract is only worth having if it survives the real
-failure mode, so the drill runs the service as a *separate process*
-(`mega-repro serve` on pipes), ingests seeded deltas until a chosen
-epoch is acknowledged, and SIGKILLs it — no atexit handlers, no flush,
-exactly what a crashed coordinator looks like.  It then restarts the
-service on the same ``--wal-dir`` and asserts:
+Every drill runs the serving primary as a separate ``mega-repro serve``
+process (:class:`ServeChild`), ingests the seeded chain ``1..N`` until
+epoch ``N`` is acknowledged, and SIGKILLs the child's process group — no
+atexit handlers, no flush, exactly what a crashed coordinator looks like.
+It then checks that a served answer equals from-scratch evaluation at a
+named epoch (digests for every requested algorithm against an
+uninterrupted in-process replay of the same seeded chain), and that no
+shared-memory segment is left orphaned at the end.
 
-* **zero acknowledged-delta loss** — the recovered epoch equals the last
-  epoch the dead process acknowledged;
-* **result parity** — for every registry algorithm, query digests from
-  the recovered service equal an uninterrupted in-process replay of the
-  same seeded ingest chain (seeded synthesis is deterministic given the
-  epoch state, so the reference is exact);
-* **zero orphaned shared-memory segments** — the killed coordinator
-  cannot unlink its scenario-plane segments, so the restarted service
-  must sweep them (and clean up its own on shutdown): after the drill,
-  ``/dev/shm`` holds no ``megashm-*`` segment owned by a dead process.
+``mega-repro serve-bench --drill NAME --kill-at-epoch N`` runs one:
 
-``mega-repro serve-bench --crash-at-epoch N`` runs this and exits
-non-zero on any loss or mismatch; CI smokes it at tiny scale.
+* **crash** (:func:`run_crash_drill`): restart on the same ``--wal-dir``;
+  the recovered epoch must equal the last acknowledged one.
+* **failover** (:func:`run_failover_drill`): promote an in-process read
+  replica, then append as the dead primary's ghost with its stale fencing
+  token — skipped by every read, quarantined by recovery, never applied.
+* **shard-kill** (:func:`run_shard_kill_drill`): against ``serve --shards
+  N``, kill one shard's pool workers (the fleet must serve through it),
+  then the whole child; every shard must recover from its own WAL.
+* **chaos** (:func:`run_chaos_kill_drill`): kill the primary of an N-node
+  ``quorum:1`` cluster under redirect-following load with no promotion
+  driver; one follower must elect itself, the writer must follow it, the
+  survivor must re-target, and no quorum-acked epoch may be lost.
 
-**Failover drill** (``serve-bench --failover-at-epoch N``,
-:func:`run_failover_drill`): the same SIGKILL, but with a live read
-replica tailing the primary's WAL.  Instead of restarting the victim,
-the drill *promotes* the follower — replay to the WAL tip, write a new
-fencing token, accept ingest — then simulates the nastiest race: the
-dead primary's ghost appending one more record with its stale token.
-Asserted: zero acknowledged-epoch loss across the failover, parity on
-every registry algorithm against an uninterrupted replay (including
-epochs ingested *after* promotion), the zombie append detected and
-quarantined (never applied), and zero orphaned shm segments.
-
-**Chaos kill drill** (``serve-bench --chaos-kill N``,
-:func:`run_chaos_kill_drill`): the fully unattended version of the
-failover drill.  An N-node replication cluster — the primary as a
-``serve --cluster N`` subprocess, the followers as in-process
-:class:`~repro.service.cluster.ClusterNode` supervisors — takes
-quorum-acked ingest from a redirect-following load generator, and the
-primary is SIGKILLed mid-stream with **no promotion driver anywhere**:
-the followers' heartbeat detectors must confirm the death, the
-most-caught-up follower must win the fence CAS and promote itself, the
-load writer must re-resolve onto the elected primary, and the surviving
-follower must re-target it.  Asserted: zero quorum-acked epoch loss
-across the election, post-election ingest progress, survivor
-convergence, and parity on every registry algorithm against an
-uninterrupted replay of the full seeded chain.
-
-Subprocess plumbing: the child's stdout goes to a temp *file*, not a
-pipe — a pipe that fills while the parent is blocked elsewhere deadlocks
-teardown — and every response read polls that file under an explicit
-timeout, so a wedged child fails the drill instead of hanging it.
+Each returns one :class:`DrillReport` of named facts and named checks.
 """
 
 from __future__ import annotations
@@ -63,17 +37,16 @@ import sys
 import tempfile
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 from repro.algorithms import ALGORITHMS, get_algorithm
 from repro.service.shm import list_orphan_segments
 
 __all__ = [
-    "ChaosReport",
     "CrashDrillError",
     "DrillReport",
-    "FailoverReport",
-    "ShardKillReport",
+    "ServeChild",
     "run_chaos_kill_drill",
     "run_crash_drill",
     "run_failover_drill",
@@ -83,6 +56,13 @@ __all__ = [
 #: per-exchange ceiling; far above any tiny/small-scale op
 OP_TIMEOUT_S = 180.0
 
+_TITLES = {
+    "crash": "SIGKILL the serve child, restart it on its WAL",
+    "failover": "SIGKILL the primary, promote the follower, fence the zombie",
+    "shard-kill": "SIGKILL one shard's workers, then the whole fleet",
+    "chaos": "SIGKILL the cluster primary, unattended election",
+}
+
 
 class CrashDrillError(RuntimeError):
     """The drill could not run (dead subprocess, protocol breakdown)."""
@@ -90,70 +70,77 @@ class CrashDrillError(RuntimeError):
 
 @dataclass
 class DrillReport:
-    """Outcome of one kill-and-recover drill."""
+    """Outcome of one drill: what was observed, and what had to hold."""
 
+    #: ``crash``, ``failover``, ``shard-kill`` or ``chaos``
+    drill: str
     graph: str
-    crash_at_epoch: int
-    acked_epoch: int
-    recovered_epoch: int
-    #: algorithm name -> digests matched the uninterrupted run
-    parity: dict[str, bool] = field(default_factory=dict)
-    wal_recovery: dict = field(default_factory=dict)
-    #: shm segments the SIGKILL stranded (informational; the restart sweeps)
-    orphans_after_crash: int = 0
-    #: shm segments still orphaned when the drill finished (must be empty)
-    orphan_segments: list[str] = field(default_factory=list)
+    kill_at_epoch: int
+    #: observations: epochs, fence tokens, timings, health blocks
+    facts: dict = field(default_factory=dict)
+    #: one named invariant per entry; parity as ``parity:<algo>``
+    checks: dict[str, bool] = field(default_factory=dict)
     elapsed_s: float = 0.0
 
     @property
-    def lost_deltas(self) -> int:
-        return max(0, self.acked_epoch - self.recovered_epoch)
-
-    @property
     def ok(self) -> bool:
-        return (
-            self.recovered_epoch == self.acked_epoch
-            and bool(self.parity)
-            and all(self.parity.values())
-            and not self.orphan_segments
-        )
+        return bool(self.checks) and all(self.checks.values())
 
     def format_table(self) -> str:
         lines = [
-            f"== crash drill: SIGKILL {self.graph} at epoch "
-            f"{self.crash_at_epoch}, recover from WAL ==",
-            f"acknowledged epoch {self.acked_epoch}  "
-            f"recovered epoch {self.recovered_epoch}  "
-            f"lost acknowledged deltas {self.lost_deltas}",
+            f"== {self.drill} drill on {self.graph} at epoch "
+            f"{self.kill_at_epoch}: {_TITLES.get(self.drill, '')} =="
         ]
-        for algo, match in sorted(self.parity.items()):
-            lines.append(
-                f"  parity {algo:<8} "
-                f"{'ok' if match else 'MISMATCH'}"
-            )
-        if self.wal_recovery:
-            lines.append(f"wal recovery: {self.wal_recovery}")
-        lines.append(
-            f"shm segments: {self.orphans_after_crash} stranded by the "
-            f"kill, {len(self.orphan_segments)} orphaned at drill end"
-        )
-        if self.orphan_segments:
-            lines.append(f"  ORPHANS: {', '.join(self.orphan_segments)}")
+        for key, value in self.facts.items():
+            text = json.dumps(value, sort_keys=True, default=str)
+            if isinstance(value, dict) and len(text) > 100:
+                text = f"{{{len(value)} keys; see the JSON report}}"
+            lines.append(f"  {key:<24} {text}")
+        for name, passed in self.checks.items():
+            lines.append(f"  check {name:<24} {'ok' if passed else 'FAIL'}")
         lines.append(
             f"verdict: {'PASS' if self.ok else 'FAIL'} "
             f"({self.elapsed_s:.1f}s)"
         )
         return "\n".join(lines)
 
+    def to_json(self) -> str:
+        """The BENCH envelope; ``results`` holds every fact and every
+        non-parity check by name, parity grouped per algorithm."""
+        from repro.service.loadgen import BENCH_SCHEMA_VERSION
 
-class _ServeProcess:
-    """One `mega-repro serve` child: JSON lines in on a pipe, out to a file.
+        results: dict = {**self.facts, "parity": {}}
+        for name, passed in self.checks.items():
+            if name.startswith("parity:"):
+                results["parity"][name.split(":", 1)[1]] = passed
+            else:
+                results[name] = passed
+        return json.dumps(
+            {
+                "bench": "service",
+                "schema_version": BENCH_SCHEMA_VERSION,
+                "drill": self.drill,
+                "graph": self.graph,
+                "kill_at_epoch": self.kill_at_epoch,
+                "results": {**results, "ok": self.ok,
+                            "elapsed_s": round(self.elapsed_s, 3)},
+            },
+            indent=2,
+            sort_keys=True,
+            default=str,
+        )
 
-    Responses stream to a temp file instead of a pipe: a pipe whose
-    buffer fills while the parent is busy (or after the child dies with
-    output pending) wedges ``wait()``/``readline()`` forever, which used
-    to hang drill teardown.  A file never back-pressures the child, and
-    the reader polls it under an explicit deadline.
+
+class ServeChild:
+    """One ``mega-repro serve`` child: JSON lines in on a pipe, out to a
+    temp file — a full pipe would deadlock teardown — polled under a
+    deadline, so a wedged child fails the drill instead of hanging it.
+
+    Also the stdio ingest target for :func:`~repro.service.loadgen
+    .run_load`'s redirecting writer: ``ingest`` raises when the child
+    refuses or is dead (the writer then dedups a maybe-applied write
+    through ``epoch``).  Leaving a ``with`` block SIGKILLs the child
+    unless it was shut down.
     """
 
     def __init__(self, cli_args: list[str]) -> None:
@@ -162,11 +149,12 @@ class _ServeProcess:
         )
         self._writer = os.fdopen(fd, "w")
         self._reader = open(self._out_path, "r")
-        # the chaos drill's load writer and its supervisor share one
-        # child: requests must not interleave on the stdin pipe
+        self._closed = False
+        # a load writer and a supervisor may share one child: requests
+        # must not interleave on the stdin pipe
         self._lock = threading.Lock()
-        # own session/process group: a SIGKILL drill must take down the
-        # child's forked pool workers too, not orphan them onto init
+        # own session/process group: a SIGKILL must take down the child's
+        # forked pool workers too, not orphan them onto init
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", *cli_args],
             stdin=subprocess.PIPE,
@@ -176,22 +164,31 @@ class _ServeProcess:
             start_new_session=True,
         )
 
-    def _read_line(self, timeout: float = OP_TIMEOUT_S) -> str:
-        """Next complete response line, polling the output file."""
+    def __enter__(self) -> "ServeChild":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.kill()
+
+    @property
+    def alive(self) -> bool:
+        return self.proc.poll() is None
+
+    def _read_line(self, timeout: float) -> str:
+        """Next complete response line ('' once the child is dead and
+        drained), polling the output file."""
         deadline = time.monotonic() + timeout
         while True:
             try:
                 mark = self._reader.tell()
                 line = self._reader.readline()
-            except ValueError:
-                # a concurrent sigkill() closed our file mid-read
+            except ValueError:  # a concurrent kill() closed the file
                 raise CrashDrillError("serve process killed mid-read")
             if line.endswith("\n"):
                 return line
-            # partial line (child mid-write) or nothing yet: rewind
-            self._reader.seek(mark)
+            self._reader.seek(mark)  # partial line or nothing yet
             if self.proc.poll() is not None:
-                return ""  # dead and drained
+                return ""
             if time.monotonic() >= deadline:
                 raise CrashDrillError(
                     f"no response from serve process within {timeout:.0f}s"
@@ -217,68 +214,173 @@ class _ServeProcess:
                 )
             return json.loads(line)
 
-    def _close_files(self) -> None:
-        for fh in (self._writer, self._reader):
+    def health(self) -> dict:
+        resp = self.request({"op": "health"})
+        if not resp.get("ok"):
+            raise CrashDrillError(f"health op failed: {resp}")
+        return resp
+
+    def epoch(self, graph: str) -> int:
+        return int(self.health().get("epochs", {}).get(graph, 0))
+
+    def ingest_with_ack(
+        self, graph: str, seed: int | None = None,
+        n_add: int = 8, n_del: int = 8,
+    ) -> tuple[int, dict]:
+        op = {"op": "ingest", "graph": graph, "n_add": n_add, "n_del": n_del}
+        if seed is not None:
+            op["seed"] = int(seed)
+        resp = self.request(op)
+        if not resp.get("ok"):
+            raise CrashDrillError(f"serve process refused ingest: {resp}")
+        return int(resp["epoch"]), resp.get("ack", {})
+
+    def ingest(self, graph: str, seed: int | None = None,
+               n_add: int = 8, n_del: int = 8) -> int:
+        return self.ingest_with_ack(graph, seed, n_add, n_del)[0]
+
+    def kill(self) -> None:
+        """SIGKILL the child's process group and release its files."""
+        if self._closed:
+            return
+        try:
+            os.killpg(self.proc.pid, signal.SIGKILL)
+        except ProcessLookupError:  # pragma: no cover - group already gone
+            pass
+        self.proc.wait(timeout=30)
+        self._release()
+
+    def shutdown(self) -> None:
+        """Graceful stop (the child unlinks its shm segments); a child
+        that does not exit in time is killed."""
+        try:
+            self.request({"op": "shutdown"})
+            self.proc.stdin.close()
+            self.proc.wait(timeout=OP_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            pass
+        finally:
+            if self.proc.returncode is None:
+                self.kill()
+            self._release()
+
+    def _release(self) -> None:
+        if self._closed:
+            return
+        self._closed = True
+        for fh in (self.proc.stdin, self._writer, self._reader):
             try:
                 fh.close()
-            except OSError:  # pragma: no cover - already closed
+            except OSError:  # pragma: no cover - pipe already broken
                 pass
         try:
             os.unlink(self._out_path)
         except FileNotFoundError:  # pragma: no cover - raced cleanup
             pass
 
-    def _killpg(self) -> None:
-        try:
-            os.killpg(self.proc.pid, signal.SIGKILL)
-        except ProcessLookupError:  # pragma: no cover - group already gone
-            pass
 
-    def sigkill(self) -> None:
-        self._killpg()
-        self.proc.wait(timeout=30)
-        try:
-            self.proc.stdin.close()
-        except OSError:  # pragma: no cover - pipe already broken
-            pass
-        self._close_files()
-
-    def shutdown(self) -> None:
-        try:
-            self.request({"op": "shutdown"})
-        finally:
-            try:
-                self.proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self.proc.wait(timeout=OP_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                # a wedged child must fail loudly, not hang the drill
-                self._killpg()
-                self.proc.wait(timeout=30)
-            self._close_files()
+# -- shared steps ------------------------------------------------------------
 
 
-def _reference_summaries(
-    graph: str, scale: str, n_snapshots: int, epochs: int,
-    algos: list[str], source: int,
-) -> dict[str, list[dict]]:
+@dataclass
+class _Setup:
+    """What a drill is parameterized by, besides its fault schedule."""
+
+    drill: str
+    kill_at_epoch: int
+    wal_dir: str
+    graph: str
+    scale: str
+    n_snapshots: int
+    workers: int
+    algos: list[str]
+    source: int
+    t0: float = field(default_factory=time.monotonic)
+
+    def __post_init__(self) -> None:
+        if self.kill_at_epoch < 1:
+            raise ValueError("--kill-at-epoch must be >= 1")
+        self.wal_dir = str(self.wal_dir)
+        self.algos = list(self.algos or sorted(a.lower() for a in ALGORITHMS))
+
+    def serve_args(self, *topology: str) -> list[str]:
+        return [
+            "--scale", self.scale,
+            "--snapshots", str(self.n_snapshots),
+            "--workers", str(self.workers),
+            "--graphs", self.graph,
+            "--wal-dir", self.wal_dir,
+            *topology,
+        ]
+
+    def config(self, **over):
+        from repro.service.core import ServiceConfig
+
+        return ServiceConfig(scale=self.scale, n_snapshots=self.n_snapshots,
+                             workers=self.workers, **over)
+
+    def query_op(self, algo: str) -> dict:
+        return {"op": "query", "graph": self.graph, "algo": algo,
+                "source": self.source}
+
+    def report(self, facts: dict, checks: dict, stranded: int) -> DrillReport:
+        """Close the drill with orphan accounting: ``stranded`` segments
+        the kill left behind are informational (the next server sweeps
+        them); any still orphaned now fail the drill."""
+        orphans = list_orphan_segments()
+        return DrillReport(
+            drill=self.drill,
+            graph=self.graph,
+            kill_at_epoch=self.kill_at_epoch,
+            facts={**facts, "orphans_after_kill": stranded,
+                   "orphan_segments": orphans},
+            checks={**checks, "no_orphan_segments": not orphans},
+            elapsed_s=time.monotonic() - self.t0,
+        )
+
+
+def _warm(child: ServeChild, setup: _Setup) -> None:
+    """Serve a real query first so the kill lands on a warmed service
+    (worker caches populated, plan path exercised), not a blank one."""
+    child.request(setup.query_op(setup.algos[0]))
+
+
+def _ingest_chain(target, graph: str, first: int, last: int) -> list:
+    """Ingest seeds ``first..last`` into a :class:`ServeChild` or an
+    in-process service; ``[(epoch, ack), ...]``, a refusal raises."""
+    return [
+        target.ingest_with_ack(graph, seed=seed)
+        for seed in range(first, last + 1)
+    ]
+
+
+def _await(predicate, timeout: float, what: str):
+    """Poll ``predicate`` until it returns something truthy (returned),
+    or raise :class:`CrashDrillError` naming ``what`` after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not (value := predicate()):
+        if time.monotonic() >= deadline:
+            raise CrashDrillError(f"timed out after {timeout:.0f}s: {what}")
+        time.sleep(0.01)
+    return value
+
+
+def _reference_summaries(setup: _Setup, epochs: int) -> dict[str, list]:
     """Uninterrupted replay: the digests a crash-free run would serve."""
     from repro.core.multi_query import evaluate_multi_query
     from repro.experiments.runner import scenario_cache
     from repro.service.ingest import apply_delta, synthesize_delta
     from repro.service.pool import _summarize
 
-    scenario = scenario_cache(graph, scale, n_snapshots=n_snapshots)
+    scenario = scenario_cache(
+        setup.graph, setup.scale, n_snapshots=setup.n_snapshots
+    )
     for k in range(1, epochs + 1):
-        scenario = apply_delta(
-            scenario, synthesize_delta(scenario, seed=k)
-        )
-    out: dict[str, list[dict]] = {}
-    for algo_name in algos:
+        scenario = apply_delta(scenario, synthesize_delta(scenario, seed=k))
+    out = {}
+    for algo_name in setup.algos:
         algorithm = get_algorithm(algo_name)
-        mq = evaluate_multi_query(scenario, algorithm, [source])
+        mq = evaluate_multi_query(scenario, algorithm, [setup.source])
         out[algo_name] = [
             _summarize(algorithm, mq.values(0, k), k).as_dict()
             for k in range(scenario.n_snapshots)
@@ -287,16 +389,51 @@ def _reference_summaries(
 
 
 def _digests_match(got: list[dict], want: list[dict]) -> bool:
-    if len(got) != len(want):
-        return False
-    for g, w in zip(got, want):
-        if g["snapshot"] != w["snapshot"] or g["reached"] != w["reached"]:
-            return False
-        if abs(g["checksum"] - w["checksum"]) > 1e-6 * max(
-            1.0, abs(w["checksum"])
-        ):
-            return False
-    return True
+    return len(got) == len(want) and all(
+        g["snapshot"] == w["snapshot"] and g["reached"] == w["reached"]
+        and abs(g["checksum"] - w["checksum"])
+        <= 1e-6 * max(1.0, abs(w["checksum"]))
+        for g, w in zip(got, want)
+    )
+
+
+def _parity(query, setup: _Setup, epoch: int) -> dict[str, bool]:
+    """``parity:<algo>`` checks: each answer is served at ``epoch`` and
+    equals from-scratch evaluation of the seeded chain ``1..epoch``;
+    ``query(algo) -> (ok, epoch, summaries)``."""
+    reference = _reference_summaries(setup, epoch)
+    checks = {}
+    for algo in setup.algos:
+        ok, served_at, summaries = query(algo)
+        checks[f"parity:{algo}"] = bool(
+            ok and served_at == epoch
+            and _digests_match(summaries, reference[algo])
+        )
+    return checks
+
+
+def _stdio_query(child: ServeChild, setup: _Setup):
+    def query(algo: str):
+        resp = child.request(setup.query_op(algo))
+        return (resp.get("ok"), int(resp.get("epoch", -1)),
+                resp.get("snapshots", []))
+    return query
+
+
+def _service_query(service, setup: _Setup):
+    from repro.service.request import QueryRequest
+
+    def query(algo: str):
+        resp = service.submit(
+            QueryRequest(graph=setup.graph, algo=algo, source=setup.source)
+        ).wait(timeout=OP_TIMEOUT_S)
+        if resp is None:
+            return False, -1, []
+        return resp.ok, resp.epoch, [s.as_dict() for s in resp.summaries]
+    return query
+
+
+# -- the four drills ---------------------------------------------------------
 
 
 def run_crash_drill(
@@ -311,189 +448,29 @@ def run_crash_drill(
 ) -> DrillReport:
     """SIGKILL a serving process after ``crash_at_epoch`` acknowledged
     ingests, restart it on the same WAL, and check loss + parity."""
-    if crash_at_epoch < 1:
-        raise ValueError("--crash-at-epoch must be >= 1")
-    algos = algos if algos else sorted(a.lower() for a in ALGORITHMS)
-    t0 = time.monotonic()
-    cli_args = [
-        "--scale", scale,
-        "--snapshots", str(n_snapshots),
-        "--workers", str(workers),
-        "--graphs", graph,
-        "--wal-dir", wal_dir,
-    ]
+    setup = _Setup("crash", crash_at_epoch, wal_dir, graph, scale,
+                   n_snapshots, workers, algos, source)
+    with ServeChild(setup.serve_args()) as victim:
+        _warm(victim, setup)
+        acked = _ingest_chain(victim, graph, 1, crash_at_epoch)[-1][0]
+        # leaving the block SIGKILLs right after the last ack: anything
+        # acknowledged must survive, nothing unacknowledged is in flight
+    stranded = len(list_orphan_segments())
 
-    victim = _ServeProcess(cli_args)
-    acked = 0
-    try:
-        # serve a real query first so the kill lands on a warmed service
-        # (worker caches populated, plan path exercised), not a blank one
-        victim.request(
-            {"op": "query", "graph": graph, "algo": algos[0],
-             "source": source}
-        )
-        for k in range(1, crash_at_epoch + 1):
-            resp = victim.request({"op": "ingest", "graph": graph, "seed": k})
-            if not resp.get("ok"):
-                raise CrashDrillError(f"ingest {k} refused: {resp}")
-            acked = int(resp["epoch"])
-    finally:
-        # SIGKILL immediately after the last ack: anything acknowledged
-        # must survive, and nothing unacknowledged is in flight
-        victim.sigkill()
-    orphans_after_crash = len(list_orphan_segments())
-
-    survivor = _ServeProcess(cli_args)
-    try:
-        health = survivor.request({"op": "health"})
-        if not health.get("ok"):
-            raise CrashDrillError(f"health op failed: {health}")
+    with ServeChild(setup.serve_args()) as survivor:
+        health = survivor.health()
         recovered = int(health.get("epochs", {}).get(graph, 0))
-        reference = _reference_summaries(
-            graph, scale, n_snapshots, recovered, algos, source
-        )
-        parity: dict[str, bool] = {}
-        for algo_name in algos:
-            resp = survivor.request(
-                {"op": "query", "graph": graph, "algo": algo_name,
-                 "source": source}
-            )
-            parity[algo_name] = bool(
-                resp.get("ok")
-                and int(resp.get("epoch", -1)) == recovered
-                and _digests_match(
-                    resp.get("snapshots", []), reference[algo_name]
-                )
-            )
-        wal_recovery = health.get("wal", {}).get("recovery", {})
-    finally:
+        checks = {
+            "no_acked_loss": recovered == acked,
+            **_parity(_stdio_query(survivor, setup), setup, recovered),
+        }
         survivor.shutdown()
-
-    return DrillReport(
-        graph=graph,
-        crash_at_epoch=crash_at_epoch,
-        acked_epoch=acked,
-        recovered_epoch=recovered,
-        parity=parity,
-        wal_recovery=wal_recovery,
-        orphans_after_crash=orphans_after_crash,
-        orphan_segments=list_orphan_segments(),
-        elapsed_s=time.monotonic() - t0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# failover drill: kill the primary, promote the follower
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FailoverReport:
-    """Outcome of one kill-the-primary / promote-the-follower drill."""
-
-    graph: str
-    failover_at_epoch: int
-    #: last epoch the primary acknowledged before the SIGKILL
-    acked_epoch: int
-    #: follower's epoch the moment it was promoted (must equal acked)
-    promoted_epoch: int
-    #: epochs ingested on the new primary after promotion
-    post_promote_ingests: int
-    #: epoch served at drill end (acked + post_promote_ingests)
-    final_epoch: int
-    old_fence_token: int = 0
-    new_fence_token: int = 0
-    #: the simulated zombie append was skipped by the tailing read AND
-    #: quarantined by the next full recovery — never applied
-    zombie_fenced: bool = False
-    #: epoch after the zombie append (must still be final_epoch)
-    epoch_after_zombie: int = 0
-    #: algorithm name -> digests matched an uninterrupted replay
-    parity: dict[str, bool] = field(default_factory=dict)
-    replication: dict = field(default_factory=dict)
-    orphans_after_kill: int = 0
-    orphan_segments: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def lost_deltas(self) -> int:
-        return max(0, self.acked_epoch - self.promoted_epoch)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.promoted_epoch == self.acked_epoch
-            and self.final_epoch
-            == self.acked_epoch + self.post_promote_ingests
-            and self.epoch_after_zombie == self.final_epoch
-            and self.zombie_fenced
-            and self.new_fence_token > self.old_fence_token
-            and bool(self.parity)
-            and all(self.parity.values())
-            and not self.orphan_segments
-        )
-
-    def to_json(self) -> str:
-        from repro.service.loadgen import BENCH_SCHEMA_VERSION
-
-        return json.dumps(
-            {
-                "bench": "service",
-                "schema_version": BENCH_SCHEMA_VERSION,
-                "drill": "failover",
-                "graph": self.graph,
-                "failover_at_epoch": self.failover_at_epoch,
-                "results": {
-                    "ok": self.ok,
-                    "acked_epoch": self.acked_epoch,
-                    "promoted_epoch": self.promoted_epoch,
-                    "lost_deltas": self.lost_deltas,
-                    "post_promote_ingests": self.post_promote_ingests,
-                    "final_epoch": self.final_epoch,
-                    "epoch_after_zombie": self.epoch_after_zombie,
-                    "zombie_fenced": self.zombie_fenced,
-                    "old_fence_token": self.old_fence_token,
-                    "new_fence_token": self.new_fence_token,
-                    "parity": dict(sorted(self.parity.items())),
-                    "replication": self.replication,
-                    "orphans_after_kill": self.orphans_after_kill,
-                    "orphan_segments": self.orphan_segments,
-                    "elapsed_s": round(self.elapsed_s, 3),
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def format_table(self) -> str:
-        lines = [
-            f"== failover drill: SIGKILL primary of {self.graph} at epoch "
-            f"{self.failover_at_epoch}, promote the follower ==",
-            f"acknowledged epoch {self.acked_epoch}  "
-            f"promoted at epoch {self.promoted_epoch}  "
-            f"lost acknowledged deltas {self.lost_deltas}",
-            f"fencing token {self.old_fence_token} -> "
-            f"{self.new_fence_token}  zombie append "
-            f"{'fenced' if self.zombie_fenced else 'NOT FENCED'}  "
-            f"epoch after zombie {self.epoch_after_zombie}",
-            f"post-promotion ingests {self.post_promote_ingests}  "
-            f"final epoch {self.final_epoch}",
-        ]
-        for algo, match in sorted(self.parity.items()):
-            lines.append(
-                f"  parity {algo:<8} {'ok' if match else 'MISMATCH'}"
-            )
-        lines.append(
-            f"shm segments: {self.orphans_after_kill} stranded by the "
-            f"kill, {len(self.orphan_segments)} orphaned at drill end"
-        )
-        if self.orphan_segments:
-            lines.append(f"  ORPHANS: {', '.join(self.orphan_segments)}")
-        lines.append(
-            f"verdict: {'PASS' if self.ok else 'FAIL'} "
-            f"({self.elapsed_s:.1f}s)"
-        )
-        return "\n".join(lines)
+    return setup.report({
+        "acked_epoch": acked,
+        "recovered_epoch": recovered,
+        "lost_deltas": max(0, acked - recovered),
+        "wal_recovery": health.get("wal", {}).get("recovery", {}),
+    }, checks, stranded)
 
 
 def run_failover_drill(
@@ -507,22 +484,13 @@ def run_failover_drill(
     source: int = 1,
     post_promote_ingests: int = 2,
     catchup_timeout_s: float = 60.0,
-) -> FailoverReport:
-    """Kill the serving primary mid-ingest and promote a live follower.
-
-    The primary runs as a separate ``mega-repro serve`` process on
-    ``wal_dir``; the follower is an in-process
-    :class:`~repro.service.replica.ReplicaServer` tailing the same
-    directory.  After ``failover_at_epoch`` acknowledged ingests the
-    primary is SIGKILLed, the follower is promoted, a zombie append with
-    the dead primary's fencing token is injected, and the new primary
-    ingests ``post_promote_ingests`` more epochs.  Parity is asserted
-    against an uninterrupted from-scratch replay of the full seeded
-    chain on every requested algorithm.
-    """
-    from repro.service.core import ServiceConfig
+) -> DrillReport:
+    """Kill the serving primary once an in-process
+    :class:`~repro.service.replica.ReplicaServer` tailing its WAL has
+    every acknowledged epoch, promote the replica, append as the dead
+    primary's zombie, ingest ``post_promote_ingests`` more epochs on the
+    new primary, and check loss, fencing and parity."""
     from repro.service.replica import ReplicaServer
-    from repro.service.request import QueryRequest
     from repro.service.wal import (
         WriteAheadLog,
         current_fence_token,
@@ -530,243 +498,88 @@ def run_failover_drill(
         recover_wal,
     )
 
-    if failover_at_epoch < 1:
-        raise ValueError("--failover-at-epoch must be >= 1")
-    algos = algos if algos else sorted(a.lower() for a in ALGORITHMS)
-    t0 = time.monotonic()
-    cli_args = [
-        "--scale", scale,
-        "--snapshots", str(n_snapshots),
-        "--workers", str(workers),
-        "--graphs", graph,
-        "--wal-dir", wal_dir,
-    ]
-
-    primary = _ServeProcess(cli_args)
-    replica = None
-    acked = 0
-    try:
-        # a real query first so the kill lands on a warmed primary
-        primary.request(
-            {"op": "query", "graph": graph, "algo": algos[0],
-             "source": source}
-        )
+    setup = _Setup("failover", failover_at_epoch, wal_dir, graph, scale,
+                   n_snapshots, workers, algos, source)
+    with ExitStack() as stack:
+        primary = stack.enter_context(ServeChild(setup.serve_args()))
+        _warm(primary, setup)
         old_token = current_fence_token(wal_dir)
-        replica = ReplicaServer(
-            wal_dir,
-            ServiceConfig(
-                scale=scale, n_snapshots=n_snapshots, workers=workers
-            ),
-            follower_id="drill-follower",
-        ).start()
-        for k in range(1, failover_at_epoch + 1):
-            resp = primary.request(
-                {"op": "ingest", "graph": graph, "seed": k}
-            )
-            if not resp.get("ok"):
-                raise CrashDrillError(f"ingest {k} refused: {resp}")
-            acked = int(resp["epoch"])
-        # the follower must observe every acknowledged epoch before the
-        # kill — replication lag drains to zero under the timeout guard
-        deadline = time.monotonic() + catchup_timeout_s
-        while replica.service.epoch(graph) < acked:
-            if time.monotonic() >= deadline:
-                raise CrashDrillError(
-                    f"follower stuck at epoch "
-                    f"{replica.service.epoch(graph)} < {acked} after "
-                    f"{catchup_timeout_s:.0f}s"
-                )
-            time.sleep(0.01)
-        # lag must have been *observable* while replicating
-        health = primary.request({"op": "health"})
+        replica = stack.enter_context(ReplicaServer(
+            wal_dir, setup.config(), follower_id="drill-follower"
+        ))
+        acked = _ingest_chain(primary, graph, 1, failover_at_epoch)[-1][0]
+        _await(lambda: replica.service.epoch(graph) >= acked,
+               catchup_timeout_s, f"follower catch-up to epoch {acked}")
+        # replication must have been *observable* before the kill
         replication = {
             "followers_seen_by_primary": list(
-                health.get("followers", {})
+                primary.health().get("followers", {})
             ),
             "follower_health": replica.health(),
         }
-    except BaseException:
-        if replica is not None:
-            replica.stop(drain=False)
-        raise
-    finally:
-        # SIGKILL right after the last ack: everything acknowledged must
-        # survive the failover, nothing unacknowledged is in flight
-        primary.sigkill()
-    orphans_after_kill = len(list_orphan_segments())
+        primary.kill()
+        stranded = len(list_orphan_segments())
 
-    try:
         new_token = replica.promote()
         promoted_epoch = replica.service.epoch(graph)
-
-        # the nastiest race: the dead primary's ghost appends one more
-        # record with its stale token — it must be skipped by every
-        # read and quarantined by the next recovery, never applied
+        # the ghost's stale-token append: skipped by every read,
+        # quarantined by the next recovery, never applied
         zombie = WriteAheadLog(wal_dir, fence_token=old_token)
-        zombie.append(
-            {
-                "op": "ingest",
-                "graph": graph,
-                "epoch": promoted_epoch + 1,
-                "delta": {"adds": [[0, 1, 1.0]], "dels": []},
-            }
-        )
+        zombie.append({
+            "op": "ingest", "graph": graph, "epoch": promoted_epoch + 1,
+            "delta": {"adds": [[0, 1, 1.0]], "dels": []},
+        })
         zombie.close()
         zombie_read_fenced = read_from(wal_dir).fenced >= 1
 
-        final_epoch = promoted_epoch
-        for k in range(1, post_promote_ingests + 1):
-            final_epoch = replica.service.ingest(graph, seed=acked + k)
+        chain = _ingest_chain(replica.service, graph, acked + 1,
+                              acked + post_promote_ingests)
+        final_epoch = chain[-1][0] if chain else promoted_epoch
         epoch_after_zombie = replica.service.epoch(graph)
-
-        reference = _reference_summaries(
-            graph, scale, n_snapshots, final_epoch, algos, source
+        parity = _parity(
+            _service_query(replica.service, setup), setup, final_epoch
         )
-        parity: dict[str, bool] = {}
-        for algo_name in algos:
-            handle = replica.service.submit(
-                QueryRequest(graph=graph, algo=algo_name, source=source)
-            )
-            resp = handle.wait(timeout=OP_TIMEOUT_S)
-            parity[algo_name] = bool(
-                resp is not None
-                and resp.ok
-                and resp.epoch == final_epoch
-                and _digests_match(
-                    [s.as_dict() for s in resp.summaries],
-                    reference[algo_name],
-                )
-            )
         replication["promoted_health"] = replica.health()
-    finally:
-        replica.stop()
 
-    # the quarantine half of the fencing contract: a full recovery of
-    # the directory detects the zombie record and quarantines it, and
-    # replaying the WAL from scratch reproduces exactly the final epoch
     recovery = recover_wal(wal_dir)
-    zombie_quarantined = recovery.fenced >= 1
     replication["final_recovery"] = recovery.summary()
-
-    return FailoverReport(
-        graph=graph,
-        failover_at_epoch=failover_at_epoch,
-        acked_epoch=acked,
-        promoted_epoch=promoted_epoch,
-        post_promote_ingests=post_promote_ingests,
-        final_epoch=final_epoch,
-        old_fence_token=old_token,
-        new_fence_token=new_token,
-        zombie_fenced=zombie_read_fenced and zombie_quarantined,
-        epoch_after_zombie=epoch_after_zombie,
-        parity=parity,
-        replication=replication,
-        orphans_after_kill=orphans_after_kill,
-        orphan_segments=list_orphan_segments(),
-        elapsed_s=time.monotonic() - t0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# shard kill drill: kill one shard's workers, then the fleet, recover per-WAL
-# ---------------------------------------------------------------------------
+    return setup.report({
+        "acked_epoch": acked,
+        "promoted_epoch": promoted_epoch,
+        "lost_deltas": max(0, acked - promoted_epoch),
+        "post_promote_ingests": post_promote_ingests,
+        "final_epoch": final_epoch,
+        "epoch_after_zombie": epoch_after_zombie,
+        "old_fence_token": old_token,
+        "new_fence_token": new_token,
+        "replication": replication,
+    }, {
+        "no_acked_loss": promoted_epoch == acked,
+        "fence_advanced": new_token > old_token,
+        "zombie_fenced": zombie_read_fenced and recovery.fenced >= 1,
+        "new_primary_ingests": final_epoch == acked + post_promote_ingests,
+        "zombie_not_applied": epoch_after_zombie == final_epoch,
+        **parity,
+    }, stranded)
 
 
-@dataclass
-class ShardKillReport:
-    """Outcome of one shard-fleet kill-and-recover drill."""
-
-    graph: str
-    n_shards: int
-    victim_shard: int
-    crash_at_epoch: int
-    acked_epoch: int
-    #: victim-shard worker processes SIGKILLed mid-serving (phase 1)
-    workers_killed: int
-    #: a query served through the worker kill (retry + pool restart)
-    served_through_kill: bool
-    #: victim shard's pool restarts observed after the worker kill
-    victim_pool_restarts: int
-    #: front-end epoch after the whole-fleet SIGKILL + restart (phase 2)
-    recovered_epoch: int = 0
-    #: shard id -> epoch that shard recovered from its own WAL
-    shard_epochs: dict[int, int] = field(default_factory=dict)
-    #: algorithm name -> digests matched the uninterrupted replay
-    parity: dict[str, bool] = field(default_factory=dict)
-    orphans_after_crash: int = 0
-    orphan_segments: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def lost_deltas(self) -> int:
-        return max(0, self.acked_epoch - self.recovered_epoch)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.recovered_epoch == self.acked_epoch
-            and all(
-                e == self.acked_epoch for e in self.shard_epochs.values()
-            )
-            and self.served_through_kill
-            and self.victim_pool_restarts >= 1
-            and bool(self.parity)
-            and all(self.parity.values())
-            and not self.orphan_segments
-        )
-
-    def format_table(self) -> str:
-        lines = [
-            f"== shard kill drill: {self.n_shards} shards of {self.graph}, "
-            f"SIGKILL shard {self.victim_shard}'s workers at epoch "
-            f"{self.crash_at_epoch}, then the fleet; recover per-shard "
-            f"WALs ==",
-            f"acknowledged epoch {self.acked_epoch}  "
-            f"recovered epoch {self.recovered_epoch}  "
-            f"lost acknowledged deltas {self.lost_deltas}",
-            f"victim workers killed {self.workers_killed}  "
-            f"served through kill "
-            f"{'yes' if self.served_through_kill else 'NO'}  "
-            f"pool restarts {self.victim_pool_restarts}",
-            "per-shard recovered epochs: "
-            + "  ".join(
-                f"shard {i}={e}" for i, e in sorted(self.shard_epochs.items())
-            ),
-        ]
-        for algo, match in sorted(self.parity.items()):
-            lines.append(
-                f"  parity {algo:<8} {'ok' if match else 'MISMATCH'}"
-            )
-        lines.append(
-            f"shm segments: {self.orphans_after_crash} stranded by the "
-            f"kill, {len(self.orphan_segments)} orphaned at drill end"
-        )
-        if self.orphan_segments:
-            lines.append(f"  ORPHANS: {', '.join(self.orphan_segments)}")
-        lines.append(
-            f"verdict: {'PASS' if self.ok else 'FAIL'} "
-            f"({self.elapsed_s:.1f}s)"
-        )
-        return "\n".join(lines)
-
-
-def _query_with_retries(
-    proc: _ServeProcess, op: dict, attempts: int = 4, pause_s: float = 0.25
-) -> dict:
-    """Cooperative-client retry loop for a drill query.
-
-    A worker kill races the pool's broken-executor detection: the first
-    plan after the kill can fail terminally before the restart lands, so
-    the drill retries the query the way the load generator's client
-    would, instead of treating one raced attempt as the verdict.
-    """
-    resp: dict = {}
-    for _ in range(attempts):
-        resp = proc.request(op)
+def _query_with_retries(child: ServeChild, op: dict) -> dict:
+    """A worker kill races the pool's broken-executor detection, so the
+    first plan after it can fail before the restart lands: retry like
+    the load generator's client would."""
+    for _ in range(3):
+        resp = child.request(op)
         if resp.get("ok"):
             return resp
-        time.sleep(pause_s)
-    return resp
+        time.sleep(0.25)
+    return child.request(op)
+
+
+def _shards(child: ServeChild) -> dict[int, dict]:
+    return {
+        int(e["shard"]): e
+        for e in child.health().get("sharding", {}).get("shards", [])
+    }
 
 
 def run_shard_kill_drill(
@@ -780,313 +593,70 @@ def run_shard_kill_drill(
     workers: int = 1,
     algos: list[str] | None = None,
     source: int = 1,
-) -> ShardKillReport:
-    """Two-phase kill drill against a sharded ``serve --shards N`` child.
+) -> DrillReport:
+    """Two-phase kill drill against a ``serve --shards N`` child.
 
-    Phase 1 SIGKILLs every worker process of one shard while the fleet
-    is serving: the shard's pool must restart and the front end's plan
-    retry must serve the in-flight query anyway.  Phase 2 SIGKILLs the
-    whole serve child's session (taking down every shard's workers at
-    once, mid-stream), restarts it on the same ``--wal-dir`` root, and
-    asserts every shard recovered exactly the acknowledged epoch from
-    **its own** WAL directory — the all-fsync ack barrier means no shard
-    may come back short — plus query parity on every registry algorithm
-    against an uninterrupted replay.
+    Phase 1 SIGKILLs every worker of one shard mid-serving: the shard's
+    pool must restart and the front end's plan retry must serve a query
+    anyway.  Phase 2 SIGKILLs the whole child and restarts it on the same
+    ``--wal-dir`` root: the all-fsync ack barrier means every shard must
+    recover exactly the acknowledged epoch from its own WAL.
     """
-    if crash_at_epoch < 1:
-        raise ValueError("--shard-kill-at-epoch must be >= 1")
     if n_shards < 2:
         raise ValueError("the shard kill drill needs --shards >= 2")
     if not 0 <= victim_shard < n_shards:
         raise ValueError(f"victim shard must be in [0, {n_shards})")
-    algos = algos if algos else sorted(a.lower() for a in ALGORITHMS)
-    t0 = time.monotonic()
-    cli_args = [
-        "--scale", scale,
-        "--snapshots", str(n_snapshots),
-        "--workers", str(workers),
-        "--graphs", graph,
-        "--wal-dir", wal_root,
-        "--shards", str(n_shards),
-    ]
-
-    victim_proc = _ServeProcess(cli_args)
-    acked = 0
-    workers_killed = 0
-    served_through_kill = False
-    victim_pool_restarts = 0
-    try:
-        # warm the fleet first: the kill must land on populated worker
-        # caches and an exercised scatter path, not a blank service
-        victim_proc.request(
-            {"op": "query", "graph": graph, "algo": algos[0],
-             "source": source}
-        )
-        for k in range(1, crash_at_epoch + 1):
-            resp = victim_proc.request(
-                {"op": "ingest", "graph": graph, "seed": k}
-            )
-            if not resp.get("ok"):
-                raise CrashDrillError(f"ingest {k} refused: {resp}")
-            acked = int(resp["epoch"])
-
-        health = victim_proc.request({"op": "health"})
-        entries = {
-            e["shard"]: e
-            for e in health.get("sharding", {}).get("shards", [])
-        }
-        if victim_shard not in entries:
+    setup = _Setup("shard-kill", crash_at_epoch, wal_root, graph, scale,
+                   n_snapshots, workers, algos, source)
+    serve_args = setup.serve_args("--shards", str(n_shards))
+    with ServeChild(serve_args) as victim:
+        _warm(victim, setup)
+        acked = _ingest_chain(victim, graph, 1, crash_at_epoch)[-1][0]
+        shards = _shards(victim)
+        if victim_shard not in shards:
             raise CrashDrillError(
-                f"health reports no shard {victim_shard}: {sorted(entries)}"
+                f"health reports no shard {victim_shard}: {sorted(shards)}"
             )
-        for pid in entries[victim_shard]["worker_pids"]:
+        workers_killed = 0
+        for pid in shards[victim_shard]["worker_pids"]:
             try:
                 os.kill(pid, signal.SIGKILL)
                 workers_killed += 1
             except ProcessLookupError:  # pragma: no cover - raced exit
                 pass
-        resp = _query_with_retries(
-            victim_proc,
-            {"op": "query", "graph": graph, "algo": algos[0],
-             "source": source},
+        served = _query_with_retries(victim, setup.query_op(setup.algos[0]))
+        restarts = int(
+            _shards(victim).get(victim_shard, {}).get("pool_restarts", 0)
         )
-        served_through_kill = bool(resp.get("ok"))
-        health = victim_proc.request({"op": "health"})
-        for e in health.get("sharding", {}).get("shards", []):
-            if e["shard"] == victim_shard:
-                victim_pool_restarts = int(e["pool_restarts"])
-    finally:
-        # phase 2: SIGKILL the whole session right after the last ack —
-        # every shard dies mid-stream with its WAL as the only survivor
-        victim_proc.sigkill()
-    orphans_after_crash = len(list_orphan_segments())
+        # phase 2: leaving the block SIGKILLs every shard mid-stream
+    stranded = len(list_orphan_segments())
 
-    survivor = _ServeProcess(cli_args)
-    try:
-        health = survivor.request({"op": "health"})
-        if not health.get("ok"):
-            raise CrashDrillError(f"health op failed: {health}")
-        recovered = int(health.get("epochs", {}).get(graph, 0))
+    with ServeChild(serve_args) as survivor:
+        recovered = survivor.epoch(graph)
         shard_epochs = {
-            int(e["shard"]): int(e["epochs"].get(graph, 0))
-            for e in health.get("sharding", {}).get("shards", [])
+            shard: int(entry["epochs"].get(graph, 0))
+            for shard, entry in _shards(survivor).items()
         }
-        reference = _reference_summaries(
-            graph, scale, n_snapshots, recovered, algos, source
-        )
-        parity: dict[str, bool] = {}
-        for algo_name in algos:
-            resp = survivor.request(
-                {"op": "query", "graph": graph, "algo": algo_name,
-                 "source": source}
-            )
-            parity[algo_name] = bool(
-                resp.get("ok")
-                and int(resp.get("epoch", -1)) == recovered
-                and _digests_match(
-                    resp.get("snapshots", []), reference[algo_name]
-                )
-            )
-    finally:
+        parity = _parity(_stdio_query(survivor, setup), setup, recovered)
         survivor.shutdown()
-
-    return ShardKillReport(
-        graph=graph,
-        n_shards=n_shards,
-        victim_shard=victim_shard,
-        crash_at_epoch=crash_at_epoch,
-        acked_epoch=acked,
-        workers_killed=workers_killed,
-        served_through_kill=served_through_kill,
-        victim_pool_restarts=victim_pool_restarts,
-        recovered_epoch=recovered,
-        shard_epochs=shard_epochs,
-        parity=parity,
-        orphans_after_crash=orphans_after_crash,
-        orphan_segments=list_orphan_segments(),
-        elapsed_s=time.monotonic() - t0,
-    )
-
-
-# ---------------------------------------------------------------------------
-# chaos kill drill: SIGKILL the cluster primary, the cluster heals itself
-# ---------------------------------------------------------------------------
-
-
-class _StdioPrimary:
-    """Resolver target wrapping the serve subprocess for the load writer.
-
-    Quacks like a primary for :func:`~repro.service.loadgen.run_load`'s
-    redirect-following writer: ``ingest`` raises when the child refuses
-    or is dead (the writer treats an unexplained death as
-    *maybe-applied* and dedups against the successor), and ``epoch``
-    answers the survived-write probe from the health op.
-    """
-
-    def __init__(self, proc: _ServeProcess) -> None:
-        self._proc = proc
-
-    @property
-    def alive(self) -> bool:
-        return self._proc.proc.poll() is None
-
-    def ingest(
-        self, graph: str, seed: int | None = None,
-        n_add: int = 8, n_del: int = 8,
-    ) -> int:
-        op = {"op": "ingest", "graph": graph, "n_add": n_add, "n_del": n_del}
-        if seed is not None:
-            op["seed"] = int(seed)
-        resp = self._proc.request(op)
-        if not resp.get("ok"):
-            raise CrashDrillError(f"subprocess primary refused: {resp}")
-        return int(resp["epoch"])
-
-    def epoch(self, graph: str) -> int:
-        resp = self._proc.request({"op": "health"})
-        return int(resp.get("epochs", {}).get(graph, 0))
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one unattended cluster chaos-kill drill."""
-
-    graph: str
-    cluster: int
-    kill_at_epoch: int
-    #: last phase-1 epoch whose quorum ack was *proven* (not degraded)
-    quorum_acked_epoch: int = 0
-    #: phase-1 acks that timed out into local-durability degradation
-    degraded_acks: int = 0
-    #: most caught-up follower's applied epoch at the instant of the
-    #: kill — the durability floor every quorum:1-acked epoch sits under
-    quorum_floor: int = 0
-    elected_node: str = ""
-    #: seconds from SIGKILL to a self-elected primary (no driver)
-    election_s: float = 0.0
-    #: elected primary's epoch right after promotion
-    elected_epoch: int = 0
-    old_fence_token: int = 0
-    new_fence_token: int = 0
-    final_epoch: int = 0
-    #: epochs the cluster ingested after the kill (writer kept writing)
-    post_kill_ingests: int = 0
-    #: writer target changes across the election (from the bench report)
-    failovers: int = 0
-    redirects: int = 0
-    #: the load run errored or its writer gave up mid-election
-    load_degraded: bool = True
-    survivor_node: str = ""
-    survivor_epoch: int = 0
-    #: which node the survivor believes is primary after re-targeting
-    survivor_primary_view: str = ""
-    parity: dict[str, bool] = field(default_factory=dict)
-    cluster_health: dict = field(default_factory=dict)
-    orphans_after_kill: int = 0
-    orphan_segments: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def lost_quorum_acked(self) -> int:
-        return max(0, self.quorum_floor - self.elected_epoch)
-
-    @property
-    def ok(self) -> bool:
-        survivor_ok = self.cluster < 3 or (
-            self.survivor_epoch == self.final_epoch
-            and self.survivor_primary_view == self.elected_node
-        )
-        return (
-            bool(self.elected_node)
-            and self.lost_quorum_acked == 0
-            and self.degraded_acks == 0
-            and self.new_fence_token > self.old_fence_token
-            and self.failovers >= 1
-            and self.post_kill_ingests >= 1
-            and not self.load_degraded
-            and survivor_ok
-            and bool(self.parity)
-            and all(self.parity.values())
-            and not self.orphan_segments
-        )
-
-    def to_json(self) -> str:
-        from repro.service.loadgen import BENCH_SCHEMA_VERSION
-
-        return json.dumps(
-            {
-                "bench": "service",
-                "schema_version": BENCH_SCHEMA_VERSION,
-                "drill": "chaos-kill",
-                "graph": self.graph,
-                "cluster": self.cluster,
-                "kill_at_epoch": self.kill_at_epoch,
-                "results": {
-                    "ok": self.ok,
-                    "quorum_acked_epoch": self.quorum_acked_epoch,
-                    "degraded_acks": self.degraded_acks,
-                    "quorum_floor": self.quorum_floor,
-                    "lost_quorum_acked": self.lost_quorum_acked,
-                    "elected_node": self.elected_node,
-                    "election_s": round(self.election_s, 3),
-                    "elected_epoch": self.elected_epoch,
-                    "old_fence_token": self.old_fence_token,
-                    "new_fence_token": self.new_fence_token,
-                    "final_epoch": self.final_epoch,
-                    "post_kill_ingests": self.post_kill_ingests,
-                    "failovers": self.failovers,
-                    "redirects": self.redirects,
-                    "load_degraded": self.load_degraded,
-                    "survivor_node": self.survivor_node,
-                    "survivor_epoch": self.survivor_epoch,
-                    "survivor_primary_view": self.survivor_primary_view,
-                    "parity": dict(sorted(self.parity.items())),
-                    "cluster_health": self.cluster_health,
-                    "orphans_after_kill": self.orphans_after_kill,
-                    "orphan_segments": self.orphan_segments,
-                    "elapsed_s": round(self.elapsed_s, 3),
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
-    def format_table(self) -> str:
-        lines = [
-            f"== chaos kill drill: {self.cluster}-node cluster of "
-            f"{self.graph}, SIGKILL the primary at epoch "
-            f"{self.kill_at_epoch}, unattended election ==",
-            f"quorum-acked epoch {self.quorum_acked_epoch}  "
-            f"degraded acks {self.degraded_acks}  "
-            f"quorum floor at kill {self.quorum_floor}",
-            f"elected {self.elected_node or 'NOBODY'} in "
-            f"{self.election_s:.2f}s at epoch {self.elected_epoch}  "
-            f"lost quorum-acked epochs {self.lost_quorum_acked}",
-            f"fencing token {self.old_fence_token} -> "
-            f"{self.new_fence_token}  post-kill ingests "
-            f"{self.post_kill_ingests}  final epoch {self.final_epoch}",
-            f"writer: failovers {self.failovers}  redirects "
-            f"{self.redirects}  "
-            f"{'DEGRADED' if self.load_degraded else 'clean'}",
-            f"survivor {self.survivor_node or '-'}: epoch "
-            f"{self.survivor_epoch}, sees primary "
-            f"{self.survivor_primary_view or '-'}",
-        ]
-        for algo, match in sorted(self.parity.items()):
-            lines.append(
-                f"  parity {algo:<8} {'ok' if match else 'MISMATCH'}"
-            )
-        lines.append(
-            f"shm segments: {self.orphans_after_kill} stranded by the "
-            f"kill, {len(self.orphan_segments)} orphaned at drill end"
-        )
-        if self.orphan_segments:
-            lines.append(f"  ORPHANS: {', '.join(self.orphan_segments)}")
-        lines.append(
-            f"verdict: {'PASS' if self.ok else 'FAIL'} "
-            f"({self.elapsed_s:.1f}s)"
-        )
-        return "\n".join(lines)
+    return setup.report({
+        "n_shards": n_shards,
+        "victim_shard": victim_shard,
+        "acked_epoch": acked,
+        "recovered_epoch": recovered,
+        "lost_deltas": max(0, acked - recovered),
+        "shard_epochs": shard_epochs,
+        "workers_killed": workers_killed,
+        "victim_pool_restarts": restarts,
+    }, {
+        "no_acked_loss": recovered == acked,
+        "every_shard_recovered": bool(shard_epochs) and all(
+            e == acked for e in shard_epochs.values()
+        ),
+        "served_through_kill": bool(served.get("ok")),
+        "victim_pool_restarted": restarts >= 1,
+        **parity,
+    }, stranded)
 
 
 def run_chaos_kill_drill(
@@ -1103,277 +673,175 @@ def run_chaos_kill_drill(
     load_duration_s: float = 15.0,
     election_timeout_s: float = 60.0,
     catchup_timeout_s: float = 60.0,
-) -> ChaosReport:
-    """SIGKILL the cluster primary under live quorum-acked load and let
-    the cluster heal itself — **nothing in this drill calls promote()**.
-
-    The primary is a ``mega-repro serve --cluster N`` subprocess on
-    ``wal_dir`` answering ingests at ``--ack-mode quorum:1``; the other
-    ``N - 1`` nodes are in-process followers, each a
-    :class:`~repro.service.replica.ReplicaServer` under a ticking
-    :class:`~repro.service.cluster.ClusterNode`.  Phase 1 ingests
-    ``kill_at_epoch`` seeded epochs and requires every ack to be a
-    proven quorum ack.  Phase 2 starts an open-loop load whose writer
-    follows redirects through :func:`~repro.service.loadgen.run_load`'s
-    ``resolve_primary`` hook, waits until post-phase-1 epochs are
-    visibly replicating, samples the quorum durability floor, and
-    SIGKILLs the child mid-stream.  Phase 3 just *waits*: heartbeat
-    suspicion must confirm the death, exactly one follower must win the
-    fence CAS and promote, the writer must land its in-flight ingest on
-    the new primary without forking the seeded chain, and the surviving
-    follower must re-target.  Parity runs every requested algorithm
-    against an uninterrupted replay of seeds ``1..final_epoch``.
+) -> DrillReport:
+    """SIGKILL the primary of a ``quorum:1`` cluster (a ``serve
+    --cluster N`` child plus ``N - 1`` in-process
+    :class:`~repro.service.cluster.ClusterNode` followers) under live
+    load, and let the cluster heal itself — **nothing here calls
+    promote()**.  Phase 1 ingests ``kill_at_epoch`` quorum-acked epochs;
+    phase 2 starts a redirect-following writer and kills the child once
+    its epochs replicate; phase 3 only watches the election, the writer's
+    failover and the survivor's re-target.
     """
     from repro.service.cluster import ClusterNode
-    from repro.service.core import ServiceConfig
     from repro.service.loadgen import LoadSpec, run_load
     from repro.service.replica import ReplicaServer
-    from repro.service.request import QueryRequest
     from repro.service.wal import current_fence_token, recover_wal
 
     if cluster < 2:
-        raise ValueError("--chaos-kill needs a cluster of >= 2 nodes")
-    if kill_at_epoch < 1:
-        raise ValueError("--chaos-kill must be >= 1")
-    algos = algos if algos else sorted(a.lower() for a in ALGORITHMS)
-    t0 = time.monotonic()
-    cli_args = [
-        "--scale", scale,
-        "--snapshots", str(n_snapshots),
-        "--workers", str(workers),
-        "--graphs", graph,
-        "--wal-dir", wal_dir,
-        "--cluster", str(cluster),
-        "--node-id", "node-0",
-        "--ack-mode", "quorum:1",
-        "--quorum-timeout", "30",
-        "--heartbeat-interval", str(heartbeat_interval_s),
-    ]
-
-    primary = _ServeProcess(cli_args)
-    nodes: list[ClusterNode] = []
-    replicas: list[ReplicaServer] = []
-    try:
-        # a real query first so the kill lands on a warmed primary
-        primary.request(
-            {"op": "query", "graph": graph, "algo": algos[0],
-             "source": source}
-        )
+        raise ValueError("the chaos drill needs a cluster of >= 2 nodes")
+    setup = _Setup("chaos", kill_at_epoch, wal_dir, graph, scale,
+                   n_snapshots, workers, algos, source)
+    with ExitStack() as stack:
+        primary = stack.enter_context(ServeChild(setup.serve_args(
+            "--cluster", str(cluster),
+            "--node-id", "node-0",
+            "--ack-mode", "quorum:1",
+            "--quorum-timeout", "30",
+            "--heartbeat-interval", str(heartbeat_interval_s),
+        )))
+        _warm(primary, setup)
         old_token = current_fence_token(wal_dir)
-        for i in range(1, cluster):
-            replica = ReplicaServer(
-                wal_dir,
-                ServiceConfig(
-                    scale=scale, n_snapshots=n_snapshots, workers=workers,
-                    ack_mode="quorum:1", quorum_timeout_s=30.0,
-                ),
-                follower_id=f"node-{i}",
-            ).start()
-            replicas.append(replica)
-            node = ClusterNode(
+        nodes = [
+            stack.enter_context(ClusterNode(
                 wal_dir, f"node-{i}",
-                replica=replica,
+                replica=ReplicaServer(
+                    wal_dir,
+                    setup.config(ack_mode="quorum:1", quorum_timeout_s=30.0),
+                    follower_id=f"node-{i}",
+                ),
                 cluster_size=cluster,
                 heartbeat_interval_s=heartbeat_interval_s,
-            ).start()
-            nodes.append(node)
+            ))
+            for i in range(1, cluster)
+        ]
+        for node in nodes:  # unwinds first: no tick runs during teardown
+            stack.callback(node.stop)
 
-        # phase 1: controlled ingests — every ack must be a *proven*
-        # quorum ack (a degrade here means replication is not live and
-        # the whole premise of the kill is void)
-        quorum_acked = 0
-        degraded_acks = 0
-        for k in range(1, kill_at_epoch + 1):
-            resp = primary.request(
-                {"op": "ingest", "graph": graph, "seed": k}
-            )
-            if not resp.get("ok"):
-                raise CrashDrillError(f"ingest {k} refused: {resp}")
-            ack = resp.get("ack", {})
-            if ack.get("mode") != "quorum":
-                raise CrashDrillError(
-                    f"expected a quorum ack for epoch {k}, got {ack}"
-                )
-            if ack.get("degraded"):
-                degraded_acks += 1
-            else:
-                quorum_acked = int(resp["epoch"])
-        acked = kill_at_epoch
+        def epochs() -> list[int]:
+            return [n.service.epoch(graph) for n in nodes]
 
-        deadline = time.monotonic() + catchup_timeout_s
-        while any(r.service.epoch(graph) < acked for r in replicas):
-            if time.monotonic() >= deadline:
-                raise CrashDrillError(
-                    "followers stuck behind the phase-1 epochs: "
-                    + str([r.service.epoch(graph) for r in replicas])
-                )
-            time.sleep(0.01)
+        # phase 1: without live replication the kill's premise is void
+        acks = _ingest_chain(primary, graph, 1, kill_at_epoch)
+        if any(ack.get("mode") != "quorum" for _, ack in acks):
+            raise CrashDrillError(f"expected quorum acks, got {acks}")
+        degraded_acks = sum(bool(ack.get("degraded")) for _, ack in acks)
+        quorum_acked = max(
+            (epoch for epoch, ack in acks if not ack.get("degraded")),
+            default=0,
+        )
+        _await(lambda: min(epochs()) >= kill_at_epoch, catchup_timeout_s,
+               "followers catch up to the phase-1 epochs")
 
-        # phase 2: open-loop load; the writer's resolver prefers an
-        # elected in-process primary and falls back to the live child
-        stdio_target = _StdioPrimary(primary)
-
-        def _resolve():
+        # phase 2: the writer prefers an elected in-process primary and
+        # falls back to the live child; the most caught-up follower's
+        # epoch at the kill bounds every quorum:1-acked epoch
+        def resolve():
             for node in nodes:
                 if node.role == "primary":
                     return node.service
-            return stdio_target if stdio_target.alive else None
+            return primary if primary.alive else None
 
         spec = LoadSpec(
-            duration_s=load_duration_s,
-            rate_qps=5.0,
-            # the writer's seeds continue the phase-1 chain (seed+1, ...)
-            seed=kill_at_epoch,
-            graphs=(graph,),
-            algos=(algos[0],),
-            ingest_every_s=0.2,
-            max_retries=3,
+            duration_s=load_duration_s, rate_qps=5.0,
+            seed=kill_at_epoch,  # the writer continues the seeded chain
+            graphs=(graph,), algos=(setup.algos[0],),
+            ingest_every_s=0.2, max_retries=3,
         )
         load_box: dict = {}
 
-        def _load() -> None:
+        def load() -> None:
             try:
                 load_box["report"] = run_load(
-                    replicas[0].service, spec, resolve_primary=_resolve
+                    nodes[0].service, spec, resolve_primary=resolve
                 )
-            except BaseException as exc:  # noqa: BLE001 - reported below
+            except Exception as exc:  # noqa: BLE001 - reported below
                 load_box["error"] = exc
 
-        load_thread = threading.Thread(
-            target=_load, name="chaos-load", daemon=True
-        )
+        load_thread = threading.Thread(target=load, name="chaos-load",
+                                       daemon=True)
         load_thread.start()
 
-        # wait until the writer's post-phase-1 ingests are visibly
-        # replicating, so the kill lands mid-stream, not in a lull
-        deadline = time.monotonic() + catchup_timeout_s
-        while max(r.service.epoch(graph) for r in replicas) <= acked:
+        def replicating() -> bool:
             if "error" in load_box:
                 raise CrashDrillError(
                     f"load failed before the kill: {load_box['error']!r}"
                 )
-            if time.monotonic() >= deadline:
-                raise CrashDrillError(
-                    "the writer's ingests never replicated before the kill"
-                )
-            time.sleep(0.01)
+            return max(epochs()) > kill_at_epoch
 
-        # the durability floor: every quorum:1-acked epoch is <= the
-        # most caught-up follower's applied epoch at the kill instant
-        quorum_floor = max(r.service.epoch(graph) for r in replicas)
-        primary.sigkill()
+        _await(replicating, catchup_timeout_s,
+               "the writer's ingests replicate before the kill")
+        quorum_floor = max(epochs())
+        primary.kill()
         kill_t = time.monotonic()
-        orphans_after_kill = len(list_orphan_segments())
+        stranded = len(list_orphan_segments())
 
-        # phase 3: unattended election — this loop only *watches*
-        elected = None
-        deadline = kill_t + election_timeout_s
-        while elected is None:
-            for node in nodes:
-                if node.role == "primary":
-                    elected = node
-                    break
-            if elected is None:
-                if time.monotonic() >= deadline:
-                    raise CrashDrillError(
-                        f"no follower elected itself within "
-                        f"{election_timeout_s:.0f}s of the kill"
-                    )
-                time.sleep(0.01)
+        # phase 3: unattended election — the drill only watches
+        elected = _await(
+            lambda: next((n for n in nodes if n.role == "primary"), None),
+            election_timeout_s, "a follower elects itself",
+        )
         election_s = time.monotonic() - kill_t
         elected_epoch = elected.service.epoch(graph)
         new_token = current_fence_token(wal_dir)
-
         load_thread.join(
             timeout=load_duration_s + spec.drain_timeout_s + 120.0
         )
         if load_thread.is_alive():
             raise CrashDrillError("load generator wedged after the election")
-        load_degraded = True
-        failovers = redirects = 0
-        if "report" in load_box:
-            bench = load_box["report"]
-            load_degraded = bench.degraded
-            failovers = int(bench.results.get("failovers", 0))
-            redirects = int(bench.results.get("redirects", 0))
-
         final_epoch = elected.service.epoch(graph)
 
-        # the surviving follower re-targets the elected primary and
-        # converges on its epoch
-        survivors = [n for n in nodes if n is not elected]
-        survivor_node = survivors[0].node_id if survivors else ""
-        survivor_epoch = final_epoch
-        survivor_view = elected.node_id if not survivors else ""
-        if survivors:
-            s = survivors[0]
-            deadline = time.monotonic() + catchup_timeout_s
-            while time.monotonic() < deadline:
-                survivor_epoch = s.service.epoch(graph)
-                survivor_view = s.primary_node_id or ""
-                if (
-                    survivor_epoch >= final_epoch
-                    and survivor_view == elected.node_id
-                ):
-                    break
-                time.sleep(0.05)
+        # with two nodes the elected one is its own survivor
+        survivor = next((n for n in nodes if n is not elected), elected)
 
-        # parity: the writer's failover dedup keeps the seeded chain
-        # contiguous, so an uninterrupted replay of seeds
-        # 1..final_epoch is the exact reference for every algorithm
-        reference = _reference_summaries(
-            graph, scale, n_snapshots, final_epoch, algos, source
+        def retargeted() -> bool:
+            return (survivor.service.epoch(graph) == final_epoch
+                    and survivor.primary_node_id == elected.node_id)
+
+        try:
+            survivor_ok = _await(retargeted, catchup_timeout_s,
+                                 "the survivor re-targets the new primary")
+        except CrashDrillError:
+            survivor_ok = False  # reported as a failed check
+        survivor_facts = {
+            "survivor_node": "" if survivor is elected else survivor.node_id,
+            "survivor_epoch": survivor.service.epoch(graph),
+            "survivor_primary_view": survivor.primary_node_id or "",
+        }
+        parity = _parity(
+            _service_query(elected.service, setup), setup, final_epoch
         )
-        parity: dict[str, bool] = {}
-        for algo_name in algos:
-            handle = elected.service.submit(
-                QueryRequest(graph=graph, algo=algo_name, source=source)
-            )
-            resp = handle.wait(timeout=OP_TIMEOUT_S)
-            parity[algo_name] = bool(
-                resp is not None
-                and resp.ok
-                and resp.epoch == final_epoch
-                and _digests_match(
-                    [s.as_dict() for s in resp.summaries],
-                    reference[algo_name],
-                )
-            )
         cluster_health = elected.health()
-    finally:
-        primary.sigkill()
-        for node in nodes:
-            node.stop()
-        for replica in replicas:
-            try:
-                replica.stop()
-            except Exception:  # noqa: BLE001 - teardown must finish
-                log_note = True  # noqa: F841 - best-effort teardown
-    cluster_health["final_recovery"] = recover_wal(wal_dir).summary()
 
-    return ChaosReport(
-        graph=graph,
-        cluster=cluster,
-        kill_at_epoch=kill_at_epoch,
-        quorum_acked_epoch=quorum_acked,
-        degraded_acks=degraded_acks,
-        quorum_floor=quorum_floor,
-        elected_node=elected.node_id,
-        election_s=election_s,
-        elected_epoch=elected_epoch,
-        old_fence_token=old_token,
-        new_fence_token=new_token,
-        final_epoch=final_epoch,
-        post_kill_ingests=max(0, final_epoch - quorum_floor),
-        failovers=failovers,
-        redirects=redirects,
-        load_degraded=load_degraded,
-        survivor_node=survivor_node,
-        survivor_epoch=survivor_epoch,
-        survivor_primary_view=survivor_view,
-        parity=parity,
-        cluster_health=cluster_health,
-        orphans_after_kill=orphans_after_kill,
-        orphan_segments=list_orphan_segments(),
-        elapsed_s=time.monotonic() - t0,
-    )
+    cluster_health["final_recovery"] = recover_wal(wal_dir).summary()
+    bench = load_box.get("report")
+    results = bench.results if bench is not None else {}
+    facts = {
+        "cluster": cluster,
+        "quorum_acked_epoch": quorum_acked,
+        "degraded_acks": degraded_acks,
+        "quorum_floor": quorum_floor,
+        "lost_quorum_acked": max(0, quorum_floor - elected_epoch),
+        "elected_node": elected.node_id,
+        "election_s": round(election_s, 3),
+        "elected_epoch": elected_epoch,
+        "old_fence_token": old_token,
+        "new_fence_token": new_token,
+        "final_epoch": final_epoch,
+        "post_kill_ingests": max(0, final_epoch - quorum_floor),
+        "failovers": int(results.get("failovers", 0)),
+        "redirects": int(results.get("redirects", 0)),
+        "load_degraded": bench is None or bench.degraded,
+        **survivor_facts,
+        "cluster_health": cluster_health,
+    }
+    return setup.report(facts, {
+        "no_acked_loss": facts["lost_quorum_acked"] == 0,
+        "no_degraded_acks": degraded_acks == 0,
+        "fence_advanced": new_token > old_token,
+        "writer_failed_over": facts["failovers"] >= 1,
+        "post_kill_progress": facts["post_kill_ingests"] >= 1,
+        "load_clean": not facts["load_degraded"],
+        "survivor_retargeted": survivor_ok,
+        **parity,
+    }, stranded)

@@ -36,8 +36,8 @@ sweep the dead primary's orphaned shm segments, and open a
 :class:`~repro.service.wal.WriteAheadLog` with the new token — the node
 now accepts ingest, and any late append by the SIGKILLed primary (a
 "zombie") lands at or past the fence position with a stale token, so
-every subsequent read quarantines it.  ``serve-bench
---failover-at-epoch N`` drives the whole sequence as a drill
+every subsequent read quarantines it.  ``serve-bench --drill
+failover`` drives the whole sequence as a drill
 (:func:`repro.service.drill.run_failover_drill`).
 
 Two fault points make the replication failure modes provable from the

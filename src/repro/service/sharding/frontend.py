@@ -305,14 +305,30 @@ class ScatterGatherFrontEnd:
         n_add: int = 8,
         n_del: int = 8,
     ) -> int:
+        epoch, _ack = self.ingest_with_ack(
+            graph, delta=delta, seed=seed, n_add=n_add, n_del=n_del
+        )
+        return epoch
+
+    def ingest_with_ack(
+        self,
+        graph: str,
+        delta=None,
+        seed: int | None = None,
+        n_add: int = 8,
+        n_del: int = 8,
+    ) -> tuple[int, dict]:
         """Split-route one delta; acked only after every shard's WAL
-        fsyncs (the manager's all-fsync barrier)."""
+        fsyncs (the manager's all-fsync barrier), so the ack is local."""
         epoch = self.manager.ingest(
             graph, delta=delta, seed=seed, n_add=n_add, n_del=n_del
         )
         self.cache.invalidate_graph(graph)
         self.stats.inc("ingests")
-        return epoch
+        return epoch, {
+            "mode": "local", "required": 0, "acked_by": [],
+            "degraded": False, "wait_s": 0.0,
+        }
 
     def clear_caches(self) -> None:
         self.cache.clear()

@@ -225,6 +225,62 @@ def test_unattended_election_exactly_one_winner_and_retarget(tmp_path):
         _teardown(primary, followers)
 
 
+def test_late_elector_defers_to_a_fresh_winner_instead_of_reclaiming(
+    tmp_path,
+):
+    """Both followers confirm the dead primary; the first to catch up
+    wins.  The other — caught up past the winner's stale follower beacon
+    — must not CAS the next token before the winner's primary beacon
+    has had an election grace to appear."""
+    clk = ManualClock()
+    interval = 0.1
+    primary, pnode, followers = _cluster_pair(tmp_path, clk, interval)
+    try:
+        primary.ingest("PK", seed=1)
+        for node in followers:
+            node.replica.start(tail_thread=False)
+        for _ in range(6):
+            pnode.tick()
+            for node in followers:
+                node.tick()
+                node.replica.poll_once()
+            clk.advance(interval)
+        # the primary's last epoch lands, then it dies: every beacon now
+        # understates the position an elector reaches by catching up
+        primary.ingest("PK", seed=2)
+        old = current_fence_token(tmp_path / "wal")
+        winner = None
+        for _ in range(120):
+            clk.advance(interval)
+            for node in followers:
+                if node.tick() == "promoted":
+                    winner = node
+                    break
+            if winner is not None:
+                break
+        assert winner is not None
+        loser = next(n for n in followers if n is not winner)
+        # the winner has not beaten as primary yet; the loser confirms
+        # the dead primary within the grace and must back off
+        actions = []
+        for _ in range(int(winner.election_grace_s / interval) - 1):
+            actions.append(loser.tick())
+            clk.advance(interval)
+        assert "promoted" not in actions and "deferred" in actions, actions
+        assert winner.elections + loser.elections == 1
+        assert current_fence_token(tmp_path / "wal") == old + 1
+        # once the winner beacons, the loser follows it
+        for _ in range(12):
+            winner.tick()
+            clk.advance(interval)
+            last = loser.tick()
+        assert last == "follower" and loser.primary_node_id == winner.node_id
+        assert winner.role == "primary" and winner.elections == 1
+        assert current_fence_token(tmp_path / "wal") == old + 1
+    finally:
+        _teardown(primary, followers)
+
+
 def test_fsynced_but_unacked_epoch_survives_election_or_reports_degraded(
     tmp_path,
 ):
@@ -395,17 +451,20 @@ def test_chaos_kill_drill_unattended_election_zero_loss(tmp_path):
         algos=["bfs"], load_duration_s=8.0,
     )
     assert report.ok, report.format_table()
-    assert report.lost_quorum_acked == 0
-    assert report.degraded_acks == 0
-    assert report.elected_node in ("node-1", "node-2")
-    assert report.new_fence_token > report.old_fence_token
-    assert report.failovers >= 1 and report.post_kill_ingests >= 1
-    assert report.survivor_primary_view == report.elected_node
-    assert report.parity == {"bfs": True}
-    assert report.orphan_segments == []
+    facts = report.facts
+    assert facts["lost_quorum_acked"] == 0
+    assert facts["degraded_acks"] == 0
+    assert facts["elected_node"] in ("node-1", "node-2")
+    assert facts["new_fence_token"] > facts["old_fence_token"]
+    assert facts["failovers"] >= 1 and facts["post_kill_ingests"] >= 1
+    assert facts["survivor_primary_view"] == facts["elected_node"]
+    assert report.checks["survivor_retargeted"]
+    parity = {k: v for k, v in report.checks.items() if k.startswith("parity:")}
+    assert parity == {"parity:bfs": True}
+    assert facts["orphan_segments"] == []
     doc = json.loads(report.to_json())
-    assert doc["drill"] == "chaos-kill"
-    assert doc["results"]["ok"]
+    assert doc["drill"] == "chaos"
+    assert doc["results"]["ok"] and doc["results"]["parity"] == {"bfs": True}
     table = report.format_table()
     assert "PASS" in table and "unattended election" in table
 
@@ -423,8 +482,8 @@ def test_chaos_kill_drill_unattended_election_zero_loss(tmp_path):
         ["serve-bench", "--ack-mode", "bogus"],
         ["serve-bench", "--ack-mode", "quorum:1"],  # no replication dir
         ["serve-bench", "--quorum-timeout", "0"],
-        ["serve-bench", "--chaos-kill", "-1"],
-        ["serve-bench", "--chaos-kill", "1", "--crash-at-epoch", "1"],
+        ["serve-bench", "--drill", "chaos", "--kill-at-epoch", "0"],
+        ["serve-bench", "--drill", "chaos-kill"],
     ],
 )
 def test_cli_cluster_bad_arguments_exit_2(argv, capsys):

@@ -200,12 +200,15 @@ def test_failover_drill_zero_loss_and_parity(tmp_path):
         tmp_path / "wal", failover_at_epoch=2, algos=["bfs"],
     )
     assert report.ok, report.format_table()
-    assert report.lost_deltas == 0
-    assert report.zombie_fenced
-    assert report.new_fence_token > report.old_fence_token
-    assert report.orphan_segments == []
+    assert report.facts["lost_deltas"] == 0
+    assert report.checks["zombie_fenced"]
+    assert report.checks["zombie_not_applied"]
+    assert report.facts["new_fence_token"] > report.facts["old_fence_token"]
+    assert report.checks["fence_advanced"]
+    assert report.facts["orphan_segments"] == []
     table = report.format_table()
-    assert "PASS" in table and "zombie append fenced" in table
+    assert "PASS" in table and "fence the zombie" in table
+    assert "zombie_fenced" in table
 
 
 def test_replica_tail_thread_converges_without_manual_polls(tmp_path):
@@ -232,8 +235,8 @@ def test_replica_tail_thread_converges_without_manual_polls(tmp_path):
     "argv",
     [
         ["serve", "--follow", "somewhere", "--wal-dir", "elsewhere"],
-        ["serve-bench", "--failover-at-epoch", "-1"],
-        ["serve-bench", "--crash-at-epoch", "1", "--failover-at-epoch", "1"],
+        ["serve-bench", "--drill", "failover", "--kill-at-epoch", "-1"],
+        ["serve-bench", "--drill", "failover,crash"],
     ],
 )
 def test_cli_replica_bad_arguments_exit_2(argv, capsys):
@@ -245,7 +248,8 @@ def test_cli_failover_drill_writes_report(tmp_path, capsys):
     out = tmp_path / "BENCH_failover.json"
     rc = main([
         "serve-bench", "--scale", "tiny", "--snapshots", "4",
-        "--workers", "1", "--failover-at-epoch", "2", "--algos", "bfs",
+        "--workers", "1", "--drill", "failover", "--kill-at-epoch", "2",
+        "--algos", "bfs",
         "--wal-dir", str(tmp_path / "wal"), "--out", str(out),
     ])
     assert rc == 0

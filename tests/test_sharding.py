@@ -24,6 +24,7 @@ from repro.service import (
     ScatterGatherFrontEnd,
     ServiceConfig,
     ShardManager,
+    run_shard_kill_drill,
     synthesize_delta,
 )
 from repro.service.sharding import merge_sub_deltas, restrict_rows
@@ -346,6 +347,28 @@ def test_fleet_recovers_per_shard_wals(tmp_path):
         assert [canon(w) for w in recovered] == [canon(w) for w in chain]
     finally:
         mgr2.stop()
+
+
+def test_frontend_ingest_with_ack_reports_a_local_ack():
+    with ScatterGatherFrontEnd(_fleet(2)) as fleet:
+        epoch, ack = fleet.ingest_with_ack("PK", seed=1)
+        assert epoch == 1 and fleet.ingest("PK", seed=2) == 2
+        assert ack == {"mode": "local", "required": 0, "acked_by": [],
+                       "degraded": False, "wait_s": 0.0}
+
+
+def test_shard_kill_drill_zero_loss_and_parity(tmp_path):
+    report = run_shard_kill_drill(
+        str(tmp_path / "fleet"), n_shards=2, crash_at_epoch=2,
+        algos=["bfs"],
+    )
+    assert report.ok, report.format_table()
+    assert report.drill == "shard-kill"
+    assert report.facts["lost_deltas"] == 0
+    assert report.facts["shard_epochs"] == {0: 2, 1: 2}
+    assert report.checks["served_through_kill"]
+    assert report.checks["victim_pool_restarted"]
+    assert report.checks["parity:bfs"]
 
 
 # -- fleet: health + metrics surface ---------------------------------------

@@ -492,9 +492,13 @@ def test_crash_drill_zero_loss_and_parity(tmp_path):
         scale="tiny", n_snapshots=4, workers=1, algos=["bfs", "sssp"],
     )
     assert report.ok, report.format_table()
-    assert report.lost_deltas == 0
-    assert report.recovered_epoch == report.acked_epoch == 2
-    assert report.parity == {"bfs": True, "sssp": True}
+    assert report.drill == "crash"
+    assert report.facts["lost_deltas"] == 0
+    assert report.facts["recovered_epoch"] == report.facts["acked_epoch"] == 2
+    assert report.checks["no_acked_loss"]
+    parity = {k: v for k, v in report.checks.items() if k.startswith("parity:")}
+    assert parity == {"parity:bfs": True, "parity:sssp": True}
+    assert report.checks["no_orphan_segments"]
     assert "PASS" in report.format_table()
 
 
@@ -562,9 +566,32 @@ def test_cli_empty_out_still_works_but_warns(tmp_path, monkeypatch, capsys):
     assert "deprecated" in capsys.readouterr().err
 
 
-def test_cli_rejects_negative_crash_at_epoch(capsys):
-    assert main(_bench_argv("--crash-at-epoch", "-1")) == 2
-    assert capsys.readouterr().err.strip()
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--drill", "crash", "--kill-at-epoch", "-1"),
+        ("--drill", "crash", "--kill-at-epoch", "0"),
+        ("--drill", "bogus"),
+    ],
+)
+def test_cli_rejects_bad_drill_arguments(extra, capsys):
+    assert main(_bench_argv(*extra)) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err
+
+
+def test_cli_crash_drill_writes_report(tmp_path, capsys):
+    out = tmp_path / "BENCH_crash.json"
+    rc = main(_bench_argv(
+        "--drill", "crash", "--kill-at-epoch", "1", "--algos", "bfs",
+        "--wal-dir", str(tmp_path / "wal"), "--out", str(out),
+    ))
+    assert rc == 0
+    assert "PASS" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["drill"] == "crash" and doc["kill_at_epoch"] == 1
+    assert doc["results"]["ok"] and doc["results"]["lost_deltas"] == 0
+    assert doc["results"]["parity"] == {"bfs": True}
 
 
 def test_cli_wal_flags_reach_service_config():
