@@ -33,20 +33,25 @@ class EdgeCacheModel:
 
     def access_round(self, blocks: np.ndarray) -> tuple[int, int]:
         """Access a round's unique blocks; returns ``(hits, misses)``."""
+        hit_mask = self.access_blocks(blocks)
+        hits = int(hit_mask.sum())
+        return hits, int(hit_mask.size - hits)
+
+    def access_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Access a round's unique blocks; returns which of them hit."""
         if blocks.size == 0:
-            return 0, 0
+            return np.zeros(0, dtype=bool)
         blocks = np.asarray(blocks, dtype=np.int64)
         age = self._distinct_accesses - self._stamp[blocks]
         hit_mask = age <= self.capacity_blocks
         hits = int(hit_mask.sum())
-        misses = int(blocks.size - hits)
         # stamp all accessed blocks at the current position; advance the
         # distinct counter by the number of blocks touched this round.
         self._stamp[blocks] = self._distinct_accesses + blocks.size
         self._distinct_accesses += blocks.size
         self.hits += hits
-        self.misses += misses
-        return hits, misses
+        self.misses += int(blocks.size - hits)
+        return hit_mask
 
     def flush(self) -> None:
         """Invalidate everything (partition switch / new graph)."""

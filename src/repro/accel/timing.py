@@ -93,15 +93,18 @@ class TimingModel:
             queue_ops += popped + generated
             messages += generated
             raw_events += popped
-            hits, misses = self.cache.access_round(r.edge_blocks)
+            hit_mask = self.cache.access_blocks(r.edge_blocks)
+            hits = int(hit_mask.sum())
+            misses = int(hit_mask.size - hits)
             counters.edge_block_hits += hits
             counters.edge_block_misses += misses
             dram_bytes += misses * cfg.block_bytes
             if self.dram_model is not None and misses:
                 # row-buffer-aware service time for the missed blocks; the
                 # bandwidth term below still covers non-block traffic
-                miss_blocks = r.edge_blocks[-misses:] if misses <= r.edge_blocks.size else r.edge_blocks
-                detailed_cycles = self.dram_model.access_round(miss_blocks)
+                detailed_cycles = self.dram_model.access_round(
+                    r.edge_blocks[~hit_mask]
+                )
                 dram_bytes += max(
                     0.0,
                     detailed_cycles * cfg.dram_bytes_per_cycle

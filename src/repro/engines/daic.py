@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import Algorithm
-from repro.engines.trace import RoundTrace, TraceCollector
+from repro.engines.trace import RoundTrace, TraceCollector, edge_blocks
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.graph.csr import gather_out_edges
 from repro.obs.profile import active_profiler
@@ -35,34 +35,6 @@ __all__ = ["MultiVersionEngine", "group_argbest"]
 #: rounds per compiled call while a wall-clock budget is live: the loop
 #: kernel cannot read the budget's clock, so it hands back this often
 _WALL_CLOCK_CHUNK = 64
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an already-sorted array without the sort.
-
-    The engine's edge gathers are ascending by construction (sorted
-    frontiers over a monotone ``indptr``), so uniquing their derived
-    block ids is a run-boundary scan; the guard keeps correctness for
-    any caller that violates the precondition.
-    """
-    if a.shape[0] <= 1:
-        return a.copy()
-    keep = np.empty(a.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    if np.any(a[1:] < a[:-1]):  # pragma: no cover - defensive
-        return np.unique(a)
-    return a[keep]
-
-
-def _unique_vertices(idx: np.ndarray, n: int) -> np.ndarray:
-    """Sorted unique vertex ids via a bounded bincount (no hash/sort).
-
-    Bit-identical to ``np.unique(idx)`` for ids in ``[0, n)``; profiling
-    showed the hash-based unique dominating recorded plan execution."""
-    if idx.size == 0:
-        return idx.astype(np.int64, copy=True)
-    return np.flatnonzero(np.bincount(idx, minlength=n))
 
 
 class _Scratch:
@@ -249,9 +221,9 @@ class MultiVersionEngine:
                     edge_idx=edge_idx,
                     vertex_writes=0,
                     n_versions=k,
-                    dst=edge_idx,
-                    src=union_frontier,
                     version_events_popped=popped_versions,
+                    version_events_generated=0,
+                    version_vertex_writes=0,
                 )
                 frontier[:] = False
                 continue
@@ -325,8 +297,7 @@ class MultiVersionEngine:
                     edge_idx=edge_idx,
                     vertex_writes=int(changed.any(axis=0).sum()),
                     n_versions=k,
-                    dst=_unique_vertices(dst, n),
-                    src=union_frontier,
+                    dst=dst,
                     version_events_popped=popped_versions,
                     version_events_generated=int(active.sum()),
                     version_vertex_writes=int(changed.sum()),
@@ -338,17 +309,15 @@ class MultiVersionEngine:
         if self.budget is not None and self._budget_clock is None:
             self._budget_clock = self.budget.start()
 
-    def _round_caps(self, recording: bool, seeding: bool) -> tuple[int, int]:
+    def _round_caps(self) -> tuple[int, int]:
         """``(max_rounds, max_events)`` for one compiled call (-1: none).
 
-        A recording collector needs every round's counters, so it gets
-        one round per call (none when the call only seeds a batch).  A
-        budget caps the call at its remaining allowance, so the loop
+        A budget caps the call at its remaining allowance, so the loop
         stops exactly where the numpy tier's per-round charge would
         breach; a wall-clock deadline also chunks the loop so the clock
         is read at least every ``_WALL_CLOCK_CHUNK`` rounds.
         """
-        caps = [0 if seeding else 1] if recording else []
+        caps = []
         events_cap = -1
         clock = self._budget_clock
         if clock is not None:
@@ -372,30 +341,30 @@ class MultiVersionEngine:
     ) -> int:
         """Propagate to a fixpoint through the compiled loop kernel.
 
-        With nothing recording this is one kernel call (plus one per
-        wall-clock chunk); while a collector records, one call per round
-        so each round's trace is taken exactly as the numpy tier takes
-        it.  ``seed_edges`` runs the batch reader's seed pass first (not
-        a round).  Returns the rounds run.  Bit-identical to the numpy
-        rounds: same edge order, same lowest-index parent tie-breaks.
+        One kernel call (plus one per wall-clock chunk), recording or
+        not: while a collector records, the kernel writes every pass's
+        trace row, edge blocks and touched masks itself.  ``seed_edges``
+        runs the batch reader's seed pass first (not a round).  Returns
+        the rounds run.  Bit-identical to the numpy rounds: same edge
+        order, same lowest-index parent tie-breaks, same traces.
         """
         graph = self.graph
-        k, n = values.shape
         track = self.track_parents and parent_rows is not None
         parent_rows = (
             np.ascontiguousarray(parent_rows, dtype=np.int64) if track else None
         )
+        record = self._recording()
+        epb = dst_mask = edge_mask = None
+        if record:
+            epb = self.edges_per_block
+            dst_mask = self.collector.dst_mask
+            edge_mask = self.collector.edge_mask
         clock = self._budget_clock
         prof = active_profiler()
         rounds = 0
         while True:
-            recording = self._recording()
             seeding = seed_edges is not None
-            max_rounds, max_events = self._round_caps(recording, seeding)
-            if recording and not seeding:
-                union_frontier = np.flatnonzero(frontier.any(axis=0))
-                popped_versions = int(frontier.sum())
-                edge_idx, __ = gather_out_edges(graph.indptr, union_frontier)
+            max_rounds, max_events = self._round_caps()
             t0 = prof.now() if prof is not None else 0.0
             counts = self._backend.daic_round(
                 graph.indptr, graph.src_of_edge, graph.dst, graph.wt,
@@ -406,43 +375,20 @@ class MultiVersionEngine:
                 parent_rows=parent_rows,
                 max_rounds=max_rounds,
                 max_events=max_events,
+                edges_per_block=epb,
+                dst_mask=dst_mask,
+                edge_mask=edge_mask,
             )
             if prof is not None and prof.sample(counts.rounds + seeding):
                 prof.add("fused_relax", prof.now() - t0)
+            if record:
+                self._record_passes(phase, values.shape[0], counts)
             rounds += counts.rounds
             if clock is not None and counts.rounds:
                 clock.charge(
                     rounds=counts.rounds,
                     events=counts.events,
                     stats={"propagate_rounds": rounds},
-                )
-            if recording and seeding:
-                self._record_round(
-                    phase,
-                    events_popped=0,
-                    events_generated=counts.active_edges,
-                    edge_idx=seed_edges,
-                    vertex_writes=int(frontier.any(axis=0).sum()),
-                    n_versions=k,
-                    dst=_unique_vertices(graph.dst[seed_edges], n),
-                    src=_unique_vertices(graph.src_of_edge[seed_edges], n),
-                    version_events_popped=0,
-                    version_events_generated=counts.pairs,
-                    version_vertex_writes=int(frontier.sum()),
-                )
-            elif recording and counts.rounds:
-                self._record_round(
-                    phase,
-                    events_popped=int(union_frontier.size),
-                    events_generated=counts.active_edges,
-                    edge_idx=edge_idx,
-                    vertex_writes=int(frontier.any(axis=0).sum()),
-                    n_versions=k,
-                    dst=_unique_vertices(graph.dst[edge_idx], n),
-                    src=union_frontier,
-                    version_events_popped=popped_versions,
-                    version_events_generated=counts.pairs,
-                    version_vertex_writes=int(frontier.sum()),
                 )
             if counts.pending == 0:
                 return rounds
@@ -456,6 +402,28 @@ class MultiVersionEngine:
                 )
                 raise AssertionError("budget cap without a breach")
             seed_edges = None
+
+    def _record_passes(self, phase: str, n_versions: int, counts) -> None:
+        """One RoundTrace per pass the kernel recorded; each trace's
+        ``edge_blocks`` is a view into the call's copied block list."""
+        blocks = counts.blocks
+        start = 0
+        for (popped, generated, fetched, writes, version_popped,
+             version_generated, version_writes, n_blocks) in counts.rows.tolist():
+            self.collector.round(RoundTrace(
+                phase=phase,
+                events_popped=popped,
+                events_generated=generated,
+                edges_fetched=fetched,
+                edge_blocks=blocks[start:start + n_blocks],
+                vertex_reads=popped + generated,
+                vertex_writes=writes,
+                n_versions=n_versions,
+                version_events_popped=version_popped,
+                version_events_generated=version_generated,
+                version_vertex_writes=version_writes,
+            ))
+            start += n_blocks
 
     def _update_parents(
         self,
@@ -616,8 +584,7 @@ class MultiVersionEngine:
                 edge_idx=edge_idx,
                 vertex_writes=int(changed.any(axis=0).sum()),
                 n_versions=k,
-                dst=_unique_vertices(dst, n),
-                src=_unique_vertices(src, n),
+                dst=dst,
                 version_events_popped=0,
                 version_events_generated=int(present.sum()),
                 version_vertex_writes=int(changed.sum()),
@@ -650,41 +617,26 @@ class MultiVersionEngine:
         edge_idx: np.ndarray,
         vertex_writes: int,
         n_versions: int,
-        dst: np.ndarray,
-        src: np.ndarray,
-        version_events_popped: int | None = None,
-        version_events_generated: int | None = None,
-        version_vertex_writes: int | None = None,
+        version_events_popped: int,
+        version_events_generated: int,
+        version_vertex_writes: int,
+        dst: np.ndarray | None = None,
     ) -> None:
+        """The numpy tier's trace of one pass — the reference the
+        compiled kernel's record mode must reproduce."""
         if self.collector is None or not self.collector.active:
             return
-        # gathered edge ids are ascending, so run-boundary unique suffices
-        blocks = _sorted_unique(edge_idx // self.edges_per_block)
         trace = RoundTrace(
             phase=phase,
             events_popped=events_popped,
             events_generated=events_generated,
             edges_fetched=int(edge_idx.size),
-            edge_blocks=blocks,
+            edge_blocks=edge_blocks(edge_idx, self.edges_per_block),
             vertex_reads=events_popped + events_generated,
             vertex_writes=vertex_writes,
             n_versions=n_versions,
-            dst_vertices=dst,
-            src_vertices=src,
-            version_events_popped=(
-                events_popped
-                if version_events_popped is None
-                else version_events_popped
-            ),
-            version_events_generated=(
-                events_generated
-                if version_events_generated is None
-                else version_events_generated
-            ),
-            version_vertex_writes=(
-                vertex_writes
-                if version_vertex_writes is None
-                else version_vertex_writes
-            ),
+            version_events_popped=version_events_popped,
+            version_events_generated=version_events_generated,
+            version_vertex_writes=version_vertex_writes,
         )
-        self.collector.round(trace, edge_idx)
+        self.collector.round(trace, edge_idx, dst)

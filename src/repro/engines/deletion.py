@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engines.daic import MultiVersionEngine
-from repro.engines.trace import RoundTrace
+from repro.engines.trace import RoundTrace, edge_blocks
 from repro.graph.csr import gather_out_edges
 
 __all__ = ["DeletionRepair", "DeletionStats", "reconstruct_parents"]
@@ -160,8 +160,7 @@ class DeletionRepair:
             events_generated=int(del_edge_idx.size),
             edge_idx=del_edge_idx,
             vertex_writes=int(direct.sum()),
-            dst=np.unique(victims),
-            src=np.unique(graph.src_of_edge[del_edge_idx]),
+            dst=victims,
         )
 
         # Step 2: cascade invalidation along the dependence tree.  The
@@ -189,8 +188,7 @@ class DeletionRepair:
                 events_generated=int(edge_idx.size),
                 edge_idx=edge_idx,
                 vertex_writes=int(newly.size),
-                dst=np.unique(dst),
-                src=frontier,
+                dst=dst,
             )
             tagged[newly] = True
             frontier = newly
@@ -236,10 +234,9 @@ class DeletionRepair:
                 edge_idx=origin,
                 vertex_writes=0,
                 dst=seeds,
-                src=tagged_vertices,
-                block_ids=np.unique(
-                    (r_edge_idx + self._reverse_block_offset())
-                    // self.engine.edges_per_block
+                block_ids=edge_blocks(
+                    r_edge_idx + self._reverse_block_offset(),
+                    self.engine.edges_per_block,
                 ),
             )
             frontier2 = np.zeros((1, n), dtype=bool)
@@ -270,14 +267,14 @@ class DeletionRepair:
         return ((self.engine.graph.n_edges + epb - 1) // epb) * epb
 
     def _record(self, phase, events_popped, events_generated, edge_idx,
-                vertex_writes, dst, src, block_ids=None) -> None:
+                vertex_writes, dst, block_ids=None) -> None:
         collector = self.engine.collector
         if collector is None or not collector.active:
             return
         blocks = (
             block_ids
             if block_ids is not None
-            else np.unique(edge_idx // self.engine.edges_per_block)
+            else edge_blocks(edge_idx, self.engine.edges_per_block)
         )
         collector.round(
             RoundTrace(
@@ -289,8 +286,7 @@ class DeletionRepair:
                 vertex_reads=events_popped + events_generated,
                 vertex_writes=vertex_writes,
                 n_versions=1,
-                dst_vertices=dst,
-                src_vertices=src,
             ),
             edge_idx,
+            dst,
         )

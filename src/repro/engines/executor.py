@@ -6,7 +6,8 @@ arrays and graph-membership masks, drives the multi-version engine, and
 returns the final query values of every snapshot.  On request
 (``record_traces``) the same execution produces the round traces the
 accelerator timing models replay; a caller that only wants values skips
-them, which lets the compiled tier run each propagation as one call.
+them.  On the compiled tier each propagation is one kernel call either
+way: the kernel writes the round traces itself.
 """
 
 from __future__ import annotations

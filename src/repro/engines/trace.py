@@ -13,7 +13,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RoundTrace", "ExecutionTrace", "TraceCollector"]
+__all__ = ["RoundTrace", "ExecutionTrace", "TraceCollector", "edge_blocks"]
+
+
+def edge_blocks(edge_idx: np.ndarray, edges_per_block: int) -> np.ndarray:
+    """Sorted unique edge-block ids of a pass's gathered edges.
+
+    Gathers over a sorted frontier (and a monotone ``indptr``) yield
+    ascending edge ids, so uniquing their block ids is a run-boundary
+    scan; edges in any other order (a batch) fall back to a sort.
+    """
+    blocks = edge_idx // edges_per_block
+    if blocks.shape[0] <= 1:
+        return blocks
+    if np.any(blocks[1:] < blocks[:-1]):
+        return np.unique(blocks)
+    keep = np.empty(blocks.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(blocks[1:], blocks[:-1], out=keep[1:])
+    return blocks[keep]
 
 
 @dataclass
@@ -28,9 +46,12 @@ class RoundTrace:
       across versions, which is exactly BOE's reuse win;
     * ``edge_blocks`` — unique edge-block ids touched (cache-line granular);
     * ``vertex_reads`` / ``vertex_writes`` — value-array accesses;
-    * ``n_versions`` — versions sharing this round's edge fetches;
-    * ``dst_vertices`` — unique destination vertices touched (used by the
-      partitioning model to estimate cross-partition traffic).
+    * ``n_versions`` — versions sharing this round's edge fetches.
+
+    The destination vertices a round touches are not kept per round: the
+    collector folds them into its execution's
+    :attr:`ExecutionTrace.touched_dst_count`, the only figure the timing
+    models read from them.
     """
 
     phase: str
@@ -41,8 +62,6 @@ class RoundTrace:
     vertex_reads: int
     vertex_writes: int
     n_versions: int
-    dst_vertices: np.ndarray
-    src_vertices: np.ndarray
     #: per-(vertex, version) scalar work, for analyses that need it.  In a
     #: multi-version round the datapath processes one row-wide event per
     #: vertex (the unified value array of §3.2), so the primary counters
@@ -115,7 +134,9 @@ class TraceCollector:
         self.n_vertices = n_vertices
         self.record_touched_edges = record_touched_edges
         self._current: ExecutionTrace | None = None
-        self._dst_mask: np.ndarray | None = None
+        #: the current execution's touched-destination mask (None when
+        #: counting no vertices); kernels recording a round set it
+        self.dst_mask: np.ndarray | None = None
 
     def begin(self, tag: str, phase: str, targets: tuple[int, ...]) -> ExecutionTrace:
         if self._current is not None:
@@ -127,25 +148,38 @@ class TraceCollector:
         )
         self._current = ExecutionTrace(tag, phase, targets, [], touched)
         if self.n_vertices:
-            self._dst_mask = np.zeros(self.n_vertices, dtype=bool)
+            self.dst_mask = np.zeros(self.n_vertices, dtype=bool)
         return self._current
 
-    def round(self, trace: RoundTrace, edge_idx: np.ndarray | None = None) -> None:
+    def round(
+        self,
+        trace: RoundTrace,
+        edge_idx: np.ndarray | None = None,
+        dst: np.ndarray | None = None,
+    ) -> None:
+        """Append one round; ``edge_idx`` and ``dst`` (the round's gathered
+        edges and the vertices they reach) mark the execution's masks."""
         if self._current is None:
             raise RuntimeError("round recorded outside an execution")
         self._current.rounds.append(trace)
         if self._current.touched_edges is not None and edge_idx is not None:
             self._current.touched_edges[edge_idx] = True
-        if self._dst_mask is not None and trace.dst_vertices.size:
-            self._dst_mask[trace.dst_vertices] = True
+        if self.dst_mask is not None and dst is not None:
+            self.dst_mask[dst] = True
+
+    @property
+    def edge_mask(self) -> np.ndarray | None:
+        """The current execution's touched-edge mask (None unless
+        ``record_touched_edges``), for kernels that set it."""
+        return None if self._current is None else self._current.touched_edges
 
     def end(self) -> ExecutionTrace:
         if self._current is None:
             raise RuntimeError("no execution in progress")
         done, self._current = self._current, None
-        if self._dst_mask is not None:
-            done.touched_dst_count = int(self._dst_mask.sum())
-            self._dst_mask = None
+        if self.dst_mask is not None:
+            done.touched_dst_count = int(self.dst_mask.sum())
+            self.dst_mask = None
         self.executions.append(done)
         return done
 

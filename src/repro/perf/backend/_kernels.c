@@ -9,7 +9,8 @@
  *   daic_round      — the DAIC engine's propagation loop: each round's
  *                     edge-gather -> relax -> better_into body fused into
  *                     one pass over the frontier's out-edges, looping
- *                     until the frontier drains or a round cap is hit;
+ *                     until the frontier drains or a round cap is hit,
+ *                     optionally writing each round's trace as it goes;
  *   presence_gather — bit-plane presence test, unpack-and-test per edge
  *                     with no intermediate unpacked plane.
  *
@@ -183,6 +184,31 @@ static int64_t settle_frontier(
     return kept;
 }
 
+/* Trace of one pass in record mode: the edge-block ids and touched
+ * masks of the out-edges [lo, hi) of one frontier vertex.  Passes gather
+ * ascending edge ids, so a run-boundary check against the last block
+ * written keeps the pass's block list sorted and unique. */
+static inline void record_edges(
+    int64_t lo, int64_t hi, const int64_t *dst_all, int64_t epb,
+    int64_t *blocks, int64_t *n_blocks, int64_t *last_block,
+    uint8_t *dst_mask, uint8_t *edge_mask)
+{
+    int64_t b, j;
+    if (lo >= hi)
+        return;
+    for (b = lo / epb; b <= (hi - 1) / epb; b++) {
+        if (b != *last_block) {
+            blocks[(*n_blocks)++] = b;
+            *last_block = b;
+        }
+    }
+    if (dst_mask != NULL)
+        for (j = lo; j < hi; j++)
+            dst_mask[dst_all[j]] = 1;
+    if (edge_mask != NULL)
+        memset(edge_mask + lo, 1, (size_t)(hi - lo));
+}
+
 /* The DAIC propagation loop, round body fused into one pass per round.
  *
  * Optional seed pass first (seed_edges != NULL, the batch reader's round
@@ -212,8 +238,47 @@ static int64_t settle_frontier(
  * counters[0] rounds run (the seed pass is not a round)
  * counters[1] events popped over those rounds
  * counters[2] events pending in the live frontier (0 when converged)
- * counters[3] active (version, edge) pairs of the last pass run
- * counters[4] edges active in >= 1 version in the last pass run */
+ * counters[3] trace rows written (record mode)
+ * counters[4] edge-block ids written (record mode)
+ * counters[5] 1 when a round was not started for lack of record space
+ * counters[6] that round's worst-case block count
+ *
+ * Record mode (record != NULL) writes the trace of every pass run — the
+ * seed pass first, then each round — into the caller buffers of a
+ * daic_record (cext._Record mirrors it):
+ *
+ *   rows    row_cap x DAIC_ROW int64, one row per pass:
+ *             [0] events popped: frontier vertices (seed pass: 0)
+ *             [1] events generated: gathered edges active in >= 1 version
+ *             [2] edges fetched: frontier out-degree sum (seed: n_seed)
+ *             [3] vertex writes: vertices with a changed version
+ *             [4] version events popped: frontier cells (seed pass: 0)
+ *             [5] version events generated: active (version, edge) pairs
+ *             [6] version vertex writes: changed cells
+ *             [7] edge-block ids the pass appended to `blocks`
+ *   blocks  block_cap int64: each pass's sorted unique edge-block ids
+ *           (edge // edges_per_block), concatenated in pass order
+ *   dst_mask  (n bytes, nullable) set at the destination of every
+ *             gathered edge, active or not
+ *   edge_mask (M bytes, nullable) set at every gathered edge
+ *
+ * A round whose row, or whose worst-case block count min(edges fetched,
+ * blocks in the graph), would not fit is not started, like a capped
+ * round; counters[5..6] tell the caller to grow the buffers and call
+ * again.  The caller sizes row_cap >= 1 and block_cap >= n_seed so the
+ * seed pass always fits. */
+#define DAIC_ROW 8
+
+typedef struct {
+    int64_t *rows;
+    int64_t row_cap;
+    int64_t *blocks;
+    int64_t block_cap;
+    int64_t edges_per_block;
+    uint8_t *dst_mask;
+    uint8_t *edge_mask;
+} daic_record;
+
 void mega_daic_round(
     const int64_t *indptr, const int64_t *src_of_edge,
     const int64_t *dst_all, const double *wt_all,
@@ -223,11 +288,17 @@ void mega_daic_round(
     int op, int minimize,
     int64_t *parent_edge, const int64_t *parent_rows,
     void *work, int64_t max_rounds, int64_t max_events,
-    int64_t *counters)
+    int64_t *counters, const daic_record *record)
 {
     const int64_t K = n_versions, n = n_vertices, M = n_union_edges;
     const size_t cells = (size_t)(K * n);
     const int64_t span = n > n_seed ? n : n_seed;
+    int64_t *const rows = record != NULL ? record->rows : NULL;
+    int64_t *const blocks = record != NULL ? record->blocks : NULL;
+    uint8_t *const dst_mask = record != NULL ? record->dst_mask : NULL;
+    uint8_t *const edge_mask = record != NULL ? record->edge_mask : NULL;
+    const int64_t epb = record != NULL ? record->edges_per_block : 1;
+    const int64_t graph_blocks = (M + epb - 1) / epb;
     /* work layout: 8-byte members first, byte members last */
     int64_t *cur_list = (int64_t *)work, *next_list = cur_list + n;
     double *snap = (double *)(next_list + n);
@@ -239,6 +310,7 @@ void mega_daic_round(
     uint8_t *cur = frontier;
     int64_t i, j, k, nf = 0, len = 0, popped = 0;
     int64_t rounds = 0, events = 0, pairs = 0, active_edges = 0;
+    int64_t n_rows = 0, n_blocks = 0, full = 0, need = 0;
 
     memset(nxt, 0, cells);
     memset(mark, 0, (size_t)n);
@@ -269,6 +341,35 @@ void mega_daic_round(
         nf = settle_frontier(next_list, len, mark, nxt, K, n,
                              parent_edge, parent_rows, round_parent,
                              &popped);
+        if (rows != NULL) {
+            /* seed edges come in batch order: sort their block ids
+             * unless already ascending, then keep one of each run */
+            int64_t *b = blocks, u = 0, sorted = 1;
+            for (j = 0; j < n_seed; j++) {
+                const int64_t e = seed_edges[j];
+                b[j] = e / epb;
+                sorted &= j == 0 || b[j] >= b[j - 1];
+                if (dst_mask != NULL)
+                    dst_mask[dst_all[e]] = 1;
+                if (edge_mask != NULL)
+                    edge_mask[e] = 1;
+            }
+            if (!sorted)
+                qsort(b, (size_t)n_seed, sizeof(int64_t), cmp_i64);
+            for (j = 0; j < n_seed; j++)
+                if (u == 0 || b[j] != b[u - 1])
+                    b[u++] = b[j];
+            rows[0] = 0;
+            rows[1] = active_edges;
+            rows[2] = n_seed;
+            rows[3] = nf;
+            rows[4] = 0;
+            rows[5] = pairs;
+            rows[6] = popped;
+            rows[7] = u;
+            n_rows = 1;
+            n_blocks = u;
+        }
         int64_t *tl = cur_list; cur_list = next_list; next_list = tl;
         uint8_t *tb = cur; cur = nxt; nxt = tb;
     } else {
@@ -288,10 +389,22 @@ void mega_daic_round(
     }
 
     while (nf > 0) {
+        const int64_t nf_popped = nf, cells_popped = popped;
+        int64_t fetched = 0, round_blocks = n_blocks, last_block = -1;
         if (max_rounds >= 0 && rounds >= max_rounds)
             break;
         if (max_events >= 0 && events + popped > max_events)
             break;
+        if (rows != NULL) {
+            for (i = 0; i < nf; i++)
+                fetched += indptr[cur_list[i] + 1] - indptr[cur_list[i]];
+            need = fetched < graph_blocks ? fetched : graph_blocks;
+            if (n_rows >= record->row_cap
+                || n_blocks + need > record->block_cap) {
+                full = 1;
+                break;
+            }
+        }
         rounds++;
         events += popped;
         pairs = active_edges = 0;
@@ -303,6 +416,10 @@ void mega_daic_round(
         }
         for (i = 0; i < nf; i++) {
             const int64_t s = cur_list[i];
+            if (rows != NULL)
+                record_edges(indptr[s], indptr[s + 1], dst_all, epb,
+                             blocks, &n_blocks, &last_block,
+                             dst_mask, edge_mask);
             for (j = indptr[s]; j < indptr[s + 1]; j++) {
                 const int64_t v = dst_all[j];
                 const double wt = wt_all[j];
@@ -325,6 +442,17 @@ void mega_daic_round(
         nf = settle_frontier(next_list, len, mark, nxt, K, n,
                              parent_edge, parent_rows, round_parent,
                              &popped);
+        if (rows != NULL) {
+            int64_t *row = rows + DAIC_ROW * n_rows++;
+            row[0] = nf_popped;
+            row[1] = active_edges;
+            row[2] = fetched;
+            row[3] = nf;
+            row[4] = cells_popped;
+            row[5] = pairs;
+            row[6] = popped;
+            row[7] = n_blocks - round_blocks;
+        }
         int64_t *tl = cur_list; cur_list = next_list; next_list = tl;
         uint8_t *tb = cur; cur = nxt; nxt = tb;
     }
@@ -339,8 +467,10 @@ void mega_daic_round(
     counters[0] = rounds;
     counters[1] = events;
     counters[2] = nf > 0 ? popped : 0;
-    counters[3] = pairs;
-    counters[4] = active_edges;
+    counters[3] = n_rows;
+    counters[4] = n_blocks;
+    counters[5] = full;
+    counters[6] = full ? need : 0;
 }
 
 /* presence_gather: out[k][j] = bit k of the packed presence planes at

@@ -8,11 +8,13 @@ compile into unique temp names and ``os.replace`` atomically, so the
 worst case is a redundant compile, never a torn library.
 
 Everything marshalled across the boundary is a raw pointer into a
-C-contiguous numpy array, passed as a plain ``c_void_p`` address: the
-wrappers check dtype, contiguity and shape explicitly (``ValueError`` on
-a bad array) instead of paying ``np.ctypeslib.ndpointer``'s per-array
-``from_param``, so the callers (engine, UnifiedCSR) stay oblivious to the
-tier in use and a near-empty call costs the marshalling of its pointers.
+C-contiguous numpy array, passed as a plain ``c_void_p`` address (the
+loop kernel's record-mode buffers travel together in one ``_Record``
+struct): the wrappers check dtype, contiguity and shape explicitly
+(``ValueError`` on a bad array) instead of paying
+``np.ctypeslib.ndpointer``'s per-array ``from_param``, so the callers
+(engine, UnifiedCSR) stay oblivious to the tier in use and a near-empty
+call costs the marshalling of its pointers.
 """
 
 from __future__ import annotations
@@ -45,6 +47,28 @@ _F64_T = np.dtype(np.float64)
 
 #: per-thread preallocated out-parameter block of mega_daic_round
 _tls = threading.local()
+
+#: int64 fields per recorded pass (DAIC_ROW in _kernels.c)
+_ROW = 8
+
+
+class _Record(ctypes.Structure):
+    """``daic_record`` in _kernels.c: the record-mode buffers."""
+
+    _fields_ = [
+        ("rows", _P),
+        ("row_cap", _I64),
+        ("blocks", _P),
+        ("block_cap", _I64),
+        ("edges_per_block", _I64),
+        ("dst_mask", _P),
+        ("edge_mask", _P),
+    ]
+
+#: initial record capacity of a call, in pass rows and in edge-block ids;
+#: a call that outgrows it doubles the buffers and resumes
+_RECORD_ROWS = 256
+_RECORD_BLOCKS = 1 << 14
 
 #: id(graph array) -> (weak reference, checked address); see _graph_ptr
 _graph_ptrs: dict[int, tuple[weakref.ref, int]] = {}
@@ -107,7 +131,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         _P, _P,                      # parent_edge, parent_rows (nullable)
         _P,                          # work (scratch block)
         _I64, _I64,                  # max_rounds, max_events
-        _P,                          # counters[5]
+        _P,                          # counters[7]
+        _P,                          # record (nullable daic_record)
     ]
     lib.mega_presence_gather.restype = None
     lib.mega_presence_gather.argtypes = [_P, _I64, _P, _I64, _I64, _P]
@@ -194,10 +219,12 @@ class LoopCounts(NamedTuple):
     events: int
     #: events in the live frontier left behind (0 when converged)
     pending: int
-    #: active (version, edge) pairs of the last pass run
-    pairs: int
-    #: edges active in at least one version in the last pass run
-    active_edges: int
+    #: record mode: one row per pass run, in the ``DAIC_ROW`` layout
+    #: documented in ``_kernels.c`` (None otherwise)
+    rows: np.ndarray | None = None
+    #: record mode: the passes' edge-block ids, concatenated; row field
+    #: 7 holds each pass's count
+    blocks: np.ndarray | None = None
 
 
 def _work_bytes(k: int, n: int, n_seed: int, track: bool) -> int:
@@ -244,6 +271,9 @@ def daic_round(
     parent_rows: np.ndarray | None = None,
     max_rounds: int = -1,
     max_events: int = -1,
+    edges_per_block: int | None = None,
+    dst_mask: np.ndarray | None = None,
+    edge_mask: np.ndarray | None = None,
 ) -> LoopCounts:
     """Run DAIC rounds in C until the frontier drains or a cap is hit.
 
@@ -254,7 +284,16 @@ def daic_round(
     each changed cell's winning edge into ``parent_edge[parent_rows[k]]``.
     ``max_rounds``/``max_events`` (negative: unbounded) cap the rounds
     run and the events they pop; ``scratch(name, dtype, shape)`` supplies
-    the reusable work block.  Bit-identical to the engine's numpy rounds.
+    the reusable work and record blocks.  Bit-identical to the engine's
+    numpy rounds.
+
+    ``edges_per_block`` turns on record mode: every pass's trace row and
+    edge-block ids come back in :attr:`LoopCounts.rows`/``blocks``
+    (copies, not scratch), and the byte masks ``dst_mask`` ``(n,)`` and
+    ``edge_mask`` ``(M,)``, when given, are set at every gathered edge's
+    destination and at the edge.  A kernel call that runs out of record
+    space stops between rounds; this wrapper doubles the buffers and
+    calls again, so one ``daic_round`` covers the whole loop.
     """
     lib = load_library()
     k, n = values.shape
@@ -278,31 +317,73 @@ def daic_round(
             raise ValueError("parent_edge must hold every parent_rows row")
         pe_ptr = _ptr(parent_edge, _I64_T, "parent_edge")
         rows_ptr = _ptr(parent_rows, _I64_T, "parent_rows")
+    record = rec_ptr = None
+    if edges_per_block is not None:
+        if edges_per_block < 1:
+            raise ValueError("edges_per_block must be positive")
+        record = _Record(edges_per_block=edges_per_block)
+        if dst_mask is not None:
+            _shape(dst_mask, (n,), "dst_mask")
+            record.dst_mask = _ptr(dst_mask, None, "dst_mask")
+        if edge_mask is not None:
+            _shape(edge_mask, (m,), "edge_mask")
+            record.edge_mask = _ptr(edge_mask, None, "edge_mask")
+        rec_ptr = ctypes.addressof(record)
+        row_cap, block_cap = _RECORD_ROWS, max(_RECORD_BLOCKS, n_seed)
+        rows_out: list[np.ndarray] = []
+        blocks_out: list[np.ndarray] = []
     work = scratch(
         "daic_work", np.uint8,
         (_work_bytes(k, n, n_seed, parent_edge is not None),),
     )
     counters = getattr(_tls, "counters", None)
     if counters is None:
-        counters = _tls.counters = np.zeros(5, dtype=np.int64)
+        counters = _tls.counters = np.zeros(7, dtype=np.int64)
         _tls.counters_ptr = counters.ctypes.data
-    lib.mega_daic_round(
-        _graph_ptr(indptr, _I64_T, "indptr"),
-        _graph_ptr(src_of_edge, _I64_T, "src_of_edge"),
-        _graph_ptr(dst_all, _I64_T, "dst_all"),
-        _graph_ptr(wt_all, _F64_T, "wt_all"),
-        seed_ptr, n_seed,
-        _ptr(frontier, None, "frontier"),
-        _ptr(presence, None, "presence"),
-        _ptr(values, _F64_T, "values"),
-        k, n, m,
-        op, minimize,
-        pe_ptr, rows_ptr,
-        work.ctypes.data,
-        max_rounds, max_events,
-        _tls.counters_ptr,
+    rounds = events = 0
+    while True:
+        if record is not None:
+            rec_rows = scratch("daic_rows", np.int64, (row_cap, _ROW))
+            rec_blocks = scratch("daic_blocks", np.int64, (block_cap,))
+            record.rows, record.row_cap = rec_rows.ctypes.data, row_cap
+            record.blocks, record.block_cap = rec_blocks.ctypes.data, block_cap
+        lib.mega_daic_round(
+            _graph_ptr(indptr, _I64_T, "indptr"),
+            _graph_ptr(src_of_edge, _I64_T, "src_of_edge"),
+            _graph_ptr(dst_all, _I64_T, "dst_all"),
+            _graph_ptr(wt_all, _F64_T, "wt_all"),
+            seed_ptr, n_seed,
+            _ptr(frontier, None, "frontier"),
+            _ptr(presence, None, "presence"),
+            _ptr(values, _F64_T, "values"),
+            k, n, m,
+            op, minimize,
+            pe_ptr, rows_ptr,
+            work.ctypes.data,
+            max_rounds - rounds if max_rounds >= 0 else -1,
+            max_events - events if max_events >= 0 else -1,
+            _tls.counters_ptr,
+            rec_ptr,
+        )
+        ran, popped, pending, n_rows, n_blocks, full, need = (
+            counters.tolist()
+        )
+        if record is None:
+            return LoopCounts(ran, popped, pending)
+        rounds += ran
+        events += popped
+        rows_out.append(rec_rows[:n_rows].copy())
+        blocks_out.append(rec_blocks[:n_blocks].copy())
+        if not full:
+            break
+        # the seed pass (if any) ran; resume the loop from the frontier
+        row_cap, block_cap = 2 * row_cap, max(2 * block_cap, need)
+        seed_ptr, n_seed = None, 0
+    return LoopCounts(
+        rounds, events, pending,
+        rows_out[0] if len(rows_out) == 1 else np.concatenate(rows_out),
+        blocks_out[0] if len(blocks_out) == 1 else np.concatenate(blocks_out),
     )
-    return LoopCounts(*counters.tolist())
 
 
 def presence_gather(

@@ -71,3 +71,34 @@ def test_detailed_dram_integrates_with_simulator():
     assert detailed.update_cycles >= plain.update_cycles * 0.999
     # and values/workflow behaviour are unchanged
     assert detailed.counters.events_generated == plain.counters.events_generated
+
+
+def test_detailed_dram_sees_exactly_the_missed_blocks():
+    """Only the blocks the edge cache missed reach the row-buffer model,
+    wherever they sit in the round's block list."""
+    from repro.accel.cache import EdgeCacheModel
+    from repro.accel.memory import MemorySystem, PartitionPlan
+    from repro.accel.stats import SimCounters
+    from repro.accel.timing import TimingModel
+    from repro.engines.trace import RoundTrace
+    from repro.graph.csr import CSRGraph
+    from repro.graph.generators import rmat_edges
+
+    cfg = replace(mega_config(), detailed_dram=True)
+    graph = CSRGraph.from_edges(rmat_edges(64, 256, seed=0))
+    timing = TimingModel(cfg, MemorySystem(cfg, graph), EdgeCacheModel(4, 64))
+    sent = []
+    real = timing.dram_model.access_round
+    timing.dram_model.access_round = lambda blocks: (
+        sent.append(blocks.tolist()) or real(blocks)
+    )
+    timing.cache.access_round(np.array([40]))  # block 40 now hits
+    r = RoundTrace(
+        phase="add", events_popped=1, events_generated=2, edges_fetched=2,
+        edge_blocks=np.array([3, 40]), vertex_reads=3, vertex_writes=1,
+        n_versions=1,
+    )
+    counters = SimCounters()
+    timing.round_group_cost([(r, PartitionPlan(1, 0.0, 0.0, 0.0))], counters)
+    assert (counters.edge_block_hits, counters.edge_block_misses) == (1, 1)
+    assert sent == [[3]]

@@ -29,6 +29,7 @@ from repro.perf.backend import (
     reset_backend,
     resolve_backend,
 )
+from repro.schedule import WORKFLOWS
 
 #: compiled tiers loadable on this machine (cext needs a C compiler);
 #: empty -> the differential tests skip
@@ -195,9 +196,9 @@ def test_daic_round_rejects_bad_arrays(compiled):
 
 # -- full engine differential: every engine operation, all five algorithms
 #
-# Value-only runs go through the compiled loop kernel (one call per
-# propagate / apply_additions); recorded runs through per-round calls.
-# Both must match the numpy rounds bit for bit, parents included.
+# Every run goes through the compiled loop kernel (one call per propagate
+# / apply_additions), recorded or not, and must match the numpy rounds
+# bit for bit: values, parents and, when recorded, every round's trace.
 
 
 def _on_tiers(compiled, fn):
@@ -375,6 +376,47 @@ def test_empty_frontier_noop(compiled):
     )
 
 
+def _capture_collectors(monkeypatch) -> list:
+    """Every TraceCollector a PlanExecutor builds, in order."""
+    from repro.engines import executor
+    from repro.engines.trace import TraceCollector
+
+    made = []
+
+    class Capturing(TraceCollector):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(executor, "TraceCollector", Capturing)
+    return made
+
+
+def _trace_of(collector) -> list:
+    """Everything a recorded run hands the timing models, per execution:
+    each round's counters and edge blocks, and the execution's touched
+    masks.  An execution a budget broke off is closed first."""
+    if collector.active:
+        collector.end()
+    return [
+        (
+            e.tag, e.phase, e.targets, e.touched_dst_count,
+            None if e.touched_edges is None else e.touched_edges.tolist(),
+            [
+                (
+                    r.phase, r.events_popped, r.events_generated,
+                    r.edges_fetched, r.vertex_reads, r.vertex_writes,
+                    r.n_versions, r.version_events_popped,
+                    r.version_events_generated, r.version_vertex_writes,
+                    r.edge_blocks.dtype.str, r.edge_blocks.tolist(),
+                )
+                for r in e.rounds
+            ],
+        )
+        for e in collector.executions
+    ]
+
+
 @pytest.mark.parametrize(
     "budget",
     [
@@ -384,29 +426,47 @@ def test_empty_frontier_noop(compiled):
         {"max_events": 40},
         {"max_events": 900},
         {"max_rounds": 23, "max_events": 900},
+        {"max_rounds": 40, "wall_clock_s": 60.0},
+        {"max_events": 900, "wall_clock_s": 60.0},
     ],
     ids=lambda b: ",".join(f"{k}={v}" for k, v in b.items()),
 )
-def test_budget_breach_identical_across_tiers(compiled, budget):
+def test_budget_breach_identical_across_tiers(compiled, budget, monkeypatch):
     """The loop kernel stops where the numpy per-round charge breaches:
     same resource and spend over a whole plan, and no round run past
-    the breach (identical partial values)."""
+    the breach (identical partial values).  Recorded, the traces up to
+    the breach are identical too; a wall-clock deadline that is never
+    reached changes nothing, though it splits each compiled loop into
+    chunks (shortened here so every execution spans several calls)."""
+    import repro.engines.daic as daic
     from repro.core.multi_query import multi_query_boe_plan
     from repro.engines import PlanExecutor
+    from repro.engines.trace import TraceCollector
     from repro.resilience.budget import Budget, BudgetExceeded
 
     scenario = _scenario()
     unified = scenario.unified
     plan = multi_query_boe_plan(unified, [0, 5, 11])
+    collectors = _capture_collectors(monkeypatch)
+    monkeypatch.setattr(daic, "_WALL_CLOCK_CHUNK", 3)
 
-    def run():
+    def run(record):
+        collectors.clear()
         with pytest.raises(BudgetExceeded) as info:
             PlanExecutor(
-                scenario, get_algorithm("sssp"), budget=Budget(**budget)
+                scenario, get_algorithm("sssp"), budget=Budget(**budget),
+                record_touched_edges=record,
             ).run(plan)
         exc = info.value
+        direct_collector = None
+        if record:
+            direct_collector = TraceCollector(
+                unified.n_union_edges, True, n_vertices=unified.n_vertices
+            )
+            direct_collector.begin("direct", "add", (0, 1))
         engine = MultiVersionEngine(
-            get_algorithm("sssp"), unified, budget=Budget(**budget)
+            get_algorithm("sssp"), unified, collector=direct_collector,
+            budget=Budget(**budget),
         )
         values = engine.new_values(2, 0)
         frontier = np.zeros_like(values, dtype=bool)
@@ -416,13 +476,20 @@ def test_budget_breach_identical_across_tiers(compiled, budget):
             direct = engine.propagate(values, frontier, presence)
         except BudgetExceeded as breach:
             direct = (breach.resource, breach.spent)
+        traces = [_trace_of(c) for c in collectors]
+        if record:
+            traces.append(_trace_of(direct_collector))
         return (
             exc.resource, exc.limit, exc.spent, exc.stats,
-            direct, values.tolist(),
+            direct, values.tolist(), traces,
         )
 
-    ref, got = _on_tiers(compiled, run)
+    ref, got = _on_tiers(compiled, lambda: [run(False), run(True)])
     assert ref == got
+    # the recorded leg breaches exactly where the value-only leg does
+    assert ref[0][:-1] == ref[1][:-1]
+    if budget.get("max_rounds") != 0:
+        assert any(e[-1] for t in ref[1][-1] for e in t), "nothing recorded"
 
 
 def test_budget_within_allowance_identical(compiled):
@@ -444,35 +511,122 @@ def test_budget_within_allowance_identical(compiled):
     _assert_same(*_on_tiers(compiled, run))
 
 
-def test_traces_identical_across_backends(compiled):
-    """Recording keeps per-round calls, which must reproduce every
-    round's counters, not just the answers — the trace is the
-    accelerator model's input.  The streaming plan crosses full
-    evaluation, batch seeding, additions and deletion repair."""
-    from repro.engines import PlanExecutor
-    from repro.schedule import streaming_plan
+def test_traces_identical_across_backends(compiled, monkeypatch):
+    """Recording writes every round's trace inside the loop kernel, which
+    must reproduce the numpy rounds' counters, edge blocks and touched
+    masks, not just the answers — the trace is the accelerator model's
+    input.  Every workflow and algorithm: streaming crosses full
+    evaluation, batch seeding, additions and deletion repair (with
+    parents); BOE applies one batch to several targets at once."""
+    from repro.engines import PlanExecutor, executor
 
     scenario = _scenario()
+    engines = []
+
+    class Capturing(MultiVersionEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(executor, "MultiVersionEngine", Capturing)
+    for workflow, make_plan in sorted(WORKFLOWS.items()):
+        plan = make_plan(scenario.unified)
+        for algorithm in all_algorithms():
+
+            def run(algorithm=algorithm, plan=plan):
+                engines.clear()
+                result = PlanExecutor(
+                    scenario, algorithm, record_touched_edges=True
+                ).run(plan)
+                parents = engines[0].parent_edge
+                return (
+                    _trace_of(result.collector),
+                    [result.values(s).tolist()
+                     for s in range(scenario.n_snapshots)],
+                    None if parents is None else parents.tolist(),
+                )
+
+            ref, got = _on_tiers(compiled, run)
+            assert ref == got, (workflow, algorithm.name)
+        phases = {r[0] for e in ref[0] for r in e[-1]}
+        if workflow == "streaming":
+            assert {"full", "add", "del-tag", "del-recompute"} <= phases
+            assert ref[2] is not None
+        if workflow == "boe":
+            assert any(len(e[2]) > 1 for e in ref[0]), "no multi-target"
+
+
+def test_recorded_run_is_one_loop_call_per_execution(compiled, monkeypatch):
+    """A recorded plan makes one daic_round call per evaluate_full,
+    apply_additions and repair propagate — not one per round."""
+    import dataclasses
+
+    import repro.engines.daic as daic
+    from repro.engines import PlanExecutor
+
+    active = resolve_backend(compiled)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("edges_per_block"))
+        return active.daic_round(*args, **kwargs)
+
+    wrapped = dataclasses.replace(active, daic_round=counted)
+    monkeypatch.setattr(daic, "get_backend", lambda: wrapped)
+    scenario = _scenario()
+    for workflow in ("streaming", "boe"):
+        calls.clear()
+        result = PlanExecutor(
+            scenario, get_algorithm("sssp"), record_traces=True
+        ).run(WORKFLOWS[workflow](scenario.unified))
+        executions = result.collector.executions
+        # a deletion propagates (once) only when its repair pulled
+        propagating = [
+            e for e in executions
+            if e.phase != "del" or any(r.phase == "del-pull" for r in e.rounds)
+        ]
+        assert len(calls) == len(propagating), workflow
+        assert sum(e.n_rounds for e in executions) > len(calls), workflow
+        assert set(calls) == {8}, "every call recorded"
+
+
+def test_record_buffers_grow_and_resume(compiled, monkeypatch):
+    """Record buffers far too small for one execution: the wrapper grows
+    them and resumes the kernel, and the traces do not change."""
+    from repro.engines import PlanExecutor
+    from repro.perf.backend import cext
+
+    scenario = _scenario()
+    plan = WORKFLOWS["streaming"](scenario.unified)
 
     def run():
         result = PlanExecutor(
-            scenario, get_algorithm("sssp"), record_traces=True
-        ).run(streaming_plan(scenario.unified))
-        return [
-            (
-                e.tag, r.phase, r.events_popped, r.events_generated,
-                r.edges_fetched, r.vertex_writes, r.version_events_popped,
-                r.version_events_generated, r.version_vertex_writes,
-                r.edge_blocks.tolist(), r.dst_vertices.tolist(),
-                r.src_vertices.tolist(),
-            )
-            for e in result.collector.executions
-            for r in e.rounds
-        ]
+            scenario, get_algorithm("bfs"), record_touched_edges=True
+        ).run(plan)
+        return _trace_of(result.collector)
 
-    ref, got = _on_tiers(compiled, run)
-    assert {"full", "add", "del-tag", "del-recompute"} <= {r[1] for r in ref}
-    assert ref == got
+    resolve_backend(compiled)
+    roomy = run()
+    lib = cext.load_library()
+    kernel_calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def mega_daic_round(self, *args):
+            record = cext._Record.from_address(args[-1])
+            kernel_calls.append(record.row_cap)
+            return lib.mega_daic_round(*args)
+
+    monkeypatch.setattr(cext, "load_library", Counting)
+    monkeypatch.setattr(cext, "_RECORD_ROWS", 1)
+    monkeypatch.setattr(cext, "_RECORD_BLOCKS", 1)
+    assert run() == roomy
+    assert max(kernel_calls) >= 4, "no call resumed twice"
+    reset_backend()
+    resolve_backend("numpy")
+    assert run() == roomy
 
 
 def test_profiler_books_loop_calls(compiled):

@@ -20,7 +20,6 @@ def make_round(
     blocks=8,
     phase="add",
     n_versions=1,
-    dsts=32,
 ):
     return RoundTrace(
         phase=phase,
@@ -31,17 +30,19 @@ def make_round(
         vertex_reads=events + generated,
         vertex_writes=events,
         n_versions=n_versions,
-        dst_vertices=np.arange(dsts),
-        src_vertices=np.arange(events),
         version_events_popped=events * n_versions,
         version_events_generated=generated * n_versions,
         version_vertex_writes=events * n_versions,
     )
 
 
+#: every made round touches destinations 0..TOUCHED_DSTS-1
+TOUCHED_DSTS = 32
+
+
 def make_execution(rounds, tag="x", phase="add", targets=(0,)):
     e = ExecutionTrace(tag, phase, targets, rounds)
-    e.touched_dst_count = max((r.dst_vertices.size for r in rounds), default=0)
+    e.touched_dst_count = TOUCHED_DSTS if rounds else 0
     return e
 
 

@@ -35,8 +35,6 @@ def make_round(events, generated, blocks, phase="add", versions=1):
         vertex_reads=events + generated,
         vertex_writes=events,
         n_versions=versions,
-        dst_vertices=np.arange(min(events, 16), dtype=np.int64),
-        src_vertices=np.arange(min(events, 16), dtype=np.int64),
         version_events_popped=events * versions,
         version_events_generated=generated * versions,
         version_vertex_writes=events * versions,

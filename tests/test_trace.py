@@ -5,7 +5,7 @@ import numpy as np
 from repro.engines.trace import ExecutionTrace, RoundTrace, TraceCollector
 
 
-def rt(events=4, generated=10, edges=10, writes=3, dsts=(1, 2), phase="add"):
+def rt(events=4, generated=10, edges=10, writes=3, phase="add"):
     return RoundTrace(
         phase=phase,
         events_popped=events,
@@ -15,8 +15,6 @@ def rt(events=4, generated=10, edges=10, writes=3, dsts=(1, 2), phase="add"):
         vertex_reads=events + generated,
         vertex_writes=writes,
         n_versions=1,
-        dst_vertices=np.array(dsts),
-        src_vertices=np.array([0]),
         version_events_popped=events,
         version_events_generated=generated,
         version_vertex_writes=writes,
@@ -37,8 +35,8 @@ def test_execution_trace_aggregates():
 def test_collector_begin_round_end_flow():
     c = TraceCollector(n_union_edges=8, n_vertices=10)
     c.begin("x", "add", (0, 1))
-    c.round(rt(dsts=(3, 4)), np.array([0, 1]))
-    c.round(rt(dsts=(4, 5)), np.array([2]))
+    c.round(rt(), np.array([0, 1]), dst=np.array([3, 4]))
+    c.round(rt(), np.array([2]), dst=np.array([4, 5]))
     done = c.end()
     assert done.tag == "x"
     assert done.targets == (0, 1)
@@ -49,8 +47,8 @@ def test_collector_begin_round_end_flow():
 def test_touched_dst_union_semantics():
     c = TraceCollector(n_union_edges=4, n_vertices=10)
     c.begin("x", "add", (0,))
-    c.round(rt(dsts=(1, 2)))
-    c.round(rt(dsts=(2, 3)))
+    c.round(rt(), dst=np.array([1, 2]))
+    c.round(rt(), dst=np.array([2, 3, 3]))
     done = c.end()
     assert done.touched_dst_count == 3  # {1, 2, 3}
 
@@ -84,10 +82,10 @@ def test_collector_totals_and_phase_filter():
 def test_touched_dst_reset_between_executions():
     c = TraceCollector(4, n_vertices=8)
     c.begin("a", "add", (0,))
-    c.round(rt(dsts=(1, 2, 3)))
+    c.round(rt(), dst=np.array([1, 2, 3]))
     first = c.end()
     c.begin("b", "add", (0,))
-    c.round(rt(dsts=(7,)))
+    c.round(rt(), dst=np.array([7]))
     second = c.end()
     assert first.touched_dst_count == 3
     assert second.touched_dst_count == 1
