@@ -13,8 +13,6 @@ Replays MEGA's narrative arc on a single proxy scenario:
 Run:  python examples/paper_walkthrough.py
 """
 
-import numpy as np
-
 from repro.accel import PowerAreaModel, jetstream_config, mega_config
 from repro.accel.simulate import simulate_plan
 from repro.core import EvolvingGraphEngine
@@ -31,7 +29,7 @@ def step1_deletions(scenario, engine) -> None:
         plan = Plan(name="one", n_states=1, initial_graph="snapshot0")
         plan.steps.append(EvalFull(0))
         batch = BatchId(kind, 0)
-        idx = np.flatnonzero(scenario.unified.batch_mask(batch))
+        idx = scenario.unified.batch_edges(batch)
         step = (
             ApplyEdges((0,), idx, (batch,))
             if kind is BatchKind.ADDITION

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.accel.config import AcceleratorConfig
 from repro.graph.csr import CSRGraph
-from repro.graph.partition import VertexPartitioner
 
 __all__ = ["PartitionPlan", "MemorySystem"]
 
@@ -43,8 +42,6 @@ class MemorySystem:
         self.config = config
         self.graph = union_graph
         self.n_vertices = union_graph.n_vertices
-        self._partitioners: dict[int, VertexPartitioner] = {}
-        self._cross: dict[int, float] = {}
 
     # -- partitioning --------------------------------------------------------
 
@@ -62,7 +59,7 @@ class MemorySystem:
     def n_partitions(self, n_versions: int) -> int:
         state = self.state_bytes(n_versions)
         capacity = max(1.0, self.config.onchip_bytes)
-        return min(max(1, int(np.ceil(state / capacity))), self.n_vertices)
+        return max(1, min(int(np.ceil(state / capacity)), self.n_vertices))
 
     def partition_plan(self, n_versions: int) -> PartitionPlan:
         state = self.state_bytes(n_versions)
@@ -72,23 +69,11 @@ class MemorySystem:
         # One sweep = activate every partition once: stream its vertex
         # values + queue cells in and the previous partition's out.
         return PartitionPlan(
-            n_parts, state, 2.0 * state, self._cross_fraction(n_parts)
+            n_parts,
+            state,
+            2.0 * state,
+            self.graph.partition_cross_fraction(n_parts),
         )
-
-    def _cross_fraction(self, n_parts: int) -> float:
-        if n_parts not in self._cross:
-            p = self.partitioner(n_parts)
-            self._cross[n_parts] = p.cross_fraction(
-                self.graph.src_of_edge, self.graph.dst
-            )
-        return self._cross[n_parts]
-
-    def partitioner(self, n_parts: int) -> VertexPartitioner:
-        if n_parts not in self._partitioners:
-            self._partitioners[n_parts] = VertexPartitioner(
-                self.graph.indptr, n_parts
-            )
-        return self._partitioners[n_parts]
 
     # -- DRAM timing -----------------------------------------------------------
 

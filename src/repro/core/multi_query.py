@@ -62,7 +62,7 @@ def multi_query_boe_plan(unified: UnifiedCSR, sources: list[int]) -> Plan:
             plan.steps.append(CopyState(state(q, 0), state(q, i + 1)))
 
         add_id = BatchId(BatchKind.ADDITION, i)
-        add_idx = np.flatnonzero(unified.batch_mask(add_id))
+        add_idx = unified.batch_edges(add_id)
         add_targets = tuple(
             state(q, k) for q in range(q_count) for k in range(i + 1, n)
         )
@@ -73,7 +73,7 @@ def multi_query_boe_plan(unified: UnifiedCSR, sources: list[int]) -> Plan:
         )
 
         del_id = BatchId(BatchKind.DELETION, i)
-        del_idx = np.flatnonzero(unified.batch_mask(del_id))
+        del_idx = unified.batch_edges(del_id)
         del_targets = tuple(state(q, 0) for q in range(q_count))
         plan.steps.append(
             ApplyEdges(

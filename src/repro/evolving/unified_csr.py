@@ -68,6 +68,7 @@ class UnifiedCSR:
             raise ValueError("batch steps must lie in [0, n_snapshots-2]")
         self._snapshot_cache: dict[int, CSRGraph] = {}
         self._reverse: CSRGraph | None = None
+        self._batch_edges: dict[BatchId, np.ndarray] = {}
         #: bit-packed presence planes; built lazily, or injected by a
         #: shared-memory attach so workers skip the packbits pass
         self._planes: np.ndarray | None = None
@@ -183,8 +184,24 @@ class UnifiedCSR:
             return self.add_step == batch_id.step
         return self.del_step == batch_id.step
 
+    def batch_edges(self, batch_id: BatchId) -> np.ndarray:
+        """Union-edge slots of one batch: sorted, read-only int64 (cached).
+
+        Every planner asks for the same few batches many times (Direct-Hop
+        once per snapshot a batch reaches), and the tags never change, so
+        each batch's edge list is computed once.
+        """
+        edges = self._batch_edges.get(batch_id)
+        if edges is None:
+            edges = np.flatnonzero(self.batch_mask(batch_id)).astype(
+                np.int64, copy=False
+            )
+            edges.flags.writeable = False
+            self._batch_edges[batch_id] = edges
+        return edges
+
     def batch(self, batch_id: BatchId) -> EdgeBatch:
-        return EdgeBatch(batch_id, np.flatnonzero(self.batch_mask(batch_id)))
+        return EdgeBatch(batch_id, self.batch_edges(batch_id))
 
     def addition_batches(self) -> list[EdgeBatch]:
         return [

@@ -8,8 +8,6 @@ expensive, which is what CommonGraph's deletion-free execution removes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.accel.config import jetstream_config
 from repro.accel.simulate import simulate_plan
 from repro.algorithms import get_algorithm
@@ -31,7 +29,7 @@ def _single_batch_plan(unified, kind: BatchKind) -> Plan:
     plan = Plan(name=f"one-{kind.value}", n_states=1, initial_graph="snapshot0")
     plan.steps.append(EvalFull(0, label="eval-G0"))
     batch = BatchId(kind, 0)
-    idx = np.flatnonzero(unified.batch_mask(batch))
+    idx = unified.batch_edges(batch)
     if kind is BatchKind.ADDITION:
         plan.steps.append(ApplyEdges((0,), idx, (batch,), label=str(batch)))
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.edges import EdgeList
+from repro.graph.partition import VertexPartitioner
 
 __all__ = ["CSRGraph", "gather_out_edges"]
 
@@ -28,7 +29,9 @@ class CSRGraph:
     edge arrays, so a shared-memory attach is genuinely zero-copy.
     """
 
-    __slots__ = ("n_vertices", "indptr", "dst", "wt", "_src_of_edge")
+    __slots__ = (
+        "n_vertices", "indptr", "dst", "wt", "_src_of_edge", "_cross_fractions"
+    )
 
     def __init__(
         self,
@@ -53,6 +56,9 @@ class CSRGraph:
         # dependence trees and trace bookkeeping need it, but many graphs
         # (snapshot materializations, shared-memory attaches) never do.
         self._src_of_edge: np.ndarray | None = None
+        # partition count -> cross fraction; the graph is immutable, so
+        # every simulation of one scenario shares the values
+        self._cross_fractions: dict[int, float] = {}
 
     @property
     def src_of_edge(self) -> np.ndarray:
@@ -63,6 +69,19 @@ class CSRGraph:
                 np.diff(self.indptr),
             )
         return self._src_of_edge
+
+    def partition_cross_fraction(self, n_partitions: int) -> float:
+        """Share of edges crossing an edge-balanced vertex partition (cached).
+
+        The memory model charges these edges as DRAM spill when the graph
+        is split into ``n_partitions`` ranges (paper §3.2, Fig. 9).
+        """
+        if n_partitions not in self._cross_fractions:
+            partitioner = VertexPartitioner(self.indptr, n_partitions)
+            self._cross_fractions[n_partitions] = partitioner.cross_fraction(
+                self.src_of_edge, self.dst
+            )
+        return self._cross_fractions[n_partitions]
 
     # -- construction ----------------------------------------------------
 

@@ -20,8 +20,6 @@ addition batches.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.evolving.batches import BatchId, BatchKind
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.schedule.plan import ApplyEdges, CopyState, EvalFull, MarkSnapshot, Plan
@@ -49,14 +47,14 @@ def boe_plan(unified: UnifiedCSR) -> Plan:
         plan.steps.append(CopyState(chain, i + 1))
 
         add_id = BatchId(BatchKind.ADDITION, i)
-        add_idx = np.flatnonzero(unified.batch_mask(add_id))
+        add_idx = unified.batch_edges(add_id)
         targets = tuple(range(i + 1, n))
         plan.steps.append(
             ApplyEdges(targets, add_idx, (add_id,), label=f"boe-{add_id}", stage=i)
         )
 
         del_id = BatchId(BatchKind.DELETION, i)
-        del_idx = np.flatnonzero(unified.batch_mask(del_id))
+        del_idx = unified.batch_edges(del_id)
         plan.steps.append(
             ApplyEdges((chain,), del_idx, (del_id,), label=f"boe-{del_id}", stage=i)
         )

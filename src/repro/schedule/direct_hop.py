@@ -8,8 +8,6 @@ Fig. 3 shows ~``N/2`` times more applied additions than streaming.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.evolving.common_graph import batches_for_snapshot
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.schedule.plan import ApplyEdges, CopyState, EvalFull, MarkSnapshot, Plan
@@ -31,7 +29,7 @@ def direct_hop_plan(unified: UnifiedCSR) -> Plan:
         # different snapshots are mutually independent and may execute
         # concurrently on MEGA (stage groups per chain position).
         for pos, batch_id in enumerate(batches_for_snapshot(unified, k)):
-            edge_idx = np.flatnonzero(unified.batch_mask(batch_id))
+            edge_idx = unified.batch_edges(batch_id)
             plan.steps.append(
                 ApplyEdges(
                     (state,),

@@ -8,8 +8,6 @@ against (paper §2, Fig. 2 and Table 4 "JetStream Time").
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.evolving.batches import BatchId, BatchKind
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.schedule.plan import (
@@ -33,8 +31,8 @@ def streaming_plan(unified: UnifiedCSR) -> Plan:
     for j in range(n - 1):
         add_id = BatchId(BatchKind.ADDITION, j)
         del_id = BatchId(BatchKind.DELETION, j)
-        add_idx = np.flatnonzero(unified.batch_mask(add_id))
-        del_idx = np.flatnonzero(unified.batch_mask(del_id))
+        add_idx = unified.batch_edges(add_id)
+        del_idx = unified.batch_edges(del_id)
         plan.steps.append(
             ApplyEdges((state,), add_idx, (add_id,), label=f"stream-{add_id}")
         )

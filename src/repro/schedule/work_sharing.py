@@ -9,8 +9,6 @@ exchange for eliminating deletions entirely.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.evolving.batches import BatchId, BatchKind
 from repro.evolving.triangular_grid import GridNode, TriangularGrid
 from repro.evolving.unified_csr import UnifiedCSR
@@ -67,7 +65,7 @@ def work_sharing_plan(unified: UnifiedCSR) -> Plan:
             # scheduler wave position by position; positions within a hop
             # are ordered (they chain through the same state).
             for pos, batch_id in enumerate(batch_ids):
-                edge_idx = np.flatnonzero(unified.batch_mask(batch_id))
+                edge_idx = unified.batch_edges(batch_id)
                 plan.steps.append(
                     ApplyEdges(
                         (child_state,),

@@ -10,6 +10,7 @@ from repro.accel.noc import CrossbarNoC
 from repro.accel.power import PowerAreaModel, table5_breakdown
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
+from repro.graph.partition import VertexPartitioner
 
 
 # -- edge cache ---------------------------------------------------------------
@@ -102,6 +103,52 @@ def test_partition_plan_single_has_no_overheads(wen_like_memory):
 def test_partition_plan_cross_fraction_bounds(wen_like_memory):
     plan = wen_like_memory.partition_plan(16)
     assert 0.0 < plan.cross_fraction <= 1.0
+
+
+def test_empty_graph_has_one_partition():
+    """A graph with no vertices still gets one (empty) partition rather
+    than zero, which VertexPartitioner rejects."""
+    empty = np.empty(0, dtype=np.int64)
+    g = CSRGraph(0, np.zeros(1, dtype=np.int64), empty, empty.astype(float))
+    mem = MemorySystem(mega_config(), g)
+    assert mem.n_partitions(16) == 1
+    plan = mem.partition_plan(16)
+    assert plan.n_partitions == 1
+    assert plan.cross_fraction == 0.0
+
+
+def test_cross_fraction_computed_once_per_partition_count(monkeypatch):
+    """Repeated simulations of one scenario share the union graph's
+    cross-fraction memo: each partition count is derived exactly once,
+    and each memoised value equals a fresh partitioner's."""
+    from repro.accel import JetStreamSimulator, MegaSimulator
+    from repro.algorithms import get_algorithm
+    from repro.workloads import load_scenario
+
+    calls: list[int] = []
+    real = VertexPartitioner.cross_fraction
+
+    def counting(self, src, dst):
+        calls.append(self.n_partitions)
+        return real(self, src, dst)
+
+    monkeypatch.setattr(VertexPartitioner, "cross_fraction", counting)
+    scenario = load_scenario("DL", "tiny", seed=0)
+    algo = get_algorithm("bfs")
+    for sim in (JetStreamSimulator(), MegaSimulator("boe"),
+                MegaSimulator("direct-hop")):
+        for __ in range(2):
+            sim.run(scenario, algo)
+    assert len(calls) >= 2  # DL partitions even at one resident version
+    assert len(calls) == len(set(calls))
+
+    monkeypatch.undo()
+    g = scenario.unified.graph
+    for p in calls:
+        fresh = VertexPartitioner(g.indptr, p).cross_fraction(
+            g.src_of_edge, g.dst
+        )
+        assert g.partition_cross_fraction(p) == fresh
 
 
 def test_dram_cycles_bandwidth():

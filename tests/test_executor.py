@@ -40,7 +40,7 @@ def test_copy_state_duplicates_values_and_membership(tiny_scenario):
 def test_multi_target_apply_writes_back_all_targets(tiny_scenario):
     u = tiny_scenario.unified
     batch = BatchId(BatchKind.ADDITION, 0)
-    idx = np.flatnonzero(u.batch_mask(batch))
+    idx = u.batch_edges(batch)
     plan = manual_plan(
         u,
         [
@@ -65,7 +65,7 @@ def test_single_and_multi_target_agree(tiny_scenario):
     u = tiny_scenario.unified
     algo = get_algorithm("sswp")
     batch = BatchId(BatchKind.ADDITION, 0)
-    idx = np.flatnonzero(u.batch_mask(batch))
+    idx = u.batch_edges(batch)
 
     multi = manual_plan(
         u,
@@ -123,7 +123,7 @@ def test_deletion_steps_track_parent_rows(tiny_scenario):
     on the copied state."""
     u = tiny_scenario.unified
     dele = BatchId(BatchKind.DELETION, 0)
-    idx = np.flatnonzero(u.batch_mask(dele))
+    idx = u.batch_edges(dele)
     plan = manual_plan(
         u,
         [

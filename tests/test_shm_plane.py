@@ -78,6 +78,28 @@ def test_attach_is_zero_copy_and_read_only(small_scenario):
         plane.close_all()
 
 
+def test_batch_edges_on_attached_scenario(small_scenario):
+    """Batch edge lists derive from read-only attached tag arrays."""
+    from repro.evolving.batches import BatchId, BatchKind
+
+    plane, manifest = _plane(small_scenario)
+    try:
+        shm, attached = attach_scenario(manifest)
+        u, v = small_scenario.unified, attached.unified
+        assert not v.add_step.flags.writeable
+        for kind in BatchKind:
+            for step in range(v.n_snapshots - 1):
+                bid = BatchId(kind, step)
+                edges = v.batch_edges(bid)
+                assert np.array_equal(edges, u.batch_edges(bid))
+                assert v.batch_edges(bid) is edges
+                assert not edges.flags.writeable
+        del attached, u, v, edges
+        shm.close()
+    finally:
+        plane.close_all()
+
+
 def test_manifest_records_segment_layout(small_scenario):
     plane, manifest = _plane(small_scenario, epoch=3)
     try:

@@ -146,6 +146,23 @@ def test_batches(unified):
     assert len(unified.deletion_batches()) == 2
 
 
+def test_batch_edges_match_masks_and_are_cached(unified):
+    for kind in BatchKind:
+        for step in range(unified.n_snapshots - 1):
+            bid = BatchId(kind, step)
+            edges = unified.batch_edges(bid)
+            assert edges.dtype == np.int64
+            assert np.array_equal(edges, np.flatnonzero(unified.batch_mask(bid)))
+            assert unified.batch_edges(bid) is edges
+            assert unified.batch(bid).edge_idx is edges
+
+
+def test_batch_edges_are_read_only(unified):
+    edges = unified.batch_edges(BatchId(BatchKind.ADDITION, 0))
+    with pytest.raises(ValueError):
+        edges[0] = 3
+
+
 def test_batch_target_snapshots(unified):
     add0 = unified.batch(BatchId(BatchKind.ADDITION, 0))
     assert list(add0.target_snapshots(3)) == [1, 2]
