@@ -14,7 +14,8 @@ Modules:
 * :mod:`repro.service.pool`    — worker pool, per-worker caches, budgets,
   fault points;
 * :mod:`repro.service.cache`   — LRU result cache, ingest invalidation;
-* :mod:`repro.service.ingest`  — delta batches: synthesize, apply (slide);
+* :mod:`repro.service.ingest`  — delta batches and the packed delta log:
+  synthesize, apply (slide);
 * :mod:`repro.service.core`    — the :class:`QueryService` orchestrator;
 * :mod:`repro.service.wal`     — write-ahead log: durable ingest, crash
   recovery, compaction;
@@ -65,7 +66,7 @@ from repro.service.drill import (
     run_failover_drill,
     run_shard_kill_drill,
 )
-from repro.service.ingest import DeltaBatch, apply_delta, synthesize_delta
+from repro.service.ingest import DeltaBatch, DeltaLog, apply_delta, synthesize_delta
 from repro.service.loadgen import BenchReport, LoadSpec, run_load
 from repro.service.pool import PlanPayload, PlanResult, WorkerPool
 from repro.service.replica import REPLICA_FAULT_POINTS, ReplicaServer
@@ -98,6 +99,7 @@ __all__ = [
     "CLUSTER_FAULT_POINTS",
     "ClusterNode",
     "DeltaBatch",
+    "DeltaLog",
     "DrillReport",
     "HeartbeatMonitor",
     "LoadSpec",

@@ -68,7 +68,7 @@ from repro.service.batcher import (
     split_expired,
 )
 from repro.service.cache import ResultCache
-from repro.service.ingest import DeltaBatch, synthesize_delta
+from repro.service.ingest import DeltaBatch, DeltaLog, synthesize_delta
 from repro.service.pool import PlanPayload, PlanResult, WorkerPool
 from repro.service.request import QueryRequest, QueryResponse, validate_request
 from repro.service.shm import (
@@ -337,14 +337,14 @@ class _LiveGraph:
     """Coordinator-side state of one evolving graph: its ingest log."""
 
     def __init__(self) -> None:
-        self.deltas: list[DeltaBatch] = []
+        self.log = DeltaLog()
         #: window-slide checkpoints folded so far (window_slide_every
         #: cadence; persisted via WAL slide records + snapshot)
         self.slides = 0
 
     @property
     def epoch(self) -> int:
-        return len(self.deltas)
+        return len(self.log)
 
 
 class QueryService:
@@ -354,7 +354,8 @@ class QueryService:
         self.config = config or ServiceConfig()
         #: delta-chain id stamped into every PlanPayload: two services in
         #: one process (a primary and its read replica, back-to-back
-        #: tests) must never share a live-scenario cache entry
+        #: tests) must never share a live-scenario cache entry; a
+        #: rewind (rewind_graph) starts a new chain
         self.service_id = next(_SERVICE_IDS)
         self.metrics = MetricsRegistry()
         self.stats = ServiceStats(self.metrics)
@@ -628,13 +629,13 @@ class QueryService:
     def _install_recovery(self, recovery: WalRecovery) -> None:
         """Rebuild ``self._graphs`` from a WAL recovery scan."""
         self.last_recovery = recovery
-        logs: dict[str, list[DeltaBatch]] = {}
+        logs: dict[str, DeltaLog] = {}
         snapshot = recovery.snapshot or {}
         slides: dict[str, int] = {
             g: int(s) for g, s in (snapshot.get("slides") or {}).items()
         }
         for graph, wires in snapshot.get("logs", {}).items():
-            logs[graph] = [DeltaBatch.from_wire(w) for w in wires]
+            logs[graph] = DeltaLog(DeltaBatch.from_wire(w) for w in wires)
         for record in recovery.records:
             op = record.get("op")
             if op == OP_SLIDE:
@@ -653,7 +654,7 @@ class QueryService:
                 )
                 continue
             graph = record.get("graph", "")
-            delta_log = logs.setdefault(graph, [])
+            delta_log = logs.setdefault(graph, DeltaLog())
             epoch = int(record.get("epoch", -1))
             if epoch == len(delta_log) + 1:
                 delta_log.append(DeltaBatch.from_wire(record["delta"]))
@@ -672,7 +673,7 @@ class QueryService:
         with self._graphs_lock:
             for graph, delta_log in logs.items():
                 live = self._graphs.setdefault(graph, _LiveGraph())
-                live.deltas = delta_log
+                live.log = delta_log
             for graph, count in slides.items():
                 live = self._graphs.setdefault(graph, _LiveGraph())
                 live.slides = max(live.slides, count)
@@ -748,11 +749,9 @@ class QueryService:
             return {g: lg.epoch for g, lg in self._graphs.items()}
 
     def graph_deltas(self, graph: str) -> tuple[DeltaBatch, ...]:
-        """Immutable view of a graph's delta log (shard chain rebuild)."""
+        """A graph's delta log with its meta (shard chain rebuild)."""
         with self._graphs_lock:
-            return tuple(
-                self._graphs.setdefault(graph, _LiveGraph()).deltas
-            )
+            return tuple(self._graphs.setdefault(graph, _LiveGraph()).log)
 
     def retry_after_hint(self) -> float:
         """How long an overloaded client should back off (seconds).
@@ -907,7 +906,7 @@ class QueryService:
                 with self._graphs_lock:
                     live = self._graphs.setdefault(graph, _LiveGraph())
                     base_epoch = live.epoch
-                    base_deltas = tuple(live.deltas)
+                    base_log = live.log[:base_epoch]
                 scenario = _live_scenario(
                     PlanPayload(
                         plan_id=0,
@@ -917,7 +916,7 @@ class QueryService:
                         algo="",
                         sources=(),
                         epoch=base_epoch,
-                        deltas=base_deltas,
+                        deltas=base_log,
                         chain=self.service_id,
                     )
                 )
@@ -950,7 +949,7 @@ class QueryService:
                         f"injected crash after WAL append of {graph} "
                         f"epoch {live.epoch + 1}"
                     )
-                live.deltas.append(candidate)
+                live.log.append(candidate)
                 epoch = live.epoch
                 slide_due = slide_every > 0 and epoch % slide_every == 0
                 if slide_due:
@@ -985,12 +984,12 @@ class QueryService:
                     self.wal.compact(self._snapshot_graphs_locked())
                     self.stats.inc("wal_compactions")
                     compact_due = True
-                deltas_after = tuple(live.deltas)
+                log_after = live.log[:epoch]
             break
         if slide_due:
             self.stats.inc("slides")
             t0 = time.monotonic()
-            self._republish_plane(graph, epoch, deltas_after)
+            self._republish_plane(graph, epoch, log_after)
             self._slide_seconds.observe(time.monotonic() - t0)
         if slide_every > 0:
             # every ingest slides the window by one snapshot: entries
@@ -1007,7 +1006,7 @@ class QueryService:
         return epoch, self._await_quorum(graph, epoch)
 
     def _republish_plane(
-        self, graph: str, epoch: int, deltas: tuple
+        self, graph: str, epoch: int, deltas: DeltaLog
     ) -> None:
         """Eagerly publish the post-slide scenario generation.
 
@@ -1099,7 +1098,7 @@ class QueryService:
                     f"replicated {graph} epoch {epoch} does not extend "
                     f"local epoch {live.epoch}"
                 )
-            live.deltas.append(DeltaBatch.from_wire(delta_wire))
+            live.log.append(DeltaBatch.from_wire(delta_wire))
         self.cache.invalidate_graph(graph)
         self.stats.inc("replicated")
         return True
@@ -1120,7 +1119,11 @@ class QueryService:
             live = self._graphs.setdefault(graph, _LiveGraph())
             if epoch >= live.epoch:
                 return live.epoch
-            del live.deltas[epoch:]
+            live.log.truncate(epoch)
+            # the re-ingested epochs will differ from the dropped ones: a
+            # new chain id keeps every live-scenario cache (which never
+            # regresses to an older epoch) from serving the old history
+            self.service_id = next(_SERVICE_IDS)
             if self.wal is not None:
                 # compact under the lock so the snapshot provably covers
                 # the truncated log and no append interleaves
@@ -1161,7 +1164,7 @@ class QueryService:
             live = self._graphs.setdefault(graph, _LiveGraph())
             if epoch is None:
                 epoch = live.epoch
-            deltas = tuple(live.deltas[:epoch])
+            deltas = live.log[:epoch]
         manifest = self._plane_manifest(
             graph, epoch, deltas,
             vertex_lo=vertex_lo, vertex_hi=vertex_hi,
@@ -1263,7 +1266,7 @@ class QueryService:
         return {
             "epochs": {g: lg.epoch for g, lg in self._graphs.items()},
             "logs": {
-                g: [d.to_wire() for d in lg.deltas]
+                g: [d.to_wire() for d in lg.log]
                 for g, lg in self._graphs.items()
             },
             "slides": {g: lg.slides for g, lg in self._graphs.items()},
@@ -1424,9 +1427,7 @@ class QueryService:
         first = queries[0].request
         epoch = queries[0].epoch
         with self._graphs_lock:
-            deltas = tuple(
-                self._graphs.setdefault(first.graph, _LiveGraph()).deltas[:epoch]
-            )
+            deltas = self._graphs.setdefault(first.graph, _LiveGraph()).log[:epoch]
         fault_points: tuple[str, ...] = ()
         worker_faults = tuple(
             p for p in self.config.inject_fault
@@ -1484,7 +1485,7 @@ class QueryService:
         self,
         graph: str,
         epoch: int,
-        deltas: tuple,
+        deltas: DeltaLog,
         vertex_lo: int = 0,
         vertex_hi: int = 0,
     ) -> ScenarioManifest | None:

@@ -10,9 +10,16 @@ the slid scenario on demand.
 
 Because workers are separate processes, the live scenario is defined
 *reproducibly*: the base scenario (graph, scale, snapshots — deterministic
-by construction) plus the ordered list of ingested deltas.  Any worker can
-reconstruct epoch ``e`` by replaying ``deltas[:e]``, and an incremental
+by construction) plus the ordered log of ingested deltas.  Any worker can
+reconstruct epoch ``e`` by replaying ``log[:e]``, and an incremental
 worker only replays the suffix it has not seen (:mod:`repro.service.pool`).
+
+The log is a :class:`DeltaLog`: the five delta columns of every epoch
+concatenated into growable buffers, plus two offset arrays.  Every plan
+ships its prefix ``log[:epoch]``, and a view pickles as the raw bytes of
+those seven flat arrays, so shipping the history costs seven copies
+whatever the epoch, not one pickled ``DeltaBatch`` (five arrays and a
+dict) per epoch.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from repro.evolving.snapshots import EvolvingScenario
 from repro.evolving.window import slide_window
 from repro.graph.edges import EdgeList
 
-__all__ = ["DeltaBatch", "apply_delta", "synthesize_delta"]
+__all__ = ["DeltaBatch", "DeltaLog", "apply_delta", "synthesize_delta"]
 
 
 @dataclass
@@ -120,6 +127,186 @@ class DeltaBatch:
         )
 
 
+def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``buf`` if it holds ``need`` rows, else a copy of its first
+    ``used`` rows in a buffer of at least twice the capacity."""
+    if need <= buf.shape[0]:
+        return buf
+    out = np.empty(max(need, 2 * buf.shape[0], 16), dtype=buf.dtype)
+    out[:used] = buf[:used]
+    return out
+
+
+def _written(cols: tuple, lo: int, hi: int, rows: tuple) -> tuple:
+    """``cols`` with ``rows`` stored at ``lo:hi``, each column grown as
+    needed; the rows below ``lo`` are left as they are."""
+    out = []
+    for col, new in zip(cols, rows):
+        col = _grown(col, lo, hi)
+        col[lo:hi] = new
+        out.append(col)
+    return tuple(out)
+
+
+class DeltaLog:
+    """The ordered ingest log as packed columns.
+
+    Epoch ``i``'s additions are rows ``add_off[i]:add_off[i+1]`` of the
+    ``add_src``/``add_dst``/``add_wt`` columns, its deletions rows
+    ``del_off[i]:del_off[i+1]`` of ``del_src``/``del_dst``.  ``log[i]``
+    is that epoch as a :class:`DeltaBatch` of array views; ``log[a:b]``
+    is an O(1) read-only view of epochs ``a..b-1`` that indexes from 0,
+    like a list slice.
+
+    Rows already written are never overwritten: :meth:`append` only
+    writes past the end (growth copies into a larger buffer), and
+    :meth:`truncate` copies the kept prefix into fresh buffers.  So a
+    view taken under the owner's lock stays valid after the lock is
+    released, whatever the owner does next.
+
+    A non-empty log pickles as exactly seven byte strings — the rows of
+    its slice of the five columns and of the two offset arrays rebased
+    to 0 — and unpickles as a read-only view over them; an empty one
+    pickles as a bare constructor call.  The per-epoch ``meta`` dicts
+    are provenance for the coordinator's WAL and do not travel: an
+    unpickled log's batches carry empty meta.
+    """
+
+    __slots__ = ("_adds", "_dels", "_add_off", "_del_off", "_metas", "_lo", "_hi", "_view")
+
+    def __init__(self, batches=()) -> None:
+        empty = np.empty(0, dtype=np.int64)
+        self._adds = (empty, empty, np.empty(0, dtype=np.float64))
+        self._dels = (empty, empty)
+        self._add_off = np.zeros(1, dtype=np.int64)
+        self._del_off = np.zeros(1, dtype=np.int64)
+        self._metas: list[dict] | None = []
+        self._lo = self._hi = 0
+        self._view = False
+        for batch in batches:
+            self.append(batch)
+
+    # -- owner mutations (coordinator, under its graph lock) ---------------
+
+    def _check_owner(self) -> None:
+        if self._view:
+            raise TypeError("a DeltaLog slice is a read-only view")
+
+    def append(self, batch: DeltaBatch) -> None:
+        """Add one epoch at the end of the log."""
+        self._check_owner()
+        n = self._hi
+        a0, d0 = int(self._add_off[n]), int(self._del_off[n])
+        a1, d1 = a0 + batch.n_additions, d0 + batch.n_deletions
+        self._adds = _written(
+            self._adds, a0, a1, (batch.add_src, batch.add_dst, batch.add_wt)
+        )
+        self._dels = _written(self._dels, d0, d1, (batch.del_src, batch.del_dst))
+        self._add_off, self._del_off = _written(
+            (self._add_off, self._del_off), n + 1, n + 2, (a1, d1)
+        )
+        self._metas.append(batch.meta)
+        self._hi = n + 1
+
+    def truncate(self, epoch: int) -> None:
+        """Drop every epoch from ``epoch`` on.
+
+        The kept prefix moves to fresh buffers, so a later :meth:`append`
+        never writes over rows an earlier view still reads.
+        """
+        self._check_owner()
+        if epoch >= self._hi:
+            return
+        epoch = max(0, epoch)
+        a, d = int(self._add_off[epoch]), int(self._del_off[epoch])
+        self._adds = tuple(col[:a].copy() for col in self._adds)
+        self._dels = tuple(col[:d].copy() for col in self._dels)
+        self._add_off = self._add_off[: epoch + 1].copy()
+        self._del_off = self._del_off[: epoch + 1].copy()
+        self._metas = self._metas[:epoch]
+        self._hi = epoch
+
+    # -- reads ---------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return self._hi - self._lo
+
+    def __iter__(self):
+        for i in range(self._lo, self._hi):
+            yield self._batch(i)
+
+    def __getitem__(self, key):
+        n = len(self)
+        if isinstance(key, slice):
+            start, stop, step = key.indices(n)
+            if step != 1:
+                raise ValueError("DeltaLog slices take no step")
+            view = object.__new__(DeltaLog)
+            for name in self.__slots__:
+                setattr(view, name, getattr(self, name))
+            view._lo = self._lo + start
+            view._hi = self._lo + max(start, stop)
+            view._view = True
+            return view
+        i = int(key)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"epoch {key} outside a log of {n}")
+        return self._batch(self._lo + i)
+
+    def _columns(self, lo: int, hi: int) -> list[np.ndarray]:
+        """The five columns' rows for epochs ``lo..hi-1``, in
+        :class:`DeltaBatch` field order."""
+        a0, a1 = int(self._add_off[lo]), int(self._add_off[hi])
+        d0, d1 = int(self._del_off[lo]), int(self._del_off[hi])
+        return [col[a0:a1] for col in self._adds] + [col[d0:d1] for col in self._dels]
+
+    def _batch(self, i: int) -> DeltaBatch:
+        meta = self._metas[i] if self._metas is not None else {}
+        return DeltaBatch(*self._columns(i, i + 1), meta=meta)
+
+    def __repr__(self) -> str:
+        return f"DeltaLog(epochs={len(self)}, view={self._view})"
+
+    # -- the wire form -------------------------------------------------------
+
+    def __reduce__(self):
+        lo, hi = self._lo, self._hi
+        if lo == hi:
+            # a graph with no ingests yet, as in static serving: seven
+            # empty buffers cost more to ship than the rest of the plan
+            return (DeltaLog, ())
+        arrays = self._columns(lo, hi) + [
+            self._add_off[lo: hi + 1] - self._add_off[lo],
+            self._del_off[lo: hi + 1] - self._del_off[lo],
+        ]
+        # raw bytes rather than ndarrays: an ndarray's pickle reduce and
+        # rebuild cost several us a side each, more than these rows' copy
+        return (_unpickle_log, tuple(a.tobytes() for a in arrays))
+
+
+#: dtypes of the seven byte strings a pickled DeltaLog carries
+_WIRE_DTYPES = (np.int64, np.int64, np.float64, np.int64, np.int64, np.int64, np.int64)
+
+
+def _unpickle_log(*raw: bytes) -> DeltaLog:
+    """A read-only log over the byte strings ``DeltaLog.__reduce__`` shipped."""
+    add_src, add_dst, add_wt, del_src, del_dst, add_off, del_off = (
+        np.frombuffer(data, dtype=dtype) for data, dtype in zip(raw, _WIRE_DTYPES)
+    )
+    log = object.__new__(DeltaLog)
+    log._adds = (add_src, add_dst, add_wt)
+    log._dels = (del_src, del_dst)
+    log._add_off = add_off
+    log._del_off = del_off
+    log._metas = None
+    log._lo = 0
+    log._hi = add_off.shape[0] - 1
+    log._view = True
+    return log
+
+
 def apply_delta(scenario: EvolvingScenario, delta: DeltaBatch) -> EvolvingScenario:
     """Advance the window by ``delta``; returns a *new* scenario.
 
@@ -166,19 +353,18 @@ def synthesize_delta(
     del_dst = u.graph.dst[del_slots]
 
     n_vertices = u.n_vertices
-    union_keys = set(
-        (u.graph.src_of_edge.astype(np.int64) * n_vertices + u.graph.dst).tolist()
-    )
+    # the union CSR's rows are (src, dst)-sorted: a binary search per
+    # candidate beats hashing every union edge on every seeded ingest
+    accepted: set[tuple[int, int]] = set()
     add_src, add_dst = [], []
     attempts = 0
     while len(add_src) < n_add and attempts < 50 * max(n_add, 1):
         attempts += 1
         s = int(rng.integers(n_vertices))
         d = int(rng.integers(n_vertices))
-        key = s * n_vertices + d
-        if s == d or key in union_keys:
+        if s == d or (s, d) in accepted or u.graph.has_edge(s, d):
             continue
-        union_keys.add(key)
+        accepted.add((s, d))
         add_src.append(s)
         add_dst.append(d)
     add_wt = rng.uniform(1.0, 2.0, size=len(add_src))

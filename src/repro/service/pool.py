@@ -52,7 +52,7 @@ from repro.resilience import (
     register_fault_point,
     retry_with_backoff,
 )
-from repro.service.ingest import DeltaBatch, apply_delta
+from repro.service.ingest import DeltaBatch, DeltaLog, apply_delta
 from repro.service.request import SnapshotSummary
 from repro.service.shm import ScenarioManifest, attach_scenario
 
@@ -86,7 +86,8 @@ class PlanPayload:
     window: tuple[int, int] | None = None
     mode: str = "eval"
     epoch: int = 0
-    deltas: tuple[DeltaBatch, ...] = ()
+    #: the graph's ingest log up to ``epoch``, packed (see DeltaLog)
+    deltas: DeltaLog = field(default_factory=DeltaLog)
     budget_s: float = DEFAULT_BUDGET_S
     max_rounds: int = 200_000
     #: armed fault points for this plan (resilience drills / load harness)
@@ -224,7 +225,12 @@ def _attached_scenario(manifest):
 
 
 def _live_scenario(payload: PlanPayload):
-    """The scenario at ``payload.epoch``, advanced incrementally."""
+    """The scenario at ``payload.epoch``, advanced incrementally.
+
+    A straggler plan admitted before the cache advanced replays from the
+    base but leaves the newer cache entry in place, as
+    :func:`_window_server` does.
+    """
     from repro.experiments.runner import scenario_cache
 
     key = (payload.graph, payload.scale, payload.n_snapshots, payload.chain)
@@ -252,6 +258,8 @@ def _live_scenario(payload: PlanPayload):
             )
         for delta in payload.deltas[: payload.epoch]:
             scenario = apply_delta(scenario, delta)
+    if cached is not None and cached[0] > payload.epoch:
+        return scenario
     if len(_LIVE) >= _LIVE_LIMIT and key not in _LIVE:
         _LIVE.pop(next(iter(_LIVE)))
     _LIVE[key] = (payload.epoch, scenario)
