@@ -27,10 +27,16 @@ from repro.engines.trace import RoundTrace, TraceCollector, edge_blocks
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.graph.csr import gather_out_edges
 from repro.obs.profile import active_profiler
-from repro.perf.backend import OPS, get_backend
+from repro.perf.backend import (
+    OPS,
+    STEP_APPLY,
+    STEP_COLS,
+    STEP_COPY,
+    get_backend,
+)
 from repro.resilience.budget import Budget, BudgetClock
 
-__all__ = ["MultiVersionEngine", "group_argbest"]
+__all__ = ["MultiVersionEngine", "StepTable", "group_argbest"]
 
 #: rounds per compiled call while a wall-clock budget is live: the loop
 #: kernel cannot read the budget's clock, so it hands back this often
@@ -63,6 +69,71 @@ class _Scratch:
             pool = np.empty(cap, dtype=dtype)
             self._pools[name] = pool
         return pool[:size].reshape(shape)
+
+
+class StepTable:
+    """A plan segment: a run of copy and apply steps over state rows.
+
+    The compiled tier runs a whole table in one loop-kernel call (the
+    columns and kinds of ``_kernels.c``'s step table); the numpy tier
+    runs it step by step.  Each apply step names its target rows, its
+    batch edges and the tag of the execution it records as.
+    """
+
+    __slots__ = ("kinds", "rows", "seeds", "tags", "_cols", "_n_seed")
+
+    def __init__(self) -> None:
+        self.kinds: list[int] = []
+        self.rows: list[tuple[int, ...]] = []
+        self.seeds: list[np.ndarray | None] = []
+        self.tags: list[str] = []
+        self._cols: list[int] = []
+        self._n_seed = 0
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def copy(self, src: int, dst: int) -> None:
+        """Copy state ``src``'s values, presence and parents over ``dst``."""
+        self._add(STEP_COPY, (src, dst), None, "")
+
+    def apply(
+        self, targets: tuple[int, ...], edge_idx: np.ndarray, tag: str
+    ) -> None:
+        """Add ``edge_idx`` to every target's graph and propagate them."""
+        edge_idx = np.ascontiguousarray(edge_idx, dtype=np.int64)
+        self._add(STEP_APPLY, tuple(targets), edge_idx, tag)
+
+    def _add(self, kind, rows, seeds, tag) -> None:
+        start = self._cols[-3] if self._cols else 0
+        seed_end = self._n_seed + (0 if seeds is None else seeds.shape[0])
+        self._cols += (kind, start, start + len(rows), self._n_seed, seed_end)
+        self._n_seed = seed_end
+        self.kinds.append(kind)
+        self.rows.append(rows)
+        self.seeds.append(seeds)
+        self.tags.append(tag)
+
+    @property
+    def max_rows(self) -> int:
+        """Most rows of any apply step (the frontier's height)."""
+        return max(
+            (len(r) for k, r in zip(self.kinds, self.rows) if k != STEP_COPY),
+            default=1,
+        )
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The kernel's ``(steps, step_rows, seed_edges)`` arrays."""
+        steps = np.array(self._cols, dtype=np.int64).reshape(-1, STEP_COLS)
+        step_rows = np.array(
+            [r for rows in self.rows for r in rows], dtype=np.int64
+        )
+        batches = [e for e in self.seeds if e is not None]
+        seeds = (
+            np.concatenate(batches) if batches
+            else np.empty(0, dtype=np.int64)
+        )
+        return steps, step_rows, seeds
 
 
 def group_argbest(
@@ -338,32 +409,69 @@ class MultiVersionEngine:
         phase: str,
         parent_rows: np.ndarray | None,
         seed_edges: np.ndarray | None = None,
+        table: StepTable | None = None,
     ) -> int:
-        """Propagate to a fixpoint through the compiled loop kernel.
+        """Run a step table to its end through the compiled loop kernel.
+
+        Without ``table`` the table is one step over ``values``' rows: a
+        propagate from ``frontier``, or with ``seed_edges`` the batch
+        reader's seed pass first (not a round), recorded into the
+        caller's execution.  With ``table`` (a segment) ``values`` and
+        ``presence`` hold every state row, ``frontier`` is the frontier
+        buffer, and each apply step records as its own execution.
 
         One kernel call (plus one per wall-clock chunk), recording or
         not: while a collector records, the kernel writes every pass's
-        trace row, edge blocks and touched masks itself.  ``seed_edges``
-        runs the batch reader's seed pass first (not a round).  Returns
-        the rounds run.  Bit-identical to the numpy rounds: same edge
-        order, same lowest-index parent tie-breaks, same traces.
+        trace row, edge blocks and touched marks itself.  Returns the
+        rounds run.  Bit-identical to the numpy steps: same edge order,
+        same lowest-index parent tie-breaks, same traces.
         """
         graph = self.graph
-        track = self.track_parents and parent_rows is not None
-        parent_rows = (
-            np.ascontiguousarray(parent_rows, dtype=np.int64) if track else None
+        track = self.track_parents and (
+            parent_rows is not None or table is not None
         )
-        record = self._recording()
-        epb = dst_mask = edge_mask = None
+        kwargs: dict = {}
+        n_steps = 1
+        if table is not None:
+            steps, step_rows, seed_edges = table.columns()
+            kwargs.update(steps=steps, step_rows=step_rows)
+            n_steps = len(table)
+            parent_rows = step_rows
+        if track:
+            kwargs.update(
+                parent_edge=self.parent_edge,
+                parent_rows=np.ascontiguousarray(parent_rows, dtype=np.int64),
+            )
+        collector = self.collector
+        record = collector is not None and (
+            table is not None or collector.active
+        )
         if record:
-            epb = self.edges_per_block
-            dst_mask = self.collector.dst_mask
-            edge_mask = self.collector.edge_mask
+            if table is not None:
+                stamp_base = collector.reserve_stamps(n_steps)
+                edge_masks = (
+                    np.zeros((n_steps, graph.n_edges), dtype=bool)
+                    if collector.record_touched_edges
+                    else None
+                )
+            else:
+                stamp_base = collector.stamp
+                mask = collector.edge_mask
+                edge_masks = None if mask is None else mask[None, :]
+            kwargs.update(
+                edges_per_block=self.edges_per_block,
+                dst_stamp=collector.dst_stamp,
+                stamp_base=stamp_base,
+                edge_masks=edge_masks,
+            )
+            touched = [0] * n_steps
         clock = self._budget_clock
         prof = active_profiler()
-        rounds = 0
+        #: rounds each step has run so far, for the budget's stats
+        step_rounds = [0] * n_steps
+        rounds = first = 0
+        resume = False
         while True:
-            seeding = seed_edges is not None
             max_rounds, max_events = self._round_caps()
             t0 = prof.now() if prof is not None else 0.0
             counts = self._backend.daic_round(
@@ -371,59 +479,101 @@ class MultiVersionEngine:
                 frontier, presence, values,
                 self._fused_op, self.algorithm.minimize, self._scratch.get,
                 seed_edges=seed_edges,
-                parent_edge=self.parent_edge if track else None,
-                parent_rows=parent_rows,
                 max_rounds=max_rounds,
                 max_events=max_events,
-                edges_per_block=epb,
-                dst_mask=dst_mask,
-                edge_mask=edge_mask,
+                first_step=first,
+                resume=resume,
+                **kwargs,
             )
-            if prof is not None and prof.sample(counts.rounds + seeding):
+            if prof is not None and prof.sample(counts.rounds + counts.seeds):
                 prof.add("fused_relax", prof.now() - t0)
+            per_step = counts.steps.tolist()
             if record:
-                self._record_passes(phase, values.shape[0], counts)
-            rounds += counts.rounds
-            if clock is not None and counts.rounds:
-                clock.charge(
-                    rounds=counts.rounds,
-                    events=counts.events,
-                    stats={"propagate_rounds": rounds},
+                self._record_steps(
+                    phase, values.shape[0], counts, per_step, first, resume,
+                    table, stamp_base, edge_masks, touched,
                 )
-            if counts.pending == 0:
+            rounds += counts.rounds
+            if clock is not None:
+                for s in range(first, min(counts.stop, n_steps - 1) + 1):
+                    ran, events = per_step[s][:2]
+                    if ran:
+                        step_rounds[s] += ran
+                        clock.charge(
+                            rounds=ran,
+                            events=events,
+                            stats={"propagate_rounds": step_rounds[s]},
+                        )
+            if not counts.mid:
                 return rounds
-            if not counts.rounds and not seeding:
+            if counts.stop == first and not (counts.rounds or counts.seeds):
                 # the budget's allowance stopped the loop before a round:
                 # charge that round as the numpy tier would, which breaches
                 clock.charge(
                     rounds=1,
                     events=counts.pending,
-                    stats={"propagate_rounds": rounds + 1},
+                    stats={"propagate_rounds": step_rounds[first] + 1},
                 )
                 raise AssertionError("budget cap without a breach")
-            seed_edges = None
+            first, resume = counts.stop, True
 
-    def _record_passes(self, phase: str, n_versions: int, counts) -> None:
-        """One RoundTrace per pass the kernel recorded; each trace's
-        ``edge_blocks`` is a view into the call's copied block list."""
+    def _record_steps(
+        self,
+        phase: str,
+        n_versions: int,
+        counts,
+        per_step: list[list[int]],
+        first: int,
+        resume: bool,
+        table: StepTable | None,
+        stamp_base: int,
+        edge_masks: np.ndarray | None,
+        touched: list[int],
+    ) -> None:
+        """One RoundTrace per pass a kernel call recorded, each into its
+        step's execution; ``edge_blocks`` are views into the call's
+        copied block list.  A segment's apply steps open their execution
+        at their first pass and close it at their last."""
+        collector = self.collector
+        rows = counts.rows.tolist()
         blocks = counts.blocks
-        start = 0
-        for (popped, generated, fetched, writes, version_popped,
-             version_generated, version_writes, n_blocks) in counts.rows.tolist():
-            self.collector.round(RoundTrace(
-                phase=phase,
-                events_popped=popped,
-                events_generated=generated,
-                edges_fetched=fetched,
-                edge_blocks=blocks[start:start + n_blocks],
-                vertex_reads=popped + generated,
-                vertex_writes=writes,
-                n_versions=n_versions,
-                version_events_popped=version_popped,
-                version_events_generated=version_generated,
-                version_vertex_writes=version_writes,
-            ))
-            start += n_blocks
+        r = b = 0
+        for s in range(first, min(counts.stop, len(per_step) - 1) + 1):
+            if table is not None:
+                if table.kinds[s] == STEP_COPY:
+                    continue
+                targets = table.rows[s]
+                n_versions = len(targets)
+                if s != first or not resume:
+                    collector.begin(
+                        table.tags[s], phase, targets,
+                        stamp=stamp_base + s,
+                        touched_edges=(
+                            None if edge_masks is None else edge_masks[s]
+                        ),
+                    )
+            for (popped, generated, fetched, writes, version_popped,
+                 version_generated, version_writes, n_blocks) in rows[
+                     r:r + per_step[s][2]]:
+                collector.round(RoundTrace(
+                    phase=phase,
+                    events_popped=popped,
+                    events_generated=generated,
+                    edges_fetched=fetched,
+                    edge_blocks=blocks[b:b + n_blocks],
+                    vertex_reads=popped + generated,
+                    vertex_writes=writes,
+                    n_versions=n_versions,
+                    version_events_popped=version_popped,
+                    version_events_generated=version_generated,
+                    version_vertex_writes=version_writes,
+                ))
+                b += n_blocks
+            r += per_step[s][2]
+            if table is not None:
+                touched[s] += per_step[s][4]
+                if s < counts.stop or not counts.mid:
+                    collector.end(touched_dst_count=touched[s])
 
     def _update_parents(
         self,
@@ -510,6 +660,64 @@ class MultiVersionEngine:
             )
         self._end()
         return rounds + 1
+
+    def run_segment(
+        self, values: np.ndarray, presence: np.ndarray, table: StepTable
+    ) -> None:
+        """Run a plan segment's copy and apply steps in order.
+
+        ``values`` ``(S, n)`` and ``presence`` ``(S, M)`` hold every
+        state row and are updated in place; each apply step sets its
+        batch edges in its targets' presence rows, then applies them as
+        one multi-version batch (phase ``"add"``, its own execution when
+        recording).  With ``track_parents`` each target row is its own
+        parent row.  The compiled tier runs the whole table in one loop
+        call; the numpy tier's step loop is the parity reference.
+        """
+        if self.track_parents:
+            self._ensure_parent_rows(
+                max(r for rows in table.rows for r in rows) + 1
+            )
+        if self._can_fuse(values, presence):
+            self._start_budget()
+            self._run_compiled(
+                values,
+                self._scratch.get(
+                    "frontier", bool, (table.max_rows, values.shape[1])
+                ),
+                presence,
+                "add",
+                None,
+                table=table,
+            )
+            return
+        for kind, rows, edge_idx, tag in zip(
+            table.kinds, table.rows, table.seeds, table.tags
+        ):
+            if kind == STEP_COPY:
+                src, dst = rows
+                values[dst] = values[src]
+                presence[dst] = presence[src]
+                if self.track_parents:
+                    self.parent_edge[dst] = self.parent_edge[src]
+                continue
+            targets = list(rows)
+            for t in targets:
+                presence[t, edge_idx] = True
+            parent_rows = np.array(targets) if self.track_parents else None
+            if len(targets) == 1:
+                self.apply_additions(
+                    values[targets[0]][None, :], edge_idx,
+                    presence[targets[0]][None, :], phase="add", tag=tag,
+                    targets=rows, parent_rows=parent_rows,
+                )
+                continue
+            sub_values = values[targets]
+            self.apply_additions(
+                sub_values, edge_idx, presence[targets], phase="add",
+                tag=tag, targets=rows, parent_rows=parent_rows,
+            )
+            values[targets] = sub_values
 
     def _seed_batch(
         self,

@@ -6,8 +6,17 @@ arrays and graph-membership masks, drives the multi-version engine, and
 returns the final query values of every snapshot.  On request
 (``record_traces``) the same execution produces the round traces the
 accelerator timing models replay; a caller that only wants values skips
-them.  On the compiled tier each propagation is one kernel call either
-way: the kernel writes the round traces itself.
+them.
+
+Each maximal run of ``CopyState`` and ``ApplyEdges`` steps is a
+*segment*: the executor does its version-table bookkeeping and batch
+delivery per step, collects the steps into a
+:class:`~repro.engines.daic.StepTable`, and hands the table to the
+engine, which runs it on the compiled tier as one kernel call (the
+kernel reads and writes the state rows in place and writes each step's
+round traces itself).  ``EvalFull``, ``DeleteEdges`` and
+``MarkSnapshot`` end a segment.  So a Direct-Hop plan costs one call
+per hop chain and a BOE plan one call for its whole schedule.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import Algorithm
-from repro.engines.daic import MultiVersionEngine
+from repro.engines.daic import MultiVersionEngine, StepTable
 from repro.engines.deletion import DeletionRepair, DeletionStats
 from repro.engines.trace import TraceCollector
 from repro.evolving.snapshots import EvolvingScenario
@@ -112,7 +121,28 @@ class PlanExecutor:
         )
 
         result = WorkflowResult(plan.name, {}, collector, version_table=table)
+        segment = StepTable()
         for step in plan.steps:
+            if isinstance(step, CopyState):
+                segment.copy(step.src, step.dst)
+                if table is not None:
+                    table.entries[step.dst].applied = set(
+                        table.entries[step.src].applied
+                    )
+                continue
+            if isinstance(step, ApplyEdges):
+                targets = list(step.targets)
+                if table is not None:
+                    for b in step.batches:
+                        table.begin_batch(b, targets)
+                segment.apply(step.targets, self._delivered(step), step.label)
+                if table is not None:
+                    for b in step.batches:
+                        table.finish_batch(b, targets)
+                continue
+            if len(segment):
+                engine.run_segment(values, presence, segment)
+                segment = StepTable()
             if isinstance(step, EvalFull):
                 presence[step.state] = initial_mask
                 parent_row = step.state if needs_deletion else None
@@ -126,24 +156,6 @@ class PlanExecutor:
                     tag=step.label,
                     parent_row=parent_row,
                 )
-            elif isinstance(step, CopyState):
-                values[step.dst] = values[step.src]
-                presence[step.dst] = presence[step.src]
-                if needs_deletion:
-                    engine._ensure_parent_rows(step.dst + 1)
-                    engine.parent_edge[step.dst] = engine.parent_edge[step.src]
-                if table is not None:
-                    table.entries[step.dst].applied = set(
-                        table.entries[step.src].applied
-                    )
-            elif isinstance(step, ApplyEdges):
-                if table is not None:
-                    for b in step.batches:
-                        table.begin_batch(b, list(step.targets))
-                self._apply(engine, values, presence, step, needs_deletion)
-                if table is not None:
-                    for b in step.batches:
-                        table.finish_batch(b, list(step.targets))
             elif isinstance(step, DeleteEdges):
                 if table is not None:
                     for b in step.batches:
@@ -171,6 +183,8 @@ class PlanExecutor:
                 result.snapshot_values[step.snapshot] = snap
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown plan step {step!r}")
+        if len(segment):
+            engine.run_segment(values, presence, segment)
         if table is not None:
             for entry in table.entries:
                 table.mark_complete(entry.snapshot)
@@ -208,15 +222,10 @@ class PlanExecutor:
         fire.note(snapshot=snapshot, vertex=vertex, bit=51,
                   value=float(snap[vertex]))
 
-    def _apply(
-        self,
-        engine: MultiVersionEngine,
-        values: np.ndarray,
-        presence: np.ndarray,
-        step: ApplyEdges,
-        needs_deletion: bool,
-    ) -> None:
-        targets = list(step.targets)
+    @staticmethod
+    def _delivered(step: ApplyEdges) -> np.ndarray:
+        """The edges a batch delivery hands the engine: all of them,
+        unless the ``schedule.truncate-batch`` fault drops a tail."""
         edge_idx = step.edge_idx
         if edge_idx.size > 1:
             fire = faults.maybe_fire("schedule.truncate-batch")
@@ -227,34 +236,4 @@ class PlanExecutor:
                 fire.note(step=step.label, batch_size=int(edge_idx.size),
                           dropped=int(edge_idx.size - keep))
                 edge_idx = edge_idx[:keep]
-        if len(targets) == 1:
-            t = targets[0]
-            presence[t, edge_idx] = True
-            parent_rows = np.array([t]) if needs_deletion else None
-            if needs_deletion:
-                engine._ensure_parent_rows(t + 1)
-            engine.apply_additions(
-                values[t][None, :],
-                edge_idx,
-                presence[t][None, :],
-                phase="add",
-                tag=step.label,
-                targets=(t,),
-                parent_rows=parent_rows,
-            )
-            return
-        # Multi-target (BOE): stack target rows, run one shared execution,
-        # write results back.
-        sub_values = values[targets]
-        sub_presence = presence[targets]
-        sub_presence[:, edge_idx] = True
-        engine.apply_additions(
-            sub_values,
-            edge_idx,
-            sub_presence,
-            phase="add",
-            tag=step.label,
-            targets=tuple(targets),
-        )
-        values[targets] = sub_values
-        presence[targets] = sub_presence
+        return edge_idx

@@ -120,7 +120,10 @@ class TraceCollector:
 
     ``record_touched_edges`` enables the per-execution union-edge masks
     needed by the reuse studies (Figs. 4/5); it costs one bool array per
-    execution, so it is off by default.
+    execution, so it is off by default.  With ``n_vertices`` the
+    collector counts each execution's touched destinations through one
+    stamp array: an execution stamps the vertices it reaches with its own
+    serial, so no per-execution mask is cleared or allocated.
     """
 
     def __init__(
@@ -134,21 +137,39 @@ class TraceCollector:
         self.n_vertices = n_vertices
         self.record_touched_edges = record_touched_edges
         self._current: ExecutionTrace | None = None
-        #: the current execution's touched-destination mask (None when
-        #: counting no vertices); kernels recording a round set it
-        self.dst_mask: np.ndarray | None = None
+        #: the serial of the execution that last stamped each vertex
+        #: (None when counting no vertices); kernels recording a round
+        #: stamp it too
+        self.dst_stamp: np.ndarray | None = (
+            np.full(n_vertices, -1, dtype=np.int64) if n_vertices else None
+        )
+        #: the current execution's serial; serials are never reused
+        self.stamp = -1
+        self._next_stamp = 0
 
-    def begin(self, tag: str, phase: str, targets: tuple[int, ...]) -> ExecutionTrace:
+    def reserve_stamps(self, count: int) -> int:
+        """The first of ``count`` fresh serials, for executions a kernel
+        runs (and stamps) before they :meth:`begin`."""
+        first = self._next_stamp
+        self._next_stamp += count
+        return first
+
+    def begin(
+        self,
+        tag: str,
+        phase: str,
+        targets: tuple[int, ...],
+        stamp: int | None = None,
+        touched_edges: np.ndarray | None = None,
+    ) -> ExecutionTrace:
+        """Open an execution; ``stamp`` is its reserved serial and
+        ``touched_edges`` its edge mask, when a kernel fills them."""
         if self._current is not None:
             raise RuntimeError("nested executions are not supported")
-        touched = (
-            np.zeros(self.n_union_edges, dtype=bool)
-            if self.record_touched_edges
-            else None
-        )
-        self._current = ExecutionTrace(tag, phase, targets, [], touched)
-        if self.n_vertices:
-            self.dst_mask = np.zeros(self.n_vertices, dtype=bool)
+        if touched_edges is None and self.record_touched_edges:
+            touched_edges = np.zeros(self.n_union_edges, dtype=bool)
+        self._current = ExecutionTrace(tag, phase, targets, [], touched_edges)
+        self.stamp = self.reserve_stamps(1) if stamp is None else stamp
         return self._current
 
     def round(
@@ -164,8 +185,8 @@ class TraceCollector:
         self._current.rounds.append(trace)
         if self._current.touched_edges is not None and edge_idx is not None:
             self._current.touched_edges[edge_idx] = True
-        if self.dst_mask is not None and dst is not None:
-            self.dst_mask[dst] = True
+        if self.dst_stamp is not None and dst is not None:
+            self.dst_stamp[dst] = self.stamp
 
     @property
     def edge_mask(self) -> np.ndarray | None:
@@ -173,13 +194,19 @@ class TraceCollector:
         ``record_touched_edges``), for kernels that set it."""
         return None if self._current is None else self._current.touched_edges
 
-    def end(self) -> ExecutionTrace:
+    def end(self, touched_dst_count: int | None = None) -> ExecutionTrace:
+        """Close the execution.  ``touched_dst_count`` is its count of
+        stamped vertices when the caller kept it; otherwise the stamps
+        are counted."""
         if self._current is None:
             raise RuntimeError("no execution in progress")
         done, self._current = self._current, None
-        if self.dst_mask is not None:
-            done.touched_dst_count = int(self.dst_mask.sum())
-            self.dst_mask = None
+        if self.dst_stamp is not None:
+            done.touched_dst_count = (
+                int(np.count_nonzero(self.dst_stamp == self.stamp))
+                if touched_dst_count is None
+                else touched_dst_count
+            )
         self.executions.append(done)
         return done
 

@@ -48,6 +48,12 @@ __all__ = [
 #: Algorithm.kernel_op name -> opcode of the C tier's candidate function
 OPS = {"plus_wt": 0, "plus_one": 1, "min_wt": 2, "max_wt": 3, "div_wt": 4}
 
+#: the loop kernel's step table (STEP_* in _kernels.c): int64 columns per
+#: step — kind, start and end of its rows in the row list, start and end
+#: of its seed edges in the concatenated seeds — and the step kinds
+STEP_COLS = 5
+STEP_COPY, STEP_APPLY, STEP_SEED, STEP_PROPAGATE = 0, 1, 2, 3
+
 #: group_argbest falls back to the reference lexsort when the dense
 #: per-key scratch would dwarf the item count (keys are flat (version,
 #: vertex) cells in practice, so this is a safety valve, not a hot path)

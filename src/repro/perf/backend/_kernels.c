@@ -6,11 +6,14 @@
  *
  *   group_argbest   — per-group best candidate with lowest-input-index
  *                     tie-breaks (replaces a lexsort + three temporaries);
- *   daic_round      — the DAIC engine's propagation loop: each round's
- *                     edge-gather -> relax -> better_into body fused into
- *                     one pass over the frontier's out-edges, looping
- *                     until the frontier drains or a round cap is hit,
- *                     optionally writing each round's trace as it goes;
+ *   daic_round      — the DAIC engine's loop over a step table: a plan
+ *                     segment's copy and apply steps (or one propagate)
+ *                     in one call, each apply's seed pass and rounds run
+ *                     in place on its rows of the state matrices, each
+ *                     round's edge-gather -> relax -> better_into body
+ *                     fused into one pass over the frontier's out-edges,
+ *                     until the table ends or a round cap is hit,
+ *                     optionally writing each pass's trace as it goes;
  *   presence_gather — bit-plane presence test, unpack-and-test per edge
  *                     with no intermediate unpacked plane.
  *
@@ -95,12 +98,12 @@ int64_t mega_group_argbest(
     return u;
 }
 
-/* Relax one (version, edge) candidate into cell (version, v).
+/* Relax one (version, edge) candidate into a value cell.
  *
  * np.minimum/maximum.at followed by better_into(values, old): a NaN value
  * is sticky, a NaN candidate poisons the cell but is never "changed"
  * (NaN fails the strict compare against old), and min/max of reals is
- * order-insensitive.  A strict improvement marks the cell in `next`,
+ * order-insensitive.  A strict improvement marks the cell's `next` byte,
  * records the candidate's edge as the cell's round parent, and appends v
  * to the next frontier list the first time any of its versions changes.
  *
@@ -110,23 +113,23 @@ int64_t mega_group_argbest(
  * cell that ends the pass changed (the only cells whose parent is read).
  */
 static inline void relax(
-    double *values, uint8_t *next, int64_t cell, int64_t v, double cand,
-    int64_t e, int minimize, int64_t *round_parent, uint8_t *mark,
-    int64_t *list, int64_t *len)
+    double *value, uint8_t *next, int64_t *round_parent, int64_t v,
+    double cand, int64_t e, int minimize, uint8_t *mark, int64_t *list,
+    int64_t *len)
 {
-    const double cur = values[cell];
+    const double cur = *value;
     if (cur != cur)
         return;
     if (cand != cand) {
-        values[cell] = cand;
-        next[cell] = 0;
+        *value = cand;
+        *next = 0;
         return;
     }
     if (minimize ? cand < cur : cand > cur) {
-        values[cell] = cand;
-        next[cell] = 1;
+        *value = cand;
+        *next = 1;
         if (round_parent != NULL)
-            round_parent[cell] = e;
+            *round_parent = e;
         if (!mark[v]) {
             mark[v] = 1;
             list[(*len)++] = v;
@@ -145,8 +148,9 @@ static int cmp_i64(const void *a, const void *b)
  * gather), restricted to vertices with at least one changed version,
  * with `mark` cleared again.  A long list is rebuilt from one scan of
  * `mark` instead of sorted.  Commits the pass's parents for every
- * changed cell.  Returns the list length; *popped gets the changed-cell
- * count (the next round's popped events). */
+ * changed cell (version k's into parent row parent_rows[k]).  Returns
+ * the list length; *popped gets the changed-cell count (the next
+ * round's popped events). */
 static int64_t settle_frontier(
     int64_t *list, int64_t len, uint8_t *mark, const uint8_t *next,
     int64_t n_versions, int64_t n_vertices,
@@ -184,14 +188,31 @@ static int64_t settle_frontier(
     return kept;
 }
 
-/* Trace of one pass in record mode: the edge-block ids and touched
- * masks of the out-edges [lo, hi) of one frontier vertex.  Passes gather
- * ascending edge ids, so a run-boundary check against the last block
- * written keeps the pass's block list sorted and unique. */
+/* Trace of one gathered edge in record mode: stamp its destination with
+ * the step's serial (counting the first stamp) and set its byte in the
+ * step's edge mask. */
+static inline void record_edge(
+    int64_t e, const int64_t *dst_all, int64_t *dst_stamp, int64_t serial,
+    int64_t *touched, uint8_t *edge_mask)
+{
+    if (dst_stamp != NULL) {
+        int64_t *stamp = dst_stamp + dst_all[e];
+        *touched += *stamp != serial;
+        *stamp = serial;
+    }
+    if (edge_mask != NULL)
+        edge_mask[e] = 1;
+}
+
+/* Trace of one frontier vertex's out-edges [lo, hi) in a recorded
+ * round.  Rounds gather ascending edge ids, so a run-boundary check
+ * against the last block written keeps the round's block list sorted
+ * and unique. */
 static inline void record_edges(
     int64_t lo, int64_t hi, const int64_t *dst_all, int64_t epb,
     int64_t *blocks, int64_t *n_blocks, int64_t *last_block,
-    uint8_t *dst_mask, uint8_t *edge_mask)
+    int64_t *dst_stamp, int64_t serial, int64_t *touched,
+    uint8_t *edge_mask)
 {
     int64_t b, j;
     if (lo >= hi)
@@ -202,19 +223,34 @@ static inline void record_edges(
             *last_block = b;
         }
     }
-    if (dst_mask != NULL)
+    if (dst_stamp != NULL || edge_mask != NULL)
         for (j = lo; j < hi; j++)
-            dst_mask[dst_all[j]] = 1;
-    if (edge_mask != NULL)
-        memset(edge_mask + lo, 1, (size_t)(hi - lo));
+            record_edge(j, dst_all, dst_stamp, serial, touched, edge_mask);
 }
 
-/* The DAIC propagation loop, round body fused into one pass per round.
+/* The DAIC loop over a step table: a segment of copy and apply steps
+ * (or one propagate) in one call, each apply's round body fused into
+ * one pass per round.
  *
- * Optional seed pass first (seed_edges != NULL, the batch reader's round
- * 0): every seed edge present in version k relaxes from the pre-pass
- * values with the frontier gate disabled; the changed cells become the
- * frontier.  Otherwise the frontier is read from `frontier`.
+ * The step table holds STEP_COLS int64 per step: kind, the step's rows
+ * as an offset range into step_rows, and its seed edges as an offset
+ * range into seed_edges (the concatenated batches).  A step's rows name
+ * rows of the whole `values` (n_vertices doubles each) and `presence`
+ * (n_union_edges bytes each) matrices, which every step reads and
+ * writes in place; its K rows are its versions.  parent_rows (nullable)
+ * is aligned with step_rows: version k's parents go to parent_edge row
+ * parent_rows[offset + k].
+ *
+ *   STEP_COPY       rows {src, dst}: copy the values, presence and
+ *                   (when tracked) parent row of src over dst;
+ *   STEP_APPLY      set the seed edges' presence bits in every row, then
+ *                   as STEP_SEED;
+ *   STEP_SEED       the batch reader's seed pass (every seed edge present
+ *                   in version k relaxes from the pre-pass values with
+ *                   the frontier gate disabled; the changed cells become
+ *                   the frontier), then rounds to a fixpoint;
+ *   STEP_PROPAGATE  rounds to a fixpoint from `frontier`'s first K rows
+ *                   (first step of a table only).
  *
  * Each round pops the frontier: for every frontier vertex in ascending
  * order and each of its CSR out-edges (ascending), every version whose
@@ -224,27 +260,36 @@ static inline void record_edges(
  * live in a compact sorted list, so a round costs O(K x (frontier +
  * gathered edges)), never a K x n rescan.
  *
- * Rounds run until the frontier is empty or a cap is hit: max_rounds
- * (< 0: none) bounds the rounds run; max_events (< 0: none) bounds the
- * popped events summed over them — a round that would exceed either is
- * not started.  On return `frontier` holds the live frontier (all-zero
- * when converged).
+ * The call runs steps first_step.. in order.  resume says first_step's
+ * copy, presence and seed work already ran and its live frontier sits
+ * in `frontier` (the state a stop mid-step leaves).  A cap stops the
+ * call between rounds: max_rounds (< 0: none) bounds the rounds run;
+ * max_events (< 0: none) bounds the popped events summed over them — a
+ * round that would exceed either is not started, and `frontier` then
+ * holds the step's live frontier.  Seed passes are not rounds and are
+ * never capped.  `frontier` is max_k x n bytes (max_k: the most rows of
+ * any non-copy step); the call zeroes every row but a live frontier's.
  *
- * parent_edge (nullable) is the engine's (rows x n) parent table;
- * version k's changed cells write row parent_rows[k].  work is one
- * 8-byte-aligned scratch block laid out as below (sized by
+ * work is one 8-byte-aligned scratch block laid out as below (sized by
  * cext._work_bytes, which must follow this layout).
  *
- * counters[0] rounds run (the seed pass is not a round)
- * counters[1] events popped over those rounds
- * counters[2] events pending in the live frontier (0 when converged)
- * counters[3] trace rows written (record mode)
- * counters[4] edge-block ids written (record mode)
- * counters[5] 1 when a round was not started for lack of record space
- * counters[6] that round's worst-case block count
+ * counters[0] the step the call stopped at (n_steps: all ran)
+ * counters[1] 1 when it stopped mid-step, with the frontier live
+ * counters[2] rounds run
+ * counters[3] events popped over those rounds
+ * counters[4] events pending in the live frontier (0 unless mid-step)
+ * counters[5] seed passes run
+ * counters[6] trace rows written (record mode)
+ * counters[7] edge-block ids written (record mode)
+ * counters[8] 1 when a pass was not started for lack of record space
+ * counters[9] that pass's worst-case block count
  *
- * Record mode (record != NULL) writes the trace of every pass run — the
- * seed pass first, then each round — into the caller buffers of a
+ * step_out (n_steps x STEP_OUT) is added to, per step: [0] rounds,
+ * [1] events popped, [2] trace rows, [3] edge-block ids, [4] vertices
+ * the step's passes stamped first (record mode, with dst_stamp).
+ *
+ * Record mode (record != NULL) writes the trace of every pass run — each
+ * step's seed pass first, then its rounds — into the caller buffers of a
  * daic_record (cext._Record mirrors it):
  *
  *   rows    row_cap x DAIC_ROW int64, one row per pass:
@@ -258,16 +303,22 @@ static inline void record_edges(
  *             [7] edge-block ids the pass appended to `blocks`
  *   blocks  block_cap int64: each pass's sorted unique edge-block ids
  *           (edge // edges_per_block), concatenated in pass order
- *   dst_mask  (n bytes, nullable) set at the destination of every
- *             gathered edge, active or not
- *   edge_mask (M bytes, nullable) set at every gathered edge
+ *   dst_stamp  (n int64, nullable) set to stamp_base + s at the
+ *              destination of every edge step s gathers, active or not
+ *   edge_masks (n_steps x M bytes, nullable) row s set at every edge
+ *              step s gathers
  *
- * A round whose row, or whose worst-case block count min(edges fetched,
- * blocks in the graph), would not fit is not started, like a capped
- * round; counters[5..6] tell the caller to grow the buffers and call
- * again.  The caller sizes row_cap >= 1 and block_cap >= n_seed so the
- * seed pass always fits. */
+ * A pass whose row, or whose worst-case block count (a seed pass: its
+ * seed count; a round: min(edges fetched, blocks in the graph)), would
+ * not fit is not started; counters[8..9] tell the caller to grow the
+ * buffers and resume (mid-step when the pass was a round). */
 #define DAIC_ROW 8
+#define STEP_COLS 5
+#define STEP_OUT 5
+#define STEP_COPY 0
+#define STEP_APPLY 1
+#define STEP_SEED 2
+#define STEP_PROPAGATE 3
 
 typedef struct {
     int64_t *rows;
@@ -275,202 +326,304 @@ typedef struct {
     int64_t *blocks;
     int64_t block_cap;
     int64_t edges_per_block;
-    uint8_t *dst_mask;
-    uint8_t *edge_mask;
+    int64_t *dst_stamp;
+    int64_t stamp_base;
+    uint8_t *edge_masks;
 } daic_record;
 
 void mega_daic_round(
     const int64_t *indptr, const int64_t *src_of_edge,
     const int64_t *dst_all, const double *wt_all,
-    const int64_t *seed_edges, int64_t n_seed,
-    uint8_t *frontier, const uint8_t *presence, double *values,
-    int64_t n_versions, int64_t n_vertices, int64_t n_union_edges,
-    int op, int minimize,
+    const int64_t *steps, int64_t n_steps, const int64_t *step_rows,
+    const int64_t *seed_edges, int64_t first_step, int resume,
+    uint8_t *frontier, uint8_t *presence, double *values,
+    int64_t n_vertices, int64_t n_union_edges, int op, int minimize,
     int64_t *parent_edge, const int64_t *parent_rows,
     void *work, int64_t max_rounds, int64_t max_events,
-    int64_t *counters, const daic_record *record)
+    int64_t *step_out, int64_t *counters, const daic_record *record)
 {
-    const int64_t K = n_versions, n = n_vertices, M = n_union_edges;
-    const size_t cells = (size_t)(K * n);
-    const int64_t span = n > n_seed ? n : n_seed;
-    int64_t *const rows = record != NULL ? record->rows : NULL;
+    const int64_t n = n_vertices, M = n_union_edges;
+    int64_t *const rows_out = record != NULL ? record->rows : NULL;
     int64_t *const blocks = record != NULL ? record->blocks : NULL;
-    uint8_t *const dst_mask = record != NULL ? record->dst_mask : NULL;
-    uint8_t *const edge_mask = record != NULL ? record->edge_mask : NULL;
+    int64_t *const dst_stamp = record != NULL ? record->dst_stamp : NULL;
+    uint8_t *const edge_masks = record != NULL ? record->edge_masks : NULL;
     const int64_t epb = record != NULL ? record->edges_per_block : 1;
     const int64_t graph_blocks = (M + epb - 1) / epb;
+    int64_t s, i, j, k, max_k = 1, span = n;
+    for (s = 0; s < n_steps; s++) {
+        const int64_t *st = steps + STEP_COLS * s;
+        if (st[0] != STEP_COPY && st[2] - st[1] > max_k)
+            max_k = st[2] - st[1];
+        if (st[4] - st[3] > span)
+            span = st[4] - st[3];
+    }
     /* work layout: 8-byte members first, byte members last */
     int64_t *cur_list = (int64_t *)work, *next_list = cur_list + n;
     double *snap = (double *)(next_list + n);
-    int64_t *round_parent = parent_edge != NULL ? (int64_t *)(snap + K * span)
-                                                : NULL;
-    uint8_t *nxt = (uint8_t *)(snap + K * span)
-                   + (parent_edge != NULL ? cells * sizeof(int64_t) : 0);
-    uint8_t *mark = nxt + cells;
+    int64_t *round_parent = parent_edge != NULL
+                            ? (int64_t *)(snap + max_k * span) : NULL;
+    uint8_t *nxt = (uint8_t *)(snap + max_k * span)
+                   + (parent_edge != NULL ? max_k * n * sizeof(int64_t) : 0);
+    uint8_t *mark = nxt + max_k * n;
+    /* the step's value and presence rows; a one-row step also keeps its
+     * rows in v0/p0, scalars the relax loop's byte stores cannot alias
+     * (the row tables must be reloaded after each of them) */
+    double *vrow[max_k], *v0;
+    uint8_t *prow[max_k], *p0;
     uint8_t *cur = frontier;
-    int64_t i, j, k, nf = 0, len = 0, popped = 0;
-    int64_t rounds = 0, events = 0, pairs = 0, active_edges = 0;
+    int64_t stop = n_steps, mid = 0, K = 0, nf = 0, popped = 0;
+    int64_t rounds = 0, events = 0, seeded = 0;
     int64_t n_rows = 0, n_blocks = 0, full = 0, need = 0;
 
-    memset(nxt, 0, cells);
+    memset(nxt, 0, (size_t)(max_k * n));
     memset(mark, 0, (size_t)n);
-
-    if (seed_edges != NULL) {
-        memset(cur, 0, cells);
-        for (j = 0; j < n_seed; j++) {
-            const int64_t s = src_of_edge[seed_edges[j]];
-            for (k = 0; k < K; k++)
-                snap[j * K + k] = values[k * n + s];
-        }
-        for (j = 0; j < n_seed; j++) {
-            const int64_t e = seed_edges[j];
-            const int64_t v = dst_all[e];
-            const double wt = wt_all[e];
-            int edge_active = 0;
-            for (k = 0; k < K; k++) {
-                if (!presence[k * M + e])
-                    continue;
-                pairs++;
-                edge_active = 1;
-                relax(values, nxt, k * n + v, v,
-                      candidate_of(op, snap[j * K + k], wt), e, minimize,
-                      round_parent, mark, next_list, &len);
-            }
-            active_edges += edge_active;
-        }
-        nf = settle_frontier(next_list, len, mark, nxt, K, n,
-                             parent_edge, parent_rows, round_parent,
-                             &popped);
-        if (rows != NULL) {
-            /* seed edges come in batch order: sort their block ids
-             * unless already ascending, then keep one of each run */
-            int64_t *b = blocks, u = 0, sorted = 1;
-            for (j = 0; j < n_seed; j++) {
-                const int64_t e = seed_edges[j];
-                b[j] = e / epb;
-                sorted &= j == 0 || b[j] >= b[j - 1];
-                if (dst_mask != NULL)
-                    dst_mask[dst_all[e]] = 1;
-                if (edge_mask != NULL)
-                    edge_mask[e] = 1;
-            }
-            if (!sorted)
-                qsort(b, (size_t)n_seed, sizeof(int64_t), cmp_i64);
-            for (j = 0; j < n_seed; j++)
-                if (u == 0 || b[j] != b[u - 1])
-                    b[u++] = b[j];
-            rows[0] = 0;
-            rows[1] = active_edges;
-            rows[2] = n_seed;
-            rows[3] = nf;
-            rows[4] = 0;
-            rows[5] = pairs;
-            rows[6] = popped;
-            rows[7] = u;
-            n_rows = 1;
-            n_blocks = u;
-        }
-        int64_t *tl = cur_list; cur_list = next_list; next_list = tl;
-        uint8_t *tb = cur; cur = nxt; nxt = tb;
-    } else {
-        for (k = 0; k < K; k++) {
-            const uint8_t *row = frontier + k * n;
-            for (i = 0; i < n; i++) {
-                mark[i] |= row[i];
-                popped += row[i];
-            }
-        }
-        for (i = 0; i < n; i++) {
-            if (mark[i]) {
-                mark[i] = 0;
-                cur_list[nf++] = i;
-            }
-        }
+    if (first_step < n_steps) {
+        /* only a live frontier's rows carry over into the call */
+        const int64_t *st = steps + STEP_COLS * first_step;
+        const int64_t live = resume || st[0] == STEP_PROPAGATE
+                             ? st[2] - st[1] : 0;
+        if (live < max_k)
+            memset(frontier + live * n, 0, (size_t)((max_k - live) * n));
     }
 
-    while (nf > 0) {
-        const int64_t nf_popped = nf, cells_popped = popped;
-        int64_t fetched = 0, round_blocks = n_blocks, last_block = -1;
-        if (max_rounds >= 0 && rounds >= max_rounds)
-            break;
-        if (max_events >= 0 && events + popped > max_events)
-            break;
-        if (rows != NULL) {
-            for (i = 0; i < nf; i++)
-                fetched += indptr[cur_list[i] + 1] - indptr[cur_list[i]];
-            need = fetched < graph_blocks ? fetched : graph_blocks;
-            if (n_rows >= record->row_cap
-                || n_blocks + need > record->block_cap) {
-                full = 1;
-                break;
+    for (s = first_step; s < n_steps; s++) {
+        const int64_t *st = steps + STEP_COLS * s;
+        const int64_t kind = st[0];
+        const int64_t *rows = step_rows + st[1];
+        const int64_t *prows = parent_rows != NULL ? parent_rows + st[1]
+                                                   : NULL;
+        const int64_t *seeds = seed_edges != NULL ? seed_edges + st[3]
+                                                  : NULL;
+        const int64_t n_seed = st[4] - st[3];
+        const int64_t serial = record != NULL ? record->stamp_base + s : 0;
+        uint8_t *const emask = edge_masks != NULL ? edge_masks + s * M
+                                                  : NULL;
+        int64_t *const out = step_out + STEP_OUT * s;
+        int64_t pairs = 0, active_edges = 0, len = 0, touched = 0;
+
+        K = st[2] - st[1];
+        if (kind == STEP_COPY) {
+            memcpy(values + rows[1] * n, values + rows[0] * n,
+                   (size_t)n * sizeof(double));
+            memcpy(presence + rows[1] * M, presence + rows[0] * M,
+                   (size_t)M);
+            if (parent_edge != NULL)
+                memcpy(parent_edge + prows[1] * n, parent_edge + prows[0] * n,
+                       (size_t)n * sizeof(int64_t));
+            continue;
+        }
+        for (k = 0; k < K; k++) {
+            vrow[k] = values + rows[k] * n;
+            prow[k] = presence + rows[k] * M;
+        }
+        v0 = vrow[0];
+        p0 = prow[0];
+
+        if ((s == first_step && resume) || kind == STEP_PROPAGATE) {
+            /* cur is the caller's frontier; nxt is all-zero */
+            nf = popped = 0;
+            for (k = 0; k < K; k++) {
+                const uint8_t *row = frontier + k * n;
+                for (i = 0; i < n; i++) {
+                    mark[i] |= row[i];
+                    popped += row[i];
+                }
             }
-        }
-        rounds++;
-        events += popped;
-        pairs = active_edges = 0;
-        len = 0;
-        for (i = 0; i < nf; i++) {
-            const int64_t s = cur_list[i];
-            for (k = 0; k < K; k++)
-                snap[i * K + k] = values[k * n + s];
-        }
-        for (i = 0; i < nf; i++) {
-            const int64_t s = cur_list[i];
-            if (rows != NULL)
-                record_edges(indptr[s], indptr[s + 1], dst_all, epb,
-                             blocks, &n_blocks, &last_block,
-                             dst_mask, edge_mask);
-            for (j = indptr[s]; j < indptr[s + 1]; j++) {
-                const int64_t v = dst_all[j];
-                const double wt = wt_all[j];
+            for (i = 0; i < n; i++) {
+                if (mark[i]) {
+                    mark[i] = 0;
+                    cur_list[nf++] = i;
+                }
+            }
+        } else {
+            if (rows_out != NULL
+                && (n_rows >= record->row_cap
+                    || n_blocks + n_seed > record->block_cap)) {
+                full = 1;
+                need = n_seed;
+                stop = s;
+                goto done;
+            }
+            if (kind == STEP_APPLY)
+                for (k = 0; k < K; k++)
+                    for (j = 0; j < n_seed; j++)
+                        prow[k][seeds[j]] = 1;
+            memset(cur, 0, (size_t)(K * n));
+            for (j = 0; j < n_seed; j++) {
+                const int64_t src = src_of_edge[seeds[j]];
+                for (k = 0; k < K; k++)
+                    snap[j * K + k] = vrow[k][src];
+            }
+            for (j = 0; j < n_seed; j++) {
+                const int64_t e = seeds[j];
+                const int64_t v = dst_all[e];
+                const double wt = wt_all[e];
                 int edge_active = 0;
                 for (k = 0; k < K; k++) {
-                    if (!cur[k * n + s] || !presence[k * M + j])
+                    if (!prow[k][e])
                         continue;
                     pairs++;
                     edge_active = 1;
-                    relax(values, nxt, k * n + v, v,
-                          candidate_of(op, snap[i * K + k], wt), j,
-                          minimize, round_parent, mark, next_list, &len);
+                    relax(vrow[k] + v, nxt + k * n + v,
+                          round_parent != NULL ? round_parent + k * n + v
+                                               : NULL,
+                          v, candidate_of(op, snap[j * K + k], wt), e,
+                          minimize, mark, next_list, &len);
                 }
                 active_edges += edge_active;
             }
+            nf = settle_frontier(next_list, len, mark, nxt, K, n,
+                                 parent_edge, prows, round_parent, &popped);
+            seeded++;
+            if (rows_out != NULL) {
+                /* seed edges come in batch order: sort their block ids
+                 * unless already ascending, then keep one of each run */
+                int64_t *b = blocks + n_blocks, u = 0, sorted = 1;
+                int64_t *row = rows_out + DAIC_ROW * n_rows++;
+                for (j = 0; j < n_seed; j++) {
+                    b[j] = seeds[j] / epb;
+                    sorted &= j == 0 || b[j] >= b[j - 1];
+                    record_edge(seeds[j], dst_all, dst_stamp, serial,
+                                &touched, emask);
+                }
+                if (!sorted)
+                    qsort(b, (size_t)n_seed, sizeof(int64_t), cmp_i64);
+                for (j = 0; j < n_seed; j++)
+                    if (u == 0 || b[j] != b[u - 1])
+                        b[u++] = b[j];
+                row[0] = 0;
+                row[1] = active_edges;
+                row[2] = n_seed;
+                row[3] = nf;
+                row[4] = 0;
+                row[5] = pairs;
+                row[6] = popped;
+                row[7] = u;
+                n_blocks += u;
+                out[2]++;
+                out[3] += u;
+                out[4] += touched;
+                touched = 0;
+            }
+            int64_t *tl = cur_list; cur_list = next_list; next_list = tl;
+            uint8_t *tb = cur; cur = nxt; nxt = tb;
         }
-        for (i = 0; i < nf; i++)
-            for (k = 0; k < K; k++)
-                cur[k * n + cur_list[i]] = 0;
-        nf = settle_frontier(next_list, len, mark, nxt, K, n,
-                             parent_edge, parent_rows, round_parent,
-                             &popped);
-        if (rows != NULL) {
-            int64_t *row = rows + DAIC_ROW * n_rows++;
-            row[0] = nf_popped;
-            row[1] = active_edges;
-            row[2] = fetched;
-            row[3] = nf;
-            row[4] = cells_popped;
-            row[5] = pairs;
-            row[6] = popped;
-            row[7] = n_blocks - round_blocks;
+
+        while (nf > 0) {
+            const int64_t nf_popped = nf, cells_popped = popped;
+            int64_t fetched = 0, round_blocks = n_blocks, last_block = -1;
+            if ((max_rounds >= 0 && rounds >= max_rounds)
+                || (max_events >= 0 && events + popped > max_events)) {
+                mid = 1;
+                stop = s;
+                goto done;
+            }
+            if (rows_out != NULL) {
+                for (i = 0; i < nf; i++)
+                    fetched += indptr[cur_list[i] + 1] - indptr[cur_list[i]];
+                need = fetched < graph_blocks ? fetched : graph_blocks;
+                if (n_rows >= record->row_cap
+                    || n_blocks + need > record->block_cap) {
+                    full = mid = 1;
+                    stop = s;
+                    goto done;
+                }
+                need = 0;
+            }
+            rounds++;
+            events += popped;
+            out[0]++;
+            out[1] += popped;
+            pairs = active_edges = 0;
+            len = 0;
+            for (i = 0; i < nf; i++) {
+                const int64_t src = cur_list[i];
+                for (k = 0; k < K; k++)
+                    snap[i * K + k] = vrow[k][src];
+            }
+            for (i = 0; i < nf; i++) {
+                const int64_t src = cur_list[i];
+                if (rows_out != NULL)
+                    record_edges(indptr[src], indptr[src + 1], dst_all, epb,
+                                 blocks, &n_blocks, &last_block,
+                                 dst_stamp, serial, &touched, emask);
+                if (K == 1) {
+                    /* one version, whose frontier holds src: its rows
+                     * stay in registers across the byte stores */
+                    for (j = indptr[src]; j < indptr[src + 1]; j++) {
+                        const int64_t v = dst_all[j];
+                        if (!p0[j])
+                            continue;
+                        pairs++;
+                        relax(v0 + v, nxt + v,
+                              round_parent != NULL ? round_parent + v : NULL,
+                              v, candidate_of(op, snap[i], wt_all[j]), j,
+                              minimize, mark, next_list, &len);
+                    }
+                    active_edges = pairs;
+                    continue;
+                }
+                for (j = indptr[src]; j < indptr[src + 1]; j++) {
+                    const int64_t v = dst_all[j];
+                    const double wt = wt_all[j];
+                    int edge_active = 0;
+                    for (k = 0; k < K; k++) {
+                        if (!cur[k * n + src] || !prow[k][j])
+                            continue;
+                        pairs++;
+                        edge_active = 1;
+                        relax(vrow[k] + v, nxt + k * n + v,
+                              round_parent != NULL ? round_parent + k * n + v
+                                                   : NULL,
+                              v, candidate_of(op, snap[i * K + k], wt), j,
+                              minimize, mark, next_list, &len);
+                    }
+                    active_edges += edge_active;
+                }
+            }
+            for (i = 0; i < nf; i++)
+                for (k = 0; k < K; k++)
+                    cur[k * n + cur_list[i]] = 0;
+            nf = settle_frontier(next_list, len, mark, nxt, K, n,
+                                 parent_edge, prows, round_parent, &popped);
+            if (rows_out != NULL) {
+                int64_t *row = rows_out + DAIC_ROW * n_rows++;
+                row[0] = nf_popped;
+                row[1] = active_edges;
+                row[2] = fetched;
+                row[3] = nf;
+                row[4] = cells_popped;
+                row[5] = pairs;
+                row[6] = popped;
+                row[7] = n_blocks - round_blocks;
+                out[2]++;
+                out[3] += row[7];
+                out[4] += touched;
+                touched = 0;
+            }
+            int64_t *tl = cur_list; cur_list = next_list; next_list = tl;
+            uint8_t *tb = cur; cur = nxt; nxt = tb;
         }
-        int64_t *tl = cur_list; cur_list = next_list; next_list = tl;
-        uint8_t *tb = cur; cur = nxt; nxt = tb;
     }
 
-    if (cur != frontier) {
-        /* frontier is all-zero here: it was the last round's popped
-         * buffer, cleared cell by cell */
+done:
+    if (mid && cur != frontier) {
+        /* frontier is all-zero here: it was the last pass's popped
+         * buffer, cleared cell by cell (or the seed pass's, cleared) */
         for (i = 0; i < nf; i++)
             for (k = 0; k < K; k++)
                 frontier[k * n + cur_list[i]] = cur[k * n + cur_list[i]];
     }
-    counters[0] = rounds;
-    counters[1] = events;
-    counters[2] = nf > 0 ? popped : 0;
-    counters[3] = n_rows;
-    counters[4] = n_blocks;
-    counters[5] = full;
-    counters[6] = full ? need : 0;
+    counters[0] = stop;
+    counters[1] = mid;
+    counters[2] = rounds;
+    counters[3] = events;
+    counters[4] = mid ? popped : 0;
+    counters[5] = seeded;
+    counters[6] = n_rows;
+    counters[7] = n_blocks;
+    counters[8] = full;
+    counters[9] = full ? need : 0;
 }
 
 /* presence_gather: out[k][j] = bit k of the packed presence planes at

@@ -31,6 +31,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.perf.backend import (
+    STEP_APPLY,
+    STEP_COLS,
+    STEP_COPY,
+    STEP_PROPAGATE,
+    STEP_SEED,
+)
+
 __all__ = ["LoopCounts", "load_library", "build_error"]
 
 _SRC = pathlib.Path(__file__).with_name("_kernels.c")
@@ -50,6 +58,10 @@ _tls = threading.local()
 
 #: int64 fields per recorded pass (DAIC_ROW in _kernels.c)
 _ROW = 8
+#: mega_daic_round's counters block (layout in _kernels.c)
+_COUNTERS = 10
+#: int64 per-step outputs of the loop kernel (STEP_OUT in _kernels.c)
+STEP_OUT = 5
 
 
 class _Record(ctypes.Structure):
@@ -61,8 +73,9 @@ class _Record(ctypes.Structure):
         ("blocks", _P),
         ("block_cap", _I64),
         ("edges_per_block", _I64),
-        ("dst_mask", _P),
-        ("edge_mask", _P),
+        ("dst_stamp", _P),
+        ("stamp_base", _I64),
+        ("edge_masks", _P),
     ]
 
 #: initial record capacity of a call, in pass rows and in edge-block ids;
@@ -124,14 +137,15 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.mega_daic_round.restype = None
     lib.mega_daic_round.argtypes = [
         _P, _P, _P, _P,              # indptr, src_of_edge, dst_all, wt_all
-        _P, _I64,                    # seed_edges (nullable), n_seed
+        _P, _I64, _P,                # steps, n_steps, step_rows
+        _P, _I64, _INT,              # seed_edges (nullable), first, resume
         _P, _P, _P,                  # frontier, presence, values
-        _I64, _I64, _I64,            # K, n, M
+        _I64, _I64,                  # n, M
         _INT, _INT,                  # op, minimize
         _P, _P,                      # parent_edge, parent_rows (nullable)
         _P,                          # work (scratch block)
         _I64, _I64,                  # max_rounds, max_events
-        _P,                          # counters[7]
+        _P, _P,                      # step_out, counters
         _P,                          # record (nullable daic_record)
     ]
     lib.mega_presence_gather.restype = None
@@ -213,12 +227,22 @@ def group_argbest(
 class LoopCounts(NamedTuple):
     """What one :func:`daic_round` call did (see ``_kernels.c``)."""
 
-    #: propagation rounds run (the seed pass is not a round)
+    #: propagation rounds run (seed passes are not rounds)
     rounds: int
     #: events popped over those rounds — what the budget is charged
     events: int
-    #: events in the live frontier left behind (0 when converged)
+    #: events in the live frontier left behind (0 unless ``mid``)
     pending: int
+    #: the step the call stopped at (the table's length: every step ran)
+    stop: int
+    #: it stopped between two rounds of step ``stop``, whose live
+    #: frontier the ``frontier`` argument now holds
+    mid: bool
+    #: seed passes run
+    seeds: int
+    #: per step of the table, ``STEP_OUT`` int64: rounds, events popped,
+    #: trace rows, edge-block ids, vertices first stamped (record mode)
+    steps: np.ndarray
     #: record mode: one row per pass run, in the ``DAIC_ROW`` layout
     #: documented in ``_kernels.c`` (None otherwise)
     rows: np.ndarray | None = None
@@ -227,12 +251,12 @@ class LoopCounts(NamedTuple):
     blocks: np.ndarray | None = None
 
 
-def _work_bytes(k: int, n: int, n_seed: int, track: bool) -> int:
+def _work_bytes(k: int, n: int, span: int, track: bool) -> int:
     """Size of mega_daic_round's scratch block (layout in _kernels.c):
-    two n-vertex lists and K x max(n, n_seed) snapshot doubles, the
-    (K, n) round parents when tracking, then the (K, n) next frontier
-    and the n-byte vertex marks."""
-    words = 2 * n + k * max(n, n_seed) + (k * n if track else 0)
+    two n-vertex lists and K x max(n, seeds) snapshot doubles, the (K, n)
+    round parents when tracking, then the (K, n) next frontier and the
+    n-byte vertex marks."""
+    words = 2 * n + k * max(n, span) + (k * n if track else 0)
     return 8 * words + k * n + n
 
 
@@ -255,6 +279,33 @@ def _graph_ptr(arr: np.ndarray, dtype: np.dtype, name: str) -> int:
     return addr
 
 
+def _check_table(
+    steps: np.ndarray, step_rows: np.ndarray, n_rows: int, n_seed: int
+) -> tuple[int, int]:
+    """Refuse a step table the kernel would misread; returns the most
+    rows of any non-copy step and the longest seed list."""
+    if steps.ndim != 2 or steps.shape[1] != STEP_COLS or not len(steps):
+        raise ValueError(f"steps: expected a non-empty (S, {STEP_COLS}) table")
+    max_k = 1
+    span = 0
+    for i, (kind, lo, hi, seed_lo, seed_hi) in enumerate(steps.tolist()):
+        seeded = kind in (STEP_APPLY, STEP_SEED)
+        if not (
+            (seeded or kind == STEP_COPY or (kind == STEP_PROPAGATE and i == 0))
+            and 0 <= lo < hi <= step_rows.shape[0]
+            and (kind != STEP_COPY or hi - lo == 2)
+            and 0 <= seed_lo <= seed_hi <= n_seed
+            and (seeded or seed_lo == seed_hi)
+        ):
+            raise ValueError(f"steps: malformed step {i}")
+        if kind != STEP_COPY:
+            max_k = max(max_k, hi - lo)
+        span = max(span, seed_hi - seed_lo)
+    if not (0 <= step_rows.min() and step_rows.max() < n_rows):
+        raise ValueError("step_rows must index rows of values")
+    return max_k, span
+
+
 def daic_round(
     indptr: np.ndarray,
     src_of_edge: np.ndarray,
@@ -272,16 +323,29 @@ def daic_round(
     max_rounds: int = -1,
     max_events: int = -1,
     edges_per_block: int | None = None,
-    dst_mask: np.ndarray | None = None,
-    edge_mask: np.ndarray | None = None,
+    dst_stamp: np.ndarray | None = None,
+    stamp_base: int = 0,
+    edge_masks: np.ndarray | None = None,
+    steps: np.ndarray | None = None,
+    step_rows: np.ndarray | None = None,
+    first_step: int = 0,
+    resume: bool = False,
 ) -> LoopCounts:
-    """Run DAIC rounds in C until the frontier drains or a cap is hit.
+    """Run DAIC steps in C until the table is done or a cap is hit.
 
-    ``values`` ``(K, n)`` is updated in place and ``frontier`` ``(K, n)``
-    is left holding the live frontier.  ``seed_edges`` runs the batch
-    reader's seed pass first (the frontier's input content is then
-    ignored).  ``parent_edge``/``parent_rows`` (both or neither) track
-    each changed cell's winning edge into ``parent_edge[parent_rows[k]]``.
+    Without ``steps`` the call is one step over all of ``values``' rows:
+    a propagate from ``frontier`` ``(K, n)``, or with ``seed_edges`` the
+    batch reader's seed pass first (the frontier's input content is then
+    ignored).  With ``steps`` (``(S, STEP_COLS)`` int64, layout in
+    ``_kernels.c``) the call runs that table from ``first_step``:
+    ``step_rows`` names each step's rows of ``values`` ``(R, n)`` and
+    ``presence`` ``(R, M)``, both updated in place, and ``seed_edges``
+    holds every step's seeds concatenated; ``frontier`` is the
+    ``(max K, n)`` frontier buffer, all-zero between steps.  ``resume``
+    continues ``first_step`` from the live frontier a stop left.
+
+    ``parent_edge``/``parent_rows`` (both or neither; ``parent_rows``
+    aligned with the step rows) track each changed cell's winning edge.
     ``max_rounds``/``max_events`` (negative: unbounded) cap the rounds
     run and the events they pop; ``scratch(name, dtype, shape)`` supplies
     the reusable work and record blocks.  Bit-identical to the engine's
@@ -289,31 +353,47 @@ def daic_round(
 
     ``edges_per_block`` turns on record mode: every pass's trace row and
     edge-block ids come back in :attr:`LoopCounts.rows`/``blocks``
-    (copies, not scratch), and the byte masks ``dst_mask`` ``(n,)`` and
-    ``edge_mask`` ``(M,)``, when given, are set at every gathered edge's
-    destination and at the edge.  A kernel call that runs out of record
-    space stops between rounds; this wrapper doubles the buffers and
-    calls again, so one ``daic_round`` covers the whole loop.
+    (copies, not scratch); ``dst_stamp`` ``(n,)`` int64, when given, is
+    set to ``stamp_base + s`` at every destination step ``s`` gathers,
+    and row ``s`` of ``edge_masks`` ``(S, M)`` at every gathered edge.  A
+    kernel call that runs out of record space stops before a pass; this
+    wrapper doubles the buffers and calls again, so one ``daic_round``
+    covers every step a cap lets run.
     """
     lib = load_library()
-    k, n = values.shape
+    n = indptr.shape[0] - 1
     m = dst_all.shape[0]
-    _shape(frontier, (k, n), "frontier")
-    _shape(presence, (k, m), "presence")
-    _shape(indptr, (n + 1,), "indptr")
-    n_seed = 0
+    n_seed = 0 if seed_edges is None else seed_edges.shape[0]
+    if steps is None:
+        # one step over every row of values: valid by construction
+        max_k, span = values.shape[0], n_seed
+        steps = np.array(
+            [[STEP_PROPAGATE if seed_edges is None else STEP_SEED, 0, max_k,
+              0, n_seed]],
+            dtype=np.int64,
+        )
+        step_rows = np.arange(max_k, dtype=np.int64)
+    else:
+        _ptr(steps, _I64_T, "steps")
+        _ptr(step_rows, _I64_T, "step_rows")
+        max_k, span = _check_table(steps, step_rows, values.shape[0], n_seed)
+    n_steps = len(steps)
+    _shape(values, (values.shape[0], n), "values")
+    _shape(presence, (values.shape[0], m), "presence")
+    if frontier.ndim != 2 or frontier.shape[0] < max_k:
+        raise ValueError(f"frontier: expected ({max_k}, {n}) or more rows")
+    _shape(frontier, (frontier.shape[0], n), "frontier")
     seed_ptr = None
     if seed_edges is not None:
-        n_seed = seed_edges.shape[0]
         seed_ptr = _ptr(seed_edges, _I64_T, "seed_edges")
         if n_seed and not (0 <= seed_edges.min() and seed_edges.max() < m):
             raise ValueError("seed_edges must index union edges")
     pe_ptr = rows_ptr = None
     if parent_edge is not None:
-        _shape(parent_rows, (k,), "parent_rows")
-        if parent_edge.shape[1:] != (n,) or not (
+        _shape(parent_rows, step_rows.shape, "parent_rows")
+        if parent_edge.shape[1:] != (n,) or (len(parent_rows) and not (
             0 <= parent_rows.min() and parent_rows.max() < len(parent_edge)
-        ):
+        )):
             raise ValueError("parent_edge must hold every parent_rows row")
         pe_ptr = _ptr(parent_edge, _I64_T, "parent_edge")
         rows_ptr = _ptr(parent_rows, _I64_T, "parent_rows")
@@ -321,26 +401,28 @@ def daic_round(
     if edges_per_block is not None:
         if edges_per_block < 1:
             raise ValueError("edges_per_block must be positive")
-        record = _Record(edges_per_block=edges_per_block)
-        if dst_mask is not None:
-            _shape(dst_mask, (n,), "dst_mask")
-            record.dst_mask = _ptr(dst_mask, None, "dst_mask")
-        if edge_mask is not None:
-            _shape(edge_mask, (m,), "edge_mask")
-            record.edge_mask = _ptr(edge_mask, None, "edge_mask")
+        record = _Record(edges_per_block=edges_per_block,
+                         stamp_base=stamp_base)
+        if dst_stamp is not None:
+            _shape(dst_stamp, (n,), "dst_stamp")
+            record.dst_stamp = _ptr(dst_stamp, _I64_T, "dst_stamp")
+        if edge_masks is not None:
+            _shape(edge_masks, (n_steps, m), "edge_masks")
+            record.edge_masks = _ptr(edge_masks, None, "edge_masks")
         rec_ptr = ctypes.addressof(record)
-        row_cap, block_cap = _RECORD_ROWS, max(_RECORD_BLOCKS, n_seed)
+        row_cap, block_cap = _RECORD_ROWS, max(_RECORD_BLOCKS, span)
         rows_out: list[np.ndarray] = []
         blocks_out: list[np.ndarray] = []
     work = scratch(
         "daic_work", np.uint8,
-        (_work_bytes(k, n, n_seed, parent_edge is not None),),
+        (_work_bytes(max_k, n, span, parent_edge is not None),),
     )
+    step_out = np.zeros((n_steps, STEP_OUT), dtype=np.int64)
     counters = getattr(_tls, "counters", None)
     if counters is None:
-        counters = _tls.counters = np.zeros(7, dtype=np.int64)
+        counters = _tls.counters = np.zeros(_COUNTERS, dtype=np.int64)
         _tls.counters_ptr = counters.ctypes.data
-    rounds = events = 0
+    rounds = events = seeds = 0
     while True:
         if record is not None:
             rec_rows = scratch("daic_rows", np.int64, (row_cap, _ROW))
@@ -352,35 +434,38 @@ def daic_round(
             _graph_ptr(src_of_edge, _I64_T, "src_of_edge"),
             _graph_ptr(dst_all, _I64_T, "dst_all"),
             _graph_ptr(wt_all, _F64_T, "wt_all"),
-            seed_ptr, n_seed,
+            steps.ctypes.data, n_steps, step_rows.ctypes.data,
+            seed_ptr, first_step, int(resume),
             _ptr(frontier, None, "frontier"),
             _ptr(presence, None, "presence"),
             _ptr(values, _F64_T, "values"),
-            k, n, m,
-            op, minimize,
+            n, m, op, minimize,
             pe_ptr, rows_ptr,
             work.ctypes.data,
             max_rounds - rounds if max_rounds >= 0 else -1,
             max_events - events if max_events >= 0 else -1,
+            step_out.ctypes.data,
             _tls.counters_ptr,
             rec_ptr,
         )
-        ran, popped, pending, n_rows, n_blocks, full, need = (
-            counters.tolist()
-        )
-        if record is None:
-            return LoopCounts(ran, popped, pending)
+        stop, mid, ran, popped, pending, seeded, n_rows, n_blocks, full, \
+            need = counters.tolist()
         rounds += ran
         events += popped
+        seeds += seeded
+        if record is None:
+            break
         rows_out.append(rec_rows[:n_rows].copy())
         blocks_out.append(rec_blocks[:n_blocks].copy())
         if not full:
             break
-        # the seed pass (if any) ran; resume the loop from the frontier
         row_cap, block_cap = 2 * row_cap, max(2 * block_cap, need)
-        seed_ptr, n_seed = None, 0
+        first_step, resume = stop, bool(mid)
+    if record is None:
+        return LoopCounts(rounds, events, pending, stop, bool(mid), seeds,
+                          step_out)
     return LoopCounts(
-        rounds, events, pending,
+        rounds, events, pending, stop, bool(mid), seeds, step_out,
         rows_out[0] if len(rows_out) == 1 else np.concatenate(rows_out),
         blocks_out[0] if len(blocks_out) == 1 else np.concatenate(blocks_out),
     )

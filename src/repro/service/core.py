@@ -1122,8 +1122,12 @@ class QueryService:
             live.log.truncate(epoch)
             # the re-ingested epochs will differ from the dropped ones: a
             # new chain id keeps every live-scenario cache (which never
-            # regresses to an older epoch) from serving the old history
+            # regresses to an older epoch) from serving the old history,
+            # and retiring the graph's shm generation keeps plans from
+            # attaching it once the log grows back to its epoch
             self.service_id = next(_SERVICE_IDS)
+            if self.plane is not None:
+                self.plane.retire_graph(graph)
             if self.wal is not None:
                 # compact under the lock so the snapshot provably covers
                 # the truncated log and no append interleaves

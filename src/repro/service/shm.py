@@ -348,6 +348,23 @@ class ScenarioPlane:
             segment = self._current.get((graph, scale, int(n_snapshots)))
             return None if segment is None else segment.manifest.epoch
 
+    def retire_graph(self, graph: str) -> None:
+        """Retire every current segment of ``graph``.
+
+        For a graph whose history was rewritten (a rewind): its segments
+        hold a scenario the log no longer describes, and a plan that
+        reaches their epoch again must publish the new one rather than
+        attach them.  In-flight plans drain as after a republish.
+        """
+        with self._lock:
+            keys = [key for key in self._current if key[0] == graph]
+            for key in keys:
+                segment = self._current.pop(key)
+                segment.retired = True
+                self.retired += 1
+                if segment.refs <= 0:
+                    self._drop_locked(segment)
+
     def release(self, manifest: ScenarioManifest) -> None:
         """Drop one reference; unlink retired segments at zero."""
         with self._lock:

@@ -165,7 +165,8 @@ def test_presence_gather_matches_unpackbits(compiled):
 def test_daic_round_rejects_bad_arrays(compiled):
     """Raw pointers cross into C, so the wrapper refuses any array the
     kernel would misread: wrong dtype, non-contiguous, wrong shape, out
-    of range ids."""
+    of range ids, and a step table whose rows or seeds fall outside its
+    arrays."""
     be = resolve_backend(compiled)
     g = _scenario().unified.graph
     n, m = g.n_vertices, g.n_edges
@@ -183,6 +184,13 @@ def test_daic_round_rejects_bad_arrays(compiled):
         {"seed_edges": np.array([0.0, 1.0])},
         {"parent_edge": np.full((1, n), -1, dtype=np.int64),
          "parent_rows": np.array([0, 1], dtype=np.int64)},
+        # a copy names two rows; a propagate can only open a table
+        _table([[0, 0, 3, 0, 0]], [0, 1, 0]),
+        _table([[1, 0, 1, 0, 0], [3, 1, 2, 0, 0]], [0, 1]),
+        # a row past values, a seed range past the seeds
+        _table([[1, 0, 1, 0, 0]], [2]),
+        {**_table([[1, 0, 1, 0, 2]], [0]),
+         "seed_edges": np.array([0], dtype=np.int64)},
     ]
     for override in bad:
         args = {**good, **override}
@@ -192,6 +200,13 @@ def test_daic_round_rejects_bad_arrays(compiled):
                 args.pop("frontier"), args.pop("presence"),
                 args.pop("values"), 0, True, scratch._scratch.get, **args,
             )
+
+
+def _table(steps, step_rows):
+    return {
+        "steps": np.array(steps, dtype=np.int64),
+        "step_rows": np.array(step_rows, dtype=np.int64),
+    }
 
 
 # -- full engine differential: every engine operation, all five algorithms
@@ -438,15 +453,49 @@ def test_budget_breach_identical_across_tiers(compiled, budget, monkeypatch):
     the breach are identical too; a wall-clock deadline that is never
     reached changes nothing, though it splits each compiled loop into
     chunks (shortened here so every execution spans several calls)."""
-    import repro.engines.daic as daic
     from repro.core.multi_query import multi_query_boe_plan
+
+    _assert_breach_parity(
+        compiled, budget,
+        lambda unified: multi_query_boe_plan(unified, [0, 5, 11]),
+        monkeypatch,
+    )
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"max_rounds": 0},
+        {"max_rounds": 5},
+        {"max_rounds": 23},
+        {"max_events": 40},
+        {"max_events": 300},
+        {"max_rounds": 23, "max_events": 300},
+        {"max_rounds": 40, "wall_clock_s": 60.0},
+        {"max_events": 300, "wall_clock_s": 60.0},
+    ],
+    ids=lambda b: ",".join(f"{k}={v}" for k, v in b.items()),
+)
+def test_budget_breach_identical_across_tiers_direct_hop(
+    compiled, budget, monkeypatch
+):
+    """The same parity on a Direct-Hop plan, whose segments are hop
+    chains: breaches and wall-clock chunks land mid-chain, between and
+    inside the chain's steps."""
+    _assert_breach_parity(
+        compiled, budget, WORKFLOWS["direct-hop"], monkeypatch
+    )
+
+
+def _assert_breach_parity(compiled, budget, make_plan, monkeypatch):
+    import repro.engines.daic as daic
     from repro.engines import PlanExecutor
     from repro.engines.trace import TraceCollector
     from repro.resilience.budget import Budget, BudgetExceeded
 
     scenario = _scenario()
     unified = scenario.unified
-    plan = multi_query_boe_plan(unified, [0, 5, 11])
+    plan = make_plan(unified)
     collectors = _capture_collectors(monkeypatch)
     monkeypatch.setattr(daic, "_WALL_CLOCK_CHUNK", 3)
 
@@ -556,13 +605,28 @@ def test_traces_identical_across_backends(compiled, monkeypatch):
             assert any(len(e[2]) > 1 for e in ref[0]), "no multi-target"
 
 
-def test_recorded_run_is_one_loop_call_per_execution(compiled, monkeypatch):
-    """A recorded plan makes one daic_round call per evaluate_full,
-    apply_additions and repair propagate — not one per round."""
+def _segments(plan) -> int:
+    """Maximal runs of copy and apply steps in a plan."""
+    from repro.schedule.plan import ApplyEdges, CopyState
+
+    runs, inside = 0, False
+    for step in plan.steps:
+        moving = isinstance(step, (CopyState, ApplyEdges))
+        runs += moving and not inside
+        inside = moving
+    return runs
+
+
+def test_recorded_run_is_one_loop_call_per_segment(compiled, monkeypatch):
+    """A recorded plan makes one daic_round call per EvalFull, per repair
+    propagate and per segment (a maximal run of copy and apply steps) —
+    not one per round or per ApplyEdges.  Direct-Hop's segments are its
+    hop chains, one per snapshot; BOE's whole schedule is one."""
     import dataclasses
 
     import repro.engines.daic as daic
     from repro.engines import PlanExecutor
+    from repro.schedule.plan import ApplyEdges, EvalFull
 
     active = resolve_backend(compiled)
     calls = []
@@ -574,41 +638,56 @@ def test_recorded_run_is_one_loop_call_per_execution(compiled, monkeypatch):
     wrapped = dataclasses.replace(active, daic_round=counted)
     monkeypatch.setattr(daic, "get_backend", lambda: wrapped)
     scenario = _scenario()
-    for workflow in ("streaming", "boe"):
+    made = {}
+    for workflow in ("streaming", "direct-hop", "work-sharing", "boe"):
+        plan = WORKFLOWS[workflow](scenario.unified)
         calls.clear()
         result = PlanExecutor(
             scenario, get_algorithm("sssp"), record_traces=True
-        ).run(WORKFLOWS[workflow](scenario.unified))
+        ).run(plan)
         executions = result.collector.executions
         # a deletion propagates (once) only when its repair pulled
-        propagating = [
-            e for e in executions
-            if e.phase != "del" or any(r.phase == "del-pull" for r in e.rounds)
-        ]
-        assert len(calls) == len(propagating), workflow
-        assert sum(e.n_rounds for e in executions) > len(calls), workflow
+        repairs = sum(
+            e.phase == "del" and any(r.phase == "del-pull" for r in e.rounds)
+            for e in executions
+        )
+        evals = sum(isinstance(s, EvalFull) for s in plan.steps)
+        assert len(calls) == evals + repairs + _segments(plan), workflow
         assert set(calls) == {8}, "every call recorded"
+        applies = sum(isinstance(s, ApplyEdges) for s in plan.steps)
+        assert len(executions) == evals + applies + len(
+            result.deletion_stats
+        ), workflow
+        made[workflow] = len(calls)
+    assert made["direct-hop"] == 1 + scenario.n_snapshots
+    assert made["boe"] == 2
 
 
 def test_record_buffers_grow_and_resume(compiled, monkeypatch):
     """Record buffers far too small for one execution: the wrapper grows
-    them and resumes the kernel, and the traces do not change."""
+    them and resumes the kernel, and the traces do not change.  A
+    Direct-Hop segment outgrows them part-way through its hop chain, so
+    the kernel resumes both mid-step (before a round) and between steps
+    (before a seed pass)."""
     from repro.engines import PlanExecutor
     from repro.perf.backend import cext
 
     scenario = _scenario()
-    plan = WORKFLOWS["streaming"](scenario.unified)
+    plans = [WORKFLOWS[w](scenario.unified) for w in ("streaming", "direct-hop")]
 
     def run():
-        result = PlanExecutor(
-            scenario, get_algorithm("bfs"), record_touched_edges=True
-        ).run(plan)
-        return _trace_of(result.collector)
+        return [
+            _trace_of(PlanExecutor(
+                scenario, get_algorithm("bfs"), record_touched_edges=True
+            ).run(plan).collector)
+            for plan in plans
+        ]
 
     resolve_backend(compiled)
     roomy = run()
     lib = cext.load_library()
     kernel_calls = []
+    resumed = set()
 
     class Counting:
         def __getattr__(self, name):
@@ -617,6 +696,11 @@ def test_record_buffers_grow_and_resume(compiled, monkeypatch):
         def mega_daic_round(self, *args):
             record = cext._Record.from_address(args[-1])
             kernel_calls.append(record.row_cap)
+            # first_step and resume of a call that continues a table
+            first, resume = args[8], args[9]
+            if record.row_cap > 1 and args[5] > 1:
+                resumed.add("mid-step" if resume else
+                            "between steps" if first else "start")
             return lib.mega_daic_round(*args)
 
     monkeypatch.setattr(cext, "load_library", Counting)
@@ -624,6 +708,7 @@ def test_record_buffers_grow_and_resume(compiled, monkeypatch):
     monkeypatch.setattr(cext, "_RECORD_BLOCKS", 1)
     assert run() == roomy
     assert max(kernel_calls) >= 4, "no call resumed twice"
+    assert {"mid-step", "between steps"} <= resumed
     reset_backend()
     resolve_backend("numpy")
     assert run() == roomy

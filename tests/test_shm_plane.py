@@ -277,3 +277,37 @@ def test_no_segments_leak_after_service_stop():
         assert resp is not None and resp.status == "ok"
     leftovers = [n for n in os.listdir(SHM_DIR) if n.startswith(mine)]
     assert leftovers == []
+
+
+def test_rewind_retires_the_graph_generation():
+    """A rewind rewrites history: once the log grows back to the epoch
+    of a generation published before it, plans must see the new history
+    (as a fresh service replaying the new log computes it from scratch),
+    not attach the pre-rewind scenario."""
+    from repro.service import QueryRequest, QueryService, ServiceConfig
+
+    def checksums(service):
+        resp = service.submit(QueryRequest("PK", "sssp", 1)).wait(timeout=120)
+        assert resp is not None and resp.status == "ok"
+        return [(s.snapshot, s.reached, s.checksum) for s in resp.summaries]
+
+    config = ServiceConfig(
+        scale="tiny", n_snapshots=4, workers=1, coalesce_ms=2.0,
+    )
+    with QueryService(config) as service:
+        service.ingest("PK", seed=1)
+        service.ingest("PK", seed=2)
+        before = checksums(service)  # publishes the epoch-2 generation
+        published = service.health()["shm"]["published"]
+        assert service.rewind_graph("PK", 0) == 0
+        service.ingest("PK", seed=11)
+        assert service.ingest("PK", seed=12) == 2
+        after = checksums(service)
+        republished = service.health()["shm"]["published"] > published
+        history = service.graph_deltas("PK")
+    with QueryService(config) as scratch:
+        for delta in history:
+            scratch.ingest("PK", delta=delta)
+        assert checksums(scratch) == after
+    assert after != before
+    assert republished
