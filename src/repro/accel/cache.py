@@ -25,9 +25,10 @@ class EdgeCacheModel:
         self.capacity_blocks = int(capacity_blocks)
         self.n_blocks = int(n_blocks)
         # value of the distinct-access counter at each block's last access;
-        # -inf (well, a very negative number) = never accessed.
-        self._stamp = np.full(n_blocks, -(2**62), dtype=np.int64)
-        self._distinct_accesses = 0
+        # -inf (well, a very negative number) = never accessed.  The
+        # replay kernel reads and writes the stamps and the counter.
+        self.stamp = np.full(n_blocks, -(2**62), dtype=np.int64)
+        self.distinct_accesses = 0
         self.hits = 0
         self.misses = 0
 
@@ -42,20 +43,20 @@ class EdgeCacheModel:
         if blocks.size == 0:
             return np.zeros(0, dtype=bool)
         blocks = np.asarray(blocks, dtype=np.int64)
-        age = self._distinct_accesses - self._stamp[blocks]
+        age = self.distinct_accesses - self.stamp[blocks]
         hit_mask = age <= self.capacity_blocks
         hits = int(hit_mask.sum())
         # stamp all accessed blocks at the current position; advance the
         # distinct counter by the number of blocks touched this round.
-        self._stamp[blocks] = self._distinct_accesses + blocks.size
-        self._distinct_accesses += blocks.size
+        self.stamp[blocks] = self.distinct_accesses + blocks.size
+        self.distinct_accesses += blocks.size
         self.hits += hits
         self.misses += int(blocks.size - hits)
         return hit_mask
 
     def flush(self) -> None:
         """Invalidate everything (partition switch / new graph)."""
-        self._stamp.fill(-(2**62))
+        self.stamp.fill(-(2**62))
 
     @property
     def hit_rate(self) -> float:

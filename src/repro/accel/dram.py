@@ -41,8 +41,9 @@ class RowBufferDram:
         self.n_banks = n_banks
         self.t_burst = t_burst
         self.t_row_miss = t_row_miss
-        #: open row per bank (-1 = none)
-        self._open_rows = np.full(n_banks, -1, dtype=np.int64)
+        #: open row per bank (-1 = none); the replay kernel reads and
+        #: writes it in place
+        self.open_rows = np.full(n_banks, -1, dtype=np.int64)
         self.row_hits = 0
         self.row_misses = 0
 
@@ -61,12 +62,12 @@ class RowBufferDram:
 
         cycles = 0.0
         for row, bank in zip(rows, banks):
-            if self._open_rows[bank] == row:
+            if self.open_rows[bank] == row:
                 self.row_hits += 1
                 cycles += self.t_burst
             else:
                 self.row_misses += 1
-                self._open_rows[bank] = row
+                self.open_rows[bank] = row
                 cycles += self.t_row_miss + self.t_burst
         # the channels run in parallel; normalize by channel count
         return cycles / max(1, self.config.dram_channels)

@@ -16,6 +16,9 @@ datapath ("we remove the expensive event deletion logic", §4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.accel.cache import EdgeCacheModel
 from repro.accel.config import AcceleratorConfig
@@ -24,9 +27,26 @@ from repro.accel.memory import MemorySystem, PartitionPlan
 from repro.accel.noc import CrossbarNoC
 from repro.accel.prefetch import PrefetchModel
 from repro.accel.stats import SimCounters
-from repro.engines.trace import RoundTrace
+from repro.engines.trace import ROW_FIELDS, RoundTrace
 
-__all__ = ["RoundGroupCost", "TimingModel"]
+__all__ = [
+    "ROUND_KINDS",
+    "ROUND_PLAIN",
+    "ROUND_REPAIR",
+    "ROUND_TAG",
+    "RoundGroupCost",
+    "TimingModel",
+]
+
+#: how the timing model treats a round phase: repair rounds read and
+#: rebuild the dependence metadata, and tag rounds also pay the deletion
+#: factor; every other phase is plain (KIND_* in _kernels.c)
+ROUND_PLAIN, ROUND_REPAIR, ROUND_TAG = 0, 1, 2
+ROUND_KINDS = {
+    "del-tag": ROUND_TAG,
+    "del-pull": ROUND_REPAIR,
+    "del-recompute": ROUND_REPAIR,
+}
 
 
 @dataclass
@@ -69,8 +89,32 @@ class TimingModel:
 
         Resources are shared: event/edge work sums across the streams, and
         the group pays a single drain overhead — this is exactly why
-        concurrent snapshots and batch pipelining help.
+        concurrent snapshots and batch pipelining help.  The one-group
+        formula that :meth:`group_cost` applies to trace rows.
         """
+        return self.group_cost(
+            [
+                (
+                    r.phase,
+                    [getattr(r, name) for name in ROW_FIELDS[:-1]]
+                    + [r.edge_blocks.size],
+                    r.edge_blocks,
+                )
+                for r, __ in rounds
+            ],
+            counters,
+        )
+
+    def group_cost(
+        self,
+        group: list[tuple[str, Sequence[int], np.ndarray]],
+        counters: SimCounters,
+    ) -> RoundGroupCost:
+        """:meth:`round_group_cost` over ``(round phase, trace row, edge
+        blocks)`` triples, the row in the :data:`ROW_FIELDS` layout (a
+        round reads its popped plus generated events' vertices).  The
+        Python reference of the compiled replay kernel, which repeats it
+        operation for operation."""
         cfg = self.config
         pe_events = 0.0
         gen_events = 0.0
@@ -79,21 +123,21 @@ class TimingModel:
         dram_bytes = 0.0
         raw_events = 0.0  # un-factored, for prefetch lookahead
 
-        for r, part in rounds:
-            factor = (
-                cfg.deletion_event_factor if r.phase == "del-tag" else 1.0
-            )
+        for phase, row, blocks in group:
+            (events_popped, events_generated, fetched, writes,
+             version_popped, version_generated) = row[:6]
+            kind = ROUND_KINDS.get(phase, ROUND_PLAIN)
+            factor = cfg.deletion_event_factor if kind == ROUND_TAG else 1.0
             if cfg.row_wide_versions:
-                popped, generated = r.events_popped, r.events_generated
+                popped, generated = events_popped, events_generated
             else:
-                popped = r.version_events_popped
-                generated = r.version_events_generated
+                popped, generated = version_popped, version_generated
             pe_events += popped * factor
             gen_events += generated * factor
             queue_ops += popped + generated
             messages += generated
             raw_events += popped
-            hit_mask = self.cache.access_blocks(r.edge_blocks)
+            hit_mask = self.cache.access_blocks(blocks)
             hits = int(hit_mask.sum())
             misses = int(hit_mask.size - hits)
             counters.edge_block_hits += hits
@@ -103,31 +147,31 @@ class TimingModel:
                 # row-buffer-aware service time for the missed blocks; the
                 # bandwidth term below still covers non-block traffic
                 detailed_cycles = self.dram_model.access_round(
-                    r.edge_blocks[~hit_mask]
+                    blocks[~hit_mask]
                 )
                 dram_bytes += max(
                     0.0,
                     detailed_cycles * cfg.dram_bytes_per_cycle
                     - misses * cfg.block_bytes,
                 )
-            if not cfg.row_wide_versions and r.events_generated:
+            if not cfg.row_wide_versions and events_generated:
                 # without the unified value array, versions are not
                 # co-scheduled per vertex and each re-fetches its edges:
                 # scale miss traffic by the average version multiplicity
-                dup = r.version_events_generated / r.events_generated
+                dup = version_generated / events_generated
                 dram_bytes += misses * cfg.block_bytes * max(0.0, dup - 1.0)
-            if r.phase in ("del-tag", "del-pull", "del-recompute"):
+            if kind != ROUND_PLAIN:
                 # KickStarter-style repair consults and rebuilds the
                 # per-vertex dependence (approximation) metadata for every
                 # event of the repair — off-chip state at real graph sizes.
-                meta = r.events_generated * cfg.dependence_bytes
+                meta = events_generated * cfg.dependence_bytes
                 dram_bytes += meta
 
-            counters.events_popped += r.events_popped
-            counters.events_generated += r.events_generated
-            counters.edges_fetched += r.edges_fetched
-            counters.vertex_reads += r.vertex_reads
-            counters.vertex_writes += r.vertex_writes
+            counters.events_popped += events_popped
+            counters.events_generated += events_generated
+            counters.edges_fetched += fetched
+            counters.vertex_reads += events_popped + events_generated
+            counters.vertex_writes += writes
             counters.rounds += 1
 
         counters.dram_bytes += dram_bytes
@@ -147,10 +191,45 @@ class TimingModel:
             overhead=cfg.round_overhead_cycles,
         )
 
+    def kernel_config(self) -> tuple[np.ndarray, np.ndarray]:
+        """The model's scalars as the replay kernel reads them: int64 and
+        float64 arrays in the ``RI_*``/``RD_*`` layouts of ``_kernels.c``."""
+        cfg = self.config
+        dram = self.dram_model
+        ints = [
+            cfg.n_pes,
+            cfg.generation_throughput_per_cycle,
+            cfg.n_queue_bins * cfg.queue_ports_per_bin,
+            self.noc.ports,
+            cfg.block_bytes,
+            cfg.dram_latency_cycles,
+            cfg.round_overhead_cycles,
+            cfg.dependence_bytes,
+            cfg.event_bytes,
+            self.prefetch.saturation_events,
+            cfg.row_wide_versions,
+            self.cache.capacity_blocks,
+            dram is not None,
+            1 if dram is None else dram.blocks_per_row,
+            1 if dram is None else dram.n_banks,
+            max(1, cfg.dram_channels),
+        ]
+        doubles = [
+            cfg.deletion_event_factor,
+            cfg.dram_bytes_per_cycle,
+            self.memory.config.dram_bytes_per_cycle,
+            self.prefetch.max_coverage,
+            0.0 if dram is None else dram.t_burst,
+            0.0 if dram is None else dram.t_row_miss,
+        ]
+        return (
+            np.array(ints, dtype=np.int64),
+            np.array(doubles, dtype=np.float64),
+        )
+
     def execution_spill_cycles(
         self,
         touched_dst_count: int,
-        n_versions: int,
         part: PartitionPlan,
         counters: SimCounters,
     ) -> float:

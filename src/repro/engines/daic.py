@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import Algorithm
-from repro.engines.trace import RoundTrace, TraceCollector, edge_blocks
+from repro.engines.trace import TraceCollector, edge_blocks
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.graph.csr import gather_out_edges
 from repro.obs.profile import active_profiler
@@ -530,13 +530,11 @@ class MultiVersionEngine:
         edge_masks: np.ndarray | None,
         touched: list[int],
     ) -> None:
-        """One RoundTrace per pass a kernel call recorded, each into its
-        step's execution; ``edge_blocks`` are views into the call's
-        copied block list.  A segment's apply steps open their execution
-        at their first pass and close it at their last."""
+        """Append each step's slice of a kernel call's trace rows and
+        edge-block ids to its execution, one chunk per step.  A segment's
+        apply steps open their execution at their first pass and close it
+        at their last."""
         collector = self.collector
-        rows = counts.rows.tolist()
-        blocks = counts.blocks
         r = b = 0
         for s in range(first, min(counts.stop, len(per_step) - 1) + 1):
             if table is not None:
@@ -552,24 +550,14 @@ class MultiVersionEngine:
                             None if edge_masks is None else edge_masks[s]
                         ),
                     )
-            for (popped, generated, fetched, writes, version_popped,
-                 version_generated, version_writes, n_blocks) in rows[
-                     r:r + per_step[s][2]]:
-                collector.round(RoundTrace(
-                    phase=phase,
-                    events_popped=popped,
-                    events_generated=generated,
-                    edges_fetched=fetched,
-                    edge_blocks=blocks[b:b + n_blocks],
-                    vertex_reads=popped + generated,
-                    vertex_writes=writes,
-                    n_versions=n_versions,
-                    version_events_popped=version_popped,
-                    version_events_generated=version_generated,
-                    version_vertex_writes=version_writes,
-                ))
-                b += n_blocks
-            r += per_step[s][2]
+            n_rows, n_blocks = per_step[s][2:4]
+            if n_rows:
+                collector.record(
+                    phase, n_versions, counts.rows[r:r + n_rows],
+                    counts.blocks[b:b + n_blocks],
+                )
+            r += n_rows
+            b += n_blocks
             if table is not None:
                 touched[s] += per_step[s][4]
                 if s < counts.stop or not counts.mid:
@@ -829,22 +817,25 @@ class MultiVersionEngine:
         version_events_generated: int,
         version_vertex_writes: int,
         dst: np.ndarray | None = None,
+        blocks: np.ndarray | None = None,
     ) -> None:
         """The numpy tier's trace of one pass — the reference the
-        compiled kernel's record mode must reproduce."""
+        compiled kernel's record mode must reproduce — as one trace row.
+        ``blocks`` overrides the edge-block ids of ``edge_idx``."""
         if self.collector is None or not self.collector.active:
             return
-        trace = RoundTrace(
-            phase=phase,
-            events_popped=events_popped,
-            events_generated=events_generated,
-            edges_fetched=int(edge_idx.size),
-            edge_blocks=edge_blocks(edge_idx, self.edges_per_block),
-            vertex_reads=events_popped + events_generated,
-            vertex_writes=vertex_writes,
-            n_versions=n_versions,
-            version_events_popped=version_events_popped,
-            version_events_generated=version_events_generated,
-            version_vertex_writes=version_vertex_writes,
+        if blocks is None:
+            blocks = edge_blocks(edge_idx, self.edges_per_block)
+        row = np.array(
+            [[
+                events_popped, events_generated, edge_idx.size,
+                vertex_writes, version_events_popped,
+                version_events_generated, version_vertex_writes,
+                blocks.size,
+            ]],
+            dtype=np.int64,
         )
-        self.collector.round(trace, edge_idx, dst)
+        self.collector.record(
+            phase, n_versions, row, blocks.astype(np.int64, copy=False),
+            edge_idx, dst,
+        )

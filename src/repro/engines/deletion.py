@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engines.daic import MultiVersionEngine
-from repro.engines.trace import RoundTrace, edge_blocks
+from repro.engines.trace import edge_blocks
 from repro.graph.csr import gather_out_edges
 
 __all__ = ["DeletionRepair", "DeletionStats", "reconstruct_parents"]
@@ -268,25 +268,11 @@ class DeletionRepair:
 
     def _record(self, phase, events_popped, events_generated, edge_idx,
                 vertex_writes, dst, block_ids=None) -> None:
-        collector = self.engine.collector
-        if collector is None or not collector.active:
-            return
-        blocks = (
-            block_ids
-            if block_ids is not None
-            else edge_blocks(edge_idx, self.engine.edges_per_block)
-        )
-        collector.round(
-            RoundTrace(
-                phase=phase,
-                events_popped=events_popped,
-                events_generated=events_generated,
-                edges_fetched=int(edge_idx.size),
-                edge_blocks=blocks,
-                vertex_reads=events_popped + events_generated,
-                vertex_writes=vertex_writes,
-                n_versions=1,
-            ),
-            edge_idx,
-            dst,
+        """One single-version repair pass; repair keeps no per-version
+        counts, so its version columns stay zero."""
+        self.engine._record_round(
+            phase, events_popped, events_generated, edge_idx, vertex_writes,
+            n_versions=1, version_events_popped=0,
+            version_events_generated=0, version_vertex_writes=0, dst=dst,
+            blocks=block_ids,
         )

@@ -1,10 +1,11 @@
 """Execution traces emitted by the propagation engines.
 
 The accelerator simulators are *trace-driven*: the functional engines run
-the actual graph computation and emit one :class:`RoundTrace` per
-asynchronous round (a round = one wave of coalesced events, the unit the
-paper plots in Fig. 10).  The timing models then replay the traces against
-the modelled hardware (PEs, queues, NoC, caches, DRAM).
+the actual graph computation and record one trace row per asynchronous
+round (a round = one wave of coalesced events, the unit the paper plots
+in Fig. 10), held as int64 columns per execution.  The timing models then
+replay the traces against the modelled hardware (PEs, queues, NoC,
+caches, DRAM); :class:`RoundTrace` is the one-round view of a row.
 """
 
 from __future__ import annotations
@@ -13,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["RoundTrace", "ExecutionTrace", "TraceCollector", "edge_blocks"]
+__all__ = [
+    "ROW_FIELDS",
+    "TRACE_ROW",
+    "RoundTrace",
+    "ExecutionTrace",
+    "TraceCollector",
+    "edge_blocks",
+]
 
 
 def edge_blocks(edge_idx: np.ndarray, edges_per_block: int) -> np.ndarray:
@@ -71,48 +79,131 @@ class RoundTrace:
     version_vertex_writes: int = 0
 
 
-@dataclass
+#: the int64 columns of a recorded round, in the compiled loop kernel's
+#: trace-row layout (DAIC_ROW in ``_kernels.c``); a round's vertex reads
+#: are its popped plus generated events, so they take no column
+ROW_FIELDS = (
+    "events_popped",
+    "events_generated",
+    "edges_fetched",
+    "vertex_writes",
+    "version_events_popped",
+    "version_events_generated",
+    "version_vertex_writes",
+    "n_blocks",
+)
+TRACE_ROW = len(ROW_FIELDS)
+
+
+@dataclass(eq=False)
 class ExecutionTrace:
     """All rounds of one logical execution (one batch application or one
-    full evaluation), plus which versions it targeted."""
+    full evaluation), plus which versions it targeted.
+
+    The rounds are held as columns, in chunks as they were recorded: a
+    chunk is an ``(r, TRACE_ROW)`` int64 row block in the
+    :data:`ROW_FIELDS` layout (a compiled call's rows for one step, or one
+    numpy-tier pass), its rounds' edge-block ids concatenated, its round
+    phase and its version count.  The timing replay reads the chunks;
+    :attr:`rounds` builds :class:`RoundTrace` views only when read.
+    """
 
     tag: str
     phase: str
     targets: tuple[int, ...]
-    rounds: list[RoundTrace] = field(default_factory=list)
     #: bool mask over union edges fetched at least once (reuse metrics)
     touched_edges: np.ndarray | None = None
     #: unique destination vertices touched across the whole execution —
     #: the coalesced event-queue cells, which bound partition spill traffic
     touched_dst_count: int = 0
+    #: rounds recorded, over all chunks
+    n_rounds: int = field(default=0, init=False)
+    row_chunks: list[np.ndarray] = field(
+        default_factory=list, init=False, repr=False
+    )
+    block_chunks: list[np.ndarray] = field(
+        default_factory=list, init=False, repr=False
+    )
+    chunk_phases: list[str] = field(
+        default_factory=list, init=False, repr=False
+    )
+    chunk_versions: list[int] = field(
+        default_factory=list, init=False, repr=False
+    )
+    _views: tuple[RoundTrace, ...] | None = field(
+        default=None, init=False, repr=False
+    )
+
+    def append(
+        self, phase: str, n_versions: int, rows: np.ndarray, blocks: np.ndarray
+    ) -> None:
+        """Append a chunk of rounds (layout in the class docstring)."""
+        self.row_chunks.append(rows)
+        self.block_chunks.append(blocks)
+        self.chunk_phases.append(phase)
+        self.chunk_versions.append(n_versions)
+        self.n_rounds += len(rows)
+        self._views = None
+
+    @property
+    def rounds(self) -> tuple[RoundTrace, ...]:
+        """One read-only :class:`RoundTrace` per round, built on first
+        read; ``edge_blocks`` are views into the chunks' block ids."""
+        if self._views is None:
+            views = []
+            for rows, blocks, phase, k in zip(
+                self.row_chunks, self.block_chunks, self.chunk_phases,
+                self.chunk_versions,
+            ):
+                b = 0
+                for (popped, generated, fetched, writes, version_popped,
+                     version_generated, version_writes,
+                     n_blocks) in rows.tolist():
+                    views.append(RoundTrace(
+                        phase=phase,
+                        events_popped=popped,
+                        events_generated=generated,
+                        edges_fetched=fetched,
+                        edge_blocks=blocks[b:b + n_blocks],
+                        vertex_reads=popped + generated,
+                        vertex_writes=writes,
+                        n_versions=k,
+                        version_events_popped=version_popped,
+                        version_events_generated=version_generated,
+                        version_vertex_writes=version_writes,
+                    ))
+                    b += n_blocks
+            self._views = tuple(views)
+        return self._views
+
+    def _column_sum(self, col: int) -> int:
+        return sum(int(rows[:, col].sum()) for rows in self.row_chunks)
 
     @property
     def events_popped(self) -> int:
-        return sum(r.events_popped for r in self.rounds)
+        return self._column_sum(0)
 
     @property
     def events_generated(self) -> int:
-        return sum(r.events_generated for r in self.rounds)
+        return self._column_sum(1)
 
     @property
     def edges_fetched(self) -> int:
-        return sum(r.edges_fetched for r in self.rounds)
+        return self._column_sum(2)
 
     @property
     def vertex_reads(self) -> int:
-        return sum(r.vertex_reads for r in self.rounds)
+        return self.events_popped + self.events_generated
 
     @property
     def vertex_writes(self) -> int:
-        return sum(r.vertex_writes for r in self.rounds)
-
-    @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
+        return self._column_sum(3)
 
     def events_per_round(self) -> list[int]:
         """The Fig. 10 series: coalesced events processed per round."""
-        return [r.events_popped for r in self.rounds]
+        return [
+            popped for rows in self.row_chunks for popped in rows[:, 0].tolist()
+        ]
 
 
 class TraceCollector:
@@ -168,21 +259,25 @@ class TraceCollector:
             raise RuntimeError("nested executions are not supported")
         if touched_edges is None and self.record_touched_edges:
             touched_edges = np.zeros(self.n_union_edges, dtype=bool)
-        self._current = ExecutionTrace(tag, phase, targets, [], touched_edges)
+        self._current = ExecutionTrace(tag, phase, targets, touched_edges)
         self.stamp = self.reserve_stamps(1) if stamp is None else stamp
         return self._current
 
-    def round(
+    def record(
         self,
-        trace: RoundTrace,
+        phase: str,
+        n_versions: int,
+        rows: np.ndarray,
+        blocks: np.ndarray,
         edge_idx: np.ndarray | None = None,
         dst: np.ndarray | None = None,
     ) -> None:
-        """Append one round; ``edge_idx`` and ``dst`` (the round's gathered
-        edges and the vertices they reach) mark the execution's masks."""
+        """Append a chunk of rounds to the current execution (layout in
+        :class:`ExecutionTrace`); ``edge_idx`` and ``dst`` (the chunk's
+        gathered edges and the vertices they reach) mark its masks."""
         if self._current is None:
             raise RuntimeError("round recorded outside an execution")
-        self._current.rounds.append(trace)
+        self._current.append(phase, n_versions, rows, blocks)
         if self._current.touched_edges is not None and edge_idx is not None:
             self._current.touched_edges[edge_idx] = True
         if self.dst_stamp is not None and dst is not None:

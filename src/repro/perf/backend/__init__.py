@@ -1,11 +1,12 @@
 """Kernel backend registry: compiled hot kernels behind the numpy API.
 
-The serving engine's cycles go to three kernels — ``group_argbest``, the
-DAIC propagation loop, and the bit-plane presence gather.  Each has a
-compiled single-pass implementation (a tiny C library compiled on first
-use and loaded via ctypes) and a pure-numpy reference that is kept
-forever as the parity baseline, following the ``_presence_of_dense``
-precedent.
+The engine's cycles go to three kernels — ``group_argbest``, the DAIC
+propagation loop, and the bit-plane presence gather — and a simulation's
+timing replay to a fourth, ``replay``.  Each has a compiled single-pass
+implementation (a tiny C library compiled on first use and loaded via
+ctypes) and a pure Python/numpy reference that is kept forever as the
+parity baseline, following the ``_presence_of_dense`` precedent (the
+replay's is ``WaveScheduler.replay_reference``).
 
 Selection follows ``MEGA_KERNEL_BACKEND`` (resolved once per process):
 
@@ -15,9 +16,10 @@ Selection follows ``MEGA_KERNEL_BACKEND`` (resolved once per process):
 
 Callers never import a tier directly: :func:`get_backend` returns a
 :class:`KernelBackend` whose optional members (``daic_round``,
-``presence_gather``) are ``None`` on the numpy tier, which tells the
-engine and :class:`~repro.evolving.unified_csr.UnifiedCSR` to keep their
-vectorized numpy paths.  ``group_argbest`` is always present.
+``presence_gather``, ``replay``) are ``None`` on the numpy tier, which
+tells the engine, :class:`~repro.evolving.unified_csr.UnifiedCSR` and
+:class:`~repro.accel.scheduler.WaveScheduler` to keep their reference
+paths.  ``group_argbest`` is always present.
 
 The service's pool workers resolve the backend during warm-up (the ping
 control op carries the configured name) and report the resolved tier
@@ -68,6 +70,7 @@ class KernelBackend:
     group_argbest: Callable
     daic_round: Callable | None = None
     presence_gather: Callable | None = None
+    replay: Callable | None = None
 
     @property
     def compiled(self) -> bool:
@@ -108,6 +111,7 @@ def _cext_backend() -> KernelBackend | None:
         group_argbest=_guarded_argbest(cext.group_argbest),
         daic_round=cext.daic_round,
         presence_gather=cext.presence_gather,
+        replay=cext.replay,
     )
 
 

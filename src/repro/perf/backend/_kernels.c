@@ -1,8 +1,8 @@
 /* Compiled hot kernels behind the numpy API (ctypes tier).
  *
- * Three kernels, each the single-pass fusion of a numpy sweep sequence
- * whose answers it must reproduce bit-for-bit (the numpy implementations
- * stay in-tree as the parity reference, like _presence_of_dense):
+ * Four kernels, each the single-pass fusion of a Python or numpy sweep
+ * sequence whose answers it must reproduce bit-for-bit (the reference
+ * implementations stay in-tree, like _presence_of_dense):
  *
  *   group_argbest   — per-group best candidate with lowest-input-index
  *                     tie-breaks (replaces a lexsort + three temporaries);
@@ -15,11 +15,17 @@
  *                     until the table ends or a round cap is hit,
  *                     optionally writing each pass's trace as it goes;
  *   presence_gather — bit-plane presence test, unpack-and-test per edge
- *                     with no intermediate unpacked plane.
+ *                     with no intermediate unpacked plane;
+ *   replay          — a simulation's whole timing replay: the wave
+ *                     scheduler, partition sweeps and spills, batch
+ *                     pipelining, every round group's PE/queue/NoC/DRAM
+ *                     cost, the approximate-LRU edge cache and the
+ *                     row-buffer DRAM model, over flat trace arrays.
  *
- * Compiled once per machine into a content-addressed shared library by
- * repro.perf.backend.cext (cc -O2 -shared -fPIC); no Python.h — every
- * argument is a raw pointer into a numpy array, marshalled via ctypes.
+ * Compiled once per machine into a shared library addressed by the
+ * source and the compiler flags by repro.perf.backend.cext (cc -O2
+ * -ffp-contract=off -shared -fPIC); no Python.h — every argument is a raw
+ * pointer into a numpy array, marshalled via ctypes.
  *
  * Candidate arithmetic must match numpy's vectorized double ops exactly,
  * so each edge function is the same IEEE-754 double expression numpy
@@ -646,4 +652,394 @@ void mega_presence_gather(
                 out[(p * 8 + b) * n_edges + j] = (byte >> b) & 1;
         }
     }
+}
+
+/* replay: a workflow's whole timing replay — WaveScheduler.run over flat
+ * arrays (accel.scheduler.FlatWaves), repeating its Python reference
+ * (WaveScheduler.replay_reference and TimingModel.group_cost) operation
+ * for operation in IEEE-754 doubles, so the cycles and every counter are
+ * bit-identical (the build sets -ffp-contract=off: no fused
+ * multiply-adds).
+ *
+ * Waves own consecutive executions (wave_execs, n_waves + 1 offsets) and
+ * executions consecutive rounds (exec_rounds, E + 1 offsets).  Per wave:
+ * partitions and cross-partition fraction; per execution: touched
+ * destinations and phase id; per round: its DAIC_ROW trace row and
+ * phase id, its row[7] edge-block ids following the previous round's in
+ * `blocks`.  phase_kind maps a phase id to its KIND_*; phase id 0 is the
+ * partition sweep's.  ints/doubles hold the timing model's scalars in
+ * the RI_* / RD_* layouts (TimingModel.kernel_config).
+ *
+ * A wave activates when no stream is live, or (pipeline) early once
+ * every live stream's next round pops plus generates fewer events than
+ * threshold: a multi-partition wave flushes the edge cache and pays its
+ * sweep, each execution its spill, and each execution with rounds
+ * becomes a live stream.  Then each round group advances every live
+ * stream one round and costs the group as the maximum of the PE, queue,
+ * NoC and DRAM terms plus the drain overhead.  Between activations and
+ * groups the order is the reference's exactly.
+ *
+ * The edge cache is the approximate LRU of accel.cache.EdgeCacheModel:
+ * `stamp` (n_stamp int64, every block id below n_stamp) and state[0],
+ * its distinct-access counter, are read and written in place.  With
+ * RI_DETAILED the missed blocks of each round go through the row-buffer
+ * model of accel.dram.RowBufferDram: `open_rows` (RI_N_BANKS int64) in
+ * place, state[1..2] its row hits and misses.
+ *
+ * work: 4 x E + (the most blocks of any round) int64 scratch.  The
+ * inputs are checked first (replay_check): a malformed one returns its
+ * REPLAY_BAD_* code, with nothing read out of bounds or written; 0 is
+ * success.
+ *
+ * Outputs: counts (REPLAY_COUNTS int64): events popped, events
+ * generated, edges fetched, edge-block hits, misses, vertex reads,
+ * vertex writes, rounds, round groups, waves injected early; sums
+ * (REPLAY_SUMS doubles): cycles, DRAM bytes, spill bytes, partition
+ * switch bytes; phase_cycles (n_phases doubles) and phase_seq (n_phases
+ * int64: the order each phase was first charged, -1 never — the
+ * reference's dict insertion order); wave_marks (n_waves doubles: the
+ * cycles at each wave's activation). */
+#define KIND_PLAIN 0
+#define KIND_REPAIR 1
+#define KIND_TAG 2
+#define REPLAY_COUNTS 10
+#define REPLAY_SUMS 4
+enum {
+    RI_N_PES, RI_GEN_THROUGHPUT, RI_QUEUE_PORTS, RI_NOC_PORTS,
+    RI_BLOCK_BYTES, RI_DRAM_LATENCY, RI_OVERHEAD, RI_DEPENDENCE_BYTES,
+    RI_EVENT_BYTES, RI_SATURATION, RI_ROW_WIDE, RI_CAPACITY, RI_DETAILED,
+    RI_BLOCKS_PER_ROW, RI_N_BANKS, RI_CHANNELS, RI_COUNT
+};
+enum {
+    RD_DELETION_FACTOR, RD_TIMING_BYTES_PER_CYCLE,
+    RD_MEMORY_BYTES_PER_CYCLE, RD_MAX_COVERAGE, RD_T_BURST, RD_T_ROW_MISS,
+    RD_COUNT
+};
+
+/* EdgeCacheModel.flush */
+#define NEVER_STAMP (-((int64_t)1 << 62))
+
+static inline void charge_phase(
+    double *phase_cycles, int64_t *phase_seq, int64_t *seq, int64_t p,
+    double cycles)
+{
+    if (phase_seq[p] < 0)
+        phase_seq[p] = (*seq)++;
+    phase_cycles[p] = phase_cycles[p] + cycles;
+}
+
+/* RowBufferDram.access_round over one round's missed blocks (sorted in
+ * place: the controller services a round in block order). */
+static double row_buffer_cycles(
+    int64_t *missed, int64_t n_missed, const int64_t *ints,
+    const double *doubles, int64_t *open_rows, int64_t *state)
+{
+    int64_t j;
+    double cycles = 0.0;
+    for (j = 1; j < n_missed; j++)
+        if (missed[j] < missed[j - 1]) {
+            qsort(missed, (size_t)n_missed, sizeof(int64_t), cmp_i64);
+            break;
+        }
+    for (j = 0; j < n_missed; j++) {
+        const int64_t row = missed[j] / ints[RI_BLOCKS_PER_ROW];
+        const int64_t bank = row % ints[RI_N_BANKS];
+        if (open_rows[bank] == row) {
+            state[1]++;
+            cycles += doubles[RD_T_BURST];
+        } else {
+            state[2]++;
+            open_rows[bank] = row;
+            cycles += doubles[RD_T_ROW_MISS] + doubles[RD_T_BURST];
+        }
+    }
+    return cycles / (double)ints[RI_CHANNELS];
+}
+
+/* The replay's input checks, run before anything is read through an
+ * offset or id: offsets rise from 0 and end at the array lengths the
+ * caller checked (n_execs, n_rounds), phase ids and kinds lie in range,
+ * block counts are non-negative and sum to n_blocks, every block id
+ * indexes the stamps, and every divisor or bank count is positive.
+ * Returns 0 or the REPLAY_BAD_* code of the first failure. */
+#define REPLAY_BAD_OFFSETS 1
+#define REPLAY_BAD_PHASE 2
+#define REPLAY_BAD_BLOCK_COUNT 3
+#define REPLAY_BAD_BLOCK 4
+#define REPLAY_BAD_CONFIG 5
+static int replay_check(
+    int64_t n_waves, const int64_t *wave_execs, int64_t n_execs,
+    const int64_t *exec_rounds, int64_t n_rounds, const int64_t *exec_phase,
+    const int64_t *rows, const int64_t *round_phase, const int64_t *blocks,
+    int64_t n_blocks, const int64_t *phase_kind, int64_t n_phases,
+    const int64_t *ints, int64_t n_stamp)
+{
+    static const int divisors[] = {
+        RI_N_PES, RI_GEN_THROUGHPUT, RI_QUEUE_PORTS, RI_NOC_PORTS,
+        RI_SATURATION, RI_BLOCKS_PER_ROW, RI_N_BANKS, RI_CHANNELS,
+    };
+    int64_t i, total = 0;
+    for (i = 0; i < (int64_t)(sizeof divisors / sizeof divisors[0]); i++)
+        if (ints[divisors[i]] < 1)
+            return REPLAY_BAD_CONFIG;
+    if (wave_execs[0] != 0 || wave_execs[n_waves] != n_execs
+        || exec_rounds[0] != 0 || exec_rounds[n_execs] != n_rounds)
+        return REPLAY_BAD_OFFSETS;
+    for (i = 0; i < n_waves; i++)
+        if (wave_execs[i + 1] < wave_execs[i])
+            return REPLAY_BAD_OFFSETS;
+    for (i = 0; i < n_execs; i++)
+        if (exec_rounds[i + 1] < exec_rounds[i])
+            return REPLAY_BAD_OFFSETS;
+    for (i = 0; i < n_phases; i++)
+        if (phase_kind[i] < KIND_PLAIN || phase_kind[i] > KIND_TAG)
+            return REPLAY_BAD_PHASE;
+    for (i = 0; i < n_execs; i++)
+        if (exec_phase[i] < 0 || exec_phase[i] >= n_phases)
+            return REPLAY_BAD_PHASE;
+    for (i = 0; i < n_rounds; i++) {
+        const int64_t nb = rows[i * DAIC_ROW + 7];
+        if (round_phase[i] < 0 || round_phase[i] >= n_phases)
+            return REPLAY_BAD_PHASE;
+        if (nb < 0 || nb > n_blocks - total)
+            return REPLAY_BAD_BLOCK_COUNT;
+        total += nb;
+    }
+    if (total != n_blocks)
+        return REPLAY_BAD_BLOCK_COUNT;
+    {
+        /* one unsigned compare per id catches negatives too; no early
+         * exit, so the compiler can vectorize the scan */
+        uint64_t out_of_range = 0;
+        for (i = 0; i < n_blocks; i++)
+            out_of_range |= (uint64_t)blocks[i] >= (uint64_t)n_stamp;
+        if (out_of_range)
+            return REPLAY_BAD_BLOCK;
+    }
+    return 0;
+}
+
+int mega_replay(
+    int64_t n_waves, const int64_t *wave_parts, const double *wave_cross,
+    const int64_t *wave_execs, int64_t n_execs, const int64_t *exec_rounds,
+    const int64_t *exec_touched, const int64_t *exec_phase,
+    int64_t n_rounds, const int64_t *rows, const int64_t *round_phase,
+    const int64_t *blocks, int64_t n_blocks,
+    const int64_t *phase_kind, int64_t n_phases,
+    const int64_t *ints, const double *doubles,
+    int64_t *stamp, int64_t n_stamp, int64_t *open_rows, int64_t *state,
+    int pipeline, int64_t threshold, int64_t *work,
+    int64_t *counts, double *sums, double *phase_cycles, int64_t *phase_seq,
+    double *wave_marks)
+{
+    const int bad = replay_check(
+        n_waves, wave_execs, n_execs, exec_rounds, n_rounds, exec_phase,
+        rows, round_phase, blocks, n_blocks, phase_kind, n_phases, ints,
+        n_stamp);
+    const int row_wide = ints[RI_ROW_WIDE] != 0;
+    const int detailed = ints[RI_DETAILED] != 0;
+    const int64_t block_bytes = ints[RI_BLOCK_BYTES];
+    const int64_t capacity = ints[RI_CAPACITY];
+    const double factor_tag = doubles[RD_DELETION_FACTOR];
+    /* per live stream, by position: its execution; per execution: the
+     * next round, its end, and the next round's first block */
+    int64_t *live = work;
+    int64_t *next = work + n_execs;
+    int64_t *end = work + 2 * n_execs;
+    int64_t *block_at = work + 3 * n_execs;
+    int64_t *missed = work + 4 * n_execs;
+    int64_t e, r, i, j, w = 0, n_live = 0, seq = 0;
+    int64_t distinct = state[0];
+    /* the distinct-access count at the last flush (INT64_MIN: none).
+     * Rather than rewrite every stamp at each partition sweep, a stamp
+     * at or below it reads as flushed — stamps written since the flush
+     * all exceed it — and the flush is applied to the array once, at
+     * the end. */
+    int64_t flushed_at = INT64_MIN;
+    double cycles = 0.0, dram_total = 0.0, spill_total = 0.0,
+           switch_total = 0.0;
+
+    if (bad)
+        return bad;
+    memset(counts, 0, REPLAY_COUNTS * sizeof(int64_t));
+    for (i = 0; i < n_phases; i++) {
+        phase_cycles[i] = 0.0;
+        phase_seq[i] = -1;
+    }
+    /* each execution's first block: the block counts of every round
+     * before its first */
+    for (e = 0, j = 0; e < n_execs; e++) {
+        block_at[e] = j;
+        for (r = exec_rounds[e]; r < exec_rounds[e + 1]; r++)
+            j += rows[r * DAIC_ROW + 7];
+    }
+
+    while (w < n_waves || n_live) {
+        int early = 0;
+        if (n_live && pipeline && w < n_waves) {
+            early = 1;
+            for (i = 0; i < n_live && early; i++) {
+                const int64_t *head = rows + next[live[i]] * DAIC_ROW;
+                early = head[0] + head[1] < threshold;
+            }
+        }
+        if (!n_live || early) {
+            const int64_t parts = wave_parts[w];
+            wave_marks[w] = cycles;
+            if (parts > 1) {
+                /* TimingModel.partition_sweep_cycles */
+                const double sweep = (double)(
+                    parts * (ints[RI_DRAM_LATENCY] + ints[RI_OVERHEAD]));
+                flushed_at = distinct;
+                switch_total += (double)(parts * block_bytes);
+                cycles += sweep;
+                if (sweep != 0.0)
+                    charge_phase(phase_cycles, phase_seq, &seq, 0, sweep);
+            }
+            for (e = wave_execs[w]; e < wave_execs[w + 1]; e++) {
+                if (parts > 1 && exec_touched[e] != 0) {
+                    /* TimingModel.execution_spill_cycles */
+                    const double spill = (double)exec_touched[e]
+                        * wave_cross[w]
+                        * (2.0 * (double)ints[RI_EVENT_BYTES]);
+                    const double spill_cycles =
+                        spill / doubles[RD_MEMORY_BYTES_PER_CYCLE];
+                    spill_total += spill;
+                    dram_total += spill;
+                    cycles += spill_cycles;
+                    if (spill_cycles != 0.0)
+                        charge_phase(phase_cycles, phase_seq, &seq, 0,
+                                     spill_cycles);
+                }
+                if (exec_rounds[e] < exec_rounds[e + 1]) {
+                    next[e] = exec_rounds[e];
+                    end[e] = exec_rounds[e + 1];
+                    live[n_live++] = e;
+                }
+            }
+            w++;
+            if (!early)
+                continue;
+            counts[9]++;
+        }
+
+        /* one round group: TimingModel.group_cost */
+        {
+            double pe_events = 0.0, gen_events = 0.0, queue_ops = 0.0,
+                   messages = 0.0, dram_bytes = 0.0, raw_events = 0.0;
+            double pe, queue, noc, dram, total, share;
+            int64_t kept = 0, msgs;
+            for (i = 0; i < n_live; i++) {
+                const int64_t *row;
+                const int64_t *bl;
+                int64_t kind, popped, generated, nb, hits = 0, misses,
+                        n_missed = 0, miss_bytes;
+                double factor;
+                e = live[i];
+                r = next[e]++;
+                row = rows + r * DAIC_ROW;
+                kind = phase_kind[round_phase[r]];
+                factor = kind == KIND_TAG ? factor_tag : 1.0;
+                popped = row_wide ? row[0] : row[4];
+                generated = row_wide ? row[1] : row[5];
+                pe_events += (double)popped * factor;
+                gen_events += (double)generated * factor;
+                queue_ops += (double)(popped + generated);
+                messages += (double)generated;
+                raw_events += (double)popped;
+
+                /* EdgeCacheModel.access_blocks: every age against the
+                 * stamps before the round, then every stamp */
+                nb = row[7];
+                bl = blocks + block_at[e];
+                block_at[e] += nb;
+                for (j = 0; j < nb; j++) {
+                    const int64_t last = stamp[bl[j]] > flushed_at
+                        ? stamp[bl[j]] : NEVER_STAMP;
+                    /* branch-free: hits and misses interleave at random */
+                    const int64_t hit = distinct - last <= capacity;
+                    hits += hit;
+                    missed[n_missed] = bl[j];
+                    n_missed += !hit;
+                }
+                for (j = 0; j < nb; j++)
+                    stamp[bl[j]] = distinct + nb;
+                distinct += nb;
+                misses = nb - hits;
+                counts[3] += hits;
+                counts[4] += misses;
+                miss_bytes = misses * block_bytes;
+                dram_bytes += (double)miss_bytes;
+                if (detailed && misses) {
+                    const double detailed_cycles = row_buffer_cycles(
+                        missed, n_missed, ints, doubles, open_rows, state);
+                    const double extra =
+                        detailed_cycles * doubles[RD_TIMING_BYTES_PER_CYCLE]
+                        - (double)miss_bytes;
+                    dram_bytes += extra > 0.0 ? extra : 0.0;
+                }
+                if (!row_wide && row[1]) {
+                    const double dup = (double)row[5] / (double)row[1] - 1.0;
+                    dram_bytes += (double)miss_bytes * (dup > 0.0 ? dup : 0.0);
+                }
+                if (kind != KIND_PLAIN)
+                    dram_bytes += (double)(row[1] * ints[RI_DEPENDENCE_BYTES]);
+
+                counts[0] += row[0];
+                counts[1] += row[1];
+                counts[2] += row[2];
+                counts[5] += row[0] + row[1];
+                counts[6] += row[3];
+                counts[7]++;
+            }
+            dram_total += dram_bytes;
+            pe = pe_events / (double)ints[RI_N_PES]
+                + gen_events / (double)ints[RI_GEN_THROUGHPUT];
+            queue = queue_ops / (double)ints[RI_QUEUE_PORTS];
+            msgs = (int64_t)messages;
+            noc = msgs <= 0 ? 0.0 : (double)msgs / (double)ints[RI_NOC_PORTS];
+            dram = dram_bytes / doubles[RD_MEMORY_BYTES_PER_CYCLE];
+            if (dram_bytes > 0) {
+                /* PrefetchModel.latency_cycles */
+                const int64_t events = (int64_t)raw_events;
+                double coverage = 0.0;
+                if (events > 0) {
+                    const double fill =
+                        (double)events / (double)ints[RI_SATURATION];
+                    coverage = doubles[RD_MAX_COVERAGE]
+                        * (fill < 1.0 ? fill : 1.0);
+                }
+                dram += (double)ints[RI_DRAM_LATENCY] * (1.0 - coverage);
+            }
+            total = pe;
+            if (queue > total)
+                total = queue;
+            if (noc > total)
+                total = noc;
+            if (dram > total)
+                total = dram;
+            total = total + (double)ints[RI_OVERHEAD];
+            cycles += total;
+            counts[8]++;
+            share = total / (double)n_live;
+            for (i = 0; i < n_live; i++) {
+                e = live[i];
+                charge_phase(phase_cycles, phase_seq, &seq, exec_phase[e],
+                             share);
+                if (next[e] < end[e])
+                    live[kept++] = e;
+            }
+            n_live = kept;
+        }
+    }
+    if (flushed_at > INT64_MIN)
+        for (j = 0; j < n_stamp; j++)
+            if (stamp[j] <= flushed_at)
+                stamp[j] = NEVER_STAMP;
+    state[0] = distinct;
+    sums[0] = cycles;
+    sums[1] = dram_total;
+    sums[2] = spill_total;
+    sums[3] = switch_total;
+    return 0;
 }

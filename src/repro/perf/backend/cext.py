@@ -1,8 +1,9 @@
 """ctypes C tier of the kernel backend: compile once, dlopen forever.
 
 ``_kernels.c`` is plain C99 with no Python.h dependency, so the build is
-one ``cc -O2 -shared -fPIC`` invocation and the artifact is cached under
-``~/.cache/mega-repro/`` keyed by the source's SHA-256 — concurrent
+one ``cc -O2 -ffp-contract=off -shared -fPIC`` invocation and the
+artifact is cached under ``~/.cache/mega-repro/`` keyed by the SHA-256 of
+the source and the compiler flags — concurrent
 processes (the service's pool workers all resolve the backend on warm-up)
 compile into unique temp names and ``os.replace`` atomically, so the
 worst case is a redundant compile, never a torn library.
@@ -39,9 +40,13 @@ from repro.perf.backend import (
     STEP_SEED,
 )
 
-__all__ = ["LoopCounts", "load_library", "build_error"]
+__all__ = ["LoopCounts", "ReplayOut", "load_library", "build_error"]
 
 _SRC = pathlib.Path(__file__).with_name("_kernels.c")
+#: every build's compiler flags.  The replay's double arithmetic must not
+#: be contracted into fused multiply-adds (gcc's default on aarch64), or
+#: its cycles could differ from the Python reference.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 _lib: ctypes.CDLL | None = None
 _build_error: str | None = None
@@ -103,6 +108,14 @@ def _compiler() -> str | None:
     return None
 
 
+def library_name(source: bytes, flags: tuple[str, ...]) -> str:
+    """The cached library's file name: a digest of the source and of the
+    compiler flags, so a changed flag never reuses a stale build."""
+    digest = hashlib.sha256(source)
+    digest.update("\0".join(flags).encode())
+    return f"mega_kernels_{digest.hexdigest()[:16]}.so"
+
+
 def _compile(src: pathlib.Path, out: pathlib.Path) -> None:
     cc = _compiler()
     if cc is None:
@@ -114,7 +127,7 @@ def _compile(src: pathlib.Path, out: pathlib.Path) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", tmp, str(src)],
+            [cc, *_CFLAGS, "-o", tmp, str(src)],
             capture_output=True,
             text=True,
             timeout=120,
@@ -148,6 +161,18 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         _P, _P,                      # step_out, counters
         _P,                          # record (nullable daic_record)
     ]
+    lib.mega_replay.restype = _INT
+    lib.mega_replay.argtypes = [
+        _I64, _P, _P, _P,            # n_waves, wave_parts, cross, execs
+        _I64, _P, _P, _P,            # n_execs, rounds, touched, phase
+        _I64, _P, _P,                # n_rounds, rows, round_phase
+        _P, _I64,                    # blocks, n_blocks
+        _P, _I64,                    # phase_kind, n_phases
+        _P, _P,                      # ints, doubles
+        _P, _I64, _P, _P,            # stamp, n_stamp, open_rows, state
+        _INT, _I64, _P,              # pipeline, threshold, work
+        _P, _P, _P, _P, _P,          # counts, sums, phase cycles/seq, marks
+    ]
     lib.mega_presence_gather.restype = None
     lib.mega_presence_gather.argtypes = [_P, _I64, _P, _I64, _I64, _P]
     return lib
@@ -165,9 +190,7 @@ def load_library() -> ctypes.CDLL | None:
     if _build_error is not None:
         return None
     try:
-        source = _SRC.read_bytes()
-        digest = hashlib.sha256(source).hexdigest()[:16]
-        so = _cache_dir() / f"mega_kernels_{digest}.so"
+        so = _cache_dir() / library_name(_SRC.read_bytes(), _CFLAGS)
         if not so.exists():
             _compile(_SRC, so)
         _lib = _declare(ctypes.CDLL(str(so)))
@@ -469,6 +492,129 @@ def daic_round(
         rows_out[0] if len(rows_out) == 1 else np.concatenate(rows_out),
         blocks_out[0] if len(blocks_out) == 1 else np.concatenate(blocks_out),
     )
+
+
+#: mega_replay's scalar and output layouts (RI_COUNT, RD_COUNT,
+#: REPLAY_COUNTS, REPLAY_SUMS in _kernels.c)
+_RI_COUNT, _RD_COUNT, _REPLAY_COUNTS, _REPLAY_SUMS = 16, 6, 10, 4
+_RI_DETAILED, _RI_N_BANKS = 12, 14
+#: mega_replay's REPLAY_BAD_* return codes
+_REPLAY_BAD = {
+    1: "wave_execs/exec_rounds: offsets must rise from 0 to the lengths",
+    2: "phase ids must index phase_kind, and kinds lie in [0, 3)",
+    3: "rows: edge-block counts must be non-negative and sum to blocks",
+    4: "blocks must index the cache's stamp array",
+    5: "ints: a divisor or bank count is not positive",
+}
+
+
+class ReplayOut(NamedTuple):
+    """What one :func:`replay` call computed (layouts in ``_kernels.c``)."""
+
+    #: events popped, events generated, edges fetched, edge-block hits,
+    #: misses, vertex reads, vertex writes, rounds, round groups, waves
+    #: injected early
+    counts: np.ndarray
+    #: cycles, DRAM bytes, spill bytes, partition switch bytes
+    sums: np.ndarray
+    #: per phase id: cycles charged, and the order it was first charged
+    #: (-1: never)
+    phase_cycles: np.ndarray
+    phase_seq: np.ndarray
+    #: per wave: the cycles at its activation
+    wave_marks: np.ndarray
+
+
+def _vector(arr: np.ndarray, dtype: np.dtype, n: int, name: str) -> int:
+    _shape(arr, (n,), name)
+    return _ptr(arr, dtype, name)
+
+
+def replay(
+    wave_parts: np.ndarray,
+    wave_cross: np.ndarray,
+    wave_execs: np.ndarray,
+    exec_rounds: np.ndarray,
+    exec_touched: np.ndarray,
+    exec_phase: np.ndarray,
+    rows: np.ndarray,
+    round_phase: np.ndarray,
+    blocks: np.ndarray,
+    phase_kind: np.ndarray,
+    ints: np.ndarray,
+    doubles: np.ndarray,
+    stamp: np.ndarray,
+    open_rows: np.ndarray | None,
+    state: np.ndarray,
+    pipeline: bool,
+    threshold: int,
+) -> ReplayOut:
+    """A workflow's whole timing replay in C (``mega_replay``).
+
+    The arguments are :class:`~repro.accel.scheduler.FlatWaves`' arrays,
+    each phase id's round kind, the timing model's scalars
+    (:meth:`~repro.accel.timing.TimingModel.kernel_config`), the edge
+    cache's stamps, the row-buffer model's open rows (None without
+    ``detailed_dram``) and ``state`` ``(3,)`` int64 — the cache's
+    distinct-access counter and the row buffer's hits and misses — all
+    three updated in place.  Dtypes, contiguity and shapes are checked
+    here and every offset, id and block count by the kernel before it
+    reads through them; either way a malformed input is a ValueError.
+    """
+    lib = load_library()
+    n_waves = wave_parts.shape[0]
+    wave_ptr = _vector(wave_parts, _I64_T, n_waves, "wave_parts")
+    cross_ptr = _vector(wave_cross, _F64_T, n_waves, "wave_cross")
+    execs_ptr = _vector(wave_execs, _I64_T, n_waves + 1, "wave_execs")
+    n_execs = int(wave_execs[-1])
+    if n_execs < 0:
+        raise ValueError(_REPLAY_BAD[1])
+    rounds_ptr = _vector(exec_rounds, _I64_T, n_execs + 1, "exec_rounds")
+    n_rounds = int(exec_rounds[-1])
+    if n_rounds < 0:
+        raise ValueError(_REPLAY_BAD[1])
+    _shape(rows, (n_rounds, _ROW), "rows")
+    most = int(rows[:, _ROW - 1].max()) if n_rounds else 0
+    if most > blocks.shape[0]:
+        raise ValueError(_REPLAY_BAD[3])
+    if stamp.ndim != 1:
+        raise ValueError("stamp: expected one dimension")
+    open_ptr = None
+    if ints.shape == (_RI_COUNT,) and ints[_RI_DETAILED]:
+        if open_rows is None:
+            raise ValueError("open_rows: required with the row-buffer model")
+        open_ptr = _vector(
+            open_rows, _I64_T, int(ints[_RI_N_BANKS]), "open_rows"
+        )
+    work = np.empty(4 * n_execs + most, dtype=np.int64)
+    out = ReplayOut(
+        np.empty(_REPLAY_COUNTS, dtype=np.int64),
+        np.empty(_REPLAY_SUMS, dtype=np.float64),
+        np.empty(phase_kind.shape[0], dtype=np.float64),
+        np.empty(phase_kind.shape[0], dtype=np.int64),
+        np.empty(n_waves, dtype=np.float64),
+    )
+    bad = lib.mega_replay(
+        n_waves, wave_ptr, cross_ptr, execs_ptr, n_execs, rounds_ptr,
+        _vector(exec_touched, _I64_T, n_execs, "exec_touched"),
+        _vector(exec_phase, _I64_T, n_execs, "exec_phase"),
+        n_rounds, _ptr(rows, _I64_T, "rows"),
+        _vector(round_phase, _I64_T, n_rounds, "round_phase"),
+        _ptr(blocks, _I64_T, "blocks"), blocks.shape[0],
+        _vector(phase_kind, _I64_T, phase_kind.shape[0], "phase_kind"),
+        phase_kind.shape[0],
+        _vector(ints, _I64_T, _RI_COUNT, "ints"),
+        _vector(doubles, _F64_T, _RD_COUNT, "doubles"),
+        _ptr(stamp, _I64_T, "stamp"), stamp.shape[0], open_ptr,
+        _vector(state, _I64_T, 3, "state"),
+        int(bool(pipeline)), int(threshold), work.ctypes.data,
+        out.counts.ctypes.data, out.sums.ctypes.data,
+        out.phase_cycles.ctypes.data, out.phase_seq.ctypes.data,
+        out.wave_marks.ctypes.data,
+    )
+    if bad:
+        raise ValueError(_REPLAY_BAD[bad])
+    return out
 
 
 def presence_gather(

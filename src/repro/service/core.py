@@ -907,6 +907,7 @@ class QueryService:
                     live = self._graphs.setdefault(graph, _LiveGraph())
                     base_epoch = live.epoch
                     base_log = live.log[:base_epoch]
+                    base_chain = self.service_id
                 scenario = _live_scenario(
                     PlanPayload(
                         plan_id=0,
@@ -917,7 +918,7 @@ class QueryService:
                         sources=(),
                         epoch=base_epoch,
                         deltas=base_log,
-                        chain=self.service_id,
+                        chain=base_chain,
                     )
                 )
                 candidate = synthesize_delta(
@@ -985,11 +986,12 @@ class QueryService:
                     self.stats.inc("wal_compactions")
                     compact_due = True
                 log_after = live.log[:epoch]
+                chain_after = self.service_id
             break
         if slide_due:
             self.stats.inc("slides")
             t0 = time.monotonic()
-            self._republish_plane(graph, epoch, log_after)
+            self._republish_plane(graph, epoch, log_after, chain_after)
             self._slide_seconds.observe(time.monotonic() - t0)
         if slide_every > 0:
             # every ingest slides the window by one snapshot: entries
@@ -1006,7 +1008,7 @@ class QueryService:
         return epoch, self._await_quorum(graph, epoch)
 
     def _republish_plane(
-        self, graph: str, epoch: int, deltas: DeltaLog
+        self, graph: str, epoch: int, deltas: DeltaLog, chain: int
     ) -> None:
         """Eagerly publish the post-slide scenario generation.
 
@@ -1019,7 +1021,7 @@ class QueryService:
         if self.plane is None:
             return
         try:
-            manifest = self._plane_manifest(graph, epoch, deltas)
+            manifest = self._plane_manifest(graph, epoch, deltas, chain)
         except Exception:  # pragma: no cover - defensive; queries replay
             log.exception("slide republish failed for %s@%d", graph, epoch)
             return
@@ -1169,8 +1171,9 @@ class QueryService:
             if epoch is None:
                 epoch = live.epoch
             deltas = live.log[:epoch]
+            chain = self.service_id
         manifest = self._plane_manifest(
-            graph, epoch, deltas,
+            graph, epoch, deltas, chain,
             vertex_lo=vertex_lo, vertex_hi=vertex_hi,
         )
         payload = PlanPayload(
@@ -1187,7 +1190,7 @@ class QueryService:
             kind="scatter",
             kernel_backend=self.config.kernel_backend,
             shm=manifest,
-            chain=self.service_id,
+            chain=chain,
             profile_every=self.config.profile_rounds,
             vertex_lo=vertex_lo,
             vertex_hi=vertex_hi,
@@ -1431,7 +1434,10 @@ class QueryService:
         first = queries[0].request
         epoch = queries[0].epoch
         with self._graphs_lock:
+            # the chain is read with the view: a rewind swaps both under
+            # this lock, and a payload must name the chain of its deltas
             deltas = self._graphs.setdefault(first.graph, _LiveGraph()).log[:epoch]
+            chain = self.service_id
         fault_points: tuple[str, ...] = ()
         worker_faults = tuple(
             p for p in self.config.inject_fault
@@ -1440,7 +1446,7 @@ class QueryService:
         if not degraded and worker_faults:
             if self.stats.get("plans") == self.config.inject_fault_plan:
                 fault_points = worker_faults
-        manifest = self._plane_manifest(first.graph, epoch, deltas)
+        manifest = self._plane_manifest(first.graph, epoch, deltas, chain)
         sources = tuple(dict.fromkeys(q.request.source for q in queries))
         payload = PlanPayload(
             plan_id=plan_id,
@@ -1459,7 +1465,7 @@ class QueryService:
             kernel_backend=self.config.kernel_backend,
             shm=manifest,
             profile_every=self.config.profile_rounds,
-            chain=self.service_id,
+            chain=chain,
             slide_serving=self.config.window_slide_every > 0,
         )
         self.stats.inc("plans")
@@ -1490,16 +1496,22 @@ class QueryService:
         graph: str,
         epoch: int,
         deltas: DeltaLog,
+        chain: int,
         vertex_lo: int = 0,
         vertex_hi: int = 0,
     ) -> ScenarioManifest | None:
         """Refcounted manifest of the published scenario for this plan.
 
         Publishes (materializing the live scenario once, in the
-        coordinator) when the plan's epoch is not yet on the plane.
+        coordinator) when the plan's chain and epoch — ``deltas`` is
+        ``chain``'s log up to ``epoch``, read together under the graphs
+        lock — are not yet on the plane.
         Plans admitted under an epoch *older* than the published one get
         ``None`` — retiring a newer generation for a straggler would
-        thrash the plane — and fall back to worker-side replay.  Any
+        thrash the plane — and fall back to worker-side replay.  A
+        segment of another chain never serves the plan; the plan
+        publishes over it (after a rewind only the old chain's
+        stragglers can, once each).  Any
         publish failure degrades to the replay path too.  A shard
         service passes its vertex range so the published scenario is the
         row-restricted slice its workers expect (a shard's plane only
@@ -1509,10 +1521,10 @@ class QueryService:
             return None
         scale = self.config.scale
         n_snapshots = self.config.n_snapshots
-        manifest = self.plane.acquire(graph, scale, n_snapshots, epoch)
+        manifest = self.plane.acquire(graph, scale, n_snapshots, epoch, chain)
         if manifest is not None:
             return manifest
-        current = self.plane.current_epoch(graph, scale, n_snapshots)
+        current = self.plane.current_epoch(graph, scale, n_snapshots, chain)
         if current is not None and current >= epoch:
             return None
         try:
@@ -1528,13 +1540,13 @@ class QueryService:
                     sources=(),
                     epoch=epoch,
                     deltas=deltas,
-                    chain=self.service_id,
+                    chain=chain,
                     vertex_lo=vertex_lo,
                     vertex_hi=vertex_hi,
                 )
             )
-            self.plane.publish(scenario, graph, scale, epoch)
-            return self.plane.acquire(graph, scale, n_snapshots, epoch)
+            self.plane.publish(scenario, graph, scale, epoch, chain)
+            return self.plane.acquire(graph, scale, n_snapshots, epoch, chain)
         except Exception as exc:  # noqa: BLE001 - plane is an optimization
             log.warning(
                 "shm plane: publish failed for %s@%d (%s); "

@@ -14,7 +14,10 @@ Lifecycle
 ---------
 
 * Segments are keyed by ``(graph, scale, n_snapshots)`` and stamped with
-  the publishing *epoch* and a monotonically increasing *generation*.
+  the publishing *chain* (the service id whose delta history they hold —
+  a rewind starts a new one) and *epoch*, and a monotonically increasing
+  *generation*; a plan attaches a segment only of its own chain and
+  epoch.
 * :meth:`ScenarioPlane.acquire` hands out a manifest and bumps a refcount;
   the coordinator acquires at plan submit and releases when the plan's
   future resolves.  An epoch advance publishes a new generation and
@@ -104,6 +107,8 @@ class ScenarioManifest:
     nbytes: int
     arrays: tuple[ArraySpec, ...]
     metadata: dict = field(default_factory=dict)
+    #: the delta chain (service id) whose history the scenario is
+    chain: int = 0
 
 
 #: serializes the register-suppression monkeypatch (coordinator threads)
@@ -278,8 +283,10 @@ class ScenarioPlane:
         graph: str,
         scale: str,
         epoch: int,
+        chain: int = 0,
     ) -> ScenarioManifest:
-        """Publish ``scenario`` as the current segment for its key.
+        """Publish ``scenario`` — ``chain``'s history at ``epoch`` — as
+        the current segment for its key.
 
         A previously-current segment for the same key is retired: it is
         unlinked as soon as its refcount drains (immediately if idle).
@@ -304,6 +311,7 @@ class ScenarioPlane:
             nbytes=total,
             arrays=specs,
             metadata=dict(scenario.metadata),
+            chain=int(chain),
         )
         segment = _Segment(shm, manifest)
         with self._lock:
@@ -323,30 +331,42 @@ class ScenarioPlane:
         return manifest
 
     def acquire(
-        self, graph: str, scale: str, n_snapshots: int, epoch: int
+        self,
+        graph: str,
+        scale: str,
+        n_snapshots: int,
+        epoch: int,
+        chain: int = 0,
     ) -> ScenarioManifest | None:
-        """Refcounted lookup of the current segment for a plan's epoch.
+        """Refcounted lookup of the current segment for a plan's chain
+        and epoch.
 
         Returns ``None`` when nothing is published for the key or the
-        published epoch does not match — the caller then publishes (or
-        falls back to the replay path).  Every non-``None`` return must
-        be paired with one :meth:`release`.
+        published chain or epoch does not match — the caller then
+        publishes (or falls back to the replay path).  Every
+        non-``None`` return must be paired with one :meth:`release`.
         """
         key = (graph, scale, int(n_snapshots))
         with self._lock:
             segment = self._current.get(key)
-            if segment is None or segment.manifest.epoch != int(epoch):
+            if segment is None or (
+                segment.manifest.epoch != int(epoch)
+                or segment.manifest.chain != int(chain)
+            ):
                 return None
             segment.refs += 1
             return segment.manifest
 
     def current_epoch(
-        self, graph: str, scale: str, n_snapshots: int
+        self, graph: str, scale: str, n_snapshots: int, chain: int = 0
     ) -> int | None:
-        """Epoch of the segment currently serving a key (None = none)."""
+        """Epoch of the segment currently serving a key, when it holds
+        ``chain``'s history (None: none, or another chain's)."""
         with self._lock:
             segment = self._current.get((graph, scale, int(n_snapshots)))
-            return None if segment is None else segment.manifest.epoch
+            if segment is None or segment.manifest.chain != int(chain):
+                return None
+            return segment.manifest.epoch
 
     def retire_graph(self, graph: str) -> None:
         """Retire every current segment of ``graph``.

@@ -115,14 +115,12 @@ def test_collector_rejects_nested_and_orphan_usage():
     c.end()
     with pytest.raises(RuntimeError):
         c.end()
-    from repro.engines.trace import RoundTrace
+    from repro.engines.trace import TRACE_ROW
 
     with pytest.raises(RuntimeError):
-        c.round(
-            RoundTrace(
-                "add", 0, 0, 0, np.empty(0, dtype=np.int64), 0, 0, 1,
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-            )
+        c.record(
+            "add", 1, np.zeros((1, TRACE_ROW), dtype=np.int64),
+            np.empty(0, dtype=np.int64),
         )
 
 

@@ -64,6 +64,20 @@ def test_numpy_backend_always_resolves():
     assert be.name == "numpy"
     assert not be.compiled
     assert be.daic_round is None and be.presence_gather is None
+    assert be.replay is None
+
+
+def test_library_cache_key_covers_the_compiler_flags():
+    """A changed flag must never reuse a library built without it; the
+    replay's doubles are built without fused multiply-adds."""
+    from repro.perf.backend import cext
+
+    name = cext.library_name(b"int x;", ("-O2",))
+    assert name == cext.library_name(b"int x;", ("-O2",))
+    assert name != cext.library_name(b"int x;", ("-O2", "-ffp-contract=off"))
+    assert name != cext.library_name(b"int x;", ("-O3",))
+    assert name != cext.library_name(b"int y;", ("-O2",))
+    assert "-ffp-contract=off" in cext._CFLAGS
 
 
 def test_invalid_backend_name_rejected(monkeypatch, capsys):

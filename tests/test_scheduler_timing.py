@@ -9,7 +9,7 @@ from repro.accel.memory import MemorySystem, PartitionPlan
 from repro.accel.scheduler import Wave, WaveScheduler
 from repro.accel.stats import SimCounters
 from repro.accel.timing import TimingModel
-from repro.engines.trace import ExecutionTrace, RoundTrace
+from repro.engines.trace import ROW_FIELDS, ExecutionTrace, RoundTrace
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import rmat_edges
 
@@ -41,7 +41,14 @@ TOUCHED_DSTS = 32
 
 
 def make_execution(rounds, tag="x", phase="add", targets=(0,)):
-    e = ExecutionTrace(tag, phase, targets, rounds)
+    e = ExecutionTrace(tag, phase, targets)
+    for r in rounds:
+        row = [getattr(r, name) for name in ROW_FIELDS[:-1]]
+        e.append(
+            r.phase, r.n_versions,
+            np.array([row + [r.edge_blocks.size]], dtype=np.int64),
+            r.edge_blocks,
+        )
     e.touched_dst_count = TOUCHED_DSTS if rounds else 0
     return e
 
@@ -126,10 +133,10 @@ def test_row_wide_versions_ablation():
 def test_execution_spill_only_when_partitioned(timing):
     counters = SimCounters()
     assert (
-        timing.execution_spill_cycles(100, 4, unpartitioned(), counters) == 0.0
+        timing.execution_spill_cycles(100, unpartitioned(), counters) == 0.0
     )
     assert counters.spill_bytes == 0
-    cycles = timing.execution_spill_cycles(100, 4, partitioned(), counters)
+    cycles = timing.execution_spill_cycles(100, partitioned(), counters)
     assert cycles > 0
     assert counters.spill_bytes == pytest.approx(
         100 * 0.5 * 2 * timing.config.event_bytes

@@ -95,15 +95,14 @@ def test_more_cold_blocks_more_dram(blocks, extra):
     touched=st.integers(0, 10_000),
     cross_lo=st.floats(0.0, 0.5),
     cross_hi=st.floats(0.5, 1.0),
-    versions=st.integers(1, 32),
 )
-def test_spill_monotone_in_cross_fraction(touched, cross_lo, cross_hi, versions):
+def test_spill_monotone_in_cross_fraction(touched, cross_lo, cross_hi):
     timing = fresh_timing()
     lo = timing.execution_spill_cycles(
-        touched, versions, PartitionPlan(4, 1.0, 1.0, cross_lo), SimCounters()
+        touched, PartitionPlan(4, 1.0, 1.0, cross_lo), SimCounters()
     )
     hi = timing.execution_spill_cycles(
-        touched, versions, PartitionPlan(4, 1.0, 1.0, cross_hi), SimCounters()
+        touched, PartitionPlan(4, 1.0, 1.0, cross_hi), SimCounters()
     )
     assert hi >= lo
 
