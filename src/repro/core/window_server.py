@@ -107,11 +107,12 @@ class WindowServer:
         additions = additions or EdgeList.from_tuples(n_vertices, [])
         deletions = deletions or []
 
-        # Validate against the CommonGraph rule and rebuild the union with
-        # shifted tags (pure; the old unified stays usable for repair).
-        last_presence = u.presence_mask(n - 1)
+        # Validate against the CommonGraph rule and merge the additions
+        # into the kept union with shifted tags (pure; the old unified
+        # stays usable for repair).
         slide = slide_window(u, additions, deletions)
-        del_slots = slide.del_slots.tolist()
+        last_presence = slide.last_presence
+        del_slots = slide.del_slots
 
         # -- compute the new latest snapshot's values ----------------------
         latest = self._values[-1].copy()
@@ -121,9 +122,9 @@ class WindowServer:
         # addition pass only writes vertices an arriving edge improved.
         unstable = np.zeros(n_vertices, dtype=bool)
         engine = MultiVersionEngine(
-            self.algorithm, u, track_parents=bool(del_slots)
+            self.algorithm, u, track_parents=bool(del_slots.size)
         )
-        if del_slots:
+        if del_slots.size:
             reconstruct_parents(
                 engine, latest, last_presence, self.scenario.source
             )
@@ -131,7 +132,7 @@ class WindowServer:
             presence_after[del_slots] = False
             stats = DeletionRepair(engine).apply_deletions(
                 latest,
-                np.asarray(del_slots, dtype=np.int64),
+                del_slots,
                 presence_after,
                 self.scenario.source,
             )

@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.evolving.snapshots import EvolvingScenario
 from repro.evolving.unified_csr import UnifiedCSR
-from repro.graph.csr import CSRGraph
 from repro.graph.edges import EdgeList, edge_keys
 
 __all__ = ["EdgeEvent", "EvolvingGraphBuilder"]
@@ -171,12 +170,7 @@ class EvolvingGraphBuilder:
             np.asarray(dst_list, dtype=np.int64),
             np.asarray(wt_list, dtype=np.float64),
         )
-        order = np.lexsort((pool.dst, pool.src))
-        graph = CSRGraph.from_edges(pool)
-        unified = UnifiedCSR(
-            graph,
-            np.asarray(add_step, dtype=np.int32)[order],
-            np.asarray(del_step, dtype=np.int32)[order],
-            n_snapshots,
+        unified = UnifiedCSR.build(
+            pool, np.asarray(add_step), np.asarray(del_step), n_snapshots
         )
         return EvolvingScenario(unified, source=source, name=name)

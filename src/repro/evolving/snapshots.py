@@ -150,10 +150,8 @@ def synthesize_scenario(
     add_step[add_edges] = np.repeat(np.arange(n_transitions, dtype=np.int32), add_sz)
     del_step[del_edges] = np.repeat(np.arange(n_transitions, dtype=np.int32), del_sz)
 
-    # Build the union CSR; tags must be permuted into CSR edge order.
-    order = np.lexsort((pool.dst, pool.src))
-    graph = CSRGraph.from_edges(pool)  # sorts identically
-    unified = UnifiedCSR(graph, add_step[order], del_step[order], n_snapshots)
+    # Build the union CSR: one sort of the pool carries the tags along.
+    unified = UnifiedCSR.build(pool, add_step, del_step, n_snapshots)
 
     # Pick a source with nonzero out-degree in the CommonGraph so every
     # workflow starts from a meaningful query.

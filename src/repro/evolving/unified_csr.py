@@ -21,6 +21,11 @@ smaller than the dense ``n_snapshots × n_union_edges`` boolean form it
 replaces.  ``mega-repro bench-kernels`` times the packed gather against
 the dense path it replaced (kept as ``_presence_of_dense`` for parity
 checks and benchmarking).
+
+A window slide does not rebuild any of this: :meth:`UnifiedCSR.merged`
+inserts a sorted batch of new edges into the kept union, and
+:func:`shift_planes` carries the packed planes across by a bit shift
+(see :func:`repro.evolving.window.slide_window`).
 """
 
 from __future__ import annotations
@@ -28,11 +33,51 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.edges import EdgeList
 from repro.evolving.batches import BatchId, BatchKind, EdgeBatch
 
-__all__ = ["UnifiedCSR"]
+__all__ = ["UnifiedCSR", "shift_planes", "tag_planes"]
 
 NOT_APPLICABLE = -1
+
+
+def tag_planes(
+    add_step: np.ndarray, del_step: np.ndarray, n_snapshots: int
+) -> np.ndarray:
+    """Bit-packed presence planes of edges with the given batch tags."""
+    snaps = np.arange(n_snapshots, dtype=np.int32)[:, None]
+    a = add_step[None, :]
+    d = del_step[None, :]
+    dense = ((a == NOT_APPLICABLE) | (a < snaps)) & (
+        (d == NOT_APPLICABLE) | (d >= snaps)
+    )
+    return np.packbits(dense, axis=0, bitorder="little")
+
+
+def shift_planes(
+    planes: np.ndarray, keep: np.ndarray, lo: int, count: int, n_snapshots: int
+) -> np.ndarray:
+    """Planes of the ``keep`` edges whose snapshot ``k`` is snapshot
+    ``lo + k`` of ``planes``.
+
+    Snapshots ``0 .. count-1`` are copied down by ``lo`` bits, carrying
+    between planes; the result has room for ``n_snapshots`` snapshots and
+    every bit from ``count`` on is zero.  Writable.
+    """
+    q, r = divmod(lo, 8)
+    n_out = (n_snapshots + 7) // 8
+    # select columns row by row: a 2-D mask along axis 1 is ~10x slower
+    rows = [row[keep] for row in planes[q: q + n_out + 1]]
+    out = np.zeros((n_out, int(np.count_nonzero(keep))), dtype=np.uint8)
+    for p in range(n_out):
+        if p < len(rows):
+            np.right_shift(rows[p], r, out=out[p])
+        if r and p + 1 < len(rows):
+            out[p] |= rows[p + 1] << (8 - r)
+        tail = count - 8 * p
+        if tail < 8:
+            out[p] &= (1 << max(tail, 0)) - 1
+    return out
 
 
 class UnifiedCSR:
@@ -82,6 +127,78 @@ class UnifiedCSR:
                 )
             self._planes = planes
 
+    @classmethod
+    def merged(
+        cls,
+        kept: EdgeList,
+        kept_add: np.ndarray,
+        kept_del: np.ndarray,
+        new: EdgeList,
+        new_add: np.ndarray | int,
+        new_del: np.ndarray | int,
+        kept_planes: np.ndarray,
+        n_snapshots: int,
+    ) -> tuple["UnifiedCSR", np.ndarray]:
+        """Insert ``new`` edges into a union's ``kept`` edges.
+
+        ``kept`` must already be in ``(src, dst)`` order; ``new`` may
+        come in any order and is sorted once.  The kept edges' presence
+        planes are carried over and only the new columns are derived
+        from their tags.
+
+        Returns the union and, per ``new`` edge in input order, its slot.
+        """
+        if new.n_vertices != kept.n_vertices:
+            raise ValueError("kept and new edges must share the vertex set")
+        new_keys = new.keys
+        order = np.argsort(new_keys, kind="stable")
+        # side="right": a new edge sorts after a kept edge of the same
+        # pair, as in a stable sort of the kept edges followed by the new
+        at = np.searchsorted(kept.keys, new_keys[order], side="right")
+        n_new = order.shape[0]
+        new_add = np.broadcast_to(np.asarray(new_add, np.int32), (n_new,))[order]
+        new_del = np.broadcast_to(np.asarray(new_del, np.int32), (n_new,))[order]
+        graph = CSRGraph.from_sorted(
+            kept.n_vertices,
+            np.insert(kept.src, at, new.src[order]),
+            np.insert(kept.dst, at, new.dst[order]),
+            np.insert(kept.wt, at, new.wt[order]),
+        )
+        new_planes = tag_planes(new_add, new_del, n_snapshots)
+        # row by row: np.insert along axis 1 is ~10x slower
+        planes = np.stack([
+            np.insert(row, at, cols)
+            for row, cols in zip(kept_planes, new_planes)
+        ])
+        planes.flags.writeable = False
+        unified = cls(
+            graph,
+            np.insert(np.asarray(kept_add, np.int32), at, new_add),
+            np.insert(np.asarray(kept_del, np.int32), at, new_del),
+            n_snapshots,
+            presence_planes=planes,
+        )
+        slots = np.empty(n_new, dtype=np.int64)
+        slots[order] = at + np.arange(n_new)
+        return unified, slots
+
+    @classmethod
+    def build(
+        cls,
+        edges: EdgeList,
+        add_step: np.ndarray,
+        del_step: np.ndarray,
+        n_snapshots: int,
+    ) -> "UnifiedCSR":
+        """The union of ``edges`` (any order) and their tags: one sort."""
+        none = np.empty(0, dtype=np.int32)
+        empty = EdgeList(edges.n_vertices, none, none, none)
+        no_planes = np.empty(((n_snapshots + 7) // 8, 0), dtype=np.uint8)
+        return cls.merged(
+            empty, none, none, edges, add_step, del_step, no_planes,
+            n_snapshots,
+        )[0]
+
     # -- structural views --------------------------------------------------
 
     @property
@@ -106,13 +223,7 @@ class UnifiedCSR:
         attaches publish it verbatim.
         """
         if self._planes is None:
-            snaps = np.arange(self.n_snapshots, dtype=np.int32)[:, None]
-            a = self.add_step[None, :]
-            d = self.del_step[None, :]
-            dense = ((a == NOT_APPLICABLE) | (a < snaps)) & (
-                (d == NOT_APPLICABLE) | (d >= snaps)
-            )
-            planes = np.packbits(dense, axis=0, bitorder="little")
+            planes = tag_planes(self.add_step, self.del_step, self.n_snapshots)
             planes.flags.writeable = False
             self._planes = planes
         return self._planes
@@ -237,12 +348,7 @@ class UnifiedCSR:
         :attr:`reverse_edge_origin`.
         """
         if self._reverse is None:
-            self._reverse = self.graph.reverse()
-            # Recover, for each reverse slot, the originating union slot by
-            # sorting union slots into (dst, src) order the same way
-            # CSRGraph.from_edges does.
-            order = np.lexsort((self.graph.src_of_edge, self.graph.dst))
-            self.reverse_edge_origin = order
+            self._reverse, self.reverse_edge_origin = self.graph.transpose()
         return self._reverse
 
     def _masked_graph(self, mask: np.ndarray) -> CSRGraph:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.evolving.snapshots import EvolvingScenario
-from repro.evolving.unified_csr import UnifiedCSR
+from repro.evolving.unified_csr import UnifiedCSR, shift_planes
 from repro.graph.csr import CSRGraph
 from repro.graph.edges import EdgeList, edge_keys
 
@@ -44,18 +44,24 @@ def extract_window(unified: UnifiedCSR, lo: int, hi: int) -> UnifiedCSR:
     new_add = np.where((a >= 0) & (a >= lo) & (a < hi), a - lo, -1)
     new_del = np.where((d >= 0) & (d >= lo) & (d < hi), d - lo, -1)
 
+    n_window = hi - lo + 1
+    planes = shift_planes(
+        unified.presence_planes(), keep, lo, n_window, n_window
+    )
+    planes.flags.writeable = False
     graph = unified.graph
-    counts = np.bincount(graph.src_of_edge[keep], minlength=graph.n_vertices)
-    indptr = np.zeros(graph.n_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    sub = CSRGraph(
-        graph.n_vertices, indptr, graph.dst[keep], graph.wt[keep]
+    sub = CSRGraph.from_sorted(
+        graph.n_vertices,
+        graph.src_of_edge[keep],
+        graph.dst[keep],
+        graph.wt[keep],
     )
     return UnifiedCSR(
         sub,
         new_add[keep].astype(np.int32),
         new_del[keep].astype(np.int32),
-        hi - lo + 1,
+        n_window,
+        presence_planes=planes,
     )
 
 
@@ -65,12 +71,15 @@ class SlideResult:
 
     ``del_slots`` index the *old* union (for value repair against the
     pre-slide state); ``add_slots`` index the *new* union (for applying
-    the additions once the rebuilt window is in place).
+    the additions once the merged window is in place).
+    ``last_presence`` is the old union's presence in its latest
+    snapshot, which validation needed and value repair needs again.
     """
 
     unified: UnifiedCSR
     del_slots: np.ndarray
     add_slots: np.ndarray
+    last_presence: np.ndarray
 
 
 def slide_window(
@@ -81,12 +90,15 @@ def slide_window(
     """Advance a window ``[0..N-1]`` to ``[1..N]`` with one new transition.
 
     Pure function: validates the new batches against the CommonGraph
-    one-change-per-edge rule, then rebuilds the union CSR with shifted
-    batch tags — snapshot-0-only edges leave the union, additions that
-    arrived at the first transition join the common graph, the new
-    ``Δ+/Δ-`` arrive at the last transition.  Value maintenance is the
-    caller's business (:class:`repro.core.window_server.WindowServer`
-    repairs in place; the query service recomputes on demand).
+    one-change-per-edge rule, then merges the sorted additions into the
+    kept union with shifted batch tags — snapshot-0-only edges leave the
+    union, additions that arrived at the first transition join the common
+    graph, the new ``Δ+/Δ-`` arrive at the last transition.  The presence
+    planes move down one snapshot by a bit shift; the new latest snapshot
+    is the old one minus the deletions, plus the additions.  Value
+    maintenance is the caller's business
+    (:class:`repro.core.window_server.WindowServer` repairs in place; the
+    query service recomputes on demand).
     """
     graph = unified.graph
     n = unified.n_snapshots
@@ -115,10 +127,18 @@ def slide_window(
     # -- validate the new batches against the CommonGraph rule --------
     last_presence = unified.presence_mask(n - 1)
     del_pairs = np.asarray(deletions, dtype=np.int64).reshape(-1, 2)
-    del_slot_arr = slots_of(del_pairs[:, 0] * n_vertices + del_pairs[:, 1])
-    found_del = del_slot_arr >= 0
+    # keys alias outside [0, n): (0, n) would key as (1, 0)
+    out_of_range = ((del_pairs < 0) | (del_pairs >= n_vertices)).any(axis=1)
+    if np.any(out_of_range):
+        s, d = del_pairs[np.flatnonzero(out_of_range)[0]]
+        raise ValueError(
+            f"cannot delete edge ({s}, {d}): vertex out of range "
+            f"[0, {n_vertices})"
+        )
+    del_slots = slots_of(del_pairs[:, 0] * n_vertices + del_pairs[:, 1])
+    found_del = del_slots >= 0
     alive = np.zeros(len(del_pairs), dtype=bool)
-    alive[found_del] = last_presence[del_slot_arr[found_del]]
+    alive[found_del] = last_presence[del_slots[found_del]]
     bad = ~alive
     if np.any(bad):
         s, d = del_pairs[np.flatnonzero(bad)[0]]
@@ -126,7 +146,7 @@ def slide_window(
             f"cannot delete edge ({s}, {d}): not present in the "
             "latest snapshot"
         )
-    internal = unified.add_step[del_slot_arr] >= 1
+    internal = unified.add_step[del_slots] >= 1
     if np.any(internal):
         s, d = del_pairs[np.flatnonzero(internal)[0]]
         raise ValueError(
@@ -134,7 +154,6 @@ def slide_window(
             "one state change per edge per window — split the "
             "window before deleting it"
         )
-    del_slots = del_slot_arr.tolist()
 
     add_key_arr = additions.keys
     if np.unique(add_key_arr).size != len(additions):
@@ -149,45 +168,41 @@ def slide_window(
             "split the window first"
         )
 
-    # -- rebuild the union with shifted tags ---------------------------
-    keep = unified.del_step != 0  # snapshot-0-only edges leave the window
-    add_step = unified.add_step[keep].astype(np.int64)
-    del_step = unified.del_step[keep].astype(np.int64)
-    add_step = np.where(add_step > 0, add_step - 1, -1)
-    del_step = np.where(del_step > 0, del_step - 1, del_step)
-    # deletions of the new transition: locate slots post-filter
-    old_to_new = np.cumsum(keep) - 1
-    for slot in del_slots:
-        del_step[old_to_new[slot]] = n - 2
-
-    pool = EdgeList(
-        n_vertices,
-        np.concatenate([graph.src_of_edge[keep], additions.src]),
-        np.concatenate([graph.dst[keep], additions.dst]),
-        np.concatenate([graph.wt[keep], additions.wt]),
-    )
-    add_step = np.concatenate(
-        [add_step, np.full(len(additions), n - 2, dtype=np.int64)]
-    )
-    del_step = np.concatenate(
-        [del_step, np.full(len(additions), -1, dtype=np.int64)]
-    )
-    order = np.lexsort((pool.dst, pool.src))
-    new_unified = UnifiedCSR(
-        CSRGraph.from_edges(pool),
-        add_step[order].astype(np.int32),
-        del_step[order].astype(np.int32),
+    # -- merge the additions into the kept union with shifted tags ----
+    # the new latest snapshot: the old one minus this transition's
+    # deletions (the additions get exactly this bit from their tags)
+    latest = last_presence.copy()
+    latest[del_slots] = False
+    # snapshot-0-only edges leave the window; in a one-snapshot window
+    # there is no transition to carry a deletion, so deleted edges go too
+    keep = unified.del_step != 0
+    if n == 1:
+        keep[del_slots] = False
+    planes = shift_planes(unified.presence_planes(), keep, 1, n - 1, n)
+    planes[(n - 1) >> 3] |= latest[keep].view(np.uint8) << ((n - 1) & 7)
+    # tags move down a step; step 0 (and -1) becomes -1, "not applicable"
+    add_step = unified.add_step[keep]
+    del_step = unified.del_step[keep]
+    for tags in (add_step, del_step):
+        tags -= 1
+        np.maximum(tags, -1, out=tags)
+    if n > 1:
+        # a kept slot moves down by the dropped slots before it
+        dropped = np.flatnonzero(~keep)
+        del_step[del_slots - np.searchsorted(dropped, del_slots)] = n - 2
+    new_unified, add_slots = UnifiedCSR.merged(
+        EdgeList(
+            n_vertices, graph.src_of_edge[keep], graph.dst[keep], graph.wt[keep]
+        ),
+        add_step,
+        del_step,
+        additions,
+        n - 2,
+        -1,
+        planes,
         n,
     )
-    new_keys = edge_keys(
-        new_unified.graph.src_of_edge, new_unified.graph.dst, n_vertices
-    )
-    add_slots = np.searchsorted(new_keys, additions.keys)
-    return SlideResult(
-        new_unified,
-        np.asarray(del_slots, dtype=np.int64),
-        add_slots.astype(np.int64),
-    )
+    return SlideResult(new_unified, del_slots, add_slots, last_presence)
 
 
 def window_scenario(

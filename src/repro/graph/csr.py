@@ -39,6 +39,7 @@ class CSRGraph:
         indptr: np.ndarray,
         dst: np.ndarray,
         wt: np.ndarray,
+        src_of_edge: np.ndarray | None = None,
     ) -> None:
         self.n_vertices = int(n_vertices)
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -55,7 +56,12 @@ class CSRGraph:
         # src per edge slot, computed lazily on first use; reverse graphs,
         # dependence trees and trace bookkeeping need it, but many graphs
         # (snapshot materializations, shared-memory attaches) never do.
-        self._src_of_edge: np.ndarray | None = None
+        # Builders that already hold it (a sort or a merge by source) hand
+        # it over instead.
+        self._src_of_edge = (
+            None if src_of_edge is None
+            else np.asarray(src_of_edge, dtype=np.int64)
+        )
         # partition count -> cross fraction; the graph is immutable, so
         # every simulation of one scenario shares the values
         self._cross_fractions: dict[int, float] = {}
@@ -89,10 +95,24 @@ class CSRGraph:
     def from_edges(cls, edges: EdgeList) -> "CSRGraph":
         """Build a CSR graph from an edge list (sorted by ``(src, dst)``)."""
         ordered = edges.sorted_by_src()
-        counts = np.bincount(ordered.src, minlength=edges.n_vertices)
-        indptr = np.zeros(edges.n_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(edges.n_vertices, indptr, ordered.dst, ordered.wt)
+        return cls(
+            edges.n_vertices,
+            _indptr_of(ordered.src, edges.n_vertices),
+            ordered.dst,
+            ordered.wt,
+        )
+
+    @classmethod
+    def from_sorted(
+        cls, n_vertices: int, src: np.ndarray, dst: np.ndarray, wt: np.ndarray
+    ) -> "CSRGraph":
+        """Build from edge columns already grouped by ``src`` (ascending).
+
+        ``src`` is adopted as the graph's ``src_of_edge``.
+        """
+        return cls(
+            n_vertices, _indptr_of(src, n_vertices), dst, wt, src_of_edge=src
+        )
 
     @classmethod
     def from_tuples(cls, n_vertices: int, edges: list[tuple]) -> "CSRGraph":
@@ -124,11 +144,38 @@ class CSRGraph:
 
     def reverse(self) -> "CSRGraph":
         """Return the transpose graph (in-edges become out-edges)."""
-        rev = EdgeList(self.n_vertices, self.dst, self.src_of_edge, self.wt)
-        return CSRGraph.from_edges(rev)
+        return self.transpose()[0]
+
+    def transpose(self) -> tuple["CSRGraph", np.ndarray]:
+        """The transpose graph and, per transpose slot, its source slot.
+
+        Rows are in ascending ``src`` order, so one stable argsort of
+        ``dst`` is already the ``(dst, src)`` order a two-column sort of
+        the reversed edges would produce, ties included.  Vertex ids that
+        fit 16 bits are sorted as such: numpy radix-sorts those, ~7x
+        faster than its timsort of int64 on 100k edges.
+        """
+        dst = self.dst
+        if self.n_vertices <= 1 << 16:
+            dst = dst.astype(np.uint16)
+        origin = np.argsort(dst, kind="stable")
+        rev = CSRGraph(
+            self.n_vertices,
+            _indptr_of(self.dst[origin], self.n_vertices),
+            self.src_of_edge[origin],
+            self.wt[origin],
+        )
+        return rev, origin
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRGraph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
+
+
+def _indptr_of(src: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Row pointers of edges grouped by ascending ``src``."""
+    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n_vertices), out=indptr[1:])
+    return indptr
 
 
 def gather_out_edges(

@@ -22,7 +22,9 @@ def edge_keys(src: np.ndarray, dst: np.ndarray, n_vertices: int) -> np.ndarray:
     Keys are ``src * n_vertices + dst`` which is collision-free for any
     graph with fewer than ``2**31`` vertices.
     """
-    return src.astype(np.int64) * np.int64(n_vertices) + dst.astype(np.int64)
+    return np.asarray(src, np.int64) * np.int64(n_vertices) + np.asarray(
+        dst, np.int64
+    )
 
 
 @dataclass
@@ -85,9 +87,13 @@ class EdgeList:
         return self.select(self.src != self.dst)
 
     def sorted_by_src(self) -> "EdgeList":
-        """Sort edges by ``(src, dst)`` — CSR order."""
-        order = np.lexsort((self.dst, self.src))
-        return self.select(order)
+        """Sort edges by ``(src, dst)`` — CSR order.
+
+        One stable argsort of the pair keys: the key orders pairs exactly
+        as ``(src, dst)`` does, and stability keeps duplicate pairs in
+        input order, as a two-column ``lexsort`` would.
+        """
+        return self.select(np.argsort(self.keys, kind="stable"))
 
     def has_unique_pairs(self) -> bool:
         return np.unique(self.keys).size == len(self)

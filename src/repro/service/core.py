@@ -68,7 +68,9 @@ from repro.service.batcher import (
     split_expired,
 )
 from repro.service.cache import ResultCache
-from repro.service.ingest import DeltaBatch, DeltaLog, synthesize_delta
+from repro.service.ingest import (
+    DeltaBatch, DeltaLog, apply_delta, synthesize_delta,
+)
 from repro.service.pool import PlanPayload, PlanResult, WorkerPool
 from repro.service.request import QueryRequest, QueryResponse, validate_request
 from repro.service.shm import (
@@ -892,7 +894,9 @@ class QueryService:
         while True:
             base_epoch = None
             candidate = delta
-            if candidate is None:
+            # a shard's explicit delta is a slice of a logical delta the
+            # ShardManager already slid its logical window with
+            if candidate is None or self.config.shard_id < 0:
                 # Synthesize OUTSIDE the lock: building the live scenario
                 # and drawing a valid delta is the expensive part of a
                 # seeded ingest, and holding _graphs_lock through it
@@ -901,6 +905,10 @@ class QueryService:
                 # synthesize against it, then re-validate under the lock
                 # — a losing racer resynthesizes so the delta always
                 # respects the CommonGraph rule at the epoch it lands on.
+                # An explicit delta is checked the same way: it must
+                # slide the live window before the WAL may log it, or
+                # every later query and every recovery would replay a
+                # delta the window refuses.
                 from repro.service.pool import _live_scenario
 
                 with self._graphs_lock:
@@ -921,15 +929,19 @@ class QueryService:
                         chain=base_chain,
                     )
                 )
-                candidate = synthesize_delta(
-                    scenario, seed=seed, n_add=n_add, n_del=n_del
-                )
+                if candidate is None:
+                    candidate = synthesize_delta(
+                        scenario, seed=seed, n_add=n_add, n_del=n_del
+                    )
+                else:
+                    apply_delta(scenario, candidate)  # ValueError refuses
             with self._graphs_lock:
                 live = self._graphs.setdefault(graph, _LiveGraph())
                 if base_epoch is not None and live.epoch != base_epoch:
                     # another ingest landed while we synthesized; the
                     # candidate may violate the one-change-per-edge rule
-                    # at the new epoch — go around and resynthesize
+                    # at the new epoch — go around and resynthesize (or
+                    # re-check an explicit delta)
                     continue
                 if self.wal is not None:
                     # durability point: commit before acknowledging; a

@@ -298,15 +298,18 @@ class ShardManager:
         unacked ingest leaves no trace and the next attempt extends every
         shard's log contiguously.
         """
+        if delta is None and seed is None:
+            raise ValueError("ingest needs a DeltaBatch or a seed")
         with self._lock:
             chain = self._chains.setdefault(graph, [])
+            scenario = self._live_scenario_locked(graph)
             if delta is None:
-                if seed is None:
-                    raise ValueError("ingest needs a DeltaBatch or a seed")
-                scenario = self._live_scenario_locked(graph)
                 delta = synthesize_delta(
                     scenario, seed=seed, n_add=n_add, n_del=n_del
                 )
+            # slide the logical window first: a delta it cannot absorb
+            # is refused (ValueError) before any shard logs a slice of it
+            advanced = apply_delta(scenario, delta)
             subs = self.split_delta(graph, delta)
             epoch = len(chain) + 1
             futures = [
@@ -338,9 +341,7 @@ class ShardManager:
                     f"got {shard_epochs}"
                 )
             chain.append(delta)
-            cached = self._live.get(graph)
-            if cached is not None and cached[0] == epoch - 1:
-                self._live[graph] = (epoch, apply_delta(cached[1], delta))
+            self._live[graph] = (epoch, advanced)
         return epoch
 
     # -- health -------------------------------------------------------------

@@ -90,3 +90,17 @@ def test_sorted_by_src_orders_pairs():
     assert [(a, b) for a, b, _ in s.as_tuples()] == [
         (0, 1), (0, 3), (2, 0), (2, 1),
     ]
+
+
+def test_sorted_by_src_equals_lexsort_with_duplicate_pairs():
+    """One stable argsort of the keys orders exactly as the two-column
+    lexsort it replaced, duplicate pairs kept in input order."""
+    rng = np.random.default_rng(5)
+    src = rng.integers(0, 6, 200)
+    dst = rng.integers(0, 6, 200)
+    e = EdgeList(6, src, dst, np.arange(200, dtype=np.float64))
+    order = np.lexsort((dst, src))
+    s = e.sorted_by_src()
+    assert np.array_equal(s.src, src[order])
+    assert np.array_equal(s.dst, dst[order])
+    assert np.array_equal(s.wt, order.astype(np.float64))

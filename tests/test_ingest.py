@@ -87,6 +87,65 @@ def test_compaction_snapshot_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(raw).hexdigest() == PINNED_SLIDE_SNAPSHOT_SHA256
 
 
+# -- explicit deltas ------------------------------------------------------------
+
+
+def _pk_answers(service) -> list:
+    from repro.service.request import QueryRequest
+
+    service.clear_caches()
+    response = service.submit(
+        QueryRequest(graph="PK", algo="sssp", source=3)
+    ).wait(60)
+    assert response is not None and response.ok, response
+    return [(s.snapshot, s.reached, s.checksum) for s in response.summaries]
+
+
+@pytest.mark.parametrize(
+    "dels",
+    [
+        [[0, 80]],  # PK tiny has 80 vertices: keyed as edge (1, 0)
+        [[0, 0]],  # no self loops, so never present
+    ],
+)
+def test_explicit_ingest_the_window_refuses_is_never_acked(tmp_path, dels):
+    """An explicit delta is slid against the live window before the WAL
+    append: a refused one leaves the epoch, the WAL and every later
+    answer exactly as they were, and the front end answers one line."""
+    from repro.service.server import ServiceFrontend
+
+    service = QueryService(
+        ServiceConfig(
+            scale="tiny", n_snapshots=4, workers=1,
+            wal_dir=str(tmp_path / "wal"),
+        )
+    ).start()
+    try:
+        base = scenario_cache("PK", "tiny", n_snapshots=4)
+        first = synthesize_delta(base, seed=1)
+        assert service.ingest("PK", delta=first) == 1  # explicit, valid
+        before = _pk_answers(service)
+        records = service.service_stats()["wal_records"]
+        with pytest.raises(ValueError, match="cannot delete edge"):
+            service.ingest_with_ack(
+                "PK", delta=DeltaBatch.from_lists([], dels)
+            )
+        reply = ServiceFrontend(service).handle_line(
+            '{"op": "ingest", "graph": "PK", "dels": %s}' % dels
+        )
+        assert reply["ok"] is False
+        assert reply["error"].startswith("ValueError: cannot delete edge")
+        assert "\n" not in reply["error"]
+        assert service.epoch("PK") == 1
+        assert service.service_stats()["wal_records"] == records
+        assert _pk_answers(service) == before
+        # the window still takes the next valid explicit delta
+        good = synthesize_delta(apply_delta(base, first), seed=9)
+        assert service.ingest("PK", delta=good) == 2
+    finally:
+        service.stop()
+
+
 # -- DeltaLog ------------------------------------------------------------------
 
 

@@ -306,6 +306,20 @@ def test_failed_ingest_rewinds_every_shard_and_acks_nothing(monkeypatch):
         assert fleet.ingest("PK", seed=2) == 2
 
 
+def test_refused_explicit_ingest_reaches_no_shard():
+    """The manager slides the logical window before routing, so a delta
+    the window refuses never lands in any shard's log."""
+    mgr = _fleet(2)
+    with ScatterGatherFrontEnd(mgr) as fleet:
+        fleet.ingest("PK", seed=1)
+        bad = DeltaBatch.from_lists([], [[0, 0]])  # never present
+        with pytest.raises(ValueError, match="cannot delete edge"):
+            fleet.ingest("PK", delta=bad)
+        assert [s.epoch("PK") for s in mgr.shards] == [1, 1]
+        assert mgr.epoch("PK") == 1
+        assert fleet.ingest("PK", seed=2) == 2
+
+
 def test_reconcile_rewinds_a_shard_that_ran_ahead():
     mgr = _fleet(2)
     with ScatterGatherFrontEnd(mgr) as fleet:

@@ -6,6 +6,7 @@ import pytest
 from repro.evolving.batches import BatchId, BatchKind
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.graph.csr import CSRGraph
+from repro.graph.edges import EdgeList
 
 
 @pytest.fixture
@@ -199,3 +200,60 @@ def test_reverse_graph_origin_mapping(unified):
         assert g.dst[u_slot] == rev.src_of_edge[r_slot]
         assert g.src_of_edge[u_slot] == rev.dst[r_slot]
         assert g.wt[u_slot] == rev.wt[r_slot]
+
+
+def _lexsort_transpose(graph: CSRGraph):
+    order = np.lexsort((graph.src_of_edge, graph.dst))
+    counts = np.bincount(graph.dst, minlength=graph.n_vertices)
+    indptr = np.zeros(graph.n_vertices + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, graph.src_of_edge[order], graph.wt[order], order
+
+
+@pytest.mark.parametrize("name", ["PK", "LJ", "OR", "DL", "UK", "Wen"])
+def test_transpose_equals_lexsort_build_on_table4_graphs(name):
+    """One stable argsort of ``dst`` gives the transpose and its origin
+    map exactly as the two lexsorts of the sort-based build did."""
+    from repro.experiments.runner import scenario_cache
+
+    unified = scenario_cache(name, "small").unified
+    indptr, rev_dst, rev_wt, origin = _lexsort_transpose(unified.graph)
+    rev = unified.reverse_graph()
+    assert np.array_equal(unified.reverse_edge_origin, origin)
+    assert np.array_equal(rev.indptr, indptr)
+    assert np.array_equal(rev.dst, rev_dst)
+    assert np.array_equal(rev.wt, rev_wt)
+    assert np.array_equal(rev.src_of_edge, unified.graph.dst[origin])
+
+
+def test_transpose_of_unsorted_rows_matches_lexsort():
+    """Rows need not be dst-sorted: stability still yields (dst, src)."""
+    g = CSRGraph(
+        4, np.array([0, 3, 5, 5, 7]), np.array([3, 1, 1, 0, 3, 1, 0]),
+        np.arange(7, dtype=np.float64),
+    )
+    indptr, rev_dst, rev_wt, origin = _lexsort_transpose(g)
+    rev, got = g.transpose()
+    assert np.array_equal(got, origin)
+    assert np.array_equal(rev.indptr, indptr)
+    assert np.array_equal(rev.dst, rev_dst)
+    assert np.array_equal(rev.wt, rev_wt)
+
+
+def test_build_sorts_once_and_carries_tags():
+    """``UnifiedCSR.build`` (any input order) equals lexsort + from_edges."""
+    rng = np.random.default_rng(3)
+    keys = rng.choice(20 * 20, size=60, replace=False)
+    src, dst = keys // 20, keys % 20
+    add = np.where(rng.random(60) < 0.3, rng.integers(0, 4, 60), -1)
+    dele = np.where((add < 0) & (rng.random(60) < 0.3), rng.integers(0, 4, 60), -1)
+    edges = EdgeList(20, src, dst, rng.random(60))
+    built = UnifiedCSR.build(edges, add, dele, 5)
+    order = np.lexsort((dst, src))
+    ref = CSRGraph.from_edges(edges)
+    assert np.array_equal(built.graph.indptr, ref.indptr)
+    assert np.array_equal(built.graph.dst, ref.dst)
+    assert np.array_equal(built.graph.wt, ref.wt)
+    assert np.array_equal(built.graph.src_of_edge, ref.src_of_edge)
+    assert np.array_equal(built.add_step, add[order])
+    assert np.array_equal(built.del_step, dele[order])

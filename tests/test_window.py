@@ -1,15 +1,21 @@
 """Tests for ad-hoc time-window extraction and window sliding."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import get_algorithm
 from repro.engines import PlanExecutor
 from repro.engines.validation import evaluate_reference, validate_workflow
-from repro.evolving.unified_csr import UnifiedCSR
+from repro.evolving import synthesize_scenario
+from repro.evolving.unified_csr import UnifiedCSR, tag_planes
 from repro.evolving.window import extract_window, slide_window, window_scenario
 from repro.graph.csr import CSRGraph
 from repro.graph.edges import EdgeList
+from repro.graph.generators import uniform_edges
 from repro.schedule import boe_plan, work_sharing_plan
 
 
@@ -193,3 +199,163 @@ def test_slide_equals_slicing_full_history(small_scenario):
             assert np.array_equal(slid.graph.wt, expected.graph.wt)
             assert np.array_equal(slid.add_step, expected.add_step)
             assert np.array_equal(slid.del_step, expected.del_step)
+
+
+def test_slide_rejects_out_of_range_deletion():
+    """Regression: a deletion keyed ``s * n + d`` with ``d == n`` aliased
+    edge ``(s + 1, 0)`` and silently deleted (or refused) that one."""
+    u = _edgeless_window(n_vertices=4)
+    adds = EdgeList.from_tuples(4, [(1, 0, 1.0)])
+    u = slide_window(u, adds, []).unified
+    for __ in range(u.n_snapshots - 2):  # until (1, 0) is deletable
+        u = slide_window(u).unified
+    for pair in [(0, 4), (-1, 2), (4, 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"edge {pair}: vertex")):
+            slide_window(u, None, [pair])
+    slid = slide_window(u, None, [(1, 0)]).unified  # the real edge still can
+    assert not slid.presence_mask(u.n_snapshots - 1).any()
+
+
+def test_one_snapshot_slide_drops_deletions():
+    """A one-snapshot window has no transition to tag: deleted edges leave
+    the union and additions join it as common edges."""
+    g = CSRGraph.from_tuples(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    u = UnifiedCSR(g, np.full(2, -1, np.int32), np.full(2, -1, np.int32), 1)
+    adds = EdgeList.from_tuples(3, [(2, 0, 2.0)])
+    slid = slide_window(u, adds, [(0, 1)]).unified
+    assert edge_set(slid.graph) == {(1, 2), (2, 0)}
+    assert bool(slid.common_mask.all())
+    assert slid.presence_mask(0).all()
+
+
+def test_slid_planes_are_injected_not_rebuilt(small_scenario):
+    u = small_scenario.unified
+    live = np.flatnonzero(u.presence_mask(u.n_snapshots - 1) & u.common_mask)
+    pair = (int(u.graph.src_of_edge[live[0]]), int(u.graph.dst[live[0]]))
+    slid = slide_window(u, None, [pair]).unified
+    # set by the slide itself, before any presence_* call could build them
+    assert slid._planes is not None
+    assert not slid._planes.flags.writeable
+    assert np.array_equal(
+        slid._planes, tag_planes(slid.add_step, slid.del_step, slid.n_snapshots)
+    )
+
+
+# -- merged slides against the sorted construction -------------------------
+
+
+def _sorted_transpose(graph: CSRGraph):
+    """The lexsort-built transpose and per-slot origin the merge replaced."""
+    origin = np.lexsort((graph.src_of_edge, graph.dst))
+    rev = CSRGraph.from_edges(
+        EdgeList(graph.n_vertices, graph.dst, graph.src_of_edge, graph.wt)
+    )
+    return rev, origin
+
+
+def _sorted_slide(u: UnifiedCSR, adds: EdgeList, dels):
+    """Reference slide: concatenate, lexsort, ``from_edges``, and derive
+    the planes from the shifted tags (the construction before merging)."""
+    n, nv, g = u.n_snapshots, u.n_vertices, u.graph
+    keys = g.src_of_edge * nv + g.dst
+    del_slots = np.searchsorted(
+        keys, np.asarray([s * nv + d for s, d in dels], dtype=np.int64)
+    ).astype(np.int64)
+    tagged_del = u.del_step.astype(np.int64)
+    tagged_del[del_slots] = n - 1  # shifts down to n - 2 below
+    keep = u.del_step != 0
+    add_step = np.where(u.add_step > 0, u.add_step - 1, -1)[keep]
+    del_step = np.where(tagged_del > 0, tagged_del - 1, tagged_del)[keep]
+    src = np.concatenate([g.src_of_edge[keep], adds.src])
+    dst = np.concatenate([g.dst[keep], adds.dst])
+    wt = np.concatenate([g.wt[keep], adds.wt])
+    order = np.lexsort((dst, src))
+    ref = UnifiedCSR(
+        CSRGraph.from_edges(EdgeList(nv, src, dst, wt)),
+        np.concatenate([add_step, np.full(len(adds), n - 2)])[order],
+        np.concatenate([del_step, np.full(len(adds), -1)])[order],
+        n,
+    )
+    ref_keys = ref.graph.src_of_edge * nv + ref.graph.dst
+    return ref, del_slots, np.searchsorted(ref_keys, adds.keys)
+
+
+def _assert_same_union(got: UnifiedCSR, ref: UnifiedCSR) -> None:
+    for name in ("indptr", "dst", "wt", "src_of_edge"):
+        a, b = getattr(got.graph, name), getattr(ref.graph, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert np.array_equal(got.add_step, ref.add_step)
+    assert np.array_equal(got.del_step, ref.del_step)
+    assert np.array_equal(got.presence_planes(), ref.presence_planes())
+    rev, origin = _sorted_transpose(ref.graph)
+    got_rev = got.reverse_graph()
+    assert np.array_equal(got.reverse_edge_origin, origin)
+    for name in ("indptr", "dst", "wt", "src_of_edge"):
+        assert np.array_equal(getattr(got_rev, name), getattr(rev, name)), name
+
+
+@st.composite
+def _deltas(draw, u: UnifiedCSR):
+    """A delta the window accepts: deletions of live edges never added
+    inside the window (so edges added at the first transition qualify),
+    additions of pairs not live, vertices ``0`` and ``n - 1`` included."""
+    nv, n = u.n_vertices, u.n_snapshots
+    g = u.graph
+    deletable = np.flatnonzero(u.presence_mask(n - 1) & (u.add_step < 1))
+    n_del = draw(st.integers(0, min(6, deletable.size)))
+    picked = draw(st.permutations(deletable.tolist()))[:n_del]
+    dels = [(int(g.src_of_edge[i]), int(g.dst[i])) for i in picked]
+    # pairs outside the union, or whose edge leaves with snapshot 0
+    blocked = set(
+        zip(g.src_of_edge[u.del_step != 0].tolist(),
+            g.dst[u.del_step != 0].tolist())
+    )
+    corners = [0, nv - 1]
+    vertex = st.one_of(st.sampled_from(corners), st.integers(0, nv - 1))
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=8, unique=True))
+    adds = [(s, d, 1.0 + (s * nv + d) % 7) for s, d in pairs
+            if (s, d) not in blocked]
+    return EdgeList.from_tuples(nv, adds), dels
+
+
+SLIDE_SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@SLIDE_SETTINGS
+@given(
+    seed=st.integers(0, 10_000),
+    n_vertices=st.sampled_from([2, 5, 16, 40]),
+    n_snapshots=st.integers(2, 10),
+    n_slides=st.integers(1, 4),
+    data=st.data(),
+)
+def test_merged_slide_equals_sorted_construction(
+    seed, n_vertices, n_snapshots, n_slides, data
+):
+    """Property: every slide of a chain — empty, additions-only,
+    deletions-only or mixed — equals the sorted build array for array:
+    graph, ``src_of_edge``, tags, planes, transpose, and both slot lists;
+    and every sub-window's shifted planes equal a rebuild from its tags."""
+    n_edges = min(n_vertices * (n_vertices - 1), n_vertices * 6)
+    pool = uniform_edges(n_vertices, n_edges, seed=seed)
+    u = synthesize_scenario(
+        pool, n_snapshots=n_snapshots, batch_pct=0.2, seed=seed
+    ).unified
+    for __ in range(n_slides):
+        adds, dels = data.draw(_deltas(u))
+        result = slide_window(u, adds, dels)
+        ref, ref_del, ref_add = _sorted_slide(u, adds, dels)
+        _assert_same_union(result.unified, ref)
+        assert np.array_equal(result.del_slots, ref_del)
+        assert np.array_equal(result.add_slots, ref_add)
+        u = result.unified
+        lo = data.draw(st.integers(0, n_snapshots - 1))
+        hi = data.draw(st.integers(lo, n_snapshots - 1))
+        w = extract_window(u, lo, hi)
+        assert np.array_equal(
+            w.presence_planes(), tag_planes(w.add_step, w.del_step, w.n_snapshots)
+        )
