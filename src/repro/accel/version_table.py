@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from repro.evolving.batches import BatchId
 from repro.resilience import faults
+from repro.schedule.plan import ApplyEdges, CopyState
 
 __all__ = ["BatchStatus", "VersionEntry", "VersionTable"]
 
@@ -102,6 +103,48 @@ class VersionTable:
         fire = faults.maybe_fire("version-table.corrupt-entry")
         if fire is not None:
             self._corrupt(batch, sorted(roots), fire)
+
+    def record_segment(self, steps: list) -> None:
+        """Book one executed plan segment, in step order.
+
+        A ``CopyState`` gives its destination the source's composition
+        (executor states are peeled, so no alias is followed); an
+        ``ApplyEdges`` or ``DeleteEdges`` begins and then finishes each of
+        its batches on its targets, with :meth:`begin_batch` and
+        :meth:`finish_batch`'s checks, status changes and composition
+        updates, and one ``version-table.corrupt-entry`` opportunity per
+        finished batch — one call per segment instead of two per batch.
+        """
+        entries = self.entries
+        status = self.batch_status
+        for step in steps:
+            if isinstance(step, CopyState):
+                entries[step.dst].applied = set(entries[step.src].applied)
+                continue
+            batches = step.batches
+            if not batches:
+                continue
+            targets = (
+                step.targets if isinstance(step, ApplyEdges) else (step.state,)
+            )
+            for batch in batches:
+                if status.get(batch) is BatchStatus.ACTIVE:
+                    raise RuntimeError(f"batch {batch} already active")
+                for t in targets:
+                    if entries[t].complete:
+                        raise RuntimeError(f"snapshot {t} already complete")
+                status[batch] = BatchStatus.ACTIVE
+            roots = {self.resolve(t) for t in targets}
+            # every batch lands before the first fault opportunity; a
+            # corruption touches only its own batch, so the result is
+            # finish_batch's, batch after batch
+            for r in roots:
+                entries[r].applied.update(batches)
+            for batch in batches:
+                status[batch] = BatchStatus.COMPLETE
+                fire = faults.maybe_fire("version-table.corrupt-entry")
+                if fire is not None:
+                    self._corrupt(batch, sorted(roots), fire)
 
     def _corrupt(
         self, batch: BatchId, roots: list[int], fire: "faults.Fire"

@@ -10,10 +10,11 @@ current window's results and advances one snapshot at a time:
 * results for the surviving snapshots are *reused untouched*;
 * only the new latest snapshot is computed, incrementally from the
   previous latest — additions propagate directly, deletions run the
-  KickStarter repair against a dependence tree reconstructed from the
+  KickStarter repair against a dependence tree grounded in the
   converged values (union slots re-index on every slide, so live parent
   tracking would not survive; see
-  :func:`repro.engines.deletion.reconstruct_parents`).
+  :func:`repro.engines.deletion.reconstruct_parents`).  Grounding and
+  repair are one step table, so one kernel call on the compiled tier.
 
 CommonGraph's one-change-per-edge rule applies across the *current*
 window: deleting an edge that was added inside it is rejected with the
@@ -25,8 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import Algorithm
-from repro.engines.daic import MultiVersionEngine
-from repro.engines.deletion import DeletionRepair, reconstruct_parents
+from repro.engines.daic import MultiVersionEngine, StepTable
 from repro.engines.executor import PlanExecutor
 from repro.evolving.snapshots import EvolvingScenario
 from repro.evolving.window import slide_window
@@ -121,23 +121,16 @@ class WindowServer:
         # whose parent-forest support touched a retired edge, and the
         # addition pass only writes vertices an arriving edge improved.
         unstable = np.zeros(n_vertices, dtype=bool)
-        engine = MultiVersionEngine(
-            self.algorithm, u, track_parents=bool(del_slots.size)
-        )
         if del_slots.size:
-            reconstruct_parents(
-                engine, latest, last_presence, self.scenario.source
+            # ground a parent forest in the converged values, then repair
+            table = StepTable(self.scenario.source)
+            table.ground(0)
+            table.delete(0, del_slots, "del-batch")
+            engine = MultiVersionEngine(self.algorithm, u, track_parents=True)
+            stats, = engine.run_segment(
+                latest[None, :], last_presence[None, :].copy(), table
             )
-            presence_after = last_presence.copy()
-            presence_after[del_slots] = False
-            stats = DeletionRepair(engine).apply_deletions(
-                latest,
-                del_slots,
-                presence_after,
-                self.scenario.source,
-            )
-            if stats.tagged_mask is not None:
-                unstable |= stats.tagged_mask
+            unstable |= stats.tagged_mask
 
         new_unified = slide.unified
         self.scenario = EvolvingScenario(

@@ -23,15 +23,27 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import Algorithm
+from repro.engines.deletion import (
+    NOT_A_FIXPOINT,
+    DeletionRepair,
+    DeletionStats,
+    reconstruct_parents,
+)
 from repro.engines.trace import TraceCollector, edge_blocks
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.graph.csr import gather_out_edges
 from repro.obs.profile import active_profiler
 from repro.perf.backend import (
     OPS,
+    REPAIR_STATS,
     STEP_APPLY,
     STEP_COLS,
     STEP_COPY,
+    STEP_GROUND,
+    STEP_PROPAGATE,
+    STEP_PULL,
+    STEP_TAG,
+    RepairInputs,
     get_backend,
 )
 from repro.resilience.budget import Budget, BudgetClock
@@ -41,6 +53,12 @@ __all__ = ["MultiVersionEngine", "StepTable", "group_argbest"]
 #: rounds per compiled call while a wall-clock budget is live: the loop
 #: kernel cannot read the budget's clock, so it hands back this often
 _WALL_CLOCK_CHUNK = 64
+
+#: the trace phase of each repair step's passes, and how many steps
+#: before it the repair's TAG (which opens its execution) sits
+_REPAIR_PHASE = {STEP_TAG: "del-tag", STEP_PULL: "del-pull",
+                 STEP_PROPAGATE: "del-recompute"}
+_REPAIR_LEAD = {STEP_PULL: 1, STEP_PROPAGATE: 2}
 
 
 class _Scratch:
@@ -72,21 +90,26 @@ class _Scratch:
 
 
 class StepTable:
-    """A plan segment: a run of copy and apply steps over state rows.
+    """A plan segment: a run of copy, apply and repair steps over state rows.
 
     The compiled tier runs a whole table in one loop-kernel call (the
     columns and kinds of ``_kernels.c``'s step table); the numpy tier
-    runs it step by step.  Each apply step names its target rows, its
-    batch edges and the tag of the execution it records as.
+    runs it step by step, a repair through :class:`DeletionRepair` and a
+    grounding through :func:`reconstruct_parents`.  Each apply and each
+    deletion names its rows, its batch edges and the tag of the
+    execution it records as; ``source`` is the query source the repair
+    steps read.
     """
 
-    __slots__ = ("kinds", "rows", "seeds", "tags", "_cols", "_n_seed")
+    __slots__ = ("kinds", "rows", "seeds", "tags", "source", "_cols",
+                 "_n_seed")
 
-    def __init__(self) -> None:
+    def __init__(self, source: int = 0) -> None:
         self.kinds: list[int] = []
         self.rows: list[tuple[int, ...]] = []
         self.seeds: list[np.ndarray | None] = []
         self.tags: list[str] = []
+        self.source = int(source)
         self._cols: list[int] = []
         self._n_seed = 0
 
@@ -104,6 +127,18 @@ class StepTable:
         edge_idx = np.ascontiguousarray(edge_idx, dtype=np.int64)
         self._add(STEP_APPLY, tuple(targets), edge_idx, tag)
 
+    def delete(self, row: int, edge_idx: np.ndarray, tag: str) -> None:
+        """Remove ``edge_idx`` from ``row``'s graph and repair its values
+        (KickStarter: tag, pull, recompute; one execution ``tag``)."""
+        edge_idx = np.ascontiguousarray(edge_idx, dtype=np.int64)
+        self._add(STEP_TAG, (row,), edge_idx, tag)
+        self._add(STEP_PULL, (row,), None, "")
+        self._add(STEP_PROPAGATE, (row,), None, "")
+
+    def ground(self, row: int) -> None:
+        """Rebuild ``row``'s parent forest from its converged values."""
+        self._add(STEP_GROUND, (row,), None, "")
+
     def _add(self, kind, rows, seeds, tag) -> None:
         start = self._cols[-3] if self._cols else 0
         seed_end = self._n_seed + (0 if seeds is None else seeds.shape[0])
@@ -116,7 +151,7 @@ class StepTable:
 
     @property
     def max_rows(self) -> int:
-        """Most rows of any apply step (the frontier's height)."""
+        """Most rows of any non-copy step (the frontier's height)."""
         return max(
             (len(r) for k, r in zip(self.kinds, self.rows) if k != STEP_COPY),
             default=1,
@@ -183,6 +218,8 @@ class MultiVersionEngine:
         #: reusable round-loop buffers (see _Scratch); one set per engine,
         #: shared across propagate/apply_additions calls
         self._scratch = _Scratch()
+        #: the compiled loop's frontier buffer (see _frontier)
+        self._frontier_buf: np.ndarray | None = None
         #: compiled kernel tier (repro.perf.backend): when the backend has
         #: the propagation-loop kernel and the algorithm declares a
         #: kernel_op, a whole propagate (or a batch seed plus its
@@ -197,6 +234,17 @@ class MultiVersionEngine:
             if self._backend.daic_round is not None and op_name in OPS
             else None
         )
+
+    def _frontier(self, rows: int) -> np.ndarray:
+        """The compiled loop's frontier buffer, ``rows`` rows or more: one
+        array for the engine's life (regrown when too short), so the
+        kernel wrapper checks its address once."""
+        buf = self._frontier_buf
+        if buf is None or buf.shape[0] < rows:
+            grown = rows if buf is None else max(rows, 2 * buf.shape[0])
+            buf = np.zeros((grown, self.graph.n_vertices), dtype=bool)
+            self._frontier_buf = buf
+        return buf
 
     def _can_fuse(self, *arrays: np.ndarray) -> bool:
         if self._fused_op is None:
@@ -248,9 +296,9 @@ class MultiVersionEngine:
 
         self._start_budget()
         if self._can_fuse(frontier, presence, values):
-            return self._run_compiled(
+            return int(self._run_compiled(
                 values, frontier, presence, phase, parent_rows
-            )
+            )[0, 0])
         scratch = self._scratch
         # sampled kernel profiling (repro.obs.profile): one None-check per
         # round when disabled, two perf_counter pairs per sampled round
@@ -410,7 +458,8 @@ class MultiVersionEngine:
         parent_rows: np.ndarray | None,
         seed_edges: np.ndarray | None = None,
         table: StepTable | None = None,
-    ) -> int:
+        repair: RepairInputs | None = None,
+    ) -> np.ndarray:
         """Run a step table to its end through the compiled loop kernel.
 
         Without ``table`` the table is one step over ``values``' rows: a
@@ -418,13 +467,16 @@ class MultiVersionEngine:
         reader's seed pass first (not a round), recorded into the
         caller's execution.  With ``table`` (a segment) ``values`` and
         ``presence`` hold every state row, ``frontier`` is the frontier
-        buffer, and each apply step records as its own execution.
+        buffer, each apply step records as its own execution and each
+        repair (its TAG, PULL and PROPAGATE, writing ``repair``'s
+        outputs) as one.
 
         One kernel call (plus one per wall-clock chunk), recording or
         not: while a collector records, the kernel writes every pass's
         trace row, edge blocks and touched marks itself.  Returns the
-        rounds run.  Bit-identical to the numpy steps: same edge order,
-        same lowest-index parent tie-breaks, same traces.
+        table's per-step outputs (``STEP_OUT`` columns, rounds first)
+        summed over the calls.  Bit-identical to the numpy steps: same
+        edge order, same lowest-index parent tie-breaks, same traces.
         """
         graph = self.graph
         track = self.track_parents and (
@@ -434,7 +486,7 @@ class MultiVersionEngine:
         n_steps = 1
         if table is not None:
             steps, step_rows, seed_edges = table.columns()
-            kwargs.update(steps=steps, step_rows=step_rows)
+            kwargs.update(steps=steps, step_rows=step_rows, repair=repair)
             n_steps = len(table)
             parent_rows = step_rows
         if track:
@@ -467,9 +519,8 @@ class MultiVersionEngine:
             touched = [0] * n_steps
         clock = self._budget_clock
         prof = active_profiler()
-        #: rounds each step has run so far, for the budget's stats
-        step_rounds = [0] * n_steps
-        rounds = first = 0
+        totals = None
+        first = 0
         resume = False
         while True:
             max_rounds, max_events = self._round_caps()
@@ -487,32 +538,36 @@ class MultiVersionEngine:
             )
             if prof is not None and prof.sample(counts.rounds + counts.seeds):
                 prof.add("fused_relax", prof.now() - t0)
-            per_step = counts.steps.tolist()
+            if totals is None:
+                totals = counts.steps
+            else:
+                totals += counts.steps
             if record:
                 self._record_steps(
-                    phase, values.shape[0], counts, per_step, first, resume,
-                    table, stamp_base, edge_masks, touched,
+                    phase, values.shape[0], counts, counts.steps.tolist(),
+                    first, resume, table, stamp_base, edge_masks, touched,
                 )
-            rounds += counts.rounds
+            if counts.unsupported:
+                raise RuntimeError(NOT_A_FIXPOINT)
             if clock is not None:
+                per_step = counts.steps.tolist()
                 for s in range(first, min(counts.stop, n_steps - 1) + 1):
                     ran, events = per_step[s][:2]
                     if ran:
-                        step_rounds[s] += ran
                         clock.charge(
                             rounds=ran,
                             events=events,
-                            stats={"propagate_rounds": step_rounds[s]},
+                            stats={"propagate_rounds": int(totals[s, 0])},
                         )
             if not counts.mid:
-                return rounds
+                return totals
             if counts.stop == first and not (counts.rounds or counts.seeds):
                 # the budget's allowance stopped the loop before a round:
                 # charge that round as the numpy tier would, which breaches
                 clock.charge(
                     rounds=1,
                     events=counts.pending,
-                    stats={"propagate_rounds": step_rounds[first] + 1},
+                    stats={"propagate_rounds": int(totals[first, 0]) + 1},
                 )
                 raise AssertionError("budget cap without a breach")
             first, resume = counts.stop, True
@@ -533,35 +588,48 @@ class MultiVersionEngine:
         """Append each step's slice of a kernel call's trace rows and
         edge-block ids to its execution, one chunk per step.  A segment's
         apply steps open their execution at their first pass and close it
-        at their last."""
+        at their last; a repair's TAG opens its execution and its
+        PROPAGATE closes it, and each of its steps' passes are chunks of
+        their own phase."""
         collector = self.collector
         r = b = 0
         for s in range(first, min(counts.stop, len(per_step) - 1) + 1):
+            n_rows, n_blocks = per_step[s][2:4]
+            lead = s
+            chunk_phase = phase
             if table is not None:
-                if table.kinds[s] == STEP_COPY:
+                kind = table.kinds[s]
+                if kind == STEP_COPY or kind == STEP_GROUND:
                     continue
-                targets = table.rows[s]
-                n_versions = len(targets)
-                if s != first or not resume:
+                if kind != STEP_APPLY:
+                    chunk_phase = _REPAIR_PHASE[kind]
+                    lead = s - _REPAIR_LEAD.get(kind, 0)
+                n_versions = len(table.rows[s])
+                if (kind == STEP_APPLY or kind == STEP_TAG) and (
+                    s != first or not resume
+                ):
                     collector.begin(
-                        table.tags[s], phase, targets,
+                        table.tags[s],
+                        phase if kind == STEP_APPLY else "del",
+                        table.rows[s],
                         stamp=stamp_base + s,
                         touched_edges=(
                             None if edge_masks is None else edge_masks[s]
                         ),
                     )
-            n_rows, n_blocks = per_step[s][2:4]
             if n_rows:
                 collector.record(
-                    phase, n_versions, counts.rows[r:r + n_rows],
+                    chunk_phase, n_versions, counts.rows[r:r + n_rows],
                     counts.blocks[b:b + n_blocks],
                 )
             r += n_rows
             b += n_blocks
             if table is not None:
-                touched[s] += per_step[s][4]
-                if s < counts.stop or not counts.mid:
-                    collector.end(touched_dst_count=touched[s])
+                touched[lead] += per_step[s][4]
+                if kind != STEP_TAG and kind != STEP_PULL and (
+                    s < counts.stop or not counts.mid
+                ):
+                    collector.end(touched_dst_count=touched[lead])
 
     def _update_parents(
         self,
@@ -626,19 +694,18 @@ class MultiVersionEngine:
         then propagation runs to a fixpoint.  Returns rounds executed
         (including the seeding round when it produced work).
         """
-        k, n = values.shape
         self._begin(tag, phase, targets)
         edge_idx = np.ascontiguousarray(batch_edge_idx, dtype=np.int64)
         if self._can_fuse(presence, values):
             self._start_budget()
-            rounds = self._run_compiled(
+            rounds = int(self._run_compiled(
                 values,
-                self._scratch.get("frontier", bool, (k, n)),
+                self._frontier(values.shape[0]),
                 presence,
                 phase,
                 parent_rows,
                 seed_edges=edge_idx,
-            )
+            )[0, 0])
         else:
             changed = self._seed_batch(
                 values, edge_idx, presence, phase, parent_rows
@@ -651,34 +718,57 @@ class MultiVersionEngine:
 
     def run_segment(
         self, values: np.ndarray, presence: np.ndarray, table: StepTable
-    ) -> None:
-        """Run a plan segment's copy and apply steps in order.
+    ) -> list[DeletionStats]:
+        """Run a plan segment's copy, apply and repair steps in order.
 
         ``values`` ``(S, n)`` and ``presence`` ``(S, M)`` hold every
         state row and are updated in place; each apply step sets its
         batch edges in its targets' presence rows, then applies them as
         one multi-version batch (phase ``"add"``, its own execution when
-        recording).  With ``track_parents`` each target row is its own
-        parent row.  The compiled tier runs the whole table in one loop
-        call; the numpy tier's step loop is the parity reference.
+        recording); each deletion clears its edges in its row's presence
+        and runs the KickStarter repair (one ``"del"`` execution), and a
+        grounding rebuilds its row's parent forest.  With
+        ``track_parents`` each target row is its own parent row; repairs
+        need it.  Returns each deletion's :class:`DeletionStats`, in
+        table order.  The compiled tier runs the whole table in one loop
+        call; the numpy tier's step loop, through
+        :class:`DeletionRepair` and :func:`reconstruct_parents`, is the
+        parity reference.
         """
         if self.track_parents:
             self._ensure_parent_rows(
                 max(r for rows in table.rows for r in rows) + 1
             )
+        elif STEP_TAG in table.kinds or STEP_GROUND in table.kinds:
+            raise ValueError("deletion repair requires parent tracking")
         if self._can_fuse(values, presence):
             self._start_budget()
-            self._run_compiled(
+            repair = self._repair_inputs(table)
+            totals = self._run_compiled(
                 values,
-                self._scratch.get(
-                    "frontier", bool, (table.max_rows, values.shape[1])
-                ),
+                self._frontier(table.max_rows),
                 presence,
                 "add",
                 None,
                 table=table,
+                repair=repair,
             )
-            return
+            if repair is None:
+                return []
+            tags = [s for s, kind in enumerate(table.kinds) if kind == STEP_TAG]
+            return [
+                DeletionStats(
+                    tagged_vertices=tagged,
+                    tag_events=events,
+                    tag_rounds=passes,
+                    recompute_rounds=int(totals[s + 2, 0]),
+                    tagged_mask=repair.tagged[q],
+                )
+                for q, (s, (tagged, events, passes)) in enumerate(
+                    zip(tags, repair.stats.tolist())
+                )
+            ]
+        stats = []
         for kind, rows, edge_idx, tag in zip(
             table.kinds, table.rows, table.seeds, table.tags
         ):
@@ -689,6 +779,22 @@ class MultiVersionEngine:
                 if self.track_parents:
                     self.parent_edge[dst] = self.parent_edge[src]
                 continue
+            if kind == STEP_GROUND:
+                reconstruct_parents(
+                    self, values[rows[0]], presence[rows[0]], table.source,
+                    parent_row=rows[0],
+                )
+                continue
+            if kind == STEP_TAG:
+                row = rows[0]
+                presence[row, edge_idx] = False
+                stats.append(DeletionRepair(self).apply_deletions(
+                    values[row], edge_idx, presence[row], table.source,
+                    parent_row=row, tag=tag,
+                ))
+                continue
+            if kind != STEP_APPLY:
+                continue  # a repair's pull and recompute: run with its TAG
             targets = list(rows)
             for t in targets:
                 presence[t, edge_idx] = True
@@ -706,6 +812,39 @@ class MultiVersionEngine:
                 tag=tag, targets=rows, parent_rows=parent_rows,
             )
             values[targets] = sub_values
+        return stats
+
+    def _repair_inputs(self, table: StepTable) -> RepairInputs | None:
+        """The compiled repair steps' scalars, zeroed outputs and, when
+        recording, the transpose (None for a table without repair
+        steps).  Unrecorded, the pull reads the forward edges, so a
+        window slide never builds its union's transpose."""
+        n_tags = table.kinds.count(STEP_TAG)
+        if not n_tags and STEP_GROUND not in table.kinds:
+            return None
+        unified = self.unified
+        rev_indptr = rev_src = origin = None
+        if self.collector is not None:
+            rev = unified.reverse_graph()
+            rev_indptr, rev_src = rev.indptr, rev.dst
+            origin = unified.reverse_edge_origin
+        n = self.graph.n_vertices
+        return RepairInputs(
+            rev_indptr, rev_src, origin,
+            self.reverse_block_offset, table.source,
+            float(self.algorithm.identity),
+            float(self.algorithm.source_value),
+            np.empty((n_tags, n), dtype=bool),
+            np.zeros((n_tags, REPAIR_STATS), dtype=np.int64),
+        )
+
+    @property
+    def reverse_block_offset(self) -> int:
+        """Block-id offset for the transpose (CSC) edge arrays, which live
+        in their own memory region and must not alias the CSR blocks in
+        the cache model."""
+        epb = self.edges_per_block
+        return ((self.graph.n_edges + epb - 1) // epb) * epb
 
     def _seed_batch(
         self,

@@ -16,19 +16,39 @@ KickStarter/JetStream:
 
 Values after repair equal a from-scratch evaluation on the reduced graph
 (asserted by the integration tests).
+
+This module is the numpy tier of the repair and its parity reference.
+On the compiled tier the same repair (and :func:`reconstruct_parents`)
+runs as steps of the engine's step table —
+:meth:`~repro.engines.daic.StepTable.delete` and
+:meth:`~repro.engines.daic.StepTable.ground`, the TAG, PULL, PROPAGATE
+and GROUND kinds of ``_kernels.c`` — which must match these functions
+bit for bit: values, parents, statistics and traces.  Algorithms
+without a ``kernel_op`` (the label-propagation extension) always run
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.engines.daic import MultiVersionEngine
 from repro.engines.trace import edge_blocks
 from repro.graph.csr import gather_out_edges
 
-__all__ = ["DeletionRepair", "DeletionStats", "reconstruct_parents"]
+if TYPE_CHECKING:
+    from repro.engines.daic import MultiVersionEngine
+
+__all__ = [
+    "NOT_A_FIXPOINT", "DeletionRepair", "DeletionStats", "reconstruct_parents"
+]
+
+#: why a parent forest cannot be grounded: some reached vertex has no
+#: supporting in-edge chain back to a root (NaN-poisoned values, or
+#: values that never converged)
+NOT_A_FIXPOINT = "values are not a fixpoint: unsupported vertices found"
 
 
 def reconstruct_parents(
@@ -82,10 +102,8 @@ def reconstruct_parents(
         anchored[uniq] = True
 
     dangling = ~anchored & algo.reached(values[None, :])[0]
-    if np.any(dangling):  # pragma: no cover - fixpoint guarantees none
-        raise RuntimeError(
-            "values are not a fixpoint: unsupported vertices found"
-        )
+    if np.any(dangling):
+        raise RuntimeError(NOT_A_FIXPOINT)
 
 
 @dataclass
@@ -100,9 +118,8 @@ class DeletionStats:
     #: trim) — every vertex whose converged value depended, through the
     #: KickStarter parent forest, on a retired edge.  The complement is
     #: the batch's provably-stable set; sliding-window serving reuses it
-    #: to seed incremental evaluation.  ``None`` only on legacy
-    #: constructions that predate the field.
-    tagged_mask: np.ndarray | None = None
+    #: to seed incremental evaluation.
+    tagged_mask: np.ndarray
 
 
 class DeletionRepair:
@@ -235,8 +252,8 @@ class DeletionRepair:
                 vertex_writes=0,
                 dst=seeds,
                 block_ids=edge_blocks(
-                    r_edge_idx + self._reverse_block_offset(),
-                    self.engine.edges_per_block,
+                    r_edge_idx + engine.reverse_block_offset,
+                    engine.edges_per_block,
                 ),
             )
             frontier2 = np.zeros((1, n), dtype=bool)
@@ -258,13 +275,6 @@ class DeletionRepair:
             recompute_rounds=recompute_rounds,
             tagged_mask=tagged,
         )
-
-    def _reverse_block_offset(self) -> int:
-        """Block-id offset for the transpose (CSC) edge arrays, which live
-        in their own memory region and must not alias the CSR blocks in
-        the cache model."""
-        epb = self.engine.edges_per_block
-        return ((self.engine.graph.n_edges + epb - 1) // epb) * epb
 
     def _record(self, phase, events_popped, events_generated, edge_idx,
                 vertex_writes, dst, block_ids=None) -> None:

@@ -8,14 +8,15 @@ returns the final query values of every snapshot.  On request
 accelerator timing models replay; a caller that only wants values skips
 them.
 
-Each maximal run of ``CopyState`` and ``ApplyEdges`` steps is a
-*segment*: the executor does its version-table bookkeeping and batch
-delivery per step, collects the steps into a
-:class:`~repro.engines.daic.StepTable`, and hands the table to the
-engine, which runs it on the compiled tier as one kernel call (the
-kernel reads and writes the state rows in place and writes each step's
-round traces itself).  ``EvalFull``, ``DeleteEdges`` and
-``MarkSnapshot`` end a segment.  So a Direct-Hop plan costs one call
+Each maximal run of ``CopyState``, ``ApplyEdges`` and ``DeleteEdges``
+steps is a *segment*: the executor does batch delivery per step,
+collects the steps into a :class:`~repro.engines.daic.StepTable`, does
+the segment's version-table bookkeeping in one call, and hands the table
+to the engine, which runs it on the compiled tier as one kernel call
+(the kernel reads and writes the state rows in place, runs each
+deletion's KickStarter repair, and writes each step's round traces
+itself).  ``EvalFull`` and ``MarkSnapshot`` end a segment.  So a
+streaming plan costs one call per snapshot, a Direct-Hop plan one call
 per hop chain and a BOE plan one call for its whole schedule.
 """
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from repro.algorithms.base import Algorithm
 from repro.engines.daic import MultiVersionEngine, StepTable
-from repro.engines.deletion import DeletionRepair, DeletionStats
+from repro.engines.deletion import DeletionStats
 from repro.engines.trace import TraceCollector
 from repro.evolving.snapshots import EvolvingScenario
 from repro.resilience import faults
@@ -106,7 +107,6 @@ class PlanExecutor:
             track_parents=needs_deletion,
             budget=self.budget,
         )
-        repair = DeletionRepair(engine) if needs_deletion else None
         table = self._new_version_table(plan)
 
         n_states = max(plan.n_states, 1)
@@ -121,70 +121,49 @@ class PlanExecutor:
         )
 
         result = WorkflowResult(plan.name, {}, collector, version_table=table)
-        segment = StepTable()
+        source = self.scenario.source
+        segment = StepTable(source)
+        moved: list = []
+
+        def run_segment() -> None:
+            if table is not None:
+                table.record_segment(moved)
+            result.deletion_stats += engine.run_segment(
+                values, presence, segment
+            )
+
         for step in plan.steps:
             if isinstance(step, CopyState):
                 segment.copy(step.src, step.dst)
-                if table is not None:
-                    table.entries[step.dst].applied = set(
-                        table.entries[step.src].applied
-                    )
-                continue
-            if isinstance(step, ApplyEdges):
-                targets = list(step.targets)
-                if table is not None:
-                    for b in step.batches:
-                        table.begin_batch(b, targets)
+            elif isinstance(step, ApplyEdges):
                 segment.apply(step.targets, self._delivered(step), step.label)
-                if table is not None:
-                    for b in step.batches:
-                        table.finish_batch(b, targets)
-                continue
-            if len(segment):
-                engine.run_segment(values, presence, segment)
-                segment = StepTable()
-            if isinstance(step, EvalFull):
-                presence[step.state] = initial_mask
-                parent_row = step.state if needs_deletion else None
-                source = (
-                    self.scenario.source if step.source is None else step.source
-                )
-                values[step.state] = engine.evaluate_full(
-                    presence[step.state],
-                    source,
-                    phase="full",
-                    tag=step.label,
-                    parent_row=parent_row,
-                )
             elif isinstance(step, DeleteEdges):
-                if table is not None:
-                    for b in step.batches:
-                        table.begin_batch(b, [step.state])
-                presence[step.state, step.edge_idx] = False
-                row = values[step.state]
-                stats = repair.apply_deletions(
-                    row,
-                    step.edge_idx,
-                    presence[step.state],
-                    self.scenario.source,
-                    parent_row=step.state,
-                    tag=step.label,
-                )
-                values[step.state] = row
-                result.deletion_stats.append(stats)
-                if table is not None:
-                    for b in step.batches:
-                        table.finish_batch(b, [step.state])
-            elif isinstance(step, MarkSnapshot):
-                snap = values[step.state].copy()
-                fire = faults.maybe_fire("executor.bitflip-value")
-                if fire is not None:
-                    self._bitflip(snap, fire, step.snapshot)
-                result.snapshot_values[step.snapshot] = snap
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown plan step {step!r}")
+                segment.delete(step.state, step.edge_idx, step.label)
+            else:
+                if len(segment):
+                    run_segment()
+                    segment, moved = StepTable(source), []
+                if isinstance(step, EvalFull):
+                    presence[step.state] = initial_mask
+                    values[step.state] = engine.evaluate_full(
+                        presence[step.state],
+                        source if step.source is None else step.source,
+                        phase="full",
+                        tag=step.label,
+                        parent_row=step.state if needs_deletion else None,
+                    )
+                elif isinstance(step, MarkSnapshot):
+                    snap = values[step.state].copy()
+                    fire = faults.maybe_fire("executor.bitflip-value")
+                    if fire is not None:
+                        self._bitflip(snap, fire, step.snapshot)
+                    result.snapshot_values[step.snapshot] = snap
+                else:  # pragma: no cover - defensive
+                    raise TypeError(f"unknown plan step {step!r}")
+                continue
+            moved.append(step)
         if len(segment):
-            engine.run_segment(values, presence, segment)
+            run_segment()
         if table is not None:
             for entry in table.entries:
                 table.mark_complete(entry.snapshot)

@@ -34,6 +34,11 @@ class BatchId:
     kind: BatchKind
     step: int
 
+    def __hash__(self) -> int:
+        # one frame instead of the generated tuple hash and the enum's own
+        # __hash__: version tables hash batch ids several times per batch
+        return 2 * self.step + (self.kind is BatchKind.DELETION)
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         sign = "+" if self.kind is BatchKind.ADDITION else "-"
         return f"Δ{sign}_{self.step}"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.perf.backend import reference
 __all__ = [
     "VALID_NAMES",
     "KernelBackend",
+    "RepairInputs",
     "available_backends",
     "backend_info",
     "get_backend",
@@ -55,6 +56,31 @@ OPS = {"plus_wt": 0, "plus_one": 1, "min_wt": 2, "max_wt": 3, "div_wt": 4}
 #: of its seed edges in the concatenated seeds — and the step kinds
 STEP_COLS = 5
 STEP_COPY, STEP_APPLY, STEP_SEED, STEP_PROPAGATE = 0, 1, 2, 3
+STEP_TAG, STEP_PULL, STEP_GROUND = 4, 5, 6
+#: int64 outputs per repair (REPAIR_STATS in _kernels.c): tagged
+#: vertices, tag events, cascade passes
+REPAIR_STATS = 3
+
+
+class RepairInputs(NamedTuple):
+    """What a step table's repair steps read and write (``daic_repair``
+    in ``_kernels.c``).  ``tagged`` ``(R, n)`` bool and ``stats`` ``(R,
+    REPAIR_STATS)`` int64, zeroed, receive the table's R repairs."""
+
+    #: the union transpose: offsets, each transpose edge's in-neighbour
+    #: and its forward edge.  None in a call that records no trace: its
+    #: pulls read the forward edges instead
+    rev_indptr: np.ndarray | None
+    rev_src: np.ndarray | None
+    rev_origin: np.ndarray | None
+    #: block-id offset of the transpose's own memory region
+    rev_block_offset: int
+    source: int
+    identity: float
+    source_value: float
+    tagged: np.ndarray
+    stats: np.ndarray
+
 
 #: group_argbest falls back to the reference lexsort when the dense
 #: per-key scratch would dwarf the item count (keys are flat (version,

@@ -7,13 +7,17 @@
  *   group_argbest   — per-group best candidate with lowest-input-index
  *                     tie-breaks (replaces a lexsort + three temporaries);
  *   daic_round      — the DAIC engine's loop over a step table: a plan
- *                     segment's copy and apply steps (or one propagate)
- *                     in one call, each apply's seed pass and rounds run
- *                     in place on its rows of the state matrices, each
- *                     round's edge-gather -> relax -> better_into body
- *                     fused into one pass over the frontier's out-edges,
- *                     until the table ends or a round cap is hit,
- *                     optionally writing each pass's trace as it goes;
+ *                     segment's copy, apply and KickStarter repair steps
+ *                     (or one propagate) in one call, each apply's seed
+ *                     pass and rounds run in place on its rows of the
+ *                     state matrices, each round's edge-gather -> relax
+ *                     -> better_into body fused into one pass over the
+ *                     frontier's out-edges, a deletion's tag cascade,
+ *                     transpose pull and recompute (and a parent forest
+ *                     grounded from converged values) as steps of the
+ *                     same table, until the table ends or a round cap is
+ *                     hit, optionally writing each pass's trace as it
+ *                     goes (mega_daic_check validates a table first);
  *   presence_gather — bit-plane presence test, unpack-and-test per edge
  *                     with no intermediate unpacked plane;
  *   replay          — a simulation's whole timing replay: the wave
@@ -195,8 +199,8 @@ static int64_t settle_frontier(
 }
 
 /* Trace of one gathered edge in record mode: stamp its destination with
- * the step's serial (counting the first stamp) and set its byte in the
- * step's edge mask. */
+ * the execution's serial (counting the first stamp) and set its byte in
+ * the execution's edge mask. */
 static inline void record_edge(
     int64_t e, const int64_t *dst_all, int64_t *dst_stamp, int64_t serial,
     int64_t *touched, uint8_t *edge_mask)
@@ -208,6 +212,18 @@ static inline void record_edge(
     }
     if (edge_mask != NULL)
         edge_mask[e] = 1;
+}
+
+/* Append edge-block id b to a pass's block list unless it repeats the
+ * last one written: a pass that visits its edges (or transpose edges) in
+ * ascending order keeps its list sorted and unique this way. */
+static inline void record_block(
+    int64_t b, int64_t *blocks, int64_t *n_blocks, int64_t *last_block)
+{
+    if (b != *last_block) {
+        blocks[(*n_blocks)++] = b;
+        *last_block = b;
+    }
 }
 
 /* Trace of one frontier vertex's out-edges [lo, hi) in a recorded
@@ -223,20 +239,73 @@ static inline void record_edges(
     int64_t b, j;
     if (lo >= hi)
         return;
-    for (b = lo / epb; b <= (hi - 1) / epb; b++) {
-        if (b != *last_block) {
-            blocks[(*n_blocks)++] = b;
-            *last_block = b;
-        }
-    }
+    for (b = lo / epb; b <= (hi - 1) / epb; b++)
+        record_block(b, blocks, n_blocks, last_block);
     if (dst_stamp != NULL || edge_mask != NULL)
         for (j = lo; j < hi; j++)
             record_edge(j, dst_all, dst_stamp, serial, touched, edge_mask);
 }
 
-/* The DAIC loop over a step table: a segment of copy and apply steps
- * (or one propagate) in one call, each apply's round body fused into
- * one pass per round.
+/* Trace of a batch pass (a seed pass, or the deletion reader's first
+ * pass): its edges come in batch order, so their block ids are sorted
+ * unless already ascending, then one of each run is kept at `b`.  Every
+ * edge is stamped and masked.  Returns the block count. */
+static int64_t record_batch(
+    const int64_t *edges, int64_t n_edges, const int64_t *dst_all,
+    int64_t epb, int64_t *b, int64_t *dst_stamp, int64_t serial,
+    int64_t *touched, uint8_t *edge_mask)
+{
+    int64_t j, u = 0, sorted = 1;
+    for (j = 0; j < n_edges; j++) {
+        b[j] = edges[j] / epb;
+        sorted &= j == 0 || b[j] >= b[j - 1];
+        record_edge(edges[j], dst_all, dst_stamp, serial, touched, edge_mask);
+    }
+    if (!sorted)
+        qsort(b, (size_t)n_edges, sizeof(int64_t), cmp_i64);
+    for (j = 0; j < n_edges; j++)
+        if (u == 0 || b[j] != b[u - 1])
+            b[u++] = b[j];
+    return u;
+}
+
+/* Order a list of distinct vertices, each set in `mark`, ascending and
+ * clear their marks; a long list is rebuilt from one scan of `mark`. */
+static void sort_marked(int64_t *list, int64_t len, uint8_t *mark, int64_t n)
+{
+    int64_t i;
+    if (len > n / 8) {
+        len = 0;
+        for (i = 0; i < n; i++)
+            if (mark[i]) {
+                mark[i] = 0;
+                list[len++] = i;
+            }
+        return;
+    }
+    qsort(list, (size_t)len, sizeof(int64_t), cmp_i64);
+    for (i = 0; i < len; i++)
+        mark[list[i]] = 0;
+}
+
+static inline void put_row(
+    int64_t *row, int64_t popped, int64_t generated, int64_t fetched,
+    int64_t writes, int64_t version_popped, int64_t version_generated,
+    int64_t version_writes, int64_t n_blocks)
+{
+    row[0] = popped;
+    row[1] = generated;
+    row[2] = fetched;
+    row[3] = writes;
+    row[4] = version_popped;
+    row[5] = version_generated;
+    row[6] = version_writes;
+    row[7] = n_blocks;
+}
+
+/* The DAIC loop over a step table: a segment of copy, apply and repair
+ * steps (or one propagate) in one call, each apply's round body fused
+ * into one pass per round.
  *
  * The step table holds STEP_COLS int64 per step: kind, the step's rows
  * as an offset range into step_rows, and its seed edges as an offset
@@ -255,8 +324,38 @@ static inline void record_edges(
  *                   in version k relaxes from the pre-pass values with
  *                   the frontier gate disabled; the changed cells become
  *                   the frontier), then rounds to a fixpoint;
- *   STEP_PROPAGATE  rounds to a fixpoint from `frontier`'s first K rows
- *                   (first step of a table only).
+ *   STEP_PROPAGATE  rounds to a fixpoint: as a table's first step from
+ *                   `frontier`'s first K rows, after a STEP_PULL from the
+ *                   seeds it pulled.
+ *
+ * KickStarter deletion repair is three steps on one row, TAG, PULL and
+ * PROPAGATE, and needs parent tracking and `repair` (a daic_repair,
+ * cext._Repair mirrors it).  The n-th TAG of the table writes row n of
+ * repair->tagged and repair->stats.
+ *
+ *   STEP_TAG        the seed edges are the deleted edges.  The deletion
+ *                   reader's pass tags every destination whose parent is
+ *                   its deleted edge; then each cascade pass follows the
+ *                   tagged frontier's out-edges present after the batch or
+ *                   deleted by it and tags each untagged destination whose
+ *                   parent is that edge.  Then the trim: the source is
+ *                   untagged, every tagged vertex's value is reset to the
+ *                   identity and its parent to -1, and the deleted edges'
+ *                   presence bits are cleared;
+ *   STEP_PULL       the in-edges of the tagged region, through the
+ *                   transpose (repair->rev_*): every in-neighbour that is
+ *                   untagged, reached, and joined by an edge present after
+ *                   the batch becomes a seed, in ascending order — the
+ *                   frontier of the PROPAGATE that follows (the recompute).
+ *                   Nothing happens when no vertex was tagged;
+ *   STEP_GROUND     rebuild the row's parent forest from converged values
+ *                   (deletion.reconstruct_parents): roots are the vertices
+ *                   holding their initial value; level by level, each
+ *                   unanchored vertex with a supporting present in-edge
+ *                   (candidate == value) from the last level is anchored,
+ *                   its parent the lowest such edge id.  A reached vertex
+ *                   left unanchored means the values are not a fixpoint:
+ *                   the call stops at the step with counters[10] set.
  *
  * Each round pops the frontier: for every frontier vertex in ascending
  * order and each of its CSR out-edges (ascending), every version whose
@@ -268,13 +367,14 @@ static inline void record_edges(
  *
  * The call runs steps first_step.. in order.  resume says first_step's
  * copy, presence and seed work already ran and its live frontier sits
- * in `frontier` (the state a stop mid-step leaves).  A cap stops the
- * call between rounds: max_rounds (< 0: none) bounds the rounds run;
- * max_events (< 0: none) bounds the popped events summed over them — a
- * round that would exceed either is not started, and `frontier` then
- * holds the step's live frontier.  Seed passes are not rounds and are
- * never capped.  `frontier` is max_k x n bytes (max_k: the most rows of
- * any non-copy step); the call zeroes every row but a live frontier's.
+ * in `frontier` (the state a stop mid-step leaves; for a TAG, the live
+ * cascade frontier).  A cap stops the call between rounds: max_rounds
+ * (< 0: none) bounds the rounds run; max_events (< 0: none) bounds the
+ * popped events summed over them — a round that would exceed either is
+ * not started, and `frontier` then holds the step's live frontier.  Seed,
+ * tag and pull passes are not rounds and are never capped.  `frontier`
+ * is max_k x n bytes (max_k: the most rows of any non-copy step); the
+ * call zeroes every row but a live frontier's.
  *
  * work is one 8-byte-aligned scratch block laid out as below (sized by
  * cext._work_bytes, which must follow this layout).
@@ -289,14 +389,15 @@ static inline void record_edges(
  * counters[7] edge-block ids written (record mode)
  * counters[8] 1 when a pass was not started for lack of record space
  * counters[9] that pass's worst-case block count
+ * counters[10] 1 when a GROUND step found values that are not a fixpoint
  *
  * step_out (n_steps x STEP_OUT) is added to, per step: [0] rounds,
  * [1] events popped, [2] trace rows, [3] edge-block ids, [4] vertices
  * the step's passes stamped first (record mode, with dst_stamp).
  *
  * Record mode (record != NULL) writes the trace of every pass run — each
- * step's seed pass first, then its rounds — into the caller buffers of a
- * daic_record (cext._Record mirrors it):
+ * step's seed, tag or pull pass first, then its rounds — into the caller
+ * buffers of a daic_record (cext._Record mirrors it):
  *
  *   rows    row_cap x DAIC_ROW int64, one row per pass:
  *             [0] events popped: frontier vertices (seed pass: 0)
@@ -310,14 +411,27 @@ static inline void record_edges(
  *   blocks  block_cap int64: each pass's sorted unique edge-block ids
  *           (edge // edges_per_block), concatenated in pass order
  *   dst_stamp  (n int64, nullable) set to stamp_base + s at the
- *              destination of every edge step s gathers, active or not
+ *              destination of every edge execution s gathers, active or
+ *              not
  *   edge_masks (n_steps x M bytes, nullable) row s set at every edge
- *              step s gathers
+ *              execution s gathers
  *
- * A pass whose row, or whose worst-case block count (a seed pass: its
- * seed count; a round: min(edges fetched, blocks in the graph)), would
- * not fit is not started; counters[8..9] tell the caller to grow the
- * buffers and resume (mid-step when the pass was a round). */
+ * An execution is a step, except that a repair's TAG, PULL and
+ * PROPAGATE are one execution, numbered by its TAG.  Repair passes fill
+ * the rows as the repair reference does, with zero version columns:
+ * the reader's pass (0, deleted, deleted, direct victims counted per
+ * deleted edge), each cascade pass (frontier, edges followed, edges
+ * followed, newly tagged) with those edges' blocks, and the pull (tagged,
+ * in-edges, in-edges, 0) with the in-edges' blocks offset by
+ * repair->rev_block_offset, stamping the seeds and masking the in-edges'
+ * forward edges.
+ *
+ * A pass whose row, or whose worst-case block count (a seed or reader
+ * pass: its edge count; a round or cascade pass: min(edges fetched,
+ * blocks in the graph); a pull: min(in-edges, blocks in the graph)),
+ * would not fit is not started; counters[8..9] tell the caller to grow
+ * the buffers and resume (mid-step when the pass was a round or a
+ * cascade pass). */
 #define DAIC_ROW 8
 #define STEP_COLS 5
 #define STEP_OUT 5
@@ -325,6 +439,10 @@ static inline void record_edges(
 #define STEP_APPLY 1
 #define STEP_SEED 2
 #define STEP_PROPAGATE 3
+#define STEP_TAG 4
+#define STEP_PULL 5
+#define STEP_GROUND 6
+#define REPAIR_STATS 3
 
 typedef struct {
     int64_t *rows;
@@ -337,16 +455,469 @@ typedef struct {
     uint8_t *edge_masks;
 } daic_record;
 
-void mega_daic_round(
-    const int64_t *indptr, const int64_t *src_of_edge,
-    const int64_t *dst_all, const double *wt_all,
+/* The repair steps' inputs and outputs.  stats rows: [0] tagged
+ * vertices (after the trim), [1] tag events (deleted edges plus edges
+ * followed), [2] cascade passes.  The transpose (rev_*) may be NULL in
+ * a call that records nothing: a pull then finds the same seeds by
+ * scanning the forward edges into the tagged region. */
+typedef struct {
+    const int64_t *rev_indptr;   /* n + 1: the union transpose's offsets */
+    const int64_t *rev_src;      /* M: each transpose edge's in-neighbour */
+    const int64_t *rev_origin;   /* M: each transpose edge's forward edge */
+    int64_t rev_block_offset;
+    int64_t source;
+    double identity;
+    double source_value;
+    uint8_t *tagged;             /* n_repairs x n */
+    int64_t *stats;              /* n_repairs x REPAIR_STATS */
+} daic_repair;
+
+/* The first step of step s's execution: a repair's PULL and PROPAGATE
+ * belong to its TAG. */
+static int64_t execution_of(const int64_t *steps, int64_t s)
+{
+    while (s > 0
+           && (steps[STEP_COLS * s] == STEP_PULL
+               || (steps[STEP_COLS * s] == STEP_PROPAGATE
+                   && steps[STEP_COLS * (s - 1)] == STEP_PULL)))
+        s--;
+    return s;
+}
+
+/* mega_daic_check: refuse a call the loop kernel would misread, before
+ * it runs.  Every step's row range lies in [0, n_step_rows) and is
+ * non-empty, its seed range in [0, n_seed]; a copy names two rows and no
+ * seeds; a PROPAGATE opens the table or follows a PULL; repair steps name
+ * one row and need parent rows and repair inputs; a TAG is followed by a
+ * PULL, and a PULL by a PROPAGATE, on its row; only APPLY, SEED and TAG
+ * take seeds.  Returns 0 with out[0] the most rows of any non-copy step
+ * and out[1] the longest seed range; 1 + the first malformed step's
+ * index; CHECK_BAD_ROWS when a step row leaves [0, n_rows);
+ * CHECK_BAD_SEEDS when a seed leaves [0, n_edges); CHECK_BAD_PARENTS when
+ * a parent row (parent_rows, nullable, aligned with step_rows) leaves
+ * [0, n_parents). */
+#define CHECK_BAD_ROWS (-1)
+#define CHECK_BAD_SEEDS (-2)
+#define CHECK_BAD_PARENTS (-3)
+int64_t mega_daic_check(
     const int64_t *steps, int64_t n_steps, const int64_t *step_rows,
-    const int64_t *seed_edges, int64_t first_step, int resume,
-    uint8_t *frontier, uint8_t *presence, double *values,
-    int64_t n_vertices, int64_t n_union_edges, int op, int minimize,
-    int64_t *parent_edge, const int64_t *parent_rows,
-    void *work, int64_t max_rounds, int64_t max_events,
-    int64_t *step_out, int64_t *counters, const daic_record *record)
+    int64_t n_step_rows, int64_t n_rows, const int64_t *seed_edges,
+    int64_t n_seed, int64_t n_edges, const int64_t *parent_rows,
+    int64_t n_parents, int repair, int64_t *out)
+{
+    int64_t i, max_k = 1, span = 0;
+    uint64_t bad_rows = 0, bad_seeds = 0, bad_parents = 0;
+    for (i = 0; i < n_steps; i++) {
+        const int64_t *st = steps + STEP_COLS * i;
+        const int64_t kind = st[0], lo = st[1], hi = st[2];
+        const int64_t seeds = st[4] - st[3];
+        const int64_t prev = i > 0 ? st[-STEP_COLS] : -1;
+        const int64_t next = i + 1 < n_steps ? st[STEP_COLS] : -1;
+        int ok = 0 <= lo && lo < hi && hi <= n_step_rows && 0 <= st[3]
+                 && st[3] <= st[4] && st[4] <= n_seed;
+        if (ok) {
+            const int64_t row = step_rows[lo];
+            const int one = hi - lo == 1;
+            const int fixes = parent_rows != NULL && repair;
+            switch (kind) {
+            case STEP_COPY:
+                ok = hi - lo == 2 && !seeds;
+                break;
+            case STEP_APPLY:
+            case STEP_SEED:
+                break;
+            case STEP_PROPAGATE:
+                ok = !seeds && (i == 0 || (prev == STEP_PULL && one
+                                           && step_rows[st[-4]] == row));
+                break;
+            case STEP_TAG:
+                ok = one && fixes && next == STEP_PULL
+                     && step_rows[st[STEP_COLS + 1]] == row;
+                break;
+            case STEP_PULL:
+                ok = one && !seeds && prev == STEP_TAG
+                     && next == STEP_PROPAGATE
+                     && step_rows[st[STEP_COLS + 1]] == row;
+                break;
+            case STEP_GROUND:
+                ok = one && !seeds && fixes;
+                break;
+            default:
+                ok = 0;
+            }
+        }
+        if (!ok)
+            return i + 1;
+        if (kind != STEP_COPY && hi - lo > max_k)
+            max_k = hi - lo;
+        if (seeds > span)
+            span = seeds;
+    }
+    /* one unsigned compare per id catches negatives too */
+    for (i = 0; i < n_step_rows; i++)
+        bad_rows |= (uint64_t)step_rows[i] >= (uint64_t)n_rows;
+    if (bad_rows)
+        return CHECK_BAD_ROWS;
+    for (i = 0; i < n_seed; i++)
+        bad_seeds |= (uint64_t)seed_edges[i] >= (uint64_t)n_edges;
+    if (bad_seeds)
+        return CHECK_BAD_SEEDS;
+    if (parent_rows != NULL)
+        for (i = 0; i < n_step_rows; i++)
+            bad_parents |= (uint64_t)parent_rows[i] >= (uint64_t)n_parents;
+    if (bad_parents)
+        return CHECK_BAD_PARENTS;
+    out[0] = max_k;
+    out[1] = span;
+    return 0;
+}
+
+/* What a repair step reads and where it appends its trace (record
+ * NULL: not recording): the call's inputs and scratch, set once, and the
+ * trace cursors and frontier lists, which the loop kernel copies in and
+ * out around each step, so the hot round loop's locals never have their
+ * address taken (which slows the round loop down). */
+typedef struct {
+    const int64_t *indptr, *dst_all;
+    const double *wt_all;
+    int op;
+    int64_t n;
+    const daic_repair *repair;
+    const daic_record *record;
+    int64_t epb, graph_blocks;
+    uint8_t *frontier, *mark, *anchored;
+    int64_t *best;
+    /* per step: its execution's serial and edge mask, its step_out row */
+    int64_t serial;
+    uint8_t *emask;
+    int64_t *out;
+    int64_t n_rows, n_blocks, need, nf;
+    /* the call's TAG count so far, the frontier lists, the last status */
+    int64_t tags;
+    int64_t *cur, *next;
+    int status;
+} repair_pass;
+
+/* a repair step's status: done; stopped for record space before any
+ * work, or between two cascade passes (the frontier's bytes then live
+ * in the frontier buffer's first row); a GROUND that found values that
+ * are not a fixpoint */
+#define REPAIR_DONE 0
+#define REPAIR_FULL 1
+#define REPAIR_FULL_MID 2
+#define REPAIR_UNSUPPORTED 3
+
+static int repair_room(repair_pass *ps, int64_t need)
+{
+    const daic_record *rec = ps->record;
+    if (rec == NULL
+        || (ps->n_rows < rec->row_cap && ps->n_blocks + need <= rec->block_cap))
+        return 1;
+    ps->need = need;
+    return 0;
+}
+
+static void repair_row(
+    repair_pass *ps, int64_t popped, int64_t generated, int64_t writes,
+    int64_t n_blocks, int64_t touched)
+{
+    put_row(ps->record->rows + DAIC_ROW * ps->n_rows++, popped, generated,
+            generated, writes, 0, 0, 0, n_blocks);
+    ps->out[2]++;
+    ps->out[3] += n_blocks;
+    ps->out[4] += touched;
+}
+
+/* STEP_GROUND on one row (see mega_daic_round); ps->anchored and
+ * ps->mark are n zeroed bytes, left zeroed.  Returns REPAIR_UNSUPPORTED
+ * when a reached vertex has no grounded support. */
+static int ground_row(repair_pass *ps, const double *v, const uint8_t *p,
+                      int64_t *par)
+{
+    const int64_t *const indptr = ps->indptr, *const dst_all = ps->dst_all;
+    const daic_repair *const repair = ps->repair;
+    const int64_t n = ps->n;
+    uint8_t *const anchored = ps->anchored, *const mark = ps->mark;
+    int64_t *const best = ps->best, *cur = ps->cur, *next = ps->next;
+    int64_t i, j, nf = 0, len;
+    int bad = 0;
+    for (i = 0; i < n; i++) {
+        const double init = i == repair->source ? repair->source_value
+                                                : repair->identity;
+        par[i] = -1;
+        if (v[i] == init) {
+            anchored[i] = 1;
+            cur[nf++] = i;
+        }
+    }
+    /* a vertex first supported from level L is anchored at level L + 1;
+     * its supports from earlier levels would have anchored it sooner, so
+     * only the last level's out-edges need a look */
+    while (nf > 0) {
+        len = 0;
+        for (i = 0; i < nf; i++) {
+            const int64_t u = cur[i];
+            for (j = indptr[u]; j < indptr[u + 1]; j++) {
+                const int64_t w = dst_all[j];
+                if (!p[j] || anchored[w]
+                    || candidate_of(ps->op, v[u], ps->wt_all[j]) != v[w])
+                    continue;
+                if (!mark[w]) {
+                    mark[w] = 1;
+                    best[w] = j;
+                    next[len++] = w;
+                } else if (j < best[w]) {
+                    best[w] = j;
+                }
+            }
+        }
+        for (i = 0; i < len; i++) {
+            const int64_t w = next[i];
+            mark[w] = 0;
+            anchored[w] = 1;
+            par[w] = best[w];
+        }
+        int64_t *tl = cur; cur = next; next = tl;
+        nf = len;
+    }
+    for (i = 0; i < n; i++) {
+        bad |= !anchored[i] && v[i] != repair->identity;
+        anchored[i] = 0;
+    }
+    return bad ? REPAIR_UNSUPPORTED : REPAIR_DONE;
+}
+
+/* STEP_TAG on one row (see mega_daic_round): the reader's pass, the
+ * cascade, then the trim.  resumed: continue the cascade from the live
+ * frontier in the frontier buffer's first row. */
+static int tag_row(repair_pass *ps, uint8_t *p, double *v, int64_t *par,
+                   const int64_t *seeds, int64_t n_seed, int resumed)
+{
+    const int64_t *const indptr = ps->indptr, *const dst_all = ps->dst_all;
+    const daic_repair *const repair = ps->repair;
+    const int64_t n = ps->n, rep = ps->tags++;
+    uint8_t *const frontier = ps->frontier, *const mark = ps->mark;
+    int64_t *cur = ps->cur, *next = ps->next;
+    uint8_t *const tagged = repair->tagged + rep * n;
+    int64_t *const stats = repair->stats + rep * REPAIR_STATS;
+    const daic_record *rec = ps->record;
+    int64_t *const dst_stamp = rec != NULL ? rec->dst_stamp : NULL;
+    int64_t i, j, nf = 0, touched = 0;
+    if (resumed) {
+        for (i = 0; i < n; i++)
+            if (frontier[i]) {
+                frontier[i] = 0;
+                cur[nf++] = i;
+            }
+    } else {
+        int64_t writes = 0;
+        if (!repair_room(ps, n_seed))
+            return REPAIR_FULL;
+        memset(tagged, 0, (size_t)n);
+        /* the cascade follows edges present after the batch or deleted
+         * by it: the deleted edges stay set until the trim */
+        for (j = 0; j < n_seed; j++)
+            p[seeds[j]] = 1;
+        for (j = 0; j < n_seed; j++) {
+            const int64_t e = seeds[j], w = dst_all[e];
+            if (par[w] != e)
+                continue;
+            writes++;
+            if (!tagged[w]) {
+                tagged[w] = mark[w] = 1;
+                cur[nf++] = w;
+            }
+        }
+        sort_marked(cur, nf, mark, n);
+        stats[1] += n_seed;
+        if (rec != NULL) {
+            const int64_t u = record_batch(
+                seeds, n_seed, dst_all, ps->epb, rec->blocks + ps->n_blocks,
+                dst_stamp, ps->serial, &touched, ps->emask);
+            ps->n_blocks += u;
+            repair_row(ps, 0, n_seed, writes, u, touched);
+        }
+    }
+    while (nf > 0) {
+        int64_t fetched = 0, followed = 0, len = 0, last_block = -1;
+        const int64_t pass_blocks = ps->n_blocks;
+        int64_t *tl;
+        for (i = 0; i < nf; i++)
+            fetched += indptr[cur[i] + 1] - indptr[cur[i]];
+        if (fetched == 0)
+            break;
+        if (!repair_room(ps, fetched < ps->graph_blocks ? fetched
+                                                        : ps->graph_blocks)) {
+            /* frontier is all-zero between steps */
+            for (i = 0; i < nf; i++)
+                frontier[cur[i]] = 1;
+            return REPAIR_FULL_MID;
+        }
+        touched = 0;
+        for (i = 0; i < nf; i++) {
+            const int64_t u = cur[i];
+            for (j = indptr[u]; j < indptr[u + 1]; j++) {
+                const int64_t w = dst_all[j];
+                if (!p[j])
+                    continue;
+                followed++;
+                if (rec != NULL) {
+                    record_block(j / ps->epb, rec->blocks, &ps->n_blocks,
+                                 &last_block);
+                    record_edge(j, dst_all, dst_stamp, ps->serial, &touched,
+                                ps->emask);
+                }
+                if (par[w] == j && !tagged[w]) {
+                    tagged[w] = mark[w] = 1;
+                    next[len++] = w;
+                }
+            }
+        }
+        if (followed == 0)
+            break;
+        stats[1] += followed;
+        stats[2]++;
+        if (rec != NULL)
+            repair_row(ps, nf, followed, len, ps->n_blocks - pass_blocks,
+                       touched);
+        sort_marked(next, len, mark, n);
+        tl = cur; cur = next; next = tl;
+        nf = len;
+    }
+    /* the trim */
+    tagged[repair->source] = 0;
+    nf = 0;
+    for (i = 0; i < n; i++)
+        if (tagged[i]) {
+            nf++;
+            v[i] = repair->identity;
+            par[i] = -1;
+        }
+    stats[0] = nf;
+    for (j = 0; j < n_seed; j++)
+        p[seeds[j]] = 0;
+    return REPAIR_DONE;
+}
+
+/* STEP_PULL on one row (see mega_daic_round): the seeds go to the
+ * frontier list, ascending, and into `cur` (the next PROPAGATE's frontier
+ * bytes). */
+static int pull_row(repair_pass *ps, const uint8_t *p, const double *v,
+                    uint8_t *cur)
+{
+    const int64_t *const indptr = ps->indptr, *const dst_all = ps->dst_all;
+    const daic_repair *const repair = ps->repair;
+    const int64_t n = ps->n, rep = ps->tags - 1;
+    uint8_t *const mark = ps->mark;
+    int64_t *const list = ps->cur;
+    const uint8_t *const tagged = repair->tagged + rep * n;
+    const int64_t n_tagged = repair->stats[rep * REPAIR_STATS];
+    const int64_t *const rev_indptr = repair->rev_indptr;
+    const daic_record *rec = ps->record;
+    int64_t *const dst_stamp = rec != NULL ? rec->dst_stamp : NULL;
+    int64_t i, j, nf = 0, fetched = 0, touched = 0, last_block = -1;
+    const int64_t pass_blocks = ps->n_blocks;
+    if (n_tagged == 0)
+        return REPAIR_DONE;
+    /* a seed is untagged and reached; the trim left every tagged
+     * vertex at the identity, so the reached test covers both */
+    if (rev_indptr == NULL) {
+        /* unrecorded, without the transpose: the seed set is the same
+         * when read off the forward edges into the region, ascending */
+        for (i = 0; i < n; i++) {
+            if (v[i] == repair->identity)
+                continue;
+            for (j = indptr[i]; j < indptr[i + 1]; j++)
+                if (p[j] && tagged[dst_all[j]]) {
+                    cur[i] = 1;
+                    list[nf++] = i;
+                    break;
+                }
+        }
+        ps->nf = nf;
+        return REPAIR_DONE;
+    }
+    for (i = 0; i < n; i++)
+        if (tagged[i])
+            fetched += rev_indptr[i + 1] - rev_indptr[i];
+    if (!repair_room(ps, fetched < ps->graph_blocks ? fetched
+                                                    : ps->graph_blocks))
+        return REPAIR_FULL;
+    for (i = 0; i < n; i++) {
+        if (!tagged[i])
+            continue;
+        for (j = rev_indptr[i]; j < rev_indptr[i + 1]; j++) {
+            const int64_t e = repair->rev_origin[j];
+            const int64_t u = repair->rev_src[j];
+            if (rec != NULL) {
+                record_block((j + repair->rev_block_offset) / ps->epb,
+                             rec->blocks, &ps->n_blocks, &last_block);
+                if (ps->emask != NULL)
+                    ps->emask[e] = 1;
+            }
+            if (p[e] && v[u] != repair->identity && !mark[u]) {
+                mark[u] = 1;
+                list[nf++] = u;
+            }
+        }
+    }
+    sort_marked(list, nf, mark, n);
+    for (i = 0; i < nf; i++)
+        cur[list[i]] = 1;
+    if (rec != NULL) {
+        if (dst_stamp != NULL)
+            for (i = 0; i < nf; i++) {
+                int64_t *stamp = dst_stamp + list[i];
+                touched += *stamp != ps->serial;
+                *stamp = ps->serial;
+            }
+        repair_row(ps, n_tagged, fetched, 0, ps->n_blocks - pass_blocks,
+                   touched);
+    }
+    ps->nf = nf;
+    return REPAIR_DONE;
+}
+
+/* One TAG, PULL or GROUND step on row values v, presence p and parent
+ * row par; ps->nf is the frontier it leaves.  Out of line, so the round
+ * loop's registers stay its own. */
+static __attribute__((noinline)) void repair_step(
+    repair_pass *ps, int64_t kind, double *v, uint8_t *p, int64_t *par,
+    const int64_t *seeds, int64_t n_seed, int resumed, uint8_t *cur)
+{
+    ps->nf = 0;
+    ps->status = kind == STEP_TAG ? tag_row(ps, p, v, par, seeds, n_seed,
+                                            resumed)
+               : kind == STEP_PULL ? pull_row(ps, p, v, cur)
+               : ground_row(ps, v, p, par);
+}
+
+/* mega_daic_round's parameters and their names, for its two
+ * specializations */
+#define DAIC_PARAMS \
+    const int64_t *indptr, const int64_t *src_of_edge, \
+    const int64_t *dst_all, const double *wt_all, \
+    const int64_t *steps, int64_t n_steps, const int64_t *step_rows, \
+    const int64_t *seed_edges, int64_t first_step, int resume, \
+    uint8_t *frontier, uint8_t *presence, double *values, \
+    int64_t n_vertices, int64_t n_union_edges, int op, int minimize, \
+    int64_t *parent_edge, const int64_t *parent_rows, \
+    void *work, int64_t max_rounds, int64_t max_events, \
+    int64_t *step_out, int64_t *counters, const daic_record *record, \
+    const daic_repair *repair
+#define DAIC_ARGS \
+    indptr, src_of_edge, dst_all, wt_all, steps, n_steps, step_rows, \
+    seed_edges, first_step, resume, frontier, presence, values, n_vertices, \
+    n_union_edges, op, minimize, parent_edge, parent_rows, work, \
+    max_rounds, max_events, step_out, counters, record, repair
+
+/* The loop kernel's body, specialized on whether the table holds repair
+ * steps: with the repair call site in its step loop, the round loop ran
+ * ~5% slower (the registers allocated around the call), so a table
+ * without repair steps runs a copy compiled without it, inlined into
+ * the entry point. */
+static inline __attribute__((always_inline)) void daic_loop(
+    DAIC_PARAMS, const int repairs)
 {
     const int64_t n = n_vertices, M = n_union_edges;
     int64_t *const rows_out = record != NULL ? record->rows : NULL;
@@ -356,12 +927,18 @@ void mega_daic_round(
     const int64_t epb = record != NULL ? record->edges_per_block : 1;
     const int64_t graph_blocks = (M + epb - 1) / epb;
     int64_t s, i, j, k, max_k = 1, span = n;
+    repair_pass ps = {.indptr = indptr, .dst_all = dst_all,
+                      .wt_all = wt_all, .op = op, .n = n, .repair = repair,
+                      .record = record, .epb = epb,
+                      .graph_blocks = graph_blocks, .frontier = frontier};
     for (s = 0; s < n_steps; s++) {
         const int64_t *st = steps + STEP_COLS * s;
         if (st[0] != STEP_COPY && st[2] - st[1] > max_k)
             max_k = st[2] - st[1];
         if (st[4] - st[3] > span)
             span = st[4] - st[3];
+        if (s < first_step && st[0] == STEP_TAG)
+            ps.tags++;
     }
     /* work layout: 8-byte members first, byte members last */
     int64_t *cur_list = (int64_t *)work, *next_list = cur_list + n;
@@ -371,6 +948,11 @@ void mega_daic_round(
     uint8_t *nxt = (uint8_t *)(snap + max_k * span)
                    + (parent_edge != NULL ? max_k * n * sizeof(int64_t) : 0);
     uint8_t *mark = nxt + max_k * n;
+    /* a GROUND step's anchored marks are nxt's (all-zero between steps)
+     * and its per-vertex best edges the round parents' */
+    ps.mark = mark;
+    ps.anchored = nxt;
+    ps.best = round_parent;
     /* the step's value and presence rows; a one-row step also keeps its
      * rows in v0/p0, scalars the relax loop's byte stores cannot alias
      * (the row tables must be reloaded after each of them) */
@@ -401,11 +983,38 @@ void mega_daic_round(
         const int64_t *seeds = seed_edges != NULL ? seed_edges + st[3]
                                                   : NULL;
         const int64_t n_seed = st[4] - st[3];
-        const int64_t serial = record != NULL ? record->stamp_base + s : 0;
-        uint8_t *const emask = edge_masks != NULL ? edge_masks + s * M
+        const int64_t exec = record != NULL ? execution_of(steps, s) : 0;
+        const int64_t serial = record != NULL ? record->stamp_base + exec
+                                              : 0;
+        uint8_t *const emask = edge_masks != NULL ? edge_masks + exec * M
                                                   : NULL;
         int64_t *const out = step_out + STEP_OUT * s;
         int64_t pairs = 0, active_edges = 0, len = 0, touched = 0;
+
+        if (repairs && kind >= STEP_TAG) {
+            /* out of line: the round loop's registers stay its own */
+            ps.serial = serial;
+            ps.emask = emask;
+            ps.out = out;
+            ps.n_rows = n_rows;
+            ps.n_blocks = n_blocks;
+            ps.cur = cur_list;
+            ps.next = next_list;
+            repair_step(&ps, kind, values + rows[0] * n,
+                        presence + rows[0] * M, parent_edge + prows[0] * n,
+                        seeds, n_seed, s == first_step && resume, cur);
+            n_rows = ps.n_rows;
+            n_blocks = ps.n_blocks;
+            nf = popped = ps.nf;
+            if (ps.status) {
+                full = ps.status != REPAIR_UNSUPPORTED;
+                mid = ps.status == REPAIR_FULL_MID;
+                need = ps.need;
+                stop = s;
+                goto done;
+            }
+            continue;
+        }
 
         K = st[2] - st[1];
         if (kind == STEP_COPY) {
@@ -425,7 +1034,8 @@ void mega_daic_round(
         v0 = vrow[0];
         p0 = prow[0];
 
-        if ((s == first_step && resume) || kind == STEP_PROPAGATE) {
+        if ((s == first_step && resume)
+            || (kind == STEP_PROPAGATE && s == first_step)) {
             /* cur is the caller's frontier; nxt is all-zero */
             nf = popped = 0;
             for (k = 0; k < K; k++) {
@@ -441,7 +1051,9 @@ void mega_daic_round(
                     cur_list[nf++] = i;
                 }
             }
-        } else {
+        } else if (kind != STEP_PROPAGATE) {
+            /* a seed pass; a PROPAGATE after a PULL starts from the
+             * pulled seeds, live in cur and cur_list */
             if (rows_out != NULL
                 && (n_rows >= record->row_cap
                     || n_blocks + n_seed > record->block_cap)) {
@@ -482,29 +1094,11 @@ void mega_daic_round(
                                  parent_edge, prows, round_parent, &popped);
             seeded++;
             if (rows_out != NULL) {
-                /* seed edges come in batch order: sort their block ids
-                 * unless already ascending, then keep one of each run */
-                int64_t *b = blocks + n_blocks, u = 0, sorted = 1;
-                int64_t *row = rows_out + DAIC_ROW * n_rows++;
-                for (j = 0; j < n_seed; j++) {
-                    b[j] = seeds[j] / epb;
-                    sorted &= j == 0 || b[j] >= b[j - 1];
-                    record_edge(seeds[j], dst_all, dst_stamp, serial,
-                                &touched, emask);
-                }
-                if (!sorted)
-                    qsort(b, (size_t)n_seed, sizeof(int64_t), cmp_i64);
-                for (j = 0; j < n_seed; j++)
-                    if (u == 0 || b[j] != b[u - 1])
-                        b[u++] = b[j];
-                row[0] = 0;
-                row[1] = active_edges;
-                row[2] = n_seed;
-                row[3] = nf;
-                row[4] = 0;
-                row[5] = pairs;
-                row[6] = popped;
-                row[7] = u;
+                const int64_t u = record_batch(
+                    seeds, n_seed, dst_all, epb, blocks + n_blocks,
+                    dst_stamp, serial, &touched, emask);
+                put_row(rows_out + DAIC_ROW * n_rows++, 0, active_edges,
+                        n_seed, nf, 0, pairs, popped, u);
                 n_blocks += u;
                 out[2]++;
                 out[3] += u;
@@ -593,17 +1187,11 @@ void mega_daic_round(
             nf = settle_frontier(next_list, len, mark, nxt, K, n,
                                  parent_edge, prows, round_parent, &popped);
             if (rows_out != NULL) {
-                int64_t *row = rows_out + DAIC_ROW * n_rows++;
-                row[0] = nf_popped;
-                row[1] = active_edges;
-                row[2] = fetched;
-                row[3] = nf;
-                row[4] = cells_popped;
-                row[5] = pairs;
-                row[6] = popped;
-                row[7] = n_blocks - round_blocks;
+                put_row(rows_out + DAIC_ROW * n_rows++, nf_popped,
+                        active_edges, fetched, nf, cells_popped, pairs,
+                        popped, n_blocks - round_blocks);
                 out[2]++;
-                out[3] += row[7];
+                out[3] += n_blocks - round_blocks;
                 out[4] += touched;
                 touched = 0;
             }
@@ -613,7 +1201,8 @@ void mega_daic_round(
     }
 
 done:
-    if (mid && cur != frontier) {
+    /* a cascade stopped between passes has written its frontier bytes */
+    if (mid && ps.status != REPAIR_FULL_MID && cur != frontier) {
         /* frontier is all-zero here: it was the last pass's popped
          * buffer, cleared cell by cell (or the seed pass's, cleared) */
         for (i = 0; i < nf; i++)
@@ -630,6 +1219,23 @@ done:
     counters[7] = n_blocks;
     counters[8] = full;
     counters[9] = full ? need : 0;
+    counters[10] = ps.status == REPAIR_UNSUPPORTED;
+}
+
+static __attribute__((noinline)) void daic_loop_repairs(DAIC_PARAMS)
+{
+    daic_loop(DAIC_ARGS, 1);
+}
+
+void mega_daic_round(DAIC_PARAMS)
+{
+    int64_t s;
+    for (s = 0; s < n_steps; s++)
+        if (steps[STEP_COLS * s] >= STEP_TAG) {
+            daic_loop_repairs(DAIC_ARGS);
+            return;
+        }
+    daic_loop(DAIC_ARGS, 0);
 }
 
 /* presence_gather: out[k][j] = bit k of the packed presence planes at

@@ -11,11 +11,12 @@ worst case is a redundant compile, never a torn library.
 Everything marshalled across the boundary is a raw pointer into a
 C-contiguous numpy array, passed as a plain ``c_void_p`` address (the
 loop kernel's record-mode buffers travel together in one ``_Record``
-struct): the wrappers check dtype, contiguity and shape explicitly
-(``ValueError`` on a bad array) instead of paying
-``np.ctypeslib.ndpointer``'s per-array ``from_param``, so the callers
-(engine, UnifiedCSR) stay oblivious to the tier in use and a near-empty
-call costs the marshalling of its pointers.
+struct, its repair inputs and outputs in one ``_Repair``): the wrappers
+check dtype, contiguity and shape explicitly (``ValueError`` on a bad
+array) instead of paying ``np.ctypeslib.ndpointer``'s per-array
+``from_param``, and the loop kernel's step table is checked in C, so
+the callers (engine, UnifiedCSR) stay oblivious to the tier in use and
+a near-empty call costs the marshalling of its pointers.
 """
 
 from __future__ import annotations
@@ -33,11 +34,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro.perf.backend import (
-    STEP_APPLY,
+    REPAIR_STATS,
     STEP_COLS,
-    STEP_COPY,
     STEP_PROPAGATE,
     STEP_SEED,
+    STEP_TAG,
+    RepairInputs,
 )
 
 __all__ = ["LoopCounts", "ReplayOut", "load_library", "build_error"]
@@ -53,6 +55,7 @@ _build_error: str | None = None
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
+_char_at = ctypes.c_char.from_buffer
 _INT = ctypes.c_int
 
 _I64_T = np.dtype(np.int64)
@@ -64,7 +67,7 @@ _tls = threading.local()
 #: int64 fields per recorded pass (DAIC_ROW in _kernels.c)
 _ROW = 8
 #: mega_daic_round's counters block (layout in _kernels.c)
-_COUNTERS = 10
+_COUNTERS = 11
 #: int64 per-step outputs of the loop kernel (STEP_OUT in _kernels.c)
 STEP_OUT = 5
 
@@ -81,6 +84,23 @@ class _Record(ctypes.Structure):
         ("dst_stamp", _P),
         ("stamp_base", _I64),
         ("edge_masks", _P),
+    ]
+
+
+class _Repair(ctypes.Structure):
+    """``daic_repair`` in _kernels.c: the repair steps' inputs and
+    outputs."""
+
+    _fields_ = [
+        ("rev_indptr", _P),
+        ("rev_src", _P),
+        ("rev_origin", _P),
+        ("rev_block_offset", _I64),
+        ("source", _I64),
+        ("identity", ctypes.c_double),
+        ("source_value", ctypes.c_double),
+        ("tagged", _P),
+        ("stats", _P),
     ]
 
 #: initial record capacity of a call, in pass rows and in edge-block ids;
@@ -160,6 +180,13 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         _I64, _I64,                  # max_rounds, max_events
         _P, _P,                      # step_out, counters
         _P,                          # record (nullable daic_record)
+        _P,                          # repair (nullable daic_repair)
+    ]
+    lib.mega_daic_check.restype = _I64
+    lib.mega_daic_check.argtypes = [
+        _P, _I64, _P, _I64, _I64,    # steps, n_steps, step_rows, len, rows
+        _P, _I64, _I64,              # seed_edges, n_seed, n_edges
+        _P, _I64, _INT, _P,          # parent_rows, n_parents, repair, out
     ]
     lib.mega_replay.restype = _INT
     lib.mega_replay.argtypes = [
@@ -205,6 +232,16 @@ def build_error() -> str | None:
     return _build_error
 
 
+def _addr(arr: np.ndarray) -> int:
+    """Address of a C-contiguous array's data.  Through the buffer
+    protocol for a writable, non-empty array — a fraction of the cost of
+    ``arr.ctypes.data``, which the others take."""
+    try:
+        return ctypes.addressof(_char_at(arr))
+    except (TypeError, ValueError):
+        return arr.ctypes.data
+
+
 def _ptr(arr: np.ndarray, dtype: np.dtype | None, name: str) -> int:
     """Address of a C-contiguous array of ``dtype`` (None: any 1-byte
     dtype, i.e. bool or uint8); ValueError otherwise."""
@@ -216,7 +253,7 @@ def _ptr(arr: np.ndarray, dtype: np.dtype | None, name: str) -> int:
         raise ValueError(f"{name}: expected {dtype or 'bool'}, got {arr.dtype}")
     if not arr.flags.c_contiguous:
         raise ValueError(f"{name}: array must be C-contiguous")
-    return arr.ctypes.data
+    return _addr(arr)
 
 
 def _shape(arr: np.ndarray, shape: tuple, name: str) -> None:
@@ -250,7 +287,7 @@ def group_argbest(
 class LoopCounts(NamedTuple):
     """What one :func:`daic_round` call did (see ``_kernels.c``)."""
 
-    #: propagation rounds run (seed passes are not rounds)
+    #: propagation rounds run (seed, tag and pull passes are not rounds)
     rounds: int
     #: events popped over those rounds — what the budget is charged
     events: int
@@ -272,6 +309,8 @@ class LoopCounts(NamedTuple):
     #: record mode: the passes' edge-block ids, concatenated; row field
     #: 7 holds each pass's count
     blocks: np.ndarray | None = None
+    #: a GROUND step (step ``stop``) found values that are not a fixpoint
+    unsupported: bool = False
 
 
 def _work_bytes(k: int, n: int, span: int, track: bool) -> int:
@@ -283,7 +322,7 @@ def _work_bytes(k: int, n: int, span: int, track: bool) -> int:
     return 8 * words + k * n + n
 
 
-def _graph_ptr(arr: np.ndarray, dtype: np.dtype, name: str) -> int:
+def _graph_ptr(arr: np.ndarray, dtype: np.dtype | None, name: str) -> int:
     """:func:`_ptr` memoised per live array object.
 
     The graph arrays are the same objects on every call of an engine, so
@@ -302,31 +341,75 @@ def _graph_ptr(arr: np.ndarray, dtype: np.dtype, name: str) -> int:
     return addr
 
 
-def _check_table(
-    steps: np.ndarray, step_rows: np.ndarray, n_rows: int, n_seed: int
-) -> tuple[int, int]:
-    """Refuse a step table the kernel would misread; returns the most
-    rows of any non-copy step and the longest seed list."""
-    if steps.ndim != 2 or steps.shape[1] != STEP_COLS or not len(steps):
-        raise ValueError(f"steps: expected a non-empty (S, {STEP_COLS}) table")
-    max_k = 1
-    span = 0
-    for i, (kind, lo, hi, seed_lo, seed_hi) in enumerate(steps.tolist()):
-        seeded = kind in (STEP_APPLY, STEP_SEED)
-        if not (
-            (seeded or kind == STEP_COPY or (kind == STEP_PROPAGATE and i == 0))
-            and 0 <= lo < hi <= step_rows.shape[0]
-            and (kind != STEP_COPY or hi - lo == 2)
-            and 0 <= seed_lo <= seed_hi <= n_seed
-            and (seeded or seed_lo == seed_hi)
-        ):
-            raise ValueError(f"steps: malformed step {i}")
-        if kind != STEP_COPY:
-            max_k = max(max_k, hi - lo)
-        span = max(span, seed_hi - seed_lo)
-    if not (0 <= step_rows.min() and step_rows.max() < n_rows):
-        raise ValueError("step_rows must index rows of values")
+def _state_ptr(arr: np.ndarray, dtype: np.dtype | None, name: str) -> int:
+    """A run's state arrays — value and presence matrices, parent rows,
+    stamps, the engine's frontier buffer — are the same objects call
+    after call: :func:`_graph_ptr` for an array that owns its data,
+    :func:`_ptr` for a view, which is usually made for one call."""
+    if arr.base is None:
+        return _graph_ptr(arr, dtype, name)
+    return _ptr(arr, dtype, name)
+
+
+#: mega_daic_check's failure codes, other than a malformed step
+_CHECK_BAD = {
+    -1: "step_rows must index rows of values",
+    -2: "seed_edges must index union edges",
+    -3: "parent_edge must hold every parent_rows row",
+}
+
+
+def _check_table(*args) -> tuple[int, int]:
+    """Refuse a call the kernel would misread: ``mega_daic_check``'s
+    arguments but the out block, which holds the rules and range checks.
+    Returns the most rows of any non-copy step and the longest seed
+    list."""
+    bad = load_library().mega_daic_check(*args, _tls.check_ptr)
+    if bad > 0:
+        raise ValueError(f"steps: malformed step {bad - 1}")
+    if bad < 0:
+        raise ValueError(_CHECK_BAD[bad])
+    max_k, span = _tls.check_out.tolist()
     return max_k, span
+
+
+def _repair_struct(
+    repair: RepairInputs, n: int, m: int, n_tags: int, recording: bool
+):
+    """The checked ``daic_repair`` of ``repair``: the transpose arrays
+    are graph arrays (memoised like the forward CSR's), and only a
+    recording call needs them; the outputs hold one row per TAG step."""
+    if not 0 <= repair.source < n:
+        raise ValueError("repair: source must be a vertex")
+    _shape(repair.tagged, (n_tags, n), "tagged")
+    _shape(repair.stats, (n_tags, REPAIR_STATS), "repair stats")
+    struct = _Repair(
+        rev_block_offset=repair.rev_block_offset,
+        source=repair.source,
+        identity=repair.identity,
+        source_value=repair.source_value,
+        tagged=_ptr(repair.tagged, None, "tagged"),
+        stats=_ptr(repair.stats, _I64_T, "repair stats"),
+    )
+    if repair.rev_indptr is None:
+        if recording:
+            raise ValueError("repair: a recorded pull needs the transpose")
+        return struct
+    _shape(repair.rev_indptr, (n + 1,), "rev_indptr")
+    _shape(repair.rev_src, (m,), "rev_src")
+    _shape(repair.rev_origin, (m,), "rev_origin")
+    struct.rev_indptr = _graph_ptr(repair.rev_indptr, _I64_T, "rev_indptr")
+    struct.rev_src = _graph_ptr(repair.rev_src, _I64_T, "rev_src")
+    struct.rev_origin = _graph_ptr(repair.rev_origin, _I64_T, "rev_origin")
+    return struct
+
+
+def _thread_blocks() -> None:
+    """This thread's preallocated out-parameter blocks."""
+    _tls.counters = np.zeros(_COUNTERS, dtype=np.int64)
+    _tls.counters_ptr = _tls.counters.ctypes.data
+    _tls.check_out = np.zeros(2, dtype=np.int64)
+    _tls.check_ptr = _tls.check_out.ctypes.data
 
 
 def daic_round(
@@ -353,6 +436,7 @@ def daic_round(
     step_rows: np.ndarray | None = None,
     first_step: int = 0,
     resume: bool = False,
+    repair: RepairInputs | None = None,
 ) -> LoopCounts:
     """Run DAIC steps in C until the table is done or a cap is hit.
 
@@ -369,57 +453,74 @@ def daic_round(
 
     ``parent_edge``/``parent_rows`` (both or neither; ``parent_rows``
     aligned with the step rows) track each changed cell's winning edge.
+    A table's repair steps (TAG, PULL, GROUND) need them and ``repair``,
+    whose ``tagged`` and ``stats`` receive one row per TAG.
     ``max_rounds``/``max_events`` (negative: unbounded) cap the rounds
     run and the events they pop; ``scratch(name, dtype, shape)`` supplies
     the reusable work and record blocks.  Bit-identical to the engine's
-    numpy rounds.
+    numpy rounds and to the numpy repair.
 
     ``edges_per_block`` turns on record mode: every pass's trace row and
     edge-block ids come back in :attr:`LoopCounts.rows`/``blocks``
     (copies, not scratch); ``dst_stamp`` ``(n,)`` int64, when given, is
-    set to ``stamp_base + s`` at every destination step ``s`` gathers,
-    and row ``s`` of ``edge_masks`` ``(S, M)`` at every gathered edge.  A
-    kernel call that runs out of record space stops before a pass; this
-    wrapper doubles the buffers and calls again, so one ``daic_round``
-    covers every step a cap lets run.
+    set to ``stamp_base + s`` at every destination execution ``s``
+    gathers, and row ``s`` of ``edge_masks`` ``(S, M)`` at every gathered
+    edge.  A kernel call that runs out of record space stops before a
+    pass; this wrapper doubles the buffers and calls again, so one
+    ``daic_round`` covers every step a cap lets run.
     """
     lib = load_library()
     n = indptr.shape[0] - 1
     m = dst_all.shape[0]
-    n_seed = 0 if seed_edges is None else seed_edges.shape[0]
+    if getattr(_tls, "counters", None) is None:
+        _thread_blocks()
+    n_seed, seed_ptr = 0, None
+    if seed_edges is not None:
+        n_seed = seed_edges.shape[0]
+        seed_ptr = _ptr(seed_edges, _I64_T, "seed_edges")
     if steps is None:
-        # one step over every row of values: valid by construction
-        max_k, span = values.shape[0], n_seed
+        # one step over every row of values
         steps = np.array(
-            [[STEP_PROPAGATE if seed_edges is None else STEP_SEED, 0, max_k,
-              0, n_seed]],
+            [[STEP_PROPAGATE if seed_edges is None else STEP_SEED, 0,
+              values.shape[0], 0, n_seed]],
             dtype=np.int64,
         )
-        step_rows = np.arange(max_k, dtype=np.int64)
-    else:
-        _ptr(steps, _I64_T, "steps")
-        _ptr(step_rows, _I64_T, "step_rows")
-        max_k, span = _check_table(steps, step_rows, values.shape[0], n_seed)
+        step_rows = np.arange(values.shape[0], dtype=np.int64)
+    elif steps.ndim != 2 or steps.shape[1] != STEP_COLS or not len(steps):
+        raise ValueError(f"steps: expected a non-empty (S, {STEP_COLS}) table")
+    steps_ptr = _ptr(steps, _I64_T, "steps")
+    rows_ptr = _ptr(step_rows, _I64_T, "step_rows")
+    if step_rows.ndim != 1:
+        raise ValueError("step_rows: expected one dimension")
     n_steps = len(steps)
+    pe_ptr = prow_ptr = None
+    if parent_edge is not None:
+        _shape(parent_rows, step_rows.shape, "parent_rows")
+        if parent_edge.shape[1:] != (n,):
+            raise ValueError("parent_edge must hold every parent_rows row")
+        pe_ptr = _state_ptr(parent_edge, _I64_T, "parent_edge")
+        prow_ptr = (
+            rows_ptr if parent_rows is step_rows
+            else _ptr(parent_rows, _I64_T, "parent_rows")
+        )
+    max_k, span = _check_table(
+        steps_ptr, n_steps, rows_ptr, step_rows.shape[0], values.shape[0],
+        seed_ptr, n_seed, m, prow_ptr,
+        0 if parent_edge is None else parent_edge.shape[0],
+        int(repair is not None),
+    )
+    rep_ptr = None
+    if repair is not None:
+        n_tags = int(np.count_nonzero(steps[:, 0] == STEP_TAG))
+        rep = _repair_struct(
+            repair, n, m, n_tags, edges_per_block is not None
+        )
+        rep_ptr = ctypes.addressof(rep)
     _shape(values, (values.shape[0], n), "values")
     _shape(presence, (values.shape[0], m), "presence")
     if frontier.ndim != 2 or frontier.shape[0] < max_k:
         raise ValueError(f"frontier: expected ({max_k}, {n}) or more rows")
     _shape(frontier, (frontier.shape[0], n), "frontier")
-    seed_ptr = None
-    if seed_edges is not None:
-        seed_ptr = _ptr(seed_edges, _I64_T, "seed_edges")
-        if n_seed and not (0 <= seed_edges.min() and seed_edges.max() < m):
-            raise ValueError("seed_edges must index union edges")
-    pe_ptr = rows_ptr = None
-    if parent_edge is not None:
-        _shape(parent_rows, step_rows.shape, "parent_rows")
-        if parent_edge.shape[1:] != (n,) or (len(parent_rows) and not (
-            0 <= parent_rows.min() and parent_rows.max() < len(parent_edge)
-        )):
-            raise ValueError("parent_edge must hold every parent_rows row")
-        pe_ptr = _ptr(parent_edge, _I64_T, "parent_edge")
-        rows_ptr = _ptr(parent_rows, _I64_T, "parent_rows")
     record = rec_ptr = None
     if edges_per_block is not None:
         if edges_per_block < 1:
@@ -428,7 +529,7 @@ def daic_round(
                          stamp_base=stamp_base)
         if dst_stamp is not None:
             _shape(dst_stamp, (n,), "dst_stamp")
-            record.dst_stamp = _ptr(dst_stamp, _I64_T, "dst_stamp")
+            record.dst_stamp = _state_ptr(dst_stamp, _I64_T, "dst_stamp")
         if edge_masks is not None:
             _shape(edge_masks, (n_steps, m), "edge_masks")
             record.edge_masks = _ptr(edge_masks, None, "edge_masks")
@@ -441,38 +542,36 @@ def daic_round(
         (_work_bytes(max_k, n, span, parent_edge is not None),),
     )
     step_out = np.zeros((n_steps, STEP_OUT), dtype=np.int64)
-    counters = getattr(_tls, "counters", None)
-    if counters is None:
-        counters = _tls.counters = np.zeros(_COUNTERS, dtype=np.int64)
-        _tls.counters_ptr = counters.ctypes.data
+    counters = _tls.counters
     rounds = events = seeds = 0
     while True:
         if record is not None:
             rec_rows = scratch("daic_rows", np.int64, (row_cap, _ROW))
             rec_blocks = scratch("daic_blocks", np.int64, (block_cap,))
-            record.rows, record.row_cap = rec_rows.ctypes.data, row_cap
-            record.blocks, record.block_cap = rec_blocks.ctypes.data, block_cap
+            record.rows, record.row_cap = _addr(rec_rows), row_cap
+            record.blocks, record.block_cap = _addr(rec_blocks), block_cap
         lib.mega_daic_round(
             _graph_ptr(indptr, _I64_T, "indptr"),
             _graph_ptr(src_of_edge, _I64_T, "src_of_edge"),
             _graph_ptr(dst_all, _I64_T, "dst_all"),
             _graph_ptr(wt_all, _F64_T, "wt_all"),
-            steps.ctypes.data, n_steps, step_rows.ctypes.data,
+            steps_ptr, n_steps, rows_ptr,
             seed_ptr, first_step, int(resume),
-            _ptr(frontier, None, "frontier"),
-            _ptr(presence, None, "presence"),
-            _ptr(values, _F64_T, "values"),
+            _state_ptr(frontier, None, "frontier"),
+            _state_ptr(presence, None, "presence"),
+            _state_ptr(values, _F64_T, "values"),
             n, m, op, minimize,
-            pe_ptr, rows_ptr,
-            work.ctypes.data,
+            pe_ptr, prow_ptr,
+            _addr(work),
             max_rounds - rounds if max_rounds >= 0 else -1,
             max_events - events if max_events >= 0 else -1,
-            step_out.ctypes.data,
+            _addr(step_out),
             _tls.counters_ptr,
             rec_ptr,
+            rep_ptr,
         )
         stop, mid, ran, popped, pending, seeded, n_rows, n_blocks, full, \
-            need = counters.tolist()
+            need, unsupported = counters.tolist()
         rounds += ran
         events += popped
         seeds += seeded
@@ -486,11 +585,12 @@ def daic_round(
         first_step, resume = stop, bool(mid)
     if record is None:
         return LoopCounts(rounds, events, pending, stop, bool(mid), seeds,
-                          step_out)
+                          step_out, unsupported=bool(unsupported))
     return LoopCounts(
         rounds, events, pending, stop, bool(mid), seeds, step_out,
         rows_out[0] if len(rows_out) == 1 else np.concatenate(rows_out),
         blocks_out[0] if len(blocks_out) == 1 else np.concatenate(blocks_out),
+        bool(unsupported),
     )
 
 

@@ -888,6 +888,8 @@ class QueryService:
             raise NotPrimaryError(self.role, self.primary_wal_dir)
         if delta is None and seed is None:
             raise ValueError("ingest needs a DeltaBatch or a seed")
+        if delta is not None:
+            delta.refuse_nan_weights()
         slide_every = max(0, int(self.config.window_slide_every))
         compact_due = False
         slide_due = False

@@ -103,6 +103,21 @@ class DeltaBatch:
             meta=dict(meta),
         )
 
+    def refuse_nan_weights(self) -> None:
+        """``ValueError`` naming the first addition row with a NaN weight.
+
+        A NaN weight poisons values in an order-dependent way, so a
+        window holding one has no parent forest to repair: every later
+        deletion slide would fail.  The ingest path calls this before the
+        WAL append.  Recovery and replication do not: a record an older
+        WAL already holds still replays (recovery never raises), and a
+        sliding window over it refuses its deletion slides with
+        ``values are not a fixpoint``.
+        """
+        bad = np.flatnonzero(np.isnan(self.add_wt))
+        if bad.size:
+            raise ValueError(f"addition row {int(bad[0])} has a NaN weight")
+
     # -- WAL wire format ---------------------------------------------------
 
     def to_wire(self) -> dict:

@@ -209,3 +209,55 @@ def test_deletions_only_scenario_runs_all_workflows():
     for wf in sorted(WORKFLOWS):
         result = PlanExecutor(scenario, algo).run(plan_for(wf, scenario.unified))
         validate_workflow(scenario, algo, result)
+
+
+def test_segment_booking_matches_per_batch_booking(tiny_scenario):
+    """The executor books a segment's batches in one version-table call:
+    the compositions, the fault opportunities and what each injected
+    ``version-table.corrupt-entry`` fault did are those of booking every
+    batch with begin_batch/finish_batch, for every workflow and where
+    the fault lands."""
+    from repro.accel.version_table import VersionTable
+    from repro.resilience import faults
+    from repro.schedule import WORKFLOWS
+
+    def booked(plan, per_batch, skip):
+        table = VersionTable(plan.n_states)
+        for entry in table.entries:
+            table.peel(entry.snapshot)
+        fault_plan = faults.FaultPlan(
+            ["version-table.corrupt-entry"], seed=7, skip=skip
+        )
+        moved = [
+            s for s in plan.steps
+            if isinstance(s, (CopyState, ApplyEdges, DeleteEdges))
+        ]
+        with faults.inject(fault_plan):
+            if not per_batch:
+                table.record_segment(moved)
+            for step in moved if per_batch else ():
+                if isinstance(step, CopyState):
+                    table.entries[step.dst].applied = set(
+                        table.entries[step.src].applied
+                    )
+                    continue
+                targets = list(
+                    step.targets if isinstance(step, ApplyEdges)
+                    else (step.state,)
+                )
+                for b in step.batches:
+                    table.begin_batch(b, targets)
+                for b in step.batches:
+                    table.finish_batch(b, targets)
+        return (
+            [table.composition(k) for k in range(plan.n_states)],
+            fault_plan._opportunities,
+            [(r.point, r.detail) for r in fault_plan.fired],
+        )
+
+    for name, make_plan in sorted(WORKFLOWS.items()):
+        plan = make_plan(tiny_scenario.unified)
+        for skip in (0, 3, 10_000):
+            ref = booked(plan, True, skip)
+            assert booked(plan, False, skip) == ref, (name, skip)
+            assert ref[2] or skip == 10_000, name

@@ -146,6 +146,38 @@ def test_explicit_ingest_the_window_refuses_is_never_acked(tmp_path, dels):
         service.stop()
 
 
+def test_nan_addition_weight_is_refused_before_the_wal(tmp_path):
+    """A NaN weight would poison every later deletion slide of the
+    window, so the ingest path refuses it before the WAL append, in one
+    line naming the row: the epoch, the WAL and the answers stay."""
+    from repro.service.server import ServiceFrontend
+
+    service = QueryService(
+        ServiceConfig(
+            scale="tiny", n_snapshots=4, workers=1,
+            wal_dir=str(tmp_path / "wal"),
+        )
+    ).start()
+    try:
+        before = _pk_answers(service)
+        records = service.service_stats()["wal_records"]
+        frontend = ServiceFrontend(service)
+        for adds, row in (("[[0, 27, NaN]]", 0),
+                          ("[[0, 27, 1.5], [0, 28, NaN]]", 1)):
+            reply = frontend.handle_line(
+                '{"op": "ingest", "graph": "PK", "adds": %s}' % adds
+            )
+            assert reply["ok"] is False, reply
+            assert reply["error"] == (
+                f"ValueError: addition row {row} has a NaN weight"
+            )
+        assert service.epoch("PK") == 0
+        assert service.service_stats()["wal_records"] == records
+        assert _pk_answers(service) == before
+    finally:
+        service.stop()
+
+
 # -- DeltaLog ------------------------------------------------------------------
 
 

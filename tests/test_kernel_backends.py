@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import all_algorithms, get_algorithm
 from repro.core.multi_query import evaluate_multi_query
 from repro.engines import DeletionRepair, MultiVersionEngine
+from repro.engines.deletion import reconstruct_parents
 from repro.evolving import synthesize_scenario
 from repro.graph.generators import rmat_edges
 from repro.perf.backend import (
@@ -216,6 +219,91 @@ def test_daic_round_rejects_bad_arrays(compiled):
             )
 
 
+def test_daic_round_rejects_malformed_repair_tables(compiled):
+    """A repair is TAG, PULL, PROPAGATE on one row, and GROUND one row
+    with no seeds; each needs parent rows and repair inputs, whose
+    shapes and source are checked too.  Anything else is refused before
+    the kernel runs."""
+    from repro.perf.backend import (
+        REPAIR_STATS,
+        STEP_GROUND,
+        STEP_PROPAGATE,
+        STEP_PULL,
+        STEP_TAG,
+        RepairInputs,
+    )
+
+    be = resolve_backend(compiled)
+    unified = _scenario().unified
+    g = unified.graph
+    n, m = g.n_vertices, g.n_edges
+    rev = unified.reverse_graph()
+    scratch = MultiVersionEngine(get_algorithm("sssp"), unified)
+    T, P, R, G = STEP_TAG, STEP_PULL, STEP_PROPAGATE, STEP_GROUND
+
+    def repair(n_tags=1, source=0, tagged_rows=None):
+        return RepairInputs(
+            rev.indptr, rev.dst, unified.reverse_edge_origin, 0, source,
+            float("inf"), 0.0,
+            np.zeros((n_tags if tagged_rows is None else tagged_rows, n),
+                     dtype=bool),
+            np.zeros((n_tags, REPAIR_STATS), dtype=np.int64),
+        )
+
+    def call(steps, step_rows, seeds=(0,), **override):
+        step_rows = np.array(step_rows, dtype=np.int64)
+        args = {
+            "steps": np.array(steps, dtype=np.int64),
+            "step_rows": step_rows,
+            "seed_edges": np.array(seeds, dtype=np.int64),
+            "parent_edge": np.full((2, n), -1, dtype=np.int64),
+            "parent_rows": step_rows,
+            "repair": repair(),
+            **override,
+        }
+        be.daic_round(
+            g.indptr, g.src_of_edge, g.dst, g.wt,
+            np.zeros((2, n), dtype=bool), np.ones((2, m), dtype=bool),
+            np.zeros((2, n)), 0, True, scratch._scratch.get, **args,
+        )
+
+    good = [[T, 0, 1, 0, 1], [P, 1, 2, 1, 1], [R, 2, 3, 1, 1]]
+    call(good, [0, 0, 0])  # well formed
+    call(good, [0, 0, 0], repair=repair()._replace(rev_indptr=None))
+    call([[G, 0, 1, 0, 0]], [1], repair=repair(n_tags=0))
+    bad = [
+        # a TAG needs its PULL next, and the PULL its PROPAGATE
+        ([[T, 0, 1, 0, 1]], [0], {}),
+        ([[T, 0, 1, 0, 1], [R, 1, 2, 1, 1]], [0, 0], {}),
+        ([[T, 0, 1, 0, 1], [P, 1, 2, 1, 1]], [0, 0], {}),
+        # ... on its own row, one row each
+        ([[T, 0, 1, 0, 1], [P, 1, 2, 1, 1], [R, 2, 3, 1, 1]], [0, 1, 1], {}),
+        ([[T, 0, 1, 0, 1], [P, 1, 2, 1, 1], [R, 2, 3, 1, 1]], [0, 0, 1], {}),
+        ([[T, 0, 2, 0, 1], [P, 2, 3, 1, 1], [R, 3, 4, 1, 1]],
+         [0, 1, 0, 0], {}),
+        # a PULL follows a TAG; only a TAG of the three takes seeds
+        ([[P, 0, 1, 0, 0], [R, 1, 2, 0, 0]], [0, 0], {}),
+        ([[T, 0, 1, 0, 0], [P, 1, 2, 0, 1], [R, 2, 3, 1, 1]], [0, 0, 0], {}),
+        ([[G, 0, 1, 0, 1]], [0], {}),
+        ([[G, 0, 2, 1, 1]], [0, 1], {}),
+        # an unknown kind
+        ([[7, 0, 1, 0, 0]], [0], {}),
+        # repair steps need parent rows and repair inputs
+        (good, [0, 0, 0], {"repair": None}),
+        ([[G, 0, 1, 0, 0]], [0], {"parent_edge": None, "parent_rows": None}),
+        # repair inputs: one tagged row per TAG, a source in range
+        (good, [0, 0, 0], {"repair": repair(n_tags=2)}),
+        (good, [0, 0, 0], {"repair": repair(tagged_rows=2)}),
+        (good, [0, 0, 0], {"repair": repair(source=n)}),
+        # a recorded pull reads the transpose
+        (good, [0, 0, 0], {"repair": repair()._replace(rev_indptr=None),
+                           "edges_per_block": 8}),
+    ]
+    for steps, step_rows, override in bad:
+        with pytest.raises(ValueError):
+            call(steps, step_rows, **override)
+
+
 def _table(steps, step_rows):
     return {
         "steps": np.array(steps, dtype=np.int64),
@@ -328,6 +416,224 @@ def test_deletion_repair_bit_identical(compiled):
             ]
 
         _assert_same(*_on_tiers(compiled, run), algorithm.name)
+
+
+# -- KickStarter repair as step-table kinds, against the numpy reference
+#
+# The compiled tier runs a deletion as TAG, PULL and PROPAGATE steps of
+# the loop kernel's table (and a window slide's parent forest as a
+# GROUND step); DeletionRepair and reconstruct_parents are the numpy
+# reference.  Everything must match: values, parents, every
+# DeletionStats field and the whole recorded trace.
+
+#: kernel_op algorithms with weights where no cycle improves forever
+REPAIR_ALGOS = ["bfs", "sssp", "sswp", "ssnp", "viterbi"]
+
+
+@st.composite
+def _repair_case(draw):
+    n = draw(st.integers(2, 24))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=4 * n, unique=True,
+    ))
+    weights = draw(st.lists(
+        st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+        min_size=len(pairs), max_size=len(pairs),
+    ))
+    return (
+        n,
+        [(u, v, w) for (u, v), w in zip(pairs, weights)],
+        draw(st.sampled_from(REPAIR_ALGOS)),
+        draw(st.integers(0, n - 1)),
+        draw(st.sampled_from(
+            ["empty", "non-parent", "parents", "duplicates", "orphan", "any"]
+        )),
+        draw(st.integers(0, 2**31)),
+        draw(st.booleans()),
+    )
+
+
+def _repair_graph(n, edges):
+    from repro.evolving.unified_csr import UnifiedCSR
+    from repro.graph.csr import CSRGraph
+
+    g = CSRGraph.from_tuples(n, edges)
+    none = np.full(g.n_edges, -1, dtype=np.int32)
+    return UnifiedCSR(g, none, none.copy(), 1)
+
+
+def _deletion_batch(mode, seed, graph, parents, source):
+    """A deletion batch drawn from the converged forest: nothing, edges
+    no vertex depends on, parent edges (once, or with duplicates), the
+    source's own parent edges (orphaning its subtree), or any edges."""
+    rng = np.random.default_rng(seed)
+    edges = np.arange(graph.n_edges)
+    used = np.unique(parents[parents >= 0])
+    pools = {
+        "empty": edges[:0],
+        "non-parent": np.setdiff1d(edges, used),
+        "parents": used,
+        "duplicates": used,
+        "orphan": used[graph.src_of_edge[used] == source],
+        "any": edges,
+    }
+    pool = pools[mode]
+    if mode != "orphan" and pool.size:
+        pool = rng.choice(pool, size=int(rng.integers(1, pool.size + 1)),
+                          replace=False)
+    if mode == "duplicates" and pool.size:
+        pool = np.concatenate([pool, pool[: max(1, pool.size // 2)]])
+        rng.shuffle(pool)
+    return pool.astype(np.int64)
+
+
+def _run_repair(unified, algorithm, source, batch, budget=None,
+                record=True, ground=False):
+    """Evaluate, then repair ``batch`` through a step table, recording
+    or not, on the evaluation's parents or (``ground``) on a forest
+    grounded in its values, as a window slide does: what each tier must
+    agree on.  (Unrecorded, the compiled pull reads forward edges
+    instead of the transpose.)"""
+    from repro.engines.daic import StepTable
+    from repro.engines.trace import TraceCollector
+
+    collector = TraceCollector(
+        unified.n_union_edges, True, n_vertices=unified.n_vertices
+    ) if record else None
+    engine = MultiVersionEngine(
+        algorithm, unified, collector=collector, track_parents=True,
+        budget=budget,
+    )
+    presence = np.ones((1, unified.n_union_edges), dtype=bool)
+    values = engine.evaluate_full(
+        presence[0], source, parent_row=0
+    )[None, :].copy()
+    table = StepTable(source)
+    if ground:
+        table.ground(0)
+    table.delete(0, batch, "del-batch")
+    outcome = None
+    try:
+        stats = engine.run_segment(values, presence, table)
+        outcome = [
+            (s.tagged_vertices, s.tag_events, s.tag_rounds,
+             s.recompute_rounds, s.tagged_mask.tolist())
+            for s in stats
+        ]
+    except Exception as exc:  # the budget breach, compared field by field
+        outcome = (type(exc).__name__, getattr(exc, "resource", None),
+                   getattr(exc, "spent", None), getattr(exc, "stats", None))
+    return (
+        outcome, values.tolist(), engine.parent_edge.tolist(),
+        presence.tolist(), None if collector is None else _trace_of(collector),
+    )
+
+
+@settings(
+    max_examples=80, deadline=None,
+    suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
+    ],
+)
+@given(case=_repair_case())
+def test_repair_steps_match_the_numpy_repair(compiled, case):
+    """Random graphs and deletion batches: the step-table repair equals
+    DeletionRepair in values, parents, DeletionStats, trace rows and
+    blocks, touched destinations and touched edges; and a GROUND step
+    grounds the same parent forest as reconstruct_parents, lowest
+    supporting edge per vertex and level."""
+    n, edges, algo, source, mode, seed, ground = case
+    unified = _repair_graph(n, edges)
+    algorithm = get_algorithm(algo)
+    resolve_backend("numpy")
+    engine, presence, values = _full_with_parents_at(
+        unified, algorithm, source
+    )
+    if ground:
+        reconstruct_parents(engine, values, presence, source)
+    batch = _deletion_batch(
+        mode, seed, unified.graph, engine.parent_edge[0], source
+    )
+    ref, got = _on_tiers(
+        compiled,
+        lambda: _run_repair(unified, algorithm, source, batch, ground=ground),
+    )
+    assert ref == got
+    unrecorded = _on_tiers(
+        compiled,
+        lambda: _run_repair(
+            unified, algorithm, source, batch, record=False, ground=ground
+        ),
+    )
+    assert unrecorded[0] == unrecorded[1] == ref[:-1] + (None,)
+    (stats,) = ref[0]
+    if mode in ("empty", "non-parent"):
+        # nothing depended on the batch: no cascade, pull or recompute
+        assert stats[0] == stats[2] == stats[3] == 0
+        phases = {r[0] for e in ref[-1] for r in e[-1] if e[1] == "del"}
+        assert phases == {"del-tag"}
+
+
+def test_ground_step_matches_reconstruct_parents(compiled):
+    """A GROUND step rebuilds the same forest as reconstruct_parents on
+    a graph with many equal-length paths: the lowest supporting edge id
+    per vertex, level by level, for every algorithm."""
+    from repro.engines.daic import StepTable
+
+    unified = _scenario().unified
+    for algorithm in all_algorithms():
+
+        def run(algorithm=algorithm):
+            engine, presence, values = _full_with_parents_at(
+                unified, algorithm, 3
+            )
+            engine.parent_edge[0] = 0  # no trace of live tracking left
+            table = StepTable(3)
+            table.ground(0)
+            assert engine.run_segment(
+                values[None, :], presence[None, :], table
+            ) == []
+            return [engine.parent_edge.copy()]
+
+        _assert_same(*_on_tiers(compiled, run), algorithm.name)
+
+
+def _full_with_parents_at(unified, algorithm, source):
+    engine = MultiVersionEngine(algorithm, unified, track_parents=True)
+    presence = np.ones(unified.n_union_edges, dtype=bool)
+    vals = engine.evaluate_full(presence, source=source, parent_row=0)
+    return engine, presence, vals
+
+
+def test_repair_budget_breach_identical_across_tiers(compiled):
+    """A budget that runs out inside a repair's recompute breaches at the
+    same round on both tiers, with the same partial values, parents and
+    trace; the tag and pull passes are not charged."""
+    from repro.resilience.budget import Budget
+
+    unified = _scenario().unified
+    algorithm = get_algorithm("sssp")
+    resolve_backend("numpy")
+    engine, __, __ = _full_with_parents_at(unified, algorithm, 3)
+    batch = _deletion_batch("orphan", 0, unified.graph,
+                            engine.parent_edge[0], 3)
+    roomy = _run_repair(unified, algorithm, 3, batch)
+    (stats,) = roomy[0]
+    assert stats[3] >= 3, "the recompute must run several rounds"
+    full_rounds = sum(
+        len(e[-1]) for e in roomy[-1] if e[1] == "full"
+    )
+    for spare in (0, 1, stats[3] - 1):
+        budget = Budget(max_rounds=full_rounds + spare)
+        ref, got = _on_tiers(
+            compiled,
+            lambda budget=budget: _run_repair(
+                unified, algorithm, 3, batch, budget=budget
+            ),
+        )
+        assert ref == got, spare
+        assert ref[0][:2] == ("BudgetExceeded", "rounds"), ref[0]
 
 
 def test_window_server_advance_bit_identical(compiled):
@@ -620,27 +926,29 @@ def test_traces_identical_across_backends(compiled, monkeypatch):
 
 
 def _segments(plan) -> int:
-    """Maximal runs of copy and apply steps in a plan."""
-    from repro.schedule.plan import ApplyEdges, CopyState
+    """Maximal runs of copy, apply and delete steps in a plan."""
+    from repro.schedule.plan import ApplyEdges, CopyState, DeleteEdges
 
     runs, inside = 0, False
     for step in plan.steps:
-        moving = isinstance(step, (CopyState, ApplyEdges))
+        moving = isinstance(step, (CopyState, ApplyEdges, DeleteEdges))
         runs += moving and not inside
         inside = moving
     return runs
 
 
 def test_recorded_run_is_one_loop_call_per_segment(compiled, monkeypatch):
-    """A recorded plan makes one daic_round call per EvalFull, per repair
-    propagate and per segment (a maximal run of copy and apply steps) —
-    not one per round or per ApplyEdges.  Direct-Hop's segments are its
-    hop chains, one per snapshot; BOE's whole schedule is one."""
+    """A recorded plan makes one daic_round call per EvalFull and per
+    segment (a maximal run of copy, apply and delete steps) — not one
+    per round, per ApplyEdges or per repair pass.  The streaming plan's
+    segments are its snapshots' addition-plus-repair pairs, so it makes
+    one call per snapshot; Direct-Hop's segments are its hop chains, one
+    per snapshot; BOE's whole schedule is one."""
     import dataclasses
 
     import repro.engines.daic as daic
     from repro.engines import PlanExecutor
-    from repro.schedule.plan import ApplyEdges, EvalFull
+    from repro.schedule.plan import ApplyEdges, DeleteEdges, EvalFull
 
     active = resolve_backend(compiled)
     calls = []
@@ -660,19 +968,15 @@ def test_recorded_run_is_one_loop_call_per_segment(compiled, monkeypatch):
             scenario, get_algorithm("sssp"), record_traces=True
         ).run(plan)
         executions = result.collector.executions
-        # a deletion propagates (once) only when its repair pulled
-        repairs = sum(
-            e.phase == "del" and any(r.phase == "del-pull" for r in e.rounds)
-            for e in executions
-        )
         evals = sum(isinstance(s, EvalFull) for s in plan.steps)
-        assert len(calls) == evals + repairs + _segments(plan), workflow
+        assert len(calls) == evals + _segments(plan), workflow
         assert set(calls) == {8}, "every call recorded"
         applies = sum(isinstance(s, ApplyEdges) for s in plan.steps)
-        assert len(executions) == evals + applies + len(
-            result.deletion_stats
-        ), workflow
+        deletes = sum(isinstance(s, DeleteEdges) for s in plan.steps)
+        assert deletes == len(result.deletion_stats)
+        assert len(executions) == evals + applies + deletes, workflow
         made[workflow] = len(calls)
+    assert made["streaming"] == scenario.n_snapshots
     assert made["direct-hop"] == 1 + scenario.n_snapshots
     assert made["boe"] == 2
 
@@ -682,9 +986,12 @@ def test_record_buffers_grow_and_resume(compiled, monkeypatch):
     them and resumes the kernel, and the traces do not change.  A
     Direct-Hop segment outgrows them part-way through its hop chain, so
     the kernel resumes both mid-step (before a round) and between steps
-    (before a seed pass)."""
+    (before a seed pass); a streaming segment outgrows them inside a
+    repair, between two passes of its tag cascade."""
+    import ctypes
+
     from repro.engines import PlanExecutor
-    from repro.perf.backend import cext
+    from repro.perf.backend import STEP_COLS, STEP_TAG, cext
 
     scenario = _scenario()
     plans = [WORKFLOWS[w](scenario.unified) for w in ("streaming", "direct-hop")]
@@ -708,10 +1015,15 @@ def test_record_buffers_grow_and_resume(compiled, monkeypatch):
             return getattr(lib, name)
 
         def mega_daic_round(self, *args):
-            record = cext._Record.from_address(args[-1])
+            record = cext._Record.from_address(args[-2])
             kernel_calls.append(record.row_cap)
             # first_step and resume of a call that continues a table
             first, resume = args[8], args[9]
+            steps = (ctypes.c_int64 * (STEP_COLS * args[5])).from_address(
+                args[4]
+            )
+            if resume and steps[STEP_COLS * first] == STEP_TAG:
+                resumed.add("mid-cascade")
             if record.row_cap > 1 and args[5] > 1:
                 resumed.add("mid-step" if resume else
                             "between steps" if first else "start")
@@ -722,7 +1034,7 @@ def test_record_buffers_grow_and_resume(compiled, monkeypatch):
     monkeypatch.setattr(cext, "_RECORD_BLOCKS", 1)
     assert run() == roomy
     assert max(kernel_calls) >= 4, "no call resumed twice"
-    assert {"mid-step", "between steps"} <= resumed
+    assert {"mid-step", "between steps", "mid-cascade"} <= resumed
     reset_backend()
     resolve_backend("numpy")
     assert run() == roomy

@@ -224,3 +224,42 @@ def test_as_result_feeds_analysis():
     series = track_reach(server.as_result(), server.algorithm)
     assert len(series) == server.n_snapshots
     assert series.values[-1] > 0
+
+
+@pytest.mark.parametrize("tier", ["numpy", "cext"])
+@pytest.mark.parametrize("algo", ["sssp", "sswp", "ssnp", "viterbi"])
+def test_nan_window_refuses_deletion_slides(tier, algo):
+    """A NaN weight the source reaches poisons values in round order, so
+    no parent forest can be grounded in them: a deletion slide refuses
+    with the grounding's error, on either kernel tier, and leaves the
+    server exactly as it was (bfs ignores weights, so only four of the
+    five algorithms are poisoned)."""
+    from repro.engines.deletion import NOT_A_FIXPOINT
+    from repro.perf.backend import (
+        available_backends,
+        reset_backend,
+        resolve_backend,
+    )
+
+    if tier not in available_backends():
+        pytest.skip(f"{tier} tier unavailable")
+    rng = np.random.default_rng(5)
+    try:
+        resolve_backend(tier)
+        pool = rmat_edges(64, 512, seed=3)
+        out = np.flatnonzero(pool.src == 0)
+        pool.wt[out[:2]] = np.nan
+        scenario = synthesize_scenario(
+            pool, n_snapshots=5, batch_pct=0.04, seed=4
+        )
+        server = WindowServer(scenario, get_algorithm(algo))
+        assert np.isnan(server.latest()).any()
+        values = [server.values(k).copy() for k in range(5)]
+        with pytest.raises(RuntimeError, match=NOT_A_FIXPOINT):
+            server.advance(deletions=pick_deletable(server, rng, 3))
+        assert server.scenario is scenario
+        assert server.slides == 0 and server.last_stable is None
+        for k in range(5):
+            assert np.array_equal(server.values(k), values[k], equal_nan=True)
+    finally:
+        reset_backend()
