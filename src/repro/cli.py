@@ -14,7 +14,6 @@ Usage::
         --ack-mode quorum:1
     mega-repro serve-bench --scale tiny --duration 5 --rate 50
     mega-repro serve-bench --drill failover --kill-at-epoch 3
-    mega-repro serve-bench --compare-shards 1,2,4 --ingest-every 0.5
     mega-repro serve-bench --drill shard-kill --shards 2
     mega-repro serve-bench --drill chaos --cluster 3 --kill-at-epoch 3
 """
@@ -502,29 +501,6 @@ def _cmd_drill(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_shard_counts(raw: str) -> list[int]:
-    counts = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            n = int(part)
-        except ValueError:
-            raise SystemExit(_fail_usage(
-                f"--compare-shards takes comma-separated integers; "
-                f"got {part!r}"
-            )) from None
-        if n < 1:
-            raise SystemExit(_fail_usage("--compare-shards counts must "
-                                         "be >= 1"))
-        counts.append(n)
-    if not counts:
-        raise SystemExit(_fail_usage("--compare-shards needs at least one "
-                                     "shard count"))
-    return counts
-
-
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.service import LoadSpec, QueryService, run_load
 
@@ -559,17 +535,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         max_retries=args.retries,
         trace_sample=max(0, args.trace_out),
     )
-    if args.compare_shards:
-        if args.compare_shm or args.with_follower:
-            raise SystemExit(_fail_usage(
-                "--compare-shards is its own comparison; drop "
-                "--compare-shm/--with-follower"
-            ))
-        counts = _parse_shard_counts(args.compare_shards)
-        return _serve_bench_compare_shards(args, config, spec, counts,
-                                           write_out)
-    if args.compare_shm or args.with_follower:
-        return _serve_bench_compare(args, config, spec, write_out)
     service_ctx = (
         _sharded_service(config, args.shards) if args.shards > 1
         else QueryService(config)
@@ -588,266 +553,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         )
         return 1
     return 0
-
-
-def _follower_bench_leg(config, spec):
-    """Run the workload against a read replica tailing a live primary.
-
-    The primary runs as its own ``mega-repro serve`` process on a
-    throwaway WAL directory — the honest two-node topology, whose ingest
-    work does not share this interpreter's lock with the follower's read
-    path.  The follower tails the WAL and serves every read, while the
-    load generator redirects each ``not_primary``-refused ingest to the
-    primary over stdio (the redirect counter lands in the follower's
-    BENCH report).
-    """
-    import dataclasses
-    import tempfile
-
-    from repro.service import ReplicaServer, run_load
-    from repro.service.drill import ServeChild
-
-    wal_root = tempfile.mkdtemp(prefix="mega-follower-bench-")
-    wal_dir = str(pathlib.Path(wal_root) / "wal")
-    cfg_follower = dataclasses.replace(config, wal_dir=None)
-    with ServeChild([
-        "--scale", config.scale,
-        "--snapshots", str(config.n_snapshots),
-        # the primary in this leg is an ingest-only node (every read goes
-        # to the follower) — one worker is its steady-state footprint
-        "--workers", "1",
-        "--graphs", ",".join(spec.graphs),
-        "--wal-dir", wal_dir,
-    ]) as primary:
-        health = primary.health()  # readiness barrier
-        if health.get("role") != "primary":  # pragma: no cover - defensive
-            raise RuntimeError(f"serve child unhealthy: {health}")
-        with ReplicaServer(
-            wal_dir, cfg_follower, follower_id="bench-follower"
-        ) as replica:
-            report = run_load(replica.service, spec, primary=primary)
-        primary.shutdown()
-    return report
-
-
-def _serve_bench_compare(args, config, spec, write_out: bool) -> int:
-    """Run the identical workload in alternative topologies.
-
-    ``--compare-shm`` runs the single-node service with and without the
-    shm plane (the zero-copy speedup); ``--with-follower`` additionally
-    (or on its own, against a plain single-node baseline) runs the
-    workload against a WAL-tailing read replica and reports the
-    follower-read throughput ratio.  The JSON report carries every run
-    plus the comparison so the headline ratios are committed alongside
-    the raw numbers.
-    """
-    import dataclasses
-    import json as _json
-
-    from repro.experiments.runner import scenario_cache
-    from repro.service import QueryService, run_load
-
-    # warm the genesis scenarios once, before any leg: the first leg must
-    # not be the one paying graph generation for everybody (the legs run
-    # in one process and share this cache on the coordinator side)
-    for g in spec.graphs:
-        scenario_cache(g, config.scale, n_snapshots=config.n_snapshots)
-
-    reports = {}
-    legs = []
-    if args.compare_shm:
-        legs += [("shm", True), ("no_shm", False)]
-    else:
-        legs += [("single", config.use_shm)]
-    for label, use_shm in legs:
-        cfg = dataclasses.replace(config, use_shm=use_shm)
-        print(f"[compare: running single-node workload with shm "
-              f"{'on' if use_shm else 'off'}]", file=sys.stderr)
-        with QueryService(cfg) as service:
-            reports[label] = run_load(service, spec)
-        print(reports[label].format_table())
-        print()
-    if args.with_follower:
-        print("[compare: running workload against a WAL-tailing follower]",
-              file=sys.stderr)
-        reports["follower"] = _follower_bench_leg(config, spec)
-        print(reports["follower"].format_table())
-        print()
-    baseline = "shm" if args.compare_shm else "single"
-    base_qps = reports[baseline].results["throughput_qps"]
-    comparison = {f"throughput_qps_{baseline}": base_qps}
-    lines = ["== topology comparison =="]
-    if args.compare_shm:
-        no_shm_qps = reports["no_shm"].results["throughput_qps"]
-        speedup = base_qps / max(no_shm_qps, 1e-9)
-        comparison.update(
-            throughput_qps_no_shm=no_shm_qps, speedup_qps=speedup
-        )
-        lines += [
-            f"throughput with shm    {base_qps:.1f} q/s",
-            f"throughput without shm {no_shm_qps:.1f} q/s",
-            f"speedup {speedup:.2f}x",
-        ]
-    if args.with_follower:
-        follower_qps = reports["follower"].results["throughput_qps"]
-        ratio = follower_qps / max(base_qps, 1e-9)
-        comparison.update(
-            throughput_qps_follower=follower_qps,
-            follower_read_qps_ratio=ratio,
-        )
-        lines += [
-            f"throughput via follower {follower_qps:.1f} q/s "
-            f"({ratio:.2f}x of single-node reads)",
-        ]
-        if ratio < 0.9:
-            print(
-                f"[follower read throughput {ratio:.2f}x of single-node; "
-                f"expected >= 0.90x]",
-                file=sys.stderr,
-            )
-    print("\n".join(lines))
-    if write_out:
-        path = pathlib.Path(args.out)
-        payload = {
-            "bench": "service-compare-shm" if args.compare_shm
-            else "service-follower",
-            "schema_version": 2,
-            "comparison": comparison,
-        }
-        for label, report in reports.items():
-            payload[label] = _json.loads(report.to_json())
-        path.write_text(_json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"[wrote {path}]")
-    if any(r.degraded for r in reports.values()):
-        print(
-            "[degraded run: dropped/errored queries or unrecovered fault]",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _serve_bench_compare_shards(
-    args, config, spec, counts: list[int], write_out: bool
-) -> int:
-    """Identical offered load at each shard count, one scaling table.
-
-    Every leg replays the same seeded open-loop schedule (arrivals,
-    sources, windows, and the writer thread's ingest cadence are all
-    functions of ``--seed``), so the only variable is the shard count;
-    shard count 1 runs the plain single-node service as the baseline.
-    The methodology note in the JSON report records the host's CPU
-    budget: shards are separate worker pools inside one host, so q/s
-    scaling with shard count requires free cores — on a single-core
-    host the multi-shard legs measure scatter-gather protocol overhead,
-    not parallel speedup, and the honest numbers say so.
-    """
-    import dataclasses
-    import json as _json
-    import os as _os
-
-    from repro.experiments.runner import scenario_cache
-    from repro.service import QueryService, run_load
-    from repro.service.loadgen import BENCH_SCHEMA_VERSION
-
-    # warm the genesis scenarios once so the first leg is not the one
-    # paying graph generation for everybody
-    for g in spec.graphs:
-        scenario_cache(g, config.scale, n_snapshots=config.n_snapshots)
-
-    reports: dict[int, object] = {}
-    for n in counts:
-        print(f"[compare: {n} shard(s), identical offered load]",
-              file=sys.stderr)
-        ctx = (
-            _sharded_service(dataclasses.replace(config), n) if n > 1
-            else QueryService(config)
-        )
-        with ctx as service:
-            reports[n] = run_load(service, spec)
-        print(reports[n].format_table())
-        print()
-    base_qps = reports[counts[0]].results["throughput_qps"]
-    cpus = _os.cpu_count() or 1
-    lines = ["== shard scaling (identical offered load per leg) =="]
-    comparison: dict[str, object] = {"baseline_shards": counts[0]}
-    for n in counts:
-        r = reports[n].results
-        qps = r["throughput_qps"]
-        ratio = qps / max(base_qps, 1e-9)
-        comparison[f"throughput_qps_{n}shard"] = qps
-        comparison[f"speedup_{n}shard"] = ratio
-        lines.append(
-            f"shards {n:<2} {qps:8.1f} q/s  {ratio:5.2f}x  "
-            f"p95 {r['latency_ms']['p95']:.1f} ms"
-        )
-    lines.append(f"host cpus {cpus}")
-    methodology = (
-        f"Each leg replays the identical seeded open-loop workload "
-        f"(seed {spec.seed}, {spec.rate_qps:g} q/s offered for "
-        f"{spec.duration_s:g}s, writer-thread ingest every "
-        f"{spec.ingest_every_s:g}s); only the shard count varies, with "
-        f"1 shard serving as the plain single-node baseline. Shards are "
-        f"separate OS worker pools inside one host process, so "
-        f"throughput scaling with shard count requires free CPU cores. "
-        f"This host exposes {cpus} CPU core(s)"
-        + (
-            ": with a single core the multi-shard legs time-slice one "
-            "core and measure the scatter-gather protocol overhead "
-            "(frontier exchange, per-shard dispatch), not parallel "
-            "speedup — expect q/s at N shards to trail the 1-shard "
-            "baseline here, and to scale only on multi-core hosts."
-            if cpus == 1 else "."
-        )
-    )
-    print("\n".join(lines))
-    if write_out:
-        path = pathlib.Path(args.out)
-        payload = {
-            "bench": "service-shards",
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "comparison": comparison,
-            "methodology": methodology,
-            "host_cpus": cpus,
-        }
-        for n, report in reports.items():
-            payload[f"shards_{n}"] = _json.loads(report.to_json())
-        path.write_text(_json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"[wrote {path}]")
-    if any(r.degraded for r in reports.values()):
-        print(
-            "[degraded run: dropped/errored queries or unrecovered fault]",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_bench_kernels(args: argparse.Namespace) -> int:
-    from repro.perf import run_kernel_bench
-
-    if args.graph not in DATASETS:
-        return _fail_usage(
-            f"unknown graph {args.graph!r}; choose from {sorted(DATASETS)}"
-        )
-    _resolve_algorithm(args.algo)
-    report = run_kernel_bench(
-        graph=args.graph,
-        scale=args.scale,
-        n_snapshots=args.snapshots,
-        algo=args.algo,
-        n_sources=args.sources,
-        iters=args.iters,
-        seed=args.seed,
-        compare_backends=args.compare_backends,
-    )
-    print(report.format_table())
-    if not args.no_out and args.out:
-        path = pathlib.Path(args.out)
-        path.write_text(report.to_json() + "\n")
-        print(f"[wrote {path}]")
-    # CI gates on parity, never on timings (shared runners jitter)
-    return 0 if report.ok else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -1097,45 +802,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--kill-at-epoch", type=int, default=2, metavar="N",
                          help="the drill kills after N acknowledged "
                          "ingests")
-    p_bench.add_argument("--compare-shards", default=None, metavar="N,M,...",
-                         help="run the identical workload once per shard "
-                         "count (e.g. 1,2,4) and report the q/s scaling "
-                         "table; 1 = plain single-node baseline")
-    p_bench.add_argument("--compare-shm", action="store_true",
-                         help="run the identical workload twice — shm plane "
-                         "on, then off — and report the q/s speedup")
-    p_bench.add_argument("--with-follower", action="store_true",
-                         help="also run the workload against a WAL-tailing "
-                         "read replica (ingest redirects to the primary) "
-                         "and report the follower-read q/s ratio")
     p_bench.add_argument("--trace-out", type=int, default=0, metavar="N",
                          help="embed up to N per-query span timelines in "
                          "the JSON report (0 = none)")
     p_bench.set_defaults(func=_cmd_serve_bench)
-
-    p_kern = sub.add_parser(
-        "bench-kernels",
-        help="microbenchmark the hot kernels (gather, argbest, plans, "
-        "shm attach) with built-in parity checks",
-    )
-    p_kern.add_argument("--graph", default="Wen")
-    p_kern.add_argument("--scale", default="small", choices=sorted(SCALES))
-    p_kern.add_argument("--snapshots", type=int, default=8)
-    p_kern.add_argument("--algo", default="sssp")
-    p_kern.add_argument("--sources", type=int, default=4,
-                        help="sources in the coalesced-plan benchmark")
-    p_kern.add_argument("--iters", type=int, default=20,
-                        help="timed iterations per kernel")
-    p_kern.add_argument("--seed", type=int, default=0)
-    p_kern.add_argument("--compare-backends", action="store_true",
-                        help="additionally time each backend-dispatched "
-                        "kernel under numpy AND the compiled tier, with "
-                        "bit-identical parity gates between the legs")
-    p_kern.add_argument("--out", default="BENCH_kernels.json",
-                        help="write the JSON report here")
-    p_kern.add_argument("--no-out", action="store_true",
-                        help="skip writing the JSON report")
-    p_kern.set_defaults(func=_cmd_bench_kernels)
 
     p_sim = sub.add_parser("simulate", help="run one simulation")
     p_sim.add_argument("--graph", default="PK")

@@ -18,9 +18,8 @@ whose bit ``j`` says whether the edge is present in snapshot ``8p + j``.
 One byte fetch per edge answers up to eight snapshots at once — the
 software analogue of MEGA's §3.1 shared edge fetch — and the matrix is 8×
 smaller than the dense ``n_snapshots × n_union_edges`` boolean form it
-replaces.  ``mega-repro bench-kernels`` times the packed gather against
-the dense path it replaced (kept as ``_presence_of_dense`` for parity
-checks and benchmarking).
+replaces.  The dense path it replaced stays as ``_presence_of_dense``, the
+reference the parity tests hold the packed gather to.
 
 A window slide does not rebuild any of this: :meth:`UnifiedCSR.merged`
 inserts a sorted batch of new edges into the kept union, and
@@ -238,7 +237,7 @@ class UnifiedCSR:
         """Presence test restricted to a set of union-edge slots.
 
         One byte gather per slot against the packed planes — the
-        unpack-on-gather fast path ``bench-kernels`` measures against
+        unpack-on-gather fast path the parity tests hold to
         :meth:`_presence_of_dense`.
         """
         self._check_snapshot(snapshot)
@@ -280,8 +279,7 @@ class UnifiedCSR:
         """The pre-packing dense presence test (tag compares per call).
 
         Kept as the reference implementation: parity tests check the
-        packed planes against it, and ``bench-kernels`` reports the
-        packed gather's speedup over it.
+        packed planes against it.
         """
         self._check_snapshot(snapshot)
         a = self.add_step[edge_idx]
@@ -352,13 +350,9 @@ class UnifiedCSR:
         return self._reverse
 
     def _masked_graph(self, mask: np.ndarray) -> CSRGraph:
-        counts = np.bincount(
-            self.graph.src_of_edge[mask], minlength=self.n_vertices
-        )
-        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return CSRGraph(
-            self.n_vertices, indptr, self.graph.dst[mask], self.graph.wt[mask]
+        g = self.graph
+        return CSRGraph.from_sorted(
+            self.n_vertices, g.src_of_edge[mask], g.dst[mask], g.wt[mask]
         )
 
     def _check_snapshot(self, snapshot: int) -> None:

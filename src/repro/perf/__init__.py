@@ -1,12 +1,7 @@
-"""Reproducible microbenchmarks for the hot kernels.
+"""Hot-kernel tiers for the engines and the timing replay.
 
-``mega-repro bench-kernels`` (:mod:`repro.perf.kernels`) times the
-multi-version presence gather, ``group_argbest``, coalesced plan
-execution, and shared-memory scenario attach, and emits
-``BENCH_kernels.json`` so successive PRs have a kernel-level perf
-trajectory to beat.
+:mod:`repro.perf.backend` resolves one kernel backend per process (the
+numpy reference or the compiled C tier) and holds the parity reference
+the tests compare every tier against.  perfbench (``BENCHMARK.json``)
+measures them end to end and per layer.
 """
-
-from repro.perf.kernels import KernelBenchReport, run_kernel_bench
-
-__all__ = ["KernelBenchReport", "run_kernel_bench"]

@@ -3,10 +3,10 @@
 Like ``UnifiedCSR._presence_of_dense``, these implementations are never
 removed: every compiled tier must reproduce them bit-for-bit (values,
 parent tracking, and tie-break order), and the differential tests in
-``tests/test_kernel_backends.py`` plus the ``bench-kernels`` parity gate
-hold them to it.  ``group_argbest`` here is the original lexsort-based
-engine reduction; the engine's own vectorized multi-sweep round body,
-driven step by step by ``MultiVersionEngine.run_segment``, is the
+``tests/test_kernel_backends.py`` hold them to it.  ``group_argbest``
+here is the original lexsort-based engine reduction; the engine's own
+vectorized multi-sweep round body, driven step by step by
+``MultiVersionEngine.run_segment``, is the
 reference for the compiled ``daic_round`` step-table loop (the numpy
 backend exposes no ``daic_round``, so the engine keeps using that path), and
 ``UnifiedCSR.presence_multi``'s unpackbits path is the reference for

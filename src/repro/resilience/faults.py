@@ -22,6 +22,7 @@ Usage::
 
 from __future__ import annotations
 
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -156,7 +157,11 @@ class FaultPlan:
         self._fires[point] += 1
         record = FaultRecord(point, {"opportunity": k})
         self.fired.append(record)
-        rng = np.random.default_rng((self.seed, hash(point) & 0xFFFF, k))
+        # a digest, not hash(): str hashes are salted per process, and a
+        # seeded campaign must pick the same victims in every process
+        rng = np.random.default_rng(
+            (self.seed, zlib.crc32(point.encode()), k)
+        )
         return Fire(record, rng)
 
 

@@ -15,8 +15,8 @@ retries counts as ``gave_up`` and marks the run degraded.
 
 ``run_load`` drives a :class:`~repro.service.core.QueryService` in
 process, then folds the service's counters and the per-query latencies
-into one JSON-able report (``BENCH_service.json``) so successive PRs have
-a perf trajectory to beat.
+into one JSON-able report (``serve-bench`` writes it to
+``BENCH_service.json`` by default).
 """
 
 from __future__ import annotations
@@ -379,7 +379,6 @@ def _slide_parity(service, spec: LoadSpec) -> dict:
 def run_load(
     service: QueryService,
     spec: LoadSpec,
-    primary: QueryService | None = None,
     resolve_primary=None,
 ) -> BenchReport:
     """Drive ``service`` with ``spec``; both must already be configured.
@@ -387,17 +386,17 @@ def run_load(
     The service must be started; this call blocks for the workload
     duration plus drain time.
 
-    ``primary`` is the redirect target when ``service`` is a follower:
-    an ingest refused with ``not_primary`` backs off briefly (the same
-    cooperative-client posture as the shed/reject retry loop) and is
-    re-sent there, counted under ``redirects`` in the report.  Without a
-    target the refusal propagates.
-
-    ``resolve_primary`` generalizes the static target across a leader
-    election: a zero-argument callable returning the current ingest
+    ``resolve_primary`` finds the redirect target when ``service`` is a
+    follower: a zero-argument callable returning the current ingest
     target (anything with ``.ingest``; ``None`` = no primary known yet).
-    When the writer's target dies mid-ingest it keeps re-resolving for
-    up to ``spec.failover_grace_s`` — each change of target counts as a
+    An ingest refused with ``not_primary`` backs off briefly (the same
+    cooperative-client posture as the shed/reject retry loop) and is
+    re-sent there, counted under ``redirects`` in the report.  Without
+    ``resolve_primary`` the refusal propagates.
+
+    The target may change across a leader election.  When the writer's
+    target dies mid-ingest it keeps re-resolving for up to
+    ``spec.failover_grace_s`` — each change of target counts as a
     ``failover`` in the report — and, because the in-flight write may
     have landed on the dead primary's WAL and survived onto its elected
     successor, it consults the new target's ``epoch`` before re-sending:
@@ -434,12 +433,10 @@ def run_load(
     target: list = [None]
 
     def _acquire_target():
-        if resolve_primary is not None:
-            try:
-                return resolve_primary()
-            except Exception:  # noqa: BLE001 - no primary known right now
-                return None
-        return primary
+        try:
+            return resolve_primary()
+        except Exception:  # noqa: BLE001 - no primary known right now
+            return None
 
     def _send(graph: str, seed: int) -> bool:
         """One logical ingest: local, else redirect, else follow the
@@ -452,7 +449,7 @@ def run_load(
             )
             return True
         except NotPrimaryError:
-            if primary is None and resolve_primary is None:
+            if resolve_primary is None:
                 raise
         base = confirmed.get(graph)
         if base is None:

@@ -50,10 +50,9 @@ def restrict_rows(
             f"row range [{lo}, {hi}) outside [0, {g.n_vertices}]"
         )
     keep = (g.src_of_edge >= lo) & (g.src_of_edge < hi)
-    counts = np.bincount(g.src_of_edge[keep], minlength=g.n_vertices)
-    indptr = np.zeros(g.n_vertices + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    sub = CSRGraph(g.n_vertices, indptr, g.dst[keep], g.wt[keep])
+    sub = CSRGraph.from_sorted(
+        g.n_vertices, g.src_of_edge[keep], g.dst[keep], g.wt[keep]
+    )
     unified = UnifiedCSR(
         sub,
         u.add_step[keep],

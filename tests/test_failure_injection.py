@@ -176,6 +176,38 @@ def test_fault_plan_counts_opportunities():
     assert maybe_fire("eventsim.drop-event") is None  # disarmed on exit
 
 
+def test_fault_draws_do_not_depend_on_the_hash_seed():
+    """A seeded fire picks the same victim in every process: str hashes
+    are salted per interpreter, so the fire's RNG must not seed on them."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "from repro.resilience import FaultPlan\n"
+        "fire = FaultPlan(['executor.bitflip-value'], seed=3)"
+        ".maybe_fire('executor.bitflip-value')\n"
+        "print(int(fire.rng.integers(0, 2**30)))"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    draws = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        draws.append(int(proc.stdout))
+    assert draws[0] == draws[1], draws
+
+
 def test_inject_is_not_reentrant():
     from repro.resilience import FaultPlan, inject
 

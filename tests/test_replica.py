@@ -184,7 +184,9 @@ def test_run_load_redirects_ingest_to_primary(tmp_path):
         replica.start()
         spec = LoadSpec(duration_s=0.4, rate_qps=40, seed=1, n_sources=4,
                         ingest_every_s=0.15)
-        report = run_load(replica.service, spec, primary=primary)
+        report = run_load(
+            replica.service, spec, resolve_primary=lambda: primary
+        )
         r = report.results
         assert not report.degraded
         assert r["role"] == "follower"

@@ -126,6 +126,11 @@ def test_snapshot_graph_materialization(unified):
     assert g1.n_edges == 3
     assert g1.has_edge(0, 2)
     assert not g1.has_edge(1, 2)
+    # a masked graph's adopted src_of_edge agrees with its own row pointers
+    masked = [unified.snapshot_graph(k) for k in range(unified.n_snapshots)]
+    for g in masked + [unified.common_graph()]:
+        rows = np.repeat(np.arange(g.n_vertices), np.diff(g.indptr))
+        assert g.src_of_edge.tolist() == rows.tolist()
 
 
 def test_snapshot_graph_cached(unified):
