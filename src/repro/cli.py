@@ -332,7 +332,6 @@ def _service_config(args: argparse.Namespace):
         workers=args.workers,
         batching=args.batching,
         max_batch=args.max_batch,
-        coalesce_ms=args.coalesce_ms,
         mode=args.mode,
         budget_s=args.budget_s,
         cache_size=max(1, args.cache_size),
@@ -675,8 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--max-batch", type=int, default=8,
                        help="max distinct sources per coalesced plan")
-        p.add_argument("--coalesce-ms", type=float, default=4.0,
-                       help="coalescing window in milliseconds")
         p.add_argument("--mode", default="eval", choices=["eval", "simulate"],
                        help="functional executor or accelerator model")
         p.add_argument("--budget-s", type=float, default=60.0,

@@ -103,8 +103,9 @@ class _Repair(ctypes.Structure):
         ("stats", _P),
     ]
 
-#: initial record capacity of a call, in pass rows and in edge-block ids;
-#: a call that outgrows it doubles the buffers and resumes
+#: initial record capacity of a thread's first call, in pass rows and in
+#: edge-block ids; a call that outgrows its capacity doubles the buffers
+#: and resumes, and the thread's later calls start from the grown size
 _RECORD_ROWS = 256
 _RECORD_BLOCKS = 1 << 14
 
@@ -410,6 +411,7 @@ def _thread_blocks() -> None:
     _tls.counters_ptr = _tls.counters.ctypes.data
     _tls.check_out = np.zeros(2, dtype=np.int64)
     _tls.check_ptr = _tls.check_out.ctypes.data
+    _tls.record_cap = (_RECORD_ROWS, _RECORD_BLOCKS)
 
 
 def daic_round(
@@ -534,7 +536,8 @@ def daic_round(
             _shape(edge_masks, (n_steps, m), "edge_masks")
             record.edge_masks = _ptr(edge_masks, None, "edge_masks")
         rec_ptr = ctypes.addressof(record)
-        row_cap, block_cap = _RECORD_ROWS, max(_RECORD_BLOCKS, span)
+        row_cap, block_cap = _tls.record_cap
+        block_cap = max(block_cap, span)
         rows_out: list[np.ndarray] = []
         blocks_out: list[np.ndarray] = []
     work = scratch(
@@ -582,6 +585,7 @@ def daic_round(
         if not full:
             break
         row_cap, block_cap = 2 * row_cap, max(2 * block_cap, need)
+        _tls.record_cap = (row_cap, block_cap)
         first_step, resume = stop, bool(mid)
     if record is None:
         return LoopCounts(rounds, events, pending, stop, bool(mid), seeds,

@@ -61,12 +61,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import merge_profiles
 from repro.perf.backend import requested_tier
 from repro.resilience.faults import FaultPlan, Fire, maybe_fire, register_fault_point
-from repro.service.batcher import (
-    AdmissionQueue,
-    PendingQuery,
-    coalesce,
-    split_expired,
-)
+from repro.service.batcher import PendingQuery, QueryPath
 from repro.service.cache import ResultCache
 from repro.service.ingest import (
     DeltaBatch, DeltaLog, apply_delta, synthesize_delta,
@@ -194,7 +189,6 @@ class ServiceConfig:
     workers: int = 2
     batching: bool = True
     max_batch: int = 8
-    coalesce_ms: float = 4.0
     max_pending: int = 4096
     cache_size: int = 512
     budget_s: float = 60.0
@@ -349,7 +343,7 @@ class _LiveGraph:
         return len(self.log)
 
 
-class QueryService:
+class QueryService(QueryPath):
     """Concurrent evolving-graph query service over a process pool."""
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
@@ -362,7 +356,7 @@ class QueryService:
         self.metrics = MetricsRegistry()
         self.stats = ServiceStats(self.metrics)
         self.cache = ResultCache(self.config.cache_size)
-        self.queue = AdmissionQueue(self.config.max_pending)
+        self._init_query_path(self.config.max_pending)
         # warm the pool before the batcher thread exists so every worker
         # is forked from a single-threaded coordinator
         self.pool = WorkerPool(
@@ -381,17 +375,7 @@ class QueryService:
         )
         self._graphs: dict[str, _LiveGraph] = {}
         self._graphs_lock = threading.Lock()
-        self._inflight: set[int] = set()
-        #: queries the batcher has accepted (offered or drained) but not
-        #: yet bound to an in-flight plan; guarded by ``_inflight_lock``.
-        #: Every live query is counted in exactly one of: the admission
-        #: queue + this counter (pre-plan) or ``_inflight`` (planned) —
-        #: the invariant ``drain()`` waits on.
-        self._unplanned = 0
-        self._inflight_lock = threading.Lock()
         self._plan_ids = iter(range(1, 1 << 62))
-        self._running = False
-        self._thread: threading.Thread | None = None
         self._started_at = time.monotonic()
         #: EWMA of executed-plan wall time, feeds the retry_after hint;
         #: a registry gauge so concurrent done-callbacks fold their
@@ -620,13 +604,15 @@ class QueryService:
                 fault_hook=self._maybe_fire,
                 fence_token=token,
             )
-        self._running = True
         self._started_at = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._batch_loop, name="mega-batcher", daemon=True
-        )
-        self._thread.start()
+        self._start_batcher("mega-batcher")
         return self
+
+    def _plan_slots(self) -> int:
+        # ProcessPoolExecutor feeds its workers from a call queue of
+        # max_workers + 1 plans: one more plan would only wait there,
+        # and one fewer would leave a worker idle
+        return self.pool.workers + 1
 
     def _install_recovery(self, recovery: WalRecovery) -> None:
         """Rebuild ``self._graphs`` from a WAL recovery scan."""
@@ -692,52 +678,13 @@ class QueryService:
         (``drain_timeouts``), and reflected in the return value — work
         still in flight is abandoned, not silently forgotten.
         """
-        drained = True
-        if drain:
-            drained = self.drain(timeout)
-            if not drained:
-                self.stats.inc("drain_timeouts")
-                log.warning(
-                    "drain timed out after %.1fs "
-                    "(queue=%d unplanned=%d inflight=%d); stopping anyway",
-                    timeout, len(self.queue), self._unplanned,
-                    len(self._inflight),
-                )
-        self._running = False
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
+        drained = self._stop_batcher(drain, timeout)
         self.pool.shutdown()
         if self.plane is not None:
             self.plane.close_all()
         if self.wal is not None:
             self.wal.close()
         return drained
-
-    def drain(self, timeout: float = 60.0) -> bool:
-        """Block until no query is queued, held by the batcher, or in
-        flight.
-
-        The accepted-but-unplanned count covers the window where the
-        batcher has drained the admission queue but not yet submitted
-        plans; without it, ``stop(drain=True)`` could observe an empty
-        queue and empty in-flight set and shut the pool down under
-        queries it had acknowledged.
-        """
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                busy = bool(self._inflight) or self._unplanned > 0
-            if not busy and len(self.queue) == 0:
-                return True
-            time.sleep(0.01)
-        return False
-
-    def __enter__(self) -> "QueryService":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # -- client surface ----------------------------------------------------
 
@@ -772,12 +719,6 @@ class QueryService:
         )
         return float(min(max(hint, 0.05), 10.0))
 
-    def _finish(self, pending: PendingQuery, response: QueryResponse) -> None:
-        """Resolve + record: every terminal response lands here, so the
-        latency histogram sees cache hits and sheds, not just plans."""
-        pending.resolve(response)
-        self._latency.observe(pending.response.latency_s)
-
     def submit(self, request: QueryRequest) -> PendingQuery:
         """Admit one query; returns a handle to ``wait()`` on.
 
@@ -811,24 +752,7 @@ class QueryService:
             )
             return pending
 
-        # count as unplanned *before* offering: once the query is visible
-        # in the queue it must already be covered by the drain invariant
-        with self._inflight_lock:
-            self._unplanned += 1
-        if not self.queue.offer(pending):
-            with self._inflight_lock:
-                self._unplanned -= 1
-            self.stats.inc("rejected")
-            self._finish(
-                pending,
-                QueryResponse(
-                    request.id,
-                    "rejected",
-                    epoch=epoch,
-                    error="admission queue full (load shed)",
-                    retry_after=self.retry_after_hint(),
-                ),
-            )
+        self._enqueue(pending)
         return pending
 
     def ingest(
@@ -1220,8 +1144,7 @@ class QueryService:
         except Exception:
             if manifest is not None and self.plane is not None:
                 self.plane.release(manifest)
-            with self._inflight_lock:
-                self._inflight.discard(plan_id)
+            self._retire(plan_id)
             raise
 
         def _done(fut, m=manifest, pid=plan_id) -> None:
@@ -1236,8 +1159,7 @@ class QueryService:
                     self._plan_ewma.ewma(result.elapsed_s, alpha=0.2)
                 self._merge_round_profile(result.round_profile)
                 self._note_worker_backend(result)
-            with self._inflight_lock:
-                self._inflight.discard(pid)
+            self._retire(pid)
 
         future.add_done_callback(_done)
         return future
@@ -1397,51 +1319,9 @@ class QueryService:
             out["cluster"] = self.cluster_node.health()
         return out
 
-    # -- batcher thread ----------------------------------------------------
+    # -- plan dispatch (runs on the batcher thread) -------------------------
 
-    def _batch_loop(self) -> None:
-        coalesce_s = max(self.config.coalesce_ms, 0.0) / 1e3
-        while self._running:
-            time.sleep(coalesce_s if coalesce_s > 0 else 0.0005)
-            pending = self.queue.drain()
-            if not pending:
-                continue
-            drained_at = time.monotonic()
-            for p in pending:
-                p.trace.mark("queue_drain", drained_at)
-            pending, expired = split_expired(pending)
-            for p in expired:
-                self._shed(p)
-            if not pending:
-                continue
-            if self.config.batching:
-                plans = coalesce(pending, self.config.max_batch)
-            else:
-                # baseline: strictly one query per plan, no sharing at all
-                plans = [[p] for p in pending]
-            coalesced_at = time.monotonic()
-            for plan in plans:
-                for p in plan:
-                    p.trace.mark("coalesce", coalesced_at)
-                self._submit_plan(plan)
-
-    def _shed(self, pending: PendingQuery) -> None:
-        """Deadline expired before execution: shed with a backoff hint."""
-        with self._inflight_lock:
-            self._unplanned -= 1
-        self.stats.inc("shed")
-        self._finish(
-            pending,
-            QueryResponse(
-                pending.request.id,
-                "shed",
-                epoch=pending.epoch,
-                error="deadline expired before execution (load shed)",
-                retry_after=self.retry_after_hint(),
-            ),
-        )
-
-    def _submit_plan(
+    def _dispatch_plan(
         self, queries: list[PendingQuery], degraded: bool = False
     ) -> None:
         plan_id = next(self._plan_ids)
@@ -1637,8 +1517,7 @@ class QueryService:
                     summaries=summaries,
                 ),
             )
-        with self._inflight_lock:
-            self._inflight.discard(plan_id)
+        self._retire(plan_id)
 
     def _plan_failed(
         self,
@@ -1657,7 +1536,7 @@ class QueryService:
             self.stats.inc("retries", len(retryable))
             # degrade: one singleton plan per query, no armed faults
             for q in retryable:
-                self._submit_plan([q], degraded=True)
+                self._dispatch_plan([q], degraded=True)
         for q in terminal:
             self.stats.inc("errored")
             self._finish(
@@ -1670,5 +1549,4 @@ class QueryService:
                     error=f"{type(exc).__name__}: {exc}",
                 ),
             )
-        with self._inflight_lock:
-            self._inflight.discard(plan_id)
+        self._retire(plan_id)

@@ -29,8 +29,6 @@ histograms; ``scatter_stats()`` folds them into BENCH schema v5.
 
 from __future__ import annotations
 
-import logging
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,12 +36,7 @@ import numpy as np
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import merge_profiles
-from repro.service.batcher import (
-    AdmissionQueue,
-    PendingQuery,
-    coalesce,
-    split_expired,
-)
+from repro.service.batcher import PendingQuery, QueryPath
 from repro.service.cache import ResultCache
 from repro.service.core import ServiceConfig, ServiceStats
 from repro.service.pool import _decode_triples, _encode_triples, _summarize
@@ -56,10 +49,8 @@ from repro.service.sharding.manager import ShardManager
 
 __all__ = ["ScatterGatherFrontEnd"]
 
-log = logging.getLogger(__name__)
 
-
-class ScatterGatherFrontEnd:
+class ScatterGatherFrontEnd(QueryPath):
     """Admits queries, scatters them over shards, gathers one response."""
 
     def __init__(
@@ -73,7 +64,7 @@ class ScatterGatherFrontEnd:
         self.metrics = MetricsRegistry()
         self.stats = ServiceStats(self.metrics)
         self.cache = ResultCache(self.config.cache_size)
-        self.queue = AdmissionQueue(self.config.max_pending)
+        self._init_query_path(self.config.max_pending)
         # QueryService-surface attributes the server/loadgen duck-type
         # against: the front end is always a primary, has no WAL or shm
         # plane of its own (each shard owns those), and never follows
@@ -84,11 +75,6 @@ class ScatterGatherFrontEnd:
         self.plane = None
         self.last_recovery = None
         self._plan_ids = iter(range(1, 1 << 62))
-        self._inflight: set[int] = set()
-        self._unplanned = 0
-        self._inflight_lock = threading.Lock()
-        self._running = False
-        self._thread: threading.Thread | None = None
         self._plan_pool: ThreadPoolExecutor | None = None
         self._started_at = time.monotonic()
         self._plan_ewma = self.metrics.gauge(
@@ -172,54 +158,24 @@ class ScatterGatherFrontEnd:
             )
         self.manager.start()
         self._plan_pool = ThreadPoolExecutor(
-            max_workers=max(2, self.n_shards),
+            max_workers=self._plan_slots(),
             thread_name_prefix="scatter-plan",
         )
-        self._running = True
         self._started_at = time.monotonic()
-        self._thread = threading.Thread(
-            target=self._batch_loop, name="mega-scatter-batcher", daemon=True
-        )
-        self._thread.start()
+        self._start_batcher("mega-scatter-batcher")
         return self
 
+    def _plan_slots(self) -> int:
+        # one plan thread per slot: a plan thread runs one plan at a time
+        return max(2, self.n_shards)
+
     def stop(self, drain: bool = True, timeout: float = 60.0) -> bool:
-        drained = True
-        if drain:
-            drained = self.drain(timeout)
-            if not drained:
-                self.stats.inc("drain_timeouts")
-                log.warning(
-                    "scatter front end drain timed out after %.1fs "
-                    "(queue=%d unplanned=%d inflight=%d); stopping anyway",
-                    timeout, len(self.queue), self._unplanned,
-                    len(self._inflight),
-                )
-        self._running = False
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
+        drained = self._stop_batcher(drain, timeout)
         if self._plan_pool is not None:
             self._plan_pool.shutdown(wait=True, cancel_futures=True)
             self._plan_pool = None
         shards_ok = self.manager.stop(drain=drain, timeout=timeout)
         return drained and shards_ok
-
-    def drain(self, timeout: float = 60.0) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._inflight_lock:
-                busy = bool(self._inflight) or self._unplanned > 0
-            if not busy and len(self.queue) == 0:
-                return True
-            time.sleep(0.01)
-        return False
-
-    def __enter__(self) -> "ScatterGatherFrontEnd":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
     # -- client surface -----------------------------------------------------
 
@@ -235,10 +191,6 @@ class ScatterGatherFrontEnd:
         backlog = inflight + len(self.queue) / max(self.config.max_batch, 1)
         hint = self._plan_ewma.get() * (1.0 + backlog)
         return float(min(max(hint, 0.05), 10.0))
-
-    def _finish(self, pending: PendingQuery, response: QueryResponse) -> None:
-        pending.resolve(response)
-        self._latency.observe(pending.response.latency_s)
 
     def submit(self, request: QueryRequest) -> PendingQuery:
         """Admit one query (same contract as ``QueryService.submit``)."""
@@ -279,22 +231,7 @@ class ScatterGatherFrontEnd:
             )
             return pending
 
-        with self._inflight_lock:
-            self._unplanned += 1
-        if not self.queue.offer(pending):
-            with self._inflight_lock:
-                self._unplanned -= 1
-            self.stats.inc("rejected")
-            self._finish(
-                pending,
-                QueryResponse(
-                    request.id,
-                    "rejected",
-                    epoch=epoch,
-                    error="admission queue full (load shed)",
-                    retry_after=self.retry_after_hint(),
-                ),
-            )
+        self._enqueue(pending)
         return pending
 
     def ingest(
@@ -430,47 +367,7 @@ class ScatterGatherFrontEnd:
             "local_rounds": per_shard(self._shard_rounds),
         }
 
-    # -- batcher thread -----------------------------------------------------
-
-    def _batch_loop(self) -> None:
-        coalesce_s = max(self.config.coalesce_ms, 0.0) / 1e3
-        while self._running:
-            time.sleep(coalesce_s if coalesce_s > 0 else 0.0005)
-            pending = self.queue.drain()
-            if not pending:
-                continue
-            drained_at = time.monotonic()
-            for p in pending:
-                p.trace.mark("queue_drain", drained_at)
-            pending, expired = split_expired(pending)
-            for p in expired:
-                self._shed(p)
-            if not pending:
-                continue
-            if self.config.batching:
-                plans = coalesce(pending, self.config.max_batch)
-            else:
-                plans = [[p] for p in pending]
-            coalesced_at = time.monotonic()
-            for plan in plans:
-                for p in plan:
-                    p.trace.mark("coalesce", coalesced_at)
-                self._dispatch_plan(plan)
-
-    def _shed(self, pending: PendingQuery) -> None:
-        with self._inflight_lock:
-            self._unplanned -= 1
-        self.stats.inc("shed")
-        self._finish(
-            pending,
-            QueryResponse(
-                pending.request.id,
-                "shed",
-                epoch=pending.epoch,
-                error="deadline expired before execution (load shed)",
-                retry_after=self.retry_after_hint(),
-            ),
-        )
+    # -- plan dispatch (runs on the batcher thread) -------------------------
 
     def _dispatch_plan(
         self, queries: list[PendingQuery], degraded: bool = False
@@ -541,8 +438,7 @@ class ScatterGatherFrontEnd:
                     summaries=per_source,
                 ),
             )
-        with self._inflight_lock:
-            self._inflight.discard(plan_id)
+        self._retire(plan_id)
 
     def _plan_failed(
         self, plan_id: int, queries: list[PendingQuery], exc: BaseException
@@ -567,8 +463,7 @@ class ScatterGatherFrontEnd:
                     error=f"{type(exc).__name__}: {exc}",
                 ),
             )
-        with self._inflight_lock:
-            self._inflight.discard(plan_id)
+        self._retire(plan_id)
 
     def _scatter_gather(
         self, request: QueryRequest, epoch: int, sources: list[int]

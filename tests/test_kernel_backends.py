@@ -1027,17 +1027,66 @@ def test_record_buffers_grow_and_resume(compiled, monkeypatch):
             if record.row_cap > 1 and args[5] > 1:
                 resumed.add("mid-step" if resume else
                             "between steps" if first else "start")
+            # every wrapper call starts again from one row and one block
+            cext._tls.record_cap = (1, 1)
             return lib.mega_daic_round(*args)
 
     monkeypatch.setattr(cext, "load_library", Counting)
     monkeypatch.setattr(cext, "_RECORD_ROWS", 1)
     monkeypatch.setattr(cext, "_RECORD_BLOCKS", 1)
+    monkeypatch.setattr(cext._tls, "record_cap", (1, 1), raising=False)
     assert run() == roomy
     assert max(kernel_calls) >= 4, "no call resumed twice"
     assert {"mid-step", "between steps", "mid-cascade"} <= resumed
     reset_backend()
     resolve_backend("numpy")
     assert run() == roomy
+
+
+def test_record_capacity_carries_over_between_calls(compiled, monkeypatch):
+    """A thread's recorded calls start from the capacity its earlier
+    calls grew to: once a run has grown the buffers, a second identical
+    run makes exactly one kernel call per wrapper call."""
+    from repro.engines import PlanExecutor
+    from repro.perf.backend import cext
+
+    scenario = _scenario()
+    plans = [WORKFLOWS[w](scenario.unified) for w in ("streaming", "direct-hop")]
+    lib = cext.load_library()
+    calls = {"wrapper": 0, "kernel": 0}
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(lib, name)
+
+        def mega_daic_round(self, *args):
+            calls["kernel"] += 1
+            return lib.mega_daic_round(*args)
+
+    def counted_round(*args, **kwargs):
+        calls["wrapper"] += 1
+        return daic_round(*args, **kwargs)
+
+    daic_round = cext.daic_round
+    monkeypatch.setattr(cext, "daic_round", counted_round)
+    monkeypatch.setattr(cext, "load_library", Counting)
+    monkeypatch.setattr(cext, "_RECORD_ROWS", 1)
+    monkeypatch.setattr(cext, "_RECORD_BLOCKS", 1)
+    monkeypatch.setattr(cext._tls, "record_cap", (1, 1), raising=False)
+    reset_backend()
+    resolve_backend(compiled)
+
+    def run():
+        calls.update(wrapper=0, kernel=0)
+        for plan in plans:
+            PlanExecutor(
+                scenario, get_algorithm("bfs"), record_touched_edges=True
+            ).run(plan)
+        return dict(calls)
+
+    first, second = run(), run()
+    assert first["kernel"] > first["wrapper"] > 0, "nothing outgrew 1 row"
+    assert second == {"wrapper": first["wrapper"], "kernel": first["wrapper"]}
 
 
 def test_profiler_books_loop_calls(compiled):

@@ -54,8 +54,7 @@ pytestmark = pytest.mark.timeout(120)
 
 def _tiny_config(**kw) -> ServiceConfig:
     defaults = dict(
-        scale="tiny", n_snapshots=4, workers=1, coalesce_ms=1.0,
-        use_shm=False,
+        scale="tiny", n_snapshots=4, workers=1, use_shm=False,
     )
     defaults.update(kw)
     return ServiceConfig(**defaults)
@@ -303,18 +302,18 @@ def test_drain_waits_for_batcher_held_queries(monkeypatch):
     keep ``drain()`` returning False — pre-fix it was invisible (queue
     empty, nothing in flight) and ``stop(drain=True)`` could shut the
     pool under it."""
-    import repro.service.core as core_mod
+    import repro.service.batcher as batcher_mod
 
     inside = threading.Event()
     release = threading.Event()
-    real_coalesce = core_mod.coalesce
+    real_coalesce = batcher_mod.coalesce
 
     def slow_coalesce(pending, max_batch):
         inside.set()
         assert release.wait(timeout=60)
         return real_coalesce(pending, max_batch)
 
-    monkeypatch.setattr(core_mod, "coalesce", slow_coalesce)
+    monkeypatch.setattr(batcher_mod, "coalesce", slow_coalesce)
     svc = QueryService(_tiny_config()).start()
     try:
         handle = svc.submit(QueryRequest(graph="PK", algo="bfs", source=1))

@@ -4,14 +4,15 @@ Unit layers (validation, cache, queue, coalescing, ingest) run without
 any pool; the end-to-end tests each spin up a real process-pool service
 at tiny scale.  Determinism trick: queries submitted *before*
 ``service.start()`` sit in the admission queue and are drained together
-by the batcher's first pass, so coalescing assertions never race the
-coalescing timer.
+by the batcher's first pass, so coalescing assertions never race
+arrivals.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -41,7 +42,7 @@ TINY = dict(scale="tiny", n_snapshots=4, workers=1)
 
 
 def _config(**kw) -> ServiceConfig:
-    merged = {**TINY, "coalesce_ms": 2.0, **kw}
+    merged = {**TINY, **kw}
     return ServiceConfig(**merged)
 
 
@@ -240,6 +241,29 @@ def test_no_batching_runs_one_plan_per_query():
     with service:
         assert all(h.wait(timeout=120).ok for h in handles)
     assert service.service_stats()["plans"] == 4
+
+
+def test_queries_arriving_while_the_pool_is_full_share_one_plan():
+    """Dispatch on arrival: while every pool slot is taken, compatible
+    queries that arrive 10 ms apart wait in the queue, and leave it
+    together as one plan when a slot frees."""
+    with QueryService(_config()) as service:
+        warm = service.submit(QueryRequest("PK", "sssp", 9))
+        assert warm.wait(timeout=120).ok
+        fake = [-1 - i for i in range(service.pool.workers + 1)]
+        with service._inflight_lock:
+            service._inflight.update(fake)
+        handles = []
+        for source in (1, 2, 3, 4):
+            handles.append(service.submit(QueryRequest("PK", "sssp", source)))
+            time.sleep(0.01)
+        assert not any(h.done.is_set() for h in handles)
+        for plan_id in fake:
+            service._retire(plan_id)
+        responses = [h.wait(timeout=120) for h in handles]
+    assert all(r.status == "ok" for r in responses)
+    assert len({r.plan_id for r in responses}) == 1
+    assert service.service_stats()["plans"] == 2
 
 
 def test_cache_hits_until_ingest_invalidates():

@@ -35,7 +35,7 @@ ALGOS = sorted(a.lower() for a in ALGORITHMS)
 
 
 def _config(**kw) -> ServiceConfig:
-    return ServiceConfig(**{**TINY, "coalesce_ms": 1.0, **kw})
+    return ServiceConfig(**{**TINY, **kw})
 
 
 def _scenario():

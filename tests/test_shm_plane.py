@@ -246,8 +246,7 @@ def test_service_parity_across_shm_modes(use_shm):
     from repro.service import QueryRequest, QueryService, ServiceConfig
 
     config = ServiceConfig(
-        scale="tiny", n_snapshots=4, workers=1,
-        coalesce_ms=2.0, use_shm=use_shm,
+        scale="tiny", n_snapshots=4, workers=1, use_shm=use_shm,
     )
     digests = []
     with QueryService(config) as service:
@@ -276,9 +275,7 @@ def test_no_segments_leak_after_service_stop():
     from repro.service import QueryRequest, QueryService, ServiceConfig
 
     mine = f"{SEGMENT_PREFIX}{os.getpid()}-"
-    config = ServiceConfig(
-        scale="tiny", n_snapshots=4, workers=1, coalesce_ms=2.0,
-    )
+    config = ServiceConfig(scale="tiny", n_snapshots=4, workers=1)
     with QueryService(config) as service:
         resp = service.submit(QueryRequest("PK", "sssp", 1)).wait(timeout=120)
         assert resp is not None and resp.status == "ok"
@@ -298,9 +295,7 @@ def test_rewind_retires_the_graph_generation():
         assert resp is not None and resp.status == "ok"
         return [(s.snapshot, s.reached, s.checksum) for s in resp.summaries]
 
-    config = ServiceConfig(
-        scale="tiny", n_snapshots=4, workers=1, coalesce_ms=2.0,
-    )
+    config = ServiceConfig(scale="tiny", n_snapshots=4, workers=1)
     with QueryService(config) as service:
         service.ingest("PK", seed=1)
         service.ingest("PK", seed=2)
@@ -333,9 +328,7 @@ def test_straggler_plan_across_a_rewind_keeps_its_own_chain():
         assert resp is not None and resp.status == "ok"
         return [(s.snapshot, s.reached, s.checksum) for s in resp.summaries]
 
-    config = ServiceConfig(
-        scale="tiny", n_snapshots=4, workers=1, coalesce_ms=2.0,
-    )
+    config = ServiceConfig(scale="tiny", n_snapshots=4, workers=1)
     with QueryService(config) as service:
         service.ingest("PK", seed=1)
         service.ingest("PK", seed=2)

@@ -29,7 +29,7 @@ ALGOS = ["bfs", "sssp", "sswp", "ssnp", "viterbi"]
 
 
 def _config(**kw) -> ServiceConfig:
-    merged = {**TINY, "coalesce_ms": 2.0, **kw}
+    merged = {**TINY, **kw}
     return ServiceConfig(**merged)
 
 

@@ -8,6 +8,7 @@ exercised end to end (subprocess + SIGKILL) once, at tiny scale.
 from __future__ import annotations
 
 import json
+import time
 import zlib
 
 import pytest
@@ -435,12 +436,19 @@ def test_validate_request_rejects_nonpositive_deadline():
 
 
 def test_expired_query_is_shed_with_retry_after():
-    cfg = ServiceConfig(**TINY, coalesce_ms=50.0)
-    with QueryService(cfg) as svc:
+    with QueryService(ServiceConfig(**TINY)) as svc:
         svc.submit(QueryRequest("PK", "sssp", 1)).wait(timeout=120)  # warm
-        response = svc.submit(
-            QueryRequest("PK", "sssp", 2, deadline_s=0.001)
-        ).wait(timeout=30)
+        # fake in-flight plans fill the pool, so the batcher leaves the
+        # query queued until its 1 ms deadline has passed
+        fake = [-1 - i for i in range(svc.pool.workers + 1)]
+        with svc._inflight_lock:
+            svc._inflight.update(fake)
+        handle = svc.submit(QueryRequest("PK", "sssp", 2, deadline_s=0.001))
+        time.sleep(0.02)
+        assert not handle.done.is_set()
+        for plan_id in fake:
+            svc._retire(plan_id)
+        response = handle.wait(timeout=30)
         assert response.status == "shed"
         assert response.retryable
         assert response.retry_after and response.retry_after > 0
