@@ -8,13 +8,11 @@ Usage::
     mega-repro simulate --graph Wen --algo sssp --workflow boe --pipeline
     mega-repro faults --scale tiny
     mega-repro serve --scale tiny --workers 4
-    mega-repro serve --scale tiny --shards 4 --wal-dir /tmp/fleet
     mega-repro serve --follow /path/to/primary-wal --follower-id r2
     mega-repro serve --cluster 3 --node-id node-0 --wal-dir /tmp/wal \
         --ack-mode quorum:1
     mega-repro serve-bench --scale tiny --duration 5 --rate 50
     mega-repro serve-bench --drill failover --kill-at-epoch 3
-    mega-repro serve-bench --drill shard-kill --shards 2
     mega-repro serve-bench --drill chaos --cluster 3 --kill-at-epoch 3
 """
 
@@ -286,13 +284,6 @@ def _service_config(args: argparse.Namespace):
                 ))
     if args.wal_compact_every < 0:
         raise SystemExit(_fail_usage("--wal-compact-every must be >= 0"))
-    if getattr(args, "shards", 1) < 1:
-        raise SystemExit(_fail_usage("--shards must be >= 1"))
-    if getattr(args, "shards", 1) > 1 and args.mode != "eval":
-        raise SystemExit(_fail_usage(
-            "--shards > 1 requires --mode eval: the accelerator-model "
-            "simulator is a whole-graph engine"
-        ))
     if args.profile_rounds < 0:
         raise SystemExit(_fail_usage("--profile-rounds must be >= 0"))
     if args.kernel_backend:
@@ -316,11 +307,6 @@ def _service_config(args: argparse.Namespace):
     if cluster < 0 or cluster == 1:
         raise SystemExit(_fail_usage(
             "--cluster takes the group size (>= 2), or 0 to disable"
-        ))
-    if cluster and getattr(args, "shards", 1) > 1:
-        raise SystemExit(_fail_usage(
-            "--cluster and --shards are mutually exclusive: replication "
-            "groups are per-shard (run one cluster per shard WAL)"
         ))
     if getattr(args, "heartbeat_interval", 0.5) <= 0:
         raise SystemExit(_fail_usage("--heartbeat-interval must be > 0"))
@@ -348,17 +334,6 @@ def _service_config(args: argparse.Namespace):
         cluster=cluster,
         window_slide_every=getattr(args, "slide_every", 0),
     )
-
-
-def _sharded_service(config, n_shards: int):
-    """Shard fleet behind one scatter-gather front end.
-
-    ``config.wal_dir`` (if set) becomes the WAL *root*; each shard owns
-    ``<root>/shard-<i>`` so recovery stays strictly per-shard.
-    """
-    from repro.service.sharding import ScatterGatherFrontEnd, ShardManager
-
-    return ScatterGatherFrontEnd(ShardManager(n_shards, config))
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -405,22 +380,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         # the node is the lifecycle bracket *and* the promote target
         return serve_stdio(node.service, replica=node)
-    if args.shards > 1:
-        if args.follow:
-            return _fail_usage(
-                "--shards and --follow are mutually exclusive: replication "
-                "is per-shard (point a follower at one shard's WAL "
-                "directory)"
-            )
-        frontend = _sharded_service(_service_config(args), args.shards)
-        print(
-            f"[serving on stdin/stdout: scale={args.scale} "
-            f"snapshots={args.snapshots} shards={args.shards} "
-            f"workers={args.workers}/shard "
-            f"batching={'on' if args.batching else 'off'}]",
-            file=sys.stderr,
-        )
-        return serve_stdio(frontend)
     if args.follow:
         from repro.service import ReplicaServer
 
@@ -455,7 +414,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 #: ``serve-bench --drill`` names
-DRILLS = ("crash", "failover", "shard-kill", "chaos")
+DRILLS = ("crash", "failover", "chaos")
 
 
 def _cmd_drill(args: argparse.Namespace) -> int:
@@ -466,7 +425,6 @@ def _cmd_drill(args: argparse.Namespace) -> int:
         run_chaos_kill_drill,
         run_crash_drill,
         run_failover_drill,
-        run_shard_kill_drill,
     )
 
     wal_dir = args.wal_dir or tempfile.mkdtemp(prefix=f"mega-{args.drill}-")
@@ -482,10 +440,6 @@ def _cmd_drill(args: argparse.Namespace) -> int:
         report = run_crash_drill(wal_dir, crash_at_epoch=n, **common)
     elif args.drill == "failover":
         report = run_failover_drill(wal_dir, failover_at_epoch=n, **common)
-    elif args.drill == "shard-kill":
-        report = run_shard_kill_drill(
-            wal_dir, n_shards=max(2, args.shards), crash_at_epoch=n, **common
-        )
     else:
         report = run_chaos_kill_drill(
             wal_dir, cluster=args.cluster or 3, kill_at_epoch=n,
@@ -534,11 +488,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         max_retries=args.retries,
         trace_sample=max(0, args.trace_out),
     )
-    service_ctx = (
-        _sharded_service(config, args.shards) if args.shards > 1
-        else QueryService(config)
-    )
-    with service_ctx as service:
+    with QueryService(config) as service:
         report = run_load(service, spec)
     print(report.format_table())
     if write_out:
@@ -657,11 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", default="tiny", choices=sorted(SCALES))
         p.add_argument("--snapshots", type=int, default=8)
         p.add_argument("--workers", type=int, default=2)
-        p.add_argument("--shards", type=int, default=1,
-                       help="partition the evolving graph into N "
-                       "vertex-owned shards, each with its own worker "
-                       "pool, shm plane, and WAL directory, behind one "
-                       "scatter-gather front end (1 = unsharded)")
         p.add_argument("--graphs", default="PK",
                        help="comma-separated Table 2 short names")
         p.add_argument("--algos", default="sssp",
@@ -791,11 +736,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--drill", default="", metavar="NAME",
                          help="run a SIGKILL drill instead of the load "
                          "harness: crash (restart from the WAL), failover "
-                         "(promote a follower, fence the zombie), "
-                         "shard-kill (kill one shard's workers, then the "
-                         "--shards fleet), chaos (unattended election in a "
-                         "--cluster group); each asserts zero "
-                         "acknowledged-epoch loss plus query parity")
+                         "(promote a follower, fence the zombie), chaos "
+                         "(unattended election in a --cluster group); each "
+                         "asserts zero acknowledged-epoch loss plus query "
+                         "parity")
     p_bench.add_argument("--kill-at-epoch", type=int, default=2, metavar="N",
                          help="the drill kills after N acknowledged "
                          "ingests")
@@ -822,8 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # argparse exits 2 on a malformed command line, after its error line
+        args = build_parser().parse_args(argv)
         env_tier = os.environ.get("MEGA_KERNEL_BACKEND", "")
         if env_tier:
             _check_kernel_backend(env_tier, "MEGA_KERNEL_BACKEND")

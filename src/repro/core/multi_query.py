@@ -52,11 +52,6 @@ def multi_query_boe_plan(unified: UnifiedCSR, sources: list[int]) -> Plan:
         plan.steps.append(
             EvalFull(state(q, 0), label=f"eval-Gc-q{q}", source=source)
         )
-    if n == 1:
-        for q in range(q_count):
-            plan.steps.append(MarkSnapshot(state(q, 0), 0))
-        return plan
-
     for i in range(n - 2, -1, -1):
         for q in range(q_count):
             plan.steps.append(CopyState(state(q, 0), state(q, i + 1)))

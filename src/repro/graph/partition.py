@@ -38,7 +38,7 @@ class VertexPartitioner:
 
         Raises ``ValueError`` on any id outside ``[0, n_vertices)`` —
         ``searchsorted`` would otherwise clamp garbage ids onto the first
-        or last partition, and a shard router acting on that answer would
+        or last partition, and a caller routing by that answer would
         silently misroute the edge.  Scalar in, scalar out.
         """
         arr = np.asarray(vertices)

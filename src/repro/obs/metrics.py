@@ -29,7 +29,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LabeledCounter",
     "LabeledGauge",
     "MetricsRegistry",
 ]
@@ -134,8 +133,9 @@ class _CallbackGauge:
 class _LabeledFamily:
     """One metric name fanned out over the values of its label(s).
 
-    The sharded serving tier wants ``mega_shard_queries_total{shard="2"}``
-    style series without forking the PR 5/6 registry: a family registers
+    Labeled series such as
+    ``mega_replication_follower_lag_epochs{follower="r1"}`` share the one
+    registry: a family registers
     under its bare name exactly like any other instrument, and
     ``labels(value)`` lazily materializes one child per label value.
     ``label`` may also be a tuple of names (e.g. ``("worker", "backend")``
@@ -148,9 +148,7 @@ class _LabeledFamily:
 
     _child_cls: type
 
-    def __init__(
-        self, name: str, help: str = "", label="shard"
-    ) -> None:
+    def __init__(self, name: str, help: str, label) -> None:
         self.name = name
         self.help = help
         self.label = label
@@ -188,7 +186,7 @@ class _LabeledFamily:
         return {",".join(key): child.get() for key, child in children.items()}
 
     def discard(self, *values) -> None:
-        """Drop one child series (a departed follower or shard must stop
+        """Drop one child series (a departed follower must stop
         exporting, not freeze at its last value forever)."""
         with self._lock:
             self._children.pop(self._key(values), None)
@@ -199,15 +197,8 @@ class _LabeledFamily:
         return [(child.name, child.get()) for __, child in children]
 
 
-class LabeledCounter(_LabeledFamily):
-    """Counter family over one label dimension (default ``shard``)."""
-
-    kind = "counter"
-    _child_cls = Counter
-
-
 class LabeledGauge(_LabeledFamily):
-    """Gauge family over one label dimension (default ``shard``)."""
+    """Gauge family over one or more label dimensions."""
 
     kind = "gauge"
     _child_cls = Gauge
@@ -315,16 +306,7 @@ class MetricsRegistry:
             name, lambda: Gauge(name, help, initial), "gauge"
         )
 
-    def labeled_counter(
-        self, name: str, help: str = "", label="shard"
-    ) -> LabeledCounter:
-        return self._register(
-            name, lambda: LabeledCounter(name, help, label), "counter"
-        )
-
-    def labeled_gauge(
-        self, name: str, help: str = "", label="shard"
-    ) -> LabeledGauge:
+    def labeled_gauge(self, name: str, help: str, label) -> LabeledGauge:
         return self._register(
             name, lambda: LabeledGauge(name, help, label), "gauge"
         )

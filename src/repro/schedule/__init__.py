@@ -11,7 +11,6 @@ from repro.schedule.plan import (
     Plan,
     Step,
 )
-from repro.schedule.scatter import merge_triples, route_by_owner, seed_triples
 from repro.schedule.streaming import streaming_plan
 from repro.schedule.work_sharing import work_sharing_plan
 
@@ -25,9 +24,6 @@ __all__ = [
     "Step",
     "boe_plan",
     "direct_hop_plan",
-    "merge_triples",
-    "route_by_owner",
-    "seed_triples",
     "streaming_plan",
     "work_sharing_plan",
 ]

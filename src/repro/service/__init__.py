@@ -26,12 +26,8 @@ Modules:
   heartbeat failure detection, quorum acks, fence-CAS leader election
   (``mega-repro serve --cluster N``);
 * :mod:`repro.service.loadgen` — load harness (``mega-repro serve-bench``);
-* :mod:`repro.service.drill`   — SIGKILL-and-recover, failover, shard
-  kill, and cluster chaos drills (``serve-bench --drill NAME
-  --kill-at-epoch N``);
-* :mod:`repro.service.sharding` — partitioned serving: per-shard pools,
-  shm planes, and WALs behind one scatter-gather front end
-  (``mega-repro serve --shards N``).
+* :mod:`repro.service.drill`   — SIGKILL-and-recover, failover, and
+  cluster chaos drills (``serve-bench --drill NAME --kill-at-epoch N``).
 
 Observability (span timelines, the metrics registry behind the
 ``metrics`` op, sampled kernel profiling) lives in :mod:`repro.obs` and
@@ -64,7 +60,6 @@ from repro.service.drill import (
     run_chaos_kill_drill,
     run_crash_drill,
     run_failover_drill,
-    run_shard_kill_drill,
 )
 from repro.service.ingest import DeltaBatch, DeltaLog, apply_delta, synthesize_delta
 from repro.service.loadgen import BenchReport, LoadSpec, run_load
@@ -77,7 +72,6 @@ from repro.service.request import (
     validate_request,
 )
 from repro.service.server import ServiceFrontend, serve_stdio
-from repro.service.sharding import ScatterGatherFrontEnd, ShardManager
 from repro.service.wal import (
     WalFencedError,
     WalPosition,
@@ -114,11 +108,9 @@ __all__ = [
     "ReplicaServer",
     "ReplicationGapError",
     "ResultCache",
-    "ScatterGatherFrontEnd",
     "ServiceConfig",
     "ServiceFrontend",
     "ServiceStats",
-    "ShardManager",
     "SimulatedCrash",
     "SnapshotSummary",
     "WalFencedError",
@@ -139,7 +131,6 @@ __all__ = [
     "run_crash_drill",
     "run_failover_drill",
     "run_load",
-    "run_shard_kill_drill",
     "safe_follower_id",
     "serve_stdio",
     "split_expired",

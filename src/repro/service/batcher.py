@@ -186,8 +186,7 @@ def coalesce(
 
 class QueryPath:
     """Admission, the batcher thread and plan accounting: the query side
-    that :class:`~repro.service.core.QueryService` and the scatter-gather
-    front end share.
+    of :class:`~repro.service.core.QueryService`.
 
     A subclass calls :meth:`_init_query_path` from its constructor; sets
     ``config`` (``batching``, ``max_batch``), ``stats`` and ``_latency``

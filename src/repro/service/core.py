@@ -66,7 +66,7 @@ from repro.service.cache import ResultCache
 from repro.service.ingest import (
     DeltaBatch, DeltaLog, apply_delta, synthesize_delta,
 )
-from repro.service.pool import PlanPayload, PlanResult, WorkerPool
+from repro.service.pool import PlanPayload, PlanResult, WorkerPool, _live_scenario
 from repro.service.request import QueryRequest, QueryResponse, validate_request
 from repro.service.shm import (
     ScenarioManifest,
@@ -211,10 +211,6 @@ class ServiceConfig:
     inject_fault: tuple[str, ...] = ()
     inject_fault_plan: int = 0
     fault_seed: int = 0
-    #: which shard this service is, when it runs as one member of a
-    #: :class:`repro.service.sharding.ShardManager` fleet (-1 = not
-    #: sharded); surfaces in health and shard-labeled metrics
-    shard_id: int = -1
     #: ingest acknowledgement policy: ``"local"`` acks after the local
     #: WAL fsync (PR-6 behavior); ``"quorum:k"`` (or ``"quorum(k)"``)
     #: additionally holds the ack until k followers report the epoch
@@ -257,7 +253,6 @@ _COUNTER_HELP = {
     "shed": "queries shed on deadline expiry before execution",
     "plans": "coalesced BOE plans submitted to the pool",
     "plan_queries": "queries riding those plans",
-    "scatter_plans": "scatter sub-plans shipped to this shard's pool",
     "retries": "queries resubmitted as degraded singletons",
     "faults_recovered": "injected faults recovered inside workers",
     "ingests": "delta batches ingested",
@@ -350,8 +345,7 @@ class QueryService(QueryPath):
         self.config = config or ServiceConfig()
         #: delta-chain id stamped into every PlanPayload: two services in
         #: one process (a primary and its read replica, back-to-back
-        #: tests) must never share a live-scenario cache entry; a
-        #: rewind (rewind_graph) starts a new chain
+        #: tests) must never share a live-scenario cache entry
         self.service_id = next(_SERVICE_IDS)
         self.metrics = MetricsRegistry()
         self.stats = ServiceStats(self.metrics)
@@ -692,13 +686,8 @@ class QueryService(QueryPath):
         with self._graphs_lock:
             return self._graphs.setdefault(graph, _LiveGraph()).epoch
 
-    def graph_epochs(self) -> dict[str, int]:
-        """Epoch of every graph this service has seen (shard reconcile)."""
-        with self._graphs_lock:
-            return {g: lg.epoch for g, lg in self._graphs.items()}
-
     def graph_deltas(self, graph: str) -> tuple[DeltaBatch, ...]:
-        """A graph's delta log with its meta (shard chain rebuild)."""
+        """A graph's delta log with its meta."""
         with self._graphs_lock:
             return tuple(self._graphs.setdefault(graph, _LiveGraph()).log)
 
@@ -818,52 +807,32 @@ class QueryService(QueryPath):
         compact_due = False
         slide_due = False
         while True:
-            base_epoch = None
-            candidate = delta
-            # a shard's explicit delta is a slice of a logical delta the
-            # ShardManager already slid its logical window with
-            if candidate is None or self.config.shard_id < 0:
-                # Synthesize OUTSIDE the lock: building the live scenario
-                # and drawing a valid delta is the expensive part of a
-                # seeded ingest, and holding _graphs_lock through it
-                # stalled every other graph's ingest and epoch read.
-                # Optimistic concurrency instead: snapshot the epoch,
-                # synthesize against it, then re-validate under the lock
-                # — a losing racer resynthesizes so the delta always
-                # respects the CommonGraph rule at the epoch it lands on.
-                # An explicit delta is checked the same way: it must
-                # slide the live window before the WAL may log it, or
-                # every later query and every recovery would replay a
-                # delta the window refuses.
-                from repro.service.pool import _live_scenario
-
-                with self._graphs_lock:
-                    live = self._graphs.setdefault(graph, _LiveGraph())
-                    base_epoch = live.epoch
-                    base_log = live.log[:base_epoch]
-                    base_chain = self.service_id
-                scenario = _live_scenario(
-                    PlanPayload(
-                        plan_id=0,
-                        graph=graph,
-                        scale=self.config.scale,
-                        n_snapshots=self.config.n_snapshots,
-                        algo="",
-                        sources=(),
-                        epoch=base_epoch,
-                        deltas=base_log,
-                        chain=base_chain,
-                    )
-                )
-                if candidate is None:
-                    candidate = synthesize_delta(
-                        scenario, seed=seed, n_add=n_add, n_del=n_del
-                    )
-                else:
-                    apply_delta(scenario, candidate)  # ValueError refuses
+            # Synthesize OUTSIDE the lock: building the live scenario and
+            # drawing a valid delta is the expensive part of a seeded
+            # ingest, and holding _graphs_lock through it stalled every
+            # other graph's ingest and epoch read.  Optimistic concurrency
+            # instead: snapshot the epoch, synthesize against it, then
+            # re-validate under the lock — a losing racer resynthesizes so
+            # the delta always respects the CommonGraph rule at the epoch
+            # it lands on.  An explicit delta is checked the same way: it
+            # must slide the live window before the WAL may log it, or
+            # every later query and every recovery would replay a delta
+            # the window refuses.
             with self._graphs_lock:
                 live = self._graphs.setdefault(graph, _LiveGraph())
-                if base_epoch is not None and live.epoch != base_epoch:
+                base_epoch = live.epoch
+                base_log = live.log[:base_epoch]
+            scenario = self._scenario_at(graph, base_epoch, base_log)
+            if delta is None:
+                candidate = synthesize_delta(
+                    scenario, seed=seed, n_add=n_add, n_del=n_del
+                )
+            else:
+                candidate = delta
+                apply_delta(scenario, candidate)  # ValueError refuses
+            with self._graphs_lock:
+                live = self._graphs.setdefault(graph, _LiveGraph())
+                if live.epoch != base_epoch:
                     # another ingest landed while we synthesized; the
                     # candidate may violate the one-change-per-edge rule
                     # at the new epoch — go around and resynthesize (or
@@ -924,12 +893,11 @@ class QueryService(QueryPath):
                     self.stats.inc("wal_compactions")
                     compact_due = True
                 log_after = live.log[:epoch]
-                chain_after = self.service_id
             break
         if slide_due:
             self.stats.inc("slides")
             t0 = time.monotonic()
-            self._republish_plane(graph, epoch, log_after, chain_after)
+            self._republish_plane(graph, epoch, log_after)
             self._slide_seconds.observe(time.monotonic() - t0)
         if slide_every > 0:
             # every ingest slides the window by one snapshot: entries
@@ -946,7 +914,7 @@ class QueryService(QueryPath):
         return epoch, self._await_quorum(graph, epoch)
 
     def _republish_plane(
-        self, graph: str, epoch: int, deltas: DeltaLog, chain: int
+        self, graph: str, epoch: int, deltas: DeltaLog
     ) -> None:
         """Eagerly publish the post-slide scenario generation.
 
@@ -959,7 +927,7 @@ class QueryService(QueryPath):
         if self.plane is None:
             return
         try:
-            manifest = self._plane_manifest(graph, epoch, deltas, chain)
+            manifest = self._plane_manifest(graph, epoch, deltas)
         except Exception:  # pragma: no cover - defensive; queries replay
             log.exception("slide republish failed for %s@%d", graph, epoch)
             return
@@ -1042,127 +1010,6 @@ class QueryService(QueryPath):
         self.cache.invalidate_graph(graph)
         self.stats.inc("replicated")
         return True
-
-    def rewind_graph(self, graph: str, epoch: int) -> int:
-        """Truncate a graph's delta log back to ``epoch`` (reconciliation).
-
-        A multi-shard ingest that crashed between per-shard WAL commits
-        leaves some shards' logs ahead of the slowest one; the
-        :class:`~repro.service.sharding.ShardManager` rewinds every shard
-        to the minimum recovered epoch before serving, because WAL
-        recovery skips records at-or-below the local tip — a shard left
-        ahead would silently drop the re-ingested epochs.  The WAL (when
-        configured) is compacted to the truncated image so a later
-        recovery converges to the same state.  Returns the new epoch.
-        """
-        with self._graphs_lock:
-            live = self._graphs.setdefault(graph, _LiveGraph())
-            if epoch >= live.epoch:
-                return live.epoch
-            live.log.truncate(epoch)
-            # the re-ingested epochs will differ from the dropped ones: a
-            # new chain id keeps every live-scenario cache (which never
-            # regresses to an older epoch) from serving the old history,
-            # and retiring the graph's shm generation keeps plans from
-            # attaching it once the log grows back to its epoch
-            self.service_id = next(_SERVICE_IDS)
-            if self.plane is not None:
-                self.plane.retire_graph(graph)
-            if self.wal is not None:
-                # compact under the lock so the snapshot provably covers
-                # the truncated log and no append interleaves
-                self.wal.compact(self._snapshot_graphs_locked())
-                self.stats.inc("wal_compactions")
-        self.cache.invalidate_graph(graph)
-        log.info("rewound %s to epoch %d for shard reconciliation",
-                 graph, epoch)
-        return epoch
-
-    def submit_scatter(
-        self,
-        graph: str,
-        algo: str,
-        *,
-        n_states: int,
-        vertex_lo: int,
-        vertex_hi: int,
-        frontier: DeltaBatch,
-        state_block,
-        window: tuple[int, int] | None = None,
-        epoch: int | None = None,
-    ):
-        """Ship one scatter sub-plan to this shard's pool.
-
-        The scatter-gather front end drives rounds itself, so there is no
-        admission queue or coalescing here: the sub-plan goes straight to
-        the pool, stamped with this shard's delta chain and (when
-        current) its published shm manifest, and the returned future
-        resolves to a :class:`~repro.service.pool.PlanResult` whose
-        ``updates``/``boundary`` carry the frontier exchange.  The
-        ``vertex_[lo,hi)`` range both scopes the relaxation and
-        row-restricts the worker's replay path, so a shard worker only
-        ever materializes its own slice of the union CSR.
-        """
-        plan_id = next(self._plan_ids)
-        with self._graphs_lock:
-            live = self._graphs.setdefault(graph, _LiveGraph())
-            if epoch is None:
-                epoch = live.epoch
-            deltas = live.log[:epoch]
-            chain = self.service_id
-        manifest = self._plane_manifest(
-            graph, epoch, deltas, chain,
-            vertex_lo=vertex_lo, vertex_hi=vertex_hi,
-        )
-        payload = PlanPayload(
-            plan_id=plan_id,
-            graph=graph,
-            scale=self.config.scale,
-            n_snapshots=self.config.n_snapshots,
-            algo=algo,
-            sources=(),
-            window=window,
-            epoch=epoch,
-            deltas=deltas,
-            budget_s=self.config.budget_s,
-            kind="scatter",
-            kernel_backend=self.config.kernel_backend,
-            shm=manifest,
-            chain=chain,
-            profile_every=self.config.profile_rounds,
-            vertex_lo=vertex_lo,
-            vertex_hi=vertex_hi,
-            n_states=n_states,
-            frontier=frontier,
-            state_block=state_block,
-        )
-        self.stats.inc("scatter_plans")
-        with self._inflight_lock:
-            self._inflight.add(plan_id)
-        try:
-            future = self.pool.submit(payload)
-        except Exception:
-            if manifest is not None and self.plane is not None:
-                self.plane.release(manifest)
-            self._retire(plan_id)
-            raise
-
-        def _done(fut, m=manifest, pid=plan_id) -> None:
-            if m is not None and self.plane is not None:
-                self.plane.release(m)
-            try:
-                result: PlanResult = fut.result()
-            except Exception:  # noqa: BLE001 - the caller sees it too
-                pass
-            else:
-                if result.elapsed_s > 0:
-                    self._plan_ewma.ewma(result.elapsed_s, alpha=0.2)
-                self._merge_round_profile(result.round_profile)
-                self._note_worker_backend(result)
-            self._retire(pid)
-
-        future.add_done_callback(_done)
-        return future
 
     def follower_lags(self) -> dict[str, int]:
         """Per-follower replication lag in epochs (primary side).
@@ -1313,8 +1160,6 @@ class QueryService(QueryPath):
                 ),
             },
         }
-        if self.config.shard_id >= 0:
-            out["shard_id"] = self.config.shard_id
         if self.cluster_node is not None:
             out["cluster"] = self.cluster_node.health()
         return out
@@ -1328,10 +1173,7 @@ class QueryService(QueryPath):
         first = queries[0].request
         epoch = queries[0].epoch
         with self._graphs_lock:
-            # the chain is read with the view: a rewind swaps both under
-            # this lock, and a payload must name the chain of its deltas
             deltas = self._graphs.setdefault(first.graph, _LiveGraph()).log[:epoch]
-            chain = self.service_id
         fault_points: tuple[str, ...] = ()
         worker_faults = tuple(
             p for p in self.config.inject_fault
@@ -1340,7 +1182,7 @@ class QueryService(QueryPath):
         if not degraded and worker_faults:
             if self.stats.get("plans") == self.config.inject_fault_plan:
                 fault_points = worker_faults
-        manifest = self._plane_manifest(first.graph, epoch, deltas, chain)
+        manifest = self._plane_manifest(first.graph, epoch, deltas)
         sources = tuple(dict.fromkeys(q.request.source for q in queries))
         payload = PlanPayload(
             plan_id=plan_id,
@@ -1359,7 +1201,7 @@ class QueryService(QueryPath):
             kernel_backend=self.config.kernel_backend,
             shm=manifest,
             profile_every=self.config.profile_rounds,
-            chain=chain,
+            chain=self.service_id,
             slide_serving=self.config.window_slide_every > 0,
         )
         self.stats.inc("plans")
@@ -1385,62 +1227,50 @@ class QueryService(QueryPath):
             )
         )
 
+    def _scenario_at(self, graph: str, epoch: int, deltas: DeltaLog):
+        """The live scenario at ``epoch`` (``deltas`` is the log up to
+        it), through this process's live-scenario cache."""
+        return _live_scenario(
+            PlanPayload(
+                plan_id=0,
+                graph=graph,
+                scale=self.config.scale,
+                n_snapshots=self.config.n_snapshots,
+                algo="",
+                sources=(),
+                epoch=epoch,
+                deltas=deltas,
+                chain=self.service_id,
+            )
+        )
+
     def _plane_manifest(
-        self,
-        graph: str,
-        epoch: int,
-        deltas: DeltaLog,
-        chain: int,
-        vertex_lo: int = 0,
-        vertex_hi: int = 0,
+        self, graph: str, epoch: int, deltas: DeltaLog
     ) -> ScenarioManifest | None:
         """Refcounted manifest of the published scenario for this plan.
 
         Publishes (materializing the live scenario once, in the
-        coordinator) when the plan's chain and epoch — ``deltas`` is
-        ``chain``'s log up to ``epoch``, read together under the graphs
-        lock — are not yet on the plane.
+        coordinator) when the plan's epoch — ``deltas`` is the log up to
+        ``epoch``, read under the graphs lock — is not yet on the plane.
         Plans admitted under an epoch *older* than the published one get
         ``None`` — retiring a newer generation for a straggler would
-        thrash the plane — and fall back to worker-side replay.  A
-        segment of another chain never serves the plan; the plan
-        publishes over it (after a rewind only the old chain's
-        stragglers can, once each).  Any
-        publish failure degrades to the replay path too.  A shard
-        service passes its vertex range so the published scenario is the
-        row-restricted slice its workers expect (a shard's plane only
-        ever holds its own slice, so the key needs no range component).
+        thrash the plane — and fall back to worker-side replay.  Any
+        publish failure degrades to the replay path too.
         """
         if self.plane is None:
             return None
         scale = self.config.scale
         n_snapshots = self.config.n_snapshots
-        manifest = self.plane.acquire(graph, scale, n_snapshots, epoch, chain)
+        manifest = self.plane.acquire(graph, scale, n_snapshots, epoch)
         if manifest is not None:
             return manifest
-        current = self.plane.current_epoch(graph, scale, n_snapshots, chain)
+        current = self.plane.current_epoch(graph, scale, n_snapshots)
         if current is not None and current >= epoch:
             return None
         try:
-            from repro.service.pool import _live_scenario
-
-            scenario = _live_scenario(
-                PlanPayload(
-                    plan_id=0,
-                    graph=graph,
-                    scale=scale,
-                    n_snapshots=n_snapshots,
-                    algo="",
-                    sources=(),
-                    epoch=epoch,
-                    deltas=deltas,
-                    chain=chain,
-                    vertex_lo=vertex_lo,
-                    vertex_hi=vertex_hi,
-                )
-            )
-            self.plane.publish(scenario, graph, scale, epoch, chain)
-            return self.plane.acquire(graph, scale, n_snapshots, epoch, chain)
+            scenario = self._scenario_at(graph, epoch, deltas)
+            self.plane.publish(scenario, graph, scale, epoch)
+            return self.plane.acquire(graph, scale, n_snapshots, epoch)
         except Exception as exc:  # noqa: BLE001 - plane is an optimization
             log.warning(
                 "shm plane: publish failed for %s@%d (%s); "

@@ -16,9 +16,6 @@ shared-memory segment is left orphaned at the end.
 * **failover** (:func:`run_failover_drill`): promote an in-process read
   replica, then append as the dead primary's ghost with its stale fencing
   token — skipped by every read, quarantined by recovery, never applied.
-* **shard-kill** (:func:`run_shard_kill_drill`): against ``serve --shards
-  N``, kill one shard's pool workers (the fleet must serve through it),
-  then the whole child; every shard must recover from its own WAL.
 * **chaos** (:func:`run_chaos_kill_drill`): kill the primary of an N-node
   ``quorum:1`` cluster under redirect-following load with no promotion
   driver; one follower must elect itself, the writer must follow it, the
@@ -50,7 +47,6 @@ __all__ = [
     "run_chaos_kill_drill",
     "run_crash_drill",
     "run_failover_drill",
-    "run_shard_kill_drill",
 ]
 
 #: per-exchange ceiling; far above any tiny/small-scale op
@@ -59,7 +55,6 @@ OP_TIMEOUT_S = 180.0
 _TITLES = {
     "crash": "SIGKILL the serve child, restart it on its WAL",
     "failover": "SIGKILL the primary, promote the follower, fence the zombie",
-    "shard-kill": "SIGKILL one shard's workers, then the whole fleet",
     "chaos": "SIGKILL the cluster primary, unattended election",
 }
 
@@ -72,7 +67,7 @@ class CrashDrillError(RuntimeError):
 class DrillReport:
     """Outcome of one drill: what was observed, and what had to hold."""
 
-    #: ``crash``, ``failover``, ``shard-kill`` or ``chaos``
+    #: ``crash``, ``failover`` or ``chaos``
     drill: str
     graph: str
     kill_at_epoch: int
@@ -559,102 +554,6 @@ def run_failover_drill(
         "zombie_fenced": zombie_read_fenced and recovery.fenced >= 1,
         "new_primary_ingests": final_epoch == acked + post_promote_ingests,
         "zombie_not_applied": epoch_after_zombie == final_epoch,
-        **parity,
-    }, stranded)
-
-
-def _query_with_retries(child: ServeChild, op: dict) -> dict:
-    """A worker kill races the pool's broken-executor detection, so the
-    first plan after it can fail before the restart lands: retry like
-    the load generator's client would."""
-    for _ in range(3):
-        resp = child.request(op)
-        if resp.get("ok"):
-            return resp
-        time.sleep(0.25)
-    return child.request(op)
-
-
-def _shards(child: ServeChild) -> dict[int, dict]:
-    return {
-        int(e["shard"]): e
-        for e in child.health().get("sharding", {}).get("shards", [])
-    }
-
-
-def run_shard_kill_drill(
-    wal_root: str,
-    n_shards: int = 2,
-    victim_shard: int = 0,
-    crash_at_epoch: int = 2,
-    graph: str = "PK",
-    scale: str = "tiny",
-    n_snapshots: int = 4,
-    workers: int = 1,
-    algos: list[str] | None = None,
-    source: int = 1,
-) -> DrillReport:
-    """Two-phase kill drill against a ``serve --shards N`` child.
-
-    Phase 1 SIGKILLs every worker of one shard mid-serving: the shard's
-    pool must restart and the front end's plan retry must serve a query
-    anyway.  Phase 2 SIGKILLs the whole child and restarts it on the same
-    ``--wal-dir`` root: the all-fsync ack barrier means every shard must
-    recover exactly the acknowledged epoch from its own WAL.
-    """
-    if n_shards < 2:
-        raise ValueError("the shard kill drill needs --shards >= 2")
-    if not 0 <= victim_shard < n_shards:
-        raise ValueError(f"victim shard must be in [0, {n_shards})")
-    setup = _Setup("shard-kill", crash_at_epoch, wal_root, graph, scale,
-                   n_snapshots, workers, algos, source)
-    serve_args = setup.serve_args("--shards", str(n_shards))
-    with ServeChild(serve_args) as victim:
-        _warm(victim, setup)
-        acked = _ingest_chain(victim, graph, 1, crash_at_epoch)[-1][0]
-        shards = _shards(victim)
-        if victim_shard not in shards:
-            raise CrashDrillError(
-                f"health reports no shard {victim_shard}: {sorted(shards)}"
-            )
-        workers_killed = 0
-        for pid in shards[victim_shard]["worker_pids"]:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                workers_killed += 1
-            except ProcessLookupError:  # pragma: no cover - raced exit
-                pass
-        served = _query_with_retries(victim, setup.query_op(setup.algos[0]))
-        restarts = int(
-            _shards(victim).get(victim_shard, {}).get("pool_restarts", 0)
-        )
-        # phase 2: leaving the block SIGKILLs every shard mid-stream
-    stranded = len(list_orphan_segments())
-
-    with ServeChild(serve_args) as survivor:
-        recovered = survivor.epoch(graph)
-        shard_epochs = {
-            shard: int(entry["epochs"].get(graph, 0))
-            for shard, entry in _shards(survivor).items()
-        }
-        parity = _parity(_stdio_query(survivor, setup), setup, recovered)
-        survivor.shutdown()
-    return setup.report({
-        "n_shards": n_shards,
-        "victim_shard": victim_shard,
-        "acked_epoch": acked,
-        "recovered_epoch": recovered,
-        "lost_deltas": max(0, acked - recovered),
-        "shard_epochs": shard_epochs,
-        "workers_killed": workers_killed,
-        "victim_pool_restarts": restarts,
-    }, {
-        "no_acked_loss": recovered == acked,
-        "every_shard_recovered": bool(shard_epochs) and all(
-            e == acked for e in shard_epochs.values()
-        ),
-        "served_through_kill": bool(served.get("ok")),
-        "victim_pool_restarted": restarts >= 1,
         **parity,
     }, stranded)
 

@@ -45,9 +45,8 @@ __all__ = ["LoadSpec", "BenchReport", "run_load"]
 #: 6: cluster fields — ``failovers`` (writer re-resolutions of the
 #: primary after its target died mid-run, i.e. ingest survived a leader
 #: election) next to the schema-4 ``redirects``;
-#: 5: sharding fields — ``n_shards``, per-shard ``shards`` stats (role,
-#: WAL depth, shm generation), and a ``scatter`` block with global round
-#: count, scatter/gather stage latencies, and cross-shard frontier volume;
+#: 5: fields of the retired scatter-gather front end (docs/SERVICE.md,
+#: Partitioned serving); an unpartitioned report never held them;
 #: 4: replication fields — ``redirects`` (ingests re-aimed at the primary
 #: after a ``not_primary`` refusal), ``role``, ``replication_lag_epochs``;
 #: 3: per-stage latency percentiles (``stage_latency_ms``), sampled span
@@ -170,18 +169,6 @@ class BenchReport:
                 f"cache rebased {sliding['cache_rebased']}  "
                 f"parity {'ok' if parity.get('ok') else 'FAILED'} "
                 f"({parity.get('checked', 0)} checks)"
-            )
-        if "n_shards" in r:
-            sc = r.get("scatter", {})
-            triples = sum(sc.get("frontier_triples", {}).values())
-            lines.append(
-                f"shards {r['n_shards']}  "
-                f"scatter rounds {sc.get('global_rounds', 0)}  "
-                f"frontier triples {triples}  "
-                f"scatter p.mean "
-                f"{sc.get('scatter_stage', {}).get('mean_ms', 0.0):.1f}ms  "
-                f"gather p.mean "
-                f"{sc.get('gather_stage', {}).get('mean_ms', 0.0):.1f}ms"
             )
         if r.get("role", "primary") != "primary":
             lines.append(
@@ -331,14 +318,11 @@ def _slide_parity(service, spec: LoadSpec) -> dict:
     from repro.experiments.runner import scenario_cache
     from repro.service.ingest import apply_delta
 
-    graph_deltas = getattr(service, "graph_deltas", None)
-    if graph_deltas is None:  # sharded front end: shards own the chains
-        return {"checked": 0, "ok": True, "mismatches": []}
     cfg = service.config
     checked = 0
     mismatches: list[dict] = []
     for graph in spec.graphs:
-        deltas = graph_deltas(graph)
+        deltas = service.graph_deltas(graph)
         base = scenario_cache(graph, cfg.scale, n_snapshots=cfg.n_snapshots)
         fresh = base
         for delta in deltas:
@@ -656,38 +640,14 @@ def run_load(
         results["round_profile"] = round_profile
     # which kernel tier actually served the run (schema 7): requested
     # backend plus the per-worker resolved map, so a mixed pool is
-    # visible in the committed bench artifact; sharded front ends report
-    # the union of every shard's pool
-    pools = []
-    pool = getattr(service, "pool", None)
-    if pool is not None:
-        pools.append(pool)
-    else:
-        shard_manager = getattr(service, "manager", None)
-        if shard_manager is not None:
-            pools.extend(
-                shard.pool
-                for shard in shard_manager.shards
-                if getattr(shard, "pool", None) is not None
-            )
-    if pools:
-        results["kernel_backend"] = {
-            "requested": requested_tier(pools[0].kernel_backend),
-            "workers": {
-                str(pid): name
-                for p in pools
-                for pid, name in sorted(p.worker_backends.items())
-            },
-        }
-    # sharded front ends expose per-shard health and scatter-gather stats;
-    # the plain service has neither attribute and the report omits both
-    manager = getattr(service, "manager", None)
-    if manager is not None:
-        results["n_shards"] = manager.n_shards
-        results["shards"] = manager.shard_health()
-    scatter_stats = getattr(service, "scatter_stats", None)
-    if scatter_stats is not None:
-        results["scatter"] = scatter_stats()
+    # visible in the bench artifact
+    results["kernel_backend"] = {
+        "requested": requested_tier(service.pool.kernel_backend),
+        "workers": {
+            str(pid): name
+            for pid, name in sorted(service.pool.worker_backends.items())
+        },
+    }
     workload = asdict(spec)
     workload["graphs"] = list(spec.graphs)
     workload["algos"] = list(spec.algos)

@@ -52,7 +52,7 @@ from repro.resilience import (
     register_fault_point,
     retry_with_backoff,
 )
-from repro.service.ingest import DeltaBatch, DeltaLog, apply_delta
+from repro.service.ingest import DeltaLog, apply_delta
 from repro.service.request import SnapshotSummary
 from repro.service.shm import ScenarioManifest, attach_scenario
 
@@ -109,17 +109,6 @@ class PlanPayload:
     #: sample engine round timings every N rounds while executing this
     #: plan (0 = profiling off; see repro.obs.profile)
     profile_every: int = 0
-    #: scatter sub-plan fields (kind == "scatter"): the shard's owned
-    #: vertex range — ``vertex_hi > 0`` also row-restricts the replay
-    #: path so the worker materializes only owned out-edges — plus the
-    #: global state count, the incoming frontier in the ``DeltaBatch``
-    #: wire format (add_src=vertex, add_dst=state, add_wt=value), and
-    #: the front end's known value block for the owned columns
-    vertex_lo: int = 0
-    vertex_hi: int = 0
-    n_states: int = 0
-    frontier: DeltaBatch | None = None
-    state_block: np.ndarray | None = None
     #: sliding-window serving (ServiceConfig.window_slide_every > 0):
     #: full-window eval plans are answered from a per-worker
     #: WindowServer advanced incrementally across epochs — stable
@@ -152,13 +141,6 @@ class PlanResult:
     worker_end_mono: float = 0.0
     #: RoundProfiler.snapshot() when the payload requested profiling
     round_profile: dict | None = None
-    #: scatter sub-plan outputs, in the same DeltaBatch wire format as
-    #: ``PlanPayload.frontier``: owned cells that improved, and boundary
-    #: candidates for vertices other shards own
-    updates: DeltaBatch | None = None
-    boundary: DeltaBatch | None = None
-    local_rounds: int = 0
-    relaxed_edges: int = 0
     #: sliding-window serving provenance: incremental window advances
     #: this plan performed, and their stable-vertex accounting (the
     #: coordinator folds these into the service counters)
@@ -243,19 +225,10 @@ def _live_scenario(payload: PlanPayload):
             scenario = apply_delta(scenario, delta)
     else:
         # fresh worker, or a payload admitted before the cache advanced:
-        # replay the ingest log from the deterministic base.  A shard's
-        # payload restricts the base to its owned rows first — its deltas
-        # are the per-shard sub-chain (sources all owned), so restriction
-        # commutes with the replay and the cache holds the small slice.
+        # replay the ingest log from the deterministic base
         scenario = scenario_cache(
             payload.graph, payload.scale, n_snapshots=payload.n_snapshots
         )
-        if payload.vertex_hi > 0:
-            from repro.service.sharding.partial import restrict_rows
-
-            scenario = restrict_rows(
-                scenario, payload.vertex_lo, payload.vertex_hi
-            )
         for delta in payload.deltas[: payload.epoch]:
             scenario = apply_delta(scenario, delta)
     if cached is not None and cached[0] > payload.epoch:
@@ -264,29 +237,6 @@ def _live_scenario(payload: PlanPayload):
         _LIVE.pop(next(iter(_LIVE)))
     _LIVE[key] = (payload.epoch, scenario)
     return scenario
-
-
-def _decode_triples(batch: DeltaBatch | None):
-    """``(vertex, state, value)`` arrays from the DeltaBatch wire form."""
-    if batch is None:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, dtype=np.float64)
-    return batch.add_src, batch.add_dst, batch.add_wt
-
-
-def _encode_triples(vertices, states, values, **meta) -> DeltaBatch:
-    """Pack ``(vertex, state, value)`` triples into a DeltaBatch.
-
-    Reusing the ingest wire format for the frontier exchange keeps the
-    scatter path on the same pickle-cheap plain-array envelope the WAL
-    and replication shipping already use (``add_src``=vertex,
-    ``add_dst``=state, ``add_wt``=value; deletions unused).
-    """
-    empty = np.empty(0, dtype=np.int64)
-    return DeltaBatch(
-        add_src=vertices, add_dst=states, add_wt=values,
-        del_src=empty, del_dst=empty, meta=dict(meta),
-    )
 
 
 def _summarize(algorithm, values: np.ndarray, snapshot: int) -> SnapshotSummary:
@@ -414,11 +364,9 @@ def _execute(payload: PlanPayload) -> PlanResult:
         raise FatalError(f"injected poisoned plan (plan {payload.plan_id})")
 
     if (
-        payload.kind == "plan"
-        and payload.slide_serving
+        payload.slide_serving
         and payload.mode == "eval"
         and payload.window is None
-        and payload.vertex_hi == 0
     ):
         return _execute_sliding(payload)
 
@@ -430,30 +378,6 @@ def _execute(payload: PlanPayload) -> PlanResult:
     if payload.window is not None:
         scenario = window_scenario(scenario, *payload.window)
     algorithm = get_algorithm(payload.algo)
-    if payload.kind == "scatter":
-        from repro.service.sharding.partial import scatter_relax
-
-        sv, ss, sval = _decode_triples(payload.frontier)
-        out = scatter_relax(
-            scenario, algorithm,
-            payload.vertex_lo, payload.vertex_hi, payload.n_states,
-            sv, ss, sval,
-            max_rounds=payload.max_rounds,
-            state_block=payload.state_block,
-        )
-        return PlanResult(
-            plan_id=payload.plan_id,
-            epoch=payload.epoch,
-            worker_pid=os.getpid(),
-            updates=_encode_triples(
-                out.upd_vertices, out.upd_states, out.upd_values
-            ),
-            boundary=_encode_triples(
-                out.bnd_vertices, out.bnd_states, out.bnd_values
-            ),
-            local_rounds=out.rounds,
-            relaxed_edges=out.relaxed_edges,
-        )
     budget = Budget(
         max_rounds=payload.max_rounds, wall_clock_s=payload.budget_s
     )

@@ -14,10 +14,8 @@ Lifecycle
 ---------
 
 * Segments are keyed by ``(graph, scale, n_snapshots)`` and stamped with
-  the publishing *chain* (the service id whose delta history they hold —
-  a rewind starts a new one) and *epoch*, and a monotonically increasing
-  *generation*; a plan attaches a segment only of its own chain and
-  epoch.
+  their *epoch* and a monotonically increasing *generation*; a plan
+  attaches a segment only of its own epoch.
 * :meth:`ScenarioPlane.acquire` hands out a manifest and bumps a refcount;
   the coordinator acquires at plan submit and releases when the plan's
   future resolves.  An epoch advance publishes a new generation and
@@ -107,8 +105,6 @@ class ScenarioManifest:
     nbytes: int
     arrays: tuple[ArraySpec, ...]
     metadata: dict = field(default_factory=dict)
-    #: the delta chain (service id) whose history the scenario is
-    chain: int = 0
 
 
 #: serializes the register-suppression monkeypatch (coordinator threads)
@@ -283,10 +279,9 @@ class ScenarioPlane:
         graph: str,
         scale: str,
         epoch: int,
-        chain: int = 0,
     ) -> ScenarioManifest:
-        """Publish ``scenario`` — ``chain``'s history at ``epoch`` — as
-        the current segment for its key.
+        """Publish ``scenario`` at ``epoch`` as the current segment for
+        its key.
 
         A previously-current segment for the same key is retired: it is
         unlinked as soon as its refcount drains (immediately if idle).
@@ -311,7 +306,6 @@ class ScenarioPlane:
             nbytes=total,
             arrays=specs,
             metadata=dict(scenario.metadata),
-            chain=int(chain),
         )
         segment = _Segment(shm, manifest)
         with self._lock:
@@ -336,54 +330,29 @@ class ScenarioPlane:
         scale: str,
         n_snapshots: int,
         epoch: int,
-        chain: int = 0,
     ) -> ScenarioManifest | None:
-        """Refcounted lookup of the current segment for a plan's chain
-        and epoch.
+        """Refcounted lookup of the current segment for a plan's epoch.
 
         Returns ``None`` when nothing is published for the key or the
-        published chain or epoch does not match — the caller then
+        published epoch does not match — the caller then
         publishes (or falls back to the replay path).  Every
         non-``None`` return must be paired with one :meth:`release`.
         """
         key = (graph, scale, int(n_snapshots))
         with self._lock:
             segment = self._current.get(key)
-            if segment is None or (
-                segment.manifest.epoch != int(epoch)
-                or segment.manifest.chain != int(chain)
-            ):
+            if segment is None or segment.manifest.epoch != int(epoch):
                 return None
             segment.refs += 1
             return segment.manifest
 
     def current_epoch(
-        self, graph: str, scale: str, n_snapshots: int, chain: int = 0
+        self, graph: str, scale: str, n_snapshots: int
     ) -> int | None:
-        """Epoch of the segment currently serving a key, when it holds
-        ``chain``'s history (None: none, or another chain's)."""
+        """Epoch of the segment currently serving a key (None: none)."""
         with self._lock:
             segment = self._current.get((graph, scale, int(n_snapshots)))
-            if segment is None or segment.manifest.chain != int(chain):
-                return None
-            return segment.manifest.epoch
-
-    def retire_graph(self, graph: str) -> None:
-        """Retire every current segment of ``graph``.
-
-        For a graph whose history was rewritten (a rewind): its segments
-        hold a scenario the log no longer describes, and a plan that
-        reaches their epoch again must publish the new one rather than
-        attach them.  In-flight plans drain as after a republish.
-        """
-        with self._lock:
-            keys = [key for key in self._current if key[0] == graph]
-            for key in keys:
-                segment = self._current.pop(key)
-                segment.retired = True
-                self.retired += 1
-                if segment.refs <= 0:
-                    self._drop_locked(segment)
+            return None if segment is None else segment.manifest.epoch
 
     def release(self, manifest: ScenarioManifest) -> None:
         """Drop one reference; unlink retired segments at zero."""

@@ -477,7 +477,11 @@ def test_chaos_kill_drill_unattended_election_zero_loss(tmp_path):
     [
         ["serve", "--cluster", "1"],
         ["serve", "--cluster", "3"],  # primary without --wal-dir
+        # sharded serving is gone: --shards is an unknown argument now
         ["serve", "--cluster", "2", "--shards", "2", "--wal-dir", "w"],
+        ["serve", "--shards", "2"],
+        ["serve-bench", "--shards", "2"],
+        ["serve-bench", "--drill", "shard-kill"],
         ["serve", "--follow", "w", "--follower-id", "../evil"],
         ["serve-bench", "--ack-mode", "bogus"],
         ["serve-bench", "--ack-mode", "quorum:1"],  # no replication dir
@@ -488,4 +492,6 @@ def test_chaos_kill_drill_unattended_election_zero_loss(tmp_path):
 )
 def test_cli_cluster_bad_arguments_exit_2(argv, capsys):
     assert main(argv) == 2
-    assert capsys.readouterr().err.strip()
+    err = capsys.readouterr().err.strip()
+    assert "error:" in err.splitlines()[-1]
+    assert "Traceback" not in err

@@ -36,6 +36,23 @@ def test_coalesced_equals_sequential(small_scenario, algorithm):
             ), (algorithm.name, q, k)
 
 
+def test_one_snapshot_plan_marks_every_query(small_scenario, algorithm):
+    """A one-snapshot window (``lo == hi``) still gives each coalesced
+    query its own snapshot slot, equal to its single-source run."""
+    from repro.evolving.window import window_scenario
+
+    window = window_scenario(small_scenario, 2, 2)
+    assert window.n_snapshots == 1
+    sources = _sources(window)
+    coalesced = evaluate_multi_query(window, algorithm, sources)
+    assert sorted(coalesced.raw.snapshot_values) == list(range(len(sources)))
+    for q, source in enumerate(sources):
+        single = evaluate_multi_query(window, algorithm, [source])
+        assert np.array_equal(
+            coalesced.values(q, 0), single.values(0, 0), equal_nan=True
+        ), (algorithm.name, q)
+
+
 def test_coalesced_equals_reference(small_scenario, algorithm):
     """The shared plan also matches from-scratch evaluation per snapshot."""
     sources = _sources(small_scenario)

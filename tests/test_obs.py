@@ -135,6 +135,22 @@ def test_render_is_prometheus_text():
         float(value)
 
 
+def test_labeled_gauge_set_and_get():
+    reg = MetricsRegistry()
+    fam = reg.labeled_gauge("mega_test_depth", "per-node test gauge", "node")
+    fam.labels("a").set(7)
+    fam.labels("a").set(2)
+    fam.labels("b").set(5)
+    assert fam.get() == {"a": 2, "b": 5}
+    text = reg.render()
+    assert 'mega_test_depth{node="a"} 2' in text
+    assert 'mega_test_depth{node="b"} 5' in text
+    # one HELP/TYPE header for the whole family, not one per child
+    assert text.count("# HELP mega_test_depth") == 1
+    fam.discard("b")
+    assert fam.get() == {"a": 2}
+
+
 # ---------------------------------------------------------------------------
 # regression: the plan-latency EWMA was an unlocked read-modify-write
 # ---------------------------------------------------------------------------

@@ -266,6 +266,29 @@ def test_queries_arriving_while_the_pool_is_full_share_one_plan():
     assert service.service_stats()["plans"] == 2
 
 
+def test_one_snapshot_window_queries_coalesce_without_retries():
+    """Two sources over window (2, 2) ride one plan and both resolve
+    ``ok`` first time: no plan failure, no singleton retries."""
+    with QueryService(_config()) as service:
+        warm = service.submit(QueryRequest("PK", "sssp", 9))
+        assert warm.wait(timeout=120).ok
+        fake = [-1 - i for i in range(service.pool.workers + 1)]
+        with service._inflight_lock:
+            service._inflight.update(fake)
+        handles = [
+            service.submit(QueryRequest("PK", "sssp", source, window=(2, 2)))
+            for source in (1, 2)
+        ]
+        for plan_id in fake:
+            service._retire(plan_id)
+        responses = [h.wait(timeout=120) for h in handles]
+    assert [r.status for r in responses] == ["ok", "ok"]
+    assert len({r.plan_id for r in responses}) == 1
+    assert all(len(r.summaries) == 1 for r in responses)
+    stats = service.service_stats()
+    assert stats["retries"] == 0 and stats["plans"] == 2
+
+
 def test_cache_hits_until_ingest_invalidates():
     service = QueryService(_config())
     req = QueryRequest("PK", "sssp", 3)

@@ -141,13 +141,6 @@ def test_acquire_matches_epoch_only(small_scenario):
         assert plane.current_epoch(
             "small", "test", small_scenario.n_snapshots
         ) == 2
-        # another chain's history never matches, whatever its epoch
-        assert plane.acquire(
-            "small", "test", small_scenario.n_snapshots, 2, chain=7
-        ) is None
-        assert plane.current_epoch(
-            "small", "test", small_scenario.n_snapshots, chain=7
-        ) is None
     finally:
         plane.close_all()
 
@@ -281,74 +274,3 @@ def test_no_segments_leak_after_service_stop():
         assert resp is not None and resp.status == "ok"
     leftovers = [n for n in os.listdir(SHM_DIR) if n.startswith(mine)]
     assert leftovers == []
-
-
-def test_rewind_retires_the_graph_generation():
-    """A rewind rewrites history: once the log grows back to the epoch
-    of a generation published before it, plans must see the new history
-    (as a fresh service replaying the new log computes it from scratch),
-    not attach the pre-rewind scenario."""
-    from repro.service import QueryRequest, QueryService, ServiceConfig
-
-    def checksums(service):
-        resp = service.submit(QueryRequest("PK", "sssp", 1)).wait(timeout=120)
-        assert resp is not None and resp.status == "ok"
-        return [(s.snapshot, s.reached, s.checksum) for s in resp.summaries]
-
-    config = ServiceConfig(scale="tiny", n_snapshots=4, workers=1)
-    with QueryService(config) as service:
-        service.ingest("PK", seed=1)
-        service.ingest("PK", seed=2)
-        before = checksums(service)  # publishes the epoch-2 generation
-        published = service.health()["shm"]["published"]
-        assert service.rewind_graph("PK", 0) == 0
-        service.ingest("PK", seed=11)
-        assert service.ingest("PK", seed=12) == 2
-        after = checksums(service)
-        republished = service.health()["shm"]["published"] > published
-        history = service.graph_deltas("PK")
-    with QueryService(config) as scratch:
-        for delta in history:
-            scratch.ingest("PK", delta=delta)
-        assert checksums(scratch) == after
-    assert after != before
-    assert republished
-
-
-def test_straggler_plan_across_a_rewind_keeps_its_own_chain():
-    """A plan that read its delta view before a rewind and reaches the
-    plane after it must neither publish the old history under the new
-    chain nor leave it where the new history's plans attach: once the log
-    grows back to that epoch with different deltas, the answer equals a
-    from-scratch evaluation of the new history."""
-    from repro.service import QueryRequest, QueryService, ServiceConfig
-
-    def checksums(service):
-        resp = service.submit(QueryRequest("PK", "sssp", 1)).wait(timeout=120)
-        assert resp is not None and resp.status == "ok"
-        return [(s.snapshot, s.reached, s.checksum) for s in resp.summaries]
-
-    config = ServiceConfig(scale="tiny", n_snapshots=4, workers=1)
-    with QueryService(config) as service:
-        service.ingest("PK", seed=1)
-        service.ingest("PK", seed=2)
-        manifest_of = service._plane_manifest
-
-        def rewind_first(*args, **kwargs):
-            # the plan has read its epoch-2 view; rewind before it
-            # reaches the plane
-            service._plane_manifest = manifest_of
-            assert service.rewind_graph("PK", 0) == 0
-            return manifest_of(*args, **kwargs)
-
-        service._plane_manifest = rewind_first
-        checksums(service)  # the straggler, answered on the old history
-        assert service._plane_manifest is manifest_of
-        service.ingest("PK", seed=11)
-        assert service.ingest("PK", seed=12) == 2
-        after = checksums(service)
-        history = service.graph_deltas("PK")
-    with QueryService(config) as scratch:
-        for delta in history:
-            scratch.ingest("PK", delta=delta)
-        assert checksums(scratch) == after
