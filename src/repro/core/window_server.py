@@ -111,7 +111,6 @@ class WindowServer:
         # into the kept union with shifted tags (pure; the old unified
         # stays usable for repair).
         slide = slide_window(u, additions, deletions)
-        last_presence = slide.last_presence
         del_slots = slide.del_slots
 
         # -- compute the new latest snapshot's values ----------------------
@@ -128,7 +127,7 @@ class WindowServer:
             table.delete(0, del_slots, "del-batch")
             engine = MultiVersionEngine(self.algorithm, u, track_parents=True)
             stats, = engine.run_segment(
-                latest[None, :], last_presence[None, :].copy(), table
+                latest[None, :], slide.last_presence[None, :].copy(), table
             )
             unstable |= stats.tagged_mask
 

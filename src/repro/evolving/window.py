@@ -13,7 +13,7 @@ simulator and metric applies unchanged to the sub-window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,43 @@ from repro.evolving.snapshots import EvolvingScenario
 from repro.evolving.unified_csr import UnifiedCSR, shift_planes
 from repro.graph.csr import CSRGraph
 from repro.graph.edges import EdgeList, edge_keys
+from repro.perf.backend import (
+    SLIDE_ADDED_INSIDE,
+    SLIDE_BAD_ADDITION,
+    SLIDE_BAD_VERTEX,
+    SLIDE_DUP_ADDITION,
+    SLIDE_LIVE_DUPLICATE,
+    SLIDE_NOT_LIVE,
+    SLIDE_READDED,
+    get_backend,
+)
 
 __all__ = ["extract_window", "window_scenario", "SlideResult", "slide_window"]
+
+
+def _moved(unified: UnifiedCSR, lo: int, count: int, n_out: int, **delta):
+    """The compiled tier's window move (``KernelBackend.window_merge``)
+    of ``unified``: its arrays, a refusal code and row."""
+    graph = unified.graph
+    return get_backend().window_merge(
+        graph.indptr, graph.src_of_edge, graph.dst, graph.wt, unified.add_step,
+        unified.del_step, unified.presence_planes(), unified.n_snapshots,
+        lo, count, n_out, **delta,
+    )
+
+
+def _union_of(merge, n_vertices: int, n_snapshots: int) -> UnifiedCSR:
+    merge.planes.flags.writeable = False
+    return UnifiedCSR(
+        CSRGraph(
+            n_vertices, merge.indptr, merge.dst, merge.wt,
+            src_of_edge=merge.src_of_edge,
+        ),
+        merge.add_step,
+        merge.del_step,
+        n_snapshots,
+        presence_planes=merge.planes,
+    )
 
 
 def extract_window(unified: UnifiedCSR, lo: int, hi: int) -> UnifiedCSR:
@@ -31,6 +66,10 @@ def extract_window(unified: UnifiedCSR, lo: int, hi: int) -> UnifiedCSR:
         raise IndexError(
             f"window [{lo}, {hi}] outside [0, {unified.n_snapshots - 1}]"
         )
+    if get_backend().window_merge is not None:
+        n_window = hi - lo + 1
+        merge = _moved(unified, lo, n_window, n_window)
+        return _union_of(merge, unified.n_vertices, n_window)
     a, d = unified.add_step, unified.del_step
 
     # Edge fate within the window:
@@ -69,17 +108,45 @@ def extract_window(unified: UnifiedCSR, lo: int, hi: int) -> UnifiedCSR:
 class SlideResult:
     """Outcome of sliding a window forward by one transition.
 
-    ``del_slots`` index the *old* union (for value repair against the
-    pre-slide state); ``add_slots`` index the *new* union (for applying
-    the additions once the merged window is in place).
-    ``last_presence`` is the old union's presence in its latest
-    snapshot, which validation needed and value repair needs again.
+    ``del_slots`` index the *old* union, ``previous`` (for value repair
+    against the pre-slide state); ``add_slots`` index the *new* union
+    (for applying the additions once the merged window is in place).
     """
 
     unified: UnifiedCSR
     del_slots: np.ndarray
     add_slots: np.ndarray
-    last_presence: np.ndarray
+    previous: UnifiedCSR = field(repr=False)
+    _last_presence: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def last_presence(self) -> np.ndarray:
+        """The old union's presence in its latest snapshot, which value
+        repair needs: built on first read (the numpy slide hands over
+        the mask its validation built)."""
+        if self._last_presence is None:
+            old = self.previous
+            self._last_presence = old.presence_mask(old.n_snapshots - 1)
+        return self._last_presence
+
+
+#: slide_window's refusal per compiled SLIDE_* code; a deletion's message
+#: names its pair, an addition's none
+_REFUSALS = {
+    SLIDE_BAD_VERTEX: "cannot delete edge ({s}, {d}): vertex out of range "
+    "[0, {n})",
+    SLIDE_NOT_LIVE: "cannot delete edge ({s}, {d}): not present in the "
+    "latest snapshot",
+    SLIDE_ADDED_INSIDE: "edge ({s}, {d}) was added inside the current "
+    "window; one state change per edge per window — split the window "
+    "before deleting it",
+    SLIDE_BAD_ADDITION: "additions must share the window's vertex set",
+    SLIDE_DUP_ADDITION: "additions contain duplicate pairs",
+    SLIDE_LIVE_DUPLICATE: "additions duplicate a live edge",
+    SLIDE_READDED: "re-adding an edge deleted inside the current window; "
+    "split the window first",
+}
+_DELETION_REFUSALS = (SLIDE_BAD_VERTEX, SLIDE_NOT_LIVE, SLIDE_ADDED_INSIDE)
 
 
 def slide_window(
@@ -99,6 +166,9 @@ def slide_window(
     maintenance is the caller's business
     (:class:`repro.core.window_server.WindowServer` repairs in place; the
     query service recomputes on demand).
+
+    On the compiled tier the checks and the merge are one
+    ``window_merge`` kernel call; the numpy body below is its reference.
     """
     graph = unified.graph
     n = unified.n_snapshots
@@ -107,6 +177,23 @@ def slide_window(
     deletions = deletions or []
     if additions.n_vertices != n_vertices:
         raise ValueError("additions must share the window's vertex set")
+    if get_backend().window_merge is not None:
+        del_pairs = np.asarray(deletions, dtype=np.int64).reshape(-1, 2)
+        merge = _moved(
+            unified, 1, n - 1, n,
+            add_src=additions.src, add_dst=additions.dst,
+            add_wt=additions.wt, dels=del_pairs,
+        )
+        if merge.refusal:
+            message = _REFUSALS[merge.refusal]
+            if merge.refusal in _DELETION_REFUSALS:
+                s, d = del_pairs[merge.index]
+                message = message.format(s=s, d=d, n=n_vertices)
+            raise ValueError(message)
+        return SlideResult(
+            _union_of(merge, n_vertices, n), merge.del_slots,
+            merge.add_slots, unified,
+        )
 
     # CSR order sorts by (src, dst), so the union keys are sorted and
     # slot lookup is a binary search.
@@ -202,7 +289,9 @@ def slide_window(
         planes,
         n,
     )
-    return SlideResult(new_unified, del_slots, add_slots, last_presence)
+    return SlideResult(
+        new_unified, del_slots, add_slots, unified, last_presence
+    )
 
 
 def window_scenario(

@@ -1,12 +1,14 @@
 """Kernel backend registry: compiled hot kernels behind the numpy API.
 
 The engine's cycles go to three kernels — ``group_argbest``, the DAIC
-propagation loop, and the bit-plane presence gather — and a simulation's
-timing replay to a fourth, ``replay``.  Each has a compiled single-pass
-implementation (a tiny C library compiled on first use and loaded via
-ctypes) and a pure Python/numpy reference that is kept forever as the
-parity baseline, following the ``_presence_of_dense`` precedent (the
-replay's is ``WaveScheduler.replay_reference``).
+propagation loop, and the bit-plane presence gather — a simulation's
+timing replay to a fourth, ``replay``, and every window slide (each
+epoch of the service) to a fifth, ``window_merge``.  Each has a compiled
+single-pass implementation (a tiny C library compiled on first use and
+loaded via ctypes) and a pure Python/numpy reference that is kept
+forever as the parity baseline, following the ``_presence_of_dense``
+precedent (the replay's is ``WaveScheduler.replay_reference``, the
+merge's the numpy bodies of ``slide_window`` and ``extract_window``).
 
 Selection follows ``MEGA_KERNEL_BACKEND`` (resolved once per process):
 
@@ -16,10 +18,12 @@ Selection follows ``MEGA_KERNEL_BACKEND`` (resolved once per process):
 
 Callers never import a tier directly: :func:`get_backend` returns a
 :class:`KernelBackend` whose optional members (``daic_round``,
-``presence_gather``, ``replay``) are ``None`` on the numpy tier, which
-tells the engine, :class:`~repro.evolving.unified_csr.UnifiedCSR` and
-:class:`~repro.accel.scheduler.WaveScheduler` to keep their reference
-paths.  ``group_argbest`` is always present.
+``presence_gather``, ``replay``, ``window_merge``) are ``None`` on the
+numpy tier, which tells the engine,
+:class:`~repro.evolving.unified_csr.UnifiedCSR`,
+:class:`~repro.accel.scheduler.WaveScheduler` and
+:mod:`repro.evolving.window` to keep their reference paths.
+``group_argbest`` is always present.
 
 The service's pool workers resolve the backend during warm-up (the ping
 control op carries the configured name) and report the resolved tier
@@ -60,6 +64,13 @@ STEP_TAG, STEP_PULL, STEP_GROUND = 4, 5, 6
 #: int64 outputs per repair (REPAIR_STATS in _kernels.c): tagged
 #: vertices, tag events, cascade passes
 REPAIR_STATS = 3
+#: window_merge's refusals (SLIDE_* in _kernels.c): a deletion's vertex
+#: out of range, edge not live, or edge added inside the window; an
+#: addition's vertex out of range, pair repeated, edge live, or edge
+#: deleted inside the window
+SLIDE_BAD_VERTEX, SLIDE_NOT_LIVE, SLIDE_ADDED_INSIDE = 1, 2, 3
+SLIDE_BAD_ADDITION, SLIDE_DUP_ADDITION = 4, 5
+SLIDE_LIVE_DUPLICATE, SLIDE_READDED = 6, 7
 
 
 class RepairInputs(NamedTuple):
@@ -97,6 +108,7 @@ class KernelBackend:
     daic_round: Callable | None = None
     presence_gather: Callable | None = None
     replay: Callable | None = None
+    window_merge: Callable | None = None
 
     @property
     def compiled(self) -> bool:
@@ -138,6 +150,7 @@ def _cext_backend() -> KernelBackend | None:
         daic_round=cext.daic_round,
         presence_gather=cext.presence_gather,
         replay=cext.replay,
+        window_merge=cext.window_merge,
     )
 
 

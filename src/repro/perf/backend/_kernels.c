@@ -1,6 +1,6 @@
 /* Compiled hot kernels behind the numpy API (ctypes tier).
  *
- * Four kernels, each the single-pass fusion of a Python or numpy sweep
+ * Five kernels, each the single-pass fusion of a Python or numpy sweep
  * sequence whose answers it must reproduce bit-for-bit (the reference
  * implementations stay in-tree, like _presence_of_dense):
  *
@@ -20,6 +20,11 @@
  *                     goes (mega_daic_check validates a table first);
  *   presence_gather — bit-plane presence test, unpack-and-test per edge
  *                     with no intermediate unpacked plane;
+ *   window_merge    — a window slide's slot lookup, CommonGraph checks
+ *                     (a refusal is a SLIDE_* code and the offending
+ *                     row) and union rewrite, or a sub-window's: kept
+ *                     runs copied, batch tags re-based, presence planes
+ *                     shifted and the additions merged into their rows;
  *   replay          — a simulation's whole timing replay: the wave
  *                     scheduler, partition sweeps and spills, batch
  *                     pipelining, every round group's PE/queue/NoC/DRAM
@@ -1258,6 +1263,382 @@ void mega_presence_gather(
                 out[(p * 8 + b) * n_edges + j] = (byte >> b) & 1;
         }
     }
+}
+
+/* window_merge: one move of the unified CSR's window — a slide
+ * (evolving.window.slide_window) or a sub-window (extract_window) — as
+ * run copies over the old union, bit-identical to the numpy bodies.
+ *
+ * The old union: n_vertices rows through indptr; n_edges slots of src
+ * (src_of_edge), dst, wt, add_step and del_step (int32); (n_snapshots +
+ * 7) / 8 presence planes of n_edges bytes.  Old snapshots lo .. hi =
+ * lo + count - 1 (hi >= 0) become new snapshots 0 .. count - 1 of an
+ * n_out-snapshot window: a
+ * slot leaves when it is absent from all of them (added at or after hi,
+ * or deleted before lo), a batch tag t in [lo, hi) becomes t - lo and
+ * any other -1, and the planes shift down by lo bits, carrying between
+ * planes, with every bit from count on clear.  n_out is count (a
+ * sub-window) or count + 1 (a slide: lo = 1, count = n_snapshots - 1),
+ * whose new latest snapshot n_out - 1 repeats old snapshot hi, minus
+ * the deletions, plus the additions.
+ *
+ * A slide's transition: n_del deletions (dels, n_del (src, dst) pairs)
+ * and n_add additions (add_src, add_dst, add_wt).  A pair's union slot
+ * is a binary search of its row's dst through indptr — the first slot
+ * of the pair, as numpy's searchsorted finds it.  The CommonGraph
+ * checks run in slide_window's order, and the first that fails returns
+ * its SLIDE_* code (keep in sync with repro.perf.backend.SLIDE_*) with
+ * the offending deletion or addition row in out[0], before the new
+ * union is written:
+ *
+ *   SLIDE_BAD_VERTEX      a deletion names a vertex outside [0, n);
+ *   SLIDE_NOT_LIVE        a deletion's edge is not in snapshot hi;
+ *   SLIDE_ADDED_INSIDE    a deletion's edge was added inside the window;
+ *   SLIDE_BAD_ADDITION    an addition names a vertex outside [0, n)
+ *                         (an EdgeList never does; kept for safety);
+ *   SLIDE_DUP_ADDITION    two additions share a pair;
+ *   SLIDE_LIVE_DUPLICATE  an addition's edge is in snapshot hi;
+ *   SLIDE_READDED         an addition's edge was deleted inside the
+ *                         window.
+ *
+ * A deleted slot keeps its place with del_step n_out - 2 and its latest
+ * bit clear, or leaves the union when there is no transition to tag it
+ * (n_out == 1).  An addition joins its row after every kept slot of the
+ * same or a lower dst, tagged add_step n_out - 2 and present in the
+ * latest snapshot only.  del_slots receives each deletion's old slot,
+ * add_slots each addition's new slot, per input row.
+ *
+ * Outputs, each with room for n_edges + n_add slots: out_indptr
+ * (n_vertices + 1), out_src (src_of_edge), out_dst, out_wt, out_add,
+ * out_del and out_planes, whose (n_out + 7) / 8 planes end up back to
+ * back at the new union's length, returned in out[1].  work: 4 * n_add
+ * + n_del int64.  Returns SLIDE_OK (0) or a refusal. */
+#define SLIDE_OK 0
+#define SLIDE_BAD_VERTEX 1
+#define SLIDE_NOT_LIVE 2
+#define SLIDE_ADDED_INSIDE 3
+#define SLIDE_BAD_ADDITION 4
+#define SLIDE_DUP_ADDITION 5
+#define SLIDE_LIVE_DUPLICATE 6
+#define SLIDE_READDED 7
+
+typedef struct {
+    int64_t n_edges, cap, lo, hi, count, n_out, n_planes_in, n_planes;
+    const int64_t *src, *dst;
+    const double *wt;
+    const int32_t *add_step, *del_step;
+    const uint8_t *planes;
+    int64_t *out_indptr, *out_src, *out_dst;
+    double *out_wt;
+    int32_t *out_add, *out_del;
+    uint8_t *out_planes;
+} window_move;
+
+/* First slot of [lo, hi) whose dst is >= d (> d with upper). */
+static inline int64_t dst_bound(
+    const int64_t *dst, int64_t lo, int64_t hi, int64_t d, int upper)
+{
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (dst[mid] < d || (upper && dst[mid] == d))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* (src, dst, row) triples in (src, dst) order */
+static int cmp_pair(const void *a, const void *b)
+{
+    const int64_t *x = a, *y = b;
+    int k;
+    for (k = 0; k < 3; k++)
+        if (x[k] != y[k])
+            return (x[k] > y[k]) - (x[k] < y[k]);
+    return 0;
+}
+
+/* Does the window drop a slot with tags (a, d)?  Added at or after hi
+ * (hi >= 0, so a == -1 never is), or deleted before lo. */
+static inline int window_drops(int32_t a, int32_t d, int32_t lo, int32_t hi)
+{
+    return (a >= hi) | ((uint32_t)d < (uint32_t)lo);
+}
+
+/* The first slot of [i, stop) the window drops; stop if none.  Whole
+ * blocks of kept slots are skipped with a branch-free test. */
+static int64_t next_drop(
+    const int32_t *restrict add, const int32_t *restrict del, int64_t i,
+    int64_t stop, int32_t lo, int32_t hi)
+{
+    int64_t t;
+    for (; i + 64 <= stop; i += 64) {
+        int any = 0;
+        for (t = 0; t < 64; t++)
+            any |= window_drops(add[i + t], del[i + t], lo, hi);
+        if (any)
+            break;
+    }
+    while (i < stop && !window_drops(add[i], del[i], lo, hi))
+        i++;
+    return i;
+}
+
+/* The run loops below carry every slot of a window move.  gcc's -O2
+ * cost model leaves loops of unknown trip count scalar; its cheap model
+ * vectorizes them (integer ops only, so the answers are the same). */
+#if defined(__GNUC__) && !defined(__clang__)
+#define RUN_LOOP __attribute__((optimize("vect-cost-model=cheap")))
+#else
+#define RUN_LOOP
+#endif
+
+/* A batch tag t in [lo, hi) becomes t - lo, any other -1. */
+static RUN_LOOP void shift_tags(
+    const int32_t *restrict in, int32_t *restrict out, int64_t len,
+    int32_t lo, int32_t hi)
+{
+    int64_t t;
+    for (t = 0; t < len; t++)
+        out[t] = (in[t] >= lo && in[t] < hi) ? in[t] - lo : -1;
+}
+
+/* One output plane: bits r.. of plane a, then (next != NULL) the low r
+ * bits of the next plane above them, masked. */
+static RUN_LOOP void shift_plane(
+    const uint8_t *restrict a, const uint8_t *restrict next,
+    uint8_t *restrict out, int64_t len, int r, uint8_t mask)
+{
+    int64_t t;
+    if (next == NULL) {
+        for (t = 0; t < len; t++)
+            out[t] = (uint8_t)(a[t] >> r) & mask;
+    } else {
+        for (t = 0; t < len; t++)
+            out[t] = (uint8_t)((a[t] >> r) | (next[t] << (8 - r))) & mask;
+    }
+}
+
+/* Bit `from` of each a byte, ORed into bit `to` of out. */
+static RUN_LOOP void copy_bit(
+    const uint8_t *restrict a, uint8_t *restrict out, int64_t len,
+    int from, int to)
+{
+    int64_t t;
+    for (t = 0; t < len; t++)
+        out[t] |= (uint8_t)(((a[t] >> from) & 1) << to);
+}
+
+/* Old slots [i0, i1), all kept, to new slots from j0. */
+static void copy_run(const window_move *w, int64_t i0, int64_t i1, int64_t j0)
+{
+    const int64_t len = i1 - i0, m = w->n_edges, q = w->lo >> 3;
+    const int r = w->lo & 7;
+    int64_t p;
+    memcpy(w->out_src + j0, w->src + i0, len * sizeof(int64_t));
+    memcpy(w->out_dst + j0, w->dst + i0, len * sizeof(int64_t));
+    memcpy(w->out_wt + j0, w->wt + i0, len * sizeof(double));
+    shift_tags(w->add_step + i0, w->out_add + j0, len, w->lo, w->hi);
+    shift_tags(w->del_step + i0, w->out_del + j0, len, w->lo, w->hi);
+    for (p = 0; p < w->n_planes; p++) {
+        const int64_t tail = w->count - 8 * p;
+        const uint8_t mask = tail >= 8 ? 0xff
+            : tail > 0 ? (uint8_t)((1 << tail) - 1) : 0;
+        const uint8_t *a = w->planes + (q + p) * m + i0;
+        uint8_t *out = w->out_planes + p * w->cap + j0;
+        if (q + p >= w->n_planes_in)
+            memset(out, 0, len);
+        else
+            shift_plane(
+                a, r && q + p + 1 < w->n_planes_in ? a + m : NULL, out,
+                len, r, mask);
+    }
+    if (w->n_out > w->count)
+        /* a slide: the new latest snapshot repeats old snapshot hi */
+        copy_bit(
+            w->planes + (w->hi >> 3) * m + i0,
+            w->out_planes + ((w->n_out - 1) >> 3) * w->cap + j0, len,
+            w->hi & 7, (w->n_out - 1) & 7);
+}
+
+/* The kept slots of old [i, stop) to new slots from j; the next j.  A
+ * dropped slot shortens its row in out_indptr (row lengths until the
+ * merge ends). */
+static int64_t copy_kept(
+    const window_move *w, int64_t i, int64_t stop, int64_t j)
+{
+    const int32_t lo = (int32_t)w->lo, hi = (int32_t)w->hi;
+    while (i < stop) {
+        const int64_t start = i;
+        i = next_drop(w->add_step, w->del_step, i, stop, lo, hi);
+        if (i > start) {
+            copy_run(w, start, i, j);
+            j += i - start;
+        }
+        for (; i < stop && window_drops(w->add_step[i], w->del_step[i], lo, hi);
+             i++)
+            w->out_indptr[w->src[i] + 1]--;
+    }
+    return j;
+}
+
+static void put_addition(
+    const window_move *w, int64_t j, int64_t s, int64_t d, double wt)
+{
+    int64_t p;
+    w->out_indptr[s + 1]++;
+    w->out_src[j] = s;
+    w->out_dst[j] = d;
+    w->out_wt[j] = wt;
+    w->out_add[j] = (int32_t)(w->n_out - 2);
+    w->out_del[j] = -1;
+    for (p = 0; p < w->n_planes; p++)
+        w->out_planes[p * w->cap + j] = 0;
+    w->out_planes[((w->n_out - 1) >> 3) * w->cap + j] =
+        (uint8_t)(1 << ((w->n_out - 1) & 7));
+}
+
+int mega_window_merge(
+    int64_t n_vertices, int64_t n_edges, const int64_t *indptr,
+    const int64_t *src, const int64_t *dst, const double *wt,
+    const int32_t *add_step, const int32_t *del_step,
+    const uint8_t *planes, int64_t n_snapshots,
+    int64_t lo, int64_t count, int64_t n_out,
+    const int64_t *add_src, const int64_t *add_dst, const double *add_wt,
+    int64_t n_add, const int64_t *dels, int64_t n_del, int64_t *work,
+    int64_t *out_indptr, int64_t *out_src, int64_t *out_dst, double *out_wt,
+    int32_t *out_add, int32_t *out_del, uint8_t *out_planes,
+    int64_t *del_slots, int64_t *add_slots, int64_t *out)
+{
+    const int64_t hi = lo + count - 1;
+    const uint8_t *latest = planes + (hi >> 3) * n_edges;
+    const int bit = hi & 7;
+    int64_t *pairs = work, *ins_pos = work + 3 * n_add;
+    int64_t *patch = ins_pos + n_add;
+    int64_t i, r, u, p, s, d, slot, n_patch = 0, j = 0, ia = 0, ip = 0;
+    window_move w = {
+        n_edges, n_edges + n_add, lo, hi, count, n_out,
+        (n_snapshots + 7) / 8, (n_out + 7) / 8, src, dst, wt, add_step,
+        del_step, planes, out_indptr, out_src, out_dst, out_wt, out_add,
+        out_del, out_planes,
+    };
+
+    /* -- the CommonGraph checks, in slide_window's order -------------- */
+    for (i = 0; i < n_del; i++) {
+        s = dels[2 * i];
+        d = dels[2 * i + 1];
+        if (s < 0 || s >= n_vertices || d < 0 || d >= n_vertices) {
+            out[0] = i;
+            return SLIDE_BAD_VERTEX;
+        }
+    }
+    for (i = 0; i < n_del; i++) {
+        s = dels[2 * i];
+        d = dels[2 * i + 1];
+        slot = dst_bound(dst, indptr[s], indptr[s + 1], d, 0);
+        if (slot == indptr[s + 1] || dst[slot] != d
+            || !((latest[slot] >> bit) & 1)) {
+            out[0] = i;
+            return SLIDE_NOT_LIVE;
+        }
+        del_slots[i] = slot;
+    }
+    for (i = 0; i < n_del; i++) {
+        if (add_step[del_slots[i]] >= 1) {
+            out[0] = i;
+            return SLIDE_ADDED_INSIDE;
+        }
+    }
+    for (r = 0; r < n_add; r++) {
+        if (add_src[r] < 0 || add_src[r] >= n_vertices || add_dst[r] < 0
+            || add_dst[r] >= n_vertices) {
+            out[0] = r;
+            return SLIDE_BAD_ADDITION;
+        }
+        pairs[3 * r] = add_src[r];
+        pairs[3 * r + 1] = add_dst[r];
+        pairs[3 * r + 2] = r;
+    }
+    qsort(pairs, (size_t)n_add, 3 * sizeof(int64_t), cmp_pair);
+    for (r = 1; r < n_add; r++) {
+        if (pairs[3 * r] == pairs[3 * r - 3]
+            && pairs[3 * r + 1] == pairs[3 * r - 2]) {
+            out[0] = pairs[3 * r + 2];
+            return SLIDE_DUP_ADDITION;
+        }
+    }
+    for (r = 0; r < n_add; r++) {
+        s = pairs[3 * r];
+        d = pairs[3 * r + 1];
+        slot = dst_bound(dst, indptr[s], indptr[s + 1], d, 0);
+        ins_pos[r] = -1;
+        if (slot < indptr[s + 1] && dst[slot] == d) {
+            if ((latest[slot] >> bit) & 1) {
+                out[0] = pairs[3 * r + 2];
+                return SLIDE_LIVE_DUPLICATE;
+            }
+            ins_pos[r] = slot;
+        }
+    }
+    for (r = 0; r < n_add; r++) {
+        if (ins_pos[r] >= 0 && del_step[ins_pos[r]] >= 1) {
+            out[0] = pairs[3 * r + 2];
+            return SLIDE_READDED;
+        }
+        s = pairs[3 * r];
+        ins_pos[r] = dst_bound(
+            dst, indptr[s], indptr[s + 1], pairs[3 * r + 1], 1);
+    }
+    for (i = 0; i < n_del; i++)
+        patch[i] = del_slots[i];
+    qsort(patch, (size_t)n_del, sizeof(int64_t), cmp_i64);
+    for (i = 0; i < n_del; i++)
+        if (n_patch == 0 || patch[i] != patch[n_patch - 1])
+            patch[n_patch++] = patch[i];
+
+    /* -- the merge: runs of kept slots between the drops, additions and
+     * deleted slots; out_indptr holds row lengths until the end ------ */
+    out_indptr[0] = 0;
+    for (u = 0; u < n_vertices; u++)
+        out_indptr[u + 1] = indptr[u + 1] - indptr[u];
+    i = 0;
+    for (;;) {
+        int64_t stop = n_edges;
+        if (ia < n_add && ins_pos[ia] < stop)
+            stop = ins_pos[ia];
+        if (ip < n_patch && patch[ip] < stop)
+            stop = patch[ip];
+        j = copy_kept(&w, i, stop, j);
+        i = stop;
+        if (ia < n_add && ins_pos[ia] == i) {
+            r = pairs[3 * ia + 2];
+            put_addition(&w, j, add_src[r], add_dst[r], add_wt[r]);
+            add_slots[r] = j++;
+            ia++;
+            continue;
+        }
+        if (i == n_edges)
+            break;
+        /* a deleted slot: live in snapshot hi, so kept */
+        if (n_out > 1) {
+            copy_run(&w, i, i + 1, j);
+            out_del[j] = (int32_t)(n_out - 2);
+            out_planes[((n_out - 1) >> 3) * w.cap + j] &=
+                (uint8_t)~(1 << ((n_out - 1) & 7));
+            j++;
+        } else {
+            out_indptr[src[i] + 1]--;
+        }
+        i++;
+        ip++;
+    }
+    for (u = 0; u < n_vertices; u++)
+        out_indptr[u + 1] += out_indptr[u];
+    for (p = 1; p < w.n_planes; p++)
+        memmove(out_planes + p * j, out_planes + p * w.cap, (size_t)j);
+    out[1] = j;
+    return SLIDE_OK;
 }
 
 /* replay: a workflow's whole timing replay — WaveScheduler.run over flat

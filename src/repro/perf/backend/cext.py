@@ -42,7 +42,9 @@ from repro.perf.backend import (
     RepairInputs,
 )
 
-__all__ = ["LoopCounts", "ReplayOut", "load_library", "build_error"]
+__all__ = [
+    "LoopCounts", "ReplayOut", "WindowMerge", "load_library", "build_error",
+]
 
 _SRC = pathlib.Path(__file__).with_name("_kernels.c")
 #: every build's compiler flags.  The replay's double arithmetic must not
@@ -59,6 +61,7 @@ _char_at = ctypes.c_char.from_buffer
 _INT = ctypes.c_int
 
 _I64_T = np.dtype(np.int64)
+_I32_T = np.dtype(np.int32)
 _F64_T = np.dtype(np.float64)
 
 #: per-thread preallocated out-parameter block of mega_daic_round
@@ -203,6 +206,17 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.mega_presence_gather.restype = None
     lib.mega_presence_gather.argtypes = [_P, _I64, _P, _I64, _I64, _P]
+    lib.mega_window_merge.restype = _INT
+    lib.mega_window_merge.argtypes = [
+        _I64, _I64, _P, _P,          # n_vertices, n_edges, indptr, src
+        _P, _P, _P, _P, _P, _I64,    # dst, wt, add/del_step, planes, K
+        _I64, _I64, _I64,            # lo, count, n_out
+        _P, _P, _P, _I64,            # add_src, add_dst, add_wt, n_add
+        _P, _I64, _P,                # dels, n_del, work
+        _P, _P, _P, _P,              # out indptr, src, dst, wt
+        _P, _P, _P,                  # out add/del_step, planes
+        _P, _P, _P,                  # del_slots, add_slots, out
+    ]
     return lib
 
 
@@ -735,3 +749,110 @@ def presence_gather(
         edge_idx.shape[0], n_snapshots, out.ctypes.data,
     )
     return out.view(bool)
+
+
+class WindowMerge(NamedTuple):
+    """What one :func:`window_merge` call returned (see ``_kernels.c``)."""
+
+    #: 0, or the SLIDE_* code of the CommonGraph check that refused
+    refusal: int
+    #: a refusal's offending deletion or addition row
+    index: int
+    #: the new union's CSR columns, tags and planes (None on a refusal)
+    indptr: np.ndarray | None = None
+    src_of_edge: np.ndarray | None = None
+    dst: np.ndarray | None = None
+    wt: np.ndarray | None = None
+    add_step: np.ndarray | None = None
+    del_step: np.ndarray | None = None
+    planes: np.ndarray | None = None
+    #: each deletion's old slot and each addition's new slot
+    del_slots: np.ndarray | None = None
+    add_slots: np.ndarray | None = None
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_WTS = np.empty(0, dtype=np.float64)
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+
+
+def window_merge(
+    indptr: np.ndarray,
+    src_of_edge: np.ndarray,
+    dst: np.ndarray,
+    wt: np.ndarray,
+    add_step: np.ndarray,
+    del_step: np.ndarray,
+    planes: np.ndarray,
+    n_snapshots: int,
+    lo: int,
+    count: int,
+    n_out: int,
+    add_src: np.ndarray = _NO_IDS,
+    add_dst: np.ndarray = _NO_IDS,
+    add_wt: np.ndarray = _NO_WTS,
+    dels: np.ndarray = _NO_PAIRS,
+) -> WindowMerge:
+    """A union's window moved in C (``mega_window_merge``): old
+    snapshots ``lo .. lo + count - 1`` become the first ``count`` of
+    ``n_out``.  ``n_out == count + 1`` is a slide by the transition
+    ``add_*`` (any order) and ``dels`` ``(k, 2)``; otherwise there is no
+    transition.  The new arrays are views of buffers sized for the old
+    union plus the additions."""
+    lib = load_library()
+    n_vertices = indptr.shape[0] - 1
+    m = dst.shape[0]
+    add_src, add_dst, dels = (
+        np.ascontiguousarray(a, dtype=np.int64) for a in (add_src, add_dst, dels)
+    )
+    add_wt = np.ascontiguousarray(add_wt, dtype=np.float64)
+    n_add, n_del = add_src.shape[0], dels.shape[0]
+    if not (0 <= lo and 1 <= lo + count <= n_snapshots and n_out >= 1):
+        raise ValueError("window: snapshots out of range")
+    if n_out != count + 1 and (n_out != count or n_add or n_del):
+        raise ValueError("window: only a slide takes a transition")
+    for arr, name in ((src_of_edge, "src_of_edge"), (dst, "dst"),
+                      (wt, "wt"), (add_step, "add_step"),
+                      (del_step, "del_step")):
+        _shape(arr, (m,), name)
+    _shape(add_dst, (n_add,), "add_dst")
+    _shape(add_wt, (n_add,), "add_wt")
+    _shape(planes, ((n_snapshots + 7) // 8, m), "planes")
+    _shape(dels, (n_del, 2), "dels")
+    cap = m + n_add
+    n_planes = (n_out + 7) // 8
+    out = np.empty(2, dtype=np.int64)
+    new = WindowMerge(
+        0, 0,
+        np.empty(n_vertices + 1, dtype=np.int64),
+        np.empty(cap, dtype=np.int64),
+        np.empty(cap, dtype=np.int64),
+        np.empty(cap, dtype=np.float64),
+        np.empty(cap, dtype=np.int32),
+        np.empty(cap, dtype=np.int32),
+        np.empty(n_planes * cap, dtype=np.uint8),
+        np.empty(n_del, dtype=np.int64),
+        np.empty(n_add, dtype=np.int64),
+    )
+    work = np.empty(4 * n_add + n_del, dtype=np.int64)
+    refusal = lib.mega_window_merge(
+        n_vertices, m, _ptr(indptr, _I64_T, "indptr"),
+        _ptr(src_of_edge, _I64_T, "src_of_edge"), _ptr(dst, _I64_T, "dst"),
+        _ptr(wt, _F64_T, "wt"), _ptr(add_step, _I32_T, "add_step"),
+        _ptr(del_step, _I32_T, "del_step"),
+        _ptr(planes, None, "planes"), n_snapshots, lo, count, n_out,
+        _ptr(add_src, _I64_T, "add_src"), _ptr(add_dst, _I64_T, "add_dst"),
+        _ptr(add_wt, _F64_T, "add_wt"), n_add, _ptr(dels, _I64_T, "dels"),
+        n_del, _addr(work), *(_addr(arr) for arr in new[2:]), _addr(out),
+    )
+    if refusal:
+        return WindowMerge(refusal, int(out[0]))
+    n_new = int(out[1])
+    return new._replace(
+        src_of_edge=new.src_of_edge[:n_new],
+        dst=new.dst[:n_new],
+        wt=new.wt[:n_new],
+        add_step=new.add_step[:n_new],
+        del_step=new.del_step[:n_new],
+        planes=new.planes[: n_planes * n_new].reshape(n_planes, n_new),
+    )

@@ -8,9 +8,11 @@ here is the original lexsort-based engine reduction; the engine's own
 vectorized multi-sweep round body, driven step by step by
 ``MultiVersionEngine.run_segment``, is the
 reference for the compiled ``daic_round`` step-table loop (the numpy
-backend exposes no ``daic_round``, so the engine keeps using that path), and
+backend exposes no ``daic_round``, so the engine keeps using that path),
 ``UnifiedCSR.presence_multi``'s unpackbits path is the reference for
-``presence_gather``.
+``presence_gather``, and the numpy bodies of ``slide_window`` and
+``extract_window`` are the reference for ``window_merge``
+(``tests/test_window_merge.py``).
 """
 
 from __future__ import annotations

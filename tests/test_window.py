@@ -1,6 +1,9 @@
 """Tests for ad-hoc time-window extraction and window sliding."""
 
+import dataclasses
+import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from repro.evolving.window import extract_window, slide_window, window_scenario
 from repro.graph.csr import CSRGraph
 from repro.graph.edges import EdgeList
 from repro.graph.generators import uniform_edges
+from repro.perf.backend import get_backend
 from repro.schedule import boe_plan, work_sharing_plan
 
 
@@ -345,9 +349,11 @@ def test_merged_slide_equals_sorted_construction(
     u = synthesize_scenario(
         pool, n_snapshots=n_snapshots, batch_pct=0.2, seed=seed
     ).unified
+    backend, merges = _counted_merges()
     for __ in range(n_slides):
         adds, dels = data.draw(_deltas(u))
-        result = slide_window(u, adds, dels)
+        with mock.patch("repro.evolving.window.get_backend", lambda: backend):
+            result = slide_window(u, adds, dels)
         ref, ref_del, ref_add = _sorted_slide(u, adds, dels)
         _assert_same_union(result.unified, ref)
         assert np.array_equal(result.del_slots, ref_del)
@@ -359,3 +365,20 @@ def test_merged_slide_equals_sorted_construction(
         assert np.array_equal(
             w.presence_planes(), tag_planes(w.add_step, w.del_step, w.n_snapshots)
         )
+    if os.environ.get("MEGA_KERNEL_BACKEND") in ("compiled", "cext"):
+        assert len(merges) == n_slides  # one compiled merge per slide
+
+
+def _counted_merges():
+    """The active backend, its window merge (if any) counting its calls
+    into the returned list."""
+    backend, calls = get_backend(), []
+    merge = backend.window_merge
+    if merge is None:
+        return backend, calls
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return merge(*args, **kwargs)
+
+    return dataclasses.replace(backend, window_merge=counted), calls
