@@ -321,7 +321,6 @@ def _service_config(args: argparse.Namespace):
         mode=args.mode,
         budget_s=args.budget_s,
         cache_size=max(1, args.cache_size),
-        use_shm=args.shm,
         wal_dir=args.wal_dir,
         wal_fsync=args.wal_fsync,
         wal_compact_every=args.wal_compact_every,
@@ -625,13 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-plan wall-clock budget (watchdog)")
         p.add_argument("--cache-size", type=int, default=512,
                        help="result-cache entries (1 ~= disabled)")
-        p.add_argument(
-            "--shm",
-            action=argparse.BooleanOptionalAction,
-            default=True,
-            help="publish live scenarios into shared memory so workers "
-            "attach zero-copy (--no-shm restores the replay/copy path)",
-        )
         p.add_argument("--wal-dir", default=None,
                        help="write-ahead log directory: ingest becomes "
                        "durable and the service recovers from it on start")
@@ -685,9 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sliding-window serving: fold a slide "
                        "checkpoint every N ingests (WAL slide record, "
                        "compaction rewrite, eager shm republish) and "
-                       "serve post-slide queries incrementally from "
-                       "per-worker window servers with stable-vertex "
-                       "reuse (0 = off)")
+                       "re-key cached window results across slides "
+                       "(0 = off)")
 
     p_serve = sub.add_parser(
         "serve", help="JSON-lines query service on stdin/stdout"

@@ -87,11 +87,8 @@ _reports: LRUCache = LRUCache(96)
 def clear_caches() -> None:
     """Drop every cached scenario and simulation report.
 
-    The caches are **process-local** module state.  Service workers
-    (:mod:`repro.service.pool`) call this between epochs so a long-lived
-    worker's memory stays bounded by the LRU limits above rather than by
-    the lifetime of the pool; see :func:`scenario_cache` for the fork /
-    spawn semantics.
+    The caches are **process-local** module state; see
+    :func:`scenario_cache` for the fork / spawn semantics.
     """
     _scenarios.clear()
     _reports.clear()

@@ -18,6 +18,16 @@ pool, the other in-flight plans, and later traffic are unaffected.
 invalidates that graph's cache entries; queries already in flight complete
 against the epoch they were admitted under (their responses say which).
 
+The coordinator is the one writer of scenarios: it materializes a graph's
+scenario at a plan's epoch (a per-graph cache advanced through the log
+suffix it lacks) and publishes it on the shared-memory plane
+(:mod:`repro.service.shm`).  A plan carries only the generation's
+manifest; workers attach it read-only and never see the ingest log.  A
+straggler plan, older than the current generation, gets a private
+generation of its own epoch; a generation a worker cannot attach fails
+the plan with :class:`~repro.service.shm.PlaneError`, and the
+split-and-retry path below retries its queries on a fresh one.
+
 Durability: with a ``wal_dir`` configured, every delta is appended to a
 :class:`~repro.service.wal.WriteAheadLog` **before** the ingest is
 acknowledged, and :meth:`QueryService.start` replays the log (snapshot +
@@ -50,7 +60,6 @@ op.  Two invariants the instrumentation enforces:
 
 from __future__ import annotations
 
-import itertools
 import logging
 import re
 import threading
@@ -66,9 +75,10 @@ from repro.service.cache import ResultCache
 from repro.service.ingest import (
     DeltaBatch, DeltaLog, apply_delta, synthesize_delta,
 )
-from repro.service.pool import PlanPayload, PlanResult, WorkerPool, _live_scenario
+from repro.service.pool import PlanPayload, PlanResult, WorkerPool
 from repro.service.request import QueryRequest, QueryResponse, validate_request
 from repro.service.shm import (
+    PlaneError,
     ScenarioManifest,
     ScenarioPlane,
     sweep_orphan_segments,
@@ -113,10 +123,6 @@ COORDINATOR_FAULT_POINTS = (
     "service.wal-corrupt-record",
     "service.crash-on-ingest",
 )
-
-#: process-wide service ids: each QueryService owns a distinct delta
-#: chain, keyed into the live-scenario cache via ``PlanPayload.chain``
-_SERVICE_IDS = itertools.count(1)
 
 #: quorum-ack cursor polling: start tight so fast followers ack with
 #: minimal latency, double per miss, cap so long waits don't spin
@@ -193,9 +199,9 @@ class ServiceConfig:
     cache_size: int = 512
     budget_s: float = 60.0
     mode: str = "eval"
-    #: publish live scenarios into shared memory so workers attach
-    #: zero-copy instead of replaying the ingest log (CLI ``--no-shm``
-    #: restores the copy path)
+    #: always True: workers get every scenario by attaching the
+    #: coordinator's shared-memory plane, and False is refused (the
+    #: field stays so callers passing ``use_shm=True`` keep working)
     use_shm: bool = True
     #: durable ingest: WAL directory (None = in-memory only, PR-2 behavior)
     wal_dir: str | None = None
@@ -233,13 +239,18 @@ class ServiceConfig:
     #: fold a window-slide checkpoint every N ingests (0 = off).  Every
     #: ingest already slides the serving window by one snapshot; the
     #: checkpoint cadence additionally writes a WAL slide record, rewrites
-    #: compaction state across the slide, eagerly republishes the shm
+    #: compaction state across the slide and eagerly republishes the shm
     #: generation (retiring the previous one), and — whenever sliding is
-    #: on — workers serve full-window eval queries incrementally from
-    #: cached WindowServers with stable-vertex reuse, and the result
-    #: cache re-keys window entries across the slide instead of dropping
-    #: them (docs/SERVICE.md, Sliding-window serving)
+    #: on — the result cache re-keys window entries across the slide
+    #: instead of dropping them (docs/SERVICE.md, Sliding-window serving)
     window_slide_every: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.use_shm:
+            raise ValueError(
+                "use_shm=False is not supported: workers only attach "
+                "the shared-memory scenario plane"
+            )
 
 
 #: counter name -> help text; the registry names are
@@ -274,18 +285,11 @@ _COUNTER_HELP = {
     "cache_rebased": (
         "result-cache entries re-keyed across a slide instead of dropped"
     ),
-    "slide_advances": (
-        "incremental window advances performed by workers "
-        "(sliding-window serving)"
-    ),
-    "stable_vertices": (
-        "vertices provably unchanged across worker window advances "
-        "(reused, not recomputed)"
-    ),
-    "slide_vertices": (
-        "vertices examined across worker window advances (the "
-        "stable-vertex-rate denominator)"
-    ),
+    # the next three always read 0: workers no longer advance window
+    # servers; they stay because benchmark readers still report them
+    "slide_advances": "always 0 (retired worker window advances)",
+    "stable_vertices": "always 0 (retired worker window advances)",
+    "slide_vertices": "always 0 (retired worker window advances)",
 }
 
 
@@ -343,10 +347,6 @@ class QueryService(QueryPath):
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        #: delta-chain id stamped into every PlanPayload: two services in
-        #: one process (a primary and its read replica, back-to-back
-        #: tests) must never share a live-scenario cache entry
-        self.service_id = next(_SERVICE_IDS)
         self.metrics = MetricsRegistry()
         self.stats = ServiceStats(self.metrics)
         self.cache = ResultCache(self.config.cache_size)
@@ -363,12 +363,15 @@ class QueryService(QueryPath):
         )
         self._backend_series: set[tuple[str, str]] = set()
         self._sync_backend_gauge()
-        #: shared-memory scenario plane (None with --no-shm)
-        self.plane: ScenarioPlane | None = (
-            ScenarioPlane() if self.config.use_shm else None
-        )
+        #: shared-memory scenario plane: the only way a worker gets a
+        #: scenario
+        self.plane = ScenarioPlane()
         self._graphs: dict[str, _LiveGraph] = {}
         self._graphs_lock = threading.Lock()
+        #: graph -> (epoch, scenario): the newest scenario this service
+        #: materialized per graph (ingest validation and plane publish)
+        self._scenarios: dict[str, tuple] = {}
+        self._scenarios_lock = threading.Lock()
         self._plan_ids = iter(range(1, 1 << 62))
         self._started_at = time.monotonic()
         #: EWMA of executed-plan wall time, feeds the retry_after hint;
@@ -528,10 +531,6 @@ class QueryService(QueryPath):
             "this writer's fencing token (0 = unfenced/read-only); a "
             "follower reports the primary token it observes",
         )
-        reg.gauge_fn(
-            "mega_shm_enabled", lambda: int(self.plane is not None),
-            "1 when the shared-memory scenario plane is on",
-        )
         for key, help in (
             ("segments", "live shared-memory scenario segments"),
             ("bytes", "bytes published on the scenario plane"),
@@ -545,17 +544,9 @@ class QueryService(QueryPath):
         ):
             reg.gauge_fn(
                 f"mega_shm_{key}",
-                lambda k=key: (
-                    self.plane.stats()[k] if self.plane is not None else 0
-                ),
+                lambda k=key: self.plane.stats()[k],
                 help,
             )
-        reg.gauge_fn(
-            "mega_slide_stable_vertex_rate",
-            self.stable_vertex_rate,
-            "fraction of vertices reused (not recomputed) across worker "
-            "window advances",
-        )
 
     def _maybe_fire(self, point: str) -> Fire | None:
         """Coordinator fault hook: a globally injected plan wins, else the
@@ -578,10 +569,9 @@ class QueryService(QueryPath):
         """
         if self._running:
             return self
-        if self.plane is not None:
-            # reclaim segments a SIGKILLed predecessor left in /dev/shm
-            # before publishing any of our own
-            sweep_orphan_segments()
+        # reclaim segments a SIGKILLed predecessor left in /dev/shm
+        # before publishing any of our own
+        sweep_orphan_segments()
         wal_dir = wal_dir if wal_dir is not None else self.config.wal_dir
         if wal_dir and self.wal is None and self.role == "primary":
             recovery = recover_wal(wal_dir)
@@ -674,8 +664,7 @@ class QueryService(QueryPath):
         """
         drained = self._stop_batcher(drain, timeout)
         self.pool.shutdown()
-        if self.plane is not None:
-            self.plane.close_all()
+        self.plane.close_all()
         if self.wal is not None:
             self.wal.close()
         return drained
@@ -819,10 +808,8 @@ class QueryService(QueryPath):
             # every later query and every recovery would replay a delta
             # the window refuses.
             with self._graphs_lock:
-                live = self._graphs.setdefault(graph, _LiveGraph())
-                base_epoch = live.epoch
-                base_log = live.log[:base_epoch]
-            scenario = self._scenario_at(graph, base_epoch, base_log)
+                base_epoch = self._graphs.setdefault(graph, _LiveGraph()).epoch
+            scenario = self._scenario_at(graph, base_epoch)
             if delta is None:
                 candidate = synthesize_delta(
                     scenario, seed=seed, n_add=n_add, n_del=n_del
@@ -892,12 +879,11 @@ class QueryService(QueryPath):
                     self.wal.compact(self._snapshot_graphs_locked())
                     self.stats.inc("wal_compactions")
                     compact_due = True
-                log_after = live.log[:epoch]
             break
         if slide_due:
             self.stats.inc("slides")
             t0 = time.monotonic()
-            self._republish_plane(graph, epoch, log_after)
+            self._republish_plane(graph, epoch)
             self._slide_seconds.observe(time.monotonic() - t0)
         if slide_every > 0:
             # every ingest slides the window by one snapshot: entries
@@ -913,26 +899,21 @@ class QueryService(QueryPath):
             log.info("wal compacted after epoch %d of %s", epoch, graph)
         return epoch, self._await_quorum(graph, epoch)
 
-    def _republish_plane(
-        self, graph: str, epoch: int, deltas: DeltaLog
-    ) -> None:
+    def _republish_plane(self, graph: str, epoch: int) -> None:
         """Eagerly publish the post-slide scenario generation.
 
         Publishing retires the previous generation: in-flight plans still
         mapping it drain through the refcount machinery (the segment is
         unlinked when the last release lands), and post-slide plans
         attach the new segment immediately instead of paying the publish
-        on their first query.
+        on their first query.  A failed publish leaves the ingest
+        acknowledged: the first plan at this epoch publishes instead.
         """
-        if self.plane is None:
-            return
         try:
-            manifest = self._plane_manifest(graph, epoch, deltas)
-        except Exception:  # pragma: no cover - defensive; queries replay
-            log.exception("slide republish failed for %s@%d", graph, epoch)
-            return
-        if manifest is not None:
-            self.plane.release(manifest)
+            self.plane.release(self._plane_manifest(graph, epoch))
+        except PlaneError as exc:
+            log.warning("slide republish failed for %s@%d: %s",
+                        graph, epoch, exc)
 
     def _await_quorum(self, graph: str, epoch: int) -> dict:
         """Block until k followers report ``epoch`` durable, or time out.
@@ -1062,12 +1043,6 @@ class QueryService(QueryPath):
             "slides": {g: lg.slides for g, lg in self._graphs.items()},
         }
 
-    def stable_vertex_rate(self) -> float:
-        """Fraction of vertices provably unchanged across worker window
-        advances (0.0 before any sliding-window advance ran)."""
-        total = self.stats.get("slide_vertices")
-        return self.stats.get("stable_vertices") / total if total else 0.0
-
     def clear_caches(self) -> None:
         """Coordinator cache + best-effort worker-side clear."""
         self.cache.clear()
@@ -1142,19 +1117,13 @@ class QueryService(QueryPath):
                     )
                 },
             },
-            "shm": (
-                self.plane.stats()
-                if self.plane is not None
-                else {"enabled": False}
-            ),
+            "shm": self.plane.stats(),
             "wal": wal,
             "sliding": {
                 "enabled": self.config.window_slide_every > 0,
                 "slide_every": self.config.window_slide_every,
                 "slides": slide_counts,
-                "slide_advances": stats["slide_advances"],
                 "cache_rebased": stats["cache_rebased"],
-                "stable_vertex_rate": round(self.stable_vertex_rate(), 6),
                 "republish_p95_s": self._slide_seconds.approx_quantile(
                     0.95
                 ),
@@ -1172,8 +1141,6 @@ class QueryService(QueryPath):
         plan_id = next(self._plan_ids)
         first = queries[0].request
         epoch = queries[0].epoch
-        with self._graphs_lock:
-            deltas = self._graphs.setdefault(first.graph, _LiveGraph()).log[:epoch]
         fault_points: tuple[str, ...] = ()
         worker_faults = tuple(
             p for p in self.config.inject_fault
@@ -1182,31 +1149,9 @@ class QueryService(QueryPath):
         if not degraded and worker_faults:
             if self.stats.get("plans") == self.config.inject_fault_plan:
                 fault_points = worker_faults
-        manifest = self._plane_manifest(first.graph, epoch, deltas)
         sources = tuple(dict.fromkeys(q.request.source for q in queries))
-        payload = PlanPayload(
-            plan_id=plan_id,
-            graph=first.graph,
-            scale=self.config.scale,
-            n_snapshots=self.config.n_snapshots,
-            algo=first.algo,
-            sources=sources,
-            window=first.window,
-            mode=first.mode,
-            epoch=epoch,
-            deltas=deltas,
-            budget_s=self.config.budget_s,
-            fault_points=fault_points,
-            fault_seed=self.config.fault_seed,
-            kernel_backend=self.config.kernel_backend,
-            shm=manifest,
-            profile_every=self.config.profile_rounds,
-            chain=self.service_id,
-            slide_serving=self.config.window_slide_every > 0,
-        )
         self.stats.inc("plans")
         self.stats.inc("plan_queries", len(queries))
-        submitted_at = time.monotonic()
         with self._inflight_lock:
             # the plan becomes in-flight in the same critical section that
             # releases its queries from the unplanned count, so drain()
@@ -1214,11 +1159,28 @@ class QueryService(QueryPath):
             self._inflight.add(plan_id)
             if not degraded:
                 self._unplanned -= len(queries)
-        for q in queries:
-            q.trace.mark("plan_submit", submitted_at)
+        manifest = None
         try:
+            manifest = self._plane_manifest(first.graph, epoch)
+            payload = PlanPayload(
+                plan_id=plan_id,
+                algo=first.algo,
+                sources=sources,
+                window=first.window,
+                mode=first.mode,
+                epoch=epoch,
+                shm=manifest,
+                budget_s=self.config.budget_s,
+                fault_points=fault_points,
+                fault_seed=self.config.fault_seed,
+                kernel_backend=self.config.kernel_backend,
+                profile_every=self.config.profile_rounds,
+            )
+            submitted_at = time.monotonic()
+            for q in queries:
+                q.trace.mark("plan_submit", submitted_at)
             future = self.pool.submit(payload)
-        except Exception as exc:  # pool unrecoverable: fail these queries
+        except Exception as exc:  # no generation, or the pool is unrecoverable
             self._plan_failed(plan_id, queries, exc, manifest)
             return
         future.add_done_callback(
@@ -1227,56 +1189,55 @@ class QueryService(QueryPath):
             )
         )
 
-    def _scenario_at(self, graph: str, epoch: int, deltas: DeltaLog):
-        """The live scenario at ``epoch`` (``deltas`` is the log up to
-        it), through this process's live-scenario cache."""
-        return _live_scenario(
-            PlanPayload(
-                plan_id=0,
-                graph=graph,
-                scale=self.config.scale,
-                n_snapshots=self.config.n_snapshots,
-                algo="",
-                sources=(),
-                epoch=epoch,
-                deltas=deltas,
-                chain=self.service_id,
-            )
-        )
+    def _scenario_at(self, graph: str, epoch: int):
+        """The live scenario at ``epoch``, materialized in this process.
 
-    def _plane_manifest(
-        self, graph: str, epoch: int, deltas: DeltaLog
-    ) -> ScenarioManifest | None:
-        """Refcounted manifest of the published scenario for this plan.
-
-        Publishes (materializing the live scenario once, in the
-        coordinator) when the plan's epoch — ``deltas`` is the log up to
-        ``epoch``, read under the graphs lock — is not yet on the plane.
-        Plans admitted under an epoch *older* than the published one get
-        ``None`` — retiring a newer generation for a straggler would
-        thrash the plane — and fall back to worker-side replay.  Any
-        publish failure degrades to the replay path too.
+        Advances the graph's cached scenario through the log suffix it
+        lacks.  An epoch older than the cached one (a straggler) is
+        replayed from the base and leaves the newer entry in place: the
+        cache never regresses.
         """
-        if self.plane is None:
-            return None
-        scale = self.config.scale
-        n_snapshots = self.config.n_snapshots
-        manifest = self.plane.acquire(graph, scale, n_snapshots, epoch)
-        if manifest is not None:
-            return manifest
-        current = self.plane.current_epoch(graph, scale, n_snapshots)
-        if current is not None and current >= epoch:
-            return None
-        try:
-            scenario = self._scenario_at(graph, epoch, deltas)
-            self.plane.publish(scenario, graph, scale, epoch)
-            return self.plane.acquire(graph, scale, n_snapshots, epoch)
-        except Exception as exc:  # noqa: BLE001 - plane is an optimization
-            log.warning(
-                "shm plane: publish failed for %s@%d (%s); "
-                "falling back to worker replay", graph, epoch, exc,
+        from repro.experiments.runner import scenario_cache
+
+        with self._scenarios_lock:
+            cached = self._scenarios.get(graph)
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
+        if cached is not None and cached[0] < epoch:
+            start, scenario = cached
+        else:
+            start = 0
+            scenario = scenario_cache(
+                graph, self.config.scale, n_snapshots=self.config.n_snapshots
             )
-            return None
+        with self._graphs_lock:
+            deltas = self._graphs.setdefault(graph, _LiveGraph()).log[start:epoch]
+        for delta in deltas:
+            scenario = apply_delta(scenario, delta)
+        with self._scenarios_lock:
+            cached = self._scenarios.get(graph)
+            if cached is None or cached[0] < epoch:
+                self._scenarios[graph] = (epoch, scenario)
+        return scenario
+
+    def _plane_manifest(self, graph: str, epoch: int) -> ScenarioManifest:
+        """Refcounted manifest of the generation at ``epoch``.
+
+        Acquires the current generation when it is at ``epoch``, else
+        materializes the scenario and publishes it holding the reference.
+        An epoch older than the current generation's (a straggler) gets a
+        private generation that never displaces the current one (see
+        :meth:`ScenarioPlane.publish`).  Raises :class:`PlaneError` when
+        the publish fails.
+        """
+        scale, n_snapshots = self.config.scale, self.config.n_snapshots
+        manifest = self.plane.acquire(graph, scale, n_snapshots, epoch)
+        if manifest is None:
+            scenario = self._scenario_at(graph, epoch)
+            manifest = self.plane.publish(
+                scenario, graph, scale, epoch, hold=True
+            )
+        return manifest
 
     # -- completion path (runs on executor callback threads) ---------------
 
@@ -1295,22 +1256,18 @@ class QueryService(QueryPath):
         future,
         manifest: ScenarioManifest | None = None,
     ) -> None:
-        if manifest is not None and self.plane is not None:
-            self.plane.release(manifest)
         try:
             result: PlanResult = future.result()
         except Exception as exc:  # noqa: BLE001 - plan-level isolation
-            self._plan_failed(plan_id, queries, exc)
+            self._plan_failed(plan_id, queries, exc, manifest)
             return
+        if manifest is not None:
+            self.plane.release(manifest)
         if result.elapsed_s > 0:
             self._plan_ewma.ewma(result.elapsed_s, alpha=0.2)
         self._merge_round_profile(result.round_profile)
         self._note_worker_backend(result)
         self.stats.inc("faults_recovered", len(result.recovered_faults))
-        if result.slide_advances:
-            self.stats.inc("slide_advances", result.slide_advances)
-            self.stats.inc("stable_vertices", result.stable_vertices)
-            self.stats.inc("slide_vertices", result.slide_vertices)
         for q in queries:
             summaries = result.summaries.get(q.request.source)
             q.trace.mark("worker_start", result.worker_start_mono)
@@ -1356,8 +1313,10 @@ class QueryService(QueryPath):
         exc: BaseException,
         manifest: ScenarioManifest | None = None,
     ) -> None:
-        if manifest is not None and self.plane is not None:
-            self.plane.release(manifest)
+        if manifest is not None:
+            # a generation a worker could not attach is retired, so the
+            # retries below publish and attach a fresh one
+            self.plane.release(manifest, retire=isinstance(exc, PlaneError))
         retryable = [q for q in queries if not q.retried]
         terminal = [q for q in queries if q.retried]
         for q in retryable:

@@ -8,18 +8,15 @@ A :class:`DeltaBatch` is one transition's worth of edge churn (``Δ+`` and
 maintenance is left to the workers, which recompute coalesced BOE plans on
 the slid scenario on demand.
 
-Because workers are separate processes, the live scenario is defined
-*reproducibly*: the base scenario (graph, scale, snapshots — deterministic
-by construction) plus the ordered log of ingested deltas.  Any worker can
-reconstruct epoch ``e`` by replaying ``log[:e]``, and an incremental
-worker only replays the suffix it has not seen (:mod:`repro.service.pool`).
+The live scenario is defined *reproducibly*: the base scenario (graph,
+scale, snapshots — deterministic by construction) plus the ordered log of
+ingested deltas.  The coordinator reconstructs epoch ``e`` by applying
+``log[:e]`` (or only the suffix past the epoch it already holds) and
+publishes the result for the workers (:mod:`repro.service.shm`); the log
+itself never leaves the coordinator.
 
 The log is a :class:`DeltaLog`: the five delta columns of every epoch
-concatenated into growable buffers, plus two offset arrays.  Every plan
-ships its prefix ``log[:epoch]``, and a view pickles as the raw bytes of
-those seven flat arrays, so shipping the history costs seven copies
-whatever the epoch, not one pickled ``DeltaBatch`` (five arrays and a
-dict) per epoch.
+concatenated into growable buffers, plus two offset arrays.
 """
 
 from __future__ import annotations
@@ -178,13 +175,6 @@ class DeltaLog:
     :meth:`truncate` copies the kept prefix into fresh buffers.  So a
     view taken under the owner's lock stays valid after the lock is
     released, whatever the owner does next.
-
-    A non-empty log pickles as exactly seven byte strings — the rows of
-    its slice of the five columns and of the two offset arrays rebased
-    to 0 — and unpickles as a read-only view over them; an empty one
-    pickles as a bare constructor call.  The per-epoch ``meta`` dicts
-    are provenance for the coordinator's WAL and do not travel: an
-    unpickled log's batches carry empty meta.
     """
 
     __slots__ = ("_adds", "_dels", "_add_off", "_del_off", "_metas", "_lo", "_hi", "_view")
@@ -195,7 +185,7 @@ class DeltaLog:
         self._dels = (empty, empty)
         self._add_off = np.zeros(1, dtype=np.int64)
         self._del_off = np.zeros(1, dtype=np.int64)
-        self._metas: list[dict] | None = []
+        self._metas: list[dict] = []
         self._lo = self._hi = 0
         self._view = False
         for batch in batches:
@@ -278,54 +268,16 @@ class DeltaLog:
         return [col[a0:a1] for col in self._adds] + [col[d0:d1] for col in self._dels]
 
     def _batch(self, i: int) -> DeltaBatch:
-        meta = self._metas[i] if self._metas is not None else {}
-        return DeltaBatch(*self._columns(i, i + 1), meta=meta)
+        return DeltaBatch(*self._columns(i, i + 1), meta=self._metas[i])
 
     def __repr__(self) -> str:
         return f"DeltaLog(epochs={len(self)}, view={self._view})"
-
-    # -- the wire form -------------------------------------------------------
-
-    def __reduce__(self):
-        lo, hi = self._lo, self._hi
-        if lo == hi:
-            # a graph with no ingests yet, as in static serving: seven
-            # empty buffers cost more to ship than the rest of the plan
-            return (DeltaLog, ())
-        arrays = self._columns(lo, hi) + [
-            self._add_off[lo: hi + 1] - self._add_off[lo],
-            self._del_off[lo: hi + 1] - self._del_off[lo],
-        ]
-        # raw bytes rather than ndarrays: an ndarray's pickle reduce and
-        # rebuild cost several us a side each, more than these rows' copy
-        return (_unpickle_log, tuple(a.tobytes() for a in arrays))
-
-
-#: dtypes of the seven byte strings a pickled DeltaLog carries
-_WIRE_DTYPES = (np.int64, np.int64, np.float64, np.int64, np.int64, np.int64, np.int64)
-
-
-def _unpickle_log(*raw: bytes) -> DeltaLog:
-    """A read-only log over the byte strings ``DeltaLog.__reduce__`` shipped."""
-    add_src, add_dst, add_wt, del_src, del_dst, add_off, del_off = (
-        np.frombuffer(data, dtype=dtype) for data, dtype in zip(raw, _WIRE_DTYPES)
-    )
-    log = object.__new__(DeltaLog)
-    log._adds = (add_src, add_dst, add_wt)
-    log._dels = (del_src, del_dst)
-    log._add_off = add_off
-    log._del_off = del_off
-    log._metas = None
-    log._lo = 0
-    log._hi = add_off.shape[0] - 1
-    log._view = True
-    return log
 
 
 def apply_delta(scenario: EvolvingScenario, delta: DeltaBatch) -> EvolvingScenario:
     """Advance the window by ``delta``; returns a *new* scenario.
 
-    Pure — safe to apply to a scenario held in a shared cache (workers
+    Pure — safe to apply to a scenario held in a shared cache (callers
     must never mutate cached scenarios in place; see
     :func:`repro.experiments.runner.scenario_cache`).
     """

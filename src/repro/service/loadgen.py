@@ -36,10 +36,13 @@ from repro.service.request import QueryRequest
 __all__ = ["LoadSpec", "BenchReport", "run_load"]
 
 #: 8: sliding-window serving — a ``sliding`` block (slide checkpoint
-#: count, worker window advances, cache entries re-keyed across slides,
-#: stable-vertex reuse rate, and a post-drain ``parity`` verdict holding
-#: the slid window bit-identical to a freshly built one per graph and
-#: algorithm); a parity failure marks the run degraded;
+#: count, cache entries re-keyed across slides, and a post-drain
+#: ``parity`` verdict holding the slid window bit-identical to a freshly
+#: built one per graph and algorithm); a parity failure marks the run
+#: degraded.  Its worker-advance fields (``slide_advances``,
+#: ``stable_vertex_rate``) and ``shm.enabled`` left with the per-worker
+#: window servers and the plane-off mode, without a version bump, as the
+#: schema-5 fields did;
 #: 7: kernel-backend provenance — ``kernel_backend`` (requested tier +
 #: the per-worker resolved map from the pool warm-up pings);
 #: 6: cluster fields — ``failovers`` (writer re-resolutions of the
@@ -164,8 +167,6 @@ class BenchReport:
             parity = sliding.get("parity", {})
             lines.append(
                 f"slides {sliding['slides']}  "
-                f"worker advances {sliding['slide_advances']}  "
-                f"stable vertices {sliding['stable_vertex_rate']:.1%}  "
                 f"cache rebased {sliding['cache_rebased']}  "
                 f"parity {'ok' if parity.get('ok') else 'FAILED'} "
                 f"({parity.get('checked', 0)} checks)"
@@ -609,10 +610,7 @@ def run_load(
             service.wal.stats() if service.wal is not None
             else {"enabled": False}
         ),
-        "shm": (
-            service.plane.stats() if service.plane is not None
-            else {"enabled": False}
-        ),
+        "shm": service.plane.stats(),
         "stage_latency_ms": {
             stage: {k: round(v, 3) for k, v in pcts.items()}
             for stage, pcts in stage_latency.items()
@@ -621,17 +619,11 @@ def run_load(
     }
     slide_every = int(getattr(cfg, "window_slide_every", 0) or 0)
     if slide_every > 0:
-        slide_vertices = stats.get("slide_vertices", 0)
         results["sliding"] = {
             "enabled": True,
             "slide_every": slide_every,
             "slides": stats.get("slides", 0),
-            "slide_advances": stats.get("slide_advances", 0),
             "cache_rebased": stats.get("cache_rebased", 0),
-            "stable_vertex_rate": (
-                stats.get("stable_vertices", 0) / slide_vertices
-                if slide_vertices else 0.0
-            ),
             "parity": _slide_parity(service, spec),
         }
     else:

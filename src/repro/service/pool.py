@@ -1,12 +1,13 @@
 """Process-pool execution of coalesced BOE plans.
 
-One :class:`PlanPayload` is everything a worker needs to reproduce the
-computation in its own address space: the deterministic base-scenario
-coordinates (graph, scale, snapshots), the ingest log prefix defining the
-epoch, the algorithm, the coalesced source list, and the window.  Workers
-keep a process-local cache of live scenarios and advance them
-incrementally as epochs move, so steady-state serving pays only for the
-plan itself.
+One :class:`PlanPayload` is everything a worker needs to run a plan in
+its own address space: the algorithm, the coalesced source list, the
+window, the epoch, and a :class:`~repro.service.shm.ScenarioManifest`
+naming the shared-memory generation that holds the scenario at that
+epoch.  The coordinator is the one writer: it materializes every
+scenario and publishes it on the plane (:mod:`repro.service.shm`).
+Workers only read: they attach the named generation zero-copy, so a
+plan's bytes do not grow with the graph's ingest history.
 
 Resilience wiring (PR 1):
 
@@ -16,17 +17,19 @@ Resilience wiring (PR 1):
   :func:`~repro.resilience.retry_with_backoff`; deterministic ones
   propagate so the coordinator can degrade (split the plan and retry the
   queries individually);
+* a generation the worker cannot attach raises
+  :class:`~repro.service.shm.PlaneError`, which is deterministic (the
+  segment will not come back), so the coordinator's split-and-retry path
+  retries the queries against a freshly published generation;
 * two registered fault points make the whole path provable from the load
   harness: ``service.worker-fault`` (transient — the worker itself
   recovers) and ``service.plan-poison`` (fatal — the coordinator must
   degrade around it).
 
-Per-worker memory stays bounded: the live-scenario cache is a small LRU,
-and the shared :func:`repro.experiments.runner.scenario_cache` /
-``clear_caches`` machinery is process-local (each worker owns its copy;
-see that module for fork/spawn semantics).  :meth:`WorkerPool.clear_caches`
-broadcasts a best-effort clear; :meth:`WorkerPool.restart` is the
-guaranteed reclaim (fresh processes start empty).
+Per-worker memory stays bounded: the only worker state is a small LRU
+of attaches (``_ATTACHED``).  :meth:`WorkerPool.clear_caches` broadcasts
+a best-effort detach; :meth:`WorkerPool.restart` is the guaranteed
+reclaim (fresh processes start empty).
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ from repro.resilience import (
     register_fault_point,
     retry_with_backoff,
 )
-from repro.service.ingest import DeltaLog, apply_delta
 from repro.service.request import SnapshotSummary
-from repro.service.shm import ScenarioManifest, attach_scenario
+from repro.service.shm import PlaneError, ScenarioManifest, attach_scenario
 
 __all__ = ["PlanPayload", "PlanResult", "WorkerPool"]
 
@@ -78,16 +80,14 @@ class PlanPayload:
     """One coalesced multi-query BOE plan, ready to ship to a worker."""
 
     plan_id: int
-    graph: str
-    scale: str
-    n_snapshots: int
     algo: str
     sources: tuple[int, ...]
     window: tuple[int, int] | None = None
     mode: str = "eval"
     epoch: int = 0
-    #: the graph's ingest log up to ``epoch``, packed (see DeltaLog)
-    deltas: DeltaLog = field(default_factory=DeltaLog)
+    #: the published generation holding the scenario at ``epoch``; None
+    #: only on the ping and clear control ops
+    shm: ScenarioManifest | None = None
     budget_s: float = DEFAULT_BUDGET_S
     max_rounds: int = 200_000
     #: armed fault points for this plan (resilience drills / load harness)
@@ -99,21 +99,9 @@ class PlanPayload:
     #: Carried on every payload (not just the warm-up ping) so workers
     #: forked by a mid-serve pool restart still resolve the same tier
     kernel_backend: str = ""
-    #: shared-memory scenario manifest (zero-copy attach); None = replay
-    shm: ScenarioManifest | None = None
-    #: delta-chain owner (the service's id): two services hosting the
-    #: same (graph, scale, n_snapshots) in one process — e.g. a primary
-    #: and a read replica — have divergent ingest histories, so their
-    #: live-scenario caches must never be shared
-    chain: int = 0
     #: sample engine round timings every N rounds while executing this
     #: plan (0 = profiling off; see repro.obs.profile)
     profile_every: int = 0
-    #: sliding-window serving (ServiceConfig.window_slide_every > 0):
-    #: full-window eval plans are answered from a per-worker
-    #: WindowServer advanced incrementally across epochs — stable
-    #: vertices are reused, only the new latest snapshot is repaired
-    slide_serving: bool = False
 
 
 @dataclass
@@ -141,34 +129,16 @@ class PlanResult:
     worker_end_mono: float = 0.0
     #: RoundProfiler.snapshot() when the payload requested profiling
     round_profile: dict | None = None
-    #: sliding-window serving provenance: incremental window advances
-    #: this plan performed, and their stable-vertex accounting (the
-    #: coordinator folds these into the service counters)
-    slide_advances: int = 0
-    stable_vertices: int = 0
-    slide_vertices: int = 0
 
 
 # ---------------------------------------------------------------------------
 # worker side (runs in the pool processes)
 # ---------------------------------------------------------------------------
 
-#: (graph, scale, n_snapshots) -> (epoch, scenario); process-local
-_LIVE: dict = {}
-_LIVE_LIMIT = 8
-
 #: segment name -> (SharedMemory, scenario); process-local zero-copy
 #: attaches to the coordinator's scenario plane
 _ATTACHED: dict = {}
 _ATTACHED_LIMIT = 4
-
-#: (graph, scale, n_snapshots, chain, algo, source) -> (epoch,
-#: WindowServer); process-local sliding-window serving state.  Servers
-#: are built ONLY from the replay path's owned arrays — never from a
-#: shm attach, whose mapping an _ATTACHED eviction (or a segment
-#: retirement) closes while the server still holds views into it.
-_WINDOWS: dict = {}
-_WINDOWS_LIMIT = 32
 
 
 def _detach_all() -> None:
@@ -185,17 +155,20 @@ def _attached_scenario(manifest):
     """The scenario published under ``manifest``, attached zero-copy.
 
     Attaches are cached per segment (a bounded LRU — eviction closes the
-    mapping).  Returns ``None`` when the segment cannot be attached
-    (unlinked by a coordinator restart, swept as an orphan, ...): the
-    caller falls back to the replay path, which is always correct.
+    mapping).  Raises :class:`PlaneError` when the segment cannot be
+    attached (unlinked by a coordinator restart, swept as an orphan,
+    ...): it will not come back, so the coordinator retries the plan's
+    queries against a fresh generation instead of the worker retrying.
     """
     cached = _ATTACHED.get(manifest.segment)
     if cached is not None:
         return cached[1]
     try:
         shm, scenario = attach_scenario(manifest)
-    except (FileNotFoundError, OSError, ValueError):
-        return None
+    except (OSError, ValueError) as exc:
+        raise PlaneError(
+            f"cannot attach {manifest.segment} (epoch {manifest.epoch}): {exc}"
+        ) from None
     if len(_ATTACHED) >= _ATTACHED_LIMIT:
         old_shm, __ = _ATTACHED.pop(next(iter(_ATTACHED)))
         try:
@@ -203,39 +176,6 @@ def _attached_scenario(manifest):
         except OSError:  # pragma: no cover - buffer already torn down
             pass
     _ATTACHED[manifest.segment] = (shm, scenario)
-    return scenario
-
-
-def _live_scenario(payload: PlanPayload):
-    """The scenario at ``payload.epoch``, advanced incrementally.
-
-    A straggler plan admitted before the cache advanced replays from the
-    base but leaves the newer cache entry in place, as
-    :func:`_window_server` does.
-    """
-    from repro.experiments.runner import scenario_cache
-
-    key = (payload.graph, payload.scale, payload.n_snapshots, payload.chain)
-    cached = _LIVE.get(key)
-    if cached is not None and cached[0] == payload.epoch:
-        return cached[1]
-    if cached is not None and cached[0] < payload.epoch:
-        epoch, scenario = cached
-        for delta in payload.deltas[epoch: payload.epoch]:
-            scenario = apply_delta(scenario, delta)
-    else:
-        # fresh worker, or a payload admitted before the cache advanced:
-        # replay the ingest log from the deterministic base
-        scenario = scenario_cache(
-            payload.graph, payload.scale, n_snapshots=payload.n_snapshots
-        )
-        for delta in payload.deltas[: payload.epoch]:
-            scenario = apply_delta(scenario, delta)
-    if cached is not None and cached[0] > payload.epoch:
-        return scenario
-    if len(_LIVE) >= _LIVE_LIMIT and key not in _LIVE:
-        _LIVE.pop(next(iter(_LIVE)))
-    _LIVE[key] = (payload.epoch, scenario)
     return scenario
 
 
@@ -249,101 +189,9 @@ def _summarize(algorithm, values: np.ndarray, snapshot: int) -> SnapshotSummary:
 
 
 def _worker_clear() -> None:
-    """Drop every process-local cache (bounded-memory escape hatch).
-
-    Includes closing shared-memory attaches: a ``clear`` sentinel must
-    release the worker's mapping so a retired segment's memory can
-    actually be reclaimed by the kernel.
-    """
-    from repro.experiments.runner import clear_caches
-
-    _LIVE.clear()
-    _WINDOWS.clear()
+    """Close every shared-memory attach (bounded-memory escape hatch), so
+    a retired segment's memory can actually be reclaimed by the kernel."""
     _detach_all()
-    clear_caches()
-
-
-def _window_server(payload: PlanPayload, algorithm, source: int):
-    """The cached WindowServer for this plan key and source, advanced to
-    ``payload.epoch``; returns ``(server, advances, stable, total)``.
-
-    A cache hit behind the plan's epoch replays only the missing deltas
-    through :meth:`WindowServer.advance` — surviving snapshots and
-    stable vertices are reused, only each new latest snapshot is
-    repaired.  A miss (or a straggler plan older than the cached epoch,
-    which must not regress the cache) builds a fresh server from the
-    replay scenario's owned arrays.
-    """
-    from repro.core.window_server import WindowServer
-    from repro.evolving.snapshots import EvolvingScenario
-
-    key = (
-        payload.graph, payload.scale, payload.n_snapshots, payload.chain,
-        payload.algo, int(source),
-    )
-    cached = _WINDOWS.get(key)
-    if cached is not None and cached[0] == payload.epoch:
-        return cached[1], 0, 0, 0
-    if cached is not None and cached[0] < payload.epoch:
-        epoch, server = cached
-        n = server.scenario.n_vertices
-        advances = stable = total = 0
-        for delta in payload.deltas[epoch: payload.epoch]:
-            server.advance(delta.additions(n), delta.deletions())
-            advances += 1
-            if server.last_stable is not None:
-                stable += int(server.last_stable.sum())
-            total += n
-        _WINDOWS[key] = (payload.epoch, server)
-        return server, advances, stable, total
-    base = _live_scenario(payload)
-    scenario = EvolvingScenario(
-        base.unified,
-        source=int(source),
-        name=base.name,
-        metadata=dict(base.metadata),
-    )
-    server = WindowServer(scenario, algorithm)
-    if cached is None:
-        if len(_WINDOWS) >= _WINDOWS_LIMIT:
-            _WINDOWS.pop(next(iter(_WINDOWS)))
-        _WINDOWS[key] = (payload.epoch, server)
-    return server, 0, 0, 0
-
-
-def _execute_sliding(payload: PlanPayload) -> PlanResult:
-    """Answer a full-window eval plan from per-source WindowServers.
-
-    Values are bit-identical to the scratch path (every Table 1
-    algorithm converges to the unique min-over-paths fixpoint, so the
-    incremental repair and a fresh build agree exactly — the parity
-    tests and ``serve-bench --slide-every`` hold this bitwise), but
-    post-slide plans touch only the unstable vertex set instead of
-    recomputing the window.
-    """
-    from repro.algorithms import get_algorithm
-
-    algorithm = get_algorithm(payload.algo)
-    summaries = {}
-    advances = stable = total = 0
-    for source in payload.sources:
-        server, a, s, t = _window_server(payload, algorithm, int(source))
-        advances += a
-        stable += s
-        total += t
-        summaries[int(source)] = [
-            _summarize(algorithm, server.values(k), k)
-            for k in range(server.n_snapshots)
-        ]
-    return PlanResult(
-        plan_id=payload.plan_id,
-        epoch=payload.epoch,
-        summaries=summaries,
-        worker_pid=os.getpid(),
-        slide_advances=advances,
-        stable_vertices=stable,
-        slide_vertices=total,
-    )
 
 
 def _execute(payload: PlanPayload) -> PlanResult:
@@ -363,18 +211,7 @@ def _execute(payload: PlanPayload) -> PlanResult:
         fire.note(plan=payload.plan_id, pid=os.getpid())
         raise FatalError(f"injected poisoned plan (plan {payload.plan_id})")
 
-    if (
-        payload.slide_serving
-        and payload.mode == "eval"
-        and payload.window is None
-    ):
-        return _execute_sliding(payload)
-
-    scenario = None
-    if payload.shm is not None and payload.shm.epoch == payload.epoch:
-        scenario = _attached_scenario(payload.shm)
-    if scenario is None:
-        scenario = _live_scenario(payload)
+    scenario = _attached_scenario(payload.shm)
     if payload.window is not None:
         scenario = window_scenario(scenario, *payload.window)
     algorithm = get_algorithm(payload.algo)
@@ -506,7 +343,7 @@ class WorkerPool:
         pings = [
             self._executor.submit(
                 _worker_run,
-                PlanPayload(-1, "", "", 0, "", (), kind="ping",
+                PlanPayload(-1, "", (), kind="ping",
                             kernel_backend=self.kernel_backend),
             )
             for __ in range(self.workers)
@@ -552,7 +389,7 @@ class WorkerPool:
         at all — :meth:`restart` is the guaranteed path.
         """
         ops = [
-            self.submit(PlanPayload(-2, "", "", 0, "", (), kind="clear"))
+            self.submit(PlanPayload(-2, "", (), kind="clear"))
             for __ in range(self.workers)
         ]
         for op in ops:

@@ -5,10 +5,10 @@ immutable arrays — the union CSR (``indptr``/``dst``/``wt``), the snapshot
 tags (``add_step``/``del_step``), and the bit-packed presence planes — into
 one ``multiprocessing.shared_memory`` segment.  Workers **attach** to the
 segment and wrap the raw buffers in read-only numpy views, so a plan's
-scenario costs one ``mmap`` instead of a per-worker replay of the ingest
-log (base-scenario rebuild + ``apply_delta`` per epoch).  This is the
-software analogue of MEGA's on-chip sharing: one copy of the evolving
-graph serves every execution lane.
+scenario costs one ``mmap``.  Attaching is the only way a worker gets a
+scenario: the coordinator is the one writer, the workers only read.  This
+is the software analogue of MEGA's on-chip sharing: one copy of the
+evolving graph serves every execution lane.
 
 Lifecycle
 ---------
@@ -22,6 +22,14 @@ Lifecycle
   *retires* the old segment — it is unlinked once its refcount drains
   (POSIX keeps the mapping valid for already-attached workers even after
   the unlink).
+* A straggler — a plan admitted under an epoch older than the current
+  generation's — gets a *private* generation of its own epoch: published
+  retired, never current, unlinked when its plan releases it.  The
+  current generation is never displaced by an older epoch.
+* A segment that cannot be written or attached raises
+  :class:`PlaneError`.  A failed attach retires the generation when its
+  plan is released (``release(..., retire=True)``), so the retried
+  queries attach a freshly published one.
 * Segment names embed the creating PID (``megashm-<pid>-<plane>-<seq>``,
   where ``<plane>`` disambiguates multiple planes in one process — a
   primary and a follower replica, say) so a
@@ -33,11 +41,6 @@ Lifecycle
   (``close_all`` + the startup sweep), never by an attaching worker's
   exit — without the unregister, the first worker to die would unlink
   segments the coordinator still serves from.
-
-``ServiceConfig.use_shm`` (CLI ``--no-shm``) disables the plane entirely;
-workers then fall back to the replay path in
-:mod:`repro.service.pool`, which also remains the fallback whenever an
-attach fails (e.g. a manifest outliving a coordinator restart).
 """
 
 from __future__ import annotations
@@ -55,9 +58,11 @@ import numpy as np
 from repro.evolving.snapshots import EvolvingScenario
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.graph.csr import CSRGraph
+from repro.resilience import FatalError
 
 __all__ = [
     "ArraySpec",
+    "PlaneError",
     "ScenarioManifest",
     "ScenarioPlane",
     "attach_scenario",
@@ -73,6 +78,15 @@ SHM_DIR = "/dev/shm"
 SEGMENT_PREFIX = "megashm-"
 #: array offsets inside a segment are aligned to this many bytes
 _ALIGN = 64
+
+
+class PlaneError(FatalError):
+    """A scenario generation could not be published or attached.
+
+    Deterministic for the plan that hit it (a segment that is gone does
+    not come back), so a worker does not retry it in-process; the
+    coordinator retries the plan's queries against a fresh generation.
+    """
 
 
 @dataclass(frozen=True)
@@ -195,8 +209,7 @@ def attach_scenario(
     :class:`CSRGraph` adopts canonical dtypes without copying (its
     documented no-copy contract) and :class:`UnifiedCSR` takes the
     packed presence planes verbatim, so no ``packbits`` pass runs in the
-    worker either.  Raises ``FileNotFoundError`` if the segment is gone
-    (callers fall back to the replay path).
+    worker either.  Raises ``FileNotFoundError`` if the segment is gone.
     """
     with _suppress_tracking():
         shm = shared_memory.SharedMemory(name=manifest.segment)
@@ -279,12 +292,18 @@ class ScenarioPlane:
         graph: str,
         scale: str,
         epoch: int,
+        hold: bool = False,
     ) -> ScenarioManifest:
-        """Publish ``scenario`` at ``epoch`` as the current segment for
-        its key.
+        """Publish ``scenario`` at ``epoch`` as a new generation for its key.
 
-        A previously-current segment for the same key is retired: it is
-        unlinked as soon as its refcount drains (immediately if idle).
+        The new generation becomes current and retires the previous one,
+        which is unlinked as soon as its refcount drains (immediately if
+        idle).  A scenario older than the current generation (a
+        straggler's epoch) never displaces it: its generation is private,
+        retired at once and unlinked when its last reference is released.
+        ``hold`` takes one reference in the same critical section (pair
+        it with one :meth:`release`).  Raises :class:`PlaneError` if the
+        segment cannot be written.
         """
         key = (graph, scale, scenario.n_snapshots)
         arrays = _scenario_arrays(scenario)
@@ -292,7 +311,13 @@ class ScenarioPlane:
             self._seq += 1
             name = f"{SEGMENT_PREFIX}{self._pid}-{self._plane_id}-{self._seq}"
             generation = self._seq
-        shm, specs, total = _write_segment(name, arrays)
+        try:
+            shm, specs, total = _write_segment(name, arrays)
+        except (OSError, ValueError) as exc:
+            _unlink_segment(name)
+            raise PlaneError(
+                f"cannot publish {graph}@{epoch} as {name}: {exc}"
+            ) from None
         manifest = ScenarioManifest(
             segment=name,
             generation=generation,
@@ -308,16 +333,18 @@ class ScenarioPlane:
             metadata=dict(scenario.metadata),
         )
         segment = _Segment(shm, manifest)
+        segment.refs = int(hold)
         with self._lock:
-            old = self._current.get(key)
-            self._current[key] = segment
             self._by_name[name] = segment
             self.published += 1
-            if old is not None:
-                old.retired = True
-                self.retired += 1
-                if old.refs <= 0:
-                    self._drop_locked(old)
+            current = self._current.get(key)
+            if current is not None and current.manifest.epoch > epoch:
+                retiring = segment
+            else:
+                self._current[key] = segment
+                retiring = current
+            if retiring is not None:
+                self._retire_locked(retiring)
         log.debug(
             "shm plane: published %s (gen %d, epoch %d, %d bytes)",
             name, generation, epoch, total,
@@ -334,9 +361,9 @@ class ScenarioPlane:
         """Refcounted lookup of the current segment for a plan's epoch.
 
         Returns ``None`` when nothing is published for the key or the
-        published epoch does not match — the caller then
-        publishes (or falls back to the replay path).  Every
-        non-``None`` return must be paired with one :meth:`release`.
+        published epoch does not match — the caller then publishes.
+        Every non-``None`` return must be paired with one
+        :meth:`release`.
         """
         key = (graph, scale, int(n_snapshots))
         with self._lock:
@@ -346,23 +373,31 @@ class ScenarioPlane:
             segment.refs += 1
             return segment.manifest
 
-    def current_epoch(
-        self, graph: str, scale: str, n_snapshots: int
-    ) -> int | None:
-        """Epoch of the segment currently serving a key (None: none)."""
-        with self._lock:
-            segment = self._current.get((graph, scale, int(n_snapshots)))
-            return None if segment is None else segment.manifest.epoch
+    def release(self, manifest: ScenarioManifest, retire: bool = False) -> None:
+        """Drop one reference; unlink retired segments at zero.
 
-    def release(self, manifest: ScenarioManifest) -> None:
-        """Drop one reference; unlink retired segments at zero."""
+        ``retire`` first retires the generation (a worker could not
+        attach it), so the next plan for its key publishes a fresh one.
+        """
         with self._lock:
             segment = self._by_name.get(manifest.segment)
             if segment is None:
                 return
             segment.refs -= 1
-            if segment.retired and segment.refs <= 0:
+            if retire and not segment.retired:
+                self._retire_locked(segment)
+            elif segment.retired and segment.refs <= 0:
                 self._drop_locked(segment)
+
+    def _retire_locked(self, segment: _Segment) -> None:
+        m = segment.manifest
+        key = (m.graph, m.scale, m.n_snapshots)
+        if self._current.get(key) is segment:
+            del self._current[key]
+        segment.retired = True
+        self.retired += 1
+        if segment.refs <= 0:
+            self._drop_locked(segment)
 
     def _drop_locked(self, segment: _Segment) -> None:
         self._by_name.pop(segment.manifest.segment, None)
@@ -388,7 +423,6 @@ class ScenarioPlane:
     def stats(self) -> dict:
         with self._lock:
             return {
-                "enabled": True,
                 "segments": len(self._by_name),
                 "bytes": sum(
                     s.manifest.nbytes for s in self._by_name.values()

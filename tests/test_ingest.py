@@ -1,6 +1,6 @@
 """The ingest log (`repro.service.ingest`): seeded synthesis, the
-columnar :class:`DeltaLog` a plan ships, and what the log writes to the
-WAL.
+columnar :class:`DeltaLog` the coordinator keeps, what the log writes to
+the WAL, and the plan payload that no longer carries it.
 
 The pinned digests were recorded from the list-of-``DeltaBatch`` log and
 the set-based synthesis that preceded the columnar one: the packed log
@@ -11,7 +11,6 @@ exactly.
 from __future__ import annotations
 
 import hashlib
-import io
 import pathlib
 import pickle
 import sys
@@ -22,9 +21,8 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import scenario_cache
-from repro.service import QueryService, ServiceConfig
+from repro.service import QueryRequest, QueryService, ServiceConfig
 from repro.service.ingest import DeltaBatch, DeltaLog, apply_delta, synthesize_delta
-from repro.service.pool import _LIVE, PlanPayload, _live_scenario
 
 
 def _digest(delta) -> str:
@@ -239,14 +237,13 @@ def test_delta_log_round_trips_empty_batches():
     nothing = DeltaBatch(empty, empty, empty, empty, empty)
     batches = [adds_only, dels_only, nothing, adds_only]
     log = DeltaLog(batches)
-    shipped = pickle.loads(pickle.dumps(log[:4]))
     _assert_same(log, batches)
-    _assert_same(shipped, batches)
-    assert [(d.n_additions, d.n_deletions) for d in shipped] == [
+    _assert_same(log[:4], batches)
+    assert [(d.n_additions, d.n_deletions) for d in log] == [
         (2, 0), (0, 1), (0, 0), (2, 0),
     ]
     for empty_log in (DeltaLog(), log[2:2]):
-        assert len(pickle.loads(pickle.dumps(empty_log))) == 0
+        assert len(empty_log) == 0 and list(empty_log) == []
 
 
 def test_delta_log_view_survives_truncate_and_reappend():
@@ -263,75 +260,45 @@ def test_delta_log_view_survives_truncate_and_reappend():
         before.append(batches[0])
 
 
-def test_unpickled_log_carries_no_meta():
-    log = DeltaLog(_batches(6))
-    shipped = pickle.loads(pickle.dumps(log[2:5]))
-    _assert_same(shipped, _batches(6)[2:5])
-    assert all(d.meta == {} for d in shipped)
-    assert not shipped[0].add_src.flags.writeable
+def test_plan_payload_bytes_do_not_grow_with_epoch(monkeypatch):
+    """A plan carries the published generation's manifest, never the
+    ingest log: the payload the service submits pickles to the same
+    length at epoch 5 and at epoch 200."""
+    sizes = {}
+    config = ServiceConfig(scale="tiny", n_snapshots=4, workers=1)
+    with QueryService(config) as service:
+        submit = service.pool.submit
 
+        def measured(payload):
+            raw = pickle.dumps(payload)
+            assert b"DeltaLog" not in raw and b"DeltaBatch" not in raw
+            sizes[payload.epoch] = len(raw)
+            return submit(payload)
 
-class _BufferCounter(pickle.Pickler):
-    """Counts the ndarrays and the byte strings a pickle carries."""
-
-    def __init__(self, fh):
-        super().__init__(fh)
-        self.arrays = self.buffers = 0
-
-    def persistent_id(self, obj):
-        self.arrays += isinstance(obj, np.ndarray)
-        self.buffers += isinstance(obj, (np.ndarray, bytes))
-        return None
-
-
-def _plan_pickle(log, epoch):
-    payload = PlanPayload(
-        plan_id=1, graph="PK", scale="tiny", n_snapshots=4, algo="sssp",
-        sources=(3,), epoch=epoch, deltas=log[:epoch],
-    )
-    buf = io.BytesIO()
-    pickler = _BufferCounter(buf)
-    pickler.dump(payload)
-    return (pickler.arrays, pickler.buffers), buf.getvalue()
-
-
-def test_plan_payload_pickles_a_fixed_number_of_arrays():
-    scenario = scenario_cache("PK", "tiny", n_snapshots=4)
-    log = DeltaLog()
-    counts = {}
-    for seed in range(200):
-        delta = synthesize_delta(scenario, seed=seed)
-        scenario = apply_delta(scenario, delta)
-        log.append(delta)
-        if len(log) in (5, 200):
-            counts[len(log)], raw = _plan_pickle(log, len(log))
-            assert b"DeltaBatch" not in raw
-    # the log travels as seven byte strings and no ndarray at any epoch
-    assert counts[5] == counts[200] == (0, 7)
+        monkeypatch.setattr(service.pool, "submit", measured)
+        for seed in range(200):
+            epoch = service.ingest("PK", seed=seed)
+            if epoch in (5, 200):
+                response = service.submit(
+                    QueryRequest("PK", "sssp", 3)
+                ).wait(timeout=120)
+                assert response is not None and response.ok
+    assert set(sizes) == {5, 200}
+    assert sizes[5] == sizes[200]
 
 
 def test_live_scenario_cache_never_regresses_to_a_straggler():
-    scenario = scenario_cache("PK", "tiny", n_snapshots=4)
-    log = DeltaLog()
-    for seed in range(3):
-        delta = synthesize_delta(scenario, seed=seed)
-        scenario = apply_delta(scenario, delta)
-        log.append(delta)
-
-    def payload(epoch):
-        return PlanPayload(
-            plan_id=0, graph="PK", scale="tiny", n_snapshots=4, algo="",
-            sources=(), epoch=epoch, deltas=log[:epoch], chain=-7,
-        )
-
-    key = ("PK", "tiny", 4, -7)
+    service = QueryService(ServiceConfig(scale="tiny", n_snapshots=4, workers=1))
     try:
-        _live_scenario(payload(3))
-        straggler = _live_scenario(payload(1))
+        for seed in range(3):
+            service.ingest("PK", seed=seed)
+        current = service._scenario_at("PK", 3)
+        straggler = service._scenario_at("PK", 1)
         assert straggler.metadata["epoch"] == 1
-        assert _LIVE[key][0] == 3
+        epoch, cached = service._scenarios["PK"]
+        assert epoch == 3 and cached is current
     finally:
-        _LIVE.pop(key, None)
+        service.stop(drain=False)
 
 
 def test_delta_log_views_hold_under_concurrent_appends_and_truncates():

@@ -54,7 +54,7 @@ pytestmark = pytest.mark.timeout(120)
 
 def _tiny_config(**kw) -> ServiceConfig:
     defaults = dict(
-        scale="tiny", n_snapshots=4, workers=1, use_shm=False,
+        scale="tiny", n_snapshots=4, workers=1,
     )
     defaults.update(kw)
     return ServiceConfig(**defaults)
@@ -508,7 +508,7 @@ def test_serve_bench_single_snapshot_end_to_end():
 
 
 def test_metrics_op_renders_service_instruments():
-    svc = QueryService(_tiny_config(use_shm=True)).start()
+    svc = QueryService(_tiny_config()).start()
     try:
         svc.submit(QueryRequest(graph="PK", algo="bfs", source=0)).wait(60)
         frontend = ServiceFrontend(svc)
@@ -523,7 +523,6 @@ def test_metrics_op_renders_service_instruments():
             "mega_result_cache_hit_rate",
             "mega_wal_enabled",
             "mega_wal_records",
-            "mega_shm_enabled",
             "mega_shm_segments",
             "mega_pool_restarts",
             "mega_plan_ewma_seconds",

@@ -428,7 +428,6 @@ def _bench_schema_ok(doc: dict) -> None:
     assert isinstance(r["sliding"].get("enabled"), bool)
     if r["sliding"]["enabled"]:
         assert r["sliding"]["parity"]["ok"] in (True, False)
-        assert 0.0 <= r["sliding"]["stable_vertex_rate"] <= 1.0
     assert doc["config"]["scale"] in ("tiny", "small", "medium")
 
 

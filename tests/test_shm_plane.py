@@ -1,17 +1,19 @@
 """Shared-memory scenario plane: lifecycle, zero-copy, crash hygiene.
 
-The plane (`repro.service.shm`) is the tentpole of the zero-copy path:
-the coordinator publishes each live scenario once and workers attach
-read-only views instead of replaying the ingest log.  These tests pin
-the contract pieces the service leans on — round-trip fidelity, the
-no-copy attach, refcounted retirement, orphan sweeping by PID liveness,
-the worker-side attach cache, and end-to-end shm-vs-copy parity through
-a real process-pool service.
+The plane (`repro.service.shm`) is the only way a worker gets a
+scenario: the coordinator publishes each live scenario once and workers
+attach read-only views.  These tests pin the contract pieces the service
+leans on — round-trip fidelity, the no-copy attach, refcounted
+retirement, private straggler generations, orphan sweeping by PID
+liveness, the worker-side attach cache, and end-to-end parity through a
+real process-pool service, including the straggler and attach-failure
+paths.
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from repro.service.shm import (
     SEGMENT_PREFIX,
     SHM_DIR,
+    PlaneError,
     ScenarioPlane,
     attach_scenario,
     list_orphan_segments,
@@ -138,9 +141,6 @@ def test_acquire_matches_epoch_only(small_scenario):
         assert plane.acquire(
             "other", "test", small_scenario.n_snapshots, 2
         ) is None
-        assert plane.current_epoch(
-            "small", "test", small_scenario.n_snapshots
-        ) == 2
     finally:
         plane.close_all()
 
@@ -166,6 +166,40 @@ def test_retired_segment_survives_until_release(small_scenario):
         assert os.path.exists(_segment_path(old))  # refs keep it alive
         plane.release(held)
         assert not os.path.exists(_segment_path(old))
+    finally:
+        plane.close_all()
+
+
+def test_older_epoch_publishes_a_private_generation(small_scenario):
+    """A straggler's epoch never displaces the current generation: its
+    own generation is retired at once and unlinked on release."""
+    n = small_scenario.n_snapshots
+    plane, current = _plane(small_scenario, epoch=3)
+    try:
+        private = plane.publish(small_scenario, "small", "test", 1, hold=True)
+        assert os.path.exists(_segment_path(private))
+        assert plane.stats()["retired_pending"] == 1
+        held = plane.acquire("small", "test", n, 3)
+        assert held is not None and held.segment == current.segment
+        plane.release(held)
+        assert plane.acquire("small", "test", n, 1) is None
+        plane.release(private)
+        assert not os.path.exists(_segment_path(private))
+        assert os.path.exists(_segment_path(current))
+        assert plane.stats()["retired_pending"] == 0
+    finally:
+        plane.close_all()
+
+
+def test_release_with_retire_drops_the_current_generation(small_scenario):
+    n = small_scenario.n_snapshots
+    plane, manifest = _plane(small_scenario, epoch=2)
+    try:
+        held = plane.acquire("small", "test", n, 2)
+        plane.release(held, retire=True)
+        assert not os.path.exists(_segment_path(manifest))
+        assert plane.acquire("small", "test", n, 2) is None
+        assert plane.stats()["retired_pending"] == 0
     finally:
         plane.close_all()
 
@@ -221,47 +255,161 @@ def test_worker_attach_cache_and_fallback(small_scenario):
         assert pool._attached_scenario(manifest) is first  # cached
         pool._detach_all()
         assert pool._ATTACHED == {}
-        # segment gone mid-flight: attach degrades to None (replay path)
+        # segment gone mid-flight: a typed error the coordinator retries
         plane.close_all()
-        assert pool._attached_scenario(manifest) is None
+        with pytest.raises(PlaneError, match=manifest.segment):
+            pool._attached_scenario(manifest)
     finally:
         pool._detach_all()
         plane.close_all()
 
 
-# -- end-to-end: shm workers vs copy workers -------------------------------
+# -- end-to-end through a process-pool service ----------------------------
 
 
-@pytest.mark.parametrize("use_shm", [True, False])
-def test_service_parity_across_shm_modes(use_shm):
-    """The same queries + ingest chain produce identical digests whether
-    workers attach the plane or replay the scenario (``--no-shm``)."""
-    from repro.service import QueryRequest, QueryService, ServiceConfig
+def _summaries(response):
+    assert response is not None and response.status == "ok", response
+    return [(s.snapshot, s.reached, s.checksum) for s in response.summaries]
 
-    config = ServiceConfig(
-        scale="tiny", n_snapshots=4, workers=1, use_shm=use_shm,
-    )
-    digests = []
-    with QueryService(config) as service:
-        assert service.health()["shm"]["enabled"] is use_shm
+
+def _scratch(service, epoch, algo, source):
+    """From-scratch summaries at ``epoch``: the service's own log applied
+    to the base scenario, evaluated in this process."""
+    from repro.algorithms import get_algorithm
+    from repro.core.multi_query import evaluate_multi_query
+    from repro.experiments.runner import scenario_cache
+    from repro.service.ingest import apply_delta
+    from repro.service.pool import _summarize
+
+    cfg = service.config
+    scenario = scenario_cache("PK", cfg.scale, n_snapshots=cfg.n_snapshots)
+    for delta in service.graph_deltas("PK")[:epoch]:
+        scenario = apply_delta(scenario, delta)
+    algorithm = get_algorithm(algo)
+    mq = evaluate_multi_query(scenario, algorithm, [source])
+    return [
+        (s.snapshot, s.reached, s.checksum)
+        for s in (
+            _summarize(algorithm, mq.values(0, k), k)
+            for k in range(scenario.n_snapshots)
+        )
+    ]
+
+
+def _tiny(**kw):
+    from repro.service import ServiceConfig
+
+    return ServiceConfig(scale="tiny", n_snapshots=4, workers=1, **kw)
+
+
+def test_attached_service_matches_scratch_evaluation():
+    """Queries answered from attached generations equal from-scratch
+    evaluation of the same ingest chain."""
+    from repro.service import QueryRequest, QueryService
+
+    with QueryService(_tiny()) as service:
         service.ingest("PK", seed=1)
         for source in (1, 2, 3):
             resp = service.submit(
                 QueryRequest("PK", "sssp", source)
             ).wait(timeout=120)
-            assert resp is not None and resp.status == "ok"
-            digests.append(
-                [(s.snapshot, s.reached, s.checksum) for s in resp.summaries]
-            )
-        if use_shm:
-            assert service.health()["shm"]["published"] >= 1
-    # stash per-mode digests on the function and compare once both ran
-    store = test_service_parity_across_shm_modes.__dict__.setdefault(
-        "digests", {}
-    )
-    store[use_shm] = digests
-    if len(store) == 2:
-        assert store[True] == store[False]
+            assert _summaries(resp) == _scratch(service, 1, "sssp", source)
+        assert service.health()["shm"]["published"] >= 1
+
+
+def test_straggler_answers_at_its_epoch_from_a_private_generation():
+    """A query admitted at epoch 1 and held in the queue across a slide
+    checkpoint's eager republish of epoch 2 answers at epoch 1, from a
+    private generation that leaves the current one in place."""
+    from repro.service import QueryRequest, QueryService
+
+    mine = f"{SEGMENT_PREFIX}{os.getpid()}-"
+    with QueryService(_tiny(window_slide_every=2)) as service:
+        service.ingest("PK", seed=1)
+        assert service.submit(QueryRequest("PK", "sssp", 1)).wait(120).ok
+        # fake in-flight plans fill the pool, so the batcher leaves the
+        # next query queued
+        fake = [-1 - i for i in range(service.pool.workers + 1)]
+        with service._inflight_lock:
+            service._inflight.update(fake)
+        held = service.submit(QueryRequest("PK", "sssp", 2))
+        time.sleep(0.02)
+        assert not held.done.is_set()
+        assert service.ingest("PK", seed=2) == 2  # checkpoint: republish
+        published = service.plane.stats()["published"]
+        for plan_id in fake:
+            service._retire(plan_id)
+        resp = held.wait(timeout=120)
+        assert resp.epoch == 1
+        assert _summaries(resp) == _scratch(service, 1, "sssp", 2)
+        shm = service.plane.stats()
+        assert shm["published"] == published + 1
+        assert shm["retired_pending"] == 0
+        current = service.plane.acquire("PK", "tiny", 4, 2)
+        assert current is not None
+        service.plane.release(current)
+        assert service.drain(timeout=60)
+    leftovers = [n for n in os.listdir(SHM_DIR) if n.startswith(mine)]
+    assert leftovers == []
+
+
+def test_unattachable_generation_is_retried_on_a_fresh_one():
+    """A segment unlinked between acquire and attach fails the plan with
+    a PlaneError; the coordinator retries the query once, on a freshly
+    published generation."""
+    from repro.service import QueryRequest, QueryService
+
+    with QueryService(_tiny()) as service:
+        plane_manifest = service._plane_manifest
+        segments = []
+
+        def unlinked_first(graph, epoch):
+            manifest = plane_manifest(graph, epoch)
+            if not segments:
+                os.unlink(_segment_path(manifest))
+            segments.append(manifest.segment)
+            return manifest
+
+        service._plane_manifest = unlinked_first
+        resp = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
+        assert _summaries(resp) == _scratch(service, 0, "sssp", 1)
+        assert service.service_stats()["retries"] == 1
+        assert len(segments) == 2 and segments[0] != segments[1]
+        assert service.plane.stats()["retired_pending"] == 0
+
+
+def test_failed_publish_is_retried(monkeypatch):
+    """A segment the coordinator cannot write fails the plan with a
+    PlaneError before submit; the query's retry publishes again."""
+    from repro.service import QueryRequest, QueryService
+    from repro.service import shm as shm_module
+
+    write_segment = shm_module._write_segment
+    failures = []
+
+    def full_once(name, arrays):
+        if not failures:
+            failures.append(name)
+            raise OSError(28, "No space left on device")
+        return write_segment(name, arrays)
+
+    with QueryService(_tiny()) as service:
+        monkeypatch.setattr(shm_module, "_write_segment", full_once)
+        resp = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
+        assert _summaries(resp) == _scratch(service, 0, "sssp", 1)
+        assert service.service_stats()["retries"] == 1
+        assert not os.path.exists(os.path.join(SHM_DIR, failures[0]))
+
+
+def test_plane_off_is_refused():
+    from repro.cli import main
+    from repro.service import ServiceConfig
+
+    with pytest.raises(ValueError, match="use_shm=False") as err:
+        ServiceConfig(use_shm=False)
+    assert "\n" not in str(err.value)
+    assert main(["serve", "--no-shm"]) == 2
+    assert main(["serve-bench", "--no-shm"]) == 2
 
 
 def test_no_segments_leak_after_service_stop():

@@ -3,9 +3,8 @@ ingest, cache rebasing across slides, WAL slide-record recovery, the
 quorum-poll backoff, and the lock-free seeded-ingest race.
 
 The parity tests are differential: a service configured to slide must
-answer every query with the same summaries as a service that replays the
-identical delta log through the scratch path — the bit-identical
-contract the worker-side window servers rely on.
+answer every query with the same summaries as a service that ingested
+the identical delta log without slide checkpoints.
 """
 
 from __future__ import annotations
@@ -91,16 +90,15 @@ def test_window_query_cache_survives_a_slide_end_to_end():
 
 
 def test_sliding_service_matches_scratch_service_all_algos():
-    """The tentpole contract: with ``--slide-every`` on, every algorithm
-    answers bit-identically to a no-sliding service that replayed the
-    same delta log, including incremental advances from warm per-worker
-    window servers."""
+    """With ``--slide-every`` on, every algorithm answers bit-identically
+    to a no-sliding service that ingested the same delta log, before and
+    after a slide checkpoint's eager republish."""
     slid = QueryService(_config(window_slide_every=2)).start()
     plain = QueryService(_config()).start()
     try:
         slid.ingest_with_ack("PK", seed=1)
-        # warm the per-worker window servers at epoch 1 so the queries
-        # after the next ingests take the incremental advance path
+        # attach epoch 1's generation, which the checkpoint at epoch 2
+        # then retires
         for algo in ALGOS:
             assert slid.submit(QueryRequest("PK", algo, 1)).wait(120).ok
         slid.ingest_with_ack("PK", seed=2)
@@ -114,14 +112,9 @@ def test_sliding_service_matches_scratch_service_all_algos():
             assert _checksums(a) == _checksums(b), algo
         stats = slid.service_stats()
         assert stats["errored"] == 0
-        assert stats["slide_advances"] > 0  # warm servers really advanced
-        assert 0.0 < slid.stable_vertex_rate() <= 1.0
         health = slid.health()["sliding"]
         assert health["enabled"] and health["slide_every"] == 2
         assert health["slides"]["PK"] == 1  # epoch 2 was the checkpoint
-        assert health["stable_vertex_rate"] == pytest.approx(
-            slid.stable_vertex_rate(), abs=1e-6
-        )
     finally:
         slid.stop(drain=False)
         plain.stop(drain=False)
@@ -253,8 +246,8 @@ def test_concurrent_seeded_ingests_all_land_validly():
         assert errors == []
         assert service.epoch("PK") == 6
         assert len(service.graph_deltas("PK")) == 6
-        # the landed log is consistent: a query replays all six deltas
-        # in the worker and must succeed, not trip delta validation
+        # the landed log is consistent: publishing its scenario applies
+        # all six deltas and must succeed, not trip delta validation
         resp = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
         assert resp.ok
         assert service.service_stats()["errored"] == 0
