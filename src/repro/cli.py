@@ -436,14 +436,16 @@ def _cmd_drill(args: argparse.Namespace) -> int:
         algos=[a.lower() for a in _parse_names(args.algos)],
     )
     if args.drill == "crash":
-        report = run_crash_drill(wal_dir, crash_at_epoch=n, **common)
+        report = run_crash_drill(
+            wal_dir, crash_at_epoch=n, slide_every=args.slide_every, **common
+        )
     elif args.drill == "failover":
         report = run_failover_drill(wal_dir, failover_at_epoch=n, **common)
     else:
         report = run_chaos_kill_drill(
             wal_dir, cluster=args.cluster or 3, kill_at_epoch=n,
             load_duration_s=args.duration if args.duration > 0 else 15.0,
-            **common,
+            slide_every=args.slide_every, **common,
         )
     print(report.format_table())
     if not args.no_out and args.out:
@@ -464,6 +466,13 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             raise SystemExit(_fail_usage(
                 f"unknown --drill {args.drill!r}; expected "
                 f"{'|'.join(DRILLS)}"
+            ))
+        if args.drill == "failover" and args.slide_every:
+            # a slide compaction on the promoted primary would delete the
+            # segment holding the zombie append the drill must find fenced
+            raise SystemExit(_fail_usage(
+                "--slide-every applies to the crash and chaos drills, "
+                "not to failover"
             ))
         return _cmd_drill(args)
     write_out = not args.no_out and bool(args.out)

@@ -86,6 +86,7 @@ from repro.service.shm import (
 from repro.service.wal import (
     OP_INGEST,
     OP_SLIDE,
+    JsonText,
     WalRecovery,
     WriteAheadLog,
     advance_fence,
@@ -500,6 +501,7 @@ class QueryService(QueryPath):
             ("lag_records", "appended-but-unsynced WAL records"),
             ("compactions", "WAL compactions"),
             ("segments", "live WAL segment files"),
+            ("snapshot_bytes", "bytes of the WAL compaction snapshot"),
         ):
             reg.gauge_fn(
                 f"mega_wal_{key}",
@@ -1033,11 +1035,13 @@ class QueryService(QueryPath):
         return 0
 
     def _snapshot_graphs_locked(self) -> dict:
-        """JSON-able image of every delta log (caller holds _graphs_lock)."""
+        """The compaction image of every delta log (caller holds
+        _graphs_lock).  Each log goes in as its memoized wire text, so a
+        compaction encodes only the epochs no earlier one did."""
         return {
             "epochs": {g: lg.epoch for g, lg in self._graphs.items()},
             "logs": {
-                g: [d.to_wire() for d in lg.log]
+                g: JsonText(lg.log.wire_text())
                 for g, lg in self._graphs.items()
             },
             "slides": {g: lg.slides for g, lg in self._graphs.items()},

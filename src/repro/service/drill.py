@@ -290,6 +290,8 @@ class _Setup:
     workers: int
     algos: list[str]
     source: int
+    #: slide checkpoint (and WAL compaction) every N ingests; 0 = never
+    slide_every: int = 0
     t0: float = field(default_factory=time.monotonic)
 
     def __post_init__(self) -> None:
@@ -305,6 +307,7 @@ class _Setup:
             "--workers", str(self.workers),
             "--graphs", self.graph,
             "--wal-dir", self.wal_dir,
+            "--slide-every", str(self.slide_every),
             *topology,
         ]
 
@@ -312,7 +315,8 @@ class _Setup:
         from repro.service.core import ServiceConfig
 
         return ServiceConfig(scale=self.scale, n_snapshots=self.n_snapshots,
-                             workers=self.workers, **over)
+                             workers=self.workers,
+                             window_slide_every=self.slide_every, **over)
 
     def query_op(self, algo: str) -> dict:
         return {"op": "query", "graph": self.graph, "algo": algo,
@@ -440,11 +444,13 @@ def run_crash_drill(
     workers: int = 1,
     algos: list[str] | None = None,
     source: int = 1,
+    slide_every: int = 0,
 ) -> DrillReport:
     """SIGKILL a serving process after ``crash_at_epoch`` acknowledged
-    ingests, restart it on the same WAL, and check loss + parity."""
+    ingests, restart it on the same WAL, and check loss + parity.  With
+    ``slide_every`` the kill can land after a slide compaction."""
     setup = _Setup("crash", crash_at_epoch, wal_dir, graph, scale,
-                   n_snapshots, workers, algos, source)
+                   n_snapshots, workers, algos, source, slide_every)
     with ServeChild(setup.serve_args()) as victim:
         _warm(victim, setup)
         acked = _ingest_chain(victim, graph, 1, crash_at_epoch)[-1][0]
@@ -568,6 +574,7 @@ def run_chaos_kill_drill(
     workers: int = 1,
     algos: list[str] | None = None,
     source: int = 1,
+    slide_every: int = 0,
     heartbeat_interval_s: float = 0.1,
     load_duration_s: float = 15.0,
     election_timeout_s: float = 60.0,
@@ -580,7 +587,8 @@ def run_chaos_kill_drill(
     promote()**.  Phase 1 ingests ``kill_at_epoch`` quorum-acked epochs;
     phase 2 starts a redirect-following writer and kills the child once
     its epochs replicate; phase 3 only watches the election, the writer's
-    failover and the survivor's re-target.
+    failover and the survivor's re-target.  With ``slide_every`` the
+    followers re-sync from slide compactions as they tail.
     """
     from repro.service.cluster import ClusterNode
     from repro.service.loadgen import LoadSpec, run_load
@@ -590,7 +598,7 @@ def run_chaos_kill_drill(
     if cluster < 2:
         raise ValueError("the chaos drill needs a cluster of >= 2 nodes")
     setup = _Setup("chaos", kill_at_epoch, wal_dir, graph, scale,
-                   n_snapshots, workers, algos, source)
+                   n_snapshots, workers, algos, source, slide_every)
     with ExitStack() as stack:
         primary = stack.enter_context(ServeChild(setup.serve_args(
             "--cluster", str(cluster),

@@ -16,11 +16,13 @@ publishes the result for the workers (:mod:`repro.service.shm`); the log
 itself never leaves the coordinator.
 
 The log is a :class:`DeltaLog`: the five delta columns of every epoch
-concatenated into growable buffers, plus two offset arrays.
+concatenated into growable buffers, plus two offset arrays, plus each
+epoch's JSON wire text once a compaction snapshot has encoded it.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,9 +177,16 @@ class DeltaLog:
     :meth:`truncate` copies the kept prefix into fresh buffers.  So a
     view taken under the owner's lock stays valid after the lock is
     released, whatever the owner does next.
+
+    :meth:`wire_text` memoizes each epoch's wire text in ``_wires``,
+    beside ``_metas`` and cut with it, so a compaction snapshot encodes
+    an epoch once, not once per compaction.
     """
 
-    __slots__ = ("_adds", "_dels", "_add_off", "_del_off", "_metas", "_lo", "_hi", "_view")
+    __slots__ = (
+        "_adds", "_dels", "_add_off", "_del_off", "_metas", "_wires",
+        "_lo", "_hi", "_view",
+    )
 
     def __init__(self, batches=()) -> None:
         empty = np.empty(0, dtype=np.int64)
@@ -186,6 +195,7 @@ class DeltaLog:
         self._add_off = np.zeros(1, dtype=np.int64)
         self._del_off = np.zeros(1, dtype=np.int64)
         self._metas: list[dict] = []
+        self._wires: list[str | None] = []
         self._lo = self._hi = 0
         self._view = False
         for batch in batches:
@@ -211,6 +221,7 @@ class DeltaLog:
             (self._add_off, self._del_off), n + 1, n + 2, (a1, d1)
         )
         self._metas.append(batch.meta)
+        self._wires.append(None)
         self._hi = n + 1
 
     def truncate(self, epoch: int) -> None:
@@ -229,6 +240,7 @@ class DeltaLog:
         self._add_off = self._add_off[: epoch + 1].copy()
         self._del_off = self._del_off[: epoch + 1].copy()
         self._metas = self._metas[:epoch]
+        self._wires = self._wires[:epoch]
         self._hi = epoch
 
     # -- reads ---------------------------------------------------------------
@@ -259,6 +271,21 @@ class DeltaLog:
         if not 0 <= i < n:
             raise IndexError(f"epoch {key} outside a log of {n}")
         return self._batch(self._lo + i)
+
+    def wire_text(self) -> str:
+        """The log as JSON text, byte for byte
+        ``json.dumps([b.to_wire() for b in log], sort_keys=True)``.
+
+        An epoch is encoded on its first call and its text kept, so each
+        call costs the epochs no earlier call encoded plus one join.  A
+        view fills the text its owner shares: the text of an epoch never
+        changes once written.
+        """
+        wires = self._wires
+        for i in range(self._lo, self._hi):
+            if wires[i] is None:
+                wires[i] = json.dumps(self._batch(i).to_wire(), sort_keys=True)
+        return "[" + ", ".join(wires[self._lo:self._hi]) + "]"
 
     def _columns(self, lo: int, hi: int) -> list[np.ndarray]:
         """The five columns' rows for epochs ``lo..hi-1``, in

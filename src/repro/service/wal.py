@@ -15,11 +15,13 @@ bit-rotted file:
   ``[4-byte big-endian payload length][4-byte CRC32 of payload][payload]``
   with the payload being one JSON object;
 * segments rotate at ``segment_bytes`` so no single file grows unbounded;
-* ``snapshot.json`` (written atomically via the
-  :mod:`repro.resilience.checkpoint` machinery) captures the full
-  per-graph delta logs at a compaction point; compaction deletes every
-  segment, so replay cost stays bounded by the churn since the last
-  snapshot.
+* ``snapshot.json`` captures the full per-graph delta logs at a
+  compaction point; compaction deletes every segment, so replay cost
+  stays bounded by the churn since the last snapshot.  Unless the
+  policy is ``fsync="never"``, the snapshot is fsync'd before its
+  rename and the directory after it, both before the first segment is
+  unlinked: an acknowledged epoch is on disk in a segment or in the
+  snapshot at every instant of a compaction.
 
 Recovery policy (:func:`recover_wal`): a torn tail — a record whose
 promised bytes are missing — is *expected* (the writer died mid-write,
@@ -82,6 +84,7 @@ __all__ = [
     "OP_INGEST",
     "OP_SLIDE",
     "FenceEvent",
+    "JsonText",
     "WalPosition",
     "WalRecovery",
     "WalTail",
@@ -238,6 +241,37 @@ def _atomic_write_sync(path: pathlib.Path, text: str) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _fsync_dir(path: pathlib.Path) -> None:
+    """Make the directory's entries (a rename, a new file) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class JsonText(str):
+    """Text that already is JSON: :meth:`WriteAheadLog.compact` splices
+    it into the snapshot as it stands instead of encoding it again."""
+
+
+def _snapshot_text(value) -> str:
+    """``json.dumps(value, sort_keys=True)`` with each :class:`JsonText`
+    spliced in verbatim.
+
+    The encoder lays a str-keyed dict out as ``{"k": v, ...}`` in key
+    order, whatever ``v`` is, so encoding the values apart and joining
+    them gives the same bytes as encoding the whole dict at once.
+    """
+    if isinstance(value, JsonText):
+        return value
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        return "{" + ", ".join(
+            f"{json.dumps(k)}: {_snapshot_text(value[k])}" for k in sorted(value)
+        ) + "}"
+    return json.dumps(value, sort_keys=True)
 
 
 def _write_fences(wal_dir: pathlib.Path, fences: list[FenceEvent]) -> None:
@@ -534,6 +568,11 @@ class WriteAheadLog:
         self.records = 0  # appended this process
         self.synced = 0  # appended and known fsync-durable
         self.compactions = int(stamp.get("compactions", 0))
+        snapshot = self.wal_dir / SNAPSHOT_NAME
+        #: size of the snapshot on disk; it grows with the logs it holds
+        self.snapshot_bytes = (
+            snapshot.stat().st_size if snapshot.exists() else 0
+        )
 
     # -- write path --------------------------------------------------------
 
@@ -645,7 +684,13 @@ class WriteAheadLog:
         The caller must guarantee no append races this call (the service
         holds its ingest lock): the snapshot then covers every committed
         record, so deleting the segments loses nothing and replay cost
-        resets to zero.
+        resets to zero.  ``snapshot`` is written as
+        ``json.dumps(snapshot, sort_keys=True)`` would write it, with any
+        :class:`JsonText` value spliced in as it stands.
+
+        Unless the policy is ``"never"``, the snapshot file is fsync'd
+        before its rename and the directory after it, so the snapshot is
+        durable before the first segment goes.
         """
         path = self.wal_dir / SNAPSHOT_NAME
         stamped = dict(snapshot)
@@ -653,12 +698,21 @@ class WriteAheadLog:
             "compactions": self.compactions + 1,
             "next_segment": self._segment_index + 1,
         }
-        atomic_write(path, json.dumps(stamped, sort_keys=True))
+        text = _snapshot_text(stamped)
+        durable = self.fsync != "never"
+        if durable:
+            _atomic_write_sync(path, text)
+        else:
+            atomic_write(path, text)
         if self._fh is not None:
             self._fh.close()
             self._fh = None
+        if durable:
+            _fsync_dir(self.wal_dir)
         for segment in _segments(self.wal_dir):
             segment.unlink()
+        # json.dumps escapes every non-ASCII character: one byte a char
+        self.snapshot_bytes = len(text)
         self._segment_index += 1
         self._segment_size = 0
         self.synced = self.records
@@ -680,6 +734,7 @@ class WriteAheadLog:
             "synced": self.synced,
             "lag_records": self.records - self.synced,
             "compactions": self.compactions,
+            "snapshot_bytes": self.snapshot_bytes,
             "fsync": self.fsync,
             "fence_token": self.fence_token,
         }

@@ -11,6 +11,7 @@ exactly.
 from __future__ import annotations
 
 import hashlib
+import json
 import pathlib
 import pickle
 import sys
@@ -21,8 +22,10 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import scenario_cache
-from repro.service import QueryRequest, QueryService, ServiceConfig
+from repro.resilience import faults
+from repro.service import QueryRequest, QueryService, ServiceConfig, SimulatedCrash
 from repro.service.ingest import DeltaBatch, DeltaLog, apply_delta, synthesize_delta
+from repro.service.wal import SNAPSHOT_NAME, SNAPSHOT_WAL_KEY, WriteAheadLog
 
 
 def _digest(delta) -> str:
@@ -83,6 +86,113 @@ def test_compaction_snapshot_bytes_are_pinned(tmp_path):
         service.stop()
     raw = pathlib.Path(wal_dir, "snapshot.json").read_bytes()
     assert hashlib.sha256(raw).hexdigest() == PINNED_SLIDE_SNAPSHOT_SHA256
+
+
+def _slide_config(wal_dir) -> ServiceConfig:
+    return ServiceConfig(
+        scale="tiny", n_snapshots=4, workers=1,
+        window_slide_every=4, wal_dir=str(wal_dir),
+    )
+
+
+def test_each_compaction_encodes_only_the_epochs_since_the_last(
+    tmp_path, monkeypatch
+):
+    """The work counter behind O(Δ) slide checkpoints: over 200 ingests
+    a compaction encodes (``DeltaBatch.to_wire``) no epoch an earlier
+    compaction encoded, so every epoch is encoded once in all.  Each
+    ingest's own WAL record encodes its delta once more; that call is
+    counted apart."""
+    calls = {"to_wire": 0, "records": 0}
+    marks = dict(calls)
+    #: per compaction: (epochs ingested since the last, epochs it encoded)
+    compactions: list[tuple[int, int]] = []
+    to_wire, append = DeltaBatch.to_wire, WriteAheadLog.append
+    compact = WriteAheadLog.compact
+
+    def counted_to_wire(self):
+        calls["to_wire"] += 1
+        return to_wire(self)
+
+    def counted_append(self, record):
+        calls["records"] += record.get("op") == "ingest"
+        return append(self, record)
+
+    def counted_compact(self, snapshot):
+        new = calls["records"] - marks["records"]
+        compactions.append((new, calls["to_wire"] - marks["to_wire"] - new))
+        marks.update(calls)
+        return compact(self, snapshot)
+
+    monkeypatch.setattr(DeltaBatch, "to_wire", counted_to_wire)
+    monkeypatch.setattr(WriteAheadLog, "append", counted_append)
+    monkeypatch.setattr(WriteAheadLog, "compact", counted_compact)
+    wal_dir = tmp_path / "wal"
+    service = QueryService(_slide_config(wal_dir)).start()
+    try:
+        for seed in range(1, 201):
+            service.ingest("PK", seed=seed)
+        assert len(compactions) == 50
+        assert all(encoded <= new for new, encoded in compactions), compactions
+        assert sum(encoded for _, encoded in compactions) == 200
+        # the snapshot's bytes still grow with history: health and the
+        # gauge report them
+        size = (wal_dir / SNAPSHOT_NAME).stat().st_size
+        assert service.health()["wal"]["snapshot_bytes"] == size
+        assert f"mega_wal_snapshot_bytes {size}\n" in service.metrics_text()
+    finally:
+        service.stop()
+
+
+def _slide_snapshot_texts(service, seeds, wal_dir) -> dict[int, bytes]:
+    """Ingest ``seeds`` in order; the snapshot each slide wrote, by epoch."""
+    texts = {}
+    for seed in seeds:
+        epoch = service.ingest("PK", seed=seed)
+        if epoch % 4 == 0:
+            texts[epoch] = (wal_dir / SNAPSHOT_NAME).read_bytes()
+    return texts
+
+
+def _without_wal_stamp(raw: bytes) -> bytes:
+    """The snapshot up to its last key, the writer's segment stamp."""
+    head, stamp = raw.rsplit(f', "{SNAPSHOT_WAL_KEY}": '.encode(), 1)
+    assert stamp.startswith(b"{") and raw.endswith(b"}}")
+    return head
+
+
+def test_a_recovered_log_re_encodes_to_the_text_it_was_read_from(tmp_path):
+    """A crash at a non-slide epoch, a restart on the same WAL and the
+    same seeds after it write every later slide's snapshot with the
+    bytes of an uninterrupted run, and lose no acknowledged epoch.
+
+    Only the writer's stamp may differ: a restarted writer opens a
+    fresh segment, so its ``next_segment`` runs one ahead."""
+    straight_dir, crashed_dir = tmp_path / "straight", tmp_path / "crashed"
+    with QueryService(_slide_config(straight_dir)) as service:
+        straight = _slide_snapshot_texts(service, range(1, 21), straight_dir)
+    assert sorted(straight) == [4, 8, 12, 16, 20]
+
+    crash_at = 7
+    service = QueryService(_slide_config(crashed_dir)).start()
+    try:
+        plan = faults.FaultPlan(["service.crash-on-ingest"], skip=crash_at - 1)
+        with faults.inject(plan), pytest.raises(SimulatedCrash):
+            _slide_snapshot_texts(service, range(1, 21), crashed_dir)
+        assert service.epoch("PK") == crash_at - 1  # the last acked epoch
+    finally:
+        service.stop(drain=False)
+    with QueryService(_slide_config(crashed_dir)) as service:
+        # the committed but unacknowledged epoch replays with the rest
+        assert service.epoch("PK") == crash_at
+        crashed = _slide_snapshot_texts(
+            service, range(crash_at + 1, 21), crashed_dir
+        )
+        assert service.epoch("PK") == 20
+    assert sorted(crashed) == [8, 12, 16, 20]
+    for epoch, raw in crashed.items():
+        assert _without_wal_stamp(raw) == _without_wal_stamp(straight[epoch])
+        assert json.loads(raw)["epochs"] == {"PK": epoch}
 
 
 # -- explicit deltas ------------------------------------------------------------
@@ -258,6 +368,25 @@ def test_delta_log_view_survives_truncate_and_reappend():
     _assert_same(log[:6], batches[:6])
     with pytest.raises(TypeError):
         before.append(batches[0])
+
+
+def test_delta_log_wire_text_encodes_the_list_and_follows_truncate():
+    def encoded(batches):
+        return json.dumps([b.to_wire() for b in batches], sort_keys=True)
+
+    batches = _batches(30, seed=3)
+    log = DeltaLog(batches)
+    view = log[5:17]
+    assert view.wire_text() == encoded(batches[5:17])
+    assert log.wire_text() == encoded(batches)
+    assert DeltaLog().wire_text() == log[4:4].wire_text() == "[]"
+    others = _batches(6, seed=4)
+    log.truncate(10)
+    for batch in others:
+        log.append(batch)
+    assert log.wire_text() == encoded(batches[:10] + others)
+    # the view keeps the text of the epochs it was taken over
+    assert view.wire_text() == encoded(batches[5:17])
 
 
 def test_plan_payload_bytes_do_not_grow_with_epoch(monkeypatch):

@@ -8,6 +8,10 @@ exercised end to end (subprocess + SIGKILL) once, at tiny scale.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import stat
+import threading
 import time
 import zlib
 
@@ -33,6 +37,7 @@ from repro.service.wal import (
     _HEADER,
     QUARANTINE_NAME,
     SNAPSHOT_NAME,
+    JsonText,
     WalPosition,
     WalWriteError,
     WriteAheadLog,
@@ -169,6 +174,107 @@ def test_wal_compaction_snapshots_and_drops_segments(tmp_path):
     assert recovery.snapshot == {"epochs": {"PK": 3}, "logs": {"PK": []}}
     assert recovery.records == post
     assert wal.stats()["compactions"] == 1
+
+
+def _compaction_steps(monkeypatch, wal_dir, fsync: str) -> list[str]:
+    """The file-system steps one compaction over two segments takes,
+    in order."""
+    wal = WriteAheadLog(wal_dir, fsync=fsync)
+    _fill(wal, 3)
+    wal.rotate()
+    _fill(wal, 2)
+    steps: list[str] = []
+    real_fsync, real_replace = os.fsync, os.replace
+    real_unlink = pathlib.Path.unlink
+    # the patches are process-wide: threads other tests left running
+    # (heartbeats, cursors) must not land in this list
+    mine = threading.get_ident()
+
+    def record(step: str) -> None:
+        if threading.get_ident() == mine:
+            steps.append(step)
+
+    def fsync(fd):
+        record("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        record(f"replace {pathlib.Path(dst).name}")
+        real_replace(src, dst)
+
+    def unlink(path, *args, **kwargs):
+        record(f"unlink {path.name}")
+        real_unlink(path, *args, **kwargs)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "fsync", fsync)
+        patched.setattr(os, "replace", replace)
+        patched.setattr(pathlib.Path, "unlink", unlink)
+        wal.compact({"epochs": {"PK": 5}, "logs": {"PK": []}})
+    wal.close()
+    return steps
+
+
+_DURABLE_COMPACTION = [
+    "fsync file",
+    f"replace {SNAPSHOT_NAME}",
+    "fsync dir",
+    "unlink wal-00000001.seg",
+    "unlink wal-00000002.seg",
+]
+
+
+@pytest.mark.parametrize(
+    "fsync, steps",
+    [
+        ("always", _DURABLE_COMPACTION),
+        ("batch", _DURABLE_COMPACTION),
+        ("never", [s for s in _DURABLE_COMPACTION if "fsync" not in s]),
+    ],
+)
+def test_compaction_snapshot_is_durable_before_any_segment_goes(
+    tmp_path, monkeypatch, fsync, steps
+):
+    """A power cut anywhere in a compaction keeps every acknowledged
+    epoch: the snapshot's bytes, then its name, reach the disk before
+    the first segment is unlinked.  Only ``never`` skips both syncs."""
+    assert _compaction_steps(monkeypatch, tmp_path, fsync) == steps
+
+
+def test_wal_stats_report_the_snapshot_size(tmp_path):
+    wal = WriteAheadLog(tmp_path, fsync="always")
+    assert wal.stats()["snapshot_bytes"] == 0
+    records = _fill(wal, 3)
+    wal.compact({
+        "epochs": {"PK": 3}, "logs": {"PK": [r["delta"] for r in records]},
+    })
+    size = (tmp_path / SNAPSHOT_NAME).stat().st_size
+    assert size > 0 and wal.stats()["snapshot_bytes"] == size
+    wal.close()
+    # a reopened log reports the snapshot it found
+    assert WriteAheadLog(tmp_path).stats()["snapshot_bytes"] == size
+
+
+def test_spliced_snapshot_text_equals_encoding_the_whole_dict(tmp_path):
+    """Pre-encoded values spliced into the snapshot give the bytes
+    ``json.dumps(..., sort_keys=True)`` gives for the decoded dict."""
+    logs = {
+        "PK": [{"adds": [[0, 1, 1.25]], "dels": [], "meta": {"seed": 2}}],
+        "ÉW": [],
+        "LJ": [{"adds": [], "dels": [[3, 4]], "meta": {"z": 1, "a": "é"}}],
+    }
+    wal = WriteAheadLog(tmp_path, fsync="never")
+    wal.compact({
+        "slides": {"PK": 1},
+        "logs": {g: JsonText(json.dumps(w, sort_keys=True))
+                 for g, w in logs.items()},
+        "epochs": {"PK": 1},
+    })
+    wal.close()
+    raw = (tmp_path / SNAPSHOT_NAME).read_bytes()
+    decoded = json.loads(raw)
+    assert decoded["logs"] == logs
+    assert raw == json.dumps(decoded, sort_keys=True).encode()
 
 
 def test_wal_unreadable_snapshot_is_warned_not_fatal(tmp_path):
@@ -580,6 +686,7 @@ def test_cli_empty_out_still_works_but_warns(tmp_path, monkeypatch, capsys):
         ("--drill", "crash", "--kill-at-epoch", "-1"),
         ("--drill", "crash", "--kill-at-epoch", "0"),
         ("--drill", "bogus"),
+        ("--drill", "failover", "--slide-every", "2"),
     ],
 )
 def test_cli_rejects_bad_drill_arguments(extra, capsys):
@@ -612,3 +719,20 @@ def test_cli_wal_flags_reach_service_config():
     assert cfg.wal_dir == "w"
     assert cfg.wal_fsync == "batch"
     assert cfg.wal_compact_every == 5
+
+
+def test_cli_crash_drill_kills_after_a_slide_compaction(tmp_path, capsys):
+    """``--slide-every`` reaches the drill's serve children: with a
+    slide every 2 ingests, the kill at epoch 5 lands one record past
+    the compaction at epoch 4, and recovery starts from its snapshot."""
+    out = tmp_path / "BENCH_crash_slide.json"
+    rc = main(_bench_argv(
+        "--drill", "crash", "--slide-every", "2", "--kill-at-epoch", "5",
+        "--algos", "bfs", "--wal-dir", str(tmp_path / "wal"),
+        "--out", str(out),
+    ))
+    assert rc == 0, capsys.readouterr().out
+    results = json.loads(out.read_text())["results"]
+    assert results["ok"] and results["lost_deltas"] == 0
+    recovery = results["wal_recovery"]
+    assert recovery["snapshot"] and recovery["records"] == 1
