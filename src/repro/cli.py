@@ -282,8 +282,6 @@ def _service_config(args: argparse.Namespace):
                     f"unknown fault point {point!r}; choose from "
                     f"{sorted(FAULT_POINTS)}"
                 ))
-    if args.wal_compact_every < 0:
-        raise SystemExit(_fail_usage("--wal-compact-every must be >= 0"))
     if args.profile_rounds < 0:
         raise SystemExit(_fail_usage("--profile-rounds must be >= 0"))
     if args.kernel_backend:
@@ -323,7 +321,6 @@ def _service_config(args: argparse.Namespace):
         cache_size=max(1, args.cache_size),
         wal_dir=args.wal_dir,
         wal_fsync=args.wal_fsync,
-        wal_compact_every=args.wal_compact_every,
         profile_rounds=args.profile_rounds,
         kernel_backend=args.kernel_backend,
         inject_fault=inject,
@@ -434,18 +431,17 @@ def _cmd_drill(args: argparse.Namespace) -> int:
         n_snapshots=args.snapshots,
         workers=args.workers,
         algos=[a.lower() for a in _parse_names(args.algos)],
+        slide_every=args.slide_every,
     )
     if args.drill == "crash":
-        report = run_crash_drill(
-            wal_dir, crash_at_epoch=n, slide_every=args.slide_every, **common
-        )
+        report = run_crash_drill(wal_dir, crash_at_epoch=n, **common)
     elif args.drill == "failover":
         report = run_failover_drill(wal_dir, failover_at_epoch=n, **common)
     else:
         report = run_chaos_kill_drill(
             wal_dir, cluster=args.cluster or 3, kill_at_epoch=n,
             load_duration_s=args.duration if args.duration > 0 else 15.0,
-            slide_every=args.slide_every, **common,
+            **common,
         )
     print(report.format_table())
     if not args.no_out and args.out:
@@ -466,13 +462,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             raise SystemExit(_fail_usage(
                 f"unknown --drill {args.drill!r}; expected "
                 f"{'|'.join(DRILLS)}"
-            ))
-        if args.drill == "failover" and args.slide_every:
-            # a slide compaction on the promoted primary would delete the
-            # segment holding the zombie append the drill must find fenced
-            raise SystemExit(_fail_usage(
-                "--slide-every applies to the crash and chaos drills, "
-                "not to failover"
             ))
         return _cmd_drill(args)
     write_out = not args.no_out and bool(args.out)
@@ -639,9 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--wal-fsync", default="always",
                        choices=["always", "batch", "never"],
                        help="fsync policy for WAL appends")
-        p.add_argument("--wal-compact-every", type=int, default=0,
-                       help="snapshot + truncate the WAL every N ingests "
-                       "(0 = never)")
         p.add_argument(
             "--inject-fault",
             nargs="*",
@@ -683,11 +669,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="cluster heartbeat beacon cadence in seconds")
         p.add_argument("--slide-every", type=int, default=0, metavar="N",
-                       help="sliding-window serving: fold a slide "
-                       "checkpoint every N ingests (WAL slide record, "
-                       "compaction rewrite, eager shm republish) and "
-                       "re-key cached window results across slides "
-                       "(0 = off)")
+                       help="checkpoint every N ingests: compact the "
+                       "WAL into a snapshot and republish the shm "
+                       "scenario (0 = never; every ingest slides the "
+                       "window either way)")
 
     p_serve = sub.add_parser(
         "serve", help="JSON-lines query service on stdin/stdout"

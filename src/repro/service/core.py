@@ -15,8 +15,10 @@ once); a failed singleton yields an ``error`` response.  Either way the
 pool, the other in-flight plans, and later traffic are unaffected.
 
 ``ingest()`` appends a delta batch to a graph's log, bumps its epoch, and
-invalidates that graph's cache entries; queries already in flight complete
-against the epoch they were admitted under (their responses say which).
+so slides the window by one snapshot: cache entries whose shifted window
+survives are re-keyed, the rest dropped.  Queries already in flight
+complete against the epoch they were admitted under (their responses say
+which).
 
 The coordinator is the one writer of scenarios: it materializes a graph's
 scenario at a plan's epoch (a per-graph cache advanced through the log
@@ -33,8 +35,9 @@ Durability: with a ``wal_dir`` configured, every delta is appended to a
 acknowledged, and :meth:`QueryService.start` replays the log (snapshot +
 segments) to rebuild per-graph delta logs and epochs after a crash —
 truncated tails and quarantined records are logged warnings, never
-exceptions.  Periodic compaction snapshots the live delta logs through the
-checkpoint layer's atomic writes so replay cost stays bounded.
+exceptions.  Every ``window_slide_every`` ingests a checkpoint compacts the
+log into a snapshot and republishes the scenario, so replay cost stays
+bounded.
 
 Overload protection: queries carry optional deadlines; the batcher sheds
 expired ones *before* plan construction with a ``retry_after`` hint sized
@@ -85,7 +88,6 @@ from repro.service.shm import (
 )
 from repro.service.wal import (
     OP_INGEST,
-    OP_SLIDE,
     JsonText,
     WalRecovery,
     WriteAheadLog,
@@ -209,8 +211,6 @@ class ServiceConfig:
     #: "always" | "batch" | "never" — fsync per append / periodically / OS
     wal_fsync: str = "always"
     wal_segment_bytes: int = 4 * 1024 * 1024
-    #: snapshot + drop segments every N ingests (0 = never compact)
-    wal_compact_every: int = 0
     #: sample the engine's per-round kernel timings every N rounds inside
     #: workers (0 = off); aggregates surface in the bench report
     profile_rounds: int = 0
@@ -237,13 +237,10 @@ class ServiceConfig:
     #: MEGA_KERNEL_BACKEND / auto).  Workers report the tier they
     #: actually resolved — health and mega_kernel_backend expose it
     kernel_backend: str = ""
-    #: fold a window-slide checkpoint every N ingests (0 = off).  Every
-    #: ingest already slides the serving window by one snapshot; the
-    #: checkpoint cadence additionally writes a WAL slide record, rewrites
-    #: compaction state across the slide and eagerly republishes the shm
-    #: generation (retiring the previous one), and — whenever sliding is
-    #: on — the result cache re-keys window entries across the slide
-    #: instead of dropping them (docs/SERVICE.md, Sliding-window serving)
+    #: checkpoint every N ingests (0 = never): compact the WAL into a
+    #: snapshot and eagerly republish the shm generation, retiring the
+    #: previous one.  Every ingest slides the window by one snapshot
+    #: whatever this is (docs/SERVICE.md, Checkpoints)
     window_slide_every: int = 0
 
     def __post_init__(self) -> None:
@@ -334,8 +331,8 @@ class _LiveGraph:
 
     def __init__(self) -> None:
         self.log = DeltaLog()
-        #: window-slide checkpoints folded so far (window_slide_every
-        #: cadence; persisted via WAL slide records + snapshot)
+        #: checkpoints taken so far (window_slide_every cadence;
+        #: persisted in the compaction snapshot)
         self.slides = 0
 
     @property
@@ -605,23 +602,10 @@ class QueryService(QueryPath):
         self.last_recovery = recovery
         logs: dict[str, DeltaLog] = {}
         snapshot = recovery.snapshot or {}
-        slides: dict[str, int] = {
-            g: int(s) for g, s in (snapshot.get("slides") or {}).items()
-        }
         for graph, wires in snapshot.get("logs", {}).items():
             logs[graph] = DeltaLog(DeltaBatch.from_wire(w) for w in wires)
         for record in recovery.records:
-            op = record.get("op")
-            if op == OP_SLIDE:
-                # slide checkpoints carry no deltas — the log replays
-                # through the same slide path — but the counters must
-                # survive so health/bench report the true slide count
-                graph = record.get("graph", "")
-                slides[graph] = max(
-                    slides.get(graph, 0), int(record.get("slides", 0))
-                )
-                continue
-            if op != OP_INGEST:
+            if record.get("op") != OP_INGEST:
                 log.warning(
                     "wal recovery: skipping unknown record op %r",
                     record.get("op"),
@@ -648,9 +632,9 @@ class QueryService(QueryPath):
             for graph, delta_log in logs.items():
                 live = self._graphs.setdefault(graph, _LiveGraph())
                 live.log = delta_log
-            for graph, count in slides.items():
+            for graph, count in (snapshot.get("slides") or {}).items():
                 live = self._graphs.setdefault(graph, _LiveGraph())
-                live.slides = max(live.slides, count)
+                live.slides = max(live.slides, int(count))
         if logs:
             log.info(
                 "wal recovery: restored %s",
@@ -795,8 +779,6 @@ class QueryService(QueryPath):
         if delta is not None:
             delta.refuse_nan_weights()
         slide_every = max(0, int(self.config.window_slide_every))
-        compact_due = False
-        slide_due = False
         while True:
             # Synthesize OUTSIDE the lock: building the live scenario and
             # drawing a valid delta is the expensive part of a seeded
@@ -848,58 +830,32 @@ class QueryService(QueryPath):
                     )
                 live.log.append(candidate)
                 epoch = live.epoch
-                slide_due = slide_every > 0 and epoch % slide_every == 0
-                if slide_due:
+                checkpoint = slide_every > 0 and epoch % slide_every == 0
+                if checkpoint:
                     live.slides += 1
                     if self.wal is not None:
-                        # the slide record makes the checkpoint part of
-                        # the durable history, then compaction rewrites
-                        # the log across the slide: snapshot + slide
-                        # counters replace the dropped segments, so
-                        # recovery resumes from the slid base
-                        self.wal.append(
-                            {
-                                "op": OP_SLIDE,
-                                "graph": graph,
-                                "epoch": epoch,
-                                "slides": live.slides,
-                            }
-                        )
-                        self.stats.inc("wal_records")
+                        # compact while holding the lock: no append can
+                        # race, so the snapshot (delta logs + checkpoint
+                        # counters) covers every dropped segment
                         self.wal.compact(self._snapshot_graphs_locked())
                         self.stats.inc("wal_compactions")
-                        compact_due = True
-                if (
-                    not slide_due
-                    and self.wal is not None
-                    and self.config.wal_compact_every > 0
-                    and epoch % self.config.wal_compact_every == 0
-                ):
-                    # compact while holding the lock: no append can race,
-                    # so the snapshot provably covers every dropped
-                    # segment
-                    self.wal.compact(self._snapshot_graphs_locked())
-                    self.stats.inc("wal_compactions")
-                    compact_due = True
             break
-        if slide_due:
+        if checkpoint:
             self.stats.inc("slides")
             t0 = time.monotonic()
             self._republish_plane(graph, epoch)
             self._slide_seconds.observe(time.monotonic() - t0)
-        if slide_every > 0:
-            # every ingest slides the window by one snapshot: entries
-            # whose shifted window survives are re-keyed to the new
-            # epoch, only those whose window actually changed are dropped
-            rebased, _dropped = self.cache.rebase_graph(graph, epoch)
-            if rebased:
-                self.stats.inc("cache_rebased", rebased)
-        else:
-            self.cache.invalidate_graph(graph)
+        self._rebase_cache(graph, epoch)
         self.stats.inc("ingests")
-        if compact_due:
-            log.info("wal compacted after epoch %d of %s", epoch, graph)
         return epoch, self._await_quorum(graph, epoch)
+
+    def _rebase_cache(self, graph: str, epoch: int) -> None:
+        """The ingest that made ``epoch`` slid the window by one snapshot:
+        re-key the cache entries whose shifted window survives, drop the
+        rest."""
+        rebased, _dropped = self.cache.rebase_graph(graph, epoch)
+        if rebased:
+            self.stats.inc("cache_rebased", rebased)
 
     def _republish_plane(self, graph: str, epoch: int) -> None:
         """Eagerly publish the post-slide scenario generation.
@@ -990,7 +946,7 @@ class QueryService(QueryPath):
                     f"local epoch {live.epoch}"
                 )
             live.log.append(DeltaBatch.from_wire(delta_wire))
-        self.cache.invalidate_graph(graph)
+        self._rebase_cache(graph, epoch)
         self.stats.inc("replicated")
         return True
 

@@ -364,22 +364,26 @@ def _await(predicate, timeout: float, what: str):
     return value
 
 
-def _reference_summaries(setup: _Setup, epochs: int) -> dict[str, list]:
-    """Uninterrupted replay: the digests a crash-free run would serve."""
+def _reference_summaries(
+    graph: str, scale: str, n_snapshots: int, deltas, algos, source: int,
+) -> dict[str, list]:
+    """From-scratch digests per algorithm over the base scenario advanced
+    through ``deltas``: each a :class:`~repro.service.ingest.DeltaBatch`,
+    or the seed a seeded ingest draws its delta from."""
     from repro.core.multi_query import evaluate_multi_query
     from repro.experiments.runner import scenario_cache
-    from repro.service.ingest import apply_delta, synthesize_delta
+    from repro.service.ingest import DeltaBatch, apply_delta, synthesize_delta
     from repro.service.pool import _summarize
 
-    scenario = scenario_cache(
-        setup.graph, setup.scale, n_snapshots=setup.n_snapshots
-    )
-    for k in range(1, epochs + 1):
-        scenario = apply_delta(scenario, synthesize_delta(scenario, seed=k))
+    scenario = scenario_cache(graph, scale, n_snapshots=n_snapshots)
+    for delta in deltas:
+        if not isinstance(delta, DeltaBatch):
+            delta = synthesize_delta(scenario, seed=delta)
+        scenario = apply_delta(scenario, delta)
     out = {}
-    for algo_name in setup.algos:
+    for algo_name in algos:
         algorithm = get_algorithm(algo_name)
-        mq = evaluate_multi_query(scenario, algorithm, [setup.source])
+        mq = evaluate_multi_query(scenario, algorithm, [source])
         out[algo_name] = [
             _summarize(algorithm, mq.values(0, k), k).as_dict()
             for k in range(scenario.n_snapshots)
@@ -398,9 +402,13 @@ def _digests_match(got: list[dict], want: list[dict]) -> bool:
 
 def _parity(query, setup: _Setup, epoch: int) -> dict[str, bool]:
     """``parity:<algo>`` checks: each answer is served at ``epoch`` and
-    equals from-scratch evaluation of the seeded chain ``1..epoch``;
+    equals from-scratch evaluation of the seeded chain ``1..epoch`` (an
+    uninterrupted replay: what a crash-free run would serve);
     ``query(algo) -> (ok, epoch, summaries)``."""
-    reference = _reference_summaries(setup, epoch)
+    reference = _reference_summaries(
+        setup.graph, setup.scale, setup.n_snapshots, range(1, epoch + 1),
+        setup.algos, setup.source,
+    )
     checks = {}
     for algo in setup.algos:
         ok, served_at, summaries = query(algo)
@@ -483,6 +491,7 @@ def run_failover_drill(
     workers: int = 1,
     algos: list[str] | None = None,
     source: int = 1,
+    slide_every: int = 0,
     post_promote_ingests: int = 2,
     catchup_timeout_s: float = 60.0,
 ) -> DrillReport:
@@ -490,7 +499,9 @@ def run_failover_drill(
     :class:`~repro.service.replica.ReplicaServer` tailing its WAL has
     every acknowledged epoch, promote the replica, append as the dead
     primary's zombie, ingest ``post_promote_ingests`` more epochs on the
-    new primary, and check loss, fencing and parity."""
+    new primary, and check loss, fencing and parity.  With
+    ``slide_every`` a checkpoint among those ingests compacts the
+    zombie's segment away, so recovery counts the fenced record first."""
     from repro.service.replica import ReplicaServer
     from repro.service.wal import (
         WriteAheadLog,
@@ -500,7 +511,7 @@ def run_failover_drill(
     )
 
     setup = _Setup("failover", failover_at_epoch, wal_dir, graph, scale,
-                   n_snapshots, workers, algos, source)
+                   n_snapshots, workers, algos, source, slide_every)
     with ExitStack() as stack:
         primary = stack.enter_context(ServeChild(setup.serve_args()))
         _warm(primary, setup)
@@ -523,15 +534,17 @@ def run_failover_drill(
 
         new_token = replica.promote()
         promoted_epoch = replica.service.epoch(graph)
-        # the ghost's stale-token append: skipped by every read,
-        # quarantined by the next recovery, never applied
+        # the ghost's stale-token append: skipped by every read and
+        # quarantined by recovery, counted here before a checkpoint
+        # among the next ingests compacts its segment away
         zombie = WriteAheadLog(wal_dir, fence_token=old_token)
         zombie.append({
             "op": "ingest", "graph": graph, "epoch": promoted_epoch + 1,
             "delta": {"adds": [[0, 1, 1.0]], "dels": []},
         })
         zombie.close()
-        zombie_read_fenced = read_from(wal_dir).fenced >= 1
+        zombie_fenced = (read_from(wal_dir).fenced >= 1
+                         and recover_wal(wal_dir).fenced >= 1)
 
         chain = _ingest_chain(replica.service, graph, acked + 1,
                               acked + post_promote_ingests)
@@ -542,8 +555,7 @@ def run_failover_drill(
         )
         replication["promoted_health"] = replica.health()
 
-    recovery = recover_wal(wal_dir)
-    replication["final_recovery"] = recovery.summary()
+    replication["final_recovery"] = recover_wal(wal_dir).summary()
     return setup.report({
         "acked_epoch": acked,
         "promoted_epoch": promoted_epoch,
@@ -557,7 +569,7 @@ def run_failover_drill(
     }, {
         "no_acked_loss": promoted_epoch == acked,
         "fence_advanced": new_token > old_token,
-        "zombie_fenced": zombie_read_fenced and recovery.fenced >= 1,
+        "zombie_fenced": zombie_fenced,
         "new_primary_ingests": final_epoch == acked + post_promote_ingests,
         "zombie_not_applied": epoch_after_zombie == final_epoch,
         **parity,

@@ -173,14 +173,13 @@ class DeltaLog:
     like a list slice.
 
     Rows already written are never overwritten: :meth:`append` only
-    writes past the end (growth copies into a larger buffer), and
-    :meth:`truncate` copies the kept prefix into fresh buffers.  So a
-    view taken under the owner's lock stays valid after the lock is
-    released, whatever the owner does next.
+    writes past the end (growth copies into a larger buffer).  So a view
+    taken under the owner's lock stays valid after the lock is released,
+    whatever the owner appends next.
 
     :meth:`wire_text` memoizes each epoch's wire text in ``_wires``,
-    beside ``_metas`` and cut with it, so a compaction snapshot encodes
-    an epoch once, not once per compaction.
+    beside ``_metas``, so a compaction snapshot encodes an epoch once,
+    not once per compaction.
     """
 
     __slots__ = (
@@ -223,25 +222,6 @@ class DeltaLog:
         self._metas.append(batch.meta)
         self._wires.append(None)
         self._hi = n + 1
-
-    def truncate(self, epoch: int) -> None:
-        """Drop every epoch from ``epoch`` on.
-
-        The kept prefix moves to fresh buffers, so a later :meth:`append`
-        never writes over rows an earlier view still reads.
-        """
-        self._check_owner()
-        if epoch >= self._hi:
-            return
-        epoch = max(0, epoch)
-        a, d = int(self._add_off[epoch]), int(self._del_off[epoch])
-        self._adds = tuple(col[:a].copy() for col in self._adds)
-        self._dels = tuple(col[:d].copy() for col in self._dels)
-        self._add_off = self._add_off[: epoch + 1].copy()
-        self._del_off = self._del_off[: epoch + 1].copy()
-        self._metas = self._metas[:epoch]
-        self._wires = self._wires[:epoch]
-        self._hi = epoch
 
     # -- reads ---------------------------------------------------------------
 

@@ -35,11 +35,11 @@ from repro.service.request import QueryRequest
 
 __all__ = ["LoadSpec", "BenchReport", "run_load"]
 
-#: 8: sliding-window serving — a ``sliding`` block (slide checkpoint
-#: count, cache entries re-keyed across slides, and a post-drain
-#: ``parity`` verdict holding the slid window bit-identical to a freshly
-#: built one per graph and algorithm); a parity failure marks the run
-#: degraded.  Its worker-advance fields (``slide_advances``,
+#: 8: checkpoints — a ``sliding`` block (checkpoint count, cache
+#: entries re-keyed across slides, and a post-drain ``parity`` verdict
+#: holding the service's answer per graph and algorithm equal to
+#: from-scratch evaluation over its delta log); a parity failure marks
+#: the run degraded.  Its worker-advance fields (``slide_advances``,
 #: ``stable_vertex_rate``) and ``shm.enabled`` left with the per-worker
 #: window servers and the plane-off mode, without a version bump, as the
 #: schema-5 fields did;
@@ -302,61 +302,44 @@ def _retry_query(
     return response, attempts
 
 
-def _slide_parity(service, spec: LoadSpec) -> dict:
-    """Differential slide check run after the drain, against final state.
+def _served_parity(service, spec: LoadSpec) -> dict:
+    """Differential check of what the service serves, run after the drain.
 
-    For every (graph, algorithm) the run served: advance a
-    :class:`~repro.core.window_server.WindowServer` from the deterministic
-    base through the *exact* delta log the service ingested, and compare
-    every snapshot's values bit-for-bit against a window freshly built at
-    the final epoch.  Any mismatch fails the check (and degrades the
-    bench) — the Table 1 algorithms converge to a unique fixpoint, so
-    incremental repair and a scratch build must agree exactly.
+    For every (graph, algorithm) the run served, ask the service once
+    more from the graph's top source and compare its answer, digest for
+    digest, with from-scratch evaluation over the delta log it ingested
+    (``graph_deltas``) up to the epoch it answered at.  Any mismatch
+    fails the check (and degrades the bench).
     """
-    from repro.algorithms import get_algorithm
-    from repro.core.window_server import WindowServer
-    from repro.evolving.snapshots import EvolvingScenario
-    from repro.experiments.runner import scenario_cache
-    from repro.service.ingest import apply_delta
+    from repro.service.drill import _digests_match, _reference_summaries
 
     cfg = service.config
     checked = 0
     mismatches: list[dict] = []
     for graph in spec.graphs:
-        deltas = service.graph_deltas(graph)
-        base = scenario_cache(graph, cfg.scale, n_snapshots=cfg.n_snapshots)
-        fresh = base
-        for delta in deltas:
-            fresh = apply_delta(fresh, delta)
         source = _source_pool(graph, cfg.scale, cfg.n_snapshots, 1)[0]
-        n = base.n_vertices
-        for algo_name in spec.algos:
-            algorithm = get_algorithm(algo_name)
-            slid = WindowServer(
-                EvolvingScenario(
-                    base.unified, source=source,
-                    name=base.name, metadata=dict(base.metadata),
-                ),
-                algorithm,
-            )
-            for delta in deltas:
-                slid.advance(delta.additions(n), delta.deletions())
-            built = WindowServer(
-                EvolvingScenario(
-                    fresh.unified, source=source,
-                    name=fresh.name, metadata=dict(fresh.metadata),
-                ),
-                algorithm,
-            )
+        #: reference digests per served epoch (one, unless a follower
+        #: applied an epoch between two of these queries)
+        references: dict[int, dict] = {}
+        for algo in spec.algos:
             checked += 1
-            for k in range(built.n_snapshots):
-                if not np.array_equal(
-                    slid.values(k), built.values(k), equal_nan=True
-                ):
-                    mismatches.append(
-                        {"graph": graph, "algo": algo_name, "snapshot": k}
-                    )
-                    break
+            response = service.submit(
+                QueryRequest(graph=graph, algo=algo, source=source)
+            ).wait(timeout=spec.drain_timeout_s)
+            if response is None or not response.ok:
+                mismatches.append({"graph": graph, "algo": algo,
+                                   "epoch": None})
+                continue
+            epoch = response.epoch
+            if epoch not in references:
+                references[epoch] = _reference_summaries(
+                    graph, cfg.scale, cfg.n_snapshots,
+                    service.graph_deltas(graph)[:epoch], spec.algos, source,
+                )
+            served = [s.as_dict() for s in response.summaries]
+            if not _digests_match(served, references[epoch][algo]):
+                mismatches.append({"graph": graph, "algo": algo,
+                                   "epoch": epoch})
     return {"checked": checked, "ok": not mismatches,
             "mismatches": mismatches}
 
@@ -624,7 +607,7 @@ def run_load(
             "slide_every": slide_every,
             "slides": stats.get("slides", 0),
             "cache_rebased": stats.get("cache_rebased", 0),
-            "parity": _slide_parity(service, spec),
+            "parity": _served_parity(service, spec),
         }
     else:
         results["sliding"] = {"enabled": False}

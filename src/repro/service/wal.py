@@ -82,7 +82,6 @@ from repro.resilience.faults import Fire, maybe_fire, register_fault_point
 __all__ = [
     "FSYNC_POLICIES",
     "OP_INGEST",
-    "OP_SLIDE",
     "FenceEvent",
     "JsonText",
     "WalPosition",
@@ -129,16 +128,10 @@ _SEGMENT_GLOB = "wal-*.seg"
 #: key under which compaction stamps writer metadata into the snapshot
 SNAPSHOT_WAL_KEY = "wal"
 
-# Record ops the query service writes.  ``ingest`` carries one delta
-# batch (``{"op", "graph", "epoch", "delta"}``).  ``slide`` marks a
-# window-slide checkpoint (``{"op", "graph", "epoch", "slides"}``): it
-# records that the serving base folded the oldest snapshot's Δs into the
-# common graph, so recovery can restore per-graph slide counters — the
-# delta log itself already replays deterministically through the same
-# slide path, and compaction folds both the log and the counters into
-# the snapshot's ``logs``/``slides`` maps.
+# The one record op the query service writes: ``ingest`` carries one
+# delta batch (``{"op", "graph", "epoch", "delta"}``).  Checkpoint
+# counters travel in the compaction snapshot's ``slides`` map.
 OP_INGEST = "ingest"
-OP_SLIDE = "slide"
 
 
 class WalWriteError(RuntimeError):
@@ -223,11 +216,12 @@ def current_fence_token(wal_dir: str | pathlib.Path) -> int:
 
 
 def _atomic_write_sync(path: pathlib.Path, text: str) -> None:
-    """``atomic_write`` plus an fsync before the rename.
+    """``atomic_write`` made durable: fsync the tmp file, rename it over
+    ``path``, then fsync the directory so the rename survives too.
 
-    Fence history and follower acked-position reports are durability
-    statements — a quorum ack or an election claim must survive a power
-    cut — so unlike plain checkpoints they flush before publishing.  The
+    Fence history, follower acked-position reports and the compaction
+    snapshot are durability statements — a quorum ack, an election
+    claim or a dropped segment must survive a power cut.  The
     tmp name carries the pid AND thread id: racing electors (a CAS
     winner publishing while a loser rolls an orphan forward — they write
     identical content) may share a process, and must never interleave
@@ -241,11 +235,7 @@ def _atomic_write_sync(path: pathlib.Path, text: str) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-
-
-def _fsync_dir(path: pathlib.Path) -> None:
-    """Make the directory's entries (a rename, a new file) durable."""
-    fd = os.open(path, os.O_RDONLY)
+    fd = os.open(path.parent, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
@@ -688,9 +678,9 @@ class WriteAheadLog:
         ``json.dumps(snapshot, sort_keys=True)`` would write it, with any
         :class:`JsonText` value spliced in as it stands.
 
-        Unless the policy is ``"never"``, the snapshot file is fsync'd
-        before its rename and the directory after it, so the snapshot is
-        durable before the first segment goes.
+        Unless the policy is ``"never"``, the snapshot goes through
+        :func:`_atomic_write_sync`, so it is durable before the first
+        segment goes.
         """
         path = self.wal_dir / SNAPSHOT_NAME
         stamped = dict(snapshot)
@@ -699,16 +689,13 @@ class WriteAheadLog:
             "next_segment": self._segment_index + 1,
         }
         text = _snapshot_text(stamped)
-        durable = self.fsync != "never"
-        if durable:
+        if self.fsync != "never":
             _atomic_write_sync(path, text)
         else:
             atomic_write(path, text)
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-        if durable:
-            _fsync_dir(self.wal_dir)
         for segment in _segments(self.wal_dir):
             segment.unlink()
         # json.dumps escapes every non-ASCII character: one byte a char

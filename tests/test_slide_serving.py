@@ -1,10 +1,10 @@
-"""Live sliding-window serving (`--slide-every`): slide parity under
-ingest, cache rebasing across slides, WAL slide-record recovery, the
-quorum-poll backoff, and the lock-free seeded-ingest race.
+"""Live sliding-window serving: checkpoint (`--slide-every`) parity
+under ingest, cache rebasing on every ingest, checkpoint-counter
+recovery, the quorum-poll backoff, and the lock-free seeded-ingest race.
 
-The parity tests are differential: a service configured to slide must
-answer every query with the same summaries as a service that ingested
-the identical delta log without slide checkpoints.
+The parity tests are differential: a service that takes checkpoints
+must answer every query with the same summaries as a service that
+ingested the identical delta log without them.
 """
 
 from __future__ import annotations
@@ -86,6 +86,31 @@ def test_window_query_cache_survives_a_slide_end_to_end():
         service.stop(drain=False)
 
 
+def test_cache_rebases_on_every_ingest_without_checkpoints():
+    """Every ingest slides the window, checkpoints or not: a sub-window
+    entry survives one ingest as a hit shifted to ``(lo-1, hi-1)``."""
+    service = QueryService(_config(window_slide_every=0)).start()
+    try:
+        first = service.submit(
+            QueryRequest("PK", "sswp", 1, window=(1, 3))
+        ).wait(timeout=120)
+        assert first.ok
+        service.ingest_with_ack("PK", seed=1)
+        hit = service.submit(
+            QueryRequest("PK", "sswp", 1, window=(0, 2))
+        ).wait(timeout=120)
+        assert hit.status == "cached" and hit.epoch == 1
+        assert service.service_stats()["cache_rebased"] == 1
+        service.clear_caches()
+        fresh = service.submit(
+            QueryRequest("PK", "sswp", 1, window=(0, 2))
+        ).wait(timeout=120)
+        assert fresh.status == "ok"
+        assert _checksums(hit) == _checksums(fresh)
+    finally:
+        service.stop(drain=False)
+
+
 # -- slide parity under live ingest ---------------------------------------
 
 
@@ -120,7 +145,7 @@ def test_sliding_service_matches_scratch_service_all_algos():
         plain.stop(drain=False)
 
 
-# -- WAL slide records -----------------------------------------------------
+# -- checkpoint counters across a restart ----------------------------------
 
 
 def test_slide_records_recover_counters_and_are_not_unknown(tmp_path, caplog):
@@ -145,8 +170,8 @@ def test_slide_records_recover_counters_and_are_not_unknown(tmp_path, caplog):
             assert [
                 d.to_wire() for d in revived.graph_deltas("PK")
             ] == wires
-            # the slide counters survive the restart via the slide
-            # records / compaction snapshot, not by re-running slides
+            # the checkpoint counters survive the restart in the
+            # compaction snapshot, not by re-running slides
             assert revived.health()["sliding"]["slides"] == {"PK": 2}
         finally:
             revived.stop(drain=False)

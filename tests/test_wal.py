@@ -35,6 +35,7 @@ from repro.service.batcher import PendingQuery
 from repro.service.server import ServiceFrontend
 from repro.service.wal import (
     _HEADER,
+    FENCE_NAME,
     QUARANTINE_NAME,
     SNAPSHOT_NAME,
     JsonText,
@@ -45,6 +46,7 @@ from repro.service.wal import (
     current_fence_token,
     read_from,
     read_snapshot,
+    write_follower_cursor,
 )
 
 TINY = dict(scale="tiny", n_snapshots=4, workers=1)
@@ -176,13 +178,9 @@ def test_wal_compaction_snapshots_and_drops_segments(tmp_path):
     assert wal.stats()["compactions"] == 1
 
 
-def _compaction_steps(monkeypatch, wal_dir, fsync: str) -> list[str]:
-    """The file-system steps one compaction over two segments takes,
-    in order."""
-    wal = WriteAheadLog(wal_dir, fsync=fsync)
-    _fill(wal, 3)
-    wal.rotate()
-    _fill(wal, 2)
+def _fs_steps(monkeypatch, action) -> list[str]:
+    """The file-system steps ``action()`` takes, in order: file and
+    directory fsyncs, renames and unlinks."""
     steps: list[str] = []
     real_fsync, real_replace = os.fsync, os.replace
     real_unlink = pathlib.Path.unlink
@@ -210,7 +208,21 @@ def _compaction_steps(monkeypatch, wal_dir, fsync: str) -> list[str]:
         patched.setattr(os, "fsync", fsync)
         patched.setattr(os, "replace", replace)
         patched.setattr(pathlib.Path, "unlink", unlink)
-        wal.compact({"epochs": {"PK": 5}, "logs": {"PK": []}})
+        action()
+    return steps
+
+
+def _compaction_steps(monkeypatch, wal_dir, fsync: str) -> list[str]:
+    """The file-system steps one compaction over two segments takes,
+    in order."""
+    wal = WriteAheadLog(wal_dir, fsync=fsync)
+    _fill(wal, 3)
+    wal.rotate()
+    _fill(wal, 2)
+    steps = _fs_steps(
+        monkeypatch,
+        lambda: wal.compact({"epochs": {"PK": 5}, "logs": {"PK": []}}),
+    )
     wal.close()
     return steps
 
@@ -239,6 +251,25 @@ def test_compaction_snapshot_is_durable_before_any_segment_goes(
     epoch: the snapshot's bytes, then its name, reach the disk before
     the first segment is unlinked.  Only ``never`` skips both syncs."""
     assert _compaction_steps(monkeypatch, tmp_path, fsync) == steps
+
+
+@pytest.mark.parametrize(
+    "name, write",
+    [
+        (FENCE_NAME, lambda d: advance_fence(d, WalPosition())),
+        ("f1.json", lambda d: write_follower_cursor(
+            d, "f1", WalPosition(), {"PK": 1}
+        )),
+    ],
+    ids=["fence", "cursor"],
+)
+def test_fence_and_cursor_renames_are_durable(tmp_path, monkeypatch,
+                                              name, write):
+    """A fence advance and a follower's acked-position report survive a
+    power cut: the tmp file is fsync'd, renamed, then its directory is
+    fsync'd so the rename itself reaches the disk."""
+    steps = _fs_steps(monkeypatch, lambda: write(tmp_path))
+    assert steps == ["fsync file", f"replace {name}", "fsync dir"]
 
 
 def test_wal_stats_report_the_snapshot_size(tmp_path):
@@ -477,7 +508,7 @@ def test_service_recovers_epochs_and_results_from_wal(tmp_path):
 
 
 def test_service_compaction_preserves_recovery(tmp_path):
-    cfg = ServiceConfig(**TINY, wal_dir=str(tmp_path), wal_compact_every=2)
+    cfg = ServiceConfig(**TINY, wal_dir=str(tmp_path), window_slide_every=2)
     with QueryService(cfg) as svc:
         for k in range(1, 6):
             svc.ingest("PK", seed=k)
@@ -686,7 +717,6 @@ def test_cli_empty_out_still_works_but_warns(tmp_path, monkeypatch, capsys):
         ("--drill", "crash", "--kill-at-epoch", "-1"),
         ("--drill", "crash", "--kill-at-epoch", "0"),
         ("--drill", "bogus"),
-        ("--drill", "failover", "--slide-every", "2"),
     ],
 )
 def test_cli_rejects_bad_drill_arguments(extra, capsys):
@@ -709,16 +739,69 @@ def test_cli_crash_drill_writes_report(tmp_path, capsys):
     assert doc["results"]["parity"] == {"bfs": True}
 
 
-def test_cli_wal_flags_reach_service_config():
+def test_cli_wal_flags_reach_service_config(capsys):
     from repro.cli import build_parser, _service_config
 
     args = build_parser().parse_args(_bench_argv(
-        "--wal-dir", "w", "--wal-fsync", "batch", "--wal-compact-every", "5"
+        "--wal-dir", "w", "--wal-fsync", "batch", "--slide-every", "5"
     ))
     cfg = _service_config(args)
     assert cfg.wal_dir == "w"
     assert cfg.wal_fsync == "batch"
-    assert cfg.wal_compact_every == 5
+    assert cfg.window_slide_every == 5
+    # --slide-every is the one compaction cadence
+    assert main(_bench_argv("--wal-compact-every", "5")) == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "error: unrecognized arguments: --wal-compact-every 5" in err
+
+
+def test_checkpoint_ingest_makes_three_fsyncs_and_no_slide_record(
+    tmp_path, monkeypatch
+):
+    """Under ``fsync="always"`` a checkpoint ingest fsyncs its ingest
+    record, the snapshot and the directory; the WAL only ever carries
+    ingest records."""
+    real_fsync, real_append = os.fsync, WriteAheadLog.append
+    mine = threading.get_ident()
+    fsyncs: list[int] = []
+    ops: list[str] = []
+
+    def fsync(fd):
+        if threading.get_ident() == mine:
+            fsyncs.append(fd)
+        real_fsync(fd)
+
+    def append(self, record):
+        ops.append(record["op"])
+        return real_append(self, record)
+
+    config = ServiceConfig(**TINY, wal_dir=str(tmp_path), wal_fsync="always",
+                           window_slide_every=2)
+    with QueryService(config) as service:
+        service.ingest("PK", seed=1)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(WriteAheadLog, "append", append)
+        service.ingest("PK", seed=2)  # the checkpoint at epoch 2
+        assert len(fsyncs) == 3 and service.wal.compactions == 1
+        service.ingest("PK", seed=3)
+        assert len(fsyncs) == 4
+    assert ops == ["ingest", "ingest"]
+
+
+def test_cli_failover_drill_runs_across_a_checkpoint(tmp_path, capsys):
+    """With a checkpoint every 2 ingests the promoted primary compacts
+    the zombie's segment away at epoch 6; the drill counts the fenced
+    record before that and passes."""
+    out = tmp_path / "BENCH_failover_slide.json"
+    rc = main(_bench_argv(
+        "--drill", "failover", "--slide-every", "2", "--kill-at-epoch", "5",
+        "--algos", "bfs", "--wal-dir", str(tmp_path / "wal"),
+        "--out", str(out),
+    ))
+    assert rc == 0, capsys.readouterr().out
+    results = json.loads(out.read_text())["results"]
+    assert results["ok"] and results["zombie_fenced"]
+    assert results["final_epoch"] == 7
 
 
 def test_cli_crash_drill_kills_after_a_slide_compaction(tmp_path, capsys):
