@@ -94,7 +94,6 @@ from repro.service.wal import (
     advance_fence,
     current_fence_token,
     read_follower_cursors,
-    read_from,
     recover_wal,
 )
 
@@ -579,7 +578,7 @@ class QueryService(QueryPath):
             # our records carry the new token, and any process still
             # holding the *old* token that appends at or past this point
             # is a zombie whose records every reader quarantines
-            token = advance_fence(wal_dir, read_from(wal_dir).position)
+            token = advance_fence(wal_dir, recovery.position)
             self.wal = WriteAheadLog(
                 wal_dir,
                 fsync=self.config.wal_fsync,
@@ -598,7 +597,15 @@ class QueryService(QueryPath):
         return self.pool.workers + 1
 
     def _install_recovery(self, recovery: WalRecovery) -> None:
-        """Rebuild ``self._graphs`` from a WAL recovery scan."""
+        """Install the delta logs a WAL read rebuilt: the one way a log
+        enters from the WAL (primary recovery, every follower re-sync).
+
+        An incoming log that extends the held one keeps what was derived
+        from it, the cache rebased once per new epoch as in
+        :meth:`apply_replicated`.  Any other (a demoted primary's fenced
+        epochs, a shorter log) replaces it and drops the scenario, the
+        plane's current generation and the cached results.
+        """
         self.last_recovery = recovery
         logs: dict[str, DeltaLog] = {}
         snapshot = recovery.snapshot or {}
@@ -628,13 +635,27 @@ class QueryService(QueryPath):
                     "record skipped, graph frozen at epoch %d",
                     graph, epoch, len(delta_log), len(delta_log),
                 )
+        grown: dict[str, range] = {}
         with self._graphs_lock:
-            for graph, delta_log in logs.items():
+            for graph in set(logs) | set(self._graphs):
                 live = self._graphs.setdefault(graph, _LiveGraph())
+                delta_log = logs.get(graph, DeltaLog())
+                if delta_log.extends(live.log):
+                    grown[graph] = range(live.epoch + 1, len(delta_log) + 1)
+                else:
+                    with self._scenarios_lock:
+                        self._scenarios.pop(graph, None)
+                    self.plane.retire_current(
+                        graph, self.config.scale, self.config.n_snapshots
+                    )
+                    self.cache.invalidate_graph(graph)
                 live.log = delta_log
             for graph, count in (snapshot.get("slides") or {}).items():
                 live = self._graphs.setdefault(graph, _LiveGraph())
                 live.slides = max(live.slides, int(count))
+        for graph, epochs in grown.items():
+            for epoch in epochs:
+                self._rebase_cache(graph, epoch)
         if logs:
             log.info(
                 "wal recovery: restored %s",

@@ -267,6 +267,29 @@ class DeltaLog:
                 wires[i] = json.dumps(self._batch(i).to_wire(), sort_keys=True)
         return "[" + ", ".join(wires[self._lo:self._hi]) + "]"
 
+    def extends(self, prefix: "DeltaLog") -> bool:
+        """Whether this log's first ``len(prefix)`` epochs are
+        ``prefix``'s epochs, row for row and meta for meta."""
+        n = len(prefix)
+        mine, theirs = self[:n], prefix[:n]
+        if len(mine) < n:
+            return False
+        if mine._metas[mine._lo:mine._hi] != theirs._metas[theirs._lo:theirs._hi]:
+            return False
+        return all(
+            np.array_equal(a, b, equal_nan=True)
+            for a, b in zip(mine._epoch_rows(), theirs._epoch_rows())
+        )
+
+    def _epoch_rows(self) -> list[np.ndarray]:
+        """Each epoch's addition and deletion counts, then its rows."""
+        lo, hi = self._lo, self._hi
+        return [
+            np.diff(self._add_off[lo:hi + 1]),
+            np.diff(self._del_off[lo:hi + 1]),
+            *self._columns(lo, hi),
+        ]
+
     def _columns(self, lo: int, hi: int) -> list[np.ndarray]:
         """The five columns' rows for epochs ``lo..hi-1``, in
         :class:`DeltaBatch` field order."""

@@ -21,8 +21,10 @@ the line:
   idempotent on replays and raises
   :class:`~repro.service.core.ReplicationGapError` on any hole;
 * a gap — or a cursor invalidated by compaction (``tail.reset``) —
-  triggers a wholesale **re-sync** from the primary's snapshot plus a
-  genesis read, never an interpolation across missing epochs;
+  triggers a **re-sync** from a genesis read plus the primary's
+  snapshot, never an interpolation across missing epochs; the service
+  keeps its caches when the re-synced log extends the one it held and
+  drops them when it diverged;
 * replication lag is observable end to end: the follower reports
   ``replication_lag_epochs`` (observed primary tip minus applied epoch)
   in ``health`` and the metrics render, and the primary reports
@@ -153,6 +155,7 @@ class ReplicaServer:
         """Start serving: initial sync from the primary's WAL, then tail."""
         self.service.start()
         self._resync()
+        self._write_cursor()
         if tail_thread:
             self._tailing = True
             self._thread = threading.Thread(
@@ -187,46 +190,45 @@ class ReplicaServer:
 
     # -- replication --------------------------------------------------------
 
-    def _resync(self) -> None:
-        """Wholesale re-sync: snapshot + genesis read of surviving segments.
+    def _resync(self) -> int:
+        """Re-sync: genesis read of the surviving segments + snapshot.
 
         The only correct answer to a compaction that outran the cursor or
         a gap in the stream — record-by-record resume would interpolate
-        across missing epochs and break the prefix contract.
+        across missing epochs and break the prefix contract.  The service
+        installs the result by its one rule
+        (:meth:`~repro.service.core.QueryService._install_recovery`).
+        Returns the epochs it advanced.
         """
         with self._repl_lock:
+            before = sum(self._applied_epochs().values())
             self.resync_in_progress = True
             try:
-                snapshot = read_snapshot(self.primary_wal_dir)
+                # tail first: a compaction between the two reads then
+                # leaves a snapshot that covers the records read (and a
+                # cursor the next poll resets), never a snapshot older
+                # than the segments after it
                 tail = read_from(self.primary_wal_dir)
-                with self._lock:
-                    self.fenced_skipped += tail.fenced
-                    self.tail_warnings += len(tail.warnings)
+                while tail.reset:
+                    tail = read_from(self.primary_wal_dir)
                 recovery = WalRecovery(
-                    snapshot=snapshot, records=tail.records
+                    snapshot=read_snapshot(self.primary_wal_dir),
+                    records=tail.records,
+                    position=tail.position,
                 )
                 self.service._install_recovery(recovery)
-                graphs = set((snapshot or {}).get("logs", {}))
-                graphs.update(
-                    r.get("graph", "")
-                    for r in tail.records if r.get("op") == "ingest"
-                )
-                for graph in graphs:
-                    self.service.cache.invalidate_graph(graph)
-                    epoch = self.service.epoch(graph)
-                    with self._lock:
-                        if epoch > self._seen_epochs.get(graph, 0):
-                            self._seen_epochs[graph] = epoch
+                applied = self._applied_epochs()
+                self._note_tail(tail, applied)
                 with self._lock:
                     self._position = tail.position
                     self.resyncs += 1
             finally:
                 self.resync_in_progress = False
-        self._write_cursor()
         log.info(
             "replica %s: re-synced to %s (resync #%d)",
             self.follower_id, tail.position, self.resyncs,
         )
+        return max(0, sum(applied.values()) - before)
 
     def poll_once(self) -> int:
         """One replication step: read new records, apply them, checkpoint.
@@ -237,28 +239,31 @@ class ReplicaServer:
         if self.promoted:
             return 0
         with self._repl_lock:
-            return self._poll_locked()
+            applied, _clean = self._catch_up(faults=True)
+        self._write_cursor()
+        return applied
 
-    def _poll_locked(self) -> int:
+    def _catch_up(self, faults: bool) -> tuple[int, bool]:
+        """Read the tail after the cursor and apply it: the one
+        replication step polling and promotion share.
+
+        A compaction reset or an epoch gap re-syncs instead.  Returns the
+        epochs applied and whether the pass was clean: the tail applied
+        whole and the cursor moved to its end.  ``faults`` arms the
+        replica fault points; promotion runs without them, since it must
+        land on the true tip even mid-campaign.
+        """
         with self._lock:
             position = self._position
         tail = read_from(self.primary_wal_dir, position)
         if tail.reset:
-            before = self._applied_epochs()
-            self._resync()
-            after = self._applied_epochs()
-            return max(0, sum(after.values()) - sum(before.values()))
-        with self._lock:
-            self.fenced_skipped += tail.fenced
-            self.tail_warnings += len(tail.warnings)
-        records = [r for r in tail.records if r.get("op") == "ingest"]
-        for record in records:
-            graph = record.get("graph", "")
-            epoch = int(record.get("epoch", 0))
-            with self._lock:
-                if epoch > self._seen_epochs.get(graph, 0):
-                    self._seen_epochs[graph] = epoch
-        if records:
+            return self._resync(), False
+        records = [
+            (r.get("graph", ""), int(r.get("epoch", 0)), r)
+            for r in tail.records if r.get("op") == "ingest"
+        ]
+        self._note_tail(tail, {graph: epoch for graph, epoch, _ in records})
+        if faults and records:
             fire = self._maybe_fire("replica.stale-read")
             if fire is not None:
                 # withhold the whole batch and do NOT advance the cursor:
@@ -266,32 +271,36 @@ class ReplicaServer:
                 # the lag gauge shows exactly how far behind it is; the
                 # next poll re-reads and converges
                 fire.note(withheld=len(records), at=position.key())
-                return 0
+                return 0, False
         applied = 0
-        for record in records:
-            graph = record.get("graph", "")
-            epoch = int(record.get("epoch", 0))
-            fire = self._maybe_fire("replica.tail-gap")
+        for graph, epoch, record in records:
+            fire = self._maybe_fire("replica.tail-gap") if faults else None
             if fire is not None:
                 # drop this record on the floor: the next record for the
                 # graph cannot extend the log and forces a re-sync
                 fire.note(graph=graph, epoch=epoch)
                 continue
             try:
-                if self.service.apply_replicated(
+                applied += self.service.apply_replicated(
                     graph, epoch, record["delta"]
-                ):
-                    applied += 1
+                )
             except ReplicationGapError as exc:
                 log.warning(
                     "replica %s: %s; re-syncing", self.follower_id, exc
                 )
-                self._resync()
-                return applied
+                return applied + self._resync(), False
         with self._lock:
             self._position = tail.position
-        self._write_cursor()
-        return applied
+        return applied, True
+
+    def _note_tail(self, tail, epochs: dict[str, int]) -> None:
+        """Count what a tail skipped; note the primary epochs it showed."""
+        with self._lock:
+            self.fenced_skipped += tail.fenced
+            self.tail_warnings += len(tail.warnings)
+            for graph, epoch in epochs.items():
+                if epoch > self._seen_epochs.get(graph, 0):
+                    self._seen_epochs[graph] = epoch
 
     def _applied_epochs(self) -> dict[str, int]:
         with self.service._graphs_lock:
@@ -382,37 +391,8 @@ class ReplicaServer:
             return self._promote_locked(claimed_token)
 
     def _promote_locked(self, claimed_token: int | None) -> int:
-        # final catch-up, bypassing the fault hooks: promotion must land
-        # on the true tip even mid-campaign
-        while True:
-            with self._lock:
-                position = self._position
-            tail = read_from(self.primary_wal_dir, position)
-            if tail.reset:
-                self._resync()
-                continue
-            with self._lock:
-                self.fenced_skipped += tail.fenced
-                self.tail_warnings += len(tail.warnings)
-            for record in tail.records:
-                if record.get("op") != "ingest":
-                    continue
-                graph = record.get("graph", "")
-                epoch = int(record.get("epoch", 0))
-                with self._lock:
-                    if epoch > self._seen_epochs.get(graph, 0):
-                        self._seen_epochs[graph] = epoch
-                try:
-                    self.service.apply_replicated(
-                        graph, epoch, record["delta"]
-                    )
-                except ReplicationGapError:
-                    break
-            else:
-                with self._lock:
-                    self._position = tail.position
-                break
-            self._resync()
+        while not self._catch_up(faults=False)[1]:
+            pass
         with self._lock:
             position = self._position
         if claimed_token is None:

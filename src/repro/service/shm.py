@@ -389,6 +389,14 @@ class ScenarioPlane:
             elif segment.retired and segment.refs <= 0:
                 self._drop_locked(segment)
 
+    def retire_current(self, graph: str, scale: str, n_snapshots: int) -> None:
+        """Retire the generation serving a key, if any: the next plan for
+        it publishes afresh (its log was replaced under it)."""
+        with self._lock:
+            segment = self._current.get((graph, scale, int(n_snapshots)))
+            if segment is not None:
+                self._retire_locked(segment)
+
     def _retire_locked(self, segment: _Segment) -> None:
         m = segment.manifest
         key = (m.graph, m.scale, m.n_snapshots)

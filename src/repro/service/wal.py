@@ -41,8 +41,8 @@ CRC is computed.
 Replication (PR 6, :mod:`repro.service.replica`): the WAL doubles as the
 shipping stream between a primary and its read replicas.
 
-* :class:`WalPosition` is a durable ``(segment, offset, compactions)``
-  cursor; :meth:`WriteAheadLog.position` reports the writer's tip and
+* :class:`WalPosition` is a durable ``(segment, offset)`` cursor;
+  :meth:`WriteAheadLog.position` reports the writer's tip and
   :func:`read_from` reads everything committed after a cursor *without
   mutating the directory* — an in-progress tail record is "not yet",
   never "torn", because the writer may still be alive.  Segment indices
@@ -53,6 +53,9 @@ shipping stream between a primary and its read replicas.
   record-by-record; :func:`read_from` signals ``reset`` and the caller
   re-syncs from the snapshot (:func:`read_snapshot`) plus the surviving
   segments.
+* One decoder (:func:`_frames`) parses every frame either reader sees;
+  :func:`recover_wal` and :func:`read_from` differ only in what they do
+  about a damaged one.
 * **Fencing**: ``fence.json`` holds a monotonic token history.  A writer
   stamps its token into every record; :func:`advance_fence` (called by
   replica promotion) records the new token *and the position it took
@@ -146,34 +149,24 @@ class WalFencedError(WalWriteError):
 class WalPosition:
     """Durable replication cursor: everything up to here has been read.
 
-    ``segment``/``offset`` name the byte after the last consumed record;
-    ``compactions`` is the directory's compaction count when the cursor
-    was taken, so a reader can tell "nothing new" apart from "the ground
-    moved under you" (:func:`read_from` signals the latter as ``reset``).
+    ``segment``/``offset`` name the byte after the last consumed record.
     ``segment == 0`` is the genesis cursor: read from the oldest data.
     """
 
     segment: int = 0
     offset: int = 0
-    compactions: int = 0
 
     def key(self) -> tuple[int, int]:
         """Total order over all records of one WAL directory."""
         return (self.segment, self.offset)
 
     def as_dict(self) -> dict:
-        return {
-            "segment": self.segment,
-            "offset": self.offset,
-            "compactions": self.compactions,
-        }
+        return {"segment": self.segment, "offset": self.offset}
 
     @classmethod
     def from_dict(cls, d: dict) -> "WalPosition":
         return cls(
-            segment=int(d.get("segment", 0)),
-            offset=int(d.get("offset", 0)),
-            compactions=int(d.get("compactions", 0)),
+            segment=int(d.get("segment", 0)), offset=int(d.get("offset", 0))
         )
 
 
@@ -639,14 +632,9 @@ class WriteAheadLog:
 
         A reader that has consumed up to this position has seen every
         record this writer acknowledged; the cursor stays valid across
-        rotation (indices only grow) and detects compaction via the
-        ``compactions`` counter.
+        rotation (indices only grow).
         """
-        return WalPosition(
-            segment=self._segment_index,
-            offset=self._segment_size,
-            compactions=self.compactions,
-        )
+        return WalPosition(self._segment_index, self._segment_size)
 
     def sync(self) -> None:
         """Force everything appended so far onto stable storage."""
@@ -744,6 +732,8 @@ class WalRecovery:
     #: zombie-primary appends caught by the fencing contract (a subset of
     #: ``quarantined``: they also land in quarantine.log)
     fenced: int = 0
+    #: the tip after repair: the end of the last segment (genesis if none)
+    position: WalPosition = field(default_factory=WalPosition)
 
     @property
     def clean(self) -> bool:
@@ -760,98 +750,99 @@ class WalRecovery:
         }
 
 
-def _quarantine(wal_dir: pathlib.Path, segment: str, offset: int,
-                payload: bytes, reason: str) -> None:
-    entry = json.dumps(
-        {
-            "segment": segment,
-            "offset": offset,
-            "reason": reason,
-            "payload_hex": payload.hex(),
-        },
-        sort_keys=True,
-    )
+def _quarantine(wal_dir: pathlib.Path, segment: str, frame: _Frame) -> None:
+    entry = {"segment": segment, "offset": frame.offset, "reason": frame.note,
+             "payload_hex": frame.payload.hex()}
     with open(wal_dir / QUARANTINE_NAME, "a") as fh:
-        fh.write(entry + "\n")
+        fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
-def _scan_segment(
-    wal_dir: pathlib.Path,
-    segment: pathlib.Path,
-    is_last: bool,
-    out: WalRecovery,
-    fences: list[FenceEvent] | None = None,
-) -> Iterator[dict]:
-    fences = fences or []
-    seg_index = _segment_index(segment)
-    data = segment.read_bytes()
-    offset = 0
+#: what a reader calls each damaged frame in its warnings
+_DAMAGE = {
+    "torn": "torn record",
+    "implausible": "torn record",
+    "crc": "CRC mismatch",
+    "json": "undecodable record",
+    "fenced": "zombie append",
+}
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """One frame :func:`_frames` decoded, or the damage it found there.
+
+    ``problem`` is None for a record to apply; ``"torn"`` (the frame's
+    promised bytes are missing) and ``"implausible"`` (a length prefix no
+    writer produces) end the segment, so ``end`` is the segment's length;
+    ``"crc"``, ``"json"`` and ``"fenced"`` span one whole frame, and
+    ``note`` is their quarantine reason.
+    """
+
+    offset: int
+    end: int
+    problem: str | None = None
+    record: dict | None = None
+    payload: bytes = b""
+    note: str = ""
+
+    def warning(self, segment: pathlib.Path, action: str) -> str:
+        return (
+            f"{segment.name}: {_DAMAGE[self.problem]} at byte {self.offset} "
+            f"({self.note}); {action}"
+        )
+
+
+def _frames(
+    data: bytes, segment: int, offset: int, fences: list[FenceEvent]
+) -> Iterator[_Frame]:
+    """Decode the frames of one segment's bytes from ``offset`` on.
+
+    The one place the WAL's framing, CRC, JSON and fence token are
+    parsed; never raises.  Each reader applies its own policy to a
+    damaged frame: :func:`recover_wal` repairs the directory,
+    :func:`read_from` only skips.
+    """
     while offset < len(data):
         header_end = offset + _HEADER.size
-        torn = None
         if header_end > len(data):
-            torn = f"short header ({len(data) - offset} bytes)"
-        else:
-            length, crc = _HEADER.unpack_from(data, offset)
-            if length == 0 or length > MAX_RECORD_BYTES:
-                torn = f"implausible record length {length}"
-            elif header_end + length > len(data):
-                torn = (
-                    f"record promises {length} bytes, "
-                    f"{len(data) - header_end} present"
-                )
-        if torn is not None:
-            if is_last:
-                os.truncate(segment, offset)
-                out.warnings.append(
-                    f"{segment.name}: torn tail at byte {offset} ({torn}); "
-                    f"truncated"
-                )
-            else:
-                out.warnings.append(
-                    f"{segment.name}: torn record at byte {offset} ({torn}) "
-                    f"in a rotated segment; skipping its remainder"
-                )
-            out.truncated_tail = True
+            yield _Frame(offset, len(data), "torn",
+                         note=f"short header ({len(data) - offset} bytes)")
             return
-        payload = data[header_end: header_end + length]
+        length, crc = _HEADER.unpack_from(data, offset)
+        if length == 0 or length > MAX_RECORD_BYTES:
+            yield _Frame(offset, len(data), "implausible",
+                         note=f"implausible record length {length}")
+            return
+        end = header_end + length
+        if end > len(data):
+            yield _Frame(offset, len(data), "torn", note=(
+                f"record promises {length} bytes, "
+                f"{len(data) - header_end} present"
+            ))
+            return
+        payload = data[header_end:end]
         if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-            _quarantine(wal_dir, segment.name, offset, payload, "crc-mismatch")
-            out.warnings.append(
-                f"{segment.name}: CRC mismatch at byte {offset}; "
-                f"record quarantined"
-            )
-            out.quarantined += 1
-            offset = header_end + length
-            continue
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            _quarantine(wal_dir, segment.name, offset, payload,
-                        f"bad-json: {exc}")
-            out.warnings.append(
-                f"{segment.name}: undecodable record at byte {offset}; "
-                f"record quarantined"
-            )
-            out.quarantined += 1
-            offset = header_end + length
-            continue
-        token = int(record.pop("fence", 0) or 0)
-        if not _record_allowed(fences, token, seg_index, offset):
-            _quarantine(
-                wal_dir, segment.name, offset, payload,
-                f"fenced: token {token} superseded before this position",
-            )
-            out.warnings.append(
-                f"{segment.name}: zombie append at byte {offset} (fence "
-                f"token {token} was superseded); record quarantined"
-            )
-            out.quarantined += 1
-            out.fenced += 1
-            offset = header_end + length
-            continue
-        yield record
-        offset = header_end + length
+            yield _Frame(offset, end, "crc", payload=payload,
+                         note="crc-mismatch")
+        else:
+            try:
+                record = json.loads(payload.decode("utf-8"))
+                token = int(record.pop("fence", 0) or 0)
+            except (ValueError, TypeError, AttributeError,
+                    OverflowError) as exc:
+                # not UTF-8 JSON, not an object, or a fence that is no
+                # integer
+                yield _Frame(offset, end, "json", payload=payload,
+                             note=f"bad-json: {exc}")
+            else:
+                if _record_allowed(fences, token, segment, offset):
+                    yield _Frame(offset, end, record=record)
+                else:
+                    yield _Frame(offset, end, "fenced", payload=payload, note=(
+                        f"fenced: token {token} superseded before this "
+                        f"position"
+                    ))
+        offset = end
 
 
 def recover_wal(wal_dir: str | pathlib.Path) -> WalRecovery:
@@ -862,27 +853,41 @@ def recover_wal(wal_dir: str | pathlib.Path) -> WalRecovery:
     :class:`WalRecovery` (the service logs them).
     """
     wal_dir = pathlib.Path(wal_dir)
-    out = WalRecovery()
-    if not wal_dir.exists():
-        return out
-    snapshot_path = wal_dir / SNAPSHOT_NAME
-    if snapshot_path.exists():
-        try:
-            out.snapshot = json.loads(snapshot_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            # snapshots are written atomically, so this is external damage;
-            # replaying segments alone still recovers post-snapshot churn
-            out.warnings.append(f"{SNAPSHOT_NAME} unreadable ({exc}); ignored")
-            out.snapshot = None
+    out = WalRecovery(snapshot=read_snapshot(wal_dir))
+    if out.snapshot is None and (wal_dir / SNAPSHOT_NAME).exists():
+        # snapshots are written atomically, so this is external damage;
+        # replaying segments alone still recovers post-snapshot churn
+        out.warnings.append(f"{SNAPSHOT_NAME} unreadable; ignored")
     if isinstance(out.snapshot, dict):
         # the writer stamp (compaction count, next segment index) is WAL
         # metadata, not service payload — keep the round trip exact
         out.snapshot.pop(SNAPSHOT_WAL_KEY, None)
     fences = read_fences(wal_dir)
     segments = _segments(wal_dir)
-    for i, segment in enumerate(segments):
-        last = i == len(segments) - 1
-        out.records.extend(_scan_segment(wal_dir, segment, last, out, fences))
+    for segment in segments:
+        seg_index = _segment_index(segment)
+        data = segment.read_bytes()
+        size = len(data)
+        for frame in _frames(data, seg_index, 0, fences):
+            if frame.problem is None:
+                out.records.append(frame.record)
+            elif frame.problem in ("torn", "implausible"):
+                out.truncated_tail = True
+                if segment is segments[-1]:
+                    os.truncate(segment, frame.offset)
+                    size = frame.offset
+                    action = "torn tail truncated"
+                else:
+                    action = "rest of the rotated segment skipped"
+                out.warnings.append(frame.warning(segment, action))
+            else:
+                out.quarantined += 1
+                out.fenced += frame.problem == "fenced"
+                _quarantine(wal_dir, segment.name, frame)
+                out.warnings.append(
+                    frame.warning(segment, "record quarantined")
+                )
+        out.position = WalPosition(seg_index, size)
     for warning in out.warnings:
         log.warning("wal recovery: %s", warning)
     return out
@@ -928,99 +933,55 @@ def read_from(
 
     ``position=None`` (or ``segment == 0``) is the genesis read: everything
     in the surviving segments, oldest first.  Callers doing an initial
-    sync read :func:`read_snapshot` first — post-compaction segments only
+    sync also read :func:`read_snapshot` — post-compaction segments only
     hold churn since that snapshot.
+
+    Only compaction deletes segments, it deletes all of them, and segment
+    indices only grow: so a cursor whose segment is gone — before or
+    while this call reads it — was compacted away, and the tail comes
+    back as ``reset``.  The snapshot is never opened here.
     """
     wal_dir = pathlib.Path(wal_dir)
     position = position or WalPosition()
-    stamp = _snapshot_wal_stamp(wal_dir)
-    disk_compactions = int(stamp.get("compactions", 0))
-    if position.segment and disk_compactions > position.compactions:
-        # the segments the cursor ordered against were (at least partly)
-        # folded into the snapshot; record-by-record resume is impossible
-        return WalTail(
-            position=WalPosition(compactions=disk_compactions),
-            reset=True,
-            warnings=[
-                f"compaction #{disk_compactions} superseded cursor "
-                f"({position.segment}, {position.offset}); re-sync from "
-                f"{SNAPSHOT_NAME}"
-            ],
-        )
     fences = read_fences(wal_dir)
-    tail = WalTail(position=WalPosition(
-        position.segment, position.offset, disk_compactions,
-    ))
     segments = [
         s for s in _segments(wal_dir)
         if _segment_index(s) >= position.segment
     ]
-    if not segments:
-        return tail
-    last_index = _segment_index(segments[-1])
-    for segment in segments:
-        seg_index = _segment_index(segment)
-        is_last = seg_index == last_index
-        data = segment.read_bytes()
-        offset = position.offset if seg_index == position.segment else 0
-        consumed = offset
-        while offset < len(data):
-            header_end = offset + _HEADER.size
-            incomplete = header_end > len(data)
-            length = crc = 0
-            if not incomplete:
-                length, crc = _HEADER.unpack_from(data, offset)
-                if length == 0 or length > MAX_RECORD_BYTES:
-                    # frame corruption mid-segment: resynchronising within
-                    # the byte stream is impossible, skip the remainder
-                    tail.warnings.append(
-                        f"{segment.name}: implausible record length "
-                        f"{length} at byte {offset}; skipping remainder"
-                    )
-                    consumed = len(data)
-                    break
-                incomplete = header_end + length > len(data)
-            if incomplete:
-                if is_last:
+    tail = WalTail(position=position)
+    try:
+        if position.segment and (
+            not segments or _segment_index(segments[0]) != position.segment
+        ):
+            raise FileNotFoundError
+        for segment in segments:
+            seg_index = _segment_index(segment)
+            data = segment.read_bytes()
+            start = position.offset if seg_index == position.segment else 0
+            consumed = start
+            for frame in _frames(data, seg_index, start, fences):
+                if frame.problem == "torn" and segment is segments[-1]:
                     # an in-progress append by a possibly-live writer:
                     # park here and retry next poll — never truncate
                     break
-                tail.warnings.append(
-                    f"{segment.name}: torn record at byte {offset} in a "
-                    f"rotated segment; skipping its remainder"
-                )
-                consumed = len(data)
-                break
-            payload = data[header_end: header_end + length]
-            next_offset = header_end + length
-            if (zlib.crc32(payload) & 0xFFFFFFFF) != crc:
-                tail.warnings.append(
-                    f"{segment.name}: CRC mismatch at byte {offset}; "
-                    f"record skipped (owner quarantines on recovery)"
-                )
-                offset = consumed = next_offset
-                continue
-            try:
-                record = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                tail.warnings.append(
-                    f"{segment.name}: undecodable record at byte {offset}; "
-                    f"record skipped"
-                )
-                offset = consumed = next_offset
-                continue
-            token = int(record.pop("fence", 0) or 0)
-            if not _record_allowed(fences, token, seg_index, offset):
-                tail.warnings.append(
-                    f"{segment.name}: zombie append at byte {offset} "
-                    f"(fence token {token} was superseded); skipped"
-                )
-                tail.fenced += 1
-                offset = consumed = next_offset
-                continue
-            tail.records.append(record)
-            offset = consumed = next_offset
-        tail.position = WalPosition(seg_index, consumed, disk_compactions)
+                consumed = frame.end
+                if frame.problem is None:
+                    tail.records.append(frame.record)
+                    continue
+                tail.fenced += frame.problem == "fenced"
+                tail.warnings.append(frame.warning(segment, (
+                    "rest of the segment skipped"
+                    if frame.problem in ("torn", "implausible")
+                    else "record skipped"
+                )))
+            tail.position = WalPosition(seg_index, consumed)
+    except FileNotFoundError:
+        # the segments the cursor ordered against were folded into the
+        # snapshot; record-by-record resume is impossible
+        return WalTail(reset=True, warnings=[
+            f"compaction superseded cursor ({position.segment}, "
+            f"{position.offset}); re-sync from {SNAPSHOT_NAME}"
+        ])
     for warning in tail.warnings:
         log.warning("wal tail: %s", warning)
     return tail

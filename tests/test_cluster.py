@@ -19,6 +19,7 @@ from repro.cli import main
 from repro.resilience.campaign import CLUSTER_POINTS, run_trial
 from repro.service import (
     ClusterNode,
+    QueryRequest,
     QueryService,
     ReplicaServer,
     ServiceConfig,
@@ -35,6 +36,7 @@ from repro.service.cluster import (
     ManualClock,
     write_beacon,
 )
+from repro.service.drill import _digests_match, _reference_summaries
 from repro.service.wal import write_follower_cursor
 
 TINY = dict(scale="tiny", n_snapshots=4, workers=1)
@@ -127,7 +129,7 @@ def test_follower_cursor_stays_inside_followers_dir(tmp_path):
 
 
 def test_fence_cas_exactly_one_racer_wins(tmp_path):
-    pos = WalPosition(segment=1, offset=10, compactions=0)
+    pos = WalPosition(segment=1, offset=10)
     expected = current_fence_token(tmp_path)
     results = []
     barrier = threading.Barrier(2)
@@ -352,11 +354,19 @@ def test_heartbeat_flapping_under_clock_jitter_never_confirms(tmp_path):
     assert not monitor.confirmed_suspect("peer")
 
 
+def _sssp_at(service: QueryService, epoch: int) -> list[dict]:
+    response = service.submit(QueryRequest("PK", "sssp", 1)).wait(timeout=120)
+    assert response is not None and response.ok
+    assert response.epoch == epoch
+    return [s.as_dict() for s in response.summaries]
+
+
 def test_zombie_primary_demotes_itself_on_newer_fence(tmp_path):
     clk = ManualClock()
     primary, pnode, followers = _cluster_pair(tmp_path, clk)
     try:
         primary.ingest("PK", seed=1)
+        primary.ingest("PK", seed=2)
         follower = followers[0]
         follower.replica.start(tail_thread=False)
         for _ in range(64):
@@ -369,11 +379,27 @@ def test_zombie_primary_demotes_itself_on_newer_fence(tmp_path):
             current_fence_token(tmp_path / "wal"),
         )
         follower.replica.promote(claimed_token=token)
+        # the zombie still takes one ingest and answers at its own epoch
+        # 3, publishing a generation the fence throws out; the new
+        # primary writes the real epoch 3
+        assert primary.ingest("PK", seed=100) == 3
+        zombie_answer = _sssp_at(primary, 3)
+        new_primary = follower.replica.service
+        assert new_primary.ingest("PK", seed=3) == 3
         assert pnode.tick() == "demoted"
         assert primary.role == "follower"
         assert pnode.demotions == 1
         with pytest.raises(Exception):
             primary.ingest("PK", seed=2)  # refuses as a follower now
+        # the re-sync replaced the divergent log: the demoted node serves
+        # the new primary's epoch 3, not the scenario it built on its own
+        assert primary.epoch("PK") == 3
+        want = _reference_summaries(
+            "PK", "tiny", 4, primary.graph_deltas("PK"), ["sssp"], 1,
+        )["sssp"]
+        assert _digests_match(_sssp_at(new_primary, 3), want)
+        assert want != zombie_answer
+        assert _digests_match(_sssp_at(primary, 3), want)
     finally:
         _teardown(primary, followers)
 

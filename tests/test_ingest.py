@@ -340,6 +340,28 @@ def test_delta_log_iterates_and_slices_like_the_list():
         log[40]
 
 
+def test_delta_log_extends_only_a_row_for_row_prefix():
+    batches = _batches(12)
+    log = DeltaLog(batches)
+    wired = DeltaLog(DeltaBatch.from_wire(b.to_wire()) for b in batches)
+    assert log.extends(DeltaLog()) and log.extends(log[:0])
+    assert log.extends(DeltaLog(batches[:7])) and wired.extends(log[:7])
+    assert log.extends(log) and not DeltaLog(batches[:7]).extends(log)
+    # the same rows and metas split at another epoch boundary
+    merged = DeltaLog(batches[:7])
+    merged.append(DeltaBatch(
+        *(np.concatenate([getattr(batches[7], c), getattr(batches[8], c)])
+          for c in COLUMNS),
+        meta=batches[7].meta,
+    ))
+    merged.append(DeltaBatch(*([] for _ in COLUMNS), meta=batches[8].meta))
+    assert not log.extends(merged)
+    changed = DeltaLog(batches[:7])
+    changed.append(DeltaBatch(*(getattr(batches[7], c) for c in COLUMNS),
+                              meta={"seed": -1}))
+    assert not log.extends(changed)
+
+
 def test_delta_log_round_trips_empty_batches():
     empty = np.empty(0, dtype=np.int64)
     adds_only = DeltaBatch.from_lists([[1, 2, 1.5], [3, 4]], [])

@@ -171,6 +171,41 @@ def test_tail_gap_forces_resync_and_converges(tmp_path):
         primary.stop(drain=False)
 
 
+def test_compaction_resync_keeps_the_follower_cache(tmp_path):
+    """A compaction reset re-syncs to a log that extends the held one:
+    the follower rebases its cached results instead of dropping them."""
+    primary = QueryService(ServiceConfig(
+        **TINY, wal_dir=str(tmp_path / "wal"), window_slide_every=2,
+    )).start()
+    replica = _replica(tmp_path)
+    try:
+        primary.ingest("PK", seed=1)
+        replica.start(tail_thread=False)
+        follower = replica.service
+        assert follower.submit(
+            QueryRequest("PK", "sswp", 1, window=(1, 3))
+        ).wait(timeout=120).ok
+        primary.ingest("PK", seed=2)  # a checkpoint: compacts the WAL
+        resyncs = replica.resyncs
+        assert replica.poll_once() == 1
+        assert replica.resyncs == resyncs + 1
+        hit = follower.submit(
+            QueryRequest("PK", "sswp", 1, window=(0, 2))
+        ).wait(timeout=120)
+        assert hit.status == "cached" and hit.epoch == 2
+        follower.clear_caches()
+        fresh = follower.submit(
+            QueryRequest("PK", "sswp", 1, window=(0, 2))
+        ).wait(timeout=120)
+        assert fresh.status == "ok"
+        assert [s.as_dict() for s in hit.summaries] == [
+            s.as_dict() for s in fresh.summaries
+        ]
+    finally:
+        replica.stop(drain=False)
+        primary.stop(drain=False)
+
+
 @pytest.mark.parametrize("point", REPLICA_POINTS)
 def test_fault_campaign_replica_trials_recover(point):
     outcome = run_trial(None, None, point, seed=0, skip=1)

@@ -11,11 +11,14 @@ import json
 import os
 import pathlib
 import stat
+import tempfile
 import threading
 import time
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.resilience import faults
@@ -31,6 +34,7 @@ from repro.service import (
     split_expired,
     validate_request,
 )
+from repro.service import wal as wal_module
 from repro.service.batcher import PendingQuery
 from repro.service.server import ServiceFrontend
 from repro.service.wal import (
@@ -391,7 +395,6 @@ def test_read_from_cursor_into_compacted_away_segment_resets(tmp_path):
     assert read_snapshot(tmp_path)["epochs"] == {"PK": 4}
     fresh = read_from(tmp_path)
     assert fresh.records == [_record(5)]
-    assert fresh.position.compactions == 1
     assert not read_from(tmp_path, fresh.position).reset
     wal.close()
 
@@ -454,6 +457,105 @@ def test_compaction_racing_tailer_with_old_segment_held_open(tmp_path):
     resynced = read_from(tmp_path)
     assert resynced.records == [_record(4)]
     wal.close()
+
+
+def test_read_from_never_opens_the_snapshot(tmp_path, monkeypatch):
+    # the cursor's segment being gone is the compaction signal: tailing
+    # must not parse snapshot.json, whose size grows with history
+    wal = WriteAheadLog(tmp_path, fsync="always")
+    _fill(wal, 3)
+    position = read_from(tmp_path).position
+    wal.compact({"epochs": {"PK": 3}, "logs": {"PK": []}})
+    wal.append(_record(4))
+    snapshot_text = (tmp_path / SNAPSHOT_NAME).read_text()
+    parsed: list[str] = []
+    real_loads = wal_module.json.loads
+
+    def spy_loads(text, *args, **kwargs):
+        parsed.append(text)
+        return real_loads(text, *args, **kwargs)
+
+    def no_snapshot(*_args):
+        raise AssertionError("read_from opened the snapshot")
+
+    monkeypatch.setattr(wal_module, "read_snapshot", no_snapshot)
+    monkeypatch.setattr(wal_module.json, "loads", spy_loads)
+    assert read_from(tmp_path, position).reset
+    fresh = read_from(tmp_path)
+    assert not fresh.reset and fresh.records == [_record(4)]
+    assert not read_from(tmp_path, fresh.position).reset
+    assert parsed and snapshot_text not in parsed
+    wal.close()
+
+
+def test_read_from_resets_when_a_listed_segment_vanishes(tmp_path, monkeypatch):
+    # compaction may unlink a segment between the directory listing and
+    # the read: that is a reset, not a FileNotFoundError
+    wal = WriteAheadLog(tmp_path, fsync="always")
+    _fill(wal, 2)
+    wal.close()
+    listed = wal_module._segments(tmp_path)
+    gone = tmp_path / "wal-00000009.seg"
+    monkeypatch.setattr(wal_module, "_segments", lambda _d: listed + [gone])
+    tail = read_from(tmp_path)
+    assert tail.reset and tail.records == [] and tail.warnings
+
+
+def _frame(payload: bytes, length: int | None = None) -> bytes:
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    return _HEADER.pack(len(payload) if length is None else length, crc) + payload
+
+
+_PIECES = st.one_of(
+    st.tuples(st.just("valid"), st.integers(1, 50)),
+    st.tuples(st.just("stale"), st.integers(1, 50)),
+    st.tuples(st.just("length"), st.sampled_from([0, 2**31])),
+    st.tuples(st.just("json"), st.sampled_from([b"[1]", b"7", b"{\"fence\": \"x\"}", b"{"])),
+)
+
+
+def _piece(kind, arg) -> bytes:
+    if kind in ("valid", "stale"):
+        # the directory is fenced at its genesis by token 2: token-1
+        # records anywhere are a zombie's
+        record = dict(_record(arg), fence=2 if kind == "valid" else 1)
+        return _frame(json.dumps(record, sort_keys=True).encode("utf-8"))
+    if kind == "length":
+        return _frame(b"{}", length=arg)
+    return _frame(arg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    segments=st.lists(
+        st.tuples(
+            st.lists(_PIECES, max_size=5),
+            st.lists(st.integers(0, 10_000), max_size=3),  # flipped bytes
+            st.integers(0, 12),  # bytes torn off the end
+        ),
+        min_size=1, max_size=3,
+    ),
+)
+def test_fuzzed_segments_read_the_same_through_both_readers(segments):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        for name in ("a", "b"):
+            wal_dir = root / name
+            wal_dir.mkdir()
+            advance_fence(wal_dir, WalPosition())
+            advance_fence(wal_dir, WalPosition())
+            for index, (pieces, flips, torn) in enumerate(segments, 1):
+                data = bytearray(b"".join(_piece(*p) for p in pieces))
+                for flip in flips:
+                    if data:
+                        data[flip % len(data)] ^= 0xFF
+                data = data[: max(0, len(data) - torn)]
+                (wal_dir / f"wal-{index:08d}.seg").write_bytes(bytes(data))
+        before = {p.name: p.read_bytes() for p in (root / "b").iterdir()}
+        tail = read_from(root / "b")
+        after = {p.name: p.read_bytes() for p in (root / "b").iterdir()}
+        assert before == after  # tailing never writes
+        assert recover_wal(root / "a").records == tail.records
 
 
 def test_fence_advance_and_zombie_append_detection(tmp_path):
