@@ -33,35 +33,47 @@ def multi_query_boe_plan(unified: UnifiedCSR, sources: list[int]) -> Plan:
     State layout: query ``q`` owns states ``q*N .. q*N + N-1`` with the
     same chain/peel structure as the single-query BOE plan; every batch
     step carries the targets of *all* queries so the executor fetches the
-    batch once for the whole ``(query, snapshot)`` matrix.
+    batch once for the whole ``(query, snapshot)`` matrix.  Only the
+    ``Q`` ``EvalFull`` steps name the sources: the rest of the schedule
+    depends on the union and ``Q`` alone, so it is built once per union
+    and ``Q`` and shared (the plan's ``key`` says so to the executor).
     """
     if not sources:
         raise ValueError("need at least one query source")
     n = unified.n_snapshots
     q_count = len(sources)
-    plan = Plan(
+    key = ("boe-multiquery", q_count)
+    shared = unified.memo(key, lambda: _shared_steps(unified, q_count))
+    return Plan(
         name=f"boe-multiquery[{q_count}]",
         n_states=q_count * n,
+        steps=[
+            EvalFull(q * n, label=f"eval-Gc-q{q}", source=source)
+            for q, source in enumerate(sources)
+        ] + shared,
         initial_graph="common",
+        key=key,
     )
+
+
+def _shared_steps(unified: UnifiedCSR, q_count: int) -> list:
+    """The batch and mark steps of a ``q_count``-source BOE plan."""
+    n = unified.n_snapshots
+    steps: list = []
 
     def state(q: int, k: int) -> int:
         return q * n + k
 
-    for q, source in enumerate(sources):
-        plan.steps.append(
-            EvalFull(state(q, 0), label=f"eval-Gc-q{q}", source=source)
-        )
     for i in range(n - 2, -1, -1):
         for q in range(q_count):
-            plan.steps.append(CopyState(state(q, 0), state(q, i + 1)))
+            steps.append(CopyState(state(q, 0), state(q, i + 1)))
 
         add_id = BatchId(BatchKind.ADDITION, i)
         add_idx = unified.batch_edges(add_id)
         add_targets = tuple(
             state(q, k) for q in range(q_count) for k in range(i + 1, n)
         )
-        plan.steps.append(
+        steps.append(
             ApplyEdges(
                 add_targets, add_idx, (add_id,), label=f"mq-{add_id}", stage=i
             )
@@ -70,17 +82,17 @@ def multi_query_boe_plan(unified: UnifiedCSR, sources: list[int]) -> Plan:
         del_id = BatchId(BatchKind.DELETION, i)
         del_idx = unified.batch_edges(del_id)
         del_targets = tuple(state(q, 0) for q in range(q_count))
-        plan.steps.append(
+        steps.append(
             ApplyEdges(
                 del_targets, del_idx, (del_id,), label=f"mq-{del_id}", stage=i
             )
         )
 
-    for q in range(q_count):
-        plan.steps.append(MarkSnapshot(state(q, 0), q * n + 0))
-        for k in range(1, n):
-            plan.steps.append(MarkSnapshot(state(q, k), q * n + k))
-    return plan
+    steps += [
+        MarkSnapshot(state(q, k), state(q, k))
+        for q in range(q_count) for k in range(n)
+    ]
+    return steps
 
 
 class MultiQueryResult:
@@ -97,6 +109,12 @@ class MultiQueryResult:
         if not 0 <= query < len(self.sources):
             raise IndexError(f"query {query} out of range")
         return self.raw.snapshot_values[query * self.n_snapshots + snapshot]
+
+    def matrix(self) -> np.ndarray:
+        """Every (query, snapshot) value row, query-major:
+        ``(queries * n_snapshots, n)``."""
+        rows = self.raw.snapshot_values
+        return np.stack([rows[i] for i in range(len(rows))])
 
     @property
     def collector(self):

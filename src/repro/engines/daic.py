@@ -102,7 +102,7 @@ class StepTable:
     """
 
     __slots__ = ("kinds", "rows", "seeds", "tags", "source", "_cols",
-                 "_n_seed")
+                 "_n_seed", "_arrays")
 
     def __init__(self, source: int = 0) -> None:
         self.kinds: list[int] = []
@@ -112,6 +112,7 @@ class StepTable:
         self.source = int(source)
         self._cols: list[int] = []
         self._n_seed = 0
+        self._arrays: tuple | None = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -144,6 +145,7 @@ class StepTable:
         seed_end = self._n_seed + (0 if seeds is None else seeds.shape[0])
         self._cols += (kind, start, start + len(rows), self._n_seed, seed_end)
         self._n_seed = seed_end
+        self._arrays = None
         self.kinds.append(kind)
         self.rows.append(rows)
         self.seeds.append(seeds)
@@ -158,17 +160,22 @@ class StepTable:
         )
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The kernel's ``(steps, step_rows, seed_edges)`` arrays."""
-        steps = np.array(self._cols, dtype=np.int64).reshape(-1, STEP_COLS)
-        step_rows = np.array(
-            [r for rows in self.rows for r in rows], dtype=np.int64
-        )
-        batches = [e for e in self.seeds if e is not None]
-        seeds = (
-            np.concatenate(batches) if batches
-            else np.empty(0, dtype=np.int64)
-        )
-        return steps, step_rows, seeds
+        """The kernel's ``(steps, step_rows, seed_edges)`` arrays, built
+        once per table (a reused table pays for them once)."""
+        if self._arrays is None:
+            steps = np.array(self._cols, dtype=np.int64).reshape(
+                -1, STEP_COLS
+            )
+            step_rows = np.array(
+                [r for rows in self.rows for r in rows], dtype=np.int64
+            )
+            batches = [e for e in self.seeds if e is not None]
+            seeds = (
+                np.concatenate(batches) if batches
+                else np.empty(0, dtype=np.int64)
+            )
+            self._arrays = (steps, step_rows, seeds)
+        return self._arrays
 
 
 def group_argbest(

@@ -10,14 +10,18 @@ them.
 
 Each maximal run of ``CopyState``, ``ApplyEdges`` and ``DeleteEdges``
 steps is a *segment*: the executor does batch delivery per step,
-collects the steps into a :class:`~repro.engines.daic.StepTable`, does
-the segment's version-table bookkeeping in one call, and hands the table
-to the engine, which runs it on the compiled tier as one kernel call
-(the kernel reads and writes the state rows in place, runs each
-deletion's KickStarter repair, and writes each step's round traces
-itself).  ``EvalFull`` and ``MarkSnapshot`` end a segment.  So a
+collects the steps into a :class:`~repro.engines.daic.StepTable` and
+hands the table to the engine, which runs it on the compiled tier as
+one kernel call (the kernel reads and writes the state rows in place,
+runs each deletion's KickStarter repair, and writes each step's round
+traces itself).  ``EvalFull`` and ``MarkSnapshot`` end a segment.  So a
 streaming plan costs one call per snapshot, a Direct-Hop plan one call
-per hop chain and a BOE plan one call for its whole schedule.
+per hop chain and a BOE plan one call for its whole schedule.  A plan
+with a ``key`` (the multi-query BOE plan) has its tables built once per
+union and reused by every later plan with that key.  The executor keeps
+no composition record: the fault campaign, its one reader, books the
+plan into a version table itself
+(:func:`repro.resilience.recovery.record_version_table`).
 """
 
 from __future__ import annotations
@@ -54,9 +58,6 @@ class WorkflowResult:
     snapshot_values: dict[int, np.ndarray]
     collector: TraceCollector | None
     deletion_stats: list[DeletionStats] = field(default_factory=list)
-    #: batch-composition bookkeeping mirrored from the run (None when the
-    #: plan carries no batch ids); indexed by *state*, not snapshot
-    version_table: object | None = None
 
     def values(self, snapshot: int) -> np.ndarray:
         return self.snapshot_values[snapshot]
@@ -107,7 +108,6 @@ class PlanExecutor:
             track_parents=needs_deletion,
             budget=self.budget,
         )
-        table = self._new_version_table(plan)
 
         n_states = max(plan.n_states, 1)
         values = np.full(
@@ -120,19 +120,52 @@ class PlanExecutor:
             else unified.presence_mask(0)
         )
 
-        result = WorkflowResult(plan.name, {}, collector, version_table=table)
+        result = WorkflowResult(plan.name, {}, collector)
         source = self.scenario.source
+        for item in self._schedule(plan):
+            if isinstance(item, StepTable):
+                result.deletion_stats += engine.run_segment(
+                    values, presence, item
+                )
+                continue
+            step = plan.steps[item]
+            if isinstance(step, EvalFull):
+                presence[step.state] = initial_mask
+                values[step.state] = engine.evaluate_full(
+                    presence[step.state],
+                    source if step.source is None else step.source,
+                    phase="full",
+                    tag=step.label,
+                    parent_row=step.state if needs_deletion else None,
+                )
+            elif isinstance(step, MarkSnapshot):
+                snap = values[step.state].copy()
+                fire = faults.maybe_fire("executor.bitflip-value")
+                if fire is not None:
+                    self._bitflip(snap, fire, step.snapshot)
+                result.snapshot_values[step.snapshot] = snap
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown plan step {step!r}")
+        return result
+
+    def _schedule(self, plan: Plan) -> list:
+        """The plan as the executor runs it: each segment as one
+        :class:`StepTable`, every other step as its index in
+        ``plan.steps``.  A keyed plan's is built once per union and
+        source and shared, unless the fault that acts on batch delivery
+        is armed."""
+        if plan.key is None or faults.armed("schedule.truncate-batch"):
+            return self._segments(plan.steps)
+        return self.unified.memo(
+            ("schedule", plan.key, self.scenario.source),
+            lambda: self._segments(plan.steps),
+        )
+
+    def _segments(self, steps: list) -> list:
+        source = self.scenario.source
+        schedule: list = []
         segment = StepTable(source)
-        moved: list = []
-
-        def run_segment() -> None:
-            if table is not None:
-                table.record_segment(moved)
-            result.deletion_stats += engine.run_segment(
-                values, presence, segment
-            )
-
-        for step in plan.steps:
+        for i, step in enumerate(steps):
             if isinstance(step, CopyState):
                 segment.copy(step.src, step.dst)
             elif isinstance(step, ApplyEdges):
@@ -141,54 +174,12 @@ class PlanExecutor:
                 segment.delete(step.state, step.edge_idx, step.label)
             else:
                 if len(segment):
-                    run_segment()
-                    segment, moved = StepTable(source), []
-                if isinstance(step, EvalFull):
-                    presence[step.state] = initial_mask
-                    values[step.state] = engine.evaluate_full(
-                        presence[step.state],
-                        source if step.source is None else step.source,
-                        phase="full",
-                        tag=step.label,
-                        parent_row=step.state if needs_deletion else None,
-                    )
-                elif isinstance(step, MarkSnapshot):
-                    snap = values[step.state].copy()
-                    fire = faults.maybe_fire("executor.bitflip-value")
-                    if fire is not None:
-                        self._bitflip(snap, fire, step.snapshot)
-                    result.snapshot_values[step.snapshot] = snap
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unknown plan step {step!r}")
-                continue
-            moved.append(step)
+                    schedule.append(segment)
+                    segment = StepTable(source)
+                schedule.append(i)
         if len(segment):
-            run_segment()
-        if table is not None:
-            for entry in table.entries:
-                table.mark_complete(entry.snapshot)
-        return result
-
-    def _new_version_table(self, plan: Plan):
-        """Mirror the run's batch compositions in a hardware version table.
-
-        Only built when the plan carries batch ids.  Executor states are
-        physically separate value rows, so every entry is peeled up front
-        (no chain aliasing); what the table tracks here is *which batches
-        each state's values include* — the composition record the campaign
-        cross-checks against the plan.
-        """
-        has_batches = any(
-            getattr(s, "batches", ()) for s in plan.steps
-        )
-        if not has_batches or plan.n_states < 1:
-            return None
-        from repro.accel.version_table import VersionTable
-
-        table = VersionTable(max(plan.n_states, 1))
-        for entry in table.entries:
-            table.peel(entry.snapshot)
-        return table
+            schedule.append(segment)
+        return schedule
 
     @staticmethod
     def _bitflip(snap: np.ndarray, fire: faults.Fire, snapshot: int) -> None:

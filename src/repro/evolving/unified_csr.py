@@ -89,6 +89,8 @@ class UnifiedCSR:
         del_step: np.ndarray,
         n_snapshots: int,
         presence_planes: np.ndarray | None = None,
+        *,
+        check_tags: bool = True,
     ) -> None:
         self.graph = graph
         self.add_step = np.asarray(add_step, dtype=np.int32)
@@ -100,19 +102,24 @@ class UnifiedCSR:
             raise ValueError("del_step must have one entry per union edge")
         if n_snapshots < 1:
             raise ValueError("need at least one snapshot")
-        both = (self.add_step >= 0) & (self.del_step >= 0)
-        if np.any(both):
-            raise ValueError(
-                "an edge cannot be both an addition and a deletion within "
-                "one CommonGraph window"
-            )
-        if np.any(self.add_step >= n_snapshots - 1) or np.any(
-            self.del_step >= n_snapshots - 1
-        ):
-            raise ValueError("batch steps must lie in [0, n_snapshots-2]")
+        # O(E); ``check_tags=False`` is for the compiled window merge,
+        # which derives the tags itself (tests/test_window_merge.py
+        # holds its outputs to these rules)
+        if check_tags:
+            both = (self.add_step >= 0) & (self.del_step >= 0)
+            if np.any(both):
+                raise ValueError(
+                    "an edge cannot be both an addition and a deletion "
+                    "within one CommonGraph window"
+                )
+            if np.any(self.add_step >= n_snapshots - 1) or np.any(
+                self.del_step >= n_snapshots - 1
+            ):
+                raise ValueError("batch steps must lie in [0, n_snapshots-2]")
         self._snapshot_cache: dict[int, CSRGraph] = {}
         self._reverse: CSRGraph | None = None
-        self._batch_edges: dict[BatchId, np.ndarray] = {}
+        #: what is derived from the union alone, by key (see :meth:`memo`)
+        self._memo: dict = {}
         #: bit-packed presence planes; built lazily, or injected by a
         #: shared-memory attach so workers skip the packbits pass
         self._planes: np.ndarray | None = None
@@ -208,10 +215,28 @@ class UnifiedCSR:
     def n_union_edges(self) -> int:
         return self.graph.n_edges
 
+    def memo(self, key, build):
+        """``build()``, computed once per union and ``key``, read-only by
+        contract: the union never changes, so what is derived from it
+        alone (a batch's edges, a plan's schedule) lives as long as it
+        does."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
+
     @property
     def common_mask(self) -> np.ndarray:
-        """Edges belonging to the CommonGraph ``G_c`` (all snapshots)."""
-        return (self.add_step == NOT_APPLICABLE) & (self.del_step == NOT_APPLICABLE)
+        """Edges belonging to the CommonGraph ``G_c`` (all snapshots):
+        read-only, computed once."""
+        return self.memo("common", self._common_mask)
+
+    def _common_mask(self) -> np.ndarray:
+        mask = (self.add_step == NOT_APPLICABLE) & (
+            self.del_step == NOT_APPLICABLE
+        )
+        mask.flags.writeable = False
+        return mask
 
     def presence_planes(self) -> np.ndarray:
         """Bit-packed presence: ``(ceil(K/8), M)`` ``uint8``, lazy-cached.
@@ -300,13 +325,13 @@ class UnifiedCSR:
         once per snapshot a batch reaches), and the tags never change, so
         each batch's edge list is computed once.
         """
-        edges = self._batch_edges.get(batch_id)
-        if edges is None:
-            edges = np.flatnonzero(self.batch_mask(batch_id)).astype(
-                np.int64, copy=False
-            )
-            edges.flags.writeable = False
-            self._batch_edges[batch_id] = edges
+        return self.memo(batch_id, lambda: self._batch_edges(batch_id))
+
+    def _batch_edges(self, batch_id: BatchId) -> np.ndarray:
+        edges = np.flatnonzero(self.batch_mask(batch_id)).astype(
+            np.int64, copy=False
+        )
+        edges.flags.writeable = False
         return edges
 
     def batch(self, batch_id: BatchId) -> EdgeBatch:

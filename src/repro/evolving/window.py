@@ -47,6 +47,8 @@ def _moved(unified: UnifiedCSR, lo: int, count: int, n_out: int, **delta):
 
 
 def _union_of(merge, n_vertices: int, n_snapshots: int) -> UnifiedCSR:
+    """The union a compiled move built; the kernel derived its tags, so
+    the O(E) tag checks are not run again."""
     merge.planes.flags.writeable = False
     return UnifiedCSR(
         CSRGraph(
@@ -57,6 +59,7 @@ def _union_of(merge, n_vertices: int, n_snapshots: int) -> UnifiedCSR:
         merge.del_step,
         n_snapshots,
         presence_planes=merge.planes,
+        check_tags=False,
     )
 
 

@@ -34,6 +34,7 @@ from repro.resilience.budget import Budget, BudgetExceeded
 from repro.resilience.recovery import (
     detect_and_recover,
     eventlevel_recompute_from_common,
+    record_version_table,
 )
 from repro.schedule import boe_plan
 
@@ -221,10 +222,15 @@ def _executor_trial(
             )
         except BudgetExceeded as exc:
             detail["watchdog"] = exc.resource
+        else:
+            # a fire draws from (seed, point, opportunity), so where the
+            # booking sits in the block does not move what a fault hits
+            table = record_version_table(schedule)
     if result is None:
         return True, False, detail
     report = detect_and_recover(
-        scenario, algorithm, result, plan=schedule, budget=budget
+        scenario, algorithm, result, plan=schedule, budget=budget,
+        version_table=table,
     )
     if report.corrupted_snapshots:
         detail["corrupted_snapshots"] = report.corrupted_snapshots

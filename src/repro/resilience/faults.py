@@ -35,6 +35,7 @@ __all__ = [
     "FaultPlan",
     "Fire",
     "FaultRecord",
+    "armed",
     "inject",
     "maybe_fire",
     "register_fault_point",
@@ -173,6 +174,12 @@ def maybe_fire(point: str) -> Fire | None:
     if _ACTIVE is None:
         return None
     return _ACTIVE.maybe_fire(point)
+
+
+def armed(point: str) -> bool:
+    """Does the active plan (if any) arm ``point``?  For a site that
+    skips its opportunities on a cached path unless they can fire."""
+    return _ACTIVE is not None and point in _ACTIVE.points
 
 
 @contextmanager

@@ -48,6 +48,7 @@ __all__ = [
     "expected_state_batches",
     "rebuild_version_table",
     "recompute_snapshot_from_common",
+    "record_version_table",
     "verify_version_table",
 ]
 
@@ -119,6 +120,33 @@ def expected_state_batches(plan: Plan) -> dict[int, set[BatchId]]:
         elif isinstance(step, DeleteEdges):
             comp[step.state].update(step.batches)
     return comp
+
+
+def record_version_table(plan: Plan) -> VersionTable | None:
+    """Book a plan's batch compositions in a hardware version table.
+
+    Every copy, apply and delete step the executor ran, in order, with
+    one ``version-table.corrupt-entry`` opportunity per finished batch
+    (see :meth:`VersionTable.record_segment`); None when the plan
+    carries no batch ids.  Executor states are physically separate value rows, so
+    every entry is peeled up front (no chain aliasing): the table tracks
+    *which batches each state's values include*, the composition record
+    :func:`verify_version_table` cross-checks against the plan.
+    """
+    if plan.n_states < 1 or not any(
+        getattr(s, "batches", ()) for s in plan.steps
+    ):
+        return None
+    table = VersionTable(plan.n_states)
+    for entry in table.entries:
+        table.peel(entry.snapshot)
+    table.record_segment([
+        s for s in plan.steps
+        if isinstance(s, (CopyState, ApplyEdges, DeleteEdges))
+    ])
+    for entry in table.entries:
+        table.mark_complete(entry.snapshot)
+    return table
 
 
 def verify_version_table(plan: Plan, table: VersionTable | None) -> list[int]:
@@ -194,13 +222,15 @@ def detect_and_recover(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     budget: Budget | None = None,
+    version_table: VersionTable | None = None,
 ) -> RecoveryReport:
     """Validate a workflow result and repair what validation rejects.
 
     Detection is the existing validation machinery — an independent
     from-scratch reference per snapshot.  Every rejected snapshot is
     recomputed from the common graph (in place, in ``result``) and
-    re-checked.  With ``plan`` given, the version table's composition is
+    re-checked.  With ``plan`` and its ``version_table``
+    (:func:`record_version_table`) given, the table's composition is
     cross-checked too and rebuilt from the plan on mismatch.
     """
     report = RecoveryReport(result.plan_name)
@@ -220,12 +250,11 @@ def detect_and_recover(
         report.repairs.append(
             SnapshotRepair(k, int((~close).sum()), ok)
         )
-    if plan is not None and result.version_table is not None:
-        bad = verify_version_table(plan, result.version_table)
+    if plan is not None and version_table is not None:
+        bad = verify_version_table(plan, version_table)
         if bad:
             report.table_corrupt_states = bad
-            result.version_table = rebuild_version_table(plan)
             report.table_rebuilt = not verify_version_table(
-                plan, result.version_table
+                plan, rebuild_version_table(plan)
             )
     return report

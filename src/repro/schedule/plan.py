@@ -110,6 +110,11 @@ class Plan:
     steps: list[Step] = field(default_factory=list)
     #: which union-edge mask each state starts from ("common" | "snapshot0")
     initial_graph: str = "common"
+    #: names the schedule on its union up to the sources of its
+    #: ``EvalFull`` steps: plans with one key over one union share every
+    #: other step, so the executor builds their segments once (None: a
+    #: one-off plan)
+    key: tuple | None = None
 
     def applied_edge_total(self) -> int:
         """Total edges applied across all ``ApplyEdges`` steps and targets.

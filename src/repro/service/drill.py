@@ -385,8 +385,8 @@ def _reference_summaries(
         algorithm = get_algorithm(algo_name)
         mq = evaluate_multi_query(scenario, algorithm, [source])
         out[algo_name] = [
-            _summarize(algorithm, mq.values(0, k), k).as_dict()
-            for k in range(scenario.n_snapshots)
+            s.as_dict()
+            for s in _summarize(algorithm, mq.matrix(), scenario.n_snapshots)[0]
         ]
     return out
 

@@ -27,9 +27,13 @@ Resilience wiring (PR 1):
   degrade around it).
 
 Per-worker memory stays bounded: the only worker state is a small LRU
-of attaches (``_ATTACHED``).  :meth:`WorkerPool.clear_caches` broadcasts
-a best-effort detach; :meth:`WorkerPool.restart` is the guaranteed
-reclaim (fresh processes start empty).
+of attaches (``_ATTACHED``).  An entry holds its generation's scenario
+and what plans derive from it alone — each served window's view, and on
+each view's union the common-graph mask and each source count's
+schedule — so a plan pays for its kernel calls and little else, and
+evicting the entry drops it all.  :meth:`WorkerPool.clear_caches`
+broadcasts a best-effort detach; :meth:`WorkerPool.restart` is the
+guaranteed reclaim (fresh processes start empty).
 """
 
 from __future__ import annotations
@@ -135,57 +139,88 @@ class PlanResult:
 # worker side (runs in the pool processes)
 # ---------------------------------------------------------------------------
 
-#: segment name -> (SharedMemory, scenario); process-local zero-copy
-#: attaches to the coordinator's scenario plane
-_ATTACHED: dict = {}
+@dataclass
+class _Attach:
+    """One attached generation and the plan state derived from it."""
+
+    shm: object
+    scenario: object
+    #: window -> the scenario's windowed view (``window_scenario``)
+    views: dict = field(default_factory=dict)
+
+
+#: segment name -> _Attach; process-local zero-copy attaches to the
+#: coordinator's scenario plane.  Everything a plan derives from its
+#: generation and window hangs off an entry — the windowed views here,
+#: and on each view's union (``UnifiedCSR.memo``) the schedule's step
+#: tables and the common-graph mask — so evicting an entry drops it all
+_ATTACHED: dict[str, _Attach] = {}
 _ATTACHED_LIMIT = 4
+
+
+def _close(entry: _Attach) -> None:
+    try:
+        entry.shm.close()
+    except OSError:  # pragma: no cover - buffer already torn down
+        pass
 
 
 def _detach_all() -> None:
     """Close every shared-memory attach held by this process."""
     while _ATTACHED:
-        __, (shm, __) = _ATTACHED.popitem()
-        try:
-            shm.close()
-        except OSError:  # pragma: no cover - buffer already torn down
-            pass
+        _close(_ATTACHED.popitem()[1])
 
 
-def _attached_scenario(manifest):
-    """The scenario published under ``manifest``, attached zero-copy.
+def _attached_scenario(manifest, window=None):
+    """The scenario published under ``manifest``, attached zero-copy,
+    or its view over ``window`` (``(lo, hi)``).
 
     Attaches are cached per segment (a bounded LRU — eviction closes the
-    mapping).  Raises :class:`PlaneError` when the segment cannot be
-    attached (unlinked by a coordinator restart, swept as an orphan,
-    ...): it will not come back, so the coordinator retries the plan's
-    queries against a fresh generation instead of the worker retrying.
+    mapping) and views per attach and window.  Raises
+    :class:`PlaneError` when the segment cannot be attached (unlinked by
+    a coordinator restart, swept as an orphan, ...): it will not come
+    back, so the coordinator retries the plan's queries against a fresh
+    generation instead of the worker retrying.
     """
-    cached = _ATTACHED.get(manifest.segment)
-    if cached is not None:
-        return cached[1]
-    try:
-        shm, scenario = attach_scenario(manifest)
-    except (OSError, ValueError) as exc:
-        raise PlaneError(
-            f"cannot attach {manifest.segment} (epoch {manifest.epoch}): {exc}"
-        ) from None
-    if len(_ATTACHED) >= _ATTACHED_LIMIT:
-        old_shm, __ = _ATTACHED.pop(next(iter(_ATTACHED)))
+    from repro.evolving.window import window_scenario
+
+    entry = _ATTACHED.get(manifest.segment)
+    if entry is None:
         try:
-            old_shm.close()
-        except OSError:  # pragma: no cover - buffer already torn down
-            pass
-    _ATTACHED[manifest.segment] = (shm, scenario)
-    return scenario
+            shm, scenario = attach_scenario(manifest)
+        except (OSError, ValueError) as exc:
+            raise PlaneError(
+                f"cannot attach {manifest.segment} (epoch {manifest.epoch}): "
+                f"{exc}"
+            ) from None
+        if len(_ATTACHED) >= _ATTACHED_LIMIT:
+            _close(_ATTACHED.pop(next(iter(_ATTACHED))))
+        entry = _ATTACHED[manifest.segment] = _Attach(shm, scenario)
+    if window is None:
+        return entry.scenario
+    view = entry.views.get(window)
+    if view is None:
+        view = entry.views[window] = window_scenario(entry.scenario, *window)
+    return view
 
 
-def _summarize(algorithm, values: np.ndarray, snapshot: int) -> SnapshotSummary:
+def _summarize(
+    algorithm, values: np.ndarray, n_snapshots: int
+) -> list[list[SnapshotSummary]]:
+    """Per query, its snapshots' summaries, from a query-major
+    ``(queries * n_snapshots, n)`` value matrix in one pass."""
+    reached = algorithm.reached(values).sum(axis=1).tolist()
     finite = np.isfinite(values)
-    return SnapshotSummary(
-        snapshot=snapshot,
-        reached=int(algorithm.reached(values).sum()),
-        checksum=float(values[finite].sum()),
-    )
+    # each row's finite values, compacted before the sum: numpy's
+    # pairwise sum groups by position, so zeros in place of the rest
+    # would not give bit-identical checksums
+    rows = [
+        SnapshotSummary(r % n_snapshots, reached[r], float(row[keep].sum()))
+        for r, (row, keep) in enumerate(zip(values, finite))
+    ]
+    return [
+        rows[q:q + n_snapshots] for q in range(0, len(rows), n_snapshots)
+    ]
 
 
 def _worker_clear() -> None:
@@ -197,7 +232,6 @@ def _worker_clear() -> None:
 def _execute(payload: PlanPayload) -> PlanResult:
     from repro.algorithms import get_algorithm
     from repro.core.multi_query import evaluate_multi_query, simulate_multi_query
-    from repro.evolving.window import window_scenario
     from repro.resilience.faults import maybe_fire
 
     fire = maybe_fire("service.worker-fault")
@@ -211,9 +245,7 @@ def _execute(payload: PlanPayload) -> PlanResult:
         fire.note(plan=payload.plan_id, pid=os.getpid())
         raise FatalError(f"injected poisoned plan (plan {payload.plan_id})")
 
-    scenario = _attached_scenario(payload.shm)
-    if payload.window is not None:
-        scenario = window_scenario(scenario, *payload.window)
+    scenario = _attached_scenario(payload.shm, payload.window)
     algorithm = get_algorithm(payload.algo)
     budget = Budget(
         max_rounds=payload.max_rounds, wall_clock_s=payload.budget_s
@@ -227,13 +259,9 @@ def _execute(payload: PlanPayload) -> PlanResult:
         update_cycles = int(report.update_cycles)
     else:
         mq = evaluate_multi_query(scenario, algorithm, sources, budget=budget)
-    summaries = {
-        source: [
-            _summarize(algorithm, mq.values(q, k), k)
-            for k in range(scenario.n_snapshots)
-        ]
-        for q, source in enumerate(sources)
-    }
+    summaries = dict(zip(
+        sources, _summarize(algorithm, mq.matrix(), scenario.n_snapshots)
+    ))
     return PlanResult(
         plan_id=payload.plan_id,
         epoch=payload.epoch,

@@ -225,10 +225,10 @@ def test_service_coalesces_burst_and_matches_direct_evaluation():
     scenario = scenario_cache("PK", "tiny", n_snapshots=4)
     algo = get_algorithm("sssp")
     direct = evaluate_multi_query(scenario, algo, [1, 2, 3, 5])
+    expected = _summarize(algo, direct.matrix(), scenario.n_snapshots)
     for r, s in zip(responses, sources):
         q = [1, 2, 3, 5].index(s)
-        for k, summary in enumerate(r.summaries):
-            expect = _summarize(algo, direct.values(q, k), k)
+        for summary, expect in zip(r.summaries, expected[q], strict=True):
             assert summary.reached == expect.reached
             assert summary.checksum == pytest.approx(expect.checksum)
 

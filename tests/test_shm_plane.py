@@ -18,6 +18,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.evolving import synthesize_scenario
 from repro.service.shm import (
     SEGMENT_PREFIX,
     SHM_DIR,
@@ -264,6 +265,203 @@ def test_worker_attach_cache_and_fallback(small_scenario):
         plane.close_all()
 
 
+# -- what a worker derives from a generation, built once ------------------
+
+#: mixed windows for in-process plans: full, sub-windows, one snapshot
+_WINDOWS = (None, (1, 4), (2, 5), (3, 3))
+
+
+def _plan(manifest, i, algo="sssp", window=None, sources=(3,)):
+    from repro.service.pool import PlanPayload
+
+    return PlanPayload(i, algo, tuple(sources), window=window, shm=manifest)
+
+
+def _count_calls(monkeypatch, owner, name, key):
+    """Count calls of ``owner.name`` per ``key(*args)``."""
+    from collections import Counter
+
+    calls: Counter = Counter()
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[key(*args)] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_worker_builds_views_and_schedules_once(small_scenario, monkeypatch):
+    """Over many plans on one generation, each window's view is built
+    once, and each (union, Q) schedule — the plan's shared steps and the
+    executor's step tables — once."""
+    from repro.core import multi_query
+    from repro.engines.executor import PlanExecutor
+    from repro.evolving import window
+    from repro.service import pool
+
+    pool._detach_all()
+    views = _count_calls(
+        monkeypatch, window, "extract_window", lambda u, lo, hi: (lo, hi)
+    )
+    steps = _count_calls(
+        monkeypatch, multi_query, "_shared_steps", lambda u, q: (id(u), q)
+    )
+    tables = _count_calls(
+        monkeypatch, PlanExecutor, "_segments",
+        lambda ex, plan_steps: (id(ex.unified), ex.scenario.source),
+    )
+    plane, manifest = _plane(small_scenario)
+    try:
+        algos = ("bfs", "sssp", "sswp", "ssnp", "viterbi")
+        shapes = set()
+        for i in range(24):
+            w, q = _WINDOWS[i % 4], 1 + i % 3
+            result = pool._execute(_plan(
+                manifest, i, algos[i % 5], w, range(i, i + q)
+            ))
+            assert len(result.summaries) == q
+            shapes.add((w, q))
+        assert views == {w: 1 for w in _WINDOWS if w is not None}
+        assert len(steps) == len(shapes) and set(steps.values()) == {1}
+        assert sum(tables.values()) == len(shapes)
+    finally:
+        pool._detach_all()
+        plane.close_all()
+
+
+def test_evaluate_path_books_no_composition(small_scenario, monkeypatch):
+    """Serving builds no version table: only the fault campaign reads
+    one, and it books the plan itself."""
+    from repro.accel.version_table import VersionTable
+    from repro.service import pool
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a composition record was built")
+
+    monkeypatch.setattr(VersionTable, "__init__", refuse)
+    plane, manifest = _plane(small_scenario)
+    try:
+        for i, w in enumerate(_WINDOWS):
+            assert pool._execute(_plan(manifest, i, window=w)).summaries
+    finally:
+        pool._detach_all()
+        plane.close_all()
+
+
+def test_evicting_an_attach_drops_its_derived_state(
+    small_scenario, monkeypatch
+):
+    """An attach entry's views and their unions' memos go with it, on
+    LRU eviction and on ``_detach_all``."""
+    import gc
+    import weakref
+
+    from repro.service import pool
+
+    pool._detach_all()
+    monkeypatch.setattr(pool, "_ATTACHED_LIMIT", 1)
+    plane, first = _plane(small_scenario)
+    second = plane.publish(small_scenario, "small", "other", epoch=0)
+    try:
+        def derived(manifest):
+            for i, w in enumerate(_WINDOWS):
+                pool._execute(_plan(manifest, i, window=w))
+            entry = pool._ATTACHED[manifest.segment]
+            unions = [entry.scenario.unified] + [
+                v.unified for v in entry.views.values()
+            ]
+            assert all(u._memo for u in unions)
+            return [weakref.ref(u) for u in unions]
+
+        refs = derived(first)
+        assert len(refs) == len(_WINDOWS)
+        later = derived(second)
+        gc.collect()
+        assert list(pool._ATTACHED) == [second.segment]
+        assert all(r() is None for r in refs)
+        pool._detach_all()
+        gc.collect()
+        assert pool._ATTACHED == {}
+        assert all(r() is None for r in later)
+    finally:
+        pool._detach_all()
+        plane.close_all()
+
+
+def test_new_generation_gets_fresh_views(small_pool, small_scenario):
+    """A second publish is a new attach: its windowed answers come from
+    its own scenario, never from the last generation's views."""
+    from repro.service import pool
+
+    other = synthesize_scenario(
+        small_pool, n_snapshots=8, batch_pct=0.02, seed=4, name="small"
+    )
+    plane, first = _plane(small_scenario, epoch=0)
+    try:
+        old = pool._execute(_plan(first, 0, window=(2, 5)))
+        second = plane.publish(other, "small", "test", epoch=1)
+        new = pool._execute(_plan(second, 1, window=(2, 5)))
+        assert pool._ATTACHED[second.segment].views[(2, 5)] is not (
+            pool._ATTACHED[first.segment].views[(2, 5)]
+        )
+        for scenario, result in ((small_scenario, old), (other, new)):
+            assert _rows(result.summaries[3]) == _reference(
+                scenario, "sssp", 3, (2, 5)
+            )
+    finally:
+        pool._detach_all()
+        plane.close_all()
+
+
+def _rows(summaries):
+    return [(s.snapshot, s.reached, s.checksum) for s in summaries]
+
+
+def _reference(scenario, algo_name, source, window):
+    """From-scratch values over ``window``, summarised row by row."""
+    from repro.algorithms import get_algorithm
+    from repro.engines.validation import evaluate_reference
+    from repro.evolving.snapshots import EvolvingScenario
+
+    algo = get_algorithm(algo_name)
+    lo, hi = window or (0, scenario.n_snapshots - 1)
+    rooted = EvolvingScenario(scenario.unified, source=source)
+    out = []
+    for k in range(hi - lo + 1):
+        v = evaluate_reference(rooted, algo, lo + k)
+        out.append(
+            (k, int(algo.reached(v).sum()), float(v[np.isfinite(v)].sum()))
+        )
+    return out
+
+
+@pytest.mark.parametrize("algo", ["bfs", "sssp", "sswp", "ssnp", "viterbi"])
+def test_cached_worker_path_is_bit_identical(small_scenario, algo):
+    """On the active kernel tier, every plan shape — full window,
+    sub-window, one-snapshot window; one source, three with a duplicate
+    — answers from the attach entry's cached views and schedules exactly
+    as from-scratch evaluation does, the second time as the first."""
+    from repro.service import pool
+
+    pool._detach_all()
+    plane, manifest = _plane(small_scenario)
+    try:
+        for rep in range(2):
+            for w in (None, (2, 5), (4, 4)):
+                for sources in ((7,), (7, 11, 7)):
+                    got = pool._execute(_plan(manifest, rep, algo, w, sources))
+                    assert sorted(got.summaries) == sorted(set(sources))
+                    for s in sources:
+                        assert _rows(got.summaries[s]) == _reference(
+                            small_scenario, algo, s, w
+                        ), (rep, w, sources, s)
+    finally:
+        pool._detach_all()
+        plane.close_all()
+
+
 # -- end-to-end through a process-pool service ----------------------------
 
 
@@ -289,10 +487,7 @@ def _scratch(service, epoch, algo, source):
     mq = evaluate_multi_query(scenario, algorithm, [source])
     return [
         (s.snapshot, s.reached, s.checksum)
-        for s in (
-            _summarize(algorithm, mq.values(0, k), k)
-            for k in range(scenario.n_snapshots)
-        )
+        for s in _summarize(algorithm, mq.matrix(), scenario.n_snapshots)[0]
     ]
 
 

@@ -64,6 +64,16 @@ def _assert_same(ref: list, got: list, label: str = "") -> None:
         assert np.array_equal(a, b), (label, k)
 
 
+def _assert_tag_rules(u: UnifiedCSR) -> None:
+    """The rules ``UnifiedCSR`` checks its tags against, which it skips
+    for a compiled merge's union: no edge both added and deleted, and
+    every batch step in ``[0, n - 2]`` (or -1, none)."""
+    n = u.n_snapshots
+    assert not np.any((u.add_step >= 0) & (u.del_step >= 0))
+    for tags in (u.add_step, u.del_step):
+        assert np.all((tags >= -1) & (tags <= n - 2))
+
+
 def _on_tiers(compiled: str, fn):
     """``fn()`` under the numpy reference, then under ``compiled``."""
     out = []
@@ -79,6 +89,7 @@ def _slide(compiled: str, u: UnifiedCSR, adds, dels, label="") -> UnifiedCSR:
     def run():
         r = slide_window(u, adds, dels)
         assert r.unified.n_snapshots == u.n_snapshots
+        _assert_tag_rules(r.unified)
         return r, _arrays(r.unified) + [r.del_slots, r.add_slots,
                                         r.last_presence]
 
@@ -93,6 +104,7 @@ def _extracts(compiled: str, u: UnifiedCSR, windows, label="") -> None:
             compiled, lambda lo=lo, hi=hi: extract_window(u, lo, hi)
         )
         assert ref.n_snapshots == got.n_snapshots == hi - lo + 1
+        _assert_tag_rules(got)
         _assert_same(_arrays(ref), _arrays(got), f"{label} [{lo}, {hi}]")
 
 
