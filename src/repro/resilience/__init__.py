@@ -56,6 +56,7 @@ __all__ = [
     "maybe_fire",
     "rebuild_version_table",
     "recompute_snapshot_from_common",
+    "record_version_table",
     "register_fault_point",
     "retry_with_backoff",
     "run_campaign",
@@ -75,6 +76,7 @@ _LAZY = {
     "eventlevel_recompute_from_common": "recovery",
     "rebuild_version_table": "recovery",
     "recompute_snapshot_from_common": "recovery",
+    "record_version_table": "recovery",
     "verify_version_table": "recovery",
 }
 

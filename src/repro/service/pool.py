@@ -28,12 +28,16 @@ Resilience wiring (PR 1):
 
 Per-worker memory stays bounded: the only worker state is a small LRU
 of attaches (``_ATTACHED``).  An entry holds its generation's scenario
-and what plans derive from it alone — each served window's view, and on
-each view's union the common-graph mask and each source count's
-schedule — so a plan pays for its kernel calls and little else, and
-evicting the entry drops it all.  :meth:`WorkerPool.clear_caches`
-broadcasts a best-effort detach; :meth:`WorkerPool.restart` is the
-guaranteed reclaim (fresh processes start empty).
+and what plans derive from it alone — the views of its most recently
+served windows (at most ``_VIEWS_LIMIT``; each is a private copy of its
+window's union), and on the scenario's and each view's union the
+common-graph mask and each source count's schedule — so a plan pays
+for its kernel calls and little else, and evicting the entry drops it
+all.  So a worker holds at most ``_ATTACHED_LIMIT`` attaches and
+``_ATTACHED_LIMIT * _VIEWS_LIMIT`` views.
+:meth:`WorkerPool.clear_caches` broadcasts a best-effort detach;
+:meth:`WorkerPool.restart` is the guaranteed reclaim (fresh processes
+start empty).
 """
 
 from __future__ import annotations
@@ -145,17 +149,20 @@ class _Attach:
 
     shm: object
     scenario: object
-    #: window -> the scenario's windowed view (``window_scenario``)
+    #: window -> the scenario's windowed view (``window_scenario``), an
+    #: LRU of at most ``_VIEWS_LIMIT``: each view is a private O(E) copy
     views: dict = field(default_factory=dict)
 
 
 #: segment name -> _Attach; process-local zero-copy attaches to the
 #: coordinator's scenario plane.  Everything a plan derives from its
-#: generation and window hangs off an entry — the windowed views here,
-#: and on each view's union (``UnifiedCSR.memo``) the schedule's step
-#: tables and the common-graph mask — so evicting an entry drops it all
+#: generation and window hangs off an entry — its recent windowed views,
+#: and on each union (``UnifiedCSR.memo``) the schedule's step tables
+#: and the common-graph mask — so evicting an entry drops it all
 _ATTACHED: dict[str, _Attach] = {}
 _ATTACHED_LIMIT = 4
+#: windowed views kept per attach entry
+_VIEWS_LIMIT = 4
 
 
 def _close(entry: _Attach) -> None:
@@ -176,11 +183,11 @@ def _attached_scenario(manifest, window=None):
     or its view over ``window`` (``(lo, hi)``).
 
     Attaches are cached per segment (a bounded LRU — eviction closes the
-    mapping) and views per attach and window.  Raises
-    :class:`PlaneError` when the segment cannot be attached (unlinked by
-    a coordinator restart, swept as an orphan, ...): it will not come
-    back, so the coordinator retries the plan's queries against a fresh
-    generation instead of the worker retrying.
+    mapping) and views per attach and window (a bounded LRU per entry).
+    Raises :class:`PlaneError` when the segment cannot be attached
+    (unlinked by a coordinator restart, swept as an orphan, ...): it
+    will not come back, so the coordinator retries the plan's queries
+    against a fresh generation instead of the worker retrying.
     """
     from repro.evolving.window import window_scenario
 
@@ -198,9 +205,12 @@ def _attached_scenario(manifest, window=None):
         entry = _ATTACHED[manifest.segment] = _Attach(shm, scenario)
     if window is None:
         return entry.scenario
-    view = entry.views.get(window)
+    view = entry.views.pop(window, None)
     if view is None:
-        view = entry.views[window] = window_scenario(entry.scenario, *window)
+        if len(entry.views) >= _VIEWS_LIMIT:
+            del entry.views[next(iter(entry.views))]
+        view = window_scenario(entry.scenario, *window)
+    entry.views[window] = view
     return view
 
 

@@ -390,6 +390,31 @@ def test_evicting_an_attach_drops_its_derived_state(
         plane.close_all()
 
 
+def test_an_attach_keeps_its_most_recent_views(small_scenario, monkeypatch):
+    """Views are private O(E) copies, so an entry keeps at most
+    ``_VIEWS_LIMIT`` of them: the least recently served window goes
+    first, and serving it again rebuilds it."""
+    from repro.evolving import window
+    from repro.service import pool
+
+    pool._detach_all()
+    monkeypatch.setattr(pool, "_VIEWS_LIMIT", 2)
+    built = _count_calls(
+        monkeypatch, window, "extract_window", lambda u, lo, hi: (lo, hi)
+    )
+    plane, manifest = _plane(small_scenario)
+    try:
+        for i, w in enumerate([(1, 4), (2, 5), (1, 4), (3, 3), (2, 5)]):
+            pool._execute(_plan(manifest, i, window=w))
+        assert list(pool._ATTACHED[manifest.segment].views) == [
+            (3, 3), (2, 5)
+        ]
+        assert built == {(1, 4): 1, (2, 5): 2, (3, 3): 1}
+    finally:
+        pool._detach_all()
+        plane.close_all()
+
+
 def test_new_generation_gets_fresh_views(small_pool, small_scenario):
     """A second publish is a new attach: its windowed answers come from
     its own scenario, never from the last generation's views."""
