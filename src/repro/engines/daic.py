@@ -556,16 +556,15 @@ class MultiVersionEngine:
                 )
             if counts.unsupported:
                 raise RuntimeError(NOT_A_FIXPOINT)
-            if clock is not None:
-                per_step = counts.steps.tolist()
-                for s in range(first, min(counts.stop, n_steps - 1) + 1):
-                    ran, events = per_step[s][:2]
-                    if ran:
-                        clock.charge(
-                            rounds=ran,
-                            events=events,
-                            stats={"propagate_rounds": int(totals[s, 0])},
-                        )
+            if clock is not None and counts.rounds:
+                # one charge per call: the call ran within the remaining
+                # allowance, so only a wall-clock deadline can breach here
+                last = min(counts.stop, n_steps - 1)
+                clock.charge(
+                    rounds=counts.rounds,
+                    events=counts.events,
+                    stats={"propagate_rounds": int(totals[last, 0])},
+                )
             if not counts.mid:
                 return totals
             if counts.stop == first and not (counts.rounds or counts.seeds):

@@ -3,9 +3,11 @@
 The paper's Batch-Oriented Execution applies one delta batch to every
 snapshot that needs it; the serving-layer generalization coalesces every
 *query* that can share a plan.  Two queries are compatible when they agree
-on everything the multi-query plan fixes — graph, algorithm, snapshot
-window, execution mode, and ingest epoch — and differ only in source
-vertex (:meth:`repro.service.request.QueryRequest.compat_key`).
+on everything the multi-query plan fixes — graph, algorithm, execution
+mode, and ingest epoch — and differ only in source vertex or snapshot
+window (:meth:`repro.service.request.QueryRequest.compat_key`): every
+plan runs the full window, which holds every sub-window's snapshots, and
+each query's window is sliced from its answer on completion.
 
 The batcher dispatches on arrival.  Like BOE, it batches so that a busy
 engine shares work, and never holds work back from an idle one: it wakes

@@ -333,6 +333,9 @@ class _LiveGraph:
         #: checkpoints taken so far (window_slide_every cadence;
         #: persisted in the compaction snapshot)
         self.slides = 0
+        #: re-syncs that installed a log not extending the held one; a
+        #: plan dispatched before one must not cache its answer
+        self.installs = 0
 
     @property
     def epoch(self) -> int:
@@ -648,6 +651,9 @@ class QueryService(QueryPath):
                     self.plane.retire_current(
                         graph, self.config.scale, self.config.n_snapshots
                     )
+                    # bump before the drop: a plan completing meanwhile
+                    # rechecks the count after its cache writes
+                    live.installs += 1
                     self.cache.invalidate_graph(graph)
                 live.log = delta_log
             for graph, count in (snapshot.get("slides") or {}).items():
@@ -1140,6 +1146,7 @@ class QueryService(QueryPath):
             self._inflight.add(plan_id)
             if not degraded:
                 self._unplanned -= len(queries)
+        installs = self._installs(first.graph)
         manifest = None
         try:
             manifest = self._plane_manifest(first.graph, epoch)
@@ -1147,7 +1154,6 @@ class QueryService(QueryPath):
                 plan_id=plan_id,
                 algo=first.algo,
                 sources=sources,
-                window=first.window,
                 mode=first.mode,
                 epoch=epoch,
                 shm=manifest,
@@ -1165,8 +1171,8 @@ class QueryService(QueryPath):
             self._plan_failed(plan_id, queries, exc, manifest)
             return
         future.add_done_callback(
-            lambda fut, q=queries, pid=plan_id, m=manifest: (
-                self._on_plan_done(pid, q, fut, m)
+            lambda fut, q=queries, pid=plan_id, m=manifest, n=installs: (
+                self._on_plan_done(pid, q, fut, m, n)
             )
         )
 
@@ -1236,7 +1242,13 @@ class QueryService(QueryPath):
         queries,
         future,
         manifest: ScenarioManifest | None = None,
+        installs: int = 0,
     ) -> None:
+        """Answer each query with its window of the plan's full-window
+        answer, and cache both — unless a re-sync installed a diverged
+        log while the plan ran: its answer is then still the one at the
+        query's epoch of the old history, so it answers the query but is
+        never cached."""
         try:
             result: PlanResult = future.result()
         except Exception as exc:  # noqa: BLE001 - plan-level isolation
@@ -1250,10 +1262,10 @@ class QueryService(QueryPath):
         self._note_worker_backend(result)
         self.stats.inc("faults_recovered", len(result.recovered_faults))
         for q in queries:
-            summaries = result.summaries.get(q.request.source)
+            full = result.summaries.get(q.request.source)
             q.trace.mark("worker_start", result.worker_start_mono)
             q.trace.mark("worker_end", result.worker_end_mono)
-            if summaries is None:
+            if full is None:
                 # the worker never computed this source: caching the
                 # absence would serve a fabricated empty answer as "ok"
                 # until the next ingest — resolve as an error instead
@@ -1274,7 +1286,8 @@ class QueryService(QueryPath):
                 )
                 continue
             self.stats.inc("completed")
-            self.cache.put(q.request, q.epoch, summaries)
+            summaries = self.cache.window_of(full, q.request.window)
+            self._cache_answer(q, summaries, full, installs)
             self._finish(
                 q,
                 QueryResponse(
@@ -1286,6 +1299,26 @@ class QueryService(QueryPath):
                 ),
             )
         self._retire(plan_id)
+
+    def _installs(self, graph: str) -> int:
+        """Diverged installs on ``graph`` so far; read without the lock,
+        which an ingest holds through its fsync."""
+        live = self._graphs.get(graph)
+        return live.installs if live is not None else 0
+
+    def _cache_answer(
+        self, q: PendingQuery, summaries, full, installs: int
+    ) -> None:
+        """Cache a plan's answer unless a diverged log was installed
+        since the plan was dispatched (``installs`` is the count then)."""
+        graph = q.request.graph
+        if self._installs(graph) != installs:
+            return
+        self.cache.put(q.request, q.epoch, summaries, full)
+        if self._installs(graph) != installs:
+            # an install landed between the check and the write, so its
+            # drop may have run before the write
+            self.cache.invalidate_graph(graph)
 
     def _plan_failed(
         self,

@@ -366,11 +366,14 @@ def _await(predicate, timeout: float, what: str):
 
 def _reference_summaries(
     graph: str, scale: str, n_snapshots: int, deltas, algos, source: int,
+    window: tuple[int, int] | None = None,
 ) -> dict[str, list]:
     """From-scratch digests per algorithm over the base scenario advanced
     through ``deltas``: each a :class:`~repro.service.ingest.DeltaBatch`,
-    or the seed a seeded ingest draws its delta from."""
+    or the seed a seeded ingest draws its delta from.  With ``window``,
+    over that sub-window's own scenario (``window_scenario``)."""
     from repro.core.multi_query import evaluate_multi_query
+    from repro.evolving.window import window_scenario
     from repro.experiments.runner import scenario_cache
     from repro.service.ingest import DeltaBatch, apply_delta, synthesize_delta
     from repro.service.pool import _summarize
@@ -380,6 +383,8 @@ def _reference_summaries(
         if not isinstance(delta, DeltaBatch):
             delta = synthesize_delta(scenario, seed=delta)
         scenario = apply_delta(scenario, delta)
+    if window is not None:
+        scenario = window_scenario(scenario, *window)
     out = {}
     for algo_name in algos:
         algorithm = get_algorithm(algo_name)

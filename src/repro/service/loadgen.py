@@ -305,41 +305,49 @@ def _retry_query(
 def _served_parity(service, spec: LoadSpec) -> dict:
     """Differential check of what the service serves, run after the drain.
 
-    For every (graph, algorithm) the run served, ask the service once
-    more from the graph's top source and compare its answer, digest for
-    digest, with from-scratch evaluation over the delta log it ingested
-    (``graph_deltas``) up to the epoch it answered at.  Any mismatch
-    fails the check (and degrades the bench).
+    For every (graph, algorithm) the run served, ask the service twice
+    more from the graph's top source — over one interior sub-window,
+    then the full window — and compare each answer, digest for digest,
+    with from-scratch evaluation over the delta log it ingested
+    (``graph_deltas``) up to the epoch it answered at.  The sub-window's
+    reference is evaluated on that window's own scenario, so the check
+    covers the coordinator slicing a full-window plan's answer.  Any
+    mismatch fails the check (and degrades the bench).
     """
     from repro.service.drill import _digests_match, _reference_summaries
 
     cfg = service.config
+    lo = min(1, cfg.n_snapshots - 1)
+    sub = (lo, max(lo, cfg.n_snapshots - 2))
     checked = 0
     mismatches: list[dict] = []
     for graph in spec.graphs:
         source = _source_pool(graph, cfg.scale, cfg.n_snapshots, 1)[0]
-        #: reference digests per served epoch (one, unless a follower
-        #: applied an epoch between two of these queries)
-        references: dict[int, dict] = {}
+        #: reference digests per served (epoch, window): one epoch,
+        #: unless a follower applied one between two of these queries
+        references: dict[tuple, dict] = {}
         for algo in spec.algos:
-            checked += 1
-            response = service.submit(
-                QueryRequest(graph=graph, algo=algo, source=source)
-            ).wait(timeout=spec.drain_timeout_s)
-            if response is None or not response.ok:
-                mismatches.append({"graph": graph, "algo": algo,
-                                   "epoch": None})
-                continue
-            epoch = response.epoch
-            if epoch not in references:
-                references[epoch] = _reference_summaries(
-                    graph, cfg.scale, cfg.n_snapshots,
-                    service.graph_deltas(graph)[:epoch], spec.algos, source,
-                )
-            served = [s.as_dict() for s in response.summaries]
-            if not _digests_match(served, references[epoch][algo]):
-                mismatches.append({"graph": graph, "algo": algo,
-                                   "epoch": epoch})
+            for window in (sub, None):
+                checked += 1
+                response = service.submit(QueryRequest(
+                    graph=graph, algo=algo, source=source, window=window,
+                )).wait(timeout=spec.drain_timeout_s)
+                if response is None or not response.ok:
+                    mismatches.append({"graph": graph, "algo": algo,
+                                       "window": window, "epoch": None})
+                    continue
+                key = (response.epoch, window)
+                if key not in references:
+                    references[key] = _reference_summaries(
+                        graph, cfg.scale, cfg.n_snapshots,
+                        service.graph_deltas(graph)[:response.epoch],
+                        spec.algos, source, window,
+                    )
+                served = [s.as_dict() for s in response.summaries]
+                if not _digests_match(served, references[key][algo]):
+                    mismatches.append({"graph": graph, "algo": algo,
+                                       "window": window,
+                                       "epoch": response.epoch})
     return {"checked": checked, "ok": not mismatches,
             "mismatches": mismatches}
 

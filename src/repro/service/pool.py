@@ -2,10 +2,13 @@
 
 One :class:`PlanPayload` is everything a worker needs to run a plan in
 its own address space: the algorithm, the coalesced source list, the
-window, the epoch, and a :class:`~repro.service.shm.ScenarioManifest`
-naming the shared-memory generation that holds the scenario at that
-epoch.  The coordinator is the one writer: it materializes every
-scenario and publishes it on the plane (:mod:`repro.service.shm`).
+epoch, and a :class:`~repro.service.shm.ScenarioManifest` naming the
+shared-memory generation that holds the scenario at that epoch.  A plan
+always runs the generation's full window; the coordinator slices each
+query's window from the answer
+(:meth:`~repro.service.cache.ResultCache.window_of`).  The coordinator
+is the one writer: it materializes every scenario and publishes it on
+the plane (:mod:`repro.service.shm`).
 Workers only read: they attach the named generation zero-copy, so a
 plan's bytes do not grow with the graph's ingest history.
 
@@ -27,14 +30,12 @@ Resilience wiring (PR 1):
   degrade around it).
 
 Per-worker memory stays bounded: the only worker state is a small LRU
-of attaches (``_ATTACHED``).  An entry holds its generation's scenario
-and what plans derive from it alone — the views of its most recently
-served windows (at most ``_VIEWS_LIMIT``; each is a private copy of its
-window's union), and on the scenario's and each view's union the
-common-graph mask and each source count's schedule — so a plan pays
-for its kernel calls and little else, and evicting the entry drops it
-all.  So a worker holds at most ``_ATTACHED_LIMIT`` attaches and
-``_ATTACHED_LIMIT * _VIEWS_LIMIT`` views.
+of attaches (``_ATTACHED``, at most ``_ATTACHED_LIMIT``).  An entry
+holds its generation's zero-copy scenario and, memoised on its union,
+what plans derive from it alone — the common-graph mask and each source
+count's schedule — so a plan pays for its kernel calls and little else,
+and evicting the entry drops it all.  A worker holds no windowed copy
+of a graph.
 :meth:`WorkerPool.clear_caches` broadcasts a best-effort detach;
 :meth:`WorkerPool.restart` is the guaranteed reclaim (fresh processes
 start empty).
@@ -90,7 +91,6 @@ class PlanPayload:
     plan_id: int
     algo: str
     sources: tuple[int, ...]
-    window: tuple[int, int] | None = None
     mode: str = "eval"
     epoch: int = 0
     #: the published generation holding the scenario at ``epoch``; None
@@ -145,24 +145,19 @@ class PlanResult:
 
 @dataclass
 class _Attach:
-    """One attached generation and the plan state derived from it."""
+    """One attached generation: its mapping and its scenario."""
 
     shm: object
     scenario: object
-    #: window -> the scenario's windowed view (``window_scenario``), an
-    #: LRU of at most ``_VIEWS_LIMIT``: each view is a private O(E) copy
-    views: dict = field(default_factory=dict)
 
 
 #: segment name -> _Attach; process-local zero-copy attaches to the
 #: coordinator's scenario plane.  Everything a plan derives from its
-#: generation and window hangs off an entry — its recent windowed views,
-#: and on each union (``UnifiedCSR.memo``) the schedule's step tables
-#: and the common-graph mask — so evicting an entry drops it all
+#: generation hangs off the entry's union (``UnifiedCSR.memo``: the
+#: schedule's step tables and the common-graph mask), so evicting an
+#: entry drops it all
 _ATTACHED: dict[str, _Attach] = {}
 _ATTACHED_LIMIT = 4
-#: windowed views kept per attach entry
-_VIEWS_LIMIT = 4
 
 
 def _close(entry: _Attach) -> None:
@@ -178,19 +173,15 @@ def _detach_all() -> None:
         _close(_ATTACHED.popitem()[1])
 
 
-def _attached_scenario(manifest, window=None):
-    """The scenario published under ``manifest``, attached zero-copy,
-    or its view over ``window`` (``(lo, hi)``).
+def _attached_scenario(manifest):
+    """The scenario published under ``manifest``, attached zero-copy.
 
     Attaches are cached per segment (a bounded LRU — eviction closes the
-    mapping) and views per attach and window (a bounded LRU per entry).
-    Raises :class:`PlaneError` when the segment cannot be attached
-    (unlinked by a coordinator restart, swept as an orphan, ...): it
-    will not come back, so the coordinator retries the plan's queries
-    against a fresh generation instead of the worker retrying.
+    mapping).  Raises :class:`PlaneError` when the segment cannot be
+    attached (unlinked by a coordinator restart, swept as an orphan,
+    ...): it will not come back, so the coordinator retries the plan's
+    queries against a fresh generation instead of the worker retrying.
     """
-    from repro.evolving.window import window_scenario
-
     entry = _ATTACHED.get(manifest.segment)
     if entry is None:
         try:
@@ -203,15 +194,7 @@ def _attached_scenario(manifest, window=None):
         if len(_ATTACHED) >= _ATTACHED_LIMIT:
             _close(_ATTACHED.pop(next(iter(_ATTACHED))))
         entry = _ATTACHED[manifest.segment] = _Attach(shm, scenario)
-    if window is None:
-        return entry.scenario
-    view = entry.views.pop(window, None)
-    if view is None:
-        if len(entry.views) >= _VIEWS_LIMIT:
-            del entry.views[next(iter(entry.views))]
-        view = window_scenario(entry.scenario, *window)
-    entry.views[window] = view
-    return view
+    return entry.scenario
 
 
 def _summarize(
@@ -255,7 +238,7 @@ def _execute(payload: PlanPayload) -> PlanResult:
         fire.note(plan=payload.plan_id, pid=os.getpid())
         raise FatalError(f"injected poisoned plan (plan {payload.plan_id})")
 
-    scenario = _attached_scenario(payload.shm, payload.window)
+    scenario = _attached_scenario(payload.shm)
     algorithm = get_algorithm(payload.algo)
     budget = Budget(
         max_rounds=payload.max_rounds, wall_clock_s=payload.budget_s

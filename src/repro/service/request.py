@@ -54,10 +54,12 @@ class QueryRequest:
         """Queries sharing this key may ride one coalesced BOE plan.
 
         The multi-query plan fixes the algorithm (one edge function per
-        run, Table 1), the unified CSR (graph + epoch), and the snapshot
-        window; only the source vertex varies per query.
+        run, Table 1) and the unified CSR (graph + epoch); only the
+        source vertex varies per query.  The window is not part of it:
+        every plan runs the full window, and a query's window is sliced
+        from its answer (:meth:`~repro.service.cache.ResultCache.window_of`).
         """
-        return (self.graph, self.algo, self.window, self.mode, epoch)
+        return (self.graph, self.algo, self.mode, epoch)
 
 
 @dataclass

@@ -206,6 +206,58 @@ def test_compaction_resync_keeps_the_follower_cache(tmp_path):
         primary.stop(drain=False)
 
 
+def test_a_plan_held_across_a_diverged_install_caches_nothing():
+    """A plan dispatched before a re-sync installs a diverged log (a
+    demoted primary's history replaced) still answers its query, at the
+    old history's epoch, but caches neither its window nor the full
+    answer: the next query at that epoch is evaluated on the installed
+    log and matches from-scratch evaluation of it."""
+    from concurrent.futures import Future
+
+    from repro.experiments.runner import scenario_cache
+    from repro.service.drill import _reference_summaries
+    from repro.service.ingest import apply_delta, synthesize_delta
+    from repro.service.wal import WalRecovery
+
+    with QueryService(ServiceConfig(**TINY)) as service:
+        for seed in (1, 2):
+            service.ingest("PK", seed=seed)
+        real, held, dispatched = service.pool.submit, Future(), []
+
+        def hold(payload):
+            dispatched.append(real(payload))
+            return held
+
+        service.pool.submit = hold
+        sub = QueryRequest("PK", "sssp", 1, window=(1, 3))
+        pending = service.submit(sub)
+        deadline = time.monotonic() + 60
+        while not dispatched and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert dispatched, "the plan was never dispatched"
+        del service.pool.submit
+        scenario = scenario_cache("PK", "tiny", n_snapshots=4)
+        diverged = []
+        for seed in (7, 8):
+            diverged.append(synthesize_delta(scenario, seed=seed))
+            scenario = apply_delta(scenario, diverged[-1])
+        service._install_recovery(WalRecovery(
+            snapshot={"logs": {"PK": [d.to_wire() for d in diverged]}}
+        ))
+        held.set_result(dispatched[0].result(timeout=120))
+        assert pending.wait(timeout=120).status == "ok"
+        want = _reference_summaries(
+            "PK", "tiny", 4, diverged, ["sssp"], 1
+        )["sssp"]
+        again = service.submit(sub).wait(timeout=120)
+        full = service.submit(QueryRequest("PK", "sssp", 1)).wait(timeout=120)
+        assert (again.status, again.epoch) == ("ok", 2)
+        assert [s.as_dict() for s in full.summaries] == want
+        assert [s.as_dict() for s in again.summaries] == [
+            dict(w, snapshot=k) for k, w in enumerate(want[1:4])
+        ]
+
+
 @pytest.mark.parametrize("point", REPLICA_POINTS)
 def test_fault_campaign_replica_trials_recover(point):
     outcome = run_trial(None, None, point, seed=0, skip=1)

@@ -75,13 +75,18 @@ def test_validate_request_rejects(kw):
         validate_request(QueryRequest(**{**base, **kw}), 4, "tiny")
 
 
-def test_compat_key_separates_epochs_and_windows():
+def test_compat_key_separates_epochs_not_windows():
+    """Sources and windows may differ within a plan (every plan runs the
+    full window); epochs, algorithms and modes may not."""
     a = QueryRequest("PK", "sssp", 1)
     b = QueryRequest("PK", "sssp", 2)
     assert a.compat_key(0) == b.compat_key(0)  # sources may differ
     assert a.compat_key(0) != a.compat_key(1)
-    assert a.compat_key(0) != QueryRequest("PK", "sssp", 1, window=(0, 1)).compat_key(0)
+    assert a.compat_key(0) == QueryRequest("PK", "sssp", 1, window=(0, 1)).compat_key(0)
     assert a.compat_key(0) != QueryRequest("PK", "bfs", 1).compat_key(0)
+    assert a.compat_key(0) != QueryRequest(
+        "PK", "sssp", 1, mode="simulate"
+    ).compat_key(0)
 
 
 # -- result cache ----------------------------------------------------------
@@ -113,6 +118,62 @@ def test_result_cache_evicts_lru():
         cache.put(r, 0, _summaries())
     assert cache.get(reqs[0], 0) is None  # evicted
     assert cache.get(reqs[2], 0) is not None
+
+
+def test_result_cache_slices_sub_windows_from_a_full_entry():
+    """Containment: a sub-window miss is its window of the full-window
+    entry at the same epoch, renumbered from 0; a completed sub-window
+    query stores both keys."""
+    cache = ResultCache(maxsize=8)
+    full = _summaries(4)
+    sub = QueryRequest("PK", "sssp", 3, window=(1, 2))
+    assert cache.get(sub, 0) is None
+    cache.put(QueryRequest("PK", "sssp", 3), 0, full)
+    want = [(0, 6, 1.5), (1, 7, 3.0)]
+    got = cache.get(sub, 0)
+    assert [(s.snapshot, s.reached, s.checksum) for s in got] == want
+    assert cache.window_of(full, None) is full
+    assert cache.get(QueryRequest("PK", "sssp", 4, window=(1, 2)), 0) is None
+    assert cache.get(QueryRequest("PK", "bfs", 3, window=(1, 2)), 0) is None
+    assert cache.get(sub, 1) is None
+    assert cache.stats()["hits"] == 1
+    other = ResultCache(maxsize=8)
+    other.put(sub, 0, cache.window_of(full, sub.window), full)
+    assert other.get(QueryRequest("PK", "sssp", 3), 0) is full
+    assert other.stats()["entries"] == 2
+
+
+@pytest.mark.parametrize("graph", ["PK", "LJ"])
+def test_sliced_full_window_answers_equal_window_evaluation(graph):
+    """For every algorithm and every one of the 36 windows of 8
+    snapshots, the full-window answer's slice is bit-identical to
+    from-scratch evaluation of ``window_scenario`` on the active kernel
+    tier: a snapshot's values do not depend on the union that computed
+    them."""
+    import numpy as np
+
+    from repro.algorithms import all_algorithms
+    from repro.engines.validation import evaluate_reference
+    from repro.evolving.window import window_scenario
+    from repro.experiments.runner import scenario_cache
+
+    scenario = scenario_cache(graph, "tiny", n_snapshots=8)
+    n = scenario.n_snapshots
+    windows = [(lo, hi) for lo in range(n) for hi in range(lo, n)]
+    assert len(windows) == 36
+    views = {w: window_scenario(scenario, *w) for w in windows}
+    for algo in all_algorithms():
+        mq = evaluate_multi_query(scenario, algo, [scenario.source])
+        full = _summarize(algo, mq.matrix(), n)[0]
+        for (lo, hi), view in views.items():
+            values = np.stack([
+                evaluate_reference(view, algo, k) for k in range(hi - lo + 1)
+            ])
+            want = _summarize(algo, values, hi - lo + 1)[0]
+            got = ResultCache.window_of(full, (lo, hi))
+            assert [(s.snapshot, s.reached, s.checksum) for s in got] == [
+                (s.snapshot, s.reached, s.checksum) for s in want
+            ], (algo.name, lo, hi)
 
 
 # -- admission queue and coalescing ---------------------------------------
@@ -264,6 +325,59 @@ def test_queries_arriving_while_the_pool_is_full_share_one_plan():
     assert all(r.status == "ok" for r in responses)
     assert len({r.plan_id for r in responses}) == 1
     assert service.service_stats()["plans"] == 2
+
+
+def test_sub_window_queries_ride_the_full_window_plan():
+    """One burst of a full-window query and two sub-window queries of
+    one algorithm is one plan; each answer is its own window of the
+    full-window evaluation, renumbered from 0."""
+    from repro.algorithms import get_algorithm
+    from repro.experiments.runner import scenario_cache
+
+    asks = [(1, None), (2, (1, 3)), (1, (2, 2))]
+    service = QueryService(_config())
+    handles = [
+        service.submit(QueryRequest("PK", "sswp", s, window=w))
+        for s, w in asks
+    ]
+    with service:  # start after submitting: one drain, one plan
+        responses = [h.wait(timeout=120) for h in handles]
+    assert [r.status for r in responses] == ["ok", "ok", "ok"]
+    assert len({r.plan_id for r in responses}) == 1
+    assert service.service_stats()["plans"] == 1
+
+    scenario = scenario_cache("PK", "tiny", n_snapshots=4)
+    algo = get_algorithm("sswp")
+    direct = evaluate_multi_query(scenario, algo, [1, 2])
+    expected = dict(zip((1, 2), _summarize(algo, direct.matrix(), 4)))
+    for (source, window), r in zip(asks, responses):
+        lo, hi = window or (0, 3)
+        assert [(s.snapshot, s.reached, s.checksum) for s in r.summaries] == [
+            (k, s.reached, s.checksum)
+            for k, s in enumerate(expected[source][lo:hi + 1])
+        ]
+
+
+def test_a_full_window_answer_serves_its_sub_windows_from_the_cache():
+    """Containment end to end: after a full-window answer, the same
+    (algorithm, source, epoch) over a sub-window comes back ``cached``,
+    and equals the sub-window computed by a plan."""
+    with QueryService(_config()) as service:
+        full = service.submit(QueryRequest("PK", "sssp", 3)).wait(120)
+        assert full.status == "ok"
+        sub = QueryRequest("PK", "sssp", 3, window=(1, 2))
+        hit = service.submit(sub).wait(120)
+        assert hit.status == "cached" and hit.epoch == full.epoch
+        assert [s.snapshot for s in hit.summaries] == [0, 1]
+        assert [(s.reached, s.checksum) for s in hit.summaries] == [
+            (s.reached, s.checksum) for s in full.summaries[1:3]
+        ]
+        service.clear_caches()
+        fresh = service.submit(sub).wait(120)
+        assert fresh.status == "ok"
+        assert [s.as_dict() for s in fresh.summaries] == [
+            s.as_dict() for s in hit.summaries
+        ]
 
 
 def test_one_snapshot_window_queries_coalesce_without_retries():

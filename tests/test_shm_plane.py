@@ -267,14 +267,11 @@ def test_worker_attach_cache_and_fallback(small_scenario):
 
 # -- what a worker derives from a generation, built once ------------------
 
-#: mixed windows for in-process plans: full, sub-windows, one snapshot
-_WINDOWS = (None, (1, 4), (2, 5), (3, 3))
 
-
-def _plan(manifest, i, algo="sssp", window=None, sources=(3,)):
+def _plan(manifest, i, algo="sssp", sources=(3,)):
     from repro.service.pool import PlanPayload
 
-    return PlanPayload(i, algo, tuple(sources), window=window, shm=manifest)
+    return PlanPayload(i, algo, tuple(sources), shm=manifest)
 
 
 def _count_calls(monkeypatch, owner, name, key):
@@ -292,10 +289,10 @@ def _count_calls(monkeypatch, owner, name, key):
     return calls
 
 
-def test_worker_builds_views_and_schedules_once(small_scenario, monkeypatch):
-    """Over many plans on one generation, each window's view is built
-    once, and each (union, Q) schedule — the plan's shared steps and the
-    executor's step tables — once."""
+def test_worker_builds_schedules_once(small_scenario, monkeypatch):
+    """Over many plans on one generation, each (union, Q) schedule — the
+    plan's shared steps and the executor's step tables — is built once,
+    and no windowed view ever is: every plan runs the full window."""
     from repro.core import multi_query
     from repro.engines.executor import PlanExecutor
     from repro.evolving import window
@@ -315,17 +312,19 @@ def test_worker_builds_views_and_schedules_once(small_scenario, monkeypatch):
     plane, manifest = _plane(small_scenario)
     try:
         algos = ("bfs", "sssp", "sswp", "ssnp", "viterbi")
-        shapes = set()
         for i in range(24):
-            w, q = _WINDOWS[i % 4], 1 + i % 3
+            q = 1 + i % 3
             result = pool._execute(_plan(
-                manifest, i, algos[i % 5], w, range(i, i + q)
+                manifest, i, algos[i % 5], range(i, i + q)
             ))
             assert len(result.summaries) == q
-            shapes.add((w, q))
-        assert views == {w: 1 for w in _WINDOWS if w is not None}
-        assert len(steps) == len(shapes) and set(steps.values()) == {1}
-        assert sum(tables.values()) == len(shapes)
+            assert all(
+                len(rows) == small_scenario.n_snapshots
+                for rows in result.summaries.values()
+            )
+        assert not views
+        assert len(steps) == 3 and set(steps.values()) == {1}
+        assert sum(tables.values()) == 3
     finally:
         pool._detach_all()
         plane.close_all()
@@ -343,8 +342,8 @@ def test_evaluate_path_books_no_composition(small_scenario, monkeypatch):
     monkeypatch.setattr(VersionTable, "__init__", refuse)
     plane, manifest = _plane(small_scenario)
     try:
-        for i, w in enumerate(_WINDOWS):
-            assert pool._execute(_plan(manifest, i, window=w)).summaries
+        for i, sources in enumerate(((3,), (3, 5), (7, 3, 7))):
+            assert pool._execute(_plan(manifest, i, sources=sources)).summaries
     finally:
         pool._detach_all()
         plane.close_all()
@@ -353,8 +352,8 @@ def test_evaluate_path_books_no_composition(small_scenario, monkeypatch):
 def test_evicting_an_attach_drops_its_derived_state(
     small_scenario, monkeypatch
 ):
-    """An attach entry's views and their unions' memos go with it, on
-    LRU eviction and on ``_detach_all``."""
+    """An attach entry's union and its memos go with it, on LRU
+    eviction and on ``_detach_all``."""
     import gc
     import weakref
 
@@ -366,58 +365,58 @@ def test_evicting_an_attach_drops_its_derived_state(
     second = plane.publish(small_scenario, "small", "other", epoch=0)
     try:
         def derived(manifest):
-            for i, w in enumerate(_WINDOWS):
-                pool._execute(_plan(manifest, i, window=w))
-            entry = pool._ATTACHED[manifest.segment]
-            unions = [entry.scenario.unified] + [
-                v.unified for v in entry.views.values()
-            ]
-            assert all(u._memo for u in unions)
-            return [weakref.ref(u) for u in unions]
+            for i, sources in enumerate(((3,), (3, 5))):
+                pool._execute(_plan(manifest, i, sources=sources))
+            union = pool._ATTACHED[manifest.segment].scenario.unified
+            assert union._memo
+            return weakref.ref(union)
 
-        refs = derived(first)
-        assert len(refs) == len(_WINDOWS)
+        ref = derived(first)
         later = derived(second)
         gc.collect()
         assert list(pool._ATTACHED) == [second.segment]
-        assert all(r() is None for r in refs)
+        assert ref() is None
         pool._detach_all()
         gc.collect()
         assert pool._ATTACHED == {}
-        assert all(r() is None for r in later)
+        assert later() is None
     finally:
         pool._detach_all()
         plane.close_all()
 
 
-def test_an_attach_keeps_its_most_recent_views(small_scenario, monkeypatch):
-    """Views are private O(E) copies, so an entry keeps at most
-    ``_VIEWS_LIMIT`` of them: the least recently served window goes
-    first, and serving it again rebuilds it."""
-    from repro.evolving import window
+def test_a_worker_holds_at_most_four_attaches_and_no_views(small_scenario):
+    """A worker's whole state is ``_ATTACHED_LIMIT`` attaches, each its
+    generation's mapping and zero-copy scenario: a fifth generation
+    evicts the oldest, and an entry keeps no windowed view."""
+    import dataclasses
+
     from repro.service import pool
 
     pool._detach_all()
-    monkeypatch.setattr(pool, "_VIEWS_LIMIT", 2)
-    built = _count_calls(
-        monkeypatch, window, "extract_window", lambda u, lo, hi: (lo, hi)
-    )
-    plane, manifest = _plane(small_scenario)
+    plane = ScenarioPlane()
     try:
-        for i, w in enumerate([(1, 4), (2, 5), (1, 4), (3, 3), (2, 5)]):
-            pool._execute(_plan(manifest, i, window=w))
-        assert list(pool._ATTACHED[manifest.segment].views) == [
-            (3, 3), (2, 5)
+        manifests = [
+            plane.publish(small_scenario, "small", f"g{i}", epoch=0)
+            for i in range(pool._ATTACHED_LIMIT + 1)
         ]
-        assert built == {(1, 4): 1, (2, 5): 2, (3, 3): 1}
+        for i, manifest in enumerate(manifests):
+            pool._execute(_plan(manifest, i))
+        assert pool._ATTACHED_LIMIT == 4
+        assert list(pool._ATTACHED) == [m.segment for m in manifests[1:]]
+        assert [f.name for f in dataclasses.fields(pool._Attach)] == [
+            "shm", "scenario"
+        ]
     finally:
         pool._detach_all()
         plane.close_all()
 
 
-def test_new_generation_gets_fresh_views(small_pool, small_scenario):
-    """A second publish is a new attach: its windowed answers come from
-    its own scenario, never from the last generation's views."""
+def test_new_generation_answers_from_its_own_scenario(
+    small_pool, small_scenario
+):
+    """A second publish is a new attach: its answers come from its own
+    scenario, never from the last generation's."""
     from repro.service import pool
 
     other = synthesize_scenario(
@@ -425,16 +424,15 @@ def test_new_generation_gets_fresh_views(small_pool, small_scenario):
     )
     plane, first = _plane(small_scenario, epoch=0)
     try:
-        old = pool._execute(_plan(first, 0, window=(2, 5)))
+        old = pool._execute(_plan(first, 0))
         second = plane.publish(other, "small", "test", epoch=1)
-        new = pool._execute(_plan(second, 1, window=(2, 5)))
-        assert pool._ATTACHED[second.segment].views[(2, 5)] is not (
-            pool._ATTACHED[first.segment].views[(2, 5)]
+        new = pool._execute(_plan(second, 1))
+        assert pool._ATTACHED[second.segment].scenario is not (
+            pool._ATTACHED[first.segment].scenario
         )
         for scenario, result in ((small_scenario, old), (other, new)):
-            assert _rows(result.summaries[3]) == _reference(
-                scenario, "sssp", 3, (2, 5)
-            )
+            assert _rows(result.summaries[3]) == _reference(scenario, "sssp", 3)
+        assert _rows(old.summaries[3]) != _rows(new.summaries[3])
     finally:
         pool._detach_all()
         plane.close_all()
@@ -444,18 +442,17 @@ def _rows(summaries):
     return [(s.snapshot, s.reached, s.checksum) for s in summaries]
 
 
-def _reference(scenario, algo_name, source, window):
-    """From-scratch values over ``window``, summarised row by row."""
+def _reference(scenario, algo_name, source):
+    """From-scratch values per snapshot, summarised row by row."""
     from repro.algorithms import get_algorithm
     from repro.engines.validation import evaluate_reference
     from repro.evolving.snapshots import EvolvingScenario
 
     algo = get_algorithm(algo_name)
-    lo, hi = window or (0, scenario.n_snapshots - 1)
     rooted = EvolvingScenario(scenario.unified, source=source)
     out = []
-    for k in range(hi - lo + 1):
-        v = evaluate_reference(rooted, algo, lo + k)
+    for k in range(scenario.n_snapshots):
+        v = evaluate_reference(rooted, algo, k)
         out.append(
             (k, int(algo.reached(v).sum()), float(v[np.isfinite(v)].sum()))
         )
@@ -464,24 +461,23 @@ def _reference(scenario, algo_name, source, window):
 
 @pytest.mark.parametrize("algo", ["bfs", "sssp", "sswp", "ssnp", "viterbi"])
 def test_cached_worker_path_is_bit_identical(small_scenario, algo):
-    """On the active kernel tier, every plan shape — full window,
-    sub-window, one-snapshot window; one source, three with a duplicate
-    — answers from the attach entry's cached views and schedules exactly
-    as from-scratch evaluation does, the second time as the first."""
+    """On the active kernel tier, every plan shape — one source, three
+    with a duplicate — answers from the attach entry's cached schedules
+    exactly as from-scratch evaluation does, the second time as the
+    first."""
     from repro.service import pool
 
     pool._detach_all()
     plane, manifest = _plane(small_scenario)
     try:
         for rep in range(2):
-            for w in (None, (2, 5), (4, 4)):
-                for sources in ((7,), (7, 11, 7)):
-                    got = pool._execute(_plan(manifest, rep, algo, w, sources))
-                    assert sorted(got.summaries) == sorted(set(sources))
-                    for s in sources:
-                        assert _rows(got.summaries[s]) == _reference(
-                            small_scenario, algo, s, w
-                        ), (rep, w, sources, s)
+            for sources in ((7,), (7, 11, 7)):
+                got = pool._execute(_plan(manifest, rep, algo, sources))
+                assert sorted(got.summaries) == sorted(set(sources))
+                for s in sources:
+                    assert _rows(got.summaries[s]) == _reference(
+                        small_scenario, algo, s
+                    ), (rep, sources, s)
     finally:
         pool._detach_all()
         plane.close_all()
