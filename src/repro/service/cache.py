@@ -1,10 +1,12 @@
-"""LRU result cache with ingest-driven invalidation.
+"""LRU result cache keyed by the history an answer belongs to.
 
 Keys include the graph's *epoch* (how many delta batches have been
-ingested), so a result computed before an ingest can never satisfy a query
-admitted after it.  :meth:`ResultCache.invalidate_graph` additionally drops
-the now-stale entries eagerly so the LRU capacity is not wasted carrying
-results no future query can hit.
+ingested) and its *lineage* (which history of the log those epochs are:
+a re-sync that installs a log not extending the held one starts a new
+lineage).  So a result computed before an ingest, or on a history a
+re-sync has since replaced, can never satisfy a query admitted after it.
+Such an entry is never dropped eagerly: it is unreachable, and it ages
+out through :meth:`ResultCache.rebase_graph` or the LRU.
 
 Every plan runs its algorithm's full window, so a full-window answer
 holds every sub-window's: snapshot ``k`` of window ``(lo, hi)`` is
@@ -39,11 +41,13 @@ class ResultCache:
     def key(
         request: QueryRequest,
         epoch: int,
+        lineage: int = 0,
         window: tuple[int, int] | None = None,
     ) -> tuple:
-        """``compat_key(epoch) + (window, source)``; the full-window key
-        by default."""
-        return request.compat_key(epoch) + (window, int(request.source))
+        """``compat_key(epoch) + (lineage, window, source)``; the
+        full-window key by default."""
+        source = int(request.source)
+        return request.compat_key(epoch) + (lineage, window, source)
 
     @staticmethod
     def window_of(
@@ -60,17 +64,17 @@ class ResultCache:
         ]
 
     def get(
-        self, request: QueryRequest, epoch: int
+        self, request: QueryRequest, epoch: int, lineage: int = 0
     ) -> list[SnapshotSummary] | None:
         """The query's own entry, else its window sliced from the
-        full-window entry at ``epoch`` (containment)."""
+        full-window entry at ``(lineage, epoch)`` (containment)."""
         window = request.window
         with self._lock:
-            k = self.key(request, epoch, window)
+            k = self.key(request, epoch, lineage, window)
             if k in self._lru:
                 self.hits += 1
                 return self._lru[k]
-            k = self.key(request, epoch)
+            k = self.key(request, epoch, lineage)
             if window is not None and k in self._lru:
                 self.hits += 1
                 return self.window_of(self._lru[k], window)
@@ -83,27 +87,16 @@ class ResultCache:
         epoch: int,
         summaries: list[SnapshotSummary],
         full: list[SnapshotSummary] | None = None,
+        lineage: int = 0,
     ) -> None:
         """Store the query's answer under its own key and, for a
         sub-window query, ``full`` (the answer it was sliced from) under
-        the full-window key."""
+        the full-window key, both at ``(lineage, epoch)``."""
         with self._lock:
-            self._lru[self.key(request, epoch, request.window)] = summaries
+            key = self.key(request, epoch, lineage, request.window)
+            self._lru[key] = summaries
             if full is not None and request.window is not None:
-                self._lru[self.key(request, epoch)] = full
-
-    def invalidate_graph(self, graph: str) -> int:
-        """Eagerly drop every entry for ``graph`` (any epoch).
-
-        Epoch-keyed entries could only go stale-but-resident; dropping
-        them keeps the LRU full of hittable results.  Returns the number
-        of entries removed.
-        """
-        with self._lock:
-            stale = [k for k in self._lru.keys() if k[0] == graph]
-            for k in stale:
-                self._lru.pop(k)
-            return len(stale)
+                self._lru[self.key(request, epoch, lineage)] = full
 
     def rebase_graph(self, graph: str, new_epoch: int) -> tuple[int, int]:
         """Re-key entries across a window slide instead of dropping them.
@@ -113,17 +106,16 @@ class ResultCache:
         window ``(lo, hi)`` is bit-identical to window ``(lo-1, hi-1)``
         at ``new_epoch`` (summaries store window-relative snapshot
         indices, which do not move).  Entries from the previous epoch
-        whose shifted window still exists (``lo >= 1``) are re-keyed;
-        everything else for ``graph`` — full-window results, windows
-        pinned at snapshot 0, older epochs — is dropped.  Returns
-        ``(rebased, dropped)``.
+        whose shifted window still exists (``lo >= 1``) are re-keyed in
+        their own lineage; everything else for ``graph`` — full-window
+        results, windows pinned at snapshot 0, older epochs — is dropped.
+        Returns ``(rebased, dropped)``.
         """
         with self._lock:
             rebased = dropped = 0
             for k in [k for k in self._lru.keys() if k[0] == graph]:
-                # key layout: compat_key(epoch) + (window, source), with
-                # window None on a full-window entry — see key()
-                g, algo, mode, epoch, window, source = k
+                # key(): compat_key(epoch) + (lineage, window, source)
+                g, algo, mode, epoch, lineage, window, source = k
                 movable = (
                     epoch == new_epoch - 1
                     and window is not None
@@ -132,7 +124,7 @@ class ResultCache:
                 summaries = self._lru.pop(k)
                 if movable:
                     shifted = (window[0] - 1, window[1] - 1)
-                    new_key = (g, algo, mode, new_epoch, shifted, source)
+                    new_key = k[:3] + (new_epoch, lineage, shifted, source)
                     self._lru[new_key] = summaries
                     rebased += 1
                 else:

@@ -163,6 +163,11 @@ class ReplicationGapError(RuntimeError):
     """
 
 
+class EpochPastTipError(RuntimeError):
+    """A plan's epoch is past its graph's held log: a re-sync installed a
+    shorter, diverged log after the plan's queries were admitted."""
+
+
 _ACK_MODE_RE = re.compile(r"quorum(?::(\d+)|\((\d+)\))")
 
 
@@ -333,9 +338,9 @@ class _LiveGraph:
         #: checkpoints taken so far (window_slide_every cadence;
         #: persisted in the compaction snapshot)
         self.slides = 0
-        #: re-syncs that installed a log not extending the held one; a
-        #: plan dispatched before one must not cache its answer
-        self.installs = 0
+        #: which history ``log`` is, bumped by each re-sync that installs a
+        #: log not extending it; what is derived from the log carries it
+        self.lineage = 0
 
     @property
     def epoch(self) -> int:
@@ -368,8 +373,8 @@ class QueryService(QueryPath):
         self.plane = ScenarioPlane()
         self._graphs: dict[str, _LiveGraph] = {}
         self._graphs_lock = threading.Lock()
-        #: graph -> (epoch, scenario): the newest scenario this service
-        #: materialized per graph (ingest validation and plane publish)
+        #: graph -> (lineage, epoch, scenario): the newest scenario built
+        #: per graph (ingest validation and plane publish)
         self._scenarios: dict[str, tuple] = {}
         self._scenarios_lock = threading.Lock()
         self._plan_ids = iter(range(1, 1 << 62))
@@ -606,8 +611,8 @@ class QueryService(QueryPath):
         An incoming log that extends the held one keeps what was derived
         from it, the cache rebased once per new epoch as in
         :meth:`apply_replicated`.  Any other (a demoted primary's fenced
-        epochs, a shorter log) replaces it and drops the scenario, the
-        plane's current generation and the cached results.
+        epochs, a shorter log) replaces it under a new lineage: what was
+        derived from the old one is not dropped but never matches again.
         """
         self.last_recovery = recovery
         logs: dict[str, DeltaLog] = {}
@@ -646,15 +651,7 @@ class QueryService(QueryPath):
                 if delta_log.extends(live.log):
                     grown[graph] = range(live.epoch + 1, len(delta_log) + 1)
                 else:
-                    with self._scenarios_lock:
-                        self._scenarios.pop(graph, None)
-                    self.plane.retire_current(
-                        graph, self.config.scale, self.config.n_snapshots
-                    )
-                    # bump before the drop: a plan completing meanwhile
-                    # rechecks the count after its cache writes
-                    live.installs += 1
-                    self.cache.invalidate_graph(graph)
+                    live.lineage += 1
                 live.log = delta_log
             for graph, count in (snapshot.get("slides") or {}).items():
                 live = self._graphs.setdefault(graph, _LiveGraph())
@@ -716,7 +713,9 @@ class QueryService(QueryPath):
         Terminal immediately on validation error, cache hit, or admission
         overflow — only genuinely new work enters the queue.
         """
-        epoch = self.epoch(request.graph)
+        with self._graphs_lock:
+            live = self._graphs.setdefault(request.graph, _LiveGraph())
+            lineage, epoch = live.lineage, live.epoch
         pending = PendingQuery(request, epoch)
         self.stats.inc("submitted")
         try:
@@ -731,7 +730,7 @@ class QueryService(QueryPath):
             )
             return pending
 
-        summaries = self.cache.get(request, epoch)
+        summaries = self.cache.get(request, epoch, lineage)
         if summaries is not None:
             self.stats.inc("cached")
             self.stats.inc("completed")
@@ -820,7 +819,7 @@ class QueryService(QueryPath):
             # the window refuses.
             with self._graphs_lock:
                 base_epoch = self._graphs.setdefault(graph, _LiveGraph()).epoch
-            scenario = self._scenario_at(graph, base_epoch)
+            lineage, scenario = self._scenario_at(graph, base_epoch)
             if delta is None:
                 candidate = synthesize_delta(
                     scenario, seed=seed, n_add=n_add, n_del=n_del
@@ -830,11 +829,11 @@ class QueryService(QueryPath):
                 apply_delta(scenario, candidate)  # ValueError refuses
             with self._graphs_lock:
                 live = self._graphs.setdefault(graph, _LiveGraph())
-                if live.epoch != base_epoch:
-                    # another ingest landed while we synthesized; the
-                    # candidate may violate the one-change-per-edge rule
-                    # at the new epoch — go around and resynthesize (or
-                    # re-check an explicit delta)
+                if (live.lineage, live.epoch) != (lineage, base_epoch):
+                    # another ingest (or a re-sync) landed while we
+                    # synthesized; the candidate may violate the
+                    # one-change-per-edge rule at the new tip — go around
+                    # and resynthesize (or re-check an explicit delta)
                     continue
                 if self.wal is not None:
                     # durability point: commit before acknowledging; a
@@ -1146,7 +1145,6 @@ class QueryService(QueryPath):
             self._inflight.add(plan_id)
             if not degraded:
                 self._unplanned -= len(queries)
-        installs = self._installs(first.graph)
         manifest = None
         try:
             manifest = self._plane_manifest(first.graph, epoch)
@@ -1171,58 +1169,69 @@ class QueryService(QueryPath):
             self._plan_failed(plan_id, queries, exc, manifest)
             return
         future.add_done_callback(
-            lambda fut, q=queries, pid=plan_id, m=manifest, n=installs: (
-                self._on_plan_done(pid, q, fut, m, n)
+            lambda fut, q=queries, pid=plan_id, m=manifest: (
+                self._on_plan_done(pid, q, fut, m, m.lineage)
             )
         )
 
     def _scenario_at(self, graph: str, epoch: int):
-        """The live scenario at ``epoch``, materialized in this process.
+        """``(lineage, scenario)`` at ``epoch`` of the graph's held log,
+        materialized in this process.
 
-        Advances the graph's cached scenario through the log suffix it
-        lacks.  An epoch older than the cached one (a straggler) is
-        replayed from the base and leaves the newer entry in place: the
-        cache never regresses.
+        Advances the cached scenario through the log suffix it lacks if
+        it is of the same lineage and not newer, else replays from the
+        base; only a newer ``(lineage, epoch)`` is written back.  Raises
+        :class:`EpochPastTipError` past the held log's tip.
         """
         from repro.experiments.runner import scenario_cache
 
         with self._scenarios_lock:
             cached = self._scenarios.get(graph)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        if cached is not None and cached[0] < epoch:
-            start, scenario = cached
-        else:
-            start = 0
+        with self._graphs_lock:
+            live = self._graphs.setdefault(graph, _LiveGraph())
+            lineage, tip = live.lineage, live.epoch
+            if epoch > tip:
+                raise EpochPastTipError(
+                    f"{graph} epoch {epoch} is past the held log's tip "
+                    f"{tip} (lineage {lineage})"
+                )
+            if cached is None or cached[0] != lineage or cached[1] > epoch:
+                cached = (lineage, 0, None)
+            deltas = live.log[cached[1]:epoch]
+        scenario = cached[2]
+        if scenario is None:
             scenario = scenario_cache(
                 graph, self.config.scale, n_snapshots=self.config.n_snapshots
             )
-        with self._graphs_lock:
-            deltas = self._graphs.setdefault(graph, _LiveGraph()).log[start:epoch]
         for delta in deltas:
             scenario = apply_delta(scenario, delta)
         with self._scenarios_lock:
             cached = self._scenarios.get(graph)
-            if cached is None or cached[0] < epoch:
-                self._scenarios[graph] = (epoch, scenario)
-        return scenario
+            if cached is None or cached[:2] < (lineage, epoch):
+                self._scenarios[graph] = (lineage, epoch, scenario)
+        return lineage, scenario
 
     def _plane_manifest(self, graph: str, epoch: int) -> ScenarioManifest:
-        """Refcounted manifest of the generation at ``epoch``.
+        """Refcounted manifest of the generation at the graph's lineage
+        and ``epoch``.
 
-        Acquires the current generation when it is at ``epoch``, else
-        materializes the scenario and publishes it holding the reference.
-        An epoch older than the current generation's (a straggler) gets a
-        private generation that never displaces the current one (see
-        :meth:`ScenarioPlane.publish`).  Raises :class:`PlaneError` when
-        the publish fails.
+        Acquires the current generation when it matches, else
+        materializes the scenario and publishes it holding the reference
+        (a straggler's generation is private, see
+        :meth:`ScenarioPlane.publish`).  The lineage is read without the
+        lock, which an ingest holds through its fsync.  Raises
+        :class:`PlaneError` or :class:`EpochPastTipError`.
         """
         scale, n_snapshots = self.config.scale, self.config.n_snapshots
-        manifest = self.plane.acquire(graph, scale, n_snapshots, epoch)
+        live = self._graphs.get(graph)
+        manifest = self.plane.acquire(
+            graph, scale, n_snapshots, epoch,
+            live.lineage if live is not None else 0,
+        )
         if manifest is None:
-            scenario = self._scenario_at(graph, epoch)
+            lineage, scenario = self._scenario_at(graph, epoch)
             manifest = self.plane.publish(
-                scenario, graph, scale, epoch, hold=True
+                scenario, graph, scale, epoch, lineage=lineage, hold=True
             )
         return manifest
 
@@ -1242,13 +1251,12 @@ class QueryService(QueryPath):
         queries,
         future,
         manifest: ScenarioManifest | None = None,
-        installs: int = 0,
+        lineage: int = 0,
     ) -> None:
         """Answer each query with its window of the plan's full-window
-        answer, and cache both — unless a re-sync installed a diverged
-        log while the plan ran: its answer is then still the one at the
-        query's epoch of the old history, so it answers the query but is
-        never cached."""
+        answer, and cache both under the ``lineage`` of the generation
+        the plan ran on: if a re-sync installed a diverged log while the
+        plan ran, no query admitted since can hit them."""
         try:
             result: PlanResult = future.result()
         except Exception as exc:  # noqa: BLE001 - plan-level isolation
@@ -1287,7 +1295,7 @@ class QueryService(QueryPath):
                 continue
             self.stats.inc("completed")
             summaries = self.cache.window_of(full, q.request.window)
-            self._cache_answer(q, summaries, full, installs)
+            self.cache.put(q.request, q.epoch, summaries, full, lineage)
             self._finish(
                 q,
                 QueryResponse(
@@ -1299,26 +1307,6 @@ class QueryService(QueryPath):
                 ),
             )
         self._retire(plan_id)
-
-    def _installs(self, graph: str) -> int:
-        """Diverged installs on ``graph`` so far; read without the lock,
-        which an ingest holds through its fsync."""
-        live = self._graphs.get(graph)
-        return live.installs if live is not None else 0
-
-    def _cache_answer(
-        self, q: PendingQuery, summaries, full, installs: int
-    ) -> None:
-        """Cache a plan's answer unless a diverged log was installed
-        since the plan was dispatched (``installs`` is the count then)."""
-        graph = q.request.graph
-        if self._installs(graph) != installs:
-            return
-        self.cache.put(q.request, q.epoch, summaries, full)
-        if self._installs(graph) != installs:
-            # an install landed between the check and the write, so its
-            # drop may have run before the write
-            self.cache.invalidate_graph(graph)
 
     def _plan_failed(
         self,

@@ -182,7 +182,7 @@ def _attached_scenario(manifest):
     ...): it will not come back, so the coordinator retries the plan's
     queries against a fresh generation instead of the worker retrying.
     """
-    entry = _ATTACHED.get(manifest.segment)
+    entry = _ATTACHED.pop(manifest.segment, None)
     if entry is None:
         try:
             shm, scenario = attach_scenario(manifest)
@@ -193,7 +193,9 @@ def _attached_scenario(manifest):
             ) from None
         if len(_ATTACHED) >= _ATTACHED_LIMIT:
             _close(_ATTACHED.pop(next(iter(_ATTACHED))))
-        entry = _ATTACHED[manifest.segment] = _Attach(shm, scenario)
+        entry = _Attach(shm, scenario)
+    # (re)inserted at the back, so the front is the least recently used
+    _ATTACHED[manifest.segment] = entry
     return entry.scenario
 
 

@@ -58,8 +58,10 @@ class QueryRequest:
         source vertex varies per query.  The window is not part of it:
         every plan runs the full window, and a query's window is sliced
         from its answer (:meth:`~repro.service.cache.ResultCache.window_of`).
+        The algorithm is keyed lower-case, as
+        :func:`~repro.algorithms.get_algorithm` resolves it.
         """
-        return (self.graph, self.algo, self.mode, epoch)
+        return (self.graph, self.algo.lower(), self.mode, epoch)
 
 
 @dataclass

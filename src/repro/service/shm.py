@@ -14,18 +14,18 @@ Lifecycle
 ---------
 
 * Segments are keyed by ``(graph, scale, n_snapshots)`` and stamped with
-  their *epoch* and a monotonically increasing *generation*; a plan
-  attaches a segment only of its own epoch.
+  their *lineage* (which history of the log), *epoch* and a monotonically
+  increasing *generation*; a plan attaches one of its own lineage and epoch.
 * :meth:`ScenarioPlane.acquire` hands out a manifest and bumps a refcount;
   the coordinator acquires at plan submit and releases when the plan's
   future resolves.  An epoch advance publishes a new generation and
   *retires* the old segment — it is unlinked once its refcount drains
   (POSIX keeps the mapping valid for already-attached workers even after
   the unlink).
-* A straggler — a plan admitted under an epoch older than the current
-  generation's — gets a *private* generation of its own epoch: published
-  retired, never current, unlinked when its plan releases it.  The
-  current generation is never displaced by an older epoch.
+* A straggler — a plan admitted under an older ``(lineage, epoch)`` than
+  the current generation's — gets a *private* generation: published
+  retired, never current, unlinked when its plan releases it.  A new
+  lineage displaces the current generation whatever its epoch.
 * A segment that cannot be written or attached raises
   :class:`PlaneError`.  A failed attach retires the generation when its
   plan is released (``release(..., retire=True)``), so the retried
@@ -112,6 +112,8 @@ class ScenarioManifest:
     graph: str
     scale: str
     epoch: int
+    #: which history of the graph's log (``_LiveGraph.lineage``)
+    lineage: int
     n_snapshots: int
     n_vertices: int
     source: int
@@ -292,15 +294,17 @@ class ScenarioPlane:
         graph: str,
         scale: str,
         epoch: int,
+        lineage: int = 0,
         hold: bool = False,
     ) -> ScenarioManifest:
-        """Publish ``scenario`` at ``epoch`` as a new generation for its key.
+        """Publish ``scenario`` at ``(lineage, epoch)`` as a new generation.
 
         The new generation becomes current and retires the previous one,
         which is unlinked as soon as its refcount drains (immediately if
-        idle).  A scenario older than the current generation (a
-        straggler's epoch) never displaces it: its generation is private,
-        retired at once and unlinked when its last reference is released.
+        idle).  A scenario below the current generation's ``(lineage,
+        epoch)`` (a straggler's) never displaces it: its generation is
+        private, retired at once and unlinked when its last reference is
+        released.
         ``hold`` takes one reference in the same critical section (pair
         it with one :meth:`release`).  Raises :class:`PlaneError` if the
         segment cannot be written.
@@ -324,6 +328,7 @@ class ScenarioPlane:
             graph=graph,
             scale=scale,
             epoch=int(epoch),
+            lineage=int(lineage),
             n_snapshots=scenario.n_snapshots,
             n_vertices=scenario.n_vertices,
             source=scenario.source,
@@ -338,7 +343,8 @@ class ScenarioPlane:
             self._by_name[name] = segment
             self.published += 1
             current = self._current.get(key)
-            if current is not None and current.manifest.epoch > epoch:
+            m = current.manifest if current is not None else manifest
+            if (m.lineage, m.epoch) > (manifest.lineage, manifest.epoch):
                 retiring = segment
             else:
                 self._current[key] = segment
@@ -346,8 +352,8 @@ class ScenarioPlane:
             if retiring is not None:
                 self._retire_locked(retiring)
         log.debug(
-            "shm plane: published %s (gen %d, epoch %d, %d bytes)",
-            name, generation, epoch, total,
+            "shm plane: published %s (gen %d, lineage %d, epoch %d, "
+            "%d bytes)", name, generation, lineage, epoch, total,
         )
         return manifest
 
@@ -357,18 +363,21 @@ class ScenarioPlane:
         scale: str,
         n_snapshots: int,
         epoch: int,
+        lineage: int = 0,
     ) -> ScenarioManifest | None:
-        """Refcounted lookup of the current segment for a plan's epoch.
+        """Refcounted lookup of the current segment for a plan's
+        ``(lineage, epoch)``.
 
-        Returns ``None`` when nothing is published for the key or the
-        published epoch does not match — the caller then publishes.
+        Returns ``None`` when nothing is published for the key or at that
+        lineage and epoch — the caller then publishes.
         Every non-``None`` return must be paired with one
         :meth:`release`.
         """
         key = (graph, scale, int(n_snapshots))
         with self._lock:
             segment = self._current.get(key)
-            if segment is None or segment.manifest.epoch != int(epoch):
+            m = segment.manifest if segment is not None else None
+            if m is None or (m.lineage, m.epoch) != (lineage, int(epoch)):
                 return None
             segment.refs += 1
             return segment.manifest
@@ -388,14 +397,6 @@ class ScenarioPlane:
                 self._retire_locked(segment)
             elif segment.retired and segment.refs <= 0:
                 self._drop_locked(segment)
-
-    def retire_current(self, graph: str, scale: str, n_snapshots: int) -> None:
-        """Retire the generation serving a key, if any: the next plan for
-        it publishes afresh (its log was replaced under it)."""
-        with self._lock:
-            segment = self._current.get((graph, scale, int(n_snapshots)))
-            if segment is not None:
-                self._retire_locked(segment)
 
     def _retire_locked(self, segment: _Segment) -> None:
         m = segment.manifest

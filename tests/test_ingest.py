@@ -443,11 +443,10 @@ def test_live_scenario_cache_never_regresses_to_a_straggler():
     try:
         for seed in range(3):
             service.ingest("PK", seed=seed)
-        current = service._scenario_at("PK", 3)
-        straggler = service._scenario_at("PK", 1)
+        _, current = service._scenario_at("PK", 3)
+        lineage, straggler = service._scenario_at("PK", 1)
         assert straggler.metadata["epoch"] == 1
-        epoch, cached = service._scenarios["PK"]
-        assert epoch == 3 and cached is current
+        assert service._scenarios["PK"] == (lineage, 3, current)
     finally:
         service.stop(drain=False)
 

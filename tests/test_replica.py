@@ -206,18 +206,50 @@ def test_compaction_resync_keeps_the_follower_cache(tmp_path):
         primary.stop(drain=False)
 
 
+def _diverged_recovery(n_epochs: int):
+    """A tiny PK log of ``n_epochs`` seeded deltas that no other test
+    ingests, and the WAL recovery that installs it."""
+    from repro.experiments.runner import scenario_cache
+    from repro.service.ingest import apply_delta, synthesize_delta
+    from repro.service.wal import WalRecovery
+
+    scenario = scenario_cache("PK", "tiny", n_snapshots=4)
+    diverged = []
+    for seed in range(7, 7 + n_epochs):
+        diverged.append(synthesize_delta(scenario, seed=seed))
+        scenario = apply_delta(scenario, diverged[-1])
+    return diverged, WalRecovery(
+        snapshot={"logs": {"PK": [d.to_wire() for d in diverged]}}
+    )
+
+
+class _InstallOnFirstRelease:
+    """Wraps a lock; its first release runs ``install`` — a re-sync
+    landing between two steps of whatever held the lock."""
+
+    def __init__(self, lock, install) -> None:
+        self._lock, self._install = lock, install
+
+    def __enter__(self):
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc):
+        self._lock.__exit__(*exc)
+        install, self._install = self._install, None
+        if install is not None:
+            install()
+
+
 def test_a_plan_held_across_a_diverged_install_caches_nothing():
     """A plan dispatched before a re-sync installs a diverged log (a
     demoted primary's history replaced) still answers its query, at the
-    old history's epoch, but caches neither its window nor the full
-    answer: the next query at that epoch is evaluated on the installed
-    log and matches from-scratch evaluation of it."""
+    old history's epoch, but caches nothing a later query can hit: its
+    answers go under the old lineage, so the next query at that epoch is
+    evaluated on the installed log and matches from-scratch evaluation
+    of it."""
     from concurrent.futures import Future
 
-    from repro.experiments.runner import scenario_cache
     from repro.service.drill import _reference_summaries
-    from repro.service.ingest import apply_delta, synthesize_delta
-    from repro.service.wal import WalRecovery
 
     with QueryService(ServiceConfig(**TINY)) as service:
         for seed in (1, 2):
@@ -236,14 +268,8 @@ def test_a_plan_held_across_a_diverged_install_caches_nothing():
             time.sleep(0.005)
         assert dispatched, "the plan was never dispatched"
         del service.pool.submit
-        scenario = scenario_cache("PK", "tiny", n_snapshots=4)
-        diverged = []
-        for seed in (7, 8):
-            diverged.append(synthesize_delta(scenario, seed=seed))
-            scenario = apply_delta(scenario, diverged[-1])
-        service._install_recovery(WalRecovery(
-            snapshot={"logs": {"PK": [d.to_wire() for d in diverged]}}
-        ))
+        diverged, recovery = _diverged_recovery(2)
+        service._install_recovery(recovery)
         held.set_result(dispatched[0].result(timeout=120))
         assert pending.wait(timeout=120).status == "ok"
         want = _reference_summaries(
@@ -256,6 +282,59 @@ def test_a_plan_held_across_a_diverged_install_caches_nothing():
         assert [s.as_dict() for s in again.summaries] == [
             dict(w, snapshot=k) for k, w in enumerate(want[1:4])
         ]
+
+
+def test_a_scenario_built_across_a_diverged_install_is_of_one_history():
+    """A re-sync that installs a diverged log between the scenario
+    cache's read and the log's read must not extend the old history's
+    scenario with the new history's deltas: the query, and the next one
+    (served from cache), equal from-scratch evaluation of the installed
+    log."""
+    from repro.service.drill import _reference_summaries
+
+    with QueryService(ServiceConfig(**TINY)) as service:
+        for seed in (1, 2):
+            service.ingest("PK", seed=seed)
+        diverged, recovery = _diverged_recovery(2)
+        service._scenarios_lock = _InstallOnFirstRelease(
+            service._scenarios_lock,
+            lambda: service._install_recovery(recovery),
+        )
+        want = _reference_summaries(
+            "PK", "tiny", 4, diverged, ["sssp"], 1
+        )["sssp"]
+        first = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
+        again = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
+        assert (first.status, first.epoch) == ("ok", 2)
+        assert [s.as_dict() for s in first.summaries] == want
+        assert (again.status, again.epoch) == ("cached", 2)
+        assert [s.as_dict() for s in again.summaries] == want
+
+
+def test_an_epoch_past_a_diverged_install_tip_answers_error():
+    """A query admitted at epoch 3 and planned after a re-sync installs
+    a 2-epoch diverged log names no scenario of the held history: it
+    answers ``error``, and no generation is published for it."""
+    from repro.service.drill import _reference_summaries
+
+    with QueryService(ServiceConfig(**TINY)) as service:
+        for seed in (1, 2, 3):
+            service.ingest("PK", seed=seed)
+        diverged, recovery = _diverged_recovery(2)
+        service._scenarios_lock = _InstallOnFirstRelease(
+            service._scenarios_lock,
+            lambda: service._install_recovery(recovery),
+        )
+        published = service.plane.stats()["published"]
+        past = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
+        assert (past.status, past.epoch) == ("error", 3)
+        assert "past the held log's tip" in past.error
+        assert service.plane.stats()["published"] == published
+        after = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
+        assert (after.status, after.epoch) == ("ok", 2)
+        assert [s.as_dict() for s in after.summaries] == _reference_summaries(
+            "PK", "tiny", 4, diverged, ["sssp"], 1
+        )["sssp"]
 
 
 @pytest.mark.parametrize("point", REPLICA_POINTS)

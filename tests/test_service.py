@@ -93,21 +93,25 @@ def test_compat_key_separates_epochs_not_windows():
 
 
 def test_result_cache_epoch_and_invalidation():
+    """An entry answers only its own lineage and epoch: a new epoch, or
+    a new lineage at the same epoch (a re-sync installed a diverged
+    log), never hits it, and nothing is dropped to make that so."""
     cache = ResultCache(maxsize=8)
     req = QueryRequest("PK", "sssp", 3)
+    assert ResultCache.key(req, 2, 1) == req.compat_key(2) + (1, None, 3)
     assert cache.get(req, 0) is None
     cache.put(req, 0, _summaries())
     assert cache.get(req, 0)[0].reached == 5
     # a new epoch can never hit an old entry
     assert cache.get(req, 1) is None
-    # other graphs survive invalidation, this graph's entries do not
-    other = QueryRequest("LJ", "sssp", 3)
-    cache.put(other, 0, _summaries())
-    assert cache.invalidate_graph("PK") == 1
-    assert cache.get(req, 0) is None
-    assert cache.get(other, 0) is not None
+    # nor can a new lineage: the old entry is unreachable, not dropped
+    assert cache.get(req, 0, lineage=1) is None
+    cache.put(req, 0, _summaries(1), lineage=1)
+    assert len(cache.get(req, 0, lineage=1)) == 1
+    assert len(cache.get(req, 0)) == 2
     stats = cache.stats()
-    assert stats["hits"] == 2 and stats["misses"] == 3
+    assert stats["entries"] == 2
+    assert stats["hits"] == 3 and stats["misses"] == 3
     assert 0.0 < stats["hit_rate"] < 1.0
 
 
@@ -325,6 +329,27 @@ def test_queries_arriving_while_the_pool_is_full_share_one_plan():
     assert all(r.status == "ok" for r in responses)
     assert len({r.plan_id for r in responses}) == 1
     assert service.service_stats()["plans"] == 2
+
+
+def test_algorithm_spellings_share_one_plan_and_cache_entry():
+    """``get_algorithm`` is case-insensitive, and so are plan and cache
+    keys: a burst of ``SSSP`` and ``sssp`` is one plan, and a later
+    query in either spelling is a cache hit."""
+    assert QueryRequest("PK", "SSSP", 1).compat_key(0) == QueryRequest(
+        "PK", "sssp", 1
+    ).compat_key(0)
+    service = QueryService(_config())
+    handles = [
+        service.submit(QueryRequest("PK", algo, source))
+        for algo, source in (("SSSP", 1), ("sssp", 2))
+    ]
+    with service:  # start after submitting: one drain, one plan
+        responses = [h.wait(timeout=120) for h in handles]
+        again = service.submit(QueryRequest("PK", "Sssp", 1)).wait(120)
+    assert [r.status for r in responses] == ["ok", "ok"]
+    assert service.service_stats()["plans"] == 1
+    assert again.status == "cached"
+    assert again.summaries == responses[0].summaries
 
 
 def test_sub_window_queries_ride_the_full_window_plan():

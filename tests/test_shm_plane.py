@@ -192,6 +192,62 @@ def test_older_epoch_publishes_a_private_generation(small_scenario):
         plane.close_all()
 
 
+def test_acquire_refuses_a_lineage_mismatch(small_scenario):
+    """A generation names one history: at its epoch it is handed out
+    only under the lineage it was built from."""
+    n = small_scenario.n_snapshots
+    plane, manifest = _plane(small_scenario, epoch=2)
+    try:
+        assert manifest.lineage == 0
+        assert plane.acquire("small", "test", n, 2, lineage=1) is None
+        got = plane.acquire("small", "test", n, 2, lineage=0)
+        assert got is not None and got.segment == manifest.segment
+        plane.release(got)
+    finally:
+        plane.close_all()
+
+
+def test_a_new_lineage_displaces_a_later_epoch(small_scenario):
+    """Generations order by ``(lineage, epoch)``: a re-sync's shorter
+    history becomes current although its epoch is lower, and the
+    replaced generation is retired."""
+    n = small_scenario.n_snapshots
+    plane, old = _plane(small_scenario, epoch=3)
+    try:
+        new = plane.publish(small_scenario, "small", "test", 2, lineage=1)
+        assert not os.path.exists(_segment_path(old))
+        assert plane.acquire("small", "test", n, 3) is None
+        held = plane.acquire("small", "test", n, 2, lineage=1)
+        assert held is not None and held.segment == new.segment
+        plane.release(held)
+        assert plane.stats()["retired_pending"] == 0
+    finally:
+        plane.close_all()
+
+
+def test_an_older_lineage_publishes_a_private_generation(small_scenario):
+    """A straggler of a replaced history never displaces the current
+    generation, whatever its epoch: its generation is private and is
+    unlinked on release."""
+    n = small_scenario.n_snapshots
+    plane = ScenarioPlane()
+    try:
+        current = plane.publish(small_scenario, "small", "test", 1, lineage=2)
+        private = plane.publish(
+            small_scenario, "small", "test", 5, lineage=1, hold=True
+        )
+        assert plane.stats()["retired_pending"] == 1
+        assert plane.acquire("small", "test", n, 5, lineage=1) is None
+        held = plane.acquire("small", "test", n, 1, lineage=2)
+        assert held is not None and held.segment == current.segment
+        plane.release(held)
+        plane.release(private)
+        assert not os.path.exists(_segment_path(private))
+        assert os.path.exists(_segment_path(current))
+    finally:
+        plane.close_all()
+
+
 def test_release_with_retire_drops_the_current_generation(small_scenario):
     n = small_scenario.n_snapshots
     plane, manifest = _plane(small_scenario, epoch=2)
@@ -406,6 +462,31 @@ def test_a_worker_holds_at_most_four_attaches_and_no_views(small_scenario):
         assert list(pool._ATTACHED) == [m.segment for m in manifests[1:]]
         assert [f.name for f in dataclasses.fields(pool._Attach)] == [
             "shm", "scenario"
+        ]
+    finally:
+        pool._detach_all()
+        plane.close_all()
+
+
+def test_a_hit_keeps_an_attach_from_eviction(small_scenario):
+    """``_ATTACHED`` is an LRU, not a FIFO: attach four generations, hit
+    the first, attach a fifth, and the first is still attached."""
+    from repro.service import pool
+
+    pool._detach_all()
+    plane = ScenarioPlane()
+    try:
+        manifests = [
+            plane.publish(small_scenario, "small", f"g{i}", epoch=0)
+            for i in range(pool._ATTACHED_LIMIT + 1)
+        ]
+        first = pool._attached_scenario(manifests[0])
+        for manifest in manifests[1:-1]:
+            pool._attached_scenario(manifest)
+        assert pool._attached_scenario(manifests[0]) is first
+        pool._attached_scenario(manifests[-1])
+        assert list(pool._ATTACHED) == [
+            m.segment for m in manifests[2:-1] + [manifests[0], manifests[-1]]
         ]
     finally:
         pool._detach_all()
