@@ -316,7 +316,6 @@ def _service_config(args: argparse.Namespace):
         workers=args.workers,
         batching=args.batching,
         max_batch=args.max_batch,
-        mode=args.mode,
         budget_s=args.budget_s,
         cache_size=max(1, args.cache_size),
         wal_dir=args.wal_dir,
@@ -326,8 +325,6 @@ def _service_config(args: argparse.Namespace):
         inject_fault=inject,
         ack_mode=args.ack_mode,
         quorum_timeout_s=args.quorum_timeout,
-        node_id=getattr(args, "node_id", "") or "",
-        cluster=cluster,
         window_slide_every=getattr(args, "slide_every", 0),
     )
 
@@ -616,8 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--max-batch", type=int, default=8,
                        help="max distinct sources per coalesced plan")
-        p.add_argument("--mode", default="eval", choices=["eval", "simulate"],
-                       help="functional executor or accelerator model")
         p.add_argument("--budget-s", type=float, default=60.0,
                        help="per-plan wall-clock budget (watchdog)")
         p.add_argument("--cache-size", type=int, default=512,

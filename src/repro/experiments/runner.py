@@ -67,9 +67,9 @@ class LRUCache:
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
 
-    def keys(self) -> list:
-        """Current keys, least-recently-used first."""
-        return list(self._data)
+    def coldest(self):
+        """The least-recently-used ``(key, value)``, or None when empty."""
+        return next(iter(self._data.items()), None)
 
     def pop(self, key, default=None):
         return self._data.pop(key, default)

@@ -3,8 +3,8 @@
 The paper's Batch-Oriented Execution applies one delta batch to every
 snapshot that needs it; the serving-layer generalization coalesces every
 *query* that can share a plan.  Two queries are compatible when they agree
-on everything the multi-query plan fixes — graph, algorithm, execution
-mode, and ingest epoch — and differ only in source vertex or snapshot
+on everything the multi-query plan fixes — graph, algorithm and ingest
+epoch — and differ only in source vertex or snapshot
 window (:meth:`repro.service.request.QueryRequest.compat_key`): every
 plan runs the full window, which holds every sub-window's snapshots, and
 each query's window is sliced from its answer on completion.

@@ -1,21 +1,19 @@
-"""LRU result cache keyed by the history an answer belongs to.
+"""LRU result cache: one full-window answer per source, sliced by epoch.
 
-Keys include the graph's *epoch* (how many delta batches have been
-ingested) and its *lineage* (which history of the log those epochs are:
-a re-sync that installs a log not extending the held one starts a new
-lineage).  So a result computed before an ingest, or on a history a
-re-sync has since replaced, can never satisfy a query admitted after it.
-Such an entry is never dropped eagerly: it is unreachable, and it ages
-out through :meth:`ResultCache.rebase_graph` or the LRU.
-
-Every plan runs its algorithm's full window, so a full-window answer
-holds every sub-window's: snapshot ``k`` of window ``(lo, hi)`` is
-snapshot ``lo + k`` of the full window at the same epoch, bit for bit
-(each snapshot's values are the from-scratch fixpoint on that
-snapshot's graph, whichever union computed them).
-:meth:`ResultCache.window_of` is the one place that slices, used by the
-service's plan completion and by :meth:`ResultCache.get`'s containment
-lookup.
+An entry is keyed ``(graph, algo, lineage, source)`` and holds the
+full-window answer plus the epoch it was computed at.  Every plan runs
+its algorithm's full window, and every ingest slides the window by one
+snapshot, so within one *lineage* (one history of the graph's log: a
+re-sync that installs a log not extending the held one starts a new
+lineage) snapshot ``k`` at epoch ``q`` is snapshot ``k + q - e`` of the
+window at epoch ``e``, bit for bit (each snapshot's values are the
+from-scratch fixpoint on that snapshot's graph, whichever union computed
+them).  So the answer held at epoch ``e`` answers window ``(lo, hi)`` at
+epoch ``q`` whenever ``(lo + q - e, hi + q - e)`` lies inside the held
+window, and no ingest has to re-key anything.  An entry of a replaced
+lineage is never dropped eagerly: it is unreachable and ages out through
+the LRU.  :meth:`ResultCache.window_of` is the one place that slices,
+used by the service's plan completion and by :meth:`ResultCache.get`.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ __all__ = ["ResultCache"]
 
 
 class ResultCache:
-    """Thread-safe LRU of per-query snapshot summaries."""
+    """Thread-safe LRU of per-source full-window snapshot summaries."""
 
     def __init__(self, maxsize: int = 512) -> None:
         self._lru = LRUCache(maxsize)
@@ -38,16 +36,12 @@ class ResultCache:
         self.misses = 0
 
     @staticmethod
-    def key(
-        request: QueryRequest,
-        epoch: int,
-        lineage: int = 0,
-        window: tuple[int, int] | None = None,
-    ) -> tuple:
-        """``compat_key(epoch) + (lineage, window, source)``; the
-        full-window key by default."""
-        source = int(request.source)
-        return request.compat_key(epoch) + (lineage, window, source)
+    def key(request: QueryRequest, lineage: int = 0) -> tuple:
+        """``(graph, algo, lineage, source)``; the algorithm lower-case,
+        as :func:`~repro.algorithms.get_algorithm` resolves it."""
+        return (
+            request.graph, request.algo.lower(), lineage, int(request.source)
+        )
 
     @staticmethod
     def window_of(
@@ -66,18 +60,18 @@ class ResultCache:
     def get(
         self, request: QueryRequest, epoch: int, lineage: int = 0
     ) -> list[SnapshotSummary] | None:
-        """The query's own entry, else its window sliced from the
-        full-window entry at ``(lineage, epoch)`` (containment)."""
-        window = request.window
+        """The query's window at ``epoch``, sliced from the held answer
+        shifted by ``epoch`` minus its epoch, if the held window covers
+        it."""
         with self._lock:
-            k = self.key(request, epoch, lineage, window)
+            k = self.key(request, lineage)
             if k in self._lru:
-                self.hits += 1
-                return self._lru[k]
-            k = self.key(request, epoch, lineage)
-            if window is not None and k in self._lru:
-                self.hits += 1
-                return self.window_of(self._lru[k], window)
+                held_epoch, full = self._lru[k]
+                shift = epoch - held_epoch
+                lo, hi = request.window or (0, len(full) - 1)
+                if lo + shift >= 0 and hi + shift <= len(full) - 1:
+                    self.hits += 1
+                    return self.window_of(full, (lo + shift, hi + shift))
             self.misses += 1
             return None
 
@@ -85,51 +79,33 @@ class ResultCache:
         self,
         request: QueryRequest,
         epoch: int,
-        summaries: list[SnapshotSummary],
-        full: list[SnapshotSummary] | None = None,
+        full: list[SnapshotSummary],
         lineage: int = 0,
     ) -> None:
-        """Store the query's answer under its own key and, for a
-        sub-window query, ``full`` (the answer it was sliced from) under
-        the full-window key, both at ``(lineage, epoch)``."""
+        """Hold ``full``, the source's full-window answer at ``epoch``,
+        unless an answer at a newer epoch is held."""
         with self._lock:
-            key = self.key(request, epoch, lineage, request.window)
-            self._lru[key] = summaries
-            if full is not None and request.window is not None:
-                self._lru[self.key(request, epoch, lineage)] = full
+            k = self.key(request, lineage)
+            if k not in self._lru or self._lru[k][0] <= epoch:
+                self._lru[k] = (epoch, full)
 
-    def rebase_graph(self, graph: str, new_epoch: int) -> tuple[int, int]:
-        """Re-key entries across a window slide instead of dropping them.
+    def rebase_graph(self, graph: str, new_epoch: int) -> int:
+        """``graph``'s tip moved to ``new_epoch``: drop its entries at the
+        LRU's cold end that the tip has passed by a whole window.
 
-        Under sliding-window serving every ingest advances the window by
-        one snapshot, so the scenario at the previous epoch restricted to
-        window ``(lo, hi)`` is bit-identical to window ``(lo-1, hi-1)``
-        at ``new_epoch`` (summaries store window-relative snapshot
-        indices, which do not move).  Entries from the previous epoch
-        whose shifted window still exists (``lo >= 1``) are re-keyed in
-        their own lineage; everything else for ``graph`` — full-window
-        results, windows pinned at snapshot 0, older epochs — is dropped.
-        Returns ``(rebased, dropped)``.
+        Stops at the first entry of another graph or one still live, so
+        the cost is the entries dropped; the rest age out through the
+        LRU.  Returns how many were dropped.
         """
+        dropped = 0
         with self._lock:
-            rebased = dropped = 0
-            for k in [k for k in self._lru.keys() if k[0] == graph]:
-                # key(): compat_key(epoch) + (lineage, window, source)
-                g, algo, mode, epoch, lineage, window, source = k
-                movable = (
-                    epoch == new_epoch - 1
-                    and window is not None
-                    and window[0] >= 1
-                )
-                summaries = self._lru.pop(k)
-                if movable:
-                    shifted = (window[0] - 1, window[1] - 1)
-                    new_key = k[:3] + (new_epoch, lineage, shifted, source)
-                    self._lru[new_key] = summaries
-                    rebased += 1
-                else:
-                    dropped += 1
-            return rebased, dropped
+            while (cold := self._lru.coldest()) is not None:
+                key, (epoch, full) = cold
+                if key[0] != graph or new_epoch - epoch < len(full):
+                    break
+                self._lru.pop(key)
+                dropped += 1
+        return dropped
 
     def clear(self) -> None:
         with self._lock:

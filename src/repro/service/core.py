@@ -11,14 +11,15 @@ Dataflow (docs/SERVICE.md has the full picture)::
 
 Degradation policy: a failed multi-query plan is split and each of its
 queries retried as a singleton plan (without any armed fault, and only
-once); a failed singleton yields an ``error`` response.  Either way the
-pool, the other in-flight plans, and later traffic are unaffected.
+once); a failed singleton, or a plan past its log's tip, yields an
+``error`` response.  Either way the pool, the other in-flight plans, and
+later traffic are unaffected.
 
 ``ingest()`` appends a delta batch to a graph's log, bumps its epoch, and
-so slides the window by one snapshot: cache entries whose shifted window
-survives are re-keyed, the rest dropped.  Queries already in flight
-complete against the epoch they were admitted under (their responses say
-which).
+so slides the window by one snapshot: a cached full-window answer keeps
+answering every window it still covers, shifted by the epochs since it
+was computed.  Queries already in flight complete against the epoch they
+were admitted under (their responses say which).
 
 The coordinator is the one writer of scenarios: it materializes a graph's
 scenario at a plan's epoch (a per-graph cache advanced through the log
@@ -205,7 +206,6 @@ class ServiceConfig:
     max_pending: int = 4096
     cache_size: int = 512
     budget_s: float = 60.0
-    mode: str = "eval"
     #: always True: workers get every scenario by attaching the
     #: coordinator's shared-memory plane, and False is refused (the
     #: field stays so callers passing ``use_shm=True`` keep working)
@@ -214,13 +214,11 @@ class ServiceConfig:
     wal_dir: str | None = None
     #: "always" | "batch" | "never" — fsync per append / periodically / OS
     wal_fsync: str = "always"
-    wal_segment_bytes: int = 4 * 1024 * 1024
     #: sample the engine's per-round kernel timings every N rounds inside
     #: workers (0 = off); aggregates surface in the bench report
     profile_rounds: int = 0
-    #: arm these fault points on plan ordinal ``inject_fault_plan``
+    #: arm these fault points on the first plan
     inject_fault: tuple[str, ...] = ()
-    inject_fault_plan: int = 0
     fault_seed: int = 0
     #: ingest acknowledgement policy: ``"local"`` acks after the local
     #: WAL fsync (PR-6 behavior); ``"quorum:k"`` (or ``"quorum(k)"``)
@@ -230,12 +228,6 @@ class ServiceConfig:
     #: how long a quorum ack may wait before degrading (the response is
     #: marked ``degraded`` — never silent loss, never an unbounded stall)
     quorum_timeout_s: float = 5.0
-    #: this node's id when supervised as a cluster member
-    #: (``serve --cluster N --node-id ...``); beacon/cursor file name
-    node_id: str = ""
-    #: expected cluster size, 0 = not cluster-supervised (informational:
-    #: surfaces in health; membership itself is whoever beacons)
-    cluster: int = 0
     #: kernel backend the pool workers must resolve
     #: (auto|numpy|compiled|cext; "" defers to each worker's
     #: MEGA_KERNEL_BACKEND / auto).  Workers report the tier they
@@ -284,9 +276,6 @@ _COUNTER_HELP = {
         "never cached)"
     ),
     "slides": "window-slide checkpoints folded into the serving base",
-    "cache_rebased": (
-        "result-cache entries re-keyed across a slide instead of dropped"
-    ),
     # the next three always read 0: workers no longer advance window
     # servers; they stay because benchmark readers still report them
     "slide_advances": "always 0 (retired worker window advances)",
@@ -590,7 +579,6 @@ class QueryService(QueryPath):
             self.wal = WriteAheadLog(
                 wal_dir,
                 fsync=self.config.wal_fsync,
-                segment_bytes=self.config.wal_segment_bytes,
                 fault_hook=self._maybe_fire,
                 fence_token=token,
             )
@@ -609,10 +597,9 @@ class QueryService(QueryPath):
         enters from the WAL (primary recovery, every follower re-sync).
 
         An incoming log that extends the held one keeps what was derived
-        from it, the cache rebased once per new epoch as in
-        :meth:`apply_replicated`.  Any other (a demoted primary's fenced
-        epochs, a shorter log) replaces it under a new lineage: what was
-        derived from the old one is not dropped but never matches again.
+        from it.  Any other (a demoted primary's fenced epochs, a shorter
+        log) replaces it under a new lineage: what was derived from the
+        old one is not dropped but never matches again.
         """
         self.last_recovery = recovery
         logs: dict[str, DeltaLog] = {}
@@ -643,22 +630,21 @@ class QueryService(QueryPath):
                     "record skipped, graph frozen at epoch %d",
                     graph, epoch, len(delta_log), len(delta_log),
                 )
-        grown: dict[str, range] = {}
+        grown: dict[str, int] = {}
         with self._graphs_lock:
             for graph in set(logs) | set(self._graphs):
                 live = self._graphs.setdefault(graph, _LiveGraph())
                 delta_log = logs.get(graph, DeltaLog())
                 if delta_log.extends(live.log):
-                    grown[graph] = range(live.epoch + 1, len(delta_log) + 1)
+                    grown[graph] = len(delta_log)
                 else:
                     live.lineage += 1
                 live.log = delta_log
             for graph, count in (snapshot.get("slides") or {}).items():
                 live = self._graphs.setdefault(graph, _LiveGraph())
                 live.slides = max(live.slides, int(count))
-        for graph, epochs in grown.items():
-            for epoch in epochs:
-                self._rebase_cache(graph, epoch)
+        for graph, epoch in grown.items():
+            self.cache.rebase_graph(graph, epoch)
         if logs:
             log.info(
                 "wal recovery: restored %s",
@@ -871,17 +857,9 @@ class QueryService(QueryPath):
             t0 = time.monotonic()
             self._republish_plane(graph, epoch)
             self._slide_seconds.observe(time.monotonic() - t0)
-        self._rebase_cache(graph, epoch)
+        self.cache.rebase_graph(graph, epoch)
         self.stats.inc("ingests")
         return epoch, self._await_quorum(graph, epoch)
-
-    def _rebase_cache(self, graph: str, epoch: int) -> None:
-        """The ingest that made ``epoch`` slid the window by one snapshot:
-        re-key the cache entries whose shifted window survives, drop the
-        rest."""
-        rebased, _dropped = self.cache.rebase_graph(graph, epoch)
-        if rebased:
-            self.stats.inc("cache_rebased", rebased)
 
     def _republish_plane(self, graph: str, epoch: int) -> None:
         """Eagerly publish the post-slide scenario generation.
@@ -972,7 +950,7 @@ class QueryService(QueryPath):
                     f"local epoch {live.epoch}"
                 )
             live.log.append(DeltaBatch.from_wire(delta_wire))
-        self._rebase_cache(graph, epoch)
+        self.cache.rebase_graph(graph, epoch)
         self.stats.inc("replicated")
         return True
 
@@ -1109,7 +1087,6 @@ class QueryService(QueryPath):
                 "enabled": self.config.window_slide_every > 0,
                 "slide_every": self.config.window_slide_every,
                 "slides": slide_counts,
-                "cache_rebased": stats["cache_rebased"],
                 "republish_p95_s": self._slide_seconds.approx_quantile(
                     0.95
                 ),
@@ -1133,7 +1110,7 @@ class QueryService(QueryPath):
             if p not in COORDINATOR_FAULT_POINTS
         )
         if not degraded and worker_faults:
-            if self.stats.get("plans") == self.config.inject_fault_plan:
+            if self.stats.get("plans") == 0:
                 fault_points = worker_faults
         sources = tuple(dict.fromkeys(q.request.source for q in queries))
         self.stats.inc("plans")
@@ -1152,7 +1129,6 @@ class QueryService(QueryPath):
                 plan_id=plan_id,
                 algo=first.algo,
                 sources=sources,
-                mode=first.mode,
                 epoch=epoch,
                 shm=manifest,
                 budget_s=self.config.budget_s,
@@ -1254,9 +1230,9 @@ class QueryService(QueryPath):
         lineage: int = 0,
     ) -> None:
         """Answer each query with its window of the plan's full-window
-        answer, and cache both under the ``lineage`` of the generation
-        the plan ran on: if a re-sync installed a diverged log while the
-        plan ran, no query admitted since can hit them."""
+        answer, and cache that answer under the ``lineage`` of the
+        generation the plan ran on: if a re-sync installed a diverged log
+        while the plan ran, no query admitted since can hit it."""
         try:
             result: PlanResult = future.result()
         except Exception as exc:  # noqa: BLE001 - plan-level isolation
@@ -1295,7 +1271,7 @@ class QueryService(QueryPath):
                 continue
             self.stats.inc("completed")
             summaries = self.cache.window_of(full, q.request.window)
-            self.cache.put(q.request, q.epoch, summaries, full, lineage)
+            self.cache.put(q.request, q.epoch, full, lineage)
             self._finish(
                 q,
                 QueryResponse(
@@ -1319,8 +1295,10 @@ class QueryService(QueryPath):
             # a generation a worker could not attach is retired, so the
             # retries below publish and attach a fresh one
             self.plane.release(manifest, retire=isinstance(exc, PlaneError))
-        retryable = [q for q in queries if not q.retried]
-        terminal = [q for q in queries if q.retried]
+        # a plan past its log's tip fails the same way however retried
+        past_tip = isinstance(exc, EpochPastTipError)
+        retryable = [q for q in queries if not (q.retried or past_tip)]
+        terminal = [q for q in queries if q.retried or past_tip]
         for q in retryable:
             q.retried = True
         if retryable:

@@ -608,7 +608,7 @@ def run_chaos_kill_drill(
     followers re-sync from slide compactions as they tail.
     """
     from repro.service.cluster import ClusterNode
-    from repro.service.loadgen import LoadSpec, run_load
+    from repro.service.loadgen import DRAIN_TIMEOUT_S, LoadSpec, run_load
     from repro.service.replica import ReplicaServer
     from repro.service.wal import current_fence_token, recover_wal
 
@@ -709,7 +709,7 @@ def run_chaos_kill_drill(
         elected_epoch = elected.service.epoch(graph)
         new_token = current_fence_token(wal_dir)
         load_thread.join(
-            timeout=load_duration_s + spec.drain_timeout_s + 120.0
+            timeout=load_duration_s + DRAIN_TIMEOUT_S + 120.0
         )
         if load_thread.is_alive():
             raise CrashDrillError("load generator wedged after the election")

@@ -35,14 +35,14 @@ from repro.service.request import QueryRequest
 
 __all__ = ["LoadSpec", "BenchReport", "run_load"]
 
-#: 8: checkpoints — a ``sliding`` block (checkpoint count, cache
-#: entries re-keyed across slides, and a post-drain ``parity`` verdict
-#: holding the service's answer per graph and algorithm equal to
-#: from-scratch evaluation over its delta log); a parity failure marks
-#: the run degraded.  Its worker-advance fields (``slide_advances``,
-#: ``stable_vertex_rate``) and ``shm.enabled`` left with the per-worker
-#: window servers and the plane-off mode, without a version bump, as the
-#: schema-5 fields did;
+#: 8: checkpoints — a ``sliding`` block (checkpoint count and a
+#: post-drain ``parity`` verdict holding the service's answer per graph
+#: and algorithm equal to from-scratch evaluation over its delta log); a
+#: parity failure marks the run degraded.  Its worker-advance fields
+#: (``slide_advances``, ``stable_vertex_rate``), ``shm.enabled`` and
+#: ``cache_rebased`` left with the per-worker window servers, the
+#: plane-off mode and the cache's per-slide re-keying, without a version
+#: bump, as the schema-5 fields did;
 #: 7: kernel-backend provenance — ``kernel_backend`` (requested tier +
 #: the per-worker resolved map from the pool warm-up pings);
 #: 6: cluster fields — ``failovers`` (writer re-resolutions of the
@@ -56,6 +56,15 @@ __all__ = ["LoadSpec", "BenchReport", "run_load"]
 #: timelines (``traces``), optional ``round_profile``.  Every schema-3
 #: field is preserved.
 BENCH_SCHEMA_VERSION = 8
+
+#: base of the exponential backoff between client retries
+RETRY_BASE_S = 0.05
+#: give up on stragglers this long after the last arrival
+DRAIN_TIMEOUT_S = 60.0
+#: how long a writer keeps re-resolving the primary after its ingest
+#: target dies mid-run (a leader election in progress) before giving up —
+#: the redirect-following client's patience window
+FAILOVER_GRACE_S = 30.0
 
 
 @dataclass
@@ -82,16 +91,8 @@ class LoadSpec:
     deadline_s: float = 0.0
     #: client-side retries of shed/rejected queries (0 = give up at once)
     max_retries: int = 0
-    #: base of the exponential backoff between retries
-    retry_base_s: float = 0.05
-    #: give up on stragglers this long after the last arrival
-    drain_timeout_s: float = 60.0
     #: embed this many per-query span timelines in the report (0 = none)
     trace_sample: int = 0
-    #: how long a writer keeps re-resolving the primary after its ingest
-    #: target dies mid-run (a leader election in progress) before giving
-    #: up — the redirect-following client's patience window
-    failover_grace_s: float = 30.0
 
 
 @dataclass
@@ -167,7 +168,6 @@ class BenchReport:
             parity = sliding.get("parity", {})
             lines.append(
                 f"slides {sliding['slides']}  "
-                f"cache rebased {sliding['cache_rebased']}  "
                 f"parity {'ok' if parity.get('ok') else 'FAILED'} "
                 f"({parity.get('checked', 0)} checks)"
             )
@@ -257,7 +257,7 @@ def _plan_arrivals(
             window = (lo, hi)
         arrivals.append(
             (t, QueryRequest(graph=graph, algo=algo, source=source,
-                             window=window, mode=cfg.mode,
+                             window=window,
                              deadline_s=spec.deadline_s or None))
         )
     return arrivals
@@ -283,7 +283,7 @@ def _retry_query(
         and attempts < spec.max_retries
         and time.monotonic() < deadline
     ):
-        base = spec.retry_base_s * (2 ** attempts)
+        base = RETRY_BASE_S * (2 ** attempts)
         if response.retry_after is not None:
             base = max(base, response.retry_after)
         pause = min(base, 2.0) * (0.5 + float(rng.random()))
@@ -294,7 +294,6 @@ def _retry_query(
             algo=request.algo,
             source=request.source,
             window=request.window,
-            mode=request.mode,
             deadline_s=request.deadline_s,
         )
         handle = service.submit(retry)
@@ -331,7 +330,7 @@ def _served_parity(service, spec: LoadSpec) -> dict:
                 checked += 1
                 response = service.submit(QueryRequest(
                     graph=graph, algo=algo, source=source, window=window,
-                )).wait(timeout=spec.drain_timeout_s)
+                )).wait(timeout=DRAIN_TIMEOUT_S)
                 if response is None or not response.ok:
                     mismatches.append({"graph": graph, "algo": algo,
                                        "window": window, "epoch": None})
@@ -372,7 +371,7 @@ def run_load(
 
     The target may change across a leader election.  When the writer's
     target dies mid-ingest it keeps re-resolving for up to
-    ``spec.failover_grace_s`` — each change of target counts as a
+    ``FAILOVER_GRACE_S`` — each change of target counts as a
     ``failover`` in the report — and, because the in-flight write may
     have landed on the dead primary's WAL and survived onto its elected
     successor, it consults the new target's ``epoch`` before re-sending:
@@ -433,7 +432,7 @@ def run_load(
             # best available baseline for survived-write detection
             base = service.epoch(graph)
         maybe_applied = False
-        deadline = time.monotonic() + max(spec.failover_grace_s, 0.0)
+        deadline = time.monotonic() + FAILOVER_GRACE_S
         while time.monotonic() < deadline:
             nxt = _acquire_target()
             if nxt is None:
@@ -459,8 +458,7 @@ def run_load(
                         return True
             # cooperative redirect: brief jittered backoff, then re-aim
             time.sleep(
-                min(spec.retry_base_s, 0.05)
-                * (0.5 + float(writer_rng.random()))
+                RETRY_BASE_S * (0.5 + float(writer_rng.random()))
             )
             try:
                 epoch = nxt.ingest(
@@ -492,7 +490,7 @@ def run_load(
                 if not _send(graph, seed):
                     raise TimeoutError(
                         f"no primary accepted {graph} seed {seed} within "
-                        f"the {spec.failover_grace_s:.1f}s failover grace"
+                        f"the {FAILOVER_GRACE_S:.1f}s failover grace"
                     )
             except BaseException as exc:  # noqa: BLE001 - rethrown below
                 write_errors.append(exc)
@@ -521,7 +519,7 @@ def run_load(
         raise write_errors[0]
     submitted_window = time.monotonic() - start
 
-    deadline = time.monotonic() + spec.drain_timeout_s
+    deadline = time.monotonic() + DRAIN_TIMEOUT_S
     responses = []
     client_retries = 0
     for h in handles:
@@ -614,7 +612,6 @@ def run_load(
             "enabled": True,
             "slide_every": slide_every,
             "slides": stats.get("slides", 0),
-            "cache_rebased": stats.get("cache_rebased", 0),
             "parity": _served_parity(service, spec),
         }
     else:

@@ -82,6 +82,8 @@ register_fault_point(
 
 #: plans whose budgets are not set explicitly get this wall-clock ceiling
 DEFAULT_BUDGET_S = 60.0
+#: every plan's round ceiling
+MAX_ROUNDS = 200_000
 
 
 @dataclass
@@ -91,13 +93,11 @@ class PlanPayload:
     plan_id: int
     algo: str
     sources: tuple[int, ...]
-    mode: str = "eval"
     epoch: int = 0
     #: the published generation holding the scenario at ``epoch``; None
     #: only on the ping and clear control ops
     shm: ScenarioManifest | None = None
     budget_s: float = DEFAULT_BUDGET_S
-    max_rounds: int = 200_000
     #: armed fault points for this plan (resilience drills / load harness)
     fault_points: tuple[str, ...] = ()
     fault_seed: int = 0
@@ -128,8 +128,6 @@ class PlanResult:
     elapsed_s: float = 0.0
     attempts: int = 1
     recovered_faults: tuple[str, ...] = ()
-    #: accelerator update-phase cycles when mode == "simulate"
-    update_cycles: int | None = None
     #: CLOCK_MONOTONIC stamps taken inside the worker (system-wide on
     #: Linux, so directly comparable with coordinator marks); 0.0 for
     #: control ops and results from pre-observability workers
@@ -226,7 +224,7 @@ def _worker_clear() -> None:
 
 def _execute(payload: PlanPayload) -> PlanResult:
     from repro.algorithms import get_algorithm
-    from repro.core.multi_query import evaluate_multi_query, simulate_multi_query
+    from repro.core.multi_query import evaluate_multi_query
     from repro.resilience.faults import maybe_fire
 
     fire = maybe_fire("service.worker-fault")
@@ -242,18 +240,9 @@ def _execute(payload: PlanPayload) -> PlanResult:
 
     scenario = _attached_scenario(payload.shm)
     algorithm = get_algorithm(payload.algo)
-    budget = Budget(
-        max_rounds=payload.max_rounds, wall_clock_s=payload.budget_s
-    )
+    budget = Budget(max_rounds=MAX_ROUNDS, wall_clock_s=payload.budget_s)
     sources = list(payload.sources)
-    update_cycles = None
-    if payload.mode == "simulate":
-        report, mq = simulate_multi_query(
-            scenario, algorithm, sources, budget=budget
-        )
-        update_cycles = int(report.update_cycles)
-    else:
-        mq = evaluate_multi_query(scenario, algorithm, sources, budget=budget)
+    mq = evaluate_multi_query(scenario, algorithm, sources, budget=budget)
     summaries = dict(zip(
         sources, _summarize(algorithm, mq.matrix(), scenario.n_snapshots)
     ))
@@ -262,7 +251,6 @@ def _execute(payload: PlanPayload) -> PlanResult:
         epoch=payload.epoch,
         summaries=summaries,
         worker_pid=os.getpid(),
-        update_cycles=update_cycles,
     )
 
 

@@ -7,7 +7,7 @@ compaction snapshot — so a replica needs no second protocol: a
 **follower** mode, tails the primary's WAL directory with the
 non-destructive :func:`~repro.service.wal.read_from` cursor, and replays
 each new epoch into its own delta logs (and, lazily, its own
-shared-memory scenario plane) while serving eval-mode queries from its
+shared-memory scenario plane) while serving queries from its
 own worker pool.  Ingest sent to a follower is refused with a
 ``not_primary`` redirect (:class:`~repro.service.core.NotPrimaryError`)
 — writes have exactly one home.
@@ -406,7 +406,6 @@ class ReplicaServer:
         self.service.wal = WriteAheadLog(
             self.primary_wal_dir,
             fsync=config.wal_fsync,
-            segment_bytes=config.wal_segment_bytes,
             fault_hook=self.service._maybe_fire,
             fence_token=token,
         )

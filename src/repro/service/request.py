@@ -3,8 +3,10 @@
 A :class:`QueryRequest` names a graph (Table 2 short name), an algorithm,
 a source vertex, and optionally a contiguous snapshot sub-window.  It is
 deliberately tiny — everything heavy (the scenario, the plan, the values)
-lives in the workers — so requests are cheap to queue, coalesce, and ship
-across the process boundary.
+lives in the workers, and a plan carries only the sources — so requests
+are cheap to queue and coalesce.  A window never reaches a worker: the
+coordinator slices it from its source's full-window answer
+(:meth:`~repro.service.cache.ResultCache.window_of`).
 
 Responses carry per-snapshot *summaries* (reached count + a finite-value
 checksum) rather than full value arrays: compact enough to stream over the
@@ -42,8 +44,6 @@ class QueryRequest:
     source: int
     #: inclusive snapshot sub-window, or None for the full history
     window: tuple[int, int] | None = None
-    #: "eval" = functional executor; "simulate" = accelerator model
-    mode: str = "eval"
     #: shed this query if not *executing* within this many seconds of
     #: admission (None = wait forever); shed responses carry a
     #: ``retry_after`` hint so clients back off instead of piling on
@@ -61,7 +61,7 @@ class QueryRequest:
         The algorithm is keyed lower-case, as
         :func:`~repro.algorithms.get_algorithm` resolves it.
         """
-        return (self.graph, self.algo.lower(), self.mode, epoch)
+        return (self.graph, self.algo.lower(), epoch)
 
 
 @dataclass
@@ -147,8 +147,6 @@ def validate_request(
             f"unknown algorithm {request.algo!r}; choose from "
             f"{sorted(ALGORITHMS)}"
         )
-    if request.mode not in ("eval", "simulate"):
-        raise ValueError(f"unknown mode {request.mode!r}; use eval|simulate")
     factor = SCALES[scale] if isinstance(scale, str) else float(scale)
     n_vertices, __ = DATASETS[request.graph].proxy_sizes(factor)
     if not 0 <= int(request.source) < n_vertices:

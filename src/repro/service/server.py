@@ -97,7 +97,6 @@ class ServiceFrontend:
             algo=message.get("algo", "sssp"),
             source=int(message.get("source", 0)),
             window=tuple(window) if window is not None else None,
-            mode=message.get("mode", "eval"),
             deadline_s=(
                 float(deadline_ms) / 1e3 if deadline_ms is not None else None
             ),

@@ -79,6 +79,10 @@ def test_parser_rejects_unknown_workflow():
         build_parser().parse_args(["simulate", "--workflow", "bogus"])
 
 
+def test_retired_simulate_serving_mode_is_an_unknown_option():
+    assert main(["serve", "--mode", "simulate"]) == 2
+
+
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -173,7 +173,8 @@ def test_tail_gap_forces_resync_and_converges(tmp_path):
 
 def test_compaction_resync_keeps_the_follower_cache(tmp_path):
     """A compaction reset re-syncs to a log that extends the held one:
-    the follower rebases its cached results instead of dropping them."""
+    the follower's cached answers keep answering the windows they still
+    cover."""
     primary = QueryService(ServiceConfig(
         **TINY, wal_dir=str(tmp_path / "wal"), window_slide_every=2,
     )).start()
@@ -314,7 +315,8 @@ def test_a_scenario_built_across_a_diverged_install_is_of_one_history():
 def test_an_epoch_past_a_diverged_install_tip_answers_error():
     """A query admitted at epoch 3 and planned after a re-sync installs
     a 2-epoch diverged log names no scenario of the held history: it
-    answers ``error``, and no generation is published for it."""
+    answers ``error`` in its one plan, and no generation is published
+    for it."""
     from repro.service.drill import _reference_summaries
 
     with QueryService(ServiceConfig(**TINY)) as service:
@@ -329,6 +331,9 @@ def test_an_epoch_past_a_diverged_install_tip_answers_error():
         past = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
         assert (past.status, past.epoch) == ("error", 3)
         assert "past the held log's tip" in past.error
+        # terminal: no degraded retry that would fail the same way
+        stats = service.service_stats()
+        assert (stats["plans"], stats["retries"]) == (1, 0)
         assert service.plane.stats()["published"] == published
         after = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
         assert (after.status, after.epoch) == ("ok", 2)

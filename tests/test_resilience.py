@@ -227,6 +227,7 @@ def test_lru_cache_bounds_and_recency():
     cache["a"] = 1
     cache["b"] = 2
     assert cache["a"] == 1  # refresh "a"; "b" is now the oldest
+    assert cache.coldest() == ("b", 2)
     cache["c"] = 3
     assert "b" not in cache and "a" in cache and "c" in cache
     assert len(cache) == 2

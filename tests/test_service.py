@@ -62,7 +62,7 @@ def test_validate_request_accepts_defaults():
     [
         {"graph": "NOPE"},
         {"algo": "nope"},
-        {"mode": "dream"},
+        {"window": (-1, 2)},
         {"source": 10**9},
         {"source": -1},
         {"window": (2, 1)},
@@ -77,57 +77,97 @@ def test_validate_request_rejects(kw):
 
 def test_compat_key_separates_epochs_not_windows():
     """Sources and windows may differ within a plan (every plan runs the
-    full window); epochs, algorithms and modes may not."""
+    full window); epochs and algorithms may not."""
     a = QueryRequest("PK", "sssp", 1)
     b = QueryRequest("PK", "sssp", 2)
     assert a.compat_key(0) == b.compat_key(0)  # sources may differ
     assert a.compat_key(0) != a.compat_key(1)
     assert a.compat_key(0) == QueryRequest("PK", "sssp", 1, window=(0, 1)).compat_key(0)
     assert a.compat_key(0) != QueryRequest("PK", "bfs", 1).compat_key(0)
-    assert a.compat_key(0) != QueryRequest(
-        "PK", "sssp", 1, mode="simulate"
-    ).compat_key(0)
 
 
 # -- result cache ----------------------------------------------------------
 
 
+def test_result_cache_slices_one_full_answer_by_epoch_offset():
+    """With N = 4 and one full answer held at epoch e, every query epoch
+    q (before e too) and window hits iff its snapshots lie inside the
+    held window, and answers them: snapshot k at epoch q is snapshot
+    q + k of the graph's history, as is snapshot k - e of the held
+    answer, whose ``reached`` here is that history index."""
+    n = 4
+    windows = [None] + [(lo, hi) for lo in range(n) for hi in range(lo, n)]
+    for e in range(3):
+        held = [SnapshotSummary(k, e + k, 0.5 * k) for k in range(n)]
+        for q in range(e + n + 1):
+            for window in windows:
+                cache = ResultCache(maxsize=8)
+                cache.put(QueryRequest("PK", "sssp", 3), e, held)
+                got = cache.get(
+                    QueryRequest("PK", "sssp", 3, window=window), q
+                )
+                lo, hi = window or (0, n - 1)
+                if not (e <= q + lo and q + hi <= e + n - 1):
+                    assert got is None, (e, q, window)
+                    continue
+                assert [(s.snapshot, s.reached) for s in got] == [
+                    (j, q + lo + j) for j in range(hi - lo + 1)
+                ], (e, q, window)
+                assert got == cache.window_of(
+                    held, (lo + q - e, hi + q - e)
+                )
+    cache = ResultCache(maxsize=8)
+    sub = QueryRequest("PK", "sssp", 3, window=(1, 2))
+    cache.put(sub, 2, _summaries(n))
+    cache.put(sub, 1, _summaries(1))  # older: never replaces the newer
+    assert cache.get(QueryRequest("PK", "sssp", 3), 2) == _summaries(n)
+    # one entry per source, whatever the window; other keys miss
+    assert cache.stats()["entries"] == 1
+    assert cache.get(QueryRequest("PK", "sssp", 4), 2) is None
+    assert cache.get(QueryRequest("PK", "bfs", 3), 2) is None
+    # a new lineage never hits the old one's entry, which is not dropped
+    assert cache.get(sub, 2, lineage=1) is None
+    cache.put(sub, 2, _summaries(n + 1)[1:], lineage=1)
+    assert cache.get(sub, 2, lineage=1) != cache.get(sub, 2)
+    stats = cache.stats()
+    assert stats["entries"] == 2
+    assert stats["hits"] == 3 and stats["misses"] == 3
+    assert stats["hit_rate"] == 0.5
+    assert cache.window_of(held, None) is held
+
+
 def test_result_cache_epoch_and_invalidation():
-    """An entry answers only its own lineage and epoch: a new epoch, or
-    a new lineage at the same epoch (a re-sync installed a diverged
-    log), never hits it, and nothing is dropped to make that so."""
+    """An entry answers a later epoch only for the snapshots its held
+    window still covers, and only its own lineage: a new lineage at the
+    same epoch (a re-sync installed a diverged log) never hits it, and
+    nothing is dropped to make that so."""
     cache = ResultCache(maxsize=8)
     req = QueryRequest("PK", "sssp", 3)
-    assert ResultCache.key(req, 2, 1) == req.compat_key(2) + (1, None, 3)
+    assert ResultCache.key(req, 1) == ("PK", "sssp", 1, 3)
+    assert ResultCache.key(QueryRequest("PK", "SSSP", 3), 1) == ("PK", "sssp", 1, 3)
     assert cache.get(req, 0) is None
     cache.put(req, 0, _summaries())
     assert cache.get(req, 0)[0].reached == 5
-    # a new epoch can never hit an old entry
+    # the full window one epoch on reaches past the held one
     assert cache.get(req, 1) is None
-    # nor can a new lineage: the old entry is unreachable, not dropped
+    # its first snapshot is the held answer's second
+    got = cache.get(QueryRequest("PK", "sssp", 3, window=(0, 0)), 1)
+    assert [(s.snapshot, s.reached) for s in got] == [(0, 6)]
+    # a new lineage never hits: the old entry is unreachable, not dropped
     assert cache.get(req, 0, lineage=1) is None
     cache.put(req, 0, _summaries(1), lineage=1)
     assert len(cache.get(req, 0, lineage=1)) == 1
     assert len(cache.get(req, 0)) == 2
     stats = cache.stats()
     assert stats["entries"] == 2
-    assert stats["hits"] == 3 and stats["misses"] == 3
+    assert stats["hits"] == 4 and stats["misses"] == 3
     assert 0.0 < stats["hit_rate"] < 1.0
 
 
-def test_result_cache_evicts_lru():
-    cache = ResultCache(maxsize=2)
-    reqs = [QueryRequest("PK", "sssp", s) for s in range(3)]
-    for r in reqs:
-        cache.put(r, 0, _summaries())
-    assert cache.get(reqs[0], 0) is None  # evicted
-    assert cache.get(reqs[2], 0) is not None
-
-
 def test_result_cache_slices_sub_windows_from_a_full_entry():
-    """Containment: a sub-window miss is its window of the full-window
-    entry at the same epoch, renumbered from 0; a completed sub-window
-    query stores both keys."""
+    """Same epoch: a sub-window query is its window of the held full
+    answer, renumbered from 0; a sub-window query's put holds the full
+    answer under the one key of its source."""
     cache = ResultCache(maxsize=8)
     full = _summaries(4)
     sub = QueryRequest("PK", "sssp", 3, window=(1, 2))
@@ -139,12 +179,21 @@ def test_result_cache_slices_sub_windows_from_a_full_entry():
     assert cache.window_of(full, None) is full
     assert cache.get(QueryRequest("PK", "sssp", 4, window=(1, 2)), 0) is None
     assert cache.get(QueryRequest("PK", "bfs", 3, window=(1, 2)), 0) is None
-    assert cache.get(sub, 1) is None
     assert cache.stats()["hits"] == 1
     other = ResultCache(maxsize=8)
-    other.put(sub, 0, cache.window_of(full, sub.window), full)
-    assert other.get(QueryRequest("PK", "sssp", 3), 0) is full
-    assert other.stats()["entries"] == 2
+    other.put(sub, 0, full)
+    assert other.get(QueryRequest("PK", "sssp", 3), 0) == full
+    assert other.get(sub, 0) == got
+    assert other.stats()["entries"] == 1
+
+
+def test_result_cache_evicts_lru():
+    cache = ResultCache(maxsize=2)
+    reqs = [QueryRequest("PK", "sssp", s) for s in range(3)]
+    for r in reqs:
+        cache.put(r, 0, _summaries())
+    assert cache.get(reqs[0], 0) is None  # evicted
+    assert cache.get(reqs[2], 0) is not None
 
 
 @pytest.mark.parametrize("graph", ["PK", "LJ"])

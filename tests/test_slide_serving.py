@@ -1,5 +1,5 @@
 """Live sliding-window serving: checkpoint (`--slide-every`) parity
-under ingest, cache rebasing on every ingest, checkpoint-counter
+under ingest, cached answers shifted across ingests, checkpoint-counter
 recovery, the quorum-poll backoff, and the lock-free seeded-ingest race.
 
 The parity tests are differential: a service that takes checkpoints
@@ -37,29 +37,52 @@ def _checksums(response):
     return [(s.snapshot, s.reached, s.checksum) for s in response.summaries]
 
 
-# -- cache rebasing --------------------------------------------------------
+# -- cached answers across slides -----------------------------------------
 
 
-def test_rebase_graph_moves_surviving_window_entries():
+def test_rebase_graph_trims_aged_entries_at_the_cold_end():
+    """An entry the tip has passed by a whole window is dropped from the
+    cold end; the trim stops at the first live entry or other graph."""
     from repro.service.request import SnapshotSummary
 
     cache = ResultCache(maxsize=8)
-    movable = QueryRequest("PK", "sssp", 1, window=(1, 3))
-    edge = QueryRequest("PK", "sssp", 1, window=(0, 2))
-    full = QueryRequest("PK", "sssp", 1)
-    other = QueryRequest("LJ", "sssp", 1, window=(1, 3))
-    rows = [SnapshotSummary(0, 3, 1.0)]
-    for req in (movable, edge, full, other):
-        cache.put(req, 4, rows)
-    rebased, dropped = cache.rebase_graph("PK", 5)
-    # the (1,3) entry shifts to (0,2)@5; the lo=0 window and the full
-    # query lose their oldest snapshot and must be dropped
-    assert (rebased, dropped) == (1, 2)
-    assert cache.get(QueryRequest("PK", "sssp", 1, window=(0, 2)), 5) == rows
-    assert cache.get(movable, 4) is None
-    assert cache.get(edge, 4) is None and cache.get(full, 4) is None
-    # other graphs are untouched
-    assert cache.get(other, 4) == rows
+    rows = [SnapshotSummary(k, 3, 1.0) for k in range(4)]
+    aged, live, behind = (QueryRequest("PK", "sssp", s) for s in (1, 2, 3))
+    cache.put(aged, 0, rows)
+    cache.put(live, 2, rows)
+    cache.put(behind, 0, rows)
+    assert cache.rebase_graph("PK", 3) == 0  # 3 - 0 < N: nothing aged
+    assert cache.rebase_graph("PK", 4) == 1
+    assert cache.get(aged, 4) is None
+    # behind the live entry: not reached, and left to the LRU
+    assert cache.stats()["entries"] == 2
+    other = ResultCache(maxsize=8)
+    other.put(QueryRequest("LJ", "sssp", 1), 0, rows)
+    other.put(aged, 0, rows)
+    assert other.rebase_graph("PK", 9) == 0
+    assert other.stats()["entries"] == 2
+
+
+def test_a_full_answer_serves_a_later_epochs_sub_window():
+    """A full-window answer held at epoch 0 answers ``(0, N - 2)`` at
+    epoch 1, the same snapshots one slide later."""
+    service = QueryService(_config()).start()
+    try:
+        full = service.submit(QueryRequest("PK", "sssp", 1)).wait(120)
+        assert full.status == "ok"
+        service.ingest_with_ack("PK", seed=1)
+        hit = service.submit(
+            QueryRequest("PK", "sssp", 1, window=(0, 2))
+        ).wait(timeout=120)
+        assert hit.status == "cached" and hit.epoch == 1
+        service.clear_caches()
+        fresh = service.submit(
+            QueryRequest("PK", "sssp", 1, window=(0, 2))
+        ).wait(timeout=120)
+        assert fresh.status == "ok"
+        assert _checksums(hit) == _checksums(fresh)
+    finally:
+        service.stop(drain=False)
 
 
 def test_window_query_cache_survives_a_slide_end_to_end():
@@ -75,8 +98,7 @@ def test_window_query_cache_survives_a_slide_end_to_end():
             QueryRequest("PK", "sssp", 1, window=(0, 2))
         ).wait(timeout=120)
         assert hit.status == "cached"
-        assert service.service_stats()["cache_rebased"] >= 1
-        # the rebased entry is *correct*: recompute without the cache
+        # the shifted answer is *correct*: recompute without the cache
         service.clear_caches()
         fresh = service.submit(
             QueryRequest("PK", "sssp", 1, window=(0, 2))
@@ -87,8 +109,8 @@ def test_window_query_cache_survives_a_slide_end_to_end():
 
 
 def test_cache_rebases_on_every_ingest_without_checkpoints():
-    """Every ingest slides the window, checkpoints or not: a sub-window
-    entry survives one ingest as a hit shifted to ``(lo-1, hi-1)``."""
+    """Every ingest slides the window, checkpoints or not: the answer a
+    ``(1, 3)`` query cached answers ``(0, 2)`` one ingest later."""
     service = QueryService(_config(window_slide_every=0)).start()
     try:
         first = service.submit(
@@ -100,7 +122,6 @@ def test_cache_rebases_on_every_ingest_without_checkpoints():
             QueryRequest("PK", "sswp", 1, window=(0, 2))
         ).wait(timeout=120)
         assert hit.status == "cached" and hit.epoch == 1
-        assert service.service_stats()["cache_rebased"] == 1
         service.clear_caches()
         fresh = service.submit(
             QueryRequest("PK", "sswp", 1, window=(0, 2))
