@@ -16,6 +16,19 @@ monotone, the final values are independent of event order (paper §3.2,
 The engine operates on the *union* CSR of an evolving scenario.  Per-version
 edge membership is supplied as a boolean presence matrix so one gather
 serves all versions — the data-reuse effect MEGA's hardware exploits.
+
+Which kernel runs when: every round-based operation (``propagate``,
+``evaluate_full``, ``apply_additions``, ``run_segment``) runs the round
+loop — on the compiled tier one ``daic_round`` call — because its rounds
+are what the accelerator models replay, what the traces record, what
+parents are tracked by and what a round or event budget meters.  A
+caller that reads values only (the service's plans) evaluates a graph
+from scratch with :meth:`MultiVersionEngine.evaluate_values` instead: a
+FIFO worklist kernel that relaxes in place from current values, has no
+rounds and reaches the same fixpoint in fewer relaxations.  It runs on
+the compiled tier only; the round loop stays its reference
+(``evaluate_reference`` calls ``evaluate_full``) and takes over where it
+refuses.
 """
 
 from __future__ import annotations
@@ -43,6 +56,8 @@ from repro.perf.backend import (
     STEP_PROPAGATE,
     STEP_PULL,
     STEP_TAG,
+    WORKLIST_DONE,
+    WORKLIST_PAUSED,
     RepairInputs,
     get_backend,
 )
@@ -53,6 +68,9 @@ __all__ = ["MultiVersionEngine", "StepTable", "group_argbest"]
 #: rounds per compiled call while a wall-clock budget is live: the loop
 #: kernel cannot read the budget's clock, so it hands back this often
 _WALL_CLOCK_CHUNK = 64
+#: the worklist kernel's counterpart: pops per call while a wall-clock
+#: budget is live
+_WORKLIST_CHUNK = 1 << 16
 
 #: the trace phase of each repair step's passes, and how many steps
 #: before it the repair's TAG (which opens its execution) sits
@@ -681,6 +699,63 @@ class MultiVersionEngine:
         self.propagate(values, frontier, presence_row[None, :], phase, parent_rows)
         self._end()
         return values[0]
+
+    def evaluate_values(
+        self, presence_row: np.ndarray, source: int
+    ) -> np.ndarray | None:
+        """From-scratch values on one graph through the worklist kernel,
+        or None where it does not run; the caller then runs
+        :meth:`evaluate_full`.
+
+        The kernel pops a FIFO worklist and relaxes in place, with no
+        rounds, so it records no trace, tracks no parent and meters no
+        round or event budget: only a wall clock, read every
+        ``_WORKLIST_CHUNK`` pops.  It reaches the round loop's fixpoint
+        bit for bit in fewer relaxations.  None on the numpy tier and for
+        an algorithm without a ``kernel_op``, and where the kernel
+        refuses: a NaN candidate, whose poison depends on the relaxation
+        order, and a run past ``n * (n + 1)`` pops.  A FIFO worklist
+        settles every graph whose best paths are simple within n passes
+        of at most n pops; past that the run climbs a cycle, and the
+        round loop reruns it to fail or converge as it always has.
+        """
+        kernel = self._backend.worklist_eval
+        if kernel is None or self._fused_op is None:
+            return None
+        graph = self.graph
+        n = graph.n_vertices
+        values = self.algorithm.initial_values(n, source)
+        seeds = self.algorithm.initial_frontier(n, source)
+        ring = self._scratch.get("ring", np.int64, (n,))
+        in_queue = self._scratch.get("in_queue", np.uint8, (n,))
+        state = self._scratch.get("state", np.int64, (4,))
+        ceiling = n * (n + 1)
+        self._start_budget()
+        clock = self._budget_clock
+        chunk = (
+            _WORKLIST_CHUNK
+            if clock is not None and clock.budget.wall_clock_s is not None
+            else ceiling
+        )
+        prof = active_profiler()
+        pops = 0
+        while True:
+            t0 = prof.now() if prof is not None else 0.0
+            status = kernel(
+                graph.indptr, graph.dst, graph.wt, presence_row, values,
+                self._fused_op, self.algorithm.minimize, ring, in_queue,
+                state, seeds=seeds, max_pops=min(chunk, ceiling - pops),
+            )
+            seeds = None
+            pops = int(state[2])
+            if prof is not None and prof.sample():
+                prof.add("fused_relax", prof.now() - t0)
+            if clock is not None:
+                clock.charge(stats={"worklist_pops": pops})
+            if status == WORKLIST_DONE:
+                return values
+            if status != WORKLIST_PAUSED or pops >= ceiling:
+                return None
 
     def apply_additions(
         self,

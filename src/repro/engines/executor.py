@@ -18,7 +18,16 @@ traces itself).  ``EvalFull`` and ``MarkSnapshot`` end a segment.  So a
 streaming plan costs one call per snapshot, a Direct-Hop plan one call
 per hop chain and a BOE plan one call for its whole schedule.  A plan
 with a ``key`` (the multi-query BOE plan) has its tables built once per
-union and reused by every later plan with that key.  The executor keeps
+union and reused by every later plan with that key.
+
+An ``EvalFull`` step runs on the engine's value-only worklist kernel
+(:meth:`~repro.engines.daic.MultiVersionEngine.evaluate_values`) when
+the run records no trace, tracks no parents (its plan deletes nothing)
+and its budget caps no rounds and no events: the worklist has no rounds
+to record, repair from or cap.  So the service's plans (a wall-clock
+budget) take it; the simulators, metrics and software baselines (they
+record), the fault campaign and every round-capped caller keep the
+round kernel, as does a step the worklist refuses.  The executor keeps
 no composition record: the fault campaign, its one reader, books the
 plan into a version table itself
 (:func:`repro.resilience.recovery.record_version_table`).
@@ -120,6 +129,14 @@ class PlanExecutor:
             else unified.presence_mask(0)
         )
 
+        # a run that reads values only evaluates its full steps on the
+        # worklist kernel: it writes no trace, keeps no parents and caps
+        # no rounds or events (a wall clock it meters)
+        budget = self.budget
+        value_only = collector is None and not needs_deletion and (
+            budget is None
+            or budget.max_rounds is None and budget.max_events is None
+        )
         result = WorkflowResult(plan.name, {}, collector)
         source = self.scenario.source
         for item in self._schedule(plan):
@@ -131,13 +148,20 @@ class PlanExecutor:
             step = plan.steps[item]
             if isinstance(step, EvalFull):
                 presence[step.state] = initial_mask
-                values[step.state] = engine.evaluate_full(
-                    presence[step.state],
-                    source if step.source is None else step.source,
-                    phase="full",
-                    tag=step.label,
-                    parent_row=step.state if needs_deletion else None,
+                root = source if step.source is None else step.source
+                row = (
+                    engine.evaluate_values(presence[step.state], root)
+                    if value_only else None
                 )
+                if row is None:
+                    row = engine.evaluate_full(
+                        presence[step.state],
+                        root,
+                        phase="full",
+                        tag=step.label,
+                        parent_row=step.state if needs_deletion else None,
+                    )
+                values[step.state] = row
             elif isinstance(step, MarkSnapshot):
                 snap = values[step.state].copy()
                 fire = faults.maybe_fire("executor.bitflip-value")

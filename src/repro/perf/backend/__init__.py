@@ -9,6 +9,9 @@ loaded via ctypes) and a pure Python/numpy reference that is kept
 forever as the parity baseline, following the ``_presence_of_dense``
 precedent (the replay's is ``WaveScheduler.replay_reference``, the
 merge's the numpy bodies of ``slide_window`` and ``extract_window``).
+A sixth, ``worklist_eval``, is a compiled shortcut with no numpy twin:
+a value-only from-scratch evaluation whose reference is the round loop
+itself (``MultiVersionEngine.evaluate_values``).
 
 Selection follows ``MEGA_KERNEL_BACKEND`` (resolved once per process):
 
@@ -18,8 +21,8 @@ Selection follows ``MEGA_KERNEL_BACKEND`` (resolved once per process):
 
 Callers never import a tier directly: :func:`get_backend` returns a
 :class:`KernelBackend` whose optional members (``daic_round``,
-``presence_gather``, ``replay``, ``window_merge``) are ``None`` on the
-numpy tier, which tells the engine,
+``worklist_eval``, ``presence_gather``, ``replay``, ``window_merge``)
+are ``None`` on the numpy tier, which tells the engine,
 :class:`~repro.evolving.unified_csr.UnifiedCSR`,
 :class:`~repro.accel.scheduler.WaveScheduler` and
 :mod:`repro.evolving.window` to keep their reference paths.
@@ -71,6 +74,9 @@ REPAIR_STATS = 3
 SLIDE_BAD_VERTEX, SLIDE_NOT_LIVE, SLIDE_ADDED_INSIDE = 1, 2, 3
 SLIDE_BAD_ADDITION, SLIDE_DUP_ADDITION = 4, 5
 SLIDE_LIVE_DUPLICATE, SLIDE_READDED = 6, 7
+#: worklist_eval's returns (WORKLIST_* in _kernels.c): the worklist
+#: emptied, the call's pop cap paused it, or a candidate was NaN
+WORKLIST_DONE, WORKLIST_PAUSED, WORKLIST_NAN = 0, 1, 2
 
 
 class RepairInputs(NamedTuple):
@@ -106,6 +112,7 @@ class KernelBackend:
     name: str
     group_argbest: Callable
     daic_round: Callable | None = None
+    worklist_eval: Callable | None = None
     presence_gather: Callable | None = None
     replay: Callable | None = None
     window_merge: Callable | None = None
@@ -148,6 +155,7 @@ def _cext_backend() -> KernelBackend | None:
         name="cext",
         group_argbest=_guarded_argbest(cext.group_argbest),
         daic_round=cext.daic_round,
+        worklist_eval=cext.worklist_eval,
         presence_gather=cext.presence_gather,
         replay=cext.replay,
         window_merge=cext.window_merge,

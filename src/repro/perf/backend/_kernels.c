@@ -1,6 +1,6 @@
 /* Compiled hot kernels behind the numpy API (ctypes tier).
  *
- * Five kernels, each the single-pass fusion of a Python or numpy sweep
+ * Six kernels, each the single-pass fusion of a Python or numpy sweep
  * sequence whose answers it must reproduce bit-for-bit (the reference
  * implementations stay in-tree, like _presence_of_dense):
  *
@@ -18,6 +18,10 @@
  *                     same table, until the table ends or a round cap is
  *                     hit, optionally writing each pass's trace as it
  *                     goes (mega_daic_check validates a table first);
+ *   worklist_eval   — one row's from-scratch evaluation, values only: a
+ *                     FIFO worklist relaxing in place, with no rounds
+ *                     (the round kernel's fixpoint, reached in fewer
+ *                     relaxations; the service's common-graph pass);
  *   presence_gather — bit-plane presence test, unpack-and-test per edge
  *                     with no intermediate unpacked plane;
  *   window_merge    — a window slide's slot lookup, CommonGraph checks
@@ -1241,6 +1245,101 @@ void mega_daic_round(DAIC_PARAMS)
             return;
         }
     daic_loop(DAIC_ARGS, 0);
+}
+
+/* worklist_eval: a from-scratch evaluation of one value row over one
+ * presence row, values only.  A FIFO ring of vertices (each queued at
+ * most once: in_queue) pops a vertex and relaxes its present out-edges
+ * in place from its current value, with the round kernel's candidate
+ * and strict-improvement test; an improved vertex not queued joins the
+ * tail.  No rounds, parents or traces.  Every order of monotone
+ * relaxations reaches the same fixpoint, so the row equals the round
+ * kernel's bit for bit, except where a NaN candidate makes the order
+ * matter: the kernel refuses that one.
+ *
+ * The caller initialises values and seeds the ring (n slots) and
+ * in_queue.  state holds [0] the ring's head, [1] its length, [2] pops
+ * and [3] edges relaxed, the last two summed over calls.  Returns
+ * WORKLIST_DONE when the ring empties, WORKLIST_PAUSED after max_pops
+ * pops in this call (negative: no cap; ring and state resume in the
+ * next call), WORKLIST_NAN at a NaN candidate (the row is then partly
+ * relaxed). */
+#define WORKLIST_DONE 0
+#define WORKLIST_PAUSED 1
+#define WORKLIST_NAN 2
+/* The worklist loop for one (op, minimize) pair: the entry point below
+ * passes both as constants, so each instance has no candidate switch in
+ * its inner loop. */
+static inline __attribute__((always_inline)) int worklist_loop(
+    const int64_t *indptr, const int64_t *dst_all, const double *wt_all,
+    const uint8_t *presence, double *values, int64_t n, const int op,
+    const int minimize, int64_t *ring, uint8_t *in_queue, int64_t *state,
+    int64_t max_pops)
+{
+    int64_t head = state[0], queued = state[1], pops = 0, relaxed = 0, j;
+    int status = WORKLIST_DONE;
+    while (queued > 0) {
+        if (pops == max_pops) {
+            status = WORKLIST_PAUSED;
+            break;
+        }
+        const int64_t u = ring[head];
+        const double val = values[u];
+        const int64_t end = indptr[u + 1];
+        head = head + 1 == n ? 0 : head + 1;
+        queued--;
+        in_queue[u] = 0;
+        pops++;
+        for (j = indptr[u]; j < end; j++) {
+            if (!presence[j])
+                continue;
+            const int64_t v = dst_all[j];
+            const double cand = candidate_of(op, val, wt_all[j]);
+            const double cur = values[v];
+            relaxed++;
+            if (cand != cand) {
+                status = WORKLIST_NAN;
+                goto done;
+            }
+            if (minimize ? cand < cur : cand > cur) {
+                values[v] = cand;
+                if (!in_queue[v]) {
+                    const int64_t tail = head + queued;
+                    in_queue[v] = 1;
+                    ring[tail < n ? tail : tail - n] = v;
+                    queued++;
+                }
+            }
+        }
+    }
+done:
+    state[0] = head;
+    state[1] = queued;
+    state[2] += pops;
+    state[3] += relaxed;
+    return status;
+}
+
+#define WORKLIST_CASE(OP, MIN)                                            \
+    case 2 * (OP) + (MIN):                                                \
+        return worklist_loop(indptr, dst_all, wt_all, presence, values,   \
+                             n, OP, MIN, ring, in_queue, state, max_pops)
+int mega_worklist_eval(
+    const int64_t *indptr, const int64_t *dst_all, const double *wt_all,
+    const uint8_t *presence, double *values, int64_t n, int op,
+    int minimize, int64_t *ring, uint8_t *in_queue, int64_t *state,
+    int64_t max_pops)
+{
+    switch (2 * op + (minimize != 0)) {
+    WORKLIST_CASE(OP_PLUS_WT, 1);
+    WORKLIST_CASE(OP_PLUS_ONE, 1);
+    WORKLIST_CASE(OP_MIN_WT, 0);
+    WORKLIST_CASE(OP_MAX_WT, 1);
+    WORKLIST_CASE(OP_DIV_WT, 0);
+    default:
+        return worklist_loop(indptr, dst_all, wt_all, presence, values, n,
+                             op, minimize, ring, in_queue, state, max_pops);
+    }
 }
 
 /* presence_gather: out[k][j] = bit k of the packed presence planes at

@@ -204,6 +204,13 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         _INT, _I64, _P,              # pipeline, threshold, work
         _P, _P, _P, _P, _P,          # counts, sums, phase cycles/seq, marks
     ]
+    lib.mega_worklist_eval.restype = _INT
+    lib.mega_worklist_eval.argtypes = [
+        _P, _P, _P, _P, _P, _I64,    # indptr, dst_all, wt_all, presence,
+                                     # values, n
+        _INT, _INT,                  # op, minimize
+        _P, _P, _P, _I64,            # ring, in_queue, state, max_pops
+    ]
     lib.mega_presence_gather.restype = None
     lib.mega_presence_gather.argtypes = [_P, _I64, _P, _I64, _I64, _P]
     lib.mega_window_merge.restype = _INT
@@ -609,6 +616,60 @@ def daic_round(
         rows_out[0] if len(rows_out) == 1 else np.concatenate(rows_out),
         blocks_out[0] if len(blocks_out) == 1 else np.concatenate(blocks_out),
         bool(unsupported),
+    )
+
+
+def worklist_eval(
+    indptr: np.ndarray,
+    dst_all: np.ndarray,
+    wt_all: np.ndarray,
+    presence: np.ndarray,
+    values: np.ndarray,
+    op: int,
+    minimize: bool,
+    ring: np.ndarray,
+    in_queue: np.ndarray,
+    state: np.ndarray,
+    seeds: np.ndarray | None = None,
+    max_pops: int = -1,
+) -> int:
+    """Relax one value row ``(n,)`` over one presence row ``(M,)`` from
+    its FIFO worklist until the worklist empties, ``max_pops`` vertices
+    are popped (negative: no cap) or a candidate is NaN; returns the
+    ``WORKLIST_*`` status.
+
+    ``ring`` ``(n,)`` int64 and ``in_queue`` ``(n,)`` bytes hold the
+    worklist and ``state`` ``(4,)`` int64 its head and length, then the
+    pops and edges relaxed summed over calls.  ``seeds`` (vertex ids)
+    starts a fresh worklist from those vertices; without it the call
+    resumes where the last one paused.  Bit-identical to the round
+    kernel's values wherever it returns ``WORKLIST_DONE``.
+    """
+    n = indptr.shape[0] - 1
+    _shape(presence, dst_all.shape, "presence")
+    _shape(values, (n,), "values")
+    _shape(ring, (n,), "ring")
+    _shape(in_queue, (n,), "in_queue")
+    _shape(state, (4,), "state")
+    if seeds is not None:
+        seeds = np.unique(seeds)
+        if seeds.size and not (0 <= seeds[0] and seeds[-1] < n):
+            raise ValueError("seeds must be vertices")
+        in_queue[:] = 0
+        in_queue[seeds] = 1
+        ring[:seeds.size] = seeds
+        state[:] = (0, seeds.size, 0, 0)
+    return load_library().mega_worklist_eval(
+        _graph_ptr(indptr, _I64_T, "indptr"),
+        _graph_ptr(dst_all, _I64_T, "dst_all"),
+        _graph_ptr(wt_all, _F64_T, "wt_all"),
+        _ptr(presence, None, "presence"),
+        _ptr(values, _F64_T, "values"),
+        n, op, minimize,
+        _ptr(ring, _I64_T, "ring"),
+        _ptr(in_queue, None, "in_queue"),
+        _ptr(state, _I64_T, "state"),
+        max_pops,
     )
 
 

@@ -14,8 +14,13 @@ plan's bytes do not grow with the graph's ingest history.
 
 Resilience wiring (PR 1):
 
-* every plan runs under a :class:`~repro.resilience.Budget` — a diverging
-  or hung computation breaches loudly instead of stalling the worker;
+* every plan runs under a wall-clock :class:`~repro.resilience.Budget` —
+  a diverging or hung computation breaches loudly instead of stalling
+  the worker.  The budget caps no rounds or events, so the plan's
+  common-graph evaluations run on the value-only worklist kernel
+  (:meth:`~repro.engines.daic.MultiVersionEngine.evaluate_values`),
+  which has no rounds and reads the deadline every 65,536 pops;
+  its additions run on the round kernel, chunked by the same deadline;
 * transient failures retry *inside* the worker via
   :func:`~repro.resilience.retry_with_backoff`; deterministic ones
   propagate so the coordinator can degrade (split the plan and retry the
@@ -82,8 +87,6 @@ register_fault_point(
 
 #: plans whose budgets are not set explicitly get this wall-clock ceiling
 DEFAULT_BUDGET_S = 60.0
-#: every plan's round ceiling
-MAX_ROUNDS = 200_000
 
 
 @dataclass
@@ -240,7 +243,7 @@ def _execute(payload: PlanPayload) -> PlanResult:
 
     scenario = _attached_scenario(payload.shm)
     algorithm = get_algorithm(payload.algo)
-    budget = Budget(max_rounds=MAX_ROUNDS, wall_clock_s=payload.budget_s)
+    budget = Budget(wall_clock_s=payload.budget_s)
     sources = list(payload.sources)
     mq = evaluate_multi_query(scenario, algorithm, sources, budget=budget)
     summaries = dict(zip(

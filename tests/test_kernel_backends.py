@@ -861,6 +861,37 @@ def _assert_breach_parity(compiled, budget, make_plan, monkeypatch):
         assert any(e[-1] for t in ref[1][-1] for e in t), "nothing recorded"
 
 
+def test_wall_clock_watchdog_stops_the_worklist(compiled):
+    """A serve plan's common-graph pass runs on the worklist kernel,
+    which has no rounds to cap: a Viterbi cycle whose weights sit just
+    below 1 climbs for billions of pops, and a wall-clock-only budget
+    (the service's) must stop it from inside the worklist, promptly."""
+    import time
+
+    from repro.evolving.snapshots import EvolvingScenario
+    from repro.evolving.unified_csr import UnifiedCSR
+    from repro.graph.csr import CSRGraph
+    from repro.resilience.budget import Budget, BudgetExceeded
+
+    resolve_backend(compiled)
+    n = 1 << 15
+    weight = 1.0 - 1e-7
+    g = CSRGraph.from_tuples(n, [(v, (v + 1) % n, weight) for v in range(n)])
+    none = np.full(g.n_edges, -1, dtype=np.int32)
+    scenario = EvolvingScenario(UnifiedCSR(g, none, none.copy(), 1), source=0)
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        evaluate_multi_query(
+            scenario, get_algorithm("viterbi"), [0],
+            budget=Budget(wall_clock_s=0.05),
+        )
+    assert time.monotonic() - t0 < 5.0
+    exc = info.value
+    assert exc.resource == "wall_clock"
+    # stopped inside the worklist, before its ceiling of n * (n + 1) pops
+    assert 0 < exc.stats["worklist_pops"] < n * (n + 1)
+
+
 def test_budget_within_allowance_identical(compiled):
     """A budget the run fits in changes nothing; wall-clock chunking
     included."""

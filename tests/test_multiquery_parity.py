@@ -143,7 +143,9 @@ def test_packed_presence_equals_dense(small_scenario, algorithm, monkeypatch):
 
 
 def test_multi_query_budget_breaches(small_scenario):
-    """The service's watchdog path: a tiny round budget breaches loudly."""
+    """A tiny round budget breaches loudly on a multi-query plan (it
+    keeps the plan on the round kernel; the service's own watchdog is
+    a wall clock, held by the kernel-backend suite's worklist test)."""
     from repro.algorithms import get_algorithm
 
     with pytest.raises(BudgetExceeded):
