@@ -441,7 +441,7 @@ def _cmd_drill(args: argparse.Namespace) -> int:
             **common,
         )
     print(report.format_table())
-    if not args.no_out and args.out:
+    if not args.no_out:
         path = pathlib.Path(args.out)
         path.write_text(report.to_json() + "\n")
         print(f"[wrote {path}]")
@@ -454,6 +454,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     config = _service_config(args)
     if args.kill_at_epoch < 1:
         raise SystemExit(_fail_usage("--kill-at-epoch must be >= 1"))
+    if not args.out:
+        raise SystemExit(_fail_usage(
+            "--out needs a path; --no-out skips the report"
+        ))
     if args.drill:
         if args.drill not in DRILLS:
             raise SystemExit(_fail_usage(
@@ -461,12 +465,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 f"{'|'.join(DRILLS)}"
             ))
         return _cmd_drill(args)
-    write_out = not args.no_out and bool(args.out)
-    if not args.out and not args.no_out:
-        print(
-            "[deprecated: --out '' is going away; use --no-out]",
-            file=sys.stderr,
-        )
     spec = LoadSpec(
         duration_s=args.duration,
         rate_qps=args.rate,
@@ -485,7 +483,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     with QueryService(config) as service:
         report = run_load(service, spec)
     print(report.format_table())
-    if write_out:
+    if not args.no_out:
         path = pathlib.Path(args.out)
         path.write_text(report.to_json() + "\n")
         print(f"[wrote {path}]")

@@ -203,8 +203,8 @@ def group_argbest(
 
     ``argbest_index`` indexes the *input* arrays; ties break toward the
     lowest input index, which keeps parent tracking deterministic.
-    Dispatches to the active kernel backend; the lexsort reference lives
-    in :mod:`repro.perf.backend.reference`.
+    Goes through the active kernel backend, whose member is the lexsort
+    reference of :mod:`repro.perf.backend.reference` on every tier.
     """
     return get_backend().group_argbest(keys, candidates, minimize)
 

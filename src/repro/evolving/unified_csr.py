@@ -15,11 +15,15 @@ presence tests used by the multi-version engine.
 Presence tests are served from a **bit-packed plane matrix** built lazily
 via ``np.packbits``: plane ``p`` is a ``(n_union_edges,)`` ``uint8`` row
 whose bit ``j`` says whether the edge is present in snapshot ``8p + j``.
-One byte fetch per edge answers up to eight snapshots at once — the
-software analogue of MEGA's §3.1 shared edge fetch — and the matrix is 8×
-smaller than the dense ``n_snapshots × n_union_edges`` boolean form it
-replaces.  The dense path it replaced stays as ``_presence_of_dense``, the
-reference the parity tests hold the packed gather to.
+The matrix is 8× smaller than the dense ``n_snapshots × n_union_edges``
+boolean form it replaces.  :meth:`UnifiedCSR.presence_mask` reads one
+snapshot's bit off it (a streaming plan's initial graph, from-scratch
+references, window slides); shared-memory attaches publish it verbatim.
+MEGA's §3.1 shared edge fetch is not a presence gather here: a plan's
+step table hands each batch's edges to the engine once, and the engine
+sets them in every version row the batch reaches.  The dense path the
+planes replaced stays as ``_presence_of_dense``, the reference the
+parity tests hold ``presence_mask`` to.
 
 A window slide does not rebuild any of this: :meth:`UnifiedCSR.merged`
 inserts a sorted batch of new edges into the kept union, and
@@ -257,46 +261,6 @@ class UnifiedCSR:
         self._check_snapshot(snapshot)
         plane = self.presence_planes()[snapshot >> 3]
         return ((plane >> (snapshot & 7)) & 1).view(bool)
-
-    def presence_of(self, snapshot: int, edge_idx: np.ndarray) -> np.ndarray:
-        """Presence test restricted to a set of union-edge slots.
-
-        One byte gather per slot against the packed planes — the
-        unpack-on-gather fast path the parity tests hold to
-        :meth:`_presence_of_dense`.
-        """
-        self._check_snapshot(snapshot)
-        plane = self.presence_planes()[snapshot >> 3]
-        return ((plane[edge_idx] >> (snapshot & 7)) & 1).view(bool)
-
-    def presence_multi(self, edge_idx: np.ndarray | None = None) -> np.ndarray:
-        """Presence of every snapshot at once: ``(K, E)`` bool.
-
-        ``edge_idx`` restricts to a set of union-edge slots (the
-        multi-version gather of the engine's inner loop); ``None`` yields
-        the full ``(K, M)`` matrix.  Each edge's planes are fetched once
-        and unpacked across all snapshots — MEGA's shared-fetch insight
-        applied to the presence test itself.
-
-        When a compiled kernel backend is active the restricted form
-        fuses the gather and the unpack into one pass per edge (no
-        intermediate gathered-plane matrix); the unpackbits path below
-        stays as the parity reference.
-        """
-        planes = self.presence_planes()
-        if edge_idx is not None:
-            from repro.perf.backend import get_backend
-
-            gather = get_backend().presence_gather
-            if gather is not None:
-                return gather(
-                    planes, np.ascontiguousarray(edge_idx, dtype=np.int64),
-                    self.n_snapshots,
-                )
-        gathered = planes if edge_idx is None else planes[:, edge_idx]
-        return np.unpackbits(
-            gathered, axis=0, count=self.n_snapshots, bitorder="little"
-        ).view(bool)
 
     def _presence_of_dense(
         self, snapshot: int, edge_idx: np.ndarray

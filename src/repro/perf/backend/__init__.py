@@ -1,17 +1,20 @@
 """Kernel backend registry: compiled hot kernels behind the numpy API.
 
-The engine's cycles go to three kernels — ``group_argbest``, the DAIC
-propagation loop, and the bit-plane presence gather — a simulation's
-timing replay to a fourth, ``replay``, and every window slide (each
-epoch of the service) to a fifth, ``window_merge``.  Each has a compiled
-single-pass implementation (a tiny C library compiled on first use and
-loaded via ctypes) and a pure Python/numpy reference that is kept
-forever as the parity baseline, following the ``_presence_of_dense``
-precedent (the replay's is ``WaveScheduler.replay_reference``, the
-merge's the numpy bodies of ``slide_window`` and ``extract_window``).
-A sixth, ``worklist_eval``, is a compiled shortcut with no numpy twin:
-a value-only from-scratch evaluation whose reference is the round loop
-itself (``MultiVersionEngine.evaluate_values``).
+Four kernels run compiled (a tiny C library compiled on first use and
+loaded via ctypes): ``daic_round``, the DAIC engine's loop over a step
+table (every propagate, apply and deletion repair of a plan segment);
+``worklist_eval``, a value-only from-scratch evaluation; ``replay``, a
+simulation's timing replay; and ``window_merge``, every window slide.
+Each keeps a pure Python/numpy reference forever as its parity
+baseline, following the ``_presence_of_dense`` precedent: the engine's
+own round body for ``daic_round``, the round loop itself
+(``MultiVersionEngine.evaluate_full``) for ``worklist_eval``,
+``WaveScheduler.replay_reference`` for ``replay``, and the numpy bodies
+of ``slide_window`` and ``extract_window`` for ``window_merge``.  A
+kernel that no workload calls on the compiled tier has no C twin:
+``group_argbest``, the numpy round body's parent pick, is the reference
+on every tier (the compiled tier picks parents inside ``daic_round``
+and calls it only for an algorithm with no ``kernel_op``).
 
 Selection follows ``MEGA_KERNEL_BACKEND`` (resolved once per process):
 
@@ -20,13 +23,11 @@ Selection follows ``MEGA_KERNEL_BACKEND`` (resolved once per process):
 * ``compiled`` / ``cext`` — require the C tier; raise if it cannot build.
 
 Callers never import a tier directly: :func:`get_backend` returns a
-:class:`KernelBackend` whose optional members (``daic_round``,
-``worklist_eval``, ``presence_gather``, ``replay``, ``window_merge``)
-are ``None`` on the numpy tier, which tells the engine,
-:class:`~repro.evolving.unified_csr.UnifiedCSR`,
+:class:`KernelBackend` whose compiled members (``daic_round``,
+``worklist_eval``, ``replay``, ``window_merge``) are ``None`` on the
+numpy tier, which tells the engine,
 :class:`~repro.accel.scheduler.WaveScheduler` and
 :mod:`repro.evolving.window` to keep their reference paths.
-``group_argbest`` is always present.
 
 The service's pool workers resolve the backend during warm-up (the ping
 control op carries the configured name) and report the resolved tier
@@ -49,7 +50,6 @@ __all__ = [
     "KernelBackend",
     "RepairInputs",
     "available_backends",
-    "backend_info",
     "get_backend",
     "resolve_backend",
     "reset_backend",
@@ -99,46 +99,24 @@ class RepairInputs(NamedTuple):
     stats: np.ndarray
 
 
-#: group_argbest falls back to the reference lexsort when the dense
-#: per-key scratch would dwarf the item count (keys are flat (version,
-#: vertex) cells in practice, so this is a safety valve, not a hot path)
-_DENSE_DOMAIN_SLACK = 8
-
-
 @dataclass(frozen=True)
 class KernelBackend:
-    """One resolved kernel tier.  Optional members are None on numpy."""
+    """One resolved kernel tier.  Compiled members are None on numpy."""
 
     name: str
+    #: the numpy reference on every tier (daic.group_argbest calls it
+    #: through here, so a wrapped backend times it)
     group_argbest: Callable
     daic_round: Callable | None = None
     worklist_eval: Callable | None = None
-    presence_gather: Callable | None = None
+    #: always None: no tier has a presence gather (perfbench reads it)
+    presence_gather: None = None
     replay: Callable | None = None
     window_merge: Callable | None = None
 
     @property
     def compiled(self) -> bool:
         return self.daic_round is not None
-
-
-def _dense_ok(keys: np.ndarray) -> bool:
-    """Is the single-pass dense-domain strategy applicable/profitable?"""
-    if keys.shape[0] == 0:
-        return False
-    lo = int(keys.min())
-    if lo < 0:
-        return False
-    hi = int(keys.max())
-    return hi < _DENSE_DOMAIN_SLACK * max(keys.shape[0], 1 << 14)
-
-def _guarded_argbest(fast: Callable) -> Callable:
-    def group_argbest(keys, candidates, minimize):
-        if not _dense_ok(keys):
-            return reference.group_argbest(keys, candidates, minimize)
-        return fast(keys, candidates, minimize)
-
-    return group_argbest
 
 
 def _numpy_backend() -> KernelBackend:
@@ -153,19 +131,13 @@ def _cext_backend() -> KernelBackend | None:
         return None
     return KernelBackend(
         name="cext",
-        group_argbest=_guarded_argbest(cext.group_argbest),
+        group_argbest=reference.group_argbest,
         daic_round=cext.daic_round,
         worklist_eval=cext.worklist_eval,
-        presence_gather=cext.presence_gather,
         replay=cext.replay,
         window_merge=cext.window_merge,
     )
 
-
-_TIERS = {
-    "numpy": _numpy_backend,
-    "cext": _cext_backend,
-}
 
 #: every name MEGA_KERNEL_BACKEND / --kernel-backend accepts
 VALID_NAMES = ("auto", "numpy", "compiled", "cext")
@@ -246,17 +218,3 @@ def available_backends() -> list[str]:
     if _cext_backend() is not None:
         names.append("cext")
     return names
-
-
-def backend_info() -> dict:
-    """Provenance block for benchmarks and health surfaces."""
-    from repro.perf.backend import cext
-
-    active = get_backend()
-    return {
-        "active": active.name,
-        "compiled": active.compiled,
-        "requested": _requested or "auto",
-        "available": available_backends(),
-        "cext_error": cext.build_error(),
-    }

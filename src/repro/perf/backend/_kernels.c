@@ -1,11 +1,9 @@
 /* Compiled hot kernels behind the numpy API (ctypes tier).
  *
- * Six kernels, each the single-pass fusion of a Python or numpy sweep
+ * Four kernels, each the single-pass fusion of a Python or numpy sweep
  * sequence whose answers it must reproduce bit-for-bit (the reference
  * implementations stay in-tree, like _presence_of_dense):
  *
- *   group_argbest   — per-group best candidate with lowest-input-index
- *                     tie-breaks (replaces a lexsort + three temporaries);
  *   daic_round      — the DAIC engine's loop over a step table: a plan
  *                     segment's copy, apply and KickStarter repair steps
  *                     (or one propagate) in one call, each apply's seed
@@ -22,8 +20,6 @@
  *                     FIFO worklist relaxing in place, with no rounds
  *                     (the round kernel's fixpoint, reached in fewer
  *                     relaxations; the service's common-graph pass);
- *   presence_gather — bit-plane presence test, unpack-and-test per edge
- *                     with no intermediate unpacked plane;
  *   window_merge    — a window slide's slot lookup, CommonGraph checks
  *                     (a refusal is a SLIDE_* code and the offending
  *                     row) and union rewrite, or a sub-window's: kept
@@ -76,47 +72,6 @@ static inline double candidate_of(int op, double val, double wt)
     }
 }
 
-/* Strictly better under the algorithm's order, with numpy-lexsort NaN
- * semantics: NaN sorts after every number, so any non-NaN candidate
- * beats a stored NaN and a NaN candidate never wins. */
-static inline int strictly_better(double cand, double best, int minimize)
-{
-    if (best != best) /* stored NaN: any real candidate replaces it */
-        return cand == cand;
-    return minimize ? cand < best : cand > best;
-}
-
-/* group_argbest: per-group best over (keys, cands); groups are dense in
- * [0, max_key].  seen/best_val/best_idx are caller-zeroed/uninitialised
- * scratch of size max_key+1.  Writes ascending unique keys and the
- * winning *input index* per group; returns the group count. */
-int64_t mega_group_argbest(
-    const int64_t *keys, const double *cands, int64_t n, int minimize,
-    int64_t max_key, uint8_t *seen, double *best_val, int64_t *best_idx,
-    int64_t *out_keys, int64_t *out_best)
-{
-    int64_t i, k, u = 0;
-    for (i = 0; i < n; i++) {
-        k = keys[i];
-        if (!seen[k]) {
-            seen[k] = 1;
-            best_val[k] = cands[i];
-            best_idx[k] = i;
-        } else if (strictly_better(cands[i], best_val[k], minimize)) {
-            best_val[k] = cands[i];
-            best_idx[k] = i;
-        }
-    }
-    for (k = 0; k <= max_key; k++) {
-        if (seen[k]) {
-            out_keys[u] = k;
-            out_best[u] = best_idx[k];
-            u++;
-        }
-    }
-    return u;
-}
-
 /* Relax one (version, edge) candidate into a value cell.
  *
  * np.minimum/maximum.at followed by better_into(values, old): a NaN value
@@ -127,9 +82,10 @@ int64_t mega_group_argbest(
  * to the next frontier list the first time any of its versions changes.
  *
  * The edge that last strictly improved a cell is the first edge (in pass
- * order) to reach the cell's final value — exactly group_argbest's
- * lowest-flat-index winner over the k-major candidate list, for every
- * cell that ends the pass changed (the only cells whose parent is read).
+ * order) to reach the cell's final value — exactly the reference
+ * group_argbest's lowest-flat-index winner over the k-major candidate
+ * list, for every cell that ends the pass changed (the only cells whose
+ * parent is read).
  */
 static inline void relax(
     double *value, uint8_t *next, int64_t *round_parent, int64_t v,
@@ -1339,28 +1295,6 @@ int mega_worklist_eval(
     default:
         return worklist_loop(indptr, dst_all, wt_all, presence, values, n,
                              op, minimize, ring, in_queue, state, max_pops);
-    }
-}
-
-/* presence_gather: out[k][j] = bit k of the packed presence planes at
- * union edge edge_idx[j].  planes is (ceil(K/8), M) uint8, row-major;
- * out is (K, E) uint8 (viewed as bool by the caller). */
-void mega_presence_gather(
-    const uint8_t *planes, int64_t n_union_edges,
-    const int64_t *edge_idx, int64_t n_edges,
-    int64_t n_snapshots, uint8_t *out)
-{
-    const int64_t n_planes = (n_snapshots + 7) / 8;
-    int64_t p, j, b;
-    for (p = 0; p < n_planes; p++) {
-        const uint8_t *plane = planes + p * n_union_edges;
-        const int64_t k_hi =
-            (n_snapshots - p * 8) < 8 ? (n_snapshots - p * 8) : 8;
-        for (j = 0; j < n_edges; j++) {
-            const uint8_t byte = plane[edge_idx[j]];
-            for (b = 0; b < k_hi; b++)
-                out[(p * 8 + b) * n_edges + j] = (byte >> b) & 1;
-        }
     }
 }
 

@@ -15,8 +15,9 @@ struct, its repair inputs and outputs in one ``_Repair``): the wrappers
 check dtype, contiguity and shape explicitly (``ValueError`` on a bad
 array) instead of paying ``np.ctypeslib.ndpointer``'s per-array
 ``from_param``, and the loop kernel's step table is checked in C, so
-the callers (engine, UnifiedCSR) stay oblivious to the tier in use and
-a near-empty call costs the marshalling of its pointers.
+the callers (engine, wave scheduler, window slides) stay oblivious to
+the tier in use and a near-empty call costs the marshalling of its
+pointers.
 """
 
 from __future__ import annotations
@@ -167,10 +168,6 @@ def _compile(src: pathlib.Path, out: pathlib.Path) -> None:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    lib.mega_group_argbest.restype = ctypes.c_int64
-    lib.mega_group_argbest.argtypes = [
-        _P, _P, _I64, _INT, _I64, _P, _P, _P, _P, _P,
-    ]
     lib.mega_daic_round.restype = None
     lib.mega_daic_round.argtypes = [
         _P, _P, _P, _P,              # indptr, src_of_edge, dst_all, wt_all
@@ -211,8 +208,6 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
         _INT, _INT,                  # op, minimize
         _P, _P, _P, _I64,            # ring, in_queue, state, max_pops
     ]
-    lib.mega_presence_gather.restype = None
-    lib.mega_presence_gather.argtypes = [_P, _I64, _P, _I64, _I64, _P]
     lib.mega_window_merge.restype = _INT
     lib.mega_window_merge.argtypes = [
         _I64, _I64, _P, _P,          # n_vertices, n_edges, indptr, src
@@ -281,29 +276,6 @@ def _ptr(arr: np.ndarray, dtype: np.dtype | None, name: str) -> int:
 def _shape(arr: np.ndarray, shape: tuple, name: str) -> None:
     if arr.shape != shape:
         raise ValueError(f"{name}: expected shape {shape}, got {arr.shape}")
-
-
-def group_argbest(
-    keys: np.ndarray, candidates: np.ndarray, minimize: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """C single-pass group_argbest; same contract as the numpy reference."""
-    lib = load_library()
-    n = keys.shape[0]
-    keys = np.ascontiguousarray(keys, dtype=np.int64)
-    candidates = np.ascontiguousarray(candidates, dtype=np.float64)
-    max_key = int(keys.max())
-    domain = max_key + 1
-    seen = np.zeros(domain, dtype=np.uint8)
-    best_val = np.empty(domain, dtype=np.float64)
-    best_idx = np.empty(domain, dtype=np.int64)
-    out_keys = np.empty(min(n, domain), dtype=np.int64)
-    out_best = np.empty(min(n, domain), dtype=np.int64)
-    u = lib.mega_group_argbest(
-        keys.ctypes.data, candidates.ctypes.data, n, int(minimize), max_key,
-        seen.ctypes.data, best_val.ctypes.data, best_idx.ctypes.data,
-        out_keys.ctypes.data, out_best.ctypes.data,
-    )
-    return out_keys[:u].copy(), out_best[:u].copy()
 
 
 class LoopCounts(NamedTuple):
@@ -794,22 +766,6 @@ def replay(
     if bad:
         raise ValueError(_REPLAY_BAD[bad])
     return out
-
-
-def presence_gather(
-    planes: np.ndarray, edge_idx: np.ndarray, n_snapshots: int
-) -> np.ndarray:
-    """(K, E) bool presence matrix gathered straight off the bit planes."""
-    lib = load_library()
-    edge_idx = np.ascontiguousarray(edge_idx, dtype=np.int64)
-    out = np.empty((n_snapshots, edge_idx.shape[0]), dtype=np.uint8)
-    planes = np.ascontiguousarray(planes)
-    _shape(planes, ((n_snapshots + 7) // 8, planes.shape[1]), "planes")
-    lib.mega_presence_gather(
-        _ptr(planes, None, "planes"), planes.shape[1], edge_idx.ctypes.data,
-        edge_idx.shape[0], n_snapshots, out.ctypes.data,
-    )
-    return out.view(bool)
 
 
 class WindowMerge(NamedTuple):

@@ -1,18 +1,21 @@
 """Pure-numpy reference kernels — the permanent parity baseline.
 
-Like ``UnifiedCSR._presence_of_dense``, these implementations are never
-removed: every compiled tier must reproduce them bit-for-bit (values,
-parent tracking, and tie-break order), and the differential tests in
-``tests/test_kernel_backends.py`` hold them to it.  ``group_argbest``
-here is the original lexsort-based engine reduction; the engine's own
-vectorized multi-sweep round body, driven step by step by
-``MultiVersionEngine.run_segment``, is the
-reference for the compiled ``daic_round`` step-table loop (the numpy
-backend exposes no ``daic_round``, so the engine keeps using that path),
-``UnifiedCSR.presence_multi``'s unpackbits path is the reference for
-``presence_gather``, and the numpy bodies of ``slide_window`` and
-``extract_window`` are the reference for ``window_merge``
-(``tests/test_window_merge.py``).
+Like ``UnifiedCSR._presence_of_dense``, the references are never
+removed: every compiled kernel must reproduce its reference
+bit-for-bit (values, parent tracking, and tie-break order), and the
+differential tests in ``tests/test_kernel_backends.py`` hold them to
+it.  The references of the compiled kernels live beside the code they
+replace: the engine's own vectorized round body, driven step by step
+by ``MultiVersionEngine.run_segment``, for ``daic_round`` (the numpy
+backend exposes no ``daic_round``, so the engine keeps using that
+path), and the numpy bodies of ``slide_window`` and ``extract_window``
+for ``window_merge`` (``tests/test_window_merge.py``).
+
+``group_argbest`` here, the lexsort-based engine reduction, is the one
+parent pick of every tier and has no compiled twin: the numpy round
+body calls it, while the compiled tier picks parents inside the
+``daic_round`` step table and calls it only for an algorithm with no
+``kernel_op`` that tracks parents.
 """
 
 from __future__ import annotations

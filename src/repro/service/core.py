@@ -169,28 +169,27 @@ class EpochPastTipError(RuntimeError):
     shorter, diverged log after the plan's queries were admitted."""
 
 
-_ACK_MODE_RE = re.compile(r"quorum(?::(\d+)|\((\d+)\))")
+_ACK_MODE_RE = re.compile(r"quorum:(\d+)")
 
 
 def parse_ack_mode(raw: str) -> tuple[str, int]:
     """Parse ``ServiceConfig.ack_mode`` into ``(mode, k)``.
 
-    ``"local"`` -> ``("local", 0)``; ``"quorum:2"`` / ``"quorum(2)"`` ->
-    ``("quorum", 2)``.  Raises ``ValueError`` for anything else — a typo
-    in a durability knob must fail loudly at construction, not silently
-    weaken acks.
+    ``"local"`` -> ``("local", 0)``; ``"quorum:2"`` -> ``("quorum", 2)``.
+    Raises ``ValueError`` for anything else — a typo in a durability knob
+    must fail loudly at construction, not silently weaken acks.
     """
     s = str(raw).strip().lower()
     if s == "local":
         return ("local", 0)
     m = _ACK_MODE_RE.fullmatch(s)
     if m is not None:
-        k = int(m.group(1) or m.group(2))
+        k = int(m.group(1))
         if k >= 1:
             return ("quorum", k)
     raise ValueError(
-        f"invalid ack_mode {raw!r}: expected 'local', 'quorum:k', or "
-        "'quorum(k)' with k >= 1"
+        f"invalid ack_mode {raw!r}: expected 'local' or 'quorum:k' with "
+        "k >= 1"
     )
 
 
@@ -221,9 +220,9 @@ class ServiceConfig:
     inject_fault: tuple[str, ...] = ()
     fault_seed: int = 0
     #: ingest acknowledgement policy: ``"local"`` acks after the local
-    #: WAL fsync (PR-6 behavior); ``"quorum:k"`` (or ``"quorum(k)"``)
-    #: additionally holds the ack until k followers report the epoch
-    #: durable in their acked-position cursors
+    #: WAL fsync (PR-6 behavior); ``"quorum:k"`` additionally holds the
+    #: ack until k followers report the epoch durable in their
+    #: acked-position cursors
     ack_mode: str = "local"
     #: how long a quorum ack may wait before degrading (the response is
     #: marked ``degraded`` — never silent loss, never an unbounded stall)

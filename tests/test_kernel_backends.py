@@ -26,7 +26,6 @@ from repro.graph.generators import rmat_edges
 from repro.perf.backend import (
     OPS,
     available_backends,
-    backend_info,
     get_backend,
     reference,
     reset_backend,
@@ -114,69 +113,18 @@ def test_explicit_request_overrides_cached(monkeypatch):
         assert get_backend().name == COMPILED[0]
 
 
-def test_backend_info_reports_tiers():
-    info = backend_info()
-    assert info["active"] in available_backends()
-    assert "numpy" in info["available"]
-    assert set(info["available"]) <= {"numpy", "cext"}
+def test_every_tier_runs_the_reference_argbest():
+    """No tier has a compiled argbest or presence gather: the compiled
+    tier picks parents inside its step table."""
+    for name in available_backends():
+        be = resolve_backend(name)
+        assert be.group_argbest is reference.group_argbest
+        assert be.presence_gather is None
 
 
 def test_kernel_ops_cover_core_algorithms():
     for algorithm in all_algorithms():
         assert algorithm.kernel_op in OPS
-
-
-# -- group_argbest ----------------------------------------------------------
-
-
-def _argbest_cases(rng):
-    yield rng.integers(0, 50, 400).astype(np.int64), rng.random(400)
-    # heavy duplication exercises the tie-break order
-    yield np.repeat(np.arange(8, dtype=np.int64), 64), np.tile(
-        rng.random(8), 64
-    )
-    yield np.zeros(16, dtype=np.int64), np.full(16, 0.5)
-    yield np.empty(0, dtype=np.int64), np.empty(0)
-
-
-def test_group_argbest_matches_reference(compiled):
-    be = resolve_backend(compiled)
-    rng = np.random.default_rng(5)
-    for keys, cands in _argbest_cases(rng):
-        for minimize in (True, False):
-            u_ref, b_ref = reference.group_argbest(keys, cands, minimize)
-            u_got, b_got = be.group_argbest(keys, cands, minimize)
-            assert np.array_equal(u_ref, u_got)
-            # ties must break toward the lowest input index, exactly
-            assert np.array_equal(b_ref, b_got)
-
-
-def test_group_argbest_sparse_domain_falls_back(compiled):
-    be = resolve_backend(compiled)
-    keys = np.array([0, 1 << 40, 7], dtype=np.int64)
-    cands = np.array([3.0, 1.0, 2.0])
-    u_ref, b_ref = reference.group_argbest(keys, cands, True)
-    u_got, b_got = be.group_argbest(keys, cands, True)
-    assert np.array_equal(u_ref, u_got) and np.array_equal(b_ref, b_got)
-
-
-# -- presence gather --------------------------------------------------------
-
-
-def test_presence_gather_matches_unpackbits(compiled):
-    be = resolve_backend(compiled)
-    unified = _scenario().unified
-    planes = unified.presence_planes()
-    rng = np.random.default_rng(9)
-    for size in (0, 1, 257):
-        idx = rng.integers(0, unified.n_union_edges, size).astype(np.int64)
-        ref = np.unpackbits(
-            planes[:, idx], axis=0, count=unified.n_snapshots,
-            bitorder="little",
-        ).view(bool)
-        got = be.presence_gather(planes, idx, unified.n_snapshots)
-        assert got.dtype == np.bool_
-        assert np.array_equal(ref, got)
 
 
 def test_daic_round_rejects_bad_arrays(compiled):

@@ -15,6 +15,7 @@ import pytest
 from repro.core.multi_query import evaluate_multi_query
 from repro.engines.validation import evaluate_reference
 from repro.evolving.snapshots import EvolvingScenario
+from repro.graph.edges import EdgeList, edge_keys
 from repro.resilience import Budget, BudgetExceeded
 
 
@@ -111,35 +112,76 @@ def test_shm_attached_equals_copy(small_scenario, algorithm):
         plane.close_all()
 
 
+def _window_moves(scenario, count=2, seed=5):
+    """``count`` transitions for ``WindowServer.advance``: fresh additions,
+    and deletions of edges that are live at the window's end and common
+    once it slides.  Picked from the tags, not from a presence read, so
+    both runs of a parity test get the same moves."""
+    u = scenario.unified
+    g = u.graph
+    n = u.n_vertices
+    rng = np.random.default_rng(seed)
+    taken = set(edge_keys(g.src_of_edge, g.dst, n).tolist())
+    live = np.flatnonzero((u.del_step == -1) & (u.add_step < 1))
+    dels = rng.choice(live, size=(count, 4), replace=False)
+    moves = []
+    for row in dels:
+        adds = []
+        while len(adds) < 6:
+            s, d = int(rng.integers(n)), int(rng.integers(n))
+            if s != d and s * n + d not in taken:
+                taken.add(s * n + d)
+                adds.append((s, d, float(rng.uniform(1, 8))))
+        moves.append((
+            EdgeList.from_tuples(n, adds),
+            [(int(g.src_of_edge[e]), int(g.dst[e])) for e in row],
+        ))
+    return moves
+
+
 def test_packed_presence_equals_dense(small_scenario, algorithm, monkeypatch):
-    """Plans over bit-packed presence == plans over dense tag compares.
+    """Values read off the bit-packed planes == values over dense tag
+    compares.
 
-    Forces the engine's multi-version gather through the pre-packing
-    dense reference (:meth:`UnifiedCSR._presence_of_dense`) and checks
-    the coalesced values are unchanged, for every algorithm.
+    ``UnifiedCSR.presence_mask`` is the packed-plane read that plans
+    make: a streaming plan's initial graph, ``evaluate_reference`` and
+    ``WindowServer.advance``.  Forcing it through the pre-packing dense
+    reference (:meth:`UnifiedCSR._presence_of_dense`) must leave every
+    value of all three unchanged, for every algorithm.
     """
+    from repro.core.window_server import WindowServer
+    from repro.engines import PlanExecutor
     from repro.evolving.unified_csr import UnifiedCSR
+    from repro.schedule import streaming_plan
 
-    sources = _sources(small_scenario)
-    packed = evaluate_multi_query(small_scenario, algorithm, sources)
+    n = small_scenario.n_snapshots
+    moves = _window_moves(small_scenario)
 
-    def dense_multi(self, edge_idx=None):
-        if edge_idx is None:
-            edge_idx = np.arange(self.n_union_edges, dtype=np.int64)
-        return np.stack(
-            [
-                self._presence_of_dense(k, edge_idx)
-                for k in range(self.n_snapshots)
-            ]
+    def values():
+        streamed = PlanExecutor(small_scenario, algorithm).run(
+            streaming_plan(small_scenario.unified)
+        )
+        out = [streamed.values(k) for k in range(n)]
+        out += [
+            evaluate_reference(small_scenario, algorithm, k)
+            for k in range(n)
+        ]
+        server = WindowServer(small_scenario, algorithm)
+        for adds, dels in moves:
+            server.advance(adds, dels)
+        return out + [server.values(k) for k in range(n)]
+
+    packed = values()
+
+    def dense_mask(self, snapshot):
+        return self._presence_of_dense(
+            snapshot, np.arange(self.n_union_edges)
         )
 
-    monkeypatch.setattr(UnifiedCSR, "presence_multi", dense_multi)
-    dense = evaluate_multi_query(small_scenario, algorithm, sources)
-    for q in range(len(sources)):
-        for k in range(small_scenario.n_snapshots):
-            assert np.allclose(
-                packed.values(q, k), dense.values(q, k), equal_nan=True
-            ), (algorithm.name, q, k)
+    monkeypatch.setattr(UnifiedCSR, "presence_mask", dense_mask)
+    dense = values()
+    for i, (p, d) in enumerate(zip(packed, dense)):
+        assert np.array_equal(p, d, equal_nan=True), (algorithm.name, i)
 
 
 def test_multi_query_budget_breaches(small_scenario):

@@ -39,12 +39,6 @@ def test_presence_masks_match_interval_semantics(unified):
     assert unified.presence_mask(2).tolist() == [True, True, False, True, False]
 
 
-def test_presence_of_subset(unified):
-    idx = np.array([1, 4])
-    assert unified.presence_of(0, idx).tolist() == [False, True]
-    assert unified.presence_of(2, idx).tolist() == [True, False]
-
-
 def test_presence_planes_shape_and_packing(unified):
     planes = unified.presence_planes()
     assert planes.dtype == np.uint8
@@ -59,28 +53,6 @@ def test_packed_presence_matches_dense_reference(unified):
     for k in range(unified.n_snapshots):
         dense = unified._presence_of_dense(k, all_idx)
         assert unified.presence_mask(k).tolist() == dense.tolist()
-        sub = np.array([0, 2, 4])
-        assert (
-            unified.presence_of(k, sub).tolist()
-            == unified._presence_of_dense(k, sub).tolist()
-        )
-
-
-def test_presence_multi_matches_per_snapshot(unified):
-    idx = np.array([1, 3, 4])
-    multi = unified.presence_multi(idx)
-    assert multi.shape == (3, 3) and multi.dtype == bool
-    for k in range(unified.n_snapshots):
-        assert multi[k].tolist() == unified.presence_of(k, idx).tolist()
-    full = unified.presence_multi()
-    assert full.shape == (3, 5)
-    for k in range(unified.n_snapshots):
-        assert full[k].tolist() == unified.presence_mask(k).tolist()
-
-
-def test_presence_multi_empty_edge_set(unified):
-    multi = unified.presence_multi(np.array([], dtype=np.int64))
-    assert multi.shape == (3, 0)
 
 
 def test_presence_planes_injection(unified):
@@ -115,10 +87,9 @@ def test_presence_planes_many_snapshots():
             u.presence_mask(k).tolist()
             == u._presence_of_dense(k, all_idx).tolist()
         )
-    multi = u.presence_multi()
-    assert multi.shape == (12, 2)
-    assert multi[:, 0].tolist() == [k <= 3 for k in range(12)]
-    assert multi[:, 1].tolist() == [k > 7 for k in range(12)]
+    columns = np.array([u.presence_mask(k) for k in range(12)])
+    assert columns[:, 0].tolist() == [k <= 3 for k in range(12)]
+    assert columns[:, 1].tolist() == [k > 7 for k in range(12)]
 
 
 def test_snapshot_graph_materialization(unified):

@@ -799,18 +799,20 @@ def _bench_argv(*extra: str) -> list[str]:
     ]
 
 
-def test_cli_no_out_skips_report_file(tmp_path, monkeypatch, capsys):
+def test_cli_no_out_skips_report_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(_bench_argv("--no-out")) == 0
     assert not list(tmp_path.glob("*.json"))
-    assert "deprecated" not in capsys.readouterr().err
 
 
-def test_cli_empty_out_still_works_but_warns(tmp_path, monkeypatch, capsys):
+def test_cli_empty_out_is_rejected(tmp_path, monkeypatch, capsys):
+    """``--no-out`` is the one way to skip the report: an empty ``--out``
+    is a one-line usage error, before any service starts."""
     monkeypatch.chdir(tmp_path)
-    assert main(_bench_argv("--out", "")) == 0
+    assert main(_bench_argv("--out", "")) == 2
     assert not list(tmp_path.glob("*.json"))
-    assert "deprecated" in capsys.readouterr().err
+    err = capsys.readouterr().err.strip()
+    assert err == "error: --out needs a path; --no-out skips the report"
 
 
 @pytest.mark.parametrize(
