@@ -3,17 +3,22 @@
 Unlike the table/figure benchmarks (one simulation sweep per round), these
 are classic repeated-timing microbenchmarks of the primitives everything
 else is built on: the CSR edge gather, the coalescing scatter-reduce, a
-full single-source evaluation, and one BOE multi-version batch step.
+full single-source evaluation, one BOE multi-version batch step, and a
+whole value-only serve plan.
 """
 
 import numpy as np
 import pytest
 
 from repro.algorithms import SSSP
+from repro.core.multi_query import summarize_multi_query
 from repro.engines import MultiVersionEngine
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.graph.csr import CSRGraph, gather_out_edges
 from repro.graph.generators import rmat_edges
+from repro.perf.backend import get_backend
+from repro.resilience.budget import Budget
+from repro.workloads import load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +113,24 @@ def test_bench_engine_scaling(benchmark):
     # edges/second at 128k edges is within ~8x of the 8k-edge rate —
     # i.e. no superlinear blowup (wide tolerance absorbs machine noise)
     assert result[128_000] > result[8_000] / 8.0
+
+
+@pytest.mark.parametrize("queries", [1, 8])
+def test_bench_value_only_plan(benchmark, queries):
+    """One serve plan as a worker runs it: LJ at ``small``, 8 snapshots,
+    the top-degree sources, SSSP, a wall-clock budget.  On the compiled
+    tier the whole plan, summaries included, is one worklist-kernel call
+    (docs/PERFORMANCE.md, "A value-only plan is one kernel call")."""
+    scenario = load_scenario("LJ", "small", n_snapshots=8)
+    degree = np.diff(scenario.unified.graph.indptr)
+    sources = np.argsort(-degree, kind="stable")[:queries].tolist()
+    algo = SSSP()
+
+    def run():
+        return summarize_multi_query(
+            scenario, algo, sources, budget=Budget(wall_clock_s=60.0)
+        )
+
+    result = benchmark(run)
+    assert result.reached.shape == (queries, 8)
+    assert result.round_loop is (get_backend().worklist_eval is None)

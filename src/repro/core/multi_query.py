@@ -15,6 +15,8 @@ many depots over the whole history in one pass.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.algorithms.base import Algorithm
@@ -24,7 +26,14 @@ from repro.evolving.snapshots import EvolvingScenario
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.schedule.plan import ApplyEdges, CopyState, EvalFull, MarkSnapshot, Plan
 
-__all__ = ["multi_query_boe_plan", "MultiQueryResult", "evaluate_multi_query"]
+__all__ = [
+    "multi_query_boe_plan",
+    "MultiQueryResult",
+    "MultiQuerySummary",
+    "evaluate_multi_query",
+    "summarize",
+    "summarize_multi_query",
+]
 
 
 def multi_query_boe_plan(unified: UnifiedCSR, sources: list[int]) -> Plan:
@@ -140,6 +149,74 @@ def evaluate_multi_query(
     plan = multi_query_boe_plan(scenario.unified, sources)
     result = PlanExecutor(scenario, algorithm, budget=budget).run(plan)
     return MultiQueryResult(scenario.n_snapshots, sources, result)
+
+
+def summarize(
+    algorithm: Algorithm, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a ``(rows, n)`` value matrix: the vertices reached, and
+    the sum of its finite values.
+
+    The reference the worklist kernel's summaries equal bit for bit.
+    Each row's finite values are compacted before the sum: numpy's
+    pairwise sum groups by position, so zeros in place of the rest would
+    not give the same checksum.
+    """
+    reached = algorithm.reached(values).sum(axis=1)
+    checksum = np.array(
+        [float(row[keep].sum()) for row, keep in
+         zip(values, np.isfinite(values))],
+        dtype=np.float64,
+    )
+    return reached, checksum
+
+
+class MultiQuerySummary(NamedTuple):
+    """Each (query, snapshot)'s summary: :func:`summarize`'s figures."""
+
+    #: ``(queries, n_snapshots)`` vertices reached
+    reached: np.ndarray
+    #: ``(queries, n_snapshots)`` sums of the finite values
+    checksum: np.ndarray
+    #: the worklist kernel's pops and edge relaxations (0 on the round
+    #: loop, which does not count them)
+    worklist_pops: int
+    edges_relaxed: int
+    #: the plan ran on the round loop: the numpy tier, or a plan the
+    #: worklist kernel refused
+    round_loop: bool
+
+
+def summarize_multi_query(
+    scenario: EvolvingScenario,
+    algorithm: Algorithm,
+    sources: list[int],
+    budget=None,
+) -> MultiQuerySummary:
+    """:func:`evaluate_multi_query`'s answer, summarised per (query,
+    snapshot).
+
+    On the compiled tier the whole plan — the common-graph evaluations,
+    the batch applies and the summaries — is one worklist kernel call
+    (:meth:`~repro.engines.executor.PlanExecutor.summarize`).  Where it
+    does not run (the numpy tier, a NaN candidate, a pass past its pop
+    ceiling) the plan runs on the round loop and :func:`summarize`
+    summarises its values: the same figures, bit for bit.
+    """
+    n = scenario.n_snapshots
+    executor = PlanExecutor(scenario, algorithm, budget=budget)
+    plan = multi_query_boe_plan(scenario.unified, sources)
+    run = executor.summarize(plan)
+    if run is not None:
+        return MultiQuerySummary(
+            run.reached.reshape(-1, n), run.checksum.reshape(-1, n),
+            run.pops, run.edges_relaxed, False,
+        )
+    result = MultiQueryResult(n, sources, executor.run(plan))
+    reached, checksum = summarize(algorithm, result.matrix())
+    return MultiQuerySummary(
+        reached.reshape(-1, n), checksum.reshape(-1, n), 0, 0, True
+    )
 
 
 def simulate_multi_query(

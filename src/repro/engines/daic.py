@@ -22,16 +22,21 @@ Which kernel runs when: every round-based operation (``propagate``,
 loop — on the compiled tier one ``daic_round`` call — because its rounds
 are what the accelerator models replay, what the traces record, what
 parents are tracked by and what a round or event budget meters.  A
-caller that reads values only (the service's plans) evaluates a graph
-from scratch with :meth:`MultiVersionEngine.evaluate_values` instead: a
-FIFO worklist kernel that relaxes in place from current values, has no
-rounds and reaches the same fixpoint in fewer relaxations.  It runs on
-the compiled tier only; the round loop stays its reference
+caller that reads values only runs on the worklist kernel instead
+(:meth:`MultiVersionEngine.run_worklist`): FIFO worklists that relax in
+place from current values, have no rounds and reach the same fixpoint
+in fewer relaxations.  One call runs a whole value-only plan (the
+service's: its evaluations, its batch applies, whose worklist entries
+carry the version rows a vertex improved in, and its summaries);
+:meth:`MultiVersionEngine.evaluate_values` is one evaluation of it.  It
+runs on the compiled tier only; the round loop stays its reference
 (``evaluate_reference`` calls ``evaluate_full``) and takes over where it
 refuses.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,12 +63,14 @@ from repro.perf.backend import (
     STEP_TAG,
     WORKLIST_DONE,
     WORKLIST_PAUSED,
+    WORKLIST_STATE,
     RepairInputs,
     get_backend,
+    worklist_work,
 )
 from repro.resilience.budget import Budget, BudgetClock
 
-__all__ = ["MultiVersionEngine", "StepTable", "group_argbest"]
+__all__ = ["MultiVersionEngine", "StepTable", "WorklistRun", "group_argbest"]
 
 #: rounds per compiled call while a wall-clock budget is live: the loop
 #: kernel cannot read the budget's clock, so it hands back this often
@@ -72,11 +79,32 @@ _WALL_CLOCK_CHUNK = 64
 #: budget is live
 _WORKLIST_CHUNK = 1 << 16
 
+#: the step columns of a worklist plan without steps
+_NO_STEPS = (
+    np.empty((0, STEP_COLS), dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+)
+
 #: the trace phase of each repair step's passes, and how many steps
 #: before it the repair's TAG (which opens its execution) sits
 _REPAIR_PHASE = {STEP_TAG: "del-tag", STEP_PULL: "del-pull",
                  STEP_PROPAGATE: "del-recompute"}
 _REPAIR_LEAD = {STEP_PULL: 1, STEP_PROPAGATE: 2}
+
+
+class WorklistRun(NamedTuple):
+    """What :meth:`MultiVersionEngine.run_worklist` computed."""
+
+    #: every row's final values ``(n_rows, n)``
+    values: np.ndarray
+    #: per marked row: vertices reached, and the sum of its finite values
+    #: in numpy's order (None without marks)
+    reached: np.ndarray | None
+    checksum: np.ndarray | None
+    #: worklist pops and edge relaxations over the plan
+    pops: int
+    edges_relaxed: int
 
 
 class _Scratch:
@@ -220,6 +248,7 @@ class MultiVersionEngine:
         edges_per_block: int = 8,
         track_parents: bool = False,
         budget: Budget | None = None,
+        clock: BudgetClock | None = None,
     ) -> None:
         self.algorithm = algorithm
         self.unified = unified
@@ -230,9 +259,10 @@ class MultiVersionEngine:
         #: optional watchdog over the engine's whole lifetime: caps total
         #: propagation rounds / generated events / wall clock and raises a
         #: structured BudgetExceeded instead of spinning on a
-        #: non-converging (e.g. negative-cycle) workload
+        #: non-converging (e.g. negative-cycle) workload; ``clock``, an
+        #: already running clock of it, carries an earlier engine's spend
         self.budget = budget
-        self._budget_clock: BudgetClock | None = None
+        self._budget_clock: BudgetClock | None = clock
         n = self.graph.n_vertices
         #: union-edge index whose candidate last set each vertex value,
         #: per version; -1 = no parent (source / unreached).  Only
@@ -707,54 +737,96 @@ class MultiVersionEngine:
         or None where it does not run; the caller then runs
         :meth:`evaluate_full`.
 
-        The kernel pops a FIFO worklist and relaxes in place, with no
-        rounds, so it records no trace, tracks no parent and meters no
+        One evaluation and no steps of :meth:`run_worklist`: the graph is
+        ``presence_row``.  It reaches the round loop's fixpoint bit for
+        bit; None on the numpy tier, for an algorithm without a
+        ``kernel_op`` and where the kernel refuses.
+        """
+        tags = np.where(presence_row, np.int32(-1), np.int32(-2))
+        run = self.run_worklist(
+            1, np.array([[0, source]], dtype=np.int64), tags
+        )
+        return None if run is None else run.values[0]
+
+    def run_worklist(
+        self,
+        n_rows: int,
+        evals: np.ndarray,
+        edge_tag: np.ndarray,
+        table: StepTable | None = None,
+        marks: np.ndarray | None = None,
+    ) -> WorklistRun | None:
+        """A value-only plan on the worklist kernel, or None where it does
+        not run; the caller then runs the plan on the round loop.
+
+        ``n_rows`` value rows, each row's graph told by ``edge_tag``
+        (``_kernels.c``: -1 the base graph, -2 no row, ``s`` the rows
+        holding ``table``'s step ``s``).  Each ``evals`` ``(row,
+        source)`` evaluates its row from scratch on the base graph, then
+        ``table``'s COPY and APPLY steps run, each APPLY on a worklist
+        whose entries carry the rows a vertex improved in; ``marks``
+        names the rows summarised.  No rounds, so no trace, parent or
         round or event budget: only a wall clock, read every
-        ``_WORKLIST_CHUNK`` pops.  It reaches the round loop's fixpoint
-        bit for bit in fewer relaxations.  None on the numpy tier and for
-        an algorithm without a ``kernel_op``, and where the kernel
-        refuses: a NaN candidate, whose poison depends on the relaxation
-        order, and a run past ``n * (n + 1)`` pops.  A FIFO worklist
-        settles every graph whose best paths are simple within n passes
-        of at most n pops; past that the run climbs a cycle, and the
-        round loop reruns it to fail or converge as it always has.
+        ``_WORKLIST_CHUNK`` pops.  Every row reaches the round loop's
+        fixpoint bit for bit.  None on the numpy tier, for an algorithm
+        without a ``kernel_op``, and where the kernel refuses: a NaN
+        candidate, whose poison depends on the relaxation order, and a
+        pass past ``n * (n + 1)`` pops.  A FIFO worklist settles every
+        graph whose best paths are simple within n passes of at most n
+        pops; past that the pass climbs a cycle, and the round loop
+        reruns the plan to fail or converge as it always has.
         """
         kernel = self._backend.worklist_eval
         if kernel is None or self._fused_op is None:
             return None
         graph = self.graph
+        algo = self.algorithm
         n = graph.n_vertices
-        values = self.algorithm.initial_values(n, source)
-        seeds = self.algorithm.initial_frontier(n, source)
-        ring = self._scratch.get("ring", np.int64, (n,))
-        in_queue = self._scratch.get("in_queue", np.uint8, (n,))
-        state = self._scratch.get("state", np.int64, (4,))
-        ceiling = n * (n + 1)
+        steps, step_rows, seeds = (
+            _NO_STEPS if table is None else table.columns()
+        )
+        n_steps = steps.shape[0]
+        values = np.empty((n_rows, n), dtype=np.float64)
+        applied = self._scratch.get(
+            "applied", np.uint8, (n_rows, max(n_steps, 1))
+        )
+        work = self._scratch.get(
+            "worklist", np.int64, (worklist_work(n, n_steps),)
+        )
+        state = self._scratch.get("state", np.int64, (WORKLIST_STATE,))
+        reached = checksum = None
+        if marks is not None:
+            reached = np.empty(marks.shape[0], dtype=np.int64)
+            checksum = np.empty(marks.shape[0], dtype=np.float64)
         self._start_budget()
         clock = self._budget_clock
         chunk = (
             _WORKLIST_CHUNK
             if clock is not None and clock.budget.wall_clock_s is not None
-            else ceiling
+            else -1
         )
         prof = active_profiler()
-        pops = 0
+        resume = False
         while True:
             t0 = prof.now() if prof is not None else 0.0
             status = kernel(
-                graph.indptr, graph.dst, graph.wt, presence_row, values,
-                self._fused_op, self.algorithm.minimize, ring, in_queue,
-                state, seeds=seeds, max_pops=min(chunk, ceiling - pops),
+                graph.indptr, graph.src_of_edge, graph.dst, graph.wt,
+                edge_tag, evals, steps, step_rows, seeds, values, applied,
+                self._fused_op, algo.minimize, float(algo.identity),
+                float(algo.source_value), work, state, marks, reached,
+                checksum, max_pops=chunk, resume=resume,
             )
-            seeds = None
-            pops = int(state[2])
+            resume = True
+            pops = int(state[5])
             if prof is not None and prof.sample():
                 prof.add("fused_relax", prof.now() - t0)
             if clock is not None:
                 clock.charge(stats={"worklist_pops": pops})
             if status == WORKLIST_DONE:
-                return values
-            if status != WORKLIST_PAUSED or pops >= ceiling:
+                return WorklistRun(
+                    values, reached, checksum, pops, int(state[6])
+                )
+            if status != WORKLIST_PAUSED:
                 return None
 
     def apply_additions(

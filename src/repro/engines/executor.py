@@ -24,12 +24,19 @@ An ``EvalFull`` step runs on the engine's value-only worklist kernel
 (:meth:`~repro.engines.daic.MultiVersionEngine.evaluate_values`) when
 the run records no trace, tracks no parents (its plan deletes nothing)
 and its budget caps no rounds and no events: the worklist has no rounds
-to record, repair from or cap.  So the service's plans (a wall-clock
-budget) take it; the simulators, metrics and software baselines (they
-record), the fault campaign and every round-capped caller keep the
-round kernel, as does a step the worklist refuses.  The executor keeps
-no composition record: the fault campaign, its one reader, books the
-plan into a version table itself
+to record, repair from or cap.  The simulators, metrics and software
+baselines (they record), the fault campaign and every round-capped
+caller keep the round kernel, as does a step the worklist refuses.
+
+:meth:`PlanExecutor.summarize` goes further for a caller that wants
+only each snapshot's summary (the service's plans, a wall-clock
+budget): a plan shaped as the multi-query BOE plan — evaluations, one
+segment of copies and applies, marks — is one worklist kernel call
+(:meth:`~repro.engines.daic.MultiVersionEngine.run_worklist`) with no
+per-step dispatch, presence matrix or marked copies; it hands back None
+where that path does not run, and the caller runs :meth:`run`.  The
+executor keeps no composition record: the fault campaign, its one
+reader, books the plan into a version table itself
 (:func:`repro.resilience.recovery.record_version_table`).
 """
 
@@ -40,12 +47,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import Algorithm
-from repro.engines.daic import MultiVersionEngine, StepTable
+from repro.engines.daic import MultiVersionEngine, StepTable, WorklistRun
 from repro.engines.deletion import DeletionStats
 from repro.engines.trace import TraceCollector
 from repro.evolving.snapshots import EvolvingScenario
+from repro.perf.backend import STEP_APPLY, STEP_COPY
 from repro.resilience import faults
-from repro.resilience.budget import Budget
+from repro.resilience.budget import Budget, BudgetClock
 from repro.schedule.plan import (
     ApplyEdges,
     CopyState,
@@ -97,6 +105,9 @@ class PlanExecutor:
         self.record_traces = record_traces or record_touched_edges
         self.edges_per_block = edges_per_block
         self.budget = budget
+        #: the budget's clock once :meth:`summarize` started it: a plan
+        #: the worklist refused reruns in :meth:`run` on the same clock
+        self._clock: BudgetClock | None = None
 
     def run(self, plan: Plan) -> WorkflowResult:
         unified = self.unified
@@ -116,6 +127,7 @@ class PlanExecutor:
             edges_per_block=self.edges_per_block,
             track_parents=needs_deletion,
             budget=self.budget,
+            clock=self._clock,
         )
 
         n_states = max(plan.n_states, 1)
@@ -132,10 +144,8 @@ class PlanExecutor:
         # a run that reads values only evaluates its full steps on the
         # worklist kernel: it writes no trace, keeps no parents and caps
         # no rounds or events (a wall clock it meters)
-        budget = self.budget
-        value_only = collector is None and not needs_deletion and (
-            budget is None
-            or budget.max_rounds is None and budget.max_events is None
+        value_only = (
+            collector is None and not needs_deletion and self._uncapped()
         )
         result = WorkflowResult(plan.name, {}, collector)
         source = self.scenario.source
@@ -171,6 +181,117 @@ class PlanExecutor:
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown plan step {step!r}")
         return result
+
+    def summarize(self, plan: Plan) -> WorklistRun | None:
+        """A value-only plan run as one worklist kernel call, its snapshots
+        summarised by the kernel; None where that path does not take the
+        plan, whose caller then runs :meth:`run` and summarises the
+        values itself.
+
+        The path takes a plan that records nothing, tracks no parents,
+        has a budget capping no rounds or events and is shaped as the
+        multi-query BOE plan is: its ``EvalFull`` steps on the common
+        graph, one segment of ``CopyState`` and ``ApplyEdges`` steps, then
+        its ``MarkSnapshot`` steps.  No fault on batch delivery or on the
+        marked values may be armed: both act on the steps this path does
+        not run one by one.  The run's ``reached`` and ``checksum`` hold
+        snapshots ``0..k-1`` in order.
+        """
+        if self.record_traces or plan.initial_graph != "common" or not (
+            self._uncapped()
+        ) or faults.armed("schedule.truncate-batch") or faults.armed(
+            "executor.bitflip-value"
+        ):
+            return None
+        shape = (
+            self._one_call(plan) if plan.key is None
+            else self.unified.memo(
+                ("one-call", plan.key, self.scenario.source),
+                lambda: self._one_call(plan),
+            )
+        )
+        if not shape:
+            return None
+        eval_steps, table, edge_tag, marks = shape
+        source = self.scenario.source
+        evals = np.array(
+            [
+                (step.state, source if step.source is None else step.source)
+                for step in (plan.steps[i] for i in eval_steps)
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        if self.budget is not None:
+            self._clock = self.budget.start()
+        engine = MultiVersionEngine(
+            self.algorithm, self.unified, budget=self.budget,
+            clock=self._clock,
+        )
+        return engine.run_worklist(
+            max(plan.n_states, 1), evals, edge_tag, table, marks
+        )
+
+    def _uncapped(self) -> bool:
+        """Does the budget cap no rounds and no events?  A wall clock is
+        all a worklist, which has no rounds, can be metered by."""
+        budget = self.budget
+        return budget is None or (
+            budget.max_rounds is None and budget.max_events is None
+        )
+
+    def _one_call(self, plan: Plan) -> tuple | bool:
+        """What :meth:`summarize` runs a plan from: the indices of its
+        ``EvalFull`` steps, its one segment (None without one), each union
+        edge's tag (``_kernels.c``: -1 the common graph, -2 no row, ``s``
+        the rows holding the segment's step ``s``) and the rows of
+        snapshots ``0..k-1``.  False for a plan of another shape, and for
+        one whose rows this cannot tell apart: two evaluations of one row,
+        an edge two of its batches add, a batch applied to a row that
+        neither an evaluation nor a copy of one set up, or a snapshot left
+        unmarked."""
+        evals: list[int] = []
+        table = None
+        marks: dict[int, int] = {}
+        for item in self._schedule(plan):
+            if isinstance(item, StepTable):
+                if table is not None or marks or any(
+                    k != STEP_COPY and k != STEP_APPLY for k in item.kinds
+                ):
+                    return False
+                table = item
+                continue
+            step = plan.steps[item]
+            if isinstance(step, EvalFull) and table is None and not marks:
+                evals.append(item)
+            elif isinstance(step, MarkSnapshot):
+                marks[step.snapshot] = step.state
+            else:
+                return False
+        if sorted(marks) != list(range(len(marks))):
+            return False
+        tags = np.where(self.unified.common_mask, np.int32(-1), np.int32(-2))
+        ready = {plan.steps[i].state for i in evals}
+        if len(ready) != len(evals):
+            return False
+        if table is not None:
+            for s, (kind, rows, seeds) in enumerate(
+                zip(table.kinds, table.rows, table.seeds)
+            ):
+                if kind == STEP_COPY:
+                    if rows[0] in ready:
+                        ready.add(rows[1])
+                    else:
+                        ready.discard(rows[1])
+                    continue
+                if not ready.issuperset(rows):
+                    return False
+                held = tags[seeds]
+                if np.any(held >= 0):
+                    return False
+                # an edge of the common graph is in every row already
+                tags[seeds] = np.where(held == -1, np.int32(-1), np.int32(s))
+        rows = np.array([marks[k] for k in range(len(marks))], dtype=np.int64)
+        return tuple(evals), table, tags, rows
 
     def _schedule(self, plan: Plan) -> list:
         """The plan as the executor runs it: each segment as one

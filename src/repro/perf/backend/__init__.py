@@ -3,12 +3,14 @@
 Four kernels run compiled (a tiny C library compiled on first use and
 loaded via ctypes): ``daic_round``, the DAIC engine's loop over a step
 table (every propagate, apply and deletion repair of a plan segment);
-``worklist_eval``, a value-only from-scratch evaluation; ``replay``, a
-simulation's timing replay; and ``window_merge``, every window slide.
-Each keeps a pure Python/numpy reference forever as its parity
-baseline, following the ``_presence_of_dense`` precedent: the engine's
-own round body for ``daic_round``, the round loop itself
-(``MultiVersionEngine.evaluate_full``) for ``worklist_eval``,
+``worklist_eval``, a value-only plan — its from-scratch evaluations,
+its batch applies and its per-snapshot summaries — in one call;
+``replay``, a simulation's timing replay; and ``window_merge``, every
+window slide.  Each keeps a pure Python/numpy reference forever as its
+parity baseline, following the ``_presence_of_dense`` precedent: the
+engine's own round body for ``daic_round``, the round loop itself
+(``PlanExecutor.run``, ``MultiVersionEngine.evaluate_full``) plus
+``repro.core.multi_query.summarize`` for ``worklist_eval``,
 ``WaveScheduler.replay_reference`` for ``replay``, and the numpy bodies
 of ``slide_window`` and ``extract_window`` for ``window_merge``.  A
 kernel that no workload calls on the compiled tier has no C twin:
@@ -75,9 +77,18 @@ REPAIR_STATS = 3
 SLIDE_BAD_VERTEX, SLIDE_NOT_LIVE, SLIDE_ADDED_INSIDE = 1, 2, 3
 SLIDE_BAD_ADDITION, SLIDE_DUP_ADDITION = 4, 5
 SLIDE_LIVE_DUPLICATE, SLIDE_READDED = 6, 7
-#: worklist_eval's returns (WORKLIST_* in _kernels.c): the worklist
-#: emptied, the call's pop cap paused it, or a candidate was NaN
-WORKLIST_DONE, WORKLIST_PAUSED, WORKLIST_NAN = 0, 1, 2
+#: worklist_eval's returns (WORKLIST_* in _kernels.c): the plan ran to
+#: its end, the call's pop cap paused it, a candidate was NaN, or a pass
+#: ran past its pop ceiling; and the int64 words of its state
+WORKLIST_DONE, WORKLIST_PAUSED, WORKLIST_NAN, WORKLIST_CEILING = 0, 1, 2, 3
+WORKLIST_STATE = 8
+
+
+def worklist_work(n: int, n_steps: int) -> int:
+    """int64 words of worklist_eval's ``work`` block: the ring, the
+    vertices' row masks, the per-step row masks and the summaries'
+    compaction buffer (``_kernels.c``)."""
+    return 3 * n + n_steps + 2
 
 
 class RepairInputs(NamedTuple):

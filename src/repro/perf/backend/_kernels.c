@@ -16,10 +16,14 @@
  *                     same table, until the table ends or a round cap is
  *                     hit, optionally writing each pass's trace as it
  *                     goes (mega_daic_check validates a table first);
- *   worklist_eval   — one row's from-scratch evaluation, values only: a
- *                     FIFO worklist relaxing in place, with no rounds
- *                     (the round kernel's fixpoint, reached in fewer
- *                     relaxations; the service's common-graph pass);
+ *   worklist_eval   — a value-only plan in one call: its from-scratch
+ *                     evaluations, its COPY and APPLY steps on FIFO
+ *                     worklists whose entries carry the rows a vertex
+ *                     improved in (one out-edge fetch for all of them),
+ *                     relaxing in place with no rounds (the round
+ *                     kernel's fixpoint, reached in fewer relaxations),
+ *                     then each marked row's reached count and numpy-
+ *                     order checksum (a serve plan, summaries included);
  *   window_merge    — a window slide's slot lookup, CommonGraph checks
  *                     (a refusal is a SLIDE_* code and the offending
  *                     row) and union rewrite, or a sub-window's: kept
@@ -1203,89 +1207,400 @@ void mega_daic_round(DAIC_PARAMS)
     daic_loop(DAIC_ARGS, 0);
 }
 
-/* worklist_eval: a from-scratch evaluation of one value row over one
- * presence row, values only.  A FIFO ring of vertices (each queued at
- * most once: in_queue) pops a vertex and relaxes its present out-edges
- * in place from its current value, with the round kernel's candidate
- * and strict-improvement test; an improved vertex not queued joins the
- * tail.  No rounds, parents or traces.  Every order of monotone
- * relaxations reaches the same fixpoint, so the row equals the round
- * kernel's bit for bit, except where a NaN candidate makes the order
- * matter: the kernel refuses that one.
+/* worklist_eval: a value-only plan in one call — its from-scratch
+ * evaluations, then its step table's COPY and APPLY steps, then the
+ * summaries of its marked rows — on version-masked FIFO worklists, with
+ * no rounds, parents or traces.
  *
- * The caller initialises values and seeds the ring (n slots) and
- * in_queue.  state holds [0] the ring's head, [1] its length, [2] pops
- * and [3] edges relaxed, the last two summed over calls.  Returns
- * WORKLIST_DONE when the ring empties, WORKLIST_PAUSED after max_pops
- * pops in this call (negative: no cap; ring and state resume in the
- * next call), WORKLIST_NAN at a NaN candidate (the row is then partly
- * relaxed). */
+ * Rows are the plan's states: `values` is n_rows x n doubles and
+ * `applied` n_rows x n_steps bytes, byte t of a row set once the row
+ * holds step t's batch.  Edge j's tag says which rows hold it:
+ * edge_tag[j] == -1 every row (the base graph the evaluations run on),
+ * -2 none, t >= 0 the rows whose applied byte t is set.  So a row's
+ * graph at each step is what the round loop's presence row holds there:
+ * the base graph plus the batches applied to that row, carried along
+ * by COPY.
+ *
+ *   evaluations  evals (n_evals x 2: row, source): the row starts from
+ *                the identity with source_value at the source, whose
+ *                event seeds the worklist;
+ *   STEP_COPY    rows {src, dst}: copy src's values and applied bytes
+ *                over dst;
+ *   STEP_APPLY   the step's rows hold its batch from now on; every seed
+ *                edge relaxes into every row, and each improved cell
+ *                seeds the worklist.
+ *
+ * Each evaluation group and each APPLY step's rows run in groups of at
+ * most WL_ROWS rows, one worklist pass per group.  A worklist entry is a
+ * vertex plus the mask of the group's rows in which it improved since it
+ * was last popped (a vertex is queued exactly while its mask is
+ * non-zero, so the FIFO ring holds each vertex at most once).  A popped
+ * vertex's out-edges are fetched once for all of its rows: each edge
+ * relaxes, in place from the current value, into the rows of the mask
+ * that hold the edge — MEGA's version-tagged event (paper §4), one fetch
+ * for every version that needs it.  Candidate and strict-improvement
+ * test are the round kernel's, and every order of monotone relaxations
+ * reaches the same fixpoint, so every row equals the round loop's bit
+ * for bit, except where a NaN candidate makes the order matter: the
+ * kernel refuses that one (WORKLIST_NAN).  A FIFO worklist settles every
+ * graph whose best paths are simple within n passes of at most n pops;
+ * a pass past n * (n + 1) pops climbs a cycle and is refused too
+ * (WORKLIST_CEILING), for the round loop to fail or converge as it
+ * always has.
+ *
+ * Then each marked row (marks, n_marks) gets reached[i], its values not
+ * equal to the identity, and checksum[i], the sum of its finite values
+ * in numpy's order: 0.0 plus numpy's pairwise sum of the compacted
+ * values (pairwise_sum).
+ *
+ * work is int64 scratch: the ring (n), the vertices' row masks (n), the
+ * pass's mask of rows per tag (n_steps + 2: tags -2 and -1 first) and
+ * the compaction buffer (n doubles).  state (WL_STATE int64) carries a
+ * paused plan: [0] the step whose passes run (-1: the evaluations),
+ * [1] its next group, [2] 1 while that group's pass is open, [3] the
+ * ring's head, [4] its length, [5] pops and [6] edges relaxed over the
+ * plan, [7] pops of the open pass.  A WL_START call checks its inputs
+ * (a WORKLIST_BAD_* code on a malformed one), fills every row with the
+ * identity and starts the plan; WL_START_TAGGED does the same but
+ * trusts edge_tag, which an earlier call checked.  Each call stops
+ * after max_pops pops (negative: no cap) with WORKLIST_PAUSED, and a
+ * WL_RESUME call carries on from the state.  WORKLIST_DONE once the
+ * summaries are written. */
 #define WORKLIST_DONE 0
 #define WORKLIST_PAUSED 1
 #define WORKLIST_NAN 2
-/* The worklist loop for one (op, minimize) pair: the entry point below
- * passes both as constants, so each instance has no candidate switch in
- * its inner loop. */
-static inline __attribute__((always_inline)) int worklist_loop(
-    const int64_t *indptr, const int64_t *dst_all, const double *wt_all,
-    const uint8_t *presence, double *values, int64_t n, const int op,
-    const int minimize, int64_t *ring, uint8_t *in_queue, int64_t *state,
-    int64_t max_pops)
+#define WORKLIST_CEILING 3
+#define WORKLIST_BAD_EVAL (-1)
+#define WORKLIST_BAD_STEP (-2)
+#define WORKLIST_BAD_TAG (-3)
+#define WORKLIST_BAD_MARK (-4)
+#define WL_START 0
+#define WL_RESUME 1
+#define WL_START_TAGGED 2
+#define WL_ROWS 64
+#define WL_STATE 8
+
+/* numpy's pairwise summation of a contiguous float64 array (its
+ * pairwise_sum: a plain loop below 8 elements, eight accumulators up to
+ * 128, halves split at a multiple of 8 above). */
+static double pairwise_sum(const double *a, int64_t n)
 {
-    int64_t head = state[0], queued = state[1], pops = 0, relaxed = 0, j;
+    int64_t i, j;
+    if (n < 8) {
+        double res = 0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3]))
+              + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    const int64_t half = n / 2 - (n / 2) % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+#define WORKLIST_PARAMS                                                     \
+    const int64_t *indptr, const int64_t *src_of_edge,                      \
+    const int64_t *dst_all, const double *wt_all, const int32_t *edge_tag,  \
+    int64_t n, int64_t M, const int64_t *evals, int64_t n_evals,            \
+    const int64_t *steps, int64_t n_steps, const int64_t *step_rows,        \
+    int64_t n_step_rows, const int64_t *seed_edges, int64_t n_seed,         \
+    double *values, int64_t n_rows, uint8_t *applied, int op, int minimize, \
+    double identity, double source_value, const int64_t *marks,             \
+    int64_t n_marks, int64_t *reached, double *checksum, int64_t *work,     \
+    int64_t *state, int64_t max_pops, int mode
+#define WORKLIST_ARGS                                                       \
+    indptr, src_of_edge, dst_all, wt_all, edge_tag, n, M, evals, n_evals,   \
+    steps, n_steps, step_rows, n_step_rows, seed_edges, n_seed, values,     \
+    n_rows, applied, op, minimize, identity, source_value, marks, n_marks,  \
+    reached, checksum, work, state, max_pops, mode
+
+/* A fresh call's input checks: 0, or the WORKLIST_BAD_* code. */
+static int worklist_check(
+    const int32_t *edge_tag, int64_t n, int64_t M, const int64_t *evals,
+    int64_t n_evals, const int64_t *steps, int64_t n_steps,
+    const int64_t *step_rows, int64_t n_step_rows,
+    const int64_t *seed_edges, int64_t n_seed, int64_t n_rows,
+    const int64_t *marks, int64_t n_marks, int check_tags)
+{
+    int64_t i, s;
+    for (i = 0; i < n_evals; i++)
+        if (evals[2 * i] < 0 || evals[2 * i] >= n_rows
+            || evals[2 * i + 1] < 0 || evals[2 * i + 1] >= n)
+            return WORKLIST_BAD_EVAL;
+    for (s = 0; s < n_steps; s++) {
+        const int64_t *st = steps + STEP_COLS * s;
+        if ((st[0] != STEP_COPY && st[0] != STEP_APPLY)
+            || st[1] < 0 || st[2] < st[1] || st[2] > n_step_rows
+            || (st[0] == STEP_COPY && st[2] - st[1] != 2)
+            || st[3] < 0 || st[4] < st[3] || st[4] > n_seed)
+            return WORKLIST_BAD_STEP;
+    }
+    for (i = 0; i < n_step_rows; i++)
+        if (step_rows[i] < 0 || step_rows[i] >= n_rows)
+            return WORKLIST_BAD_STEP;
+    for (i = 0; i < n_seed; i++)
+        if (seed_edges[i] < 0 || seed_edges[i] >= M)
+            return WORKLIST_BAD_STEP;
+    for (i = 0; check_tags && i < M; i++)
+        if (edge_tag[i] < -2 || edge_tag[i] >= n_steps)
+            return WORKLIST_BAD_TAG;
+    for (i = 0; i < n_marks; i++)
+        if (marks[i] < 0 || marks[i] >= n_rows)
+            return WORKLIST_BAD_MARK;
+    return 0;
+}
+
+/* Point vr at the rows of pass (s, g) — step s's rows, or the
+ * evaluations' for s < 0 — and set bits[t] to the mask of those rows
+ * holding step t's batch; returns the pass's row count. */
+static int64_t worklist_group(
+    const int64_t *evals, int64_t n_evals, const int64_t *steps,
+    int64_t n_steps, const int64_t *step_rows, double *values, int64_t n,
+    const uint8_t *applied, int64_t s, int64_t g, double **vr,
+    uint64_t *bits)
+{
+    const int64_t *rows = evals;
+    int64_t total = n_evals, stride = 2, k, t;
+    if (s >= 0) {
+        const int64_t *st = steps + STEP_COLS * s;
+        rows = step_rows + st[1];
+        total = st[2] - st[1];
+        stride = 1;
+    }
+    const int64_t lo = g * WL_ROWS;
+    const int64_t K = total - lo < WL_ROWS ? total - lo : WL_ROWS;
+    bits[-2] = 0;
+    bits[-1] = ~(uint64_t)0;
+    for (t = 0; t < n_steps; t++)
+        bits[t] = 0;
+    for (k = 0; k < K; k++) {
+        const int64_t r = rows[(lo + k) * stride];
+        const uint8_t *a = applied + r * n_steps;
+        vr[k] = values + r * n;
+        for (t = 0; t < n_steps; t++)
+            if (a[t])
+                bits[t] |= (uint64_t)1 << k;
+    }
+    return K;
+}
+
+/* The plan loop for one (op, minimize) pair: the entry point below
+ * passes both as constants, so each instance has no candidate switch in
+ * its inner loops. */
+static inline __attribute__((always_inline)) int worklist_loop(
+    WORKLIST_PARAMS, const int op_c, const int minimize_c)
+{
+    int64_t *ring = work;
+    uint64_t *mask = (uint64_t *)(work + n);
+    uint64_t *bits = (uint64_t *)(work + 2 * n) + 2;
+    double *buf = (double *)(work + 2 * n + 2 + n_steps);
+    const int64_t ceiling = n * (n + 1);
+    int64_t s = state[0], g = state[1], open = state[2];
+    int64_t head = state[3], queued = state[4], pass_pops = state[7];
+    int64_t pops = 0, relaxed = 0, i, j, k, K = 0;
+    double *vr[WL_ROWS];
     int status = WORKLIST_DONE;
-    while (queued > 0) {
-        if (pops == max_pops) {
-            status = WORKLIST_PAUSED;
-            break;
-        }
-        const int64_t u = ring[head];
-        const double val = values[u];
-        const int64_t end = indptr[u + 1];
-        head = head + 1 == n ? 0 : head + 1;
-        queued--;
-        in_queue[u] = 0;
-        pops++;
-        for (j = indptr[u]; j < end; j++) {
-            if (!presence[j])
-                continue;
-            const int64_t v = dst_all[j];
-            const double cand = candidate_of(op, val, wt_all[j]);
-            const double cur = values[v];
-            relaxed++;
-            if (cand != cand) {
-                status = WORKLIST_NAN;
-                goto done;
+
+    if (mode != WL_RESUME) {
+        for (i = 0; i < n_rows * n; i++)
+            values[i] = identity;
+        memset(applied, 0, (size_t)(n_rows * n_steps));
+        memset(mask, 0, (size_t)n * sizeof(uint64_t));
+        s = -1;
+        g = open = head = queued = pass_pops = 0;
+        state[5] = state[6] = 0;
+    } else if (open) {
+        K = worklist_group(evals, n_evals, steps, n_steps, step_rows,
+                           values, n, applied, s, g, vr, bits);
+    }
+
+#define WL_PUSH(V, BIT)                                                    \
+    do {                                                                   \
+        if (!mask[V]) {                                                    \
+            const int64_t tail = head + queued;                            \
+            ring[tail < n ? tail : tail - n] = (V);                        \
+            queued++;                                                      \
+        }                                                                  \
+        mask[V] |= (BIT);                                                  \
+    } while (0)
+
+    for (;;) {
+        if (!open) {
+            /* open the next pass: the evaluations' groups, then each
+             * APPLY step's (a COPY runs as it is reached) */
+            int64_t total = n_evals;
+            const int64_t *st = NULL;
+            if (s >= n_steps)
+                break;
+            if (s >= 0) {
+                st = steps + STEP_COLS * s;
+                if (st[0] == STEP_COPY) {
+                    const int64_t from = step_rows[st[1]];
+                    const int64_t to = step_rows[st[1] + 1];
+                    memcpy(values + to * n, values + from * n,
+                           (size_t)n * sizeof(double));
+                    memcpy(applied + to * n_steps, applied + from * n_steps,
+                           (size_t)n_steps);
+                    s++;
+                    continue;
+                }
+                total = st[2] - st[1];
             }
-            if (minimize ? cand < cur : cand > cur) {
-                values[v] = cand;
-                if (!in_queue[v]) {
-                    const int64_t tail = head + queued;
-                    in_queue[v] = 1;
-                    ring[tail < n ? tail : tail - n] = v;
-                    queued++;
+            if (g * WL_ROWS >= total) {
+                s++;
+                g = 0;
+                continue;
+            }
+            if (st != NULL) {
+                const int64_t lo = st[1] + g * WL_ROWS;
+                const int64_t hi = st[2] < lo + WL_ROWS ? st[2]
+                                                         : lo + WL_ROWS;
+                for (i = lo; i < hi; i++)
+                    applied[step_rows[i] * n_steps + s] = 1;
+            }
+            K = worklist_group(evals, n_evals, steps, n_steps, step_rows,
+                               values, n, applied, s, g, vr, bits);
+            open = 1;
+            pass_pops = 0;
+            if (st == NULL) {
+                for (k = 0; k < K; k++) {
+                    const int64_t src = evals[2 * (g * WL_ROWS + k) + 1];
+                    vr[k][src] = source_value;
+                    WL_PUSH(src, (uint64_t)1 << k);
+                }
+            } else {
+                for (j = st[3]; j < st[4]; j++) {
+                    const int64_t e = seed_edges[j];
+                    const int64_t u = src_of_edge[e], v = dst_all[e];
+                    const double wt = wt_all[e];
+                    for (k = 0; k < K; k++) {
+                        const double cand = candidate_of(op_c, vr[k][u], wt);
+                        relaxed++;
+                        if (cand != cand) {
+                            status = WORKLIST_NAN;
+                            goto out;
+                        }
+                        if (minimize_c ? cand < vr[k][v] : cand > vr[k][v]) {
+                            vr[k][v] = cand;
+                            WL_PUSH(v, (uint64_t)1 << k);
+                        }
+                    }
                 }
             }
         }
+        while (queued > 0) {
+            if (pops == max_pops) {
+                status = WORKLIST_PAUSED;
+                goto out;
+            }
+            if (pass_pops == ceiling) {
+                status = WORKLIST_CEILING;
+                goto out;
+            }
+            const int64_t u = ring[head];
+            const uint64_t m = mask[u];
+            const int64_t end = indptr[u + 1];
+            mask[u] = 0;
+            head = head + 1 == n ? 0 : head + 1;
+            queued--;
+            pops++;
+            pass_pops++;
+            if (K == 1) {
+                double *row = vr[0];
+                const double val = row[u];
+                for (j = indptr[u]; j < end; j++) {
+                    if (!(bits[edge_tag[j]] & 1))
+                        continue;
+                    const int64_t v = dst_all[j];
+                    const double cand = candidate_of(op_c, val, wt_all[j]);
+                    relaxed++;
+                    if (cand != cand) {
+                        status = WORKLIST_NAN;
+                        goto out;
+                    }
+                    if (minimize_c ? cand < row[v] : cand > row[v]) {
+                        row[v] = cand;
+                        WL_PUSH(v, 1);
+                    }
+                }
+                continue;
+            }
+            for (j = indptr[u]; j < end; j++) {
+                uint64_t live = m & bits[edge_tag[j]];
+                if (!live)
+                    continue;
+                const int64_t v = dst_all[j];
+                const double wt = wt_all[j];
+                do {
+                    const int kk = __builtin_ctzll(live);
+                    double *row = vr[kk];
+                    const double cand = candidate_of(op_c, row[u], wt);
+                    live &= live - 1;
+                    relaxed++;
+                    if (cand != cand) {
+                        status = WORKLIST_NAN;
+                        goto out;
+                    }
+                    if (minimize_c ? cand < row[v] : cand > row[v]) {
+                        row[v] = cand;
+                        WL_PUSH(v, (uint64_t)1 << kk);
+                    }
+                } while (live);
+            }
+        }
+        open = 0;
+        g++;
     }
-done:
-    state[0] = head;
-    state[1] = queued;
-    state[2] += pops;
-    state[3] += relaxed;
+#undef WL_PUSH
+
+    for (i = 0; i < n_marks; i++) {
+        const double *row = values + marks[i] * n;
+        int64_t hit = 0, kept = 0;
+        for (j = 0; j < n; j++) {
+            const double x = row[j];
+            hit += x != identity;
+            if (__builtin_isfinite(x))
+                buf[kept++] = x;
+        }
+        reached[i] = hit;
+        checksum[i] = 0.0 + pairwise_sum(buf, kept);
+    }
+out:
+    state[0] = s;
+    state[1] = g;
+    state[2] = open;
+    state[3] = head;
+    state[4] = queued;
+    state[5] += pops;
+    state[6] += relaxed;
+    state[7] = pass_pops;
     return status;
 }
 
 #define WORKLIST_CASE(OP, MIN)                                            \
     case 2 * (OP) + (MIN):                                                \
-        return worklist_loop(indptr, dst_all, wt_all, presence, values,   \
-                             n, OP, MIN, ring, in_queue, state, max_pops)
-int mega_worklist_eval(
-    const int64_t *indptr, const int64_t *dst_all, const double *wt_all,
-    const uint8_t *presence, double *values, int64_t n, int op,
-    int minimize, int64_t *ring, uint8_t *in_queue, int64_t *state,
-    int64_t max_pops)
+        return worklist_loop(WORKLIST_ARGS, OP, MIN)
+int mega_worklist_eval(WORKLIST_PARAMS)
 {
+    if (mode != WL_RESUME) {
+        const int bad = worklist_check(
+            edge_tag, n, M, evals, n_evals, steps, n_steps, step_rows,
+            n_step_rows, seed_edges, n_seed, n_rows, marks, n_marks,
+            mode == WL_START);
+        if (bad)
+            return bad;
+    }
     switch (2 * op + (minimize != 0)) {
     WORKLIST_CASE(OP_PLUS_WT, 1);
     WORKLIST_CASE(OP_PLUS_ONE, 1);
@@ -1293,8 +1608,7 @@ int mega_worklist_eval(
     WORKLIST_CASE(OP_MAX_WT, 1);
     WORKLIST_CASE(OP_DIV_WT, 0);
     default:
-        return worklist_loop(indptr, dst_all, wt_all, presence, values, n,
-                             op, minimize, ring, in_queue, state, max_pops);
+        return worklist_loop(WORKLIST_ARGS, op, minimize != 0);
     }
 }
 

@@ -40,7 +40,9 @@ from repro.perf.backend import (
     STEP_PROPAGATE,
     STEP_SEED,
     STEP_TAG,
+    WORKLIST_STATE,
     RepairInputs,
+    worklist_work,
 )
 
 __all__ = [
@@ -60,6 +62,7 @@ _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
 _char_at = ctypes.c_char.from_buffer
 _INT = ctypes.c_int
+_F64 = ctypes.c_double
 
 _I64_T = np.dtype(np.int64)
 _I32_T = np.dtype(np.int32)
@@ -115,6 +118,9 @@ _RECORD_BLOCKS = 1 << 14
 
 #: id(graph array) -> (weak reference, checked address); see _graph_ptr
 _graph_ptrs: dict[int, tuple[weakref.ref, int]] = {}
+#: id(edge-tag array) -> (weak reference, the step count its tags were
+#: checked against); see worklist_eval
+_checked_tags: dict[int, tuple[weakref.ref, int]] = {}
 
 
 def _cache_dir() -> pathlib.Path:
@@ -203,10 +209,15 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     ]
     lib.mega_worklist_eval.restype = _INT
     lib.mega_worklist_eval.argtypes = [
-        _P, _P, _P, _P, _P, _I64,    # indptr, dst_all, wt_all, presence,
-                                     # values, n
-        _INT, _INT,                  # op, minimize
-        _P, _P, _P, _I64,            # ring, in_queue, state, max_pops
+        _P, _P, _P, _P, _P,          # indptr, src_of_edge, dst_all, wt_all,
+                                     # edge_tag
+        _I64, _I64, _P, _I64,        # n, M, evals, n_evals
+        _P, _I64, _P, _I64,          # steps, n_steps, step_rows, its length
+        _P, _I64,                    # seed_edges, n_seed
+        _P, _I64, _P,                # values, n_rows, applied
+        _INT, _INT, _F64, _F64,      # op, minimize, identity, source_value
+        _P, _I64, _P, _P,            # marks, n_marks, reached, checksum
+        _P, _P, _I64, _INT,          # work, state, max_pops, mode
     ]
     lib.mega_window_merge.restype = _INT
     lib.mega_window_merge.argtypes = [
@@ -591,58 +602,114 @@ def daic_round(
     )
 
 
+#: mega_worklist_eval's modes (WL_START, WL_RESUME, WL_START_TAGGED)
+_WL_START, _WL_RESUME, _WL_START_TAGGED = 0, 1, 2
+#: mega_worklist_eval's refusals of a malformed call (WORKLIST_BAD_*)
+_WORKLIST_BAD = {
+    -1: "evals: rows must index values and sources be vertices",
+    -2: "steps: only COPY and APPLY steps over rows of values and "
+        "union-edge seeds",
+    -3: "edge_tag: tags must lie in [-2, n_steps)",
+    -4: "marks must index rows of values",
+}
+
+
 def worklist_eval(
     indptr: np.ndarray,
+    src_of_edge: np.ndarray,
     dst_all: np.ndarray,
     wt_all: np.ndarray,
-    presence: np.ndarray,
+    edge_tag: np.ndarray,
+    evals: np.ndarray,
+    steps: np.ndarray,
+    step_rows: np.ndarray,
+    seed_edges: np.ndarray,
     values: np.ndarray,
+    applied: np.ndarray,
     op: int,
     minimize: bool,
-    ring: np.ndarray,
-    in_queue: np.ndarray,
+    identity: float,
+    source_value: float,
+    work: np.ndarray,
     state: np.ndarray,
-    seeds: np.ndarray | None = None,
+    marks: np.ndarray | None = None,
+    reached: np.ndarray | None = None,
+    checksum: np.ndarray | None = None,
     max_pops: int = -1,
+    resume: bool = False,
 ) -> int:
-    """Relax one value row ``(n,)`` over one presence row ``(M,)`` from
-    its FIFO worklist until the worklist empties, ``max_pops`` vertices
-    are popped (negative: no cap) or a candidate is NaN; returns the
-    ``WORKLIST_*`` status.
+    """Run a value-only plan on version-masked worklists (layouts and
+    rules in ``_kernels.c``); returns the ``WORKLIST_*`` status.
 
-    ``ring`` ``(n,)`` int64 and ``in_queue`` ``(n,)`` bytes hold the
-    worklist and ``state`` ``(4,)`` int64 its head and length, then the
-    pops and edges relaxed summed over calls.  ``seeds`` (vertex ids)
-    starts a fresh worklist from those vertices; without it the call
-    resumes where the last one paused.  Bit-identical to the round
-    kernel's values wherever it returns ``WORKLIST_DONE``.
+    ``evals`` ``(E, 2)`` names each evaluation's row and source; the
+    step table (``StepTable.columns()``) holds COPY and APPLY steps only;
+    ``edge_tag`` ``(M,)`` int32 says which rows hold each union edge.
+    ``values`` ``(S, n)`` and ``applied`` ``(S, max(n_steps, 1))`` bytes
+    hold the rows, ``work`` :func:`worklist_work` int64 words of scratch
+    and ``state`` ``(WORKLIST_STATE,)`` int64 a paused plan, which a
+    call with ``resume`` carries on.  With ``marks``, the finished plan
+    writes each marked row's reached count and finite-value checksum
+    into ``reached`` and ``checksum``.  A malformed call raises
+    ``ValueError``; its rows are then untouched.
     """
     n = indptr.shape[0] - 1
-    _shape(presence, dst_all.shape, "presence")
-    _shape(values, (n,), "values")
-    _shape(ring, (n,), "ring")
-    _shape(in_queue, (n,), "in_queue")
-    _shape(state, (4,), "state")
-    if seeds is not None:
-        seeds = np.unique(seeds)
-        if seeds.size and not (0 <= seeds[0] and seeds[-1] < n):
-            raise ValueError("seeds must be vertices")
-        in_queue[:] = 0
-        in_queue[seeds] = 1
-        ring[:seeds.size] = seeds
-        state[:] = (0, seeds.size, 0, 0)
-    return load_library().mega_worklist_eval(
+    m = dst_all.shape[0]
+    n_rows = values.shape[0]
+    n_steps = steps.shape[0]
+    _shape(edge_tag, (m,), "edge_tag")
+    _shape(values, (n_rows, n), "values")
+    _shape(applied, (n_rows, max(n_steps, 1)), "applied")
+    _shape(evals, (evals.shape[0], 2), "evals")
+    _shape(steps, (n_steps, STEP_COLS), "steps")
+    _shape(work, (worklist_work(n, n_steps),), "work")
+    _shape(state, (WORKLIST_STATE,), "state")
+    n_marks = 0
+    marks_ptr = reached_ptr = checksum_ptr = None
+    if marks is not None:
+        n_marks = marks.shape[0]
+        _shape(reached, (n_marks,), "reached")
+        _shape(checksum, (n_marks,), "checksum")
+        marks_ptr = _ptr(marks, _I64_T, "marks")
+        reached_ptr = _ptr(reached, _I64_T, "reached")
+        checksum_ptr = _ptr(checksum, _F64_T, "checksum")
+    mode = _WL_RESUME
+    if not resume:
+        # a tag array checked before against as many steps is trusted:
+        # the memoised arrays of a plan's schedule come back every call
+        key = id(edge_tag)
+        hit = _checked_tags.get(key)
+        mode = _WL_START_TAGGED if hit is not None and (
+            hit[0]() is edge_tag and hit[1] == n_steps
+        ) else _WL_START
+    status = load_library().mega_worklist_eval(
         _graph_ptr(indptr, _I64_T, "indptr"),
+        _graph_ptr(src_of_edge, _I64_T, "src_of_edge"),
         _graph_ptr(dst_all, _I64_T, "dst_all"),
         _graph_ptr(wt_all, _F64_T, "wt_all"),
-        _ptr(presence, None, "presence"),
-        _ptr(values, _F64_T, "values"),
-        n, op, minimize,
-        _ptr(ring, _I64_T, "ring"),
-        _ptr(in_queue, None, "in_queue"),
+        _state_ptr(edge_tag, _I32_T, "edge_tag"),
+        n, m,
+        _ptr(evals, _I64_T, "evals"), evals.shape[0],
+        _state_ptr(steps, _I64_T, "steps"), n_steps,
+        _state_ptr(step_rows, _I64_T, "step_rows"), step_rows.shape[0],
+        _state_ptr(seed_edges, _I64_T, "seed_edges"), seed_edges.shape[0],
+        _ptr(values, _F64_T, "values"), n_rows,
+        _state_ptr(applied, None, "applied"),
+        op, minimize, identity, source_value,
+        marks_ptr, n_marks, reached_ptr, checksum_ptr,
+        _state_ptr(work, _I64_T, "work"),
         _ptr(state, _I64_T, "state"),
-        max_pops,
+        max_pops, mode,
     )
+    if status < 0:
+        raise ValueError(_WORKLIST_BAD[status])
+    if mode == _WL_START and edge_tag.base is None:
+        _checked_tags[key] = (
+            weakref.ref(
+                edge_tag, lambda __, key=key: _checked_tags.pop(key, None)
+            ),
+            n_steps,
+        )
+    return status
 
 
 #: mega_replay's scalar and output layouts (RI_COUNT, RD_COUNT,

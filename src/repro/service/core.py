@@ -276,6 +276,12 @@ _COUNTER_HELP = {
         "never cached)"
     ),
     "slides": "window-slide checkpoints folded into the serving base",
+    "worklist_pops": "worklist-kernel pops of the plans served",
+    "edges_relaxed": "worklist-kernel edge relaxations of the plans served",
+    "round_loop_plans": (
+        "plans that ran on the round loop (the numpy tier, or a plan the "
+        "worklist kernel refused)"
+    ),
     # the next three always read 0: workers no longer advance window
     # servers; they stay because benchmark readers still report them
     "slide_advances": "always 0 (retired worker window advances)",
@@ -1079,6 +1085,11 @@ class QueryService(QueryPath):
                     )
                 },
             },
+            "work": {
+                name: stats[name]
+                for name in ("worklist_pops", "edges_relaxed",
+                             "round_loop_plans")
+            },
             "shm": self.plane.stats(),
             "wal": wal,
             "sliding": {
@@ -1242,6 +1253,9 @@ class QueryService(QueryPath):
         self._merge_round_profile(result.round_profile)
         self._note_worker_backend(result)
         self.stats.inc("faults_recovered", len(result.recovered_faults))
+        self.stats.inc("worklist_pops", result.worklist_pops)
+        self.stats.inc("edges_relaxed", result.edges_relaxed)
+        self.stats.inc("round_loop_plans", int(result.round_loop))
         for q in queries:
             full = result.summaries.get(q.request.source)
             q.trace.mark("worker_start", result.worker_start_mono)

@@ -396,11 +396,11 @@ def _reference_summaries(
     through ``deltas``: each a :class:`~repro.service.ingest.DeltaBatch`,
     or the seed a seeded ingest draws its delta from.  With ``window``,
     over that sub-window's own scenario (``window_scenario``)."""
-    from repro.core.multi_query import evaluate_multi_query
+    from repro.core.multi_query import evaluate_multi_query, summarize
     from repro.evolving.window import window_scenario
     from repro.experiments.runner import scenario_cache
     from repro.service.ingest import DeltaBatch, apply_delta, synthesize_delta
-    from repro.service.pool import _summarize
+    from repro.service.request import SnapshotSummary
 
     scenario = scenario_cache(graph, scale, n_snapshots=n_snapshots)
     for delta in deltas:
@@ -413,10 +413,9 @@ def _reference_summaries(
     for algo_name in algos:
         algorithm = get_algorithm(algo_name)
         mq = evaluate_multi_query(scenario, algorithm, [source])
-        out[algo_name] = [
-            s.as_dict()
-            for s in _summarize(algorithm, mq.matrix(), scenario.n_snapshots)[0]
-        ]
+        reached, checksum = summarize(algorithm, mq.matrix())
+        (summaries,) = SnapshotSummary.table(reached[None], checksum[None])
+        out[algo_name] = [s.as_dict() for s in summaries]
     return out
 
 

@@ -16,11 +16,17 @@ Resilience wiring (PR 1):
 
 * every plan runs under a wall-clock :class:`~repro.resilience.Budget` —
   a diverging or hung computation breaches loudly instead of stalling
-  the worker.  The budget caps no rounds or events, so the plan's
-  common-graph evaluations run on the value-only worklist kernel
-  (:meth:`~repro.engines.daic.MultiVersionEngine.evaluate_values`),
-  which has no rounds and reads the deadline every 65,536 pops;
-  its additions run on the round kernel, chunked by the same deadline;
+  the worker.  The budget caps no rounds or events, so on the compiled
+  tier the whole plan — its common-graph evaluations, its batch applies
+  and its per-snapshot summaries — is one call of the value-only
+  worklist kernel
+  (:func:`~repro.core.multi_query.summarize_multi_query`), which has no
+  rounds and reads the deadline every 65,536 pops.  The numpy tier, and
+  a plan the kernel refuses (a NaN candidate, a pass past its pop
+  ceiling), run on the round loop and
+  :func:`~repro.core.multi_query.summarize`; a result says which
+  (``round_loop``) and carries the kernel's pops and relaxations, which
+  ``health`` sums;
 * transient failures retry *inside* the worker via
   :func:`~repro.resilience.retry_with_backoff`; deterministic ones
   propagate so the coordinator can degrade (split the plan and retry the
@@ -38,8 +44,8 @@ Per-worker memory stays bounded: the only worker state is a small LRU
 of attaches (``_ATTACHED``, at most ``_ATTACHED_LIMIT``).  An entry
 holds its generation's zero-copy scenario and, memoised on its union,
 what plans derive from it alone — the common-graph mask and each source
-count's schedule — so a plan pays for its kernel calls and little else,
-and evicting the entry drops it all.  A worker holds no windowed copy
+count's schedule and edge tags — so a plan pays for its kernel call and
+little else, and evicting the entry drops it all.  A worker holds no windowed copy
 of a graph.
 :meth:`WorkerPool.clear_caches` broadcasts a best-effort detach;
 :meth:`WorkerPool.restart` is the guaranteed reclaim (fresh processes
@@ -54,8 +60,6 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.obs.profile import profiled
 from repro.perf.backend import resolve_backend
@@ -133,6 +137,11 @@ class PlanResult:
     worker_end_mono: float = 0.0
     #: RoundProfiler.snapshot() when the payload requested profiling
     round_profile: dict | None = None
+    #: the worklist kernel's pops and edge relaxations for this plan (0
+    #: when it ran on the round loop, which ``round_loop`` says)
+    worklist_pops: int = 0
+    edges_relaxed: int = 0
+    round_loop: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +159,8 @@ class _Attach:
 #: segment name -> _Attach; process-local zero-copy attaches to the
 #: coordinator's scenario plane.  Everything a plan derives from its
 #: generation hangs off the entry's union (``UnifiedCSR.memo``: the
-#: schedule's step tables and the common-graph mask), so evicting an
-#: entry drops it all
+#: schedule's step tables, its edge tags and the common-graph mask), so
+#: evicting an entry drops it all
 _ATTACHED: dict[str, _Attach] = {}
 _ATTACHED_LIMIT = 4
 
@@ -195,25 +204,6 @@ def _attached_scenario(manifest):
     return entry.scenario
 
 
-def _summarize(
-    algorithm, values: np.ndarray, n_snapshots: int
-) -> list[list[SnapshotSummary]]:
-    """Per query, its snapshots' summaries, from a query-major
-    ``(queries * n_snapshots, n)`` value matrix in one pass."""
-    reached = algorithm.reached(values).sum(axis=1).tolist()
-    finite = np.isfinite(values)
-    # each row's finite values, compacted before the sum: numpy's
-    # pairwise sum groups by position, so zeros in place of the rest
-    # would not give bit-identical checksums
-    rows = [
-        SnapshotSummary(r % n_snapshots, reached[r], float(row[keep].sum()))
-        for r, (row, keep) in enumerate(zip(values, finite))
-    ]
-    return [
-        rows[q:q + n_snapshots] for q in range(0, len(rows), n_snapshots)
-    ]
-
-
 def _worker_clear() -> None:
     """Close every shared-memory attach (bounded-memory escape hatch), so
     a retired segment's memory can actually be reclaimed by the kernel."""
@@ -222,7 +212,7 @@ def _worker_clear() -> None:
 
 def _execute(payload: PlanPayload) -> PlanResult:
     from repro.algorithms import get_algorithm
-    from repro.core.multi_query import evaluate_multi_query
+    from repro.core.multi_query import summarize_multi_query
     from repro.resilience.faults import maybe_fire
 
     fire = maybe_fire("service.worker-fault")
@@ -237,18 +227,21 @@ def _execute(payload: PlanPayload) -> PlanResult:
         raise FatalError(f"injected poisoned plan (plan {payload.plan_id})")
 
     scenario = _attached_scenario(payload.shm)
-    algorithm = get_algorithm(payload.algo)
     budget = Budget(wall_clock_s=payload.budget_s)
     sources = list(payload.sources)
-    mq = evaluate_multi_query(scenario, algorithm, sources, budget=budget)
-    summaries = dict(zip(
-        sources, _summarize(algorithm, mq.matrix(), scenario.n_snapshots)
-    ))
+    run = summarize_multi_query(
+        scenario, get_algorithm(payload.algo), sources, budget=budget
+    )
     return PlanResult(
         plan_id=payload.plan_id,
         epoch=payload.epoch,
-        summaries=summaries,
+        summaries=dict(zip(sources, SnapshotSummary.table(
+            run.reached, run.checksum
+        ))),
         worker_pid=os.getpid(),
+        worklist_pops=run.worklist_pops,
+        edges_relaxed=run.edges_relaxed,
+        round_loop=run.round_loop,
     )
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.algorithms import ALGORITHMS
 from repro.workloads import DATASETS, SCALES
 
@@ -71,6 +73,18 @@ class SnapshotSummary:
     snapshot: int
     reached: int
     checksum: float
+
+    @classmethod
+    def table(
+        cls, reached: np.ndarray, checksum: np.ndarray
+    ) -> list[list[SnapshotSummary]]:
+        """Per row of ``(queries, n_snapshots)`` reached counts and
+        checksums (:func:`repro.core.multi_query.summarize`'s figures),
+        that query's snapshots' summaries."""
+        return [
+            [cls(k, r, c) for k, (r, c) in enumerate(zip(rs, cs))]
+            for rs, cs in zip(reached.tolist(), checksum.tolist())
+        ]
 
     def as_dict(self) -> dict:
         return {

@@ -137,6 +137,34 @@ def test_health_reports_the_environment_tier_per_worker(monkeypatch):
     assert all('backend="numpy"' in line for line in series), series
 
 
+@pytest.mark.parametrize("tier", ["numpy", *COMPILED])
+def test_health_counts_the_served_plans_work(monkeypatch, tier):
+    """``health`` sums the worklist kernel's pops and relaxations over
+    the plans served and counts the plans the round loop ran: none on
+    the compiled tier, every one on numpy."""
+    from repro.service import QueryRequest, QueryService, ServiceConfig
+
+    monkeypatch.setenv("MEGA_KERNEL_BACKEND", tier)
+    reset_backend()
+    config = ServiceConfig(scale="tiny", n_snapshots=4, workers=1)
+    with QueryService(config) as service:
+        for algo in ("bfs", "sssp", "viterbi"):
+            for source in (1, 2):
+                response = service.submit(QueryRequest(
+                    graph="PK", algo=algo, source=source
+                )).wait(timeout=60)
+                assert response is not None and response.ok
+        work = service.health()["work"]
+        plans = service.service_stats()["plans"]
+    assert plans >= 3
+    if tier == "numpy":
+        assert work == {"worklist_pops": 0, "edges_relaxed": 0,
+                        "round_loop_plans": plans}
+    else:
+        assert work["round_loop_plans"] == 0
+        assert work["edges_relaxed"] > 0 and work["worklist_pops"] > 0
+
+
 def test_every_tier_runs_the_reference_argbest():
     """No tier has a compiled argbest or presence gather: the compiled
     tier picks parents inside its step table."""
@@ -862,6 +890,87 @@ def test_wall_clock_watchdog_stops_the_worklist(compiled):
     assert exc.resource == "wall_clock"
     # stopped inside the worklist, before its ceiling of n * (n + 1) pops
     assert 0 < exc.stats["worklist_pops"] < n * (n + 1)
+
+
+def test_wall_clock_watchdog_stops_an_apply_worklist(compiled):
+    """The same climb, closed only by an addition batch: the common graph
+    is a chain that settles in n pops, and the deadline must stop the
+    plan inside the batch's worklist, with its pops in the breach."""
+    import time
+
+    from repro.core.multi_query import summarize_multi_query
+    from repro.evolving.snapshots import EvolvingScenario
+    from repro.evolving.unified_csr import UnifiedCSR
+    from repro.graph.csr import CSRGraph
+    from repro.resilience.budget import Budget, BudgetExceeded
+
+    resolve_backend(compiled)
+    n = 1 << 15
+    weight = 1.0 - 1e-7
+    g = CSRGraph.from_tuples(n, [(v, (v + 1) % n, weight) for v in range(n)])
+    add_step = np.full(g.n_edges, -1, dtype=np.int32)
+    add_step[np.flatnonzero(g.src_of_edge == n - 1)] = 0
+    unified = UnifiedCSR(g, add_step, np.full_like(add_step, -1), 2)
+    scenario = EvolvingScenario(unified, source=0)
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded) as info:
+        summarize_multi_query(
+            scenario, get_algorithm("viterbi"), [0],
+            budget=Budget(wall_clock_s=0.05),
+        )
+    assert time.monotonic() - t0 < 5.0
+    exc = info.value
+    assert exc.resource == "wall_clock"
+    # past the common graph's n pops, before the batch pass's ceiling
+    assert n < exc.stats["worklist_pops"] < n * (n + 1)
+
+
+@pytest.mark.parametrize("algo", ["sssp", "sswp"])
+def test_kernel_summaries_pin_numpys_sum(compiled, algo):
+    """The worklist kernel's reached counts and checksums against the
+    numpy summary (``summarize``) on rows across numpy's pairwise-sum
+    boundaries (8, 128 and its 8,192-element buffer), with infinities
+    and NaNs among the values and an all ``-0.0`` row.  A numpy whose
+    summation order changes fails here instead of drifting."""
+    from repro.core.multi_query import summarize
+    from repro.perf.backend import WORKLIST_STATE, cext, worklist_work
+
+    resolve_backend(compiled)
+    algorithm = get_algorithm(algo)
+    rng = np.random.default_rng(8)
+    for length in (0, 1, 7, 8, 9, 127, 128, 129, 8191, 8192, 8193):
+        rows = rng.standard_normal((5, length)) * 10.0 ** rng.integers(
+            -6, 9, (5, length)
+        )
+        rows[1] = rng.random(length) * 1e6
+        for value in (np.inf, -np.inf, np.nan, 0.0):
+            rows[2, rng.random(length) < 0.2] = value
+        rows[3] = -0.0
+        rows[4, ::3] = algorithm.identity
+        # a finished plan over these rows: resuming past its last step
+        # only summarises them
+        values = np.ascontiguousarray(rows)
+        edges = np.empty(0, dtype=np.int64)
+        state = np.zeros(WORKLIST_STATE, dtype=np.int64)
+        reached = np.empty(5, dtype=np.int64)
+        checksum = np.empty(5, dtype=np.float64)
+        status = cext.worklist_eval(
+            np.zeros(length + 1, dtype=np.int64), edges, edges,
+            np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int32),
+            np.empty((0, 2), dtype=np.int64),
+            np.empty((0, 5), dtype=np.int64), edges, edges, values,
+            np.zeros((5, 1), dtype=np.uint8), OPS[algorithm.kernel_op],
+            algorithm.minimize, float(algorithm.identity),
+            float(algorithm.source_value),
+            np.empty(worklist_work(length, 0), dtype=np.int64), state,
+            marks=np.arange(5, dtype=np.int64), reached=reached,
+            checksum=checksum, resume=True,
+        )
+        assert status == 0
+        want_reached, want_checksum = summarize(algorithm, rows)
+        assert reached.tolist() == want_reached.tolist(), length
+        assert checksum.tobytes() == want_checksum.tobytes(), length
+        assert np.signbit(checksum[3]) == np.signbit(want_checksum[3])
 
 
 def test_budget_within_allowance_identical(compiled):

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.core.multi_query import evaluate_multi_query
+from repro.core.multi_query import evaluate_multi_query, summarize
 from repro.service import (
     AdmissionQueue,
     DeltaBatch,
@@ -35,10 +35,17 @@ from repro.service import (
     validate_request,
 )
 from repro.service.loadgen import BENCH_SCHEMA_VERSION
-from repro.service.pool import _summarize
 from repro.service.request import SnapshotSummary
 
 TINY = dict(scale="tiny", n_snapshots=4, workers=1)
+
+
+def _summarize(algo, values, n_snapshots):
+    """Per query, its snapshots' summaries by the numpy reference."""
+    reached, checksum = summarize(algo, values)
+    return SnapshotSummary.table(
+        reached.reshape(-1, n_snapshots), checksum.reshape(-1, n_snapshots)
+    )
 
 
 def _config(**kw) -> ServiceConfig:

@@ -576,10 +576,9 @@ def _scratch(service, epoch, algo, source):
     """From-scratch summaries at ``epoch``: the service's own log applied
     to the base scenario, evaluated in this process."""
     from repro.algorithms import get_algorithm
-    from repro.core.multi_query import evaluate_multi_query
+    from repro.core.multi_query import evaluate_multi_query, summarize
     from repro.experiments.runner import scenario_cache
     from repro.service.ingest import apply_delta
-    from repro.service.pool import _summarize
 
     cfg = service.config
     scenario = scenario_cache("PK", cfg.scale, n_snapshots=cfg.n_snapshots)
@@ -587,10 +586,8 @@ def _scratch(service, epoch, algo, source):
         scenario = apply_delta(scenario, delta)
     algorithm = get_algorithm(algo)
     mq = evaluate_multi_query(scenario, algorithm, [source])
-    return [
-        (s.snapshot, s.reached, s.checksum)
-        for s in _summarize(algorithm, mq.matrix(), scenario.n_snapshots)[0]
-    ]
+    reached, checksum = summarize(algorithm, mq.matrix())
+    return list(zip(range(len(reached)), reached.tolist(), checksum.tolist()))
 
 
 def _tiny(**kw):

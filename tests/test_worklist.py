@@ -1,13 +1,16 @@
 """The value-only worklist kernel against the round loop.
 
 ``MultiVersionEngine.evaluate_values`` evaluates one graph from scratch
-with a FIFO worklist that relaxes in place and has no rounds; a serve
-plan's ``EvalFull`` steps run on it.  Its answers must equal the round
-loop's (``evaluate_full``, which ``evaluate_reference`` runs) bit for
-bit, it must hand a NaN candidate and a run past its pop ceiling back
-to the round loop, and a plan with a round or event cap, a trace or a
-deletion must never take it.  Compiled tier only: the numpy tier has no
-worklist kernel.
+with a FIFO worklist that relaxes in place and has no rounds, and
+``PlanExecutor.summarize`` runs a whole serve plan — its common-graph
+evaluations, its batch applies on version-masked worklists and its
+summaries — as one call of the same kernel.  Their answers must equal
+the round loop's (``evaluate_full``, which ``evaluate_reference`` runs,
+and ``summarize`` over the round loop's values) bit for bit, they must
+hand a NaN candidate and a run past its pop ceiling back to the round
+loop, and a plan with a round or event cap, a trace or a deletion must
+never take them.  Compiled tier only: the numpy tier has no worklist
+kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +21,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import all_algorithms, get_algorithm
-from repro.core.multi_query import evaluate_multi_query
+from repro.core.multi_query import (
+    evaluate_multi_query,
+    summarize,
+    summarize_multi_query,
+)
+from repro.core.multi_query import multi_query_boe_plan
 from repro.engines import MultiVersionEngine, PlanExecutor
 from repro.engines.validation import evaluate_reference
 from repro.evolving.snapshots import EvolvingScenario
@@ -223,6 +231,248 @@ def test_worklist_time_is_booked_as_fused_relax():
     engine = MultiVersionEngine(get_algorithm("sssp"), scenario.unified)
     with profiled(1) as prof:
         assert engine.evaluate_values(scenario.unified.common_mask, 0) is not None
+    snap = prof.snapshot()
+    assert snap["rounds_seen"] == 1
+    assert snap["sections"]["fused_relax"]["rounds"] == 1
+
+
+# -- a whole value-only plan in one call --------------------------------------
+
+
+def _round_loop_summaries(scenario, algorithm, sources):
+    """``summarize`` over the round loop's values (a round cap keeps every
+    step of the plan on it)."""
+    mq = evaluate_multi_query(
+        scenario, algorithm, sources, budget=Budget(max_rounds=10**9)
+    )
+    reached, checksum = summarize(algorithm, mq.matrix())
+    n = scenario.n_snapshots
+    return reached.reshape(-1, n), checksum.reshape(-1, n)
+
+
+def _same_summaries(got, want) -> bool:
+    reached, checksum = want
+    return (
+        got.reached.dtype == reached.dtype
+        and np.array_equal(got.reached, reached)
+        and got.checksum.tobytes() == checksum.tobytes()
+    )
+
+
+@pytest.mark.parametrize("graph", sorted(DATASETS))
+def test_one_call_summaries_match_the_round_loop(graph):
+    """All five algorithms, Q in {1, 3, 8} of the top-degree sources, on
+    each Table-2 proxy at ``small``: the one-call summaries are the
+    round loop's, bit for bit."""
+    scenario = load_scenario(graph, "small")
+    degree = np.diff(scenario.unified.graph.indptr)
+    top = np.argsort(-degree, kind="stable")[:8].tolist()
+    for algorithm in all_algorithms():
+        for q in (1, 3, 8):
+            got = summarize_multi_query(scenario, algorithm, top[:q])
+            assert not got.round_loop, (graph, algorithm.name, q)
+            assert got.edges_relaxed > 0 and got.worklist_pops > 0
+            want = _round_loop_summaries(scenario, algorithm, top[:q])
+            assert _same_summaries(got, want), (graph, algorithm.name, q)
+
+
+@st.composite
+def _evolving(draw):
+    """Small evolving graphs: unique pairs with tied weights and
+    self-loops, each edge common, added by one batch or deleted by one,
+    and 1-8 sources (repeats allowed)."""
+    n = draw(st.integers(1, 12))
+    n_snapshots = draw(st.integers(1, 5))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=40, unique=True,
+    ))
+    weight = st.sampled_from([1.0, 1.0, 2.0, 3.0, 1.5, 4.0])
+    weights = draw(st.lists(weight, min_size=len(pairs),
+                            max_size=len(pairs)))
+    # -1 common; 0..N-2 an addition batch; N-1..2N-3 a deletion batch
+    tag = st.integers(-1, 2 * n_snapshots - 3)
+    tags = np.array(
+        draw(st.lists(tag, min_size=len(pairs), max_size=len(pairs))),
+        dtype=np.int32,
+    ).reshape(-1)
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    return n, n_snapshots, pairs, weights, tags, sources
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=_evolving())
+def test_random_plans_match_the_round_loop(case):
+    from repro.graph.edges import EdgeList
+
+    n, n_snapshots, pairs, weights, tags, sources = case
+    last = n_snapshots - 1
+    add_step = np.where((tags >= 0) & (tags < last), tags, -1)
+    del_step = np.where(tags >= last, tags - last, -1)
+    pool = EdgeList(
+        n,
+        np.array([u for u, __ in pairs], dtype=np.int64),
+        np.array([v for __, v in pairs], dtype=np.int64),
+        np.array(weights, dtype=np.float64),
+    )
+    unified = UnifiedCSR.build(
+        pool, add_step.astype(np.int32), del_step.astype(np.int32),
+        n_snapshots,
+    )
+    scenario = EvolvingScenario(unified, source=sources[0])
+    plan = multi_query_boe_plan(unified, sources)
+    for algorithm in all_algorithms():
+        run = PlanExecutor(scenario, algorithm).summarize(plan)
+        assert run is not None, algorithm.name
+        want = _round_loop_summaries(scenario, algorithm, sources)
+        n_snap = scenario.n_snapshots
+        got = (run.reached.reshape(-1, n_snap),
+               run.checksum.reshape(-1, n_snap))
+        assert np.array_equal(got[0], want[0]), algorithm.name
+        assert got[1].tobytes() == want[1].tobytes(), algorithm.name
+        for q, source in enumerate(sources):
+            view = EvolvingScenario(unified, source=source)
+            for k in range(n_snap):
+                assert _same(
+                    run.values[q * n_snap + k],
+                    evaluate_reference(view, algorithm, k),
+                ), (algorithm.name, q, k)
+
+
+def test_a_nan_plan_falls_back_and_still_matches():
+    """A NaN weight reached by an addition batch: the kernel refuses,
+    the plan reruns on the round loop, and its summaries are the round
+    loop's."""
+    from repro.graph.edges import EdgeList
+
+    nan = float("nan")
+    pool = EdgeList(
+        5, np.array([0, 1, 2, 0, 3]), np.array([1, 2, 3, 3, 4]),
+        np.array([1.0, 2.0, 1.0, nan, 1.0]),
+    )
+    tags = np.full(5, -1, dtype=np.int32)
+    add = tags.copy()
+    add[3] = 0
+    unified = UnifiedCSR.build(pool, add, tags, 3)
+    scenario = EvolvingScenario(unified, source=0)
+    for algorithm in all_algorithms():
+        got = summarize_multi_query(scenario, algorithm, [0, 1])
+        assert got.round_loop == (algorithm.kernel_op != "plus_one")
+        want = _round_loop_summaries(scenario, algorithm, [0, 1])
+        assert _same_summaries(got, want), algorithm.name
+
+
+def test_a_climbing_plan_falls_back_and_still_matches(monkeypatch):
+    """The pop-ceiling cycle of the test above, as a plan: the kernel
+    refuses it and the round loop's summaries come back, metered by the
+    same wall clock."""
+    clocks = []
+    start = Budget.start
+    monkeypatch.setattr(
+        Budget, "start", lambda self: clocks.append(start(self)) or clocks[-1]
+    )
+    unified = _static(3, [(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5)])
+    scenario = EvolvingScenario(unified, source=0)
+    algorithm = get_algorithm("viterbi")
+    got = summarize_multi_query(
+        scenario, algorithm, [0], budget=Budget(wall_clock_s=60.0)
+    )
+    assert got.round_loop
+    assert len(clocks) == 1
+    assert (got.worklist_pops, got.edges_relaxed) == (0, 0)
+    assert _same_summaries(
+        got, _round_loop_summaries(scenario, algorithm, [0])
+    )
+    assert got.reached.tolist() == [[3]]
+
+
+@pytest.mark.parametrize(
+    "budget, taken",
+    [
+        (None, True),
+        ({"wall_clock_s": 60.0}, True),
+        ({"max_rounds": 10**6}, False),
+        ({"max_events": 10**9, "wall_clock_s": 60.0}, False),
+    ],
+    ids=str,
+)
+def test_only_a_wall_clock_plan_is_one_call(budget, taken, small_scenario):
+    got = summarize_multi_query(
+        small_scenario, get_algorithm("sswp"), [0, 5],
+        budget=None if budget is None else Budget(**budget),
+    )
+    assert got.round_loop is not taken
+    want = _round_loop_summaries(small_scenario, get_algorithm("sswp"), [0, 5])
+    assert _same_summaries(got, want)
+
+
+def test_a_served_plan_is_one_kernel_call(small_scenario, monkeypatch):
+    """A serve plan in a worker is one compiled call, the worklist's: no
+    round-loop segment, no value matrix and no numpy summary."""
+    from repro.core import multi_query
+    from repro.perf.backend import cext
+    from repro.service import pool
+    from repro.service.pool import PlanPayload
+    from repro.service.shm import ScenarioPlane
+
+    calls = []
+    for name in ("daic_round", "worklist_eval", "replay", "window_merge"):
+        kernel = getattr(cext, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cext, name, counted)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the round loop's path ran")
+
+    monkeypatch.setattr(MultiVersionEngine, "run_segment", refuse)
+    monkeypatch.setattr(multi_query.MultiQueryResult, "matrix", refuse)
+    monkeypatch.setattr(multi_query, "summarize", refuse)
+    resolve_backend(COMPILED[0])
+    plane = ScenarioPlane()
+    manifest = plane.publish(small_scenario, "small", "test", epoch=0)
+    try:
+        for i, algo in enumerate(("bfs", "sssp", "sswp", "ssnp", "viterbi")):
+            calls.clear()
+            result = pool._execute(PlanPayload(
+                i, algo, (0, 5, 11), shm=manifest, budget_s=60.0,
+            ))
+            assert calls == ["worklist_eval"], algo
+            assert not result.round_loop
+            assert result.worklist_pops > 0 and result.edges_relaxed > 0
+            assert sorted(result.summaries) == [0, 5, 11]
+    finally:
+        pool._detach_all()
+        plane.close_all()
+
+
+def test_the_compiled_kernels_are_four():
+    from dataclasses import fields
+
+    from repro.perf.backend import KernelBackend
+
+    compiled = [
+        f.name for f in fields(KernelBackend)
+        if f.name not in ("name", "group_argbest", "presence_gather")
+    ]
+    assert compiled == ["daic_round", "worklist_eval", "replay",
+                        "window_merge"]
+    backend = resolve_backend(COMPILED[0])
+    assert all(getattr(backend, name) is not None for name in compiled)
+
+
+def test_a_plan_is_booked_as_one_fused_relax_section(small_scenario):
+    from repro.obs.profile import profiled
+
+    with profiled(1) as prof:
+        got = summarize_multi_query(
+            small_scenario, get_algorithm("sssp"), [0, 5]
+        )
+    assert not got.round_loop
     snap = prof.snapshot()
     assert snap["rounds_seen"] == 1
     assert snap["sections"]["fused_relax"]["rounds"] == 1
