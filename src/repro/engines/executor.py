@@ -20,22 +20,23 @@ per hop chain and a BOE plan one call for its whole schedule.  A plan
 with a ``key`` (the multi-query BOE plan) has its tables built once per
 union and reused by every later plan with that key.
 
-An ``EvalFull`` step runs on the engine's value-only worklist kernel
-(:meth:`~repro.engines.daic.MultiVersionEngine.evaluate_values`) when
-the run records no trace, tracks no parents (its plan deletes nothing)
-and its budget caps no rounds and no events: the worklist has no rounds
-to record, repair from or cap.  The simulators, metrics and software
-baselines (they record), the fault campaign and every round-capped
-caller keep the round kernel, as does a step the worklist refuses.
+A run that reads values only — it records no trace, tracks no parents
+(its plan deletes nothing) and its budget caps no rounds and no events:
+the worklist has no rounds to record, repair from or cap — runs on the
+engine's value-only worklist kernel
+(:meth:`~repro.engines.daic.MultiVersionEngine.run_worklist`).  A plan
+shaped as the multi-query BOE plan (evaluations on the common graph,
+one segment of copies and applies, marks) is one kernel call, with no
+per-step dispatch or presence matrix; a plan of another shape runs
+each ``EvalFull`` on the kernel and its segments on the round kernel.
+:meth:`PlanExecutor.summarize` is the one-call path for a caller that
+wants only each snapshot's summary (the service's plans): the kernel
+also writes the summaries, and no marked row is copied out.  The
+simulators, metrics and software baselines (they record), the fault
+campaign, every round-capped caller and a plan the worklist refuses
+keep the round kernel.
 
-:meth:`PlanExecutor.summarize` goes further for a caller that wants
-only each snapshot's summary (the service's plans, a wall-clock
-budget): a plan shaped as the multi-query BOE plan — evaluations, one
-segment of copies and applies, marks — is one worklist kernel call
-(:meth:`~repro.engines.daic.MultiVersionEngine.run_worklist`) with no
-per-step dispatch, presence matrix or marked copies; it hands back None
-where that path does not run, and the caller runs :meth:`run`.  The
-executor keeps no composition record: the fault campaign, its one
+The executor keeps no composition record: the fault campaign, its one
 reader, books the plan into a version table itself
 (:func:`repro.resilience.recovery.record_version_table`).
 """
@@ -51,7 +52,7 @@ from repro.engines.daic import MultiVersionEngine, StepTable, WorklistRun
 from repro.engines.deletion import DeletionStats
 from repro.engines.trace import TraceCollector
 from repro.evolving.snapshots import EvolvingScenario
-from repro.perf.backend import STEP_APPLY, STEP_COPY
+from repro.perf.backend import OPS, STEP_APPLY, STEP_COPY, get_backend
 from repro.resilience import faults
 from repro.resilience.budget import Budget, BudgetClock
 from repro.schedule.plan import (
@@ -108,6 +109,9 @@ class PlanExecutor:
         #: the budget's clock once :meth:`summarize` started it: a plan
         #: the worklist refused reruns in :meth:`run` on the same clock
         self._clock: BudgetClock | None = None
+        #: the last plan the worklist kernel refused, which :meth:`run`
+        #: then keeps on the round loop rather than refusing it again
+        self._refused: Plan | None = None
 
     def run(self, plan: Plan) -> WorkflowResult:
         unified = self.unified
@@ -130,6 +134,22 @@ class PlanExecutor:
             clock=self._clock,
         )
 
+        # a run that reads values only runs on the worklist kernel, which
+        # keeps no parents
+        value_only = (
+            self._worklist_runs() and not needs_deletion
+            and plan is not self._refused
+        )
+        result = WorkflowResult(plan.name, {}, collector)
+        shape = self._shape(plan) if value_only else None
+        if shape is not None:
+            run = self._call(engine, plan, shape, summaries=False)
+            if run is not None:
+                for k, row in enumerate(shape[3]):
+                    result.snapshot_values[k] = run.values[row].copy()
+                return result
+            value_only = False
+
         n_states = max(plan.n_states, 1)
         values = np.full(
             (n_states, n), self.algorithm.identity, dtype=np.float64
@@ -140,14 +160,15 @@ class PlanExecutor:
             if plan.initial_graph == "common"
             else unified.presence_mask(0)
         )
-
-        # a run that reads values only evaluates its full steps on the
-        # worklist kernel: it writes no trace, keeps no parents and caps
-        # no rounds or events (a wall clock it meters)
-        value_only = (
-            collector is None and not needs_deletion and self._uncapped()
+        tags = (
+            self.unified.memo(
+                ("eval-tags", plan.initial_graph),
+                lambda: _read_only(
+                    np.where(initial_mask, np.int32(-1), np.int32(-2))
+                ),
+            )
+            if value_only else None
         )
-        result = WorkflowResult(plan.name, {}, collector)
         source = self.scenario.source
         for item in self._schedule(plan):
             if isinstance(item, StepTable):
@@ -159,19 +180,22 @@ class PlanExecutor:
             if isinstance(step, EvalFull):
                 presence[step.state] = initial_mask
                 root = source if step.source is None else step.source
-                row = (
-                    engine.evaluate_values(presence[step.state], root)
+                run = (
+                    engine.run_worklist(
+                        1, np.array([[0, root]], dtype=np.int64), tags
+                    )
                     if value_only else None
                 )
-                if row is None:
-                    row = engine.evaluate_full(
+                values[step.state] = (
+                    engine.evaluate_full(
                         presence[step.state],
                         root,
                         phase="full",
                         tag=step.label,
                         parent_row=step.state if needs_deletion else None,
                     )
-                values[step.state] = row
+                    if run is None else run.values[0]
+                )
             elif isinstance(step, MarkSnapshot):
                 snap = values[step.state].copy()
                 fire = faults.maybe_fire("executor.bitflip-value")
@@ -186,19 +210,32 @@ class PlanExecutor:
         """A value-only plan run as one worklist kernel call, its snapshots
         summarised by the kernel; None where that path does not take the
         plan, whose caller then runs :meth:`run` and summarises the
-        values itself.
+        values itself.  The run's ``reached`` and ``checksum`` hold
+        snapshots ``0..k-1`` in order."""
+        shape = self._shape(plan)
+        if shape is None:
+            return None
+        if self.budget is not None:
+            self._clock = self.budget.start()
+        engine = MultiVersionEngine(
+            self.algorithm, self.unified, budget=self.budget,
+            clock=self._clock,
+        )
+        return self._call(engine, plan, shape, summaries=True)
 
-        The path takes a plan that records nothing, tracks no parents,
-        has a budget capping no rounds or events and is shaped as the
+    def _shape(self, plan: Plan) -> tuple | None:
+        """What a plan's one worklist call runs from (:meth:`_one_call`),
+        or None where the one-call path does not take the plan.
+
+        It takes a plan the kernel has not refused, of an executor the
+        kernel runs for (:meth:`_worklist_runs`), shaped as the
         multi-query BOE plan is: its ``EvalFull`` steps on the common
         graph, one segment of ``CopyState`` and ``ApplyEdges`` steps, then
-        its ``MarkSnapshot`` steps.  No fault on batch delivery or on the
-        marked values may be armed: both act on the steps this path does
-        not run one by one.  The run's ``reached`` and ``checksum`` hold
-        snapshots ``0..k-1`` in order.
+        its ``MarkSnapshot`` steps.  No fault on batch delivery or on the marked values may be
+        armed: both act on the steps this path does not run one by one.
         """
-        if self.record_traces or plan.initial_graph != "common" or not (
-            self._uncapped()
+        if not self._worklist_runs() or plan.initial_graph != "common" or (
+            plan is self._refused
         ) or faults.armed("schedule.truncate-batch") or faults.armed(
             "executor.bitflip-value"
         ):
@@ -210,8 +247,15 @@ class PlanExecutor:
                 lambda: self._one_call(plan),
             )
         )
-        if not shape:
-            return None
+        return shape or None
+
+    def _call(
+        self, engine: MultiVersionEngine, plan: Plan, shape: tuple,
+        summaries: bool,
+    ) -> WorklistRun | None:
+        """Run ``plan`` from its :meth:`_shape` as one worklist kernel
+        call (with ``summaries``, the marked rows' too); None, and the
+        plan remembered as refused, where the kernel refuses it."""
         eval_steps, table, edge_tag, marks = shape
         source = self.scenario.source
         evals = np.array(
@@ -221,26 +265,31 @@ class PlanExecutor:
             ],
             dtype=np.int64,
         ).reshape(-1, 2)
-        if self.budget is not None:
-            self._clock = self.budget.start()
-        engine = MultiVersionEngine(
-            self.algorithm, self.unified, budget=self.budget,
-            clock=self._clock,
+        run = engine.run_worklist(
+            max(plan.n_states, 1), evals, edge_tag, table,
+            marks if summaries else None,
         )
-        return engine.run_worklist(
-            max(plan.n_states, 1), evals, edge_tag, table, marks
-        )
+        if run is None:
+            self._refused = plan
+        return run
 
-    def _uncapped(self) -> bool:
-        """Does the budget cap no rounds and no events?  A wall clock is
-        all a worklist, which has no rounds, can be metered by."""
+    def _worklist_runs(self) -> bool:
+        """Can the worklist kernel run this executor's plans?  It runs on
+        the compiled tier, for an algorithm with a ``kernel_op``, and has
+        no rounds: it records no trace, and a wall clock is all it can be
+        metered by, so the budget caps no rounds and no events."""
         budget = self.budget
-        return budget is None or (
-            budget.max_rounds is None and budget.max_events is None
+        return (
+            not self.record_traces
+            and (budget is None or (
+                budget.max_rounds is None and budget.max_events is None
+            ))
+            and get_backend().worklist_eval is not None
+            and getattr(self.algorithm, "kernel_op", None) in OPS
         )
 
     def _one_call(self, plan: Plan) -> tuple | bool:
-        """What :meth:`summarize` runs a plan from: the indices of its
+        """What a plan's one worklist call runs from: the indices of its
         ``EvalFull`` steps, its one segment (None without one), each union
         edge's tag (``_kernels.c``: -1 the common graph, -2 no row, ``s``
         the rows holding the segment's step ``s``) and the rows of
@@ -291,7 +340,7 @@ class PlanExecutor:
                 # an edge of the common graph is in every row already
                 tags[seeds] = np.where(held == -1, np.int32(-1), np.int32(s))
         rows = np.array([marks[k] for k in range(len(marks))], dtype=np.int64)
-        return tuple(evals), table, tags, rows
+        return tuple(evals), table, _read_only(tags), _read_only(rows)
 
     def _schedule(self, plan: Plan) -> list:
         """The plan as the executor runs it: each segment as one
@@ -352,3 +401,10 @@ class PlanExecutor:
                           dropped=int(edge_idx.size - keep))
                 edge_idx = edge_idx[:keep]
         return edge_idx
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, frozen: it is memoised on the union and shared by every
+    later plan."""
+    arr.flags.writeable = False
+    return arr

@@ -1261,8 +1261,7 @@ void mega_daic_round(DAIC_PARAMS)
  * ring's head, [4] its length, [5] pops and [6] edges relaxed over the
  * plan, [7] pops of the open pass.  A WL_START call checks its inputs
  * (a WORKLIST_BAD_* code on a malformed one), fills every row with the
- * identity and starts the plan; WL_START_TAGGED does the same but
- * trusts edge_tag, which an earlier call checked.  Each call stops
+ * identity and starts the plan.  Each call stops
  * after max_pops pops (negative: no cap) with WORKLIST_PAUSED, and a
  * WL_RESUME call carries on from the state.  WORKLIST_DONE once the
  * summaries are written. */
@@ -1276,7 +1275,6 @@ void mega_daic_round(DAIC_PARAMS)
 #define WORKLIST_BAD_MARK (-4)
 #define WL_START 0
 #define WL_RESUME 1
-#define WL_START_TAGGED 2
 #define WL_ROWS 64
 #define WL_STATE 8
 
@@ -1331,7 +1329,7 @@ static int worklist_check(
     int64_t n_evals, const int64_t *steps, int64_t n_steps,
     const int64_t *step_rows, int64_t n_step_rows,
     const int64_t *seed_edges, int64_t n_seed, int64_t n_rows,
-    const int64_t *marks, int64_t n_marks, int check_tags)
+    const int64_t *marks, int64_t n_marks)
 {
     int64_t i, s;
     for (i = 0; i < n_evals; i++)
@@ -1352,7 +1350,7 @@ static int worklist_check(
     for (i = 0; i < n_seed; i++)
         if (seed_edges[i] < 0 || seed_edges[i] >= M)
             return WORKLIST_BAD_STEP;
-    for (i = 0; check_tags && i < M; i++)
+    for (i = 0; i < M; i++)
         if (edge_tag[i] < -2 || edge_tag[i] >= n_steps)
             return WORKLIST_BAD_TAG;
     for (i = 0; i < n_marks; i++)
@@ -1596,8 +1594,7 @@ int mega_worklist_eval(WORKLIST_PARAMS)
     if (mode != WL_RESUME) {
         const int bad = worklist_check(
             edge_tag, n, M, evals, n_evals, steps, n_steps, step_rows,
-            n_step_rows, seed_edges, n_seed, n_rows, marks, n_marks,
-            mode == WL_START);
+            n_step_rows, seed_edges, n_seed, n_rows, marks, n_marks);
         if (bad)
             return bad;
     }

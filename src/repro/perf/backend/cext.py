@@ -118,9 +118,6 @@ _RECORD_BLOCKS = 1 << 14
 
 #: id(graph array) -> (weak reference, checked address); see _graph_ptr
 _graph_ptrs: dict[int, tuple[weakref.ref, int]] = {}
-#: id(edge-tag array) -> (weak reference, the step count its tags were
-#: checked against); see worklist_eval
-_checked_tags: dict[int, tuple[weakref.ref, int]] = {}
 
 
 def _cache_dir() -> pathlib.Path:
@@ -602,8 +599,8 @@ def daic_round(
     )
 
 
-#: mega_worklist_eval's modes (WL_START, WL_RESUME, WL_START_TAGGED)
-_WL_START, _WL_RESUME, _WL_START_TAGGED = 0, 1, 2
+#: mega_worklist_eval's modes (WL_START, WL_RESUME)
+_WL_START, _WL_RESUME = 0, 1
 #: mega_worklist_eval's refusals of a malformed call (WORKLIST_BAD_*)
 _WORKLIST_BAD = {
     -1: "evals: rows must index values and sources be vertices",
@@ -672,15 +669,6 @@ def worklist_eval(
         marks_ptr = _ptr(marks, _I64_T, "marks")
         reached_ptr = _ptr(reached, _I64_T, "reached")
         checksum_ptr = _ptr(checksum, _F64_T, "checksum")
-    mode = _WL_RESUME
-    if not resume:
-        # a tag array checked before against as many steps is trusted:
-        # the memoised arrays of a plan's schedule come back every call
-        key = id(edge_tag)
-        hit = _checked_tags.get(key)
-        mode = _WL_START_TAGGED if hit is not None and (
-            hit[0]() is edge_tag and hit[1] == n_steps
-        ) else _WL_START
     status = load_library().mega_worklist_eval(
         _graph_ptr(indptr, _I64_T, "indptr"),
         _graph_ptr(src_of_edge, _I64_T, "src_of_edge"),
@@ -698,17 +686,10 @@ def worklist_eval(
         marks_ptr, n_marks, reached_ptr, checksum_ptr,
         _state_ptr(work, _I64_T, "work"),
         _ptr(state, _I64_T, "state"),
-        max_pops, mode,
+        max_pops, _WL_RESUME if resume else _WL_START,
     )
     if status < 0:
         raise ValueError(_WORKLIST_BAD[status])
-    if mode == _WL_START and edge_tag.base is None:
-        _checked_tags[key] = (
-            weakref.ref(
-                edge_tag, lambda __, key=key: _checked_tags.pop(key, None)
-            ),
-            n_steps,
-        )
     return status
 
 

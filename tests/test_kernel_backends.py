@@ -973,6 +973,40 @@ def test_kernel_summaries_pin_numpys_sum(compiled, algo):
         assert np.signbit(checksum[3]) == np.signbit(want_checksum[3])
 
 
+def test_worklist_eval_checks_its_tags_on_every_call(compiled):
+    """The kernel indexes its row masks by each edge's tag, so every
+    fresh call range-checks the tags: an array accepted once and then
+    edited in place is refused, its rows untouched."""
+    from repro.perf.backend import STEP_COLS, WORKLIST_STATE, cext, worklist_work
+
+    resolve_backend(compiled)
+    algorithm = get_algorithm("sssp")
+    edges = np.array([0, 1], dtype=np.int64)
+    tags = np.full(2, -1, dtype=np.int32)
+    values = np.empty((1, 3), dtype=np.float64)
+
+    def call():
+        return cext.worklist_eval(
+            np.array([0, 1, 2, 2], dtype=np.int64), edges, edges + 1,
+            np.ones(2, dtype=np.float64), tags,
+            np.array([[0, 0]], dtype=np.int64),
+            np.empty((0, STEP_COLS), dtype=np.int64),
+            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+            values, np.zeros((1, 1), dtype=np.uint8),
+            OPS[algorithm.kernel_op], algorithm.minimize,
+            float(algorithm.identity), float(algorithm.source_value),
+            np.empty(worklist_work(3, 0), dtype=np.int64),
+            np.zeros(WORKLIST_STATE, dtype=np.int64),
+        )
+
+    assert call() == 0
+    assert values.tolist() == [[0.0, 1.0, 2.0]]
+    tags[1] = 7
+    with pytest.raises(ValueError, match="edge_tag"):
+        call()
+    assert values.tolist() == [[0.0, 1.0, 2.0]]
+
+
 def test_budget_within_allowance_identical(compiled):
     """A budget the run fits in changes nothing; wall-clock chunking
     included."""

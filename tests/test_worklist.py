@@ -164,15 +164,15 @@ def test_a_climbing_cycle_past_the_pop_ceiling_falls_back():
 
 
 def _counting(monkeypatch) -> list:
-    """Every ``evaluate_values`` call a plan makes."""
+    """The source of every evaluation a plan runs on the worklist."""
     calls = []
-    original = MultiVersionEngine.evaluate_values
+    original = MultiVersionEngine.run_worklist
 
-    def counted(self, *args, **kwargs):
-        calls.append(args[1])
-        return original(self, *args, **kwargs)
+    def counted(self, n_rows, evals, *args, **kwargs):
+        calls.extend(evals[:, 1].tolist())
+        return original(self, n_rows, evals, *args, **kwargs)
 
-    monkeypatch.setattr(MultiVersionEngine, "evaluate_values", counted)
+    monkeypatch.setattr(MultiVersionEngine, "run_worklist", counted)
     return calls
 
 
@@ -375,10 +375,13 @@ def test_a_climbing_plan_falls_back_and_still_matches(monkeypatch):
     unified = _static(3, [(0, 1, 0.5), (1, 2, 0.5), (2, 0, 0.5)])
     scenario = EvolvingScenario(unified, source=0)
     algorithm = get_algorithm("viterbi")
+    calls = _counting(monkeypatch)
     got = summarize_multi_query(
         scenario, algorithm, [0], budget=Budget(wall_clock_s=60.0)
     )
     assert got.round_loop
+    # refused once: the rerun keeps every step on the round loop
+    assert calls == [0]
     assert len(clocks) == 1
     assert (got.worklist_pops, got.edges_relaxed) == (0, 0)
     assert _same_summaries(
@@ -448,6 +451,63 @@ def test_a_served_plan_is_one_kernel_call(small_scenario, monkeypatch):
     finally:
         pool._detach_all()
         plane.close_all()
+
+
+@pytest.mark.parametrize("workflow", ["multi-query", "boe"])
+def test_a_value_only_run_is_one_kernel_call(
+    workflow, small_scenario, monkeypatch
+):
+    """``PlanExecutor.run`` takes a plan of the one-call shape (the
+    multi-query BOE plan, and the BOE plan ``WindowServer`` starts from)
+    as one worklist call, and hands back the round loop's values."""
+    from repro.perf.backend import cext
+
+    unified = small_scenario.unified
+    plan = (
+        multi_query_boe_plan(unified, [0, 5, 11])
+        if workflow == "multi-query" else WORKFLOWS["boe"](unified)
+    )
+    algorithm = get_algorithm("sssp")
+    want = PlanExecutor(
+        small_scenario, algorithm, budget=Budget(max_rounds=10**9)
+    ).run(plan)
+    calls = []
+    for name in ("daic_round", "worklist_eval"):
+        kernel = getattr(cext, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(cext, name, counted)
+    resolve_backend(COMPILED[0])
+    got = PlanExecutor(small_scenario, algorithm).run(plan)
+    assert calls == ["worklist_eval"]
+    assert sorted(got.snapshot_values) == sorted(want.snapshot_values)
+    for k, row in want.snapshot_values.items():
+        assert _same(got.values(k), row), k
+
+
+def test_the_numpy_tier_builds_no_worklist_input(small_pool):
+    """Without the kernel, a plan pays nothing for it: no one-call shape
+    or evaluation tags are built, and no budget clock is started."""
+    from repro.evolving import synthesize_scenario
+
+    resolve_backend("numpy")
+    scenario = synthesize_scenario(small_pool, n_snapshots=4, seed=5)
+    unified = scenario.unified
+    plan = multi_query_boe_plan(unified, [0, 5])
+    executor = PlanExecutor(
+        scenario, get_algorithm("sssp"),
+        budget=Budget(wall_clock_s=60.0),
+    )
+    assert executor.summarize(plan) is None
+    assert executor._clock is None
+    executor.run(plan)
+    assert not [
+        key for key in unified._memo
+        if isinstance(key, tuple) and key[0] in ("one-call", "eval-tags")
+    ]
 
 
 def test_the_compiled_kernels_are_four():
