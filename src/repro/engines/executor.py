@@ -231,8 +231,9 @@ class PlanExecutor:
         kernel runs for (:meth:`_worklist_runs`), shaped as the
         multi-query BOE plan is: its ``EvalFull`` steps on the common
         graph, one segment of ``CopyState`` and ``ApplyEdges`` steps, then
-        its ``MarkSnapshot`` steps.  No fault on batch delivery or on the marked values may be
-        armed: both act on the steps this path does not run one by one.
+        its ``MarkSnapshot`` steps.  No fault on batch delivery or on the
+        marked values may be armed: both act on the steps this path does
+        not run one by one.
         """
         if not self._worklist_runs() or plan.initial_graph != "common" or (
             plan is self._refused

@@ -977,7 +977,9 @@ def test_worklist_eval_checks_its_tags_on_every_call(compiled):
     """The kernel indexes its row masks by each edge's tag, so every
     fresh call range-checks the tags: an array accepted once and then
     edited in place is refused, its rows untouched."""
-    from repro.perf.backend import STEP_COLS, WORKLIST_STATE, cext, worklist_work
+    from repro.perf.backend import (
+        STEP_COLS, WORKLIST_STATE, cext, worklist_work,
+    )
 
     resolve_backend(compiled)
     algorithm = get_algorithm("sssp")
