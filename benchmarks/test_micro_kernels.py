@@ -3,8 +3,9 @@
 Unlike the table/figure benchmarks (one simulation sweep per round), these
 are classic repeated-timing microbenchmarks of the primitives everything
 else is built on: the CSR edge gather, the coalescing scatter-reduce, a
-full single-source evaluation, one BOE multi-version batch step, and a
-whole value-only serve plan.
+full single-source evaluation, one BOE multi-version batch step, a
+whole value-only serve plan, and the scenario synthesis that precedes
+all of them.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from repro.algorithms import SSSP
 from repro.core.multi_query import summarize_multi_query
 from repro.engines import MultiVersionEngine
+from repro.experiments.runner import default_scale
 from repro.evolving.unified_csr import UnifiedCSR
 from repro.graph.csr import CSRGraph, gather_out_edges
 from repro.graph.generators import rmat_edges
@@ -134,3 +136,14 @@ def test_bench_value_only_plan(benchmark, queries):
     result = benchmark(run)
     assert result.reached.shape == (queries, 8)
     assert result.round_loop is (get_backend().worklist_eval is None)
+
+
+@pytest.mark.parametrize("graph", ["PK", "Wen"])
+def test_bench_load_scenario(benchmark, graph):
+    """The paper's §5.1 workload on one proxy at ``REPRO_SCALE``: the
+    R-MAT pool, its batches and the union CSR — every experiment, set-up
+    and service start pays it (docs/PERFORMANCE.md, "Scenario synthesis
+    without per-edge Python")."""
+    scenario = benchmark(load_scenario, graph, default_scale())
+    assert scenario.n_snapshots == 16
+    assert scenario.unified.n_union_edges > 0

@@ -27,9 +27,9 @@ caller that reads values only runs on the worklist kernel instead
 place from current values, have no rounds and reach the same fixpoint
 in fewer relaxations.  One call runs a whole value-only plan (the
 service's: its evaluations, its batch applies, whose worklist entries
-carry the version rows a vertex improved in, and its summaries);
-:meth:`MultiVersionEngine.evaluate_values` is one evaluation of it.  It
-runs on the compiled tier only; the round loop stays its reference
+carry the version rows a vertex improved in, and its summaries); one
+from-scratch evaluation is such a plan of one row and no steps.  It runs
+on the compiled tier only; the round loop stays its reference
 (``evaluate_reference`` calls ``evaluate_full``) and takes over where it
 refuses.
 """
@@ -729,24 +729,6 @@ class MultiVersionEngine:
         self.propagate(values, frontier, presence_row[None, :], phase, parent_rows)
         self._end()
         return values[0]
-
-    def evaluate_values(
-        self, presence_row: np.ndarray, source: int
-    ) -> np.ndarray | None:
-        """From-scratch values on one graph through the worklist kernel,
-        or None where it does not run; the caller then runs
-        :meth:`evaluate_full`.
-
-        One evaluation and no steps of :meth:`run_worklist`: the graph is
-        ``presence_row``.  It reaches the round loop's fixpoint bit for
-        bit; None on the numpy tier, for an algorithm without a
-        ``kernel_op`` and where the kernel refuses.
-        """
-        tags = np.where(presence_row, np.int32(-1), np.int32(-2))
-        run = self.run_worklist(
-            1, np.array([[0, source]], dtype=np.int64), tags
-        )
-        return None if run is None else run.values[0]
 
     def run_worklist(
         self,

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.engines.trace import edge_blocks
 from repro.graph.csr import gather_out_edges
+from repro.graph.edges import first_occurrences
 
 if TYPE_CHECKING:
     from repro.engines.daic import MultiVersionEngine
@@ -97,9 +98,9 @@ def reconstruct_parents(
         new_dst = dst[usable]
         new_edge = live[usable]
         # first supporting edge per destination wins
-        uniq, first = np.unique(new_dst, return_index=True)
-        parent[uniq] = new_edge[first]
-        anchored[uniq] = True
+        first = first_occurrences(new_dst)
+        parent[new_dst[first]] = new_edge[first]
+        anchored[new_dst[first]] = True
 
     dangling = ~anchored & algo.reached(values[None, :])[0]
     if np.any(dangling):

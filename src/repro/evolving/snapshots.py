@@ -121,8 +121,6 @@ def synthesize_scenario(
         raise ValueError("add_fraction must be in [0, 1]")
     if n_snapshots < 1:
         raise ValueError("a scenario needs at least one snapshot")
-    if not pool.has_unique_pairs():
-        raise ValueError("edge pool must not contain duplicate (src, dst) pairs")
 
     rng = np.random.default_rng(seed)
     n_transitions = n_snapshots - 1
@@ -150,14 +148,17 @@ def synthesize_scenario(
     add_step[add_edges] = np.repeat(np.arange(n_transitions, dtype=np.int32), add_sz)
     del_step[del_edges] = np.repeat(np.arange(n_transitions, dtype=np.int32), del_sz)
 
-    # Build the union CSR: one sort of the pool carries the tags along.
+    # Build the union CSR: one sort of the pool carries the tags along
+    # and refuses a pool with a repeated (src, dst) pair.
     unified = UnifiedCSR.build(pool, add_step, del_step, n_snapshots)
 
     # Pick a source with nonzero out-degree in the CommonGraph so every
     # workflow starts from a meaningful query.
     if source == 0:
-        common = unified.common_graph()
-        degrees = np.diff(common.indptr)
+        degrees = np.bincount(
+            unified.graph.src_of_edge[unified.common_mask],
+            minlength=unified.n_vertices,
+        )
         if degrees[0] == 0 and degrees.max() > 0:
             source = int(np.argmax(degrees))
 

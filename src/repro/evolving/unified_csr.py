@@ -12,9 +12,9 @@ integer arrays (``add_step``/``del_step``, ``-1`` meaning "not applicable")
 which encode exactly the same information and vectorize the per-snapshot
 presence tests used by the multi-version engine.
 
-Presence tests are served from a **bit-packed plane matrix** built lazily
-via ``np.packbits``: plane ``p`` is a ``(n_union_edges,)`` ``uint8`` row
-whose bit ``j`` says whether the edge is present in snapshot ``8p + j``.
+Presence tests are served from a **bit-packed plane matrix** built from
+the tags (:func:`tag_planes`): plane ``p`` is a ``(n_union_edges,)``
+``uint8`` row whose bit ``j`` says whether the edge is present in snapshot ``8p + j``.
 The matrix is 8× smaller than the dense ``n_snapshots × n_union_edges``
 boolean form it replaces.  :meth:`UnifiedCSR.presence_mask` reads one
 snapshot's bit off it (a streaming plan's initial graph, from-scratch
@@ -36,25 +36,37 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.graph.edges import EdgeList
+from repro.graph.edges import EdgeList, run_starts, sort_keys
 from repro.evolving.batches import BatchId, BatchKind, EdgeBatch
 
 __all__ = ["UnifiedCSR", "shift_planes", "tag_planes"]
 
 NOT_APPLICABLE = -1
+#: ``_LOW_BITS[j]``: a byte with its ``j`` low bits set
+_LOW_BITS = np.array([(1 << j) - 1 for j in range(9)], dtype=np.uint8)
 
 
 def tag_planes(
     add_step: np.ndarray, del_step: np.ndarray, n_snapshots: int
 ) -> np.ndarray:
-    """Bit-packed presence planes of edges with the given batch tags."""
-    snaps = np.arange(n_snapshots, dtype=np.int32)[:, None]
-    a = add_step[None, :]
-    d = del_step[None, :]
-    dense = ((a == NOT_APPLICABLE) | (a < snaps)) & (
-        (d == NOT_APPLICABLE) | (d >= snaps)
+    """Bit-packed presence planes of edges with the given batch tags.
+
+    An edge is present in one run of snapshots: from the one after its
+    addition (0 if none) up to its deletion's (the last if none).  Each
+    plane's byte is that run clipped to the plane's eight snapshots, so
+    no dense snapshot-by-edge matrix is built.
+    """
+    first = np.asarray(add_step, np.int32) + 1
+    end = np.where(
+        del_step == NOT_APPLICABLE, np.int32(n_snapshots),
+        np.asarray(del_step, np.int32) + 1,
     )
-    return np.packbits(dense, axis=0, bitorder="little")
+    planes = np.empty(((n_snapshots + 7) // 8, first.shape[0]), np.uint8)
+    for p, plane in enumerate(planes):
+        below_end = _LOW_BITS[np.clip(end - 8 * p, 0, 8)]
+        below_first = _LOW_BITS[np.clip(first - 8 * p, 0, 8)]
+        np.bitwise_and(below_end, ~below_first, out=plane)
+    return planes
 
 
 def shift_planes(
@@ -125,7 +137,7 @@ class UnifiedCSR:
         #: what is derived from the union alone, by key (see :meth:`memo`)
         self._memo: dict = {}
         #: bit-packed presence planes; built lazily, or injected by a
-        #: shared-memory attach so workers skip the packbits pass
+        #: shared-memory attach so workers skip building them
         self._planes: np.ndarray | None = None
         if presence_planes is not None:
             planes = np.asarray(presence_planes, dtype=np.uint8)
@@ -160,11 +172,10 @@ class UnifiedCSR:
         """
         if new.n_vertices != kept.n_vertices:
             raise ValueError("kept and new edges must share the vertex set")
-        new_keys = new.keys
-        order = np.argsort(new_keys, kind="stable")
+        new_keys, order = sort_keys(new.keys)
         # side="right": a new edge sorts after a kept edge of the same
         # pair, as in a stable sort of the kept edges followed by the new
-        at = np.searchsorted(kept.keys, new_keys[order], side="right")
+        at = np.searchsorted(kept.keys, new_keys, side="right")
         n_new = order.shape[0]
         new_add = np.broadcast_to(np.asarray(new_add, np.int32), (n_new,))[order]
         new_del = np.broadcast_to(np.asarray(new_del, np.int32), (n_new,))[order]
@@ -200,14 +211,24 @@ class UnifiedCSR:
         del_step: np.ndarray,
         n_snapshots: int,
     ) -> "UnifiedCSR":
-        """The union of ``edges`` (any order) and their tags: one sort."""
-        none = np.empty(0, dtype=np.int32)
-        empty = EdgeList(edges.n_vertices, none, none, none)
-        no_planes = np.empty(((n_snapshots + 7) // 8, 0), dtype=np.uint8)
-        return cls.merged(
-            empty, none, none, edges, add_step, del_step, no_planes,
-            n_snapshots,
-        )[0]
+        """The union of ``edges`` (any order) and their tags: one sort,
+        whose adjacent keys also refuse a repeated ``(src, dst)`` pair."""
+        keys, order = sort_keys(edges.keys)
+        if not run_starts(keys).all():
+            raise ValueError(
+                "edge pool must not contain duplicate (src, dst) pairs"
+            )
+        add_step = np.asarray(add_step, np.int32)[order]
+        del_step = np.asarray(del_step, np.int32)[order]
+        graph = CSRGraph.from_sorted(
+            edges.n_vertices, edges.src[order], edges.dst[order],
+            edges.wt[order],
+        )
+        planes = tag_planes(add_step, del_step, n_snapshots)
+        planes.flags.writeable = False
+        return cls(
+            graph, add_step, del_step, n_snapshots, presence_planes=planes
+        )
 
     # -- structural views --------------------------------------------------
 

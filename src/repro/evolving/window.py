@@ -246,7 +246,7 @@ def slide_window(
         )
 
     add_key_arr = additions.keys
-    if np.unique(add_key_arr).size != len(additions):
+    if not additions.has_unique_pairs():
         raise ValueError("additions contain duplicate pairs")
     add_existing = slots_of(add_key_arr)
     known_slots = add_existing[add_existing >= 0]

@@ -10,9 +10,11 @@ substitution table in DESIGN.md).  The generators are seeded and reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
-from repro.graph.edges import EdgeList, edge_keys
+from repro.graph.edges import EdgeList, edge_keys, run_starts, sort_keys
 
 __all__ = [
     "rmat_edges",
@@ -37,20 +39,55 @@ def attach_weights(
     return EdgeList(edges.n_vertices, edges.src, edges.dst, wt)
 
 
-def _dedup_against(
-    src: np.ndarray, dst: np.ndarray, n_vertices: int, taken: set[int]
+#: rows of the random draw one R-MAT descent step holds at a time
+_DRAW_ROWS = 1 << 13
+
+
+def _take_new(
+    keys: np.ndarray, taken: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drop edges whose key is already in ``taken``; update ``taken``."""
-    keys = edge_keys(src, dst, n_vertices)
-    keep = np.empty(keys.shape[0], dtype=bool)
-    for i, k in enumerate(keys):
-        k = int(k)
-        if k in taken:
-            keep[i] = False
-        else:
-            taken.add(k)
-            keep[i] = True
-    return src[keep], dst[keep]
+    """Mask of the ``keys`` that occur first in ``keys`` and not in
+    ``taken`` (sorted), and ``taken`` with them merged in: one sort of
+    ``keys`` and a ``searchsorted`` into ``taken``."""
+    ordered, order = sort_keys(keys)
+    new = run_starts(ordered)
+    at = np.searchsorted(taken, ordered)
+    if taken.shape[0]:
+        new &= taken[np.minimum(at, taken.shape[0] - 1)] != ordered
+    keep = np.zeros(keys.shape[0], dtype=bool)
+    keep[order[new]] = True
+    return keep, np.insert(taken, at[new], ordered[new])
+
+
+def _draw_unique(
+    n_edges: int, oversample: float, draw: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Keys of ``n_edges`` distinct edges, in draw order.
+
+    Each round asks ``draw(want)`` for the keys of ``want`` samples
+    (fewer once invalid ones are dropped) and keeps the first occurrence
+    of each key not taken in an earlier round, until enough survive.
+    """
+    taken = np.empty(0, dtype=np.int64)
+    parts: list[np.ndarray] = []
+    got = 0
+    while got < n_edges:
+        want = int((n_edges - got) * oversample) + 16
+        keys = draw(want)
+        keep, taken = _take_new(keys, taken)
+        part = keys[keep][: n_edges - got]
+        parts.append(part)
+        got += part.shape[0]
+    return np.concatenate(parts)
+
+
+def _edges_of_keys(
+    keys: np.ndarray, n_vertices: int, rng: np.random.Generator,
+    weight_high: float,
+) -> EdgeList:
+    src, dst = np.divmod(keys, n_vertices)
+    edges = EdgeList(n_vertices, src, dst, None)
+    return attach_weights(edges, rng, high=weight_high)
 
 
 def rmat_edges(
@@ -74,38 +111,31 @@ def rmat_edges(
         raise ValueError("RMAT probabilities must satisfy a + b + c < 1")
     rng = np.random.default_rng(seed)
     levels = int(np.ceil(np.log2(n_vertices)))
-    size = 1 << levels
+    # the offset each level's bit adds to a coordinate, top level first
+    halves = (1 << levels) >> np.arange(1, levels + 1, dtype=np.int64)
 
-    taken: set[int] = set()
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    got = 0
-    while got < n_edges:
-        want = int((n_edges - got) * 1.4) + 16
-        # Each sample picks one quadrant per level.
-        r = rng.random((want, levels))
-        src = np.zeros(want, dtype=np.int64)
-        dst = np.zeros(want, dtype=np.int64)
-        for lvl in range(levels):
-            half = size >> (lvl + 1)
-            rl = r[:, lvl]
-            # quadrants: a = (0,0), b = (0,1), c = (1,0), d = (1,1)
-            go_right = (rl >= a) & (rl < a + b) | (rl >= a + b + c)
-            go_down = rl >= a + b
-            src += np.where(go_down, half, 0)
-            dst += np.where(go_right, half, 0)
+    def descend(rows: int) -> np.ndarray:
+        # each sample picks one quadrant per level:
+        # a = (0,0), b = (0,1), c = (1,0), d = (1,1)
+        r = rng.random((rows, levels))
+        go_down = r >= a + b
+        go_right = r >= a
+        go_right &= ~go_down
+        go_right |= r >= a + b + c
+        src = go_down @ halves
+        dst = go_right @ halves
         ok = (src < n_vertices) & (dst < n_vertices) & (src != dst)
-        src, dst = src[ok], dst[ok]
-        src, dst = _dedup_against(src, dst, n_vertices, taken)
-        take = min(n_edges - got, src.shape[0])
-        srcs.append(src[:take])
-        dsts.append(dst[:take])
-        got += take
+        return edge_keys(src[ok], dst[ok], n_vertices)
 
-    edges = EdgeList(
-        n_vertices, np.concatenate(srcs), np.concatenate(dsts), None
-    )
-    return attach_weights(edges, rng, high=weight_high)
+    def draw(want: int) -> np.ndarray:
+        # row chunks of one draw read the generator as one draw would
+        return np.concatenate([
+            descend(min(_DRAW_ROWS, want - lo))
+            for lo in range(0, want, _DRAW_ROWS)
+        ])
+
+    keys = _draw_unique(n_edges, 1.4, draw)
+    return _edges_of_keys(keys, n_vertices, rng, weight_high)
 
 
 def uniform_edges(
@@ -113,25 +143,18 @@ def uniform_edges(
 ) -> EdgeList:
     """Generate a uniform (Erdos-Renyi-like) directed graph."""
     rng = np.random.default_rng(seed)
-    taken: set[int] = set()
-    srcs: list[np.ndarray] = []
-    dsts: list[np.ndarray] = []
-    got = 0
     max_possible = n_vertices * (n_vertices - 1)
     if n_edges > max_possible:
         raise ValueError("requested more edges than the vertex set admits")
-    while got < n_edges:
-        want = int((n_edges - got) * 1.3) + 16
+
+    def draw(want: int) -> np.ndarray:
         src = rng.integers(0, n_vertices, size=want, dtype=np.int64)
         dst = rng.integers(0, n_vertices, size=want, dtype=np.int64)
         ok = src != dst
-        src, dst = _dedup_against(src[ok], dst[ok], n_vertices, taken)
-        take = min(n_edges - got, src.shape[0])
-        srcs.append(src[:take])
-        dsts.append(dst[:take])
-        got += take
-    edges = EdgeList(n_vertices, np.concatenate(srcs), np.concatenate(dsts), None)
-    return attach_weights(edges, rng, high=weight_high)
+        return edge_keys(src[ok], dst[ok], n_vertices)
+
+    keys = _draw_unique(n_edges, 1.3, draw)
+    return _edges_of_keys(keys, n_vertices, rng, weight_high)
 
 
 def chain_edges(n_vertices: int, weight: float = 1.0) -> EdgeList:

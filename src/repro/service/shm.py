@@ -210,7 +210,7 @@ def attach_scenario(
     Every array is a read-only view directly over the shared buffer:
     :class:`CSRGraph` adopts canonical dtypes without copying (its
     documented no-copy contract) and :class:`UnifiedCSR` takes the
-    packed presence planes verbatim, so no ``packbits`` pass runs in the
+    packed presence planes verbatim, so no plane is rebuilt in the
     worker either.  Raises ``FileNotFoundError`` if the segment is gone.
     """
     with _suppress_tracking():

@@ -79,6 +79,16 @@ def test_source_has_outgoing_common_edges(small_scenario):
     assert int(gc.out_degree(small_scenario.source)) > 0
 
 
+def test_source_moves_off_a_vertex_without_common_out_edges():
+    """Vertex 0 with no out-edge: the source is G_c's highest-degree
+    vertex (the first of them)."""
+    pool = rmat_edges(64, 600, seed=1)
+    pool = pool.select(pool.src != 0)
+    s = synthesize_scenario(pool, n_snapshots=6, batch_pct=0.1, seed=1)
+    degrees = np.diff(s.common_graph().indptr)
+    assert s.source == int(np.argmax(degrees)) != 0
+
+
 def test_determinism():
     pool = rmat_edges(64, 512, seed=1)
     a = synthesize_scenario(pool, n_snapshots=4, seed=2)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.evolving.batches import BatchId, BatchKind
-from repro.evolving.unified_csr import UnifiedCSR
+from repro.evolving.unified_csr import UnifiedCSR, tag_planes
 from repro.graph.csr import CSRGraph
 from repro.graph.edges import EdgeList
 
@@ -90,6 +92,31 @@ def test_presence_planes_many_snapshots():
     columns = np.array([u.presence_mask(k) for k in range(12)])
     assert columns[:, 0].tolist() == [k <= 3 for k in range(12)]
     assert columns[:, 1].tolist() == [k > 7 for k in range(12)]
+
+
+@st.composite
+def _tags(draw):
+    """Tags over 1..70 snapshots: each edge common, added or deleted."""
+    n = draw(st.integers(1, 70))
+    step = st.integers(-1, n - 2)
+    pairs = draw(st.lists(st.tuples(step, step), max_size=40))
+    add = np.array([a for a, __ in pairs], dtype=np.int32)
+    dele = np.array([-1 if a >= 0 else d for a, d in pairs], dtype=np.int32)
+    return add, dele, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(tags=_tags())
+def test_tag_planes_equal_packing_the_dense_presence(tags):
+    """Each edge's run of snapshots, clipped per plane, is the dense tag
+    compare packed little-endian, padding bits included."""
+    add, dele, n = tags
+    snaps = np.arange(n, dtype=np.int32)[:, None]
+    dense = ((add == -1) | (add < snaps)) & ((dele == -1) | (dele >= snaps))
+    want = np.packbits(dense, axis=0, bitorder="little")
+    got = tag_planes(add, dele, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_snapshot_graph_materialization(unified):

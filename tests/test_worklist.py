@@ -1,8 +1,8 @@
 """The value-only worklist kernel against the round loop.
 
-``MultiVersionEngine.evaluate_values`` evaluates one graph from scratch
-with a FIFO worklist that relaxes in place and has no rounds, and
-``PlanExecutor.summarize`` runs a whole serve plan — its common-graph
+``MultiVersionEngine.run_worklist`` evaluates one graph from scratch
+(one row, told by a tag row, and no steps) with a FIFO worklist that
+relaxes in place and has no rounds, and ``PlanExecutor.summarize`` runs a whole serve plan — its common-graph
 evaluations, its batch applies on version-masked worklists and its
 summaries — as one call of the same kernel.  Their answers must equal
 the round loop's (``evaluate_full``, which ``evaluate_reference`` runs,
@@ -60,6 +60,17 @@ def _static(n_vertices: int, edges: list) -> UnifiedCSR:
     return UnifiedCSR(g, none, none.copy(), 1)
 
 
+def _evaluate(
+    engine: MultiVersionEngine, presence: np.ndarray, source: int
+) -> np.ndarray | None:
+    """From-scratch values on the graph ``presence`` through the worklist
+    kernel, or None where it does not run: one row, no steps, and the
+    tag row -1 (the base graph) on present edges, -2 (no row) elsewhere."""
+    tags = np.where(presence, np.int32(-1), np.int32(-2))
+    run = engine.run_worklist(1, np.array([[0, source]], dtype=np.int64), tags)
+    return None if run is None else run.values[0]
+
+
 def _same(a: np.ndarray, b: np.ndarray) -> bool:
     return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
@@ -79,15 +90,15 @@ def test_every_snapshot_matches_the_round_loop(graph):
         engine = MultiVersionEngine(algorithm, unified)
         for source in sources:
             for k, presence in enumerate(rows):
-                got = engine.evaluate_values(presence, source)
+                got = _evaluate(engine, presence, source)
                 assert got is not None, (algorithm.name, source, k)
                 want = engine.evaluate_full(presence, source)
                 assert _same(got, want), (graph, algorithm.name, source, k)
     # the reference's own entry point, on the last snapshot
     view = EvolvingScenario(unified, source=sources[0])
     for algorithm in all_algorithms():
-        got = MultiVersionEngine(algorithm, unified).evaluate_values(
-            rows[-2], sources[0]
+        got = _evaluate(
+            MultiVersionEngine(algorithm, unified), rows[-2], sources[0]
         )
         want = evaluate_reference(view, algorithm, scenario.n_snapshots - 1)
         assert _same(got, want), (graph, algorithm.name)
@@ -119,7 +130,7 @@ def test_random_graphs_match_the_round_loop(case):
     for row in (presence, np.ones_like(presence)):
         for algorithm in all_algorithms():
             engine = MultiVersionEngine(algorithm, unified)
-            got = engine.evaluate_values(row, source)
+            got = _evaluate(engine, row, source)
             assert got is not None, algorithm.name
             assert _same(got, engine.evaluate_full(row, source)), (
                 algorithm.name
@@ -138,7 +149,7 @@ def test_nan_candidate_falls_back_to_the_round_loop():
     presence = np.ones(unified.n_union_edges, dtype=bool)
     for algorithm in all_algorithms():
         engine = MultiVersionEngine(algorithm, unified)
-        got = engine.evaluate_values(presence, 0)
+        got = _evaluate(engine, presence, 0)
         if algorithm.kernel_op == "plus_one":  # bfs ignores weights
             assert got is not None
             continue
@@ -156,7 +167,7 @@ def test_a_climbing_cycle_past_the_pop_ceiling_falls_back():
     algorithm = get_algorithm("viterbi")
     presence = np.ones(unified.n_union_edges, dtype=bool)
     engine = MultiVersionEngine(algorithm, unified)
-    assert engine.evaluate_values(presence, 0) is None
+    assert _evaluate(engine, presence, 0) is None
     scenario = EvolvingScenario(unified, source=0)
     served = evaluate_multi_query(scenario, algorithm, [0]).values(0, 0)
     assert _same(served, evaluate_reference(scenario, algorithm, 0))
@@ -230,7 +241,7 @@ def test_worklist_time_is_booked_as_fused_relax():
     scenario = load_scenario("PK", "tiny")
     engine = MultiVersionEngine(get_algorithm("sssp"), scenario.unified)
     with profiled(1) as prof:
-        assert engine.evaluate_values(scenario.unified.common_mask, 0) is not None
+        assert _evaluate(engine, scenario.unified.common_mask, 0) is not None
     snap = prof.snapshot()
     assert snap["rounds_seen"] == 1
     assert snap["sections"]["fused_relax"]["rounds"] == 1
