@@ -57,9 +57,9 @@ def tag_planes(
     no dense snapshot-by-edge matrix is built.
     """
     first = np.asarray(add_step, np.int32) + 1
+    del_step = np.asarray(del_step, np.int32)
     end = np.where(
-        del_step == NOT_APPLICABLE, np.int32(n_snapshots),
-        np.asarray(del_step, np.int32) + 1,
+        del_step == NOT_APPLICABLE, np.int32(n_snapshots), del_step + 1
     )
     planes = np.empty(((n_snapshots + 7) // 8, first.shape[0]), np.uint8)
     for p, plane in enumerate(planes):
