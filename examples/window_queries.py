@@ -16,9 +16,10 @@ Run:  python examples/window_queries.py
 import numpy as np
 
 from repro import synthesize_scenario
-from repro.core import EvolvingGraphEngine, multi_query_boe_plan
+from repro.core import EvolvingGraphEngine
 from repro.engines import PlanExecutor
 from repro.graph.generators import rmat_edges
+from repro.schedule import boe_plan
 
 N_SITES = 900
 N_ROUTES = 10_000
@@ -61,7 +62,7 @@ def main() -> None:
     # fetch sharing: the batch seeding cost did not triple (a traced run
     # of the same multi-query plan records each batch execution)
     traced = PlanExecutor(scenario, engine.algorithm, record_traces=True).run(
-        multi_query_boe_plan(scenario.unified, depots)
+        boe_plan(scenario.unified, depots)
     )
     adds = [e for e in traced.collector.executions if e.phase == "add"]
     total_fetch = sum(e.edges_fetched for e in adds)

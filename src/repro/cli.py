@@ -470,8 +470,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         graphs=tuple(_parse_names(args.graphs)),
         algos=tuple(_parse_names(args.algos)),
-        n_sources=args.sources,
-        window_fraction=args.window_fraction,
         ingest_every_s=args.ingest_every,
         deadline_s=args.deadline_ms / 1e3,
         max_retries=args.retries,
@@ -683,10 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--rate", type=float, default=50.0,
                          help="offered load in queries/second")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--sources", type=int, default=16,
-                         help="size of the per-graph source pool")
-    p_bench.add_argument("--window-fraction", type=float, default=0.2,
-                         help="fraction of queries over a random sub-window")
     p_bench.add_argument("--ingest-every", type=float, default=0.0,
                          help="ingest a synthesized delta every N seconds")
     p_bench.add_argument("--deadline-ms", type=float, default=0.0,

@@ -7,16 +7,11 @@ query sources.
 
 from repro.core.engine import EvolvingGraphEngine
 from repro.core.window_server import WindowServer
-from repro.core.multi_query import (
-    MultiQueryResult,
-    evaluate_multi_query,
-    multi_query_boe_plan,
-)
+from repro.core.multi_query import MultiQueryResult, evaluate_multi_query
 
 __all__ = [
     "EvolvingGraphEngine",
     "WindowServer",
     "MultiQueryResult",
     "evaluate_multi_query",
-    "multi_query_boe_plan",
 ]

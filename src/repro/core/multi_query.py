@@ -21,87 +21,16 @@ import numpy as np
 
 from repro.algorithms.base import Algorithm
 from repro.engines.executor import PlanExecutor, WorkflowResult
-from repro.evolving.batches import BatchId, BatchKind
 from repro.evolving.snapshots import EvolvingScenario
-from repro.evolving.unified_csr import UnifiedCSR
-from repro.schedule.plan import ApplyEdges, CopyState, EvalFull, MarkSnapshot, Plan
+from repro.schedule.boe import boe_plan
 
 __all__ = [
-    "multi_query_boe_plan",
     "MultiQueryResult",
     "MultiQuerySummary",
     "evaluate_multi_query",
     "summarize",
     "summarize_multi_query",
 ]
-
-
-def multi_query_boe_plan(unified: UnifiedCSR, sources: list[int]) -> Plan:
-    """Algorithm 1 generalized to ``Q`` concurrent sources.
-
-    State layout: query ``q`` owns states ``q*N .. q*N + N-1`` with the
-    same chain/peel structure as the single-query BOE plan; every batch
-    step carries the targets of *all* queries so the executor fetches the
-    batch once for the whole ``(query, snapshot)`` matrix.  Only the
-    ``Q`` ``EvalFull`` steps name the sources: the rest of the schedule
-    depends on the union and ``Q`` alone, so it is built once per union
-    and ``Q`` and shared (the plan's ``key`` says so to the executor).
-    """
-    if not sources:
-        raise ValueError("need at least one query source")
-    n = unified.n_snapshots
-    q_count = len(sources)
-    key = ("boe-multiquery", q_count)
-    shared = unified.memo(key, lambda: _shared_steps(unified, q_count))
-    return Plan(
-        name=f"boe-multiquery[{q_count}]",
-        n_states=q_count * n,
-        steps=[
-            EvalFull(q * n, label=f"eval-Gc-q{q}", source=source)
-            for q, source in enumerate(sources)
-        ] + shared,
-        initial_graph="common",
-        key=key,
-    )
-
-
-def _shared_steps(unified: UnifiedCSR, q_count: int) -> list:
-    """The batch and mark steps of a ``q_count``-source BOE plan."""
-    n = unified.n_snapshots
-    steps: list = []
-
-    def state(q: int, k: int) -> int:
-        return q * n + k
-
-    for i in range(n - 2, -1, -1):
-        for q in range(q_count):
-            steps.append(CopyState(state(q, 0), state(q, i + 1)))
-
-        add_id = BatchId(BatchKind.ADDITION, i)
-        add_idx = unified.batch_edges(add_id)
-        add_targets = tuple(
-            state(q, k) for q in range(q_count) for k in range(i + 1, n)
-        )
-        steps.append(
-            ApplyEdges(
-                add_targets, add_idx, (add_id,), label=f"mq-{add_id}", stage=i
-            )
-        )
-
-        del_id = BatchId(BatchKind.DELETION, i)
-        del_idx = unified.batch_edges(del_id)
-        del_targets = tuple(state(q, 0) for q in range(q_count))
-        steps.append(
-            ApplyEdges(
-                del_targets, del_idx, (del_id,), label=f"mq-{del_id}", stage=i
-            )
-        )
-
-    steps += [
-        MarkSnapshot(state(q, k), state(q, k))
-        for q in range(q_count) for k in range(n)
-    ]
-    return steps
 
 
 class MultiQueryResult:
@@ -146,7 +75,7 @@ def evaluate_multi_query(
     query service uses it so one pathological plan breaches loudly instead
     of stalling a worker.
     """
-    plan = multi_query_boe_plan(scenario.unified, sources)
+    plan = boe_plan(scenario.unified, sources)
     result = PlanExecutor(scenario, algorithm, budget=budget).run(plan)
     return MultiQueryResult(scenario.n_snapshots, sources, result)
 
@@ -205,7 +134,7 @@ def summarize_multi_query(
     """
     n = scenario.n_snapshots
     executor = PlanExecutor(scenario, algorithm, budget=budget)
-    plan = multi_query_boe_plan(scenario.unified, sources)
+    plan = boe_plan(scenario.unified, sources)
     run = executor.summarize(plan)
     if run is not None:
         return MultiQuerySummary(
@@ -237,7 +166,7 @@ def simulate_multi_query(
     from repro.accel.config import mega_config
     from repro.accel.simulate import simulate_plan
 
-    plan = multi_query_boe_plan(scenario.unified, sources)
+    plan = boe_plan(scenario.unified, sources)
     report, raw = simulate_plan(
         scenario,
         algorithm,

@@ -49,15 +49,6 @@ class WindowServer:
             result.values(k) for k in range(scenario.n_snapshots)
         ]
         self.slides = 0
-        #: stable-vertex accounting ("Analysis of Stable Vertex Values"):
-        #: after each advance, ``last_stable`` marks the vertices whose
-        #: latest value is provably unchanged — no retired edge on any
-        #: path of the KickStarter parent forest that determined them and
-        #: no improvement from an arriving edge — so incremental serving
-        #: reuses them verbatim.  The totals accumulate a reuse rate.
-        self.last_stable: np.ndarray | None = None
-        self.stable_vertices = 0
-        self.slide_vertices = 0
 
     # -- queries ---------------------------------------------------------------
 
@@ -70,14 +61,6 @@ class WindowServer:
 
     def latest(self) -> np.ndarray:
         return self._values[-1]
-
-    @property
-    def stable_rate(self) -> float:
-        """Fraction of vertices reused (not recomputed) across all
-        advances so far; 0.0 before the first advance."""
-        if not self.slide_vertices:
-            return 0.0
-        return self.stable_vertices / self.slide_vertices
 
     def as_result(self):
         """The current window as a result object the analysis toolkit
@@ -103,8 +86,7 @@ class WindowServer:
         """Apply one new transition and slide the window by one snapshot."""
         u = self.scenario.unified
         n = u.n_snapshots
-        n_vertices = u.n_vertices
-        additions = additions or EdgeList.from_tuples(n_vertices, [])
+        additions = additions or EdgeList.from_tuples(u.n_vertices, [])
         deletions = deletions or []
 
         # Validate against the CommonGraph rule and merge the additions
@@ -115,21 +97,15 @@ class WindowServer:
 
         # -- compute the new latest snapshot's values ----------------------
         latest = self._values[-1].copy()
-        # Anything NOT in `unstable` at the end of the advance kept its
-        # value bit-for-bit: the deletion repair tags exactly the vertices
-        # whose parent-forest support touched a retired edge, and the
-        # addition pass only writes vertices an arriving edge improved.
-        unstable = np.zeros(n_vertices, dtype=bool)
         if del_slots.size:
             # ground a parent forest in the converged values, then repair
             table = StepTable(self.scenario.source)
             table.ground(0)
             table.delete(0, del_slots, "del-batch")
             engine = MultiVersionEngine(self.algorithm, u, track_parents=True)
-            stats, = engine.run_segment(
+            engine.run_segment(
                 latest[None, :], slide.last_presence[None, :].copy(), table
             )
-            unstable |= stats.tagged_mask
 
         new_unified = slide.unified
         self.scenario = EvolvingScenario(
@@ -141,17 +117,12 @@ class WindowServer:
 
         # -- apply the additions on the new union, then slide results ------
         if len(additions):
-            before_add = latest.copy()
             engine2 = MultiVersionEngine(self.algorithm, new_unified)
             engine2.apply_additions(
                 latest[None, :],
                 slide.add_slots,
                 new_unified.presence_mask(n - 1)[None, :],
             )
-            unstable |= latest != before_add
 
-        self.last_stable = ~unstable
-        self.stable_vertices += int(self.last_stable.sum())
-        self.slide_vertices += n_vertices
         self._values = self._values[1:] + [latest]
         self.slides += 1

@@ -22,12 +22,13 @@ Which kernel runs when: every round-based operation (``propagate``,
 loop — on the compiled tier one ``daic_round`` call — because its rounds
 are what the accelerator models replay, what the traces record, what
 parents are tracked by and what a round or event budget meters.  A
-caller that reads values only runs on the worklist kernel instead
-(:meth:`MultiVersionEngine.run_worklist`): FIFO worklists that relax in
-place from current values, have no rounds and reach the same fixpoint
-in fewer relaxations.  One call runs a whole value-only plan (the
-service's: its evaluations, its batch applies, whose worklist entries
-carry the version rows a vertex improved in, and its summaries); one
+value-only plan of BOE's shape (the service's; the executor,
+:class:`~repro.engines.executor.PlanExecutor`, says which) runs on the
+worklist kernel instead (:meth:`MultiVersionEngine.run_worklist`): FIFO
+worklists that relax in place from current values, have no rounds and
+reach the same fixpoint in fewer relaxations.  One call runs the whole
+plan (its evaluations, its batch applies, whose worklist entries carry
+the version rows a vertex improved in, and its summaries); one
 from-scratch evaluation is such a plan of one row and no steps.  It runs
 on the compiled tier only; the round loop stays its reference
 (``evaluate_reference`` calls ``evaluate_full``) and takes over where it

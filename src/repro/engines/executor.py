@@ -17,24 +17,23 @@ runs each deletion's KickStarter repair, and writes each step's round
 traces itself).  ``EvalFull`` and ``MarkSnapshot`` end a segment.  So a
 streaming plan costs one call per snapshot, a Direct-Hop plan one call
 per hop chain and a BOE plan one call for its whole schedule.  A plan
-with a ``key`` (the multi-query BOE plan) has its tables built once per
-union and reused by every later plan with that key.
+with a ``key`` (the BOE plan) has its tables built once per union and
+source and reused by every later plan with that key.
 
-A run that reads values only — it records no trace, tracks no parents
-(its plan deletes nothing) and its budget caps no rounds and no events:
-the worklist has no rounds to record, repair from or cap — runs on the
-engine's value-only worklist kernel
-(:meth:`~repro.engines.daic.MultiVersionEngine.run_worklist`).  A plan
-shaped as the multi-query BOE plan (evaluations on the common graph,
-one segment of copies and applies, marks) is one kernel call, with no
-per-step dispatch or presence matrix; a plan of another shape runs
-each ``EvalFull`` on the kernel and its segments on the round kernel.
-:meth:`PlanExecutor.summarize` is the one-call path for a caller that
-wants only each snapshot's summary (the service's plans): the kernel
-also writes the summaries, and no marked row is copied out.  The
-simulators, metrics and software baselines (they record), the fault
-campaign, every round-capped caller and a plan the worklist refuses
-keep the round kernel.
+A plan shaped as the BOE plan is (evaluations on the common graph, one
+segment of copies and applies, marks) runs as one call of the engine's
+value-only worklist kernel
+(:meth:`~repro.engines.daic.MultiVersionEngine.run_worklist`), with no
+per-step dispatch or presence matrix, where its run reads values only:
+it records no trace, and its budget caps no rounds and no events (the
+worklist has no rounds to record or cap).
+:meth:`PlanExecutor.summarize` is the same call for a caller that wants
+only each snapshot's summary (the service's plans): the kernel also
+writes the summaries, and no marked row is copied out.  Every other
+plan runs whole on the round kernel: another shape (streaming,
+Direct-Hop, Work-Sharing, a plan that deletes), a traced run (the
+simulators, metrics and software baselines), a round-capped one, the
+numpy tier, and a plan the worklist refused.
 
 The executor keeps no composition record: the fault campaign, its one
 reader, books the plan into a version table itself
@@ -134,21 +133,14 @@ class PlanExecutor:
             clock=self._clock,
         )
 
-        # a run that reads values only runs on the worklist kernel, which
-        # keeps no parents
-        value_only = (
-            self._worklist_runs() and not needs_deletion
-            and plan is not self._refused
-        )
         result = WorkflowResult(plan.name, {}, collector)
-        shape = self._shape(plan) if value_only else None
+        shape = None if needs_deletion else self._shape(plan)
         if shape is not None:
             run = self._call(engine, plan, shape, summaries=False)
             if run is not None:
                 for k, row in enumerate(shape[3]):
                     result.snapshot_values[k] = run.values[row].copy()
                 return result
-            value_only = False
 
         n_states = max(plan.n_states, 1)
         values = np.full(
@@ -160,15 +152,6 @@ class PlanExecutor:
             if plan.initial_graph == "common"
             else unified.presence_mask(0)
         )
-        tags = (
-            self.unified.memo(
-                ("eval-tags", plan.initial_graph),
-                lambda: _read_only(
-                    np.where(initial_mask, np.int32(-1), np.int32(-2))
-                ),
-            )
-            if value_only else None
-        )
         source = self.scenario.source
         for item in self._schedule(plan):
             if isinstance(item, StepTable):
@@ -179,22 +162,12 @@ class PlanExecutor:
             step = plan.steps[item]
             if isinstance(step, EvalFull):
                 presence[step.state] = initial_mask
-                root = source if step.source is None else step.source
-                run = (
-                    engine.run_worklist(
-                        1, np.array([[0, root]], dtype=np.int64), tags
-                    )
-                    if value_only else None
-                )
-                values[step.state] = (
-                    engine.evaluate_full(
-                        presence[step.state],
-                        root,
-                        phase="full",
-                        tag=step.label,
-                        parent_row=step.state if needs_deletion else None,
-                    )
-                    if run is None else run.values[0]
+                values[step.state] = engine.evaluate_full(
+                    presence[step.state],
+                    source if step.source is None else step.source,
+                    phase="full",
+                    tag=step.label,
+                    parent_row=step.state if needs_deletion else None,
                 )
             elif isinstance(step, MarkSnapshot):
                 snap = values[step.state].copy()
@@ -228,8 +201,8 @@ class PlanExecutor:
         or None where the one-call path does not take the plan.
 
         It takes a plan the kernel has not refused, of an executor the
-        kernel runs for (:meth:`_worklist_runs`), shaped as the
-        multi-query BOE plan is: its ``EvalFull`` steps on the common
+        kernel runs for (:meth:`_worklist_runs`), shaped as the BOE plan
+        is: its ``EvalFull`` steps on the common
         graph, one segment of ``CopyState`` and ``ApplyEdges`` steps, then
         its ``MarkSnapshot`` steps.  No fault on batch delivery or on the
         marked values may be armed: both act on the steps this path does

@@ -169,18 +169,10 @@ def grid_edges(rows: int, cols: int, seed: int = 0) -> EdgeList:
     """A 2-D grid with rightward and downward edges (road-network-like)."""
     rng = np.random.default_rng(seed)
     n = rows * cols
-    srcs: list[int] = []
-    dsts: list[int] = []
-    for r in range(rows):
-        for c in range(cols):
-            u = r * cols + c
-            if c + 1 < cols:
-                srcs.append(u)
-                dsts.append(u + 1)
-            if r + 1 < rows:
-                srcs.append(u)
-                dsts.append(u + cols)
-    edges = EdgeList(
-        n, np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64), None
-    )
-    return attach_weights(edges, rng)
+    u = np.arange(n, dtype=np.int64)
+    # each vertex's right then down neighbour, kept where it exists:
+    # row-major order, as a loop over the cells would emit them
+    dst = np.stack([u + 1, u + cols], axis=1)
+    valid = np.stack([u % cols + 1 < cols, u < n - cols], axis=1)
+    src = np.broadcast_to(u[:, None], dst.shape)
+    return attach_weights(EdgeList(n, src[valid], dst[valid], None), rng)

@@ -16,6 +16,11 @@ needs it, simultaneously:
 Snapshot ``i+1`` "peels off" the shared chain at stage ``i``: it already
 holds all its deletion batches (``j >= i+1``) and from now on only receives
 addition batches.
+
+With ``Q`` query sources (the multi-query extension,
+:mod:`repro.core.multi_query`) each query owns a chain and its peeled
+snapshots, and every batch step targets the states of all queries, so a
+batch is fetched once for the whole ``(query, snapshot)`` matrix.
 """
 
 from __future__ import annotations
@@ -27,39 +32,61 @@ from repro.schedule.plan import ApplyEdges, CopyState, EvalFull, MarkSnapshot, P
 __all__ = ["boe_plan"]
 
 
-def boe_plan(unified: UnifiedCSR) -> Plan:
-    """Algorithm 1: the offline BOE schedule for ``N`` snapshots.
+def boe_plan(unified: UnifiedCSR, sources: list[int] | None = None) -> Plan:
+    """Algorithm 1: the offline BOE schedule for ``N`` snapshots and one
+    query per source (``None``: one query from the scenario's source).
 
-    State layout: state ``0`` is the shared chain (ends as snapshot 0);
-    state ``k`` (``1 <= k <= N-1``) is snapshot ``k`` once peeled off.
+    State layout: query ``q`` owns states ``q*N .. q*N + N-1``; state
+    ``q*N`` is its shared chain (ends as snapshot 0), state ``q*N + k``
+    (``1 <= k <= N-1``) is snapshot ``k`` once peeled off.  Only the
+    ``EvalFull`` steps name the sources: the rest of the schedule depends
+    on the union and ``Q`` alone, so it is built once per union and ``Q``
+    and shared (the plan's ``key`` says so to the executor).
     """
+    if sources is not None and not sources:
+        raise ValueError("need at least one query source")
+    roots = [None] if sources is None else list(sources)
     n = unified.n_snapshots
-    plan = Plan(name="boe", n_states=n, initial_graph="common")
-    chain = 0
-    plan.steps.append(EvalFull(chain, label="eval-Gc"))
-    if n == 1:
-        plan.steps.append(MarkSnapshot(chain, 0))
-        return plan
+    q_count = len(roots)
+    key = ("boe", q_count)
+    evals = [
+        EvalFull(q * n, label="eval-Gc" if sources is None else f"eval-Gc-q{q}",
+                 source=root)
+        for q, root in enumerate(roots)
+    ]
+    return Plan(
+        name="boe" if sources is None else f"boe-multiquery[{q_count}]",
+        n_states=q_count * n,
+        steps=evals + unified.memo(key, lambda: _shared_steps(unified, q_count)),
+        initial_graph="common",
+        key=key,
+    )
 
+
+def _shared_steps(unified: UnifiedCSR, q_count: int) -> list:
+    """The batch and mark steps of a ``q_count``-query BOE plan."""
+    n = unified.n_snapshots
+    chains = [q * n for q in range(q_count)]
+    steps: list = []
     for i in range(n - 2, -1, -1):
-        # Peel snapshot i+1 off the shared chain before this stage's
+        # Peel snapshot i+1 off each shared chain before this stage's
         # addition batch diverges it from snapshots <= i.
-        plan.steps.append(CopyState(chain, i + 1))
+        steps += [CopyState(chain, chain + i + 1) for chain in chains]
 
         add_id = BatchId(BatchKind.ADDITION, i)
-        add_idx = unified.batch_edges(add_id)
-        targets = tuple(range(i + 1, n))
-        plan.steps.append(
-            ApplyEdges(targets, add_idx, (add_id,), label=f"boe-{add_id}", stage=i)
-        )
+        targets = tuple(chain + k for chain in chains for k in range(i + 1, n))
+        steps.append(ApplyEdges(
+            targets, unified.batch_edges(add_id), (add_id,),
+            label=f"boe-{add_id}", stage=i,
+        ))
 
         del_id = BatchId(BatchKind.DELETION, i)
-        del_idx = unified.batch_edges(del_id)
-        plan.steps.append(
-            ApplyEdges((chain,), del_idx, (del_id,), label=f"boe-{del_id}", stage=i)
-        )
+        steps.append(ApplyEdges(
+            tuple(chains), unified.batch_edges(del_id), (del_id,),
+            label=f"boe-{del_id}", stage=i,
+        ))
 
-    plan.steps.append(MarkSnapshot(chain, 0))
-    for k in range(1, n):
-        plan.steps.append(MarkSnapshot(k, k))
-    return plan
+    steps += [
+        MarkSnapshot(chain + k, chain + k) for chain in chains for k in range(n)
+    ]
+    return steps

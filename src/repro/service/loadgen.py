@@ -74,6 +74,10 @@ ZIPF_S = 1.3
 #: edges added *and* deleted per synthesized delta — sizes the per-epoch
 #: apply work every reader of the chain must absorb
 INGEST_EDGES = 8
+#: queries draw their source from this many top-degree vertices
+N_SOURCES = 16
+#: probability a query asks for a random sub-window
+WINDOW_FRACTION = 0.2
 
 
 @dataclass
@@ -86,10 +90,6 @@ class LoadSpec:
     seed: int = 0
     graphs: tuple[str, ...] = ("PK",)
     algos: tuple[str, ...] = ("sssp",)
-    #: queries draw their source from this many top-degree vertices
-    n_sources: int = 16
-    #: probability a query asks for a random sub-window
-    window_fraction: float = 0.2
     #: ingest a synthesized delta every this many seconds (0 = never)
     ingest_every_s: float = 0.0
     #: per-query execution deadline in seconds (0 = none)
@@ -253,7 +253,7 @@ def _plan_arrivals(
         pool = pools[graph]
         source = pool[_zipf_index(rng, zipf[graph])]
         window = None
-        if spec.window_fraction > 0 and rng.random() < spec.window_fraction:
+        if rng.random() < WINDOW_FRACTION:
             lo = (
                 int(rng.integers(cfg.n_snapshots - 1))
                 if cfg.n_snapshots > 1 else 0
@@ -389,7 +389,7 @@ def run_load(
     rng = np.random.default_rng(spec.seed)
     retry_rng = np.random.default_rng(spec.seed + 0x5EED)
     pools = {
-        g: _source_pool(g, cfg.scale, cfg.n_snapshots, spec.n_sources)
+        g: _source_pool(g, cfg.scale, cfg.n_snapshots, N_SOURCES)
         for g in spec.graphs
     }
 

@@ -44,7 +44,7 @@ Per-worker memory stays bounded: the only worker state is a small LRU
 of attaches (``_ATTACHED``, at most ``_ATTACHED_LIMIT``).  An entry
 holds its generation's zero-copy scenario and, memoised on its union,
 what plans derive from it alone — the common-graph mask and each source
-count's schedule and edge tags — so a plan pays for its kernel call and
+count's BOE steps, step table and edge tags — so a plan pays for its kernel call and
 little else, and evicting the entry drops it all.  A worker holds no windowed copy
 of a graph.
 :meth:`WorkerPool.clear_caches` broadcasts a best-effort detach;
@@ -95,7 +95,8 @@ DEFAULT_BUDGET_S = 60.0
 
 @dataclass
 class PlanPayload:
-    """One coalesced multi-query BOE plan, ready to ship to a worker."""
+    """One coalesced BOE plan (one query per source), ready to ship to a
+    worker."""
 
     plan_id: int
     algo: str

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms import get_algorithm
-from repro.core import EvolvingGraphEngine, evaluate_multi_query, multi_query_boe_plan
+from repro.core import EvolvingGraphEngine, evaluate_multi_query
 from repro.engines import PlanExecutor
 from repro.engines.validation import evaluate_reference
+from repro.schedule import boe_plan
 from repro.schedule.plan import ApplyEdges
 
 
@@ -86,7 +87,7 @@ def test_multi_query_shares_fetches(engine):
 
     def traced(sources):
         return PlanExecutor(scenario, algo, record_traces=True).run(
-            multi_query_boe_plan(scenario.unified, sources)
+            boe_plan(scenario.unified, sources)
         )
 
     one = traced([scenario.source])
@@ -110,7 +111,7 @@ def test_multi_query_shares_fetches(engine):
 
 def test_multi_query_plan_structure(engine):
     u = engine.scenario.unified
-    plan = multi_query_boe_plan(u, [0, 5])
+    plan = boe_plan(u, [0, 5])
     n = u.n_snapshots
     assert plan.n_states == 2 * n
     adds = [
@@ -126,7 +127,7 @@ def test_multi_query_plan_structure(engine):
 
 def test_multi_query_requires_sources(engine):
     with pytest.raises(ValueError):
-        multi_query_boe_plan(engine.scenario.unified, [])
+        boe_plan(engine.scenario.unified, [])
 
 
 def test_multi_query_result_bounds(engine):

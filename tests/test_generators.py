@@ -84,3 +84,31 @@ def test_grid_structure():
     assert (0, 1) in pairs and (1, 2) in pairs
     assert (0, 3) in pairs and (2, 5) in pairs
     assert len(pairs) == 2 * 2 + 3  # 4 right + 3 down
+
+
+def _grid_by_cells(rows, cols):
+    """The grid's edges from a loop over its cells: right, then down."""
+    src, dst = [], []
+    for r in range(rows):
+        for c in range(cols):
+            u = r * cols + c
+            if c + 1 < cols:
+                src.append(u)
+                dst.append(u + 1)
+            if r + 1 < rows:
+                src.append(u)
+                dst.append(u + cols)
+    return np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(1, 1), (1, 5), (5, 1), (2, 3), (7, 9), (300, 300)]
+)
+def test_grid_matches_the_cell_loop(rows, cols):
+    e = grid_edges(rows, cols, seed=4)
+    src, dst = _grid_by_cells(rows, cols)
+    assert e.n_vertices == rows * cols
+    assert e.src.dtype == src.dtype and e.dst.dtype == dst.dtype
+    assert np.array_equal(e.src, src) and np.array_equal(e.dst, dst)
+    want = np.random.default_rng(4).uniform(1.0, 16.0, size=src.size)
+    assert e.wt.dtype == want.dtype and np.array_equal(e.wt, want)

@@ -650,9 +650,7 @@ def test_window_server_advance_bit_identical(compiled):
                 server.advance(
                     delta.additions(scenario.n_vertices), delta.deletions()
                 )
-            return [
-                server.values(s) for s in range(server.n_snapshots)
-            ] + [server.last_stable]
+            return [server.values(s) for s in range(server.n_snapshots)]
 
         _assert_same(*_on_tiers(compiled, run), algorithm.name)
 
@@ -773,11 +771,11 @@ def test_budget_breach_identical_across_tiers(compiled, budget, monkeypatch):
     the breach are identical too; a wall-clock deadline that is never
     reached changes nothing, though it splits each compiled loop into
     chunks (shortened here so every execution spans several calls)."""
-    from repro.core.multi_query import multi_query_boe_plan
+    from repro.schedule import boe_plan
 
     _assert_breach_parity(
         compiled, budget,
-        lambda unified: multi_query_boe_plan(unified, [0, 5, 11]),
+        lambda unified: boe_plan(unified, [0, 5, 11]),
         monkeypatch,
     )
 

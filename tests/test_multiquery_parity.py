@@ -1,6 +1,6 @@
 """Coalesced multi-query plans equal per-query sequential runs.
 
-The query service leans on ``multi_query_boe_plan`` to merge compatible
+The query service leans on ``boe_plan(unified, sources)`` to merge compatible
 concurrent queries into one shared plan, so this parity must hold for
 every algorithm the registry exposes — not just the one the service
 happens to batch first.  Each case compares the coalesced values against

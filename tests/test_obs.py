@@ -45,6 +45,7 @@ from repro.service import (
     ServiceFrontend,
     run_load,
 )
+from repro.service import loadgen
 from repro.service.loadgen import _plan_arrivals
 from repro.service.pool import PlanResult
 from repro.service.request import SnapshotSummary
@@ -471,13 +472,12 @@ def test_concurrent_plan_completions_keep_books_straight():
 # ---------------------------------------------------------------------------
 
 
-def test_plan_arrivals_single_snapshot_windows():
+def test_plan_arrivals_single_snapshot_windows(monkeypatch):
     import numpy as np
 
+    monkeypatch.setattr(loadgen, "WINDOW_FRACTION", 1.0)
     cfg = ServiceConfig(scale="tiny", n_snapshots=1)
-    spec = LoadSpec(
-        duration_s=1.0, rate_qps=200.0, seed=1, window_fraction=1.0
-    )
+    spec = LoadSpec(duration_s=1.0, rate_qps=200.0, seed=1)
     pools = {"PK": [0, 1, 2]}
     arrivals = _plan_arrivals(cfg, spec, np.random.default_rng(1), pools)
     assert arrivals
@@ -485,12 +485,10 @@ def test_plan_arrivals_single_snapshot_windows():
     assert windows == {(0, 0)}  # the only valid window at 1 snapshot
 
 
-def test_serve_bench_single_snapshot_end_to_end():
+def test_serve_bench_single_snapshot_end_to_end(monkeypatch):
+    monkeypatch.setattr(loadgen, "WINDOW_FRACTION", 0.5)
     cfg = _tiny_config(n_snapshots=1)
-    spec = LoadSpec(
-        duration_s=0.4, rate_qps=40.0, seed=2, window_fraction=0.5,
-        trace_sample=3,
-    )
+    spec = LoadSpec(duration_s=0.4, rate_qps=40.0, seed=2, trace_sample=3)
     with QueryService(cfg) as svc:
         report = run_load(svc, spec)
     r = report.results

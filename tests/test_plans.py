@@ -47,6 +47,45 @@ def test_plan_for_lookup(small_scenario):
         plan_for("bogus", small_scenario.unified)
 
 
+def test_boe_simulations_build_one_schedule(small_pool, monkeypatch):
+    """Recorded BOE and BOE+BP simulations of the five algorithms on one
+    scenario build the BOE steps once and the executor's step tables
+    once per (union, source); the plan from the scenario's source and
+    the one-source plan share one step list."""
+    from collections import Counter
+
+    from repro.accel.mega import MegaSimulator
+    from repro.algorithms import all_algorithms
+    from repro.engines.executor import PlanExecutor
+    from repro.evolving import synthesize_scenario
+    from repro.schedule import boe
+
+    scenario = synthesize_scenario(small_pool, n_snapshots=6, seed=3)
+    steps, tables = Counter(), Counter()
+    shared_steps, segments = boe._shared_steps, PlanExecutor._segments
+
+    def count_steps(unified, q_count):
+        steps[id(unified), q_count] += 1
+        return shared_steps(unified, q_count)
+
+    def count_tables(executor, plan_steps):
+        tables[id(executor.unified), executor.scenario.source] += 1
+        return segments(executor, plan_steps)
+
+    monkeypatch.setattr(boe, "_shared_steps", count_steps)
+    monkeypatch.setattr(PlanExecutor, "_segments", count_tables)
+    for algorithm in all_algorithms():
+        for pipeline in (False, True):
+            MegaSimulator("boe", pipeline=pipeline).run(scenario, algorithm)
+    assert list(tables.values()) == [1]
+    unified = scenario.unified
+    one, named = boe_plan(unified), boe_plan(unified, [scenario.source])
+    assert len(one.steps) == len(named.steps)
+    assert all(a is b for a, b in zip(one.steps[1:], named.steps[1:]))
+    assert one.key == named.key == ("boe", 1)
+    assert list(steps.values()) == [1]
+
+
 def test_streaming_plan_structure(small_scenario):
     plan = streaming_plan(small_scenario.unified)
     n = small_scenario.n_snapshots

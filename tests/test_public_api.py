@@ -115,10 +115,6 @@ BENCH_OPTIONS = {
     "--duration": (["--duration", "2"], "spec.duration_s"),
     "--rate": (["--rate", "20"], "spec.rate_qps"),
     "--seed": (["--seed", "3"], "spec.seed"),
-    "--sources": (["--sources", "4"], "spec.n_sources"),
-    "--window-fraction": (
-        ["--window-fraction", "0.5"], "spec.window_fraction"
-    ),
     "--ingest-every": (["--ingest-every", "0.5"], "spec.ingest_every_s"),
     "--deadline-ms": (["--deadline-ms", "50"], "spec.deadline_s"),
     "--retries": (["--retries", "2"], "spec.max_retries"),

@@ -27,6 +27,7 @@ from repro.service import (
     run_failover_drill,
     run_load,
 )
+from repro.service import loadgen
 
 TINY = dict(scale="tiny", n_snapshots=4, workers=1)
 
@@ -348,12 +349,13 @@ def test_fault_campaign_replica_trials_recover(point):
     assert outcome.verdict == "recovered", outcome.detail
 
 
-def test_run_load_redirects_ingest_to_primary(tmp_path):
+def test_run_load_redirects_ingest_to_primary(tmp_path, monkeypatch):
+    monkeypatch.setattr(loadgen, "N_SOURCES", 4)
     primary = _primary(tmp_path)
     replica = _replica(tmp_path)
     try:
         replica.start()
-        spec = LoadSpec(duration_s=0.4, rate_qps=40, seed=1, n_sources=4,
+        spec = LoadSpec(duration_s=0.4, rate_qps=40, seed=1,
                         ingest_every_s=0.15)
         report = run_load(
             replica.service, spec, resolve_primary=lambda: primary

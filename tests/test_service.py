@@ -34,6 +34,7 @@ from repro.service import (
     synthesize_delta,
     validate_request,
 )
+from repro.service import loadgen
 from repro.service.loadgen import BENCH_SCHEMA_VERSION
 from repro.service.request import SnapshotSummary
 
@@ -626,9 +627,10 @@ def _bench_schema_ok(doc: dict) -> None:
     assert doc["config"]["scale"] in ("tiny", "small", "medium")
 
 
-def test_run_load_report_schema_and_clean_exit():
-    spec = LoadSpec(duration_s=0.4, rate_qps=40, seed=1, n_sources=4,
-                    window_fraction=0.25, ingest_every_s=0.2)
+def test_run_load_report_schema_and_clean_exit(monkeypatch):
+    monkeypatch.setattr(loadgen, "N_SOURCES", 4)
+    monkeypatch.setattr(loadgen, "WINDOW_FRACTION", 0.25)
+    spec = LoadSpec(duration_s=0.4, rate_qps=40, seed=1, ingest_every_s=0.2)
     with QueryService(_config()) as service:
         report = run_load(service, spec)
     assert not report.degraded
@@ -664,12 +666,13 @@ def test_cli_bad_service_arguments_exit_2(argv, capsys):
     assert capsys.readouterr().err.strip()  # one-line operator error
 
 
-def test_cli_serve_bench_tiny_smoke(tmp_path, capsys):
+def test_cli_serve_bench_tiny_smoke(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(loadgen, "N_SOURCES", 4)
     out = tmp_path / "bench.json"
     rc = main([
         "serve-bench", "--scale", "tiny", "--snapshots", "4",
         "--workers", "1", "--duration", "0.3", "--rate", "30",
-        "--sources", "4", "--out", str(out),
+        "--out", str(out),
     ])
     assert rc == 0
     assert "serve-bench" in capsys.readouterr().out

@@ -349,7 +349,7 @@ def test_worker_builds_schedules_once(small_scenario, monkeypatch):
     """Over many plans on one generation, each (union, Q) schedule — the
     plan's shared steps and the executor's step tables — is built once,
     and no windowed view ever is: every plan runs the full window."""
-    from repro.core import multi_query
+    from repro.schedule import boe
     from repro.engines.executor import PlanExecutor
     from repro.evolving import window
     from repro.service import pool
@@ -359,7 +359,7 @@ def test_worker_builds_schedules_once(small_scenario, monkeypatch):
         monkeypatch, window, "extract_window", lambda u, lo, hi: (lo, hi)
     )
     steps = _count_calls(
-        monkeypatch, multi_query, "_shared_steps", lambda u, q: (id(u), q)
+        monkeypatch, boe, "_shared_steps", lambda u, q: (id(u), q)
     )
     tables = _count_calls(
         monkeypatch, PlanExecutor, "_segments",

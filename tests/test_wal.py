@@ -34,6 +34,7 @@ from repro.service import (
     split_expired,
     validate_request,
 )
+from repro.service import loadgen
 from repro.service import wal as wal_module
 from repro.service.batcher import PendingQuery
 from repro.service.server import ServiceFrontend
@@ -793,12 +794,12 @@ def test_delta_wire_roundtrip():
 def _bench_argv(*extra: str) -> list[str]:
     return [
         "serve-bench", "--scale", "tiny", "--snapshots", "4",
-        "--workers", "1", "--duration", "0.2", "--rate", "20",
-        "--sources", "4", *extra,
+        "--workers", "1", "--duration", "0.2", "--rate", "20", *extra,
     ]
 
 
 def test_cli_no_out_skips_report_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(loadgen, "N_SOURCES", 4)
     monkeypatch.chdir(tmp_path)
     assert main(_bench_argv("--no-out")) == 0
     assert not list(tmp_path.glob("*.json"))

@@ -95,31 +95,6 @@ def test_slid_window_is_bit_identical_to_fresh_build(algo):
         ), (algo, k)
 
 
-def test_stable_vertex_tracking():
-    """advance() reports a provably-stable vertex set: every vertex it
-    marks stable kept its latest value bit-for-bit across the slide."""
-    server = fresh_server(algo="sssp")
-    assert server.last_stable is None and server.stable_rate == 0.0
-    rng = np.random.default_rng(31)
-    for _ in range(3):
-        before = server.latest().copy()
-        adds = pick_new_edges(server, rng, 5)
-        dels = pick_deletable(server, rng, 4)
-        server.advance(adds, dels)
-        stable = server.last_stable
-        assert stable is not None and stable.dtype == bool
-        after = server.latest()
-        same = (before == after) | (
-            np.isnan(before) & np.isnan(after)
-        )
-        assert bool(same[stable].all()), "a 'stable' vertex changed"
-    assert server.slide_vertices == 3 * server.scenario.n_vertices
-    assert 0.0 < server.stable_rate <= 1.0
-    assert server.stable_vertices == round(
-        server.stable_rate * server.slide_vertices
-    )
-
-
 def test_slide_preserves_surviving_results():
     server = fresh_server()
     before = [server.values(k).copy() for k in range(server.n_snapshots)]
@@ -258,7 +233,7 @@ def test_nan_window_refuses_deletion_slides(tier, algo):
         with pytest.raises(RuntimeError, match=NOT_A_FIXPOINT):
             server.advance(deletions=pick_deletable(server, rng, 3))
         assert server.scenario is scenario
-        assert server.slides == 0 and server.last_stable is None
+        assert server.slides == 0
         for k in range(5):
             assert np.array_equal(server.values(k), values[k], equal_nan=True)
     finally:

@@ -8,9 +8,9 @@ summaries — as one call of the same kernel.  Their answers must equal
 the round loop's (``evaluate_full``, which ``evaluate_reference`` runs,
 and ``summarize`` over the round loop's values) bit for bit, they must
 hand a NaN candidate and a run past its pop ceiling back to the round
-loop, and a plan with a round or event cap, a trace or a deletion must
-never take them.  Compiled tier only: the numpy tier has no worklist
-kernel.
+loop, and a plan with a round or event cap, a trace, a deletion or a
+shape other than BOE's must never take them.  Compiled tier only: the
+numpy tier has no worklist kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.core.multi_query import (
     summarize,
     summarize_multi_query,
 )
-from repro.core.multi_query import multi_query_boe_plan
 from repro.engines import MultiVersionEngine, PlanExecutor
 from repro.engines.validation import evaluate_reference
 from repro.evolving.snapshots import EvolvingScenario
@@ -34,7 +33,7 @@ from repro.evolving.unified_csr import UnifiedCSR
 from repro.graph.csr import CSRGraph
 from repro.perf.backend import available_backends, reset_backend, resolve_backend
 from repro.resilience.budget import Budget
-from repro.schedule import WORKFLOWS
+from repro.schedule import WORKFLOWS, boe_plan
 from repro.workloads import load_scenario
 from repro.workloads.datasets import DATASETS
 
@@ -219,8 +218,9 @@ def test_only_a_wall_clock_budget_takes_the_worklist(
 def test_traced_and_deleting_plans_keep_the_round_loop(
     small_scenario, monkeypatch
 ):
-    """A plan that records traces, or tracks parents for its deletions,
-    runs every full evaluation on the round loop."""
+    """A plan that records traces, tracks parents for its deletions, or
+    is not shaped as the BOE plan (a value-only Direct-Hop or
+    Work-Sharing plan) runs whole on the round loop."""
     calls = _counting(monkeypatch)
     algorithm = get_algorithm("sssp")
     PlanExecutor(small_scenario, algorithm, record_traces=True).run(
@@ -229,6 +229,13 @@ def test_traced_and_deleting_plans_keep_the_round_loop(
     PlanExecutor(small_scenario, algorithm).run(
         WORKFLOWS["streaming"](small_scenario.unified)
     )
+    for workflow in ("direct-hop", "work-sharing"):
+        got = PlanExecutor(small_scenario, algorithm).run(
+            WORKFLOWS[workflow](small_scenario.unified)
+        )
+        for k in range(small_scenario.n_snapshots):
+            want = evaluate_reference(small_scenario, algorithm, k)
+            assert _same(got.values(k), want), (workflow, k)
     assert calls == []
 
 
@@ -332,7 +339,7 @@ def test_random_plans_match_the_round_loop(case):
         n_snapshots,
     )
     scenario = EvolvingScenario(unified, source=sources[0])
-    plan = multi_query_boe_plan(unified, sources)
+    plan = boe_plan(unified, sources)
     for algorithm in all_algorithms():
         run = PlanExecutor(scenario, algorithm).summarize(plan)
         assert run is not None, algorithm.name
@@ -475,7 +482,7 @@ def test_a_value_only_run_is_one_kernel_call(
 
     unified = small_scenario.unified
     plan = (
-        multi_query_boe_plan(unified, [0, 5, 11])
+        boe_plan(unified, [0, 5, 11])
         if workflow == "multi-query" else WORKFLOWS["boe"](unified)
     )
     algorithm = get_algorithm("sssp")
@@ -501,13 +508,13 @@ def test_a_value_only_run_is_one_kernel_call(
 
 def test_the_numpy_tier_builds_no_worklist_input(small_pool):
     """Without the kernel, a plan pays nothing for it: no one-call shape
-    or evaluation tags are built, and no budget clock is started."""
+    is built, and no budget clock is started."""
     from repro.evolving import synthesize_scenario
 
     resolve_backend("numpy")
     scenario = synthesize_scenario(small_pool, n_snapshots=4, seed=5)
     unified = scenario.unified
-    plan = multi_query_boe_plan(unified, [0, 5])
+    plan = boe_plan(unified, [0, 5])
     executor = PlanExecutor(
         scenario, get_algorithm("sssp"),
         budget=Budget(wall_clock_s=60.0),
@@ -517,7 +524,7 @@ def test_the_numpy_tier_builds_no_worklist_input(small_pool):
     executor.run(plan)
     assert not [
         key for key in unified._memo
-        if isinstance(key, tuple) and key[0] in ("one-call", "eval-tags")
+        if isinstance(key, tuple) and key[0] == "one-call"
     ]
 
 
